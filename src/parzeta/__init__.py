@@ -1,6 +1,6 @@
 """Exact partial zeta functions of affine varieties over finite fields."""
 
-from .fields import Field, FieldElement, build_field, field, smallest_irreducible
+from .fields import Field, FieldElement, field, smallest_irreducible
 from .polys import (MorphismSpec, PolyParseError, SparsePoly, VarietySpec,
                     base_field, parse_poly)
 from .counting import (BudgetExceededError, CountTable, DEFAULT_BUDGET,

@@ -44,6 +44,11 @@ class ASInstance:
 
 
 def _domains(inst: ASInstance):
+    """The ambient F_{q^d}, its elements (the x-domain) and F_q (the y-domain).
+
+    Callers check their budget, from len(xs) = q^d and len(ys) = q, before
+    calling this, so nothing is materialised for a refused instance.
+    """
     amb = field(inst.p, inst.s, inst.d)
     xs = amb.subfield(inst.d, method="span")   # the whole field, sorted
     ys = amb.subfield(1, method="span")
@@ -52,37 +57,40 @@ def _domains(inst: ASInstance):
 
 def as_count_brute(inst: ASInstance, budget: int = DEFAULT_BUDGET) -> int:
     """Full enumeration over (x_0, x, y)."""
-    amb, xs, ys = _domains(inst)
-    cost = len(xs) ** (inst.n + 1) * len(ys) ** inst.nprime
+    q, d = inst.q, inst.d
+    cost = q ** (d * (inst.n + 1)) * q ** inst.nprime
     if cost > budget:
         raise BudgetExceededError(cost, budget, "as_count_brute")
+    amb, xs, ys = _domains(inst)
+    # x_0^p - x_0 for every x_0, scanned in full for each right-hand side
+    lhs = [amb.sub(amb.pow(x0.value, inst.p), x0.value) for x0 in xs]
     count = 0
     for xy in product(*([xs] * inst.n + [ys] * inst.nprime)):
-        rhs = inst.f.evaluate(xy, amb)
-        for x0 in xs:
-            if (x0 ** inst.p - x0) == rhs:
-                count += 1
+        count += lhs.count(inst.f.evaluate(xy, amb).value)
     return count
 
 
 def trace_to_prime(amb: Field, x) -> int:
     """Absolute trace down to F_p, returned as an integer residue."""
-    acc = x
-    cur = x
+    add, pw, p = amb.add, amb.pow, amb.p
+    acc = cur = x.value
     for _ in range(amb.m - 1):
-        cur = amb.frobenius_p(cur, 1)
-        acc = acc + cur
-    if any(acc.coeffs[1:]):
+        cur = pw(cur, p)
+        acc = add(acc, cur)
+    # in F_p exactly when every digit below the constant term vanishes
+    c, rest = divmod(acc, amb.one().value)
+    if rest:
         raise ArithmeticError("trace did not land in the prime field")
-    return acc.coeffs[0]
+    return c
 
 
 def as_count_trace(inst: ASInstance, budget: int = DEFAULT_BUDGET) -> int:
     """Trace oracle: x_0^p - x_0 = c has p solutions iff Tr(c) = 0, else none."""
-    amb, xs, ys = _domains(inst)
-    cost = len(xs) ** inst.n * len(ys) ** inst.nprime
+    q, d = inst.q, inst.d
+    cost = q ** (d * inst.n) * q ** inst.nprime
     if cost > budget:
         raise BudgetExceededError(cost, budget, "as_count_trace")
+    amb, xs, ys = _domains(inst)
     count = 0
     for xy in product(*([xs] * inst.n + [ys] * inst.nprime)):
         if trace_to_prime(amb, inst.f.evaluate(xy, amb)) == 0:

@@ -317,7 +317,8 @@ def cmd_zeta(args) -> int:
              "zeta": res.function.to_json_dict(),
              "B_used": res.B_used,
              "counts": list(res.table.counts)},
-            budget, None, time.perf_counter() - t0)
+            budget, None, time.perf_counter() - t0,
+            workers=args.workers)
         emit(report, args.format, sys.stdout)
         return EXIT_NO_CONVERGENCE
     consumed = sum(_enumeration_cost(X, k) for k in range(1, res.B_used + 1))

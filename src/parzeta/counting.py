@@ -43,23 +43,26 @@ def ambient_field(X: VarietySpec, k: int) -> Field:
 
 
 def _compiled_equations(X: VarietySpec, ambient: Field):
-    """Equations as [(coeff_in_ambient, ((var, exp), ...)), ...] lists."""
+    """Equations as [(packed_coeff_in_ambient, ((var, exp), ...)), ...] lists."""
     emb = ambient.embed_base(X.base)
     out = []
     for eq in X.equations:
         terms = []
         for exps, c in sorted(eq.terms.items()):
             ve = tuple((i, e) for i, e in enumerate(exps) if e)
-            terms.append((emb(c.coeffs), ve))
+            terms.append((emb(c.coeffs).value, ve))
         out.append(terms)
     return out
 
 
 def _count_block(domains, compiled, ambient, start, stop):
-    """Count solutions among odometer positions [start, stop)."""
-    one_t = ambient._one
-    mul = ambient.mul_t
-    add = ambient.add_t
+    """Count solutions among odometer positions [start, stop).
+
+    ``domains`` are lists of packed ints, so the loop runs on the field's
+    int ``add``/``mul`` and never builds an element object.
+    """
+    one = ambient.one().value
+    mul, add, pw = ambient.mul, ambient.add, ambient.pow
     # precomputed power tables: (var, exp) -> exp-th powers of that domain
     powtab = {}
     eqs = []
@@ -68,43 +71,46 @@ def _count_block(domains, compiled, ambient, start, stop):
         for coeff, ve in terms:
             for i, e in ve:
                 if (i, e) not in powtab:
-                    powtab[(i, e)] = [ambient.pow_t(x.coeffs, e) for x in domains[i]]
-            const = None if (coeff.coeffs == one_t and ve) else coeff.coeffs
-            fast_terms.append((const, [((i, e), i) for i, e in ve]))
+                    powtab[(i, e)] = [pw(x, e) for x in domains[i]]
+            const = None if (coeff == one and ve) else coeff
+            fast_terms.append((const, [(powtab[(i, e)], i) for i, e in ve]))
         eqs.append(fast_terms)
     count = 0
     ranges = [range(len(d)) for d in domains]
-    it = islice(product(*ranges), start, stop)
-    for idx in it:
-        ok = True
+    for idx in islice(product(*ranges), start, stop):
         for fast_terms in eqs:
-            acc = None
+            acc = 0
             for const, ves in fast_terms:
                 v = const
-                for key, i in ves:
-                    w = powtab[key][idx[i]]
+                for tab, i in ves:
+                    w = tab[idx[i]]
                     v = w if v is None else mul(v, w)
-                acc = v if acc is None else add(acc, v)
-            if acc is not None and any(acc):
-                ok = False
+                acc = add(acc, v)
+            if acc:
                 break
-        if ok:
+        else:
             count += 1
     return count
 
 
 def partial_count(X: VarietySpec, k: int, budget: int = DEFAULT_BUDGET,
                   workers: int = 1) -> int:
-    """Exact #X_{d_1,...,d_n}(k) by exhaustive subfield-product enumeration."""
+    """Exact #X_{d_1,...,d_n}(k) by exhaustive subfield-product enumeration.
+
+    The budget is checked against the product of the domain sizes
+    q^(d_i k) before any subfield is materialised.
+    """
     if k < 1:
         raise ValueError("k must be positive")
-    amb = ambient_field(X, k)
-    domains = [amb.subfield(d * k, method="span") for d in X.profile]
+    q = X.p ** X.s
     cost = 1
-    for d in domains:
-        cost *= len(d)
+    for d in X.profile:
+        cost *= q ** (d * k)
     if cost > budget:
         raise BudgetExceededError(cost, budget, f"partial_count k={k}")
+    amb = ambient_field(X, k)
+    domains = [[x.value for x in amb.subfield(d * k, method="span")]
+               for d in X.profile]
     compiled = _compiled_equations(X, amb)
     if workers <= 1:
         return _count_block(domains, compiled, amb, 0, cost)

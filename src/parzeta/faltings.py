@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .counting import BudgetExceededError, DEFAULT_BUDGET, partial_count
-from .fields import Field, field
+from .fields import Field, FieldElement, field
 from .polys import SparsePoly, VarietySpec
 
 
@@ -128,28 +128,33 @@ def enumerate_variety_points(X_equations, n, ambient: Field, base,
 
     Depth-first over coordinates; an equation prunes as soon as its last
     variable is bound, and an equation that is linear in the variable
-    being bound is solved directly instead of scanned.
+    being bound is solved directly instead of scanned.  The search runs
+    on packed ints; only the solutions are wrapped as field elements.
     """
     if domains is None:
-        domains = [list(ambient.elements())] * n
+        domains = [range(ambient.size())] * n
+    else:
+        domains = [[x.value for x in d] for d in domains]
     domain_sets = [None] * n
+    add, mul, pw = ambient.add, ambient.mul, ambient.pow
     emb = ambient.embed_base(base)
     # embed all equation terms once
     compiled = []
     for eq in X_equations:
         maxvar = max((max((i for i, e in enumerate(exps) if e), default=-1)
                       for exps in eq.terms), default=-1)
-        terms = [(emb(c.coeffs), exps) for exps, c in sorted(eq.terms.items())]
+        terms = [(emb(c.coeffs).value, exps)
+                 for exps, c in sorted(eq.terms.items())]
         compiled.append((maxvar, terms))
     by_depth = [[] for _ in range(n + 1)]
     for maxvar, terms in compiled:
         by_depth[maxvar + 1 if maxvar >= 0 else 0].append(terms)
     # constant equations: either vacuous or empty variety
     for terms in by_depth[0]:
-        acc = ambient.zero()
+        acc = 0
         for c, _ in terms:
-            acc = acc + c
-        if not acc.is_zero():
+            acc = add(acc, c)
+        if acc:
             return []
     out = []
     point = [None] * n
@@ -162,17 +167,17 @@ def enumerate_variety_points(X_equations, n, ambient: Field, base,
             v = c
             for i, e in enumerate(exps):
                 if e and i != u:
-                    v = v * point[i] ** e
+                    v = mul(v, pw(point[i], e))
             eu = exps[u]
-            coeffs[eu] = coeffs[eu] + v if eu in coeffs else v
-        return {e: v for e, v in coeffs.items() if not v.is_zero()}
+            coeffs[eu] = add(coeffs[eu], v) if eu in coeffs else v
+        return {e: v for e, v in coeffs.items() if v}
 
     def descend(u):
         nodes[0] += 1
         if nodes[0] > budget:
             raise BudgetExceededError(nodes[0], budget, "variety enumeration")
         if u == n:
-            out.append(tuple(point))
+            out.append(tuple(FieldElement(ambient, v) for v in point))
             return
         eqs_here = by_depth[u + 1]
         solver = None
@@ -180,22 +185,21 @@ def enumerate_variety_points(X_equations, n, ambient: Field, base,
             uni = univariate_in(terms, u, point)
             degs = [e for e in uni if e > 0]
             if degs and max(degs) == 1:
-                solver = (uni, terms)
+                solver = uni
                 break
         if solver is not None:
-            uni, solver_terms = solver
-            c1 = uni.get(1)
-            c0 = uni.get(0, ambient.zero())
+            c1 = solver.get(1)
+            c0 = solver.get(0, 0)
             if c1 is None:
                 # the linear part cancelled: constant equation at this prefix
-                if not c0.is_zero():
+                if c0:
                     return
                 candidates = domains[u]
             else:
-                x = (-c0) * c1.inverse()
+                x = mul(ambient.neg(c0), ambient.inv(c1))
                 if domain_sets[u] is None:
-                    domain_sets[u] = {e.coeffs for e in domains[u]}
-                if x.coeffs not in domain_sets[u]:
+                    domain_sets[u] = set(domains[u])
+                if x not in domain_sets[u]:
                     return
                 candidates = [x]
         else:
@@ -204,14 +208,14 @@ def enumerate_variety_points(X_equations, n, ambient: Field, base,
             point[u] = x
             ok = True
             for terms in eqs_here:
-                acc = ambient.zero()
+                acc = 0
                 for c, exps in terms:
                     v = c
                     for i, e in enumerate(exps):
                         if e:
-                            v = v * point[i] ** e
-                    acc = acc + v
-                if not acc.is_zero():
+                            v = mul(v, pw(point[i], e))
+                    acc = add(acc, v)
+                if acc:
                     ok = False
                     break
             if ok:
@@ -288,7 +292,7 @@ def _enumerate_y_projection(spec, amb, xpts, budget):
         if idx is None:
             idx = {}
             for pt in xpts:
-                kk = tuple(pt[i].coeffs for i in bound_pos)
+                kk = tuple(pt[i].value for i in bound_pos)
                 idx.setdefault(kk, []).append(pt)
             index_cache[(j, bound_pos)] = idx
         return idx.get(tuple(v for v in key_vals), [])
@@ -303,7 +307,7 @@ def _enumerate_y_projection(spec, amb, xpts, budget):
             raise BudgetExceededError(nodes[0], budget, "Y enumeration")
         if pos == d:
             blocks = tuple(
-                tuple(amb.element(values[cls[(j, i)]]) for i in range(n))
+                tuple(FieldElement(amb, values[cls[(j, i)]]) for i in range(n))
                 for j in range(d))
             out.append(blocks)
             return
@@ -314,9 +318,9 @@ def _enumerate_y_projection(spec, amb, xpts, budget):
             for i in range(n):
                 c = cls[(j, i)]
                 if values[c] is None:
-                    values[c] = pt[i].coeffs
+                    values[c] = pt[i].value
                     newly.append(c)
-                elif values[c] != pt[i].coeffs:
+                elif values[c] != pt[i].value:
                     ok = False
                     break
             if ok:
@@ -325,17 +329,21 @@ def _enumerate_y_projection(spec, amb, xpts, budget):
                 values[c] = None
 
     descend(0)
-    out.sort(key=lambda blocks: tuple(x.coeffs for b in blocks for x in b))
+    out.sort(key=lambda blocks: tuple(x.value for b in blocks for x in b))
     return out
 
 
 def _enumerate_y_general(spec, amb, xpts, budget):
     d, n = spec.d, spec.block_size
     X = spec.X
+
+    def key(pt):
+        return tuple(x.value for x in pt)
+
     # cache morphism images per X point
     fvals = []
     for f_i in spec.morphisms:
-        fvals.append({tuple(x.coeffs for x in pt): f_i.apply(pt, amb)
+        fvals.append({key(pt): tuple(v.value for v in f_i.apply(pt, amb))
                       for pt in xpts})
     # constraint (i, j, j2): f_i(block j) == f_i(block j2)
     constraints = []
@@ -350,9 +358,6 @@ def _enumerate_y_general(spec, amb, xpts, budget):
     out = []
     blocks = [None] * d
     nodes = [0]
-
-    def key(pt):
-        return tuple(x.coeffs for x in pt)
 
     def descend(j):
         nodes[0] += 1
@@ -375,7 +380,7 @@ def _enumerate_y_general(spec, amb, xpts, budget):
             blocks[j] = None
 
     descend(0)
-    out.sort(key=lambda bl: tuple(x.coeffs for b in bl for x in b))
+    out.sort(key=lambda bl: tuple(x.value for b in bl for x in b))
     return out
 
 
@@ -383,8 +388,15 @@ def _enumerate_y_general(spec, amb, xpts, budget):
 # fixed points and the counting identity
 # ---------------------------------------------------------------------------
 
+def _values(blocks):
+    """A Y point as nested tuples of packed ints."""
+    return tuple(tuple(x.value for x in block) for block in blocks)
+
+
 def _apply_frobenius(blocks, amb: Field, k: int):
-    return tuple(tuple(amb.frobenius(x, k) for x in block) for block in blocks)
+    """Frobenius^k on every coordinate of a Y point given by ``_values``."""
+    frob = amb.frob
+    return tuple(tuple(frob(x, k) for x in block) for block in blocks)
 
 
 def fixed_points(spec: FaltingsSpec, a: int, k: int,
@@ -395,7 +407,8 @@ def fixed_points(spec: FaltingsSpec, a: int, k: int,
     ypts = enumerate_y_points(spec, k, budget=budget)
     out = []
     for y in ypts:
-        if sigma_apply(_apply_frobenius(y, amb, k), a) == y:
+        v = _values(y)
+        if sigma_apply(_apply_frobenius(v, amb, k), a) == v:
             out.append(y)
     return out
 
@@ -474,22 +487,24 @@ def lemma_check(X: VarietySpec, k_max: int, morphisms=None,
         else:
             lhs = morphism_partial_count(X, morphisms, k, budget=budget)
         amb = field(X.p, X.s, d * k)
+        frob = amb.frob
         ypts = enumerate_y_points(spec, k, budget=budget)
+        yvals = [_values(y) for y in ypts]
+        images = [_apply_frobenius(v, amb, k) for v in yvals]
         for a in range(1, d + 1):
             if gcd(a, d) != 1:
                 continue
-            fixed = [y for y in ypts
-                     if sigma_apply(_apply_frobenius(y, amb, k), a) == y]
+            fixed = [(y, v) for y, v, img in zip(ypts, yvals, images)
+                     if sigma_apply(img, a) == v]
             entries.append(LemmaEntry(a, k, lhs, len(fixed)))
             if lhs != len(fixed) and len(witnesses) < 10:
-                witnesses.extend(fixed[:10 - len(witnesses)])
+                witnesses.extend(y for y, _ in fixed[:10 - len(witnesses)])
             # reconstruction bijection: y_j = Frob^{k h_j}(y_1)
-            for y in fixed:
-                y1 = y[0]
+            for _, v in fixed:
+                y1 = v[0]
                 for j in range(1, d + 1):
                     h = h_index(a, d, j)
-                    expect = tuple(amb.frobenius(x, k * h) for x in y1)
-                    if y[j - 1] != expect:
+                    if v[j - 1] != tuple(frob(x, k * h) for x in y1):
                         recon_ok = False
     passed = all(e.equal for e in entries)
     return LemmaReport(d, tuple(entries), passed, recon_ok, tuple(witnesses))

@@ -139,7 +139,7 @@ class SparsePoly:
                 and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.n, frozenset((e, c.coeffs) for e, c in self.terms.items())))
+        return hash((self.n, frozenset((e, c.value) for e, c in self.terms.items())))
 
     # -- structure ---------------------------------------------------------
 
@@ -206,20 +206,20 @@ class SparsePoly:
         if len(point) != self.n:
             raise ValueError(f"point has {len(point)} coordinates, expected {self.n}")
         emb = ambient.embed_base(self.base)
-        acc = ambient.zero()
+        add, mul, pw = ambient.add, ambient.mul, ambient.pow
+        acc = 0
         powcache = {}
         for e, c in self.terms.items():
-            v = emb(c.coeffs)
+            v = emb(c.coeffs).value
             for i, exp in enumerate(e):
                 if exp:
                     key = (i, exp)
-                    pw = powcache.get(key)
-                    if pw is None:
-                        pw = point[i] ** exp
-                        powcache[key] = pw
-                    v = v * pw
-            acc = acc + v
-        return acc
+                    x = powcache.get(key)
+                    if x is None:
+                        x = powcache[key] = pw(point[i].value, exp)
+                    v = mul(v, x)
+            acc = add(acc, v)
+        return FieldElement(ambient, acc)
 
     # -- printing ----------------------------------------------------------
 

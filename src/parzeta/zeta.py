@@ -125,10 +125,6 @@ class RationalFunctionZ:
                 "total_degree": self.total_degree()}
 
 
-def total_degree(R: RationalFunctionZ) -> int:
-    return R.total_degree()
-
-
 # ---------------------------------------------------------------------------
 # exact linear algebra over Q
 # ---------------------------------------------------------------------------

@@ -139,3 +139,20 @@ def test_example_sweep_rejects_bad_degree():
     f1 = parse_poly("x1^2", ["x1"], F2)
     with pytest.raises(ValueError):
         example44_sweep(f1, f1, 2, [1])
+
+
+def test_budget_checked_before_domains(monkeypatch):
+    from parzeta.counting import BudgetExceededError
+    from parzeta.fields import Field
+
+    def refuse(self, e, method="filter"):
+        raise AssertionError("domain materialised before the budget check")
+
+    monkeypatch.setattr(Field, "subfield", refuse)
+    inst = ASInstance(2, 1, 1, 1, 9, CUBIC)
+    with pytest.raises(BudgetExceededError) as exc:
+        as_count_brute(inst, budget=10)
+    assert exc.value.cost == 2 ** (9 * 2) * 2
+    with pytest.raises(BudgetExceededError) as exc:
+        as_count_trace(inst, budget=10)
+    assert exc.value.cost == 2 ** 9 * 2

@@ -169,3 +169,18 @@ def test_file_budget_override(tmp_path, capsys):
     code, rep = run_json(capsys, "count", str(f), "-k", "2",
                          "--budget", "1000")
     assert code == 0
+
+
+def test_zeta_root_finding_failure_keeps_workers(capsys, monkeypatch):
+    import parzeta.cli as cli
+    from parzeta.zeta import RootFindingError
+
+    def fail(*args, **kwargs):
+        raise RootFindingError("root refinement did not converge", [1])
+
+    monkeypatch.setattr(cli, "weil_weight_check", fail)
+    code, rep = run_json(capsys, "zeta", str(CORPUS / "diag11_f2.json"),
+                         "--workers", "2")
+    assert code == 4
+    assert rep["outputs"]["status"] == "root-finding-failed"
+    assert rep["timings"]["workers"] == 2

@@ -92,3 +92,22 @@ def test_count_table_full():
 def test_invalid_k():
     with pytest.raises(ValueError):
         partial_count(DIAG, 0)
+
+
+def test_budget_checked_before_subfields(monkeypatch):
+    # mu3_profile6_f2 at k = 3 would span a 2^18-element subfield
+    from pathlib import Path
+
+    from parzeta.cli import load_instance
+    from parzeta.fields import Field
+
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    X, _, _ = load_instance(str(corpus / "mu3_profile6_f2.json"), "variety")
+
+    def refuse(self, e, method="filter"):
+        raise AssertionError("subfield materialised before the budget check")
+
+    monkeypatch.setattr(Field, "subfield", refuse)
+    with pytest.raises(BudgetExceededError) as exc:
+        partial_count(X, 3, budget=10)
+    assert exc.value.cost == 2 ** (3 * sum(X.profile))
