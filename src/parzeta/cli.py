@@ -452,7 +452,9 @@ def _add_common(sub, zeta_flags=False):
     sub.add_argument("file", help="instance JSON file")
     sub.add_argument("--budget", type=int, default=None,
                      help="enumeration budget (tuples per count)")
-    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument("--workers", type=int, default=1,
+                     help="recorded in the report's timings block; "
+                          "counting runs in one thread")
     sub.add_argument("--format", choices=("json", "csv", "table"),
                      default="json")
     if zeta_flags:

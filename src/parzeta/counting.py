@@ -1,20 +1,39 @@
 """Partial point counts over prescribed subfield products.
 
-The count N_k enumerates tuples whose i-th coordinate runs over
+The count N_k is the number of tuples whose i-th coordinate lies in
 F_{q^{d_i k}} inside the ambient field F_{q^{Dk}} (D the lcm of the
-profile) and keeps those where every defining equation vanishes.  The
-enumeration is an odometer over the per-coordinate subfield lists in lex
-order, so totals are independent of how the index space is partitioned
-across workers.
+profile) and at which every defining equation vanishes.
+
+One depth-first engine, ``_search``, serves both counting and point
+listing.  It binds the variables in a given order, each to the values of
+its domain; an equation is checked as soon as its last variable is bound,
+and an equation linear in the variable being bound is solved for it
+instead of scanned.  Each equation's terms carry their values at the
+bound prefix, so binding a variable costs one product per term.
+
+- ``partial_count`` leaves out the variables no equation uses (they
+  multiply the count by their domain size) and binds the used variable
+  with the largest domain last, ties going to the highest index.  That
+  variable is never enumerated: substituting the prefix leaves univariate
+  polynomials, whose common roots in F_Q, Q = q^{d_last k}, ``count_roots``
+  counts as deg gcd(f_1, ..., f_r, x^Q - x) (the roots of x^Q - x are the
+  elements of F_Q, each simple; Lidl-Niederreiter, *Finite Fields*, ch. 3).
+- ``enumerate_points`` binds every variable in index order, the last one
+  by scan or linear solve like the others, and lists the solutions in lex
+  order of their coordinates.  The cyclic-cover lemma compares the
+  partial counts with fixed points found this way, so the two sides of
+  that check reach their numbers by different routes.
+
+Counting runs in one thread; the ``workers`` arguments are kept for the
+reports' ``timings`` block and change nothing.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import product
 
-from .fields import Field, field
+from .fields import Field, FieldElement, field
 from .polys import VarietySpec
 
 DEFAULT_BUDGET = 10 ** 8
@@ -42,85 +61,276 @@ def ambient_field(X: VarietySpec, k: int) -> Field:
     return field(X.p, X.s, X.D * k)
 
 
-def _compiled_equations(X: VarietySpec, ambient: Field):
-    """Equations as [(packed_coeff_in_ambient, ((var, exp), ...)), ...] lists."""
-    emb = ambient.embed_base(X.base)
+# ---------------------------------------------------------------------------
+# univariate polynomials over a field: coefficient lists of packed ints,
+# constant term first, with no trailing zeros
+# ---------------------------------------------------------------------------
+
+def _trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _monic(a, F: Field):
+    if a[-1] == F._one:
+        return a
+    mul, c = F.mul, F.inv(a[-1])
+    return [mul(x, c) for x in a]
+
+
+def _rem(a, g, F: Field):
+    """a mod g for monic g."""
+    sub, mul = F.sub, F.mul
+    a = list(a)
+    dg = len(g) - 1
+    for i in range(len(a) - 1, dg - 1, -1):
+        c = a[i]
+        if c:
+            for j in range(dg):
+                a[i - dg + j] = sub(a[i - dg + j], mul(c, g[j]))
+    return _trim(a[:dg])
+
+
+def _gcd(a, b, F: Field):
+    """The monic gcd of two nonzero polynomials."""
+    while b:
+        b = _monic(b, F)
+        a, b = b, _rem(a, b, F)
+    return a
+
+
+def _x_power(Q: int, g, F: Field):
+    """x^Q mod monic g (deg g = n >= 2) by left-to-right repeated squaring.
+
+    The remainder is kept as n coefficients, trailing zeros included; a
+    square's upper half is folded back with the rows x^(n+j) mod g.
+    """
+    add, mul = F.add, F.mul
+    n = len(g) - 1
+    rows = [[F.neg(c) for c in g[:-1]]]
+    for _ in range(n - 2):
+        prev = rows[-1]
+        top = prev[-1]
+        rows.append([mul(top, rows[0][0])]
+                    + [add(a, mul(top, b)) for a, b in zip(prev, rows[0][1:])])
+    r = [0, F._one] + [0] * (n - 2)
+    for bit in bin(Q)[3:]:
+        sq = [0] * (2 * n - 1)
+        if F.p == 2:
+            # in characteristic 2 only the squares of the terms survive
+            sq[::2] = [mul(c, c) for c in r]
+        else:
+            for i, a in enumerate(r):
+                if a:
+                    for j, b in enumerate(r):
+                        sq[i + j] = add(sq[i + j], mul(a, b))
+        r = sq[:n]
+        for c, row in zip(sq[n:], rows):
+            if c:
+                r = [add(a, mul(c, b)) for a, b in zip(r, row)]
+        if bit == "1":
+            top = r[-1]
+            r = [0] + r[:-1]
+            if top:
+                r = [add(a, mul(top, b)) for a, b in zip(r, rows[0])]
+    return r
+
+
+def count_roots(polys, F: Field, e: int) -> int:
+    """Common roots in F_{q^e} of univariate polynomials over F.
+
+    ``polys`` are coefficient lists of packed ints of F, constant term
+    first, trailing zeros trimmed.  The answer is q^e when every
+    polynomial is zero and 0 when one is a nonzero constant; otherwise it
+    is the degree of G = gcd(f_1, ..., f_r, x^Q - x), Q = q^e: a linear
+    gcd's root r counts when r^Q = r, and a larger one is reduced with
+    x^Q mod G.  No element of F_{q^e} is listed.
+    """
+    polys = [f for f in polys if f]
+    if not polys:
+        return F.q ** e
+    polys.sort(key=len)
+    g = polys[0]
+    for f in polys[1:]:
+        if len(g) == 1:
+            break
+        g = _gcd(g, f, F)
+    if len(g) == 1:
+        return 0
+    if len(g) == 2:
+        r = F.mul(F.neg(g[0]), F.inv(g[1]))
+        return 1 if F.frob(r, e) == r else 0
+    g = _monic(g, F)
+    h = _x_power(F.q ** e, g, F)
+    h[1] = F.sub(h[1], F._one)
+    _trim(h)
+    return len(_gcd(g, h, F)) - 1
+
+
+# ---------------------------------------------------------------------------
+# the engine
+# ---------------------------------------------------------------------------
+
+def _collect(vals, exps, F: Field):
+    """Term values grouped by their exponent of one variable: the
+    coefficient list of a polynomial in that variable."""
+    add = F.add
+    c = [0] * (max(exps) + 1)
+    for v, e in zip(vals, exps):
+        c[e] = add(c[e], v)
+    return _trim(c)
+
+
+def _search(equations, ambient: Field, base: Field, order, domains, leaf,
+            budget: int):
+    """Depth-first search binding variable ``order[u]`` to the values in
+    ``domains[u]``, for u < len(domains).
+
+    ``order`` lists every variable the equations use, and may hold one
+    more than ``domains`` covers.  An equation is checked once all its
+    variables are bound.  At each full prefix, ``leaf(point, polys)`` is
+    called with ``point`` the bound values in search order and ``polys``
+    the equations that use the unbound variable, as coefficient lists in
+    it; the sum of its return values is returned.  Every node visited,
+    full prefixes included, counts against ``budget``.
+    """
+    add, mul, neg, inv, pw = (ambient.add, ambient.mul, ambient.neg,
+                              ambient.inv, ambient.pow)
+    emb = ambient.embed_base(base)
+    depth = len(order)
+    stop = len(domains)
+    # per equation: term values (the coefficients, to begin with) and the
+    # exponent of each term in the variable at each position
+    start, exps = [], []
+    close = [[] for _ in range(depth + 1)]
+    touch = [[] for _ in range(depth)]
+    for eq in equations:
+        if not eq.terms:
+            continue
+        terms = sorted(eq.terms.items())
+        by_pos = [tuple(ex[v] for ex, _ in terms) for v in order]
+        used = [u for u in range(depth) if any(by_pos[u])]
+        if not used:
+            return 0  # a nonzero constant equation
+        j = len(start)
+        start.append([emb(c.coeffs).value for _, c in terms])
+        exps.append(by_pos)
+        last = used[-1]
+        close[last].append(j)
+        for u in used:
+            if u < last:
+                touch[u].append(j)
+    powers = [sorted({e for j in close[u] + touch[u] for e in exps[j][u] if e})
+              for u in range(stop)]
+    members = [d if isinstance(d, range) else set(d) for d in domains]
+    point = [None] * stop
+    nodes = 0
+
+    def descend(u, vals):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(nodes, budget, "variety enumeration")
+        if u == stop:
+            return leaf(point, [_collect(vals[j], exps[j][u], ambient)
+                                for j in close[u]])
+        closing = close[u]
+        candidates = domains[u]
+        for j in closing:
+            c = _collect(vals[j], exps[j][u], ambient)
+            if len(c) == 2:
+                x = mul(neg(c[0]), inv(c[1]))
+                candidates = (x,) if x in members[u] else ()
+                break
+        total = 0
+        for x in candidates:
+            xp = {e: pw(x, e) for e in powers[u]}
+            for j in closing:
+                acc = 0
+                for v, e in zip(vals[j], exps[j][u]):
+                    acc = add(acc, mul(v, xp[e]) if e else v)
+                if acc:
+                    break
+            else:
+                nxt = list(vals)
+                for j in touch[u]:
+                    nxt[j] = [mul(v, xp[e]) if e else v
+                              for v, e in zip(vals[j], exps[j][u])]
+                point[u] = x
+                total += descend(u + 1, nxt)
+        return total
+
+    return descend(0, start)
+
+
+def enumerate_points(equations, n: int, ambient: Field, base: Field,
+                     domains=None, budget: int = DEFAULT_BUDGET):
+    """All solutions with coordinates in per-variable domains.
+
+    ``domains`` are iterables of packed ints of ``ambient`` (the whole
+    field when None).  The search binds x_1, ..., x_n in turn, so the
+    solutions come out in lex order when the domains are sorted, and it
+    raises ``BudgetExceededError`` once it has visited more than
+    ``budget`` nodes.
+    """
+    if domains is None:
+        domains = [range(ambient.size())] * n
     out = []
-    for eq in X.equations:
-        terms = []
-        for exps, c in sorted(eq.terms.items()):
-            ve = tuple((i, e) for i, e in enumerate(exps) if e)
-            terms.append((emb(c.coeffs).value, ve))
-        out.append(terms)
+
+    def leaf(point, polys):
+        out.append(tuple(FieldElement(ambient, v) for v in point))
+        return 1
+
+    _search(equations, ambient, base, range(n), domains, leaf, budget)
     return out
 
 
-def _count_block(domains, compiled, ambient, start, stop):
-    """Count solutions among odometer positions [start, stop).
-
-    ``domains`` are lists of packed ints, so the loop runs on the field's
-    int ``add``/``mul`` and never builds an element object.
-    """
-    one = ambient.one().value
-    mul, add, pw = ambient.mul, ambient.add, ambient.pow
-    # precomputed power tables: (var, exp) -> exp-th powers of that domain
-    powtab = {}
-    eqs = []
-    for terms in compiled:
-        fast_terms = []
-        for coeff, ve in terms:
-            for i, e in ve:
-                if (i, e) not in powtab:
-                    powtab[(i, e)] = [pw(x, e) for x in domains[i]]
-            const = None if (coeff == one and ve) else coeff
-            fast_terms.append((const, [(powtab[(i, e)], i) for i, e in ve]))
-        eqs.append(fast_terms)
-    count = 0
-    ranges = [range(len(d)) for d in domains]
-    for idx in islice(product(*ranges), start, stop):
-        for fast_terms in eqs:
-            acc = 0
-            for const, ves in fast_terms:
-                v = const
-                for tab, i in ves:
-                    w = tab[idx[i]]
-                    v = w if v is None else mul(v, w)
-                acc = add(acc, v)
-            if acc:
-                break
-        else:
-            count += 1
-    return count
-
+# ---------------------------------------------------------------------------
+# partial counts
+# ---------------------------------------------------------------------------
 
 def partial_count(X: VarietySpec, k: int, budget: int = DEFAULT_BUDGET,
                   workers: int = 1) -> int:
-    """Exact #X_{d_1,...,d_n}(k) by exhaustive subfield-product enumeration.
+    """Exact #X_{d_1,...,d_n}(k).
 
     The budget is checked against the product of the domain sizes
-    q^(d_i k) before any subfield is materialised.
+    q^(d_i k) before any subfield is materialised.  ``workers`` is
+    accepted for the callers' reports; counting runs in one thread.
     """
     if k < 1:
         raise ValueError("k must be positive")
     q = X.p ** X.s
+    sizes = [q ** (d * k) for d in X.profile]
     cost = 1
-    for d in X.profile:
-        cost *= q ** (d * k)
+    for size in sizes:
+        cost *= size
     if cost > budget:
         raise BudgetExceededError(cost, budget, f"partial_count k={k}")
+    used = set()
+    for eq in X.equations:
+        vs = eq.variables_used()
+        if eq.terms and not vs:
+            return 0
+        used |= vs
+    free = 1
+    for i, size in enumerate(sizes):
+        if i not in used:
+            free *= size
+    if not used:
+        return free
+    last = max(used, key=lambda i: (sizes[i], i))
+    order = sorted(used - {last}) + [last]
     amb = ambient_field(X, k)
-    domains = [[x.value for x in amb.subfield(d * k, method="span")]
-               for d in X.profile]
-    compiled = _compiled_equations(X, amb)
-    if workers <= 1:
-        return _count_block(domains, compiled, amb, 0, cost)
-    chunk = (cost + workers - 1) // workers
-    spans = [(i * chunk, min((i + 1) * chunk, cost)) for i in range(workers)
-             if i * chunk < cost]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(
-            lambda se: _count_block(domains, compiled, amb, se[0], se[1]), spans))
-    return sum(parts)
+    domains = [[x.value for x in amb.subfield(X.profile[i] * k, method="span")]
+               for i in order[:-1]]
+    e_last = X.profile[last] * k
+
+    def roots(point, polys):
+        return count_roots(polys, amb, e_last)
+
+    return free * _search(X.equations, amb, X.base, order, domains, roots,
+                          budget)
 
 
 def count_table(X: VarietySpec, B: int, budget: int = DEFAULT_BUDGET,

@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .counting import BudgetExceededError, DEFAULT_BUDGET, partial_count
+from .counting import (BudgetExceededError, DEFAULT_BUDGET, enumerate_points,
+                       partial_count)
 from .fields import Field, FieldElement, field
 from .polys import SparsePoly, VarietySpec
 
@@ -119,117 +120,17 @@ def _check_sigma_stability(spec: FaltingsSpec):
 
 
 # ---------------------------------------------------------------------------
-# variety point enumeration with pruning
+# variety points
 # ---------------------------------------------------------------------------
-
-def enumerate_variety_points(X_equations, n, ambient: Field, base,
-                             domains=None, budget: int = DEFAULT_BUDGET):
-    """All solutions with coordinates in the given per-variable domains.
-
-    Depth-first over coordinates; an equation prunes as soon as its last
-    variable is bound, and an equation that is linear in the variable
-    being bound is solved directly instead of scanned.  The search runs
-    on packed ints; only the solutions are wrapped as field elements.
-    """
-    if domains is None:
-        domains = [range(ambient.size())] * n
-    else:
-        domains = [[x.value for x in d] for d in domains]
-    domain_sets = [None] * n
-    add, mul, pw = ambient.add, ambient.mul, ambient.pow
-    emb = ambient.embed_base(base)
-    # embed all equation terms once
-    compiled = []
-    for eq in X_equations:
-        maxvar = max((max((i for i, e in enumerate(exps) if e), default=-1)
-                      for exps in eq.terms), default=-1)
-        terms = [(emb(c.coeffs).value, exps)
-                 for exps, c in sorted(eq.terms.items())]
-        compiled.append((maxvar, terms))
-    by_depth = [[] for _ in range(n + 1)]
-    for maxvar, terms in compiled:
-        by_depth[maxvar + 1 if maxvar >= 0 else 0].append(terms)
-    # constant equations: either vacuous or empty variety
-    for terms in by_depth[0]:
-        acc = 0
-        for c, _ in terms:
-            acc = add(acc, c)
-        if acc:
-            return []
-    out = []
-    point = [None] * n
-    nodes = [0]
-
-    def univariate_in(terms, u, point):
-        """Partial-evaluate at bound coords; coefficients by exponent of u."""
-        coeffs = {}
-        for c, exps in terms:
-            v = c
-            for i, e in enumerate(exps):
-                if e and i != u:
-                    v = mul(v, pw(point[i], e))
-            eu = exps[u]
-            coeffs[eu] = add(coeffs[eu], v) if eu in coeffs else v
-        return {e: v for e, v in coeffs.items() if v}
-
-    def descend(u):
-        nodes[0] += 1
-        if nodes[0] > budget:
-            raise BudgetExceededError(nodes[0], budget, "variety enumeration")
-        if u == n:
-            out.append(tuple(FieldElement(ambient, v) for v in point))
-            return
-        eqs_here = by_depth[u + 1]
-        solver = None
-        for terms in eqs_here:
-            uni = univariate_in(terms, u, point)
-            degs = [e for e in uni if e > 0]
-            if degs and max(degs) == 1:
-                solver = uni
-                break
-        if solver is not None:
-            c1 = solver.get(1)
-            c0 = solver.get(0, 0)
-            if c1 is None:
-                # the linear part cancelled: constant equation at this prefix
-                if c0:
-                    return
-                candidates = domains[u]
-            else:
-                x = mul(ambient.neg(c0), ambient.inv(c1))
-                if domain_sets[u] is None:
-                    domain_sets[u] = set(domains[u])
-                if x not in domain_sets[u]:
-                    return
-                candidates = [x]
-        else:
-            candidates = domains[u]
-        for x in candidates:
-            point[u] = x
-            ok = True
-            for terms in eqs_here:
-                acc = 0
-                for c, exps in terms:
-                    v = c
-                    for i, e in enumerate(exps):
-                        if e:
-                            v = mul(v, pw(point[i], e))
-                    acc = add(acc, v)
-                if acc:
-                    ok = False
-                    break
-            if ok:
-                descend(u + 1)
-            point[u] = None
-
-    descend(0)
-    return out
-
 
 def variety_points(X: VarietySpec, ambient: Field, domains=None,
                    budget: int = DEFAULT_BUDGET):
-    return enumerate_variety_points(X.equations, X.n, ambient, X.base,
-                                    domains=domains, budget=budget)
+    """X's points with coordinates in ``domains`` (lists of elements of
+    ``ambient``; the whole field when None), lex-sorted."""
+    if domains is not None:
+        domains = [[x.value for x in d] for d in domains]
+    return enumerate_points(X.equations, X.n, ambient, X.base,
+                            domains=domains, budget=budget)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .counting import BudgetExceededError, DEFAULT_BUDGET, partial_count
-from .faltings import enumerate_variety_points
+from .counting import (BudgetExceededError, DEFAULT_BUDGET, enumerate_points,
+                       partial_count)
 from .fields import field
 from .polys import MorphismSpec, SparsePoly, VarietySpec, lcm
 from .zeta import ReconstructionResult, auto_reconstruct, weil_weight_check
@@ -66,9 +66,9 @@ def graph_count_direct(G: GraphSystem, k: int,
     base = field(G.p, G.s, 1)
     vpoints = []
     for v in G.vertices:
-        domain = amb.subfield(v.d * k, method="span")
-        pts = enumerate_variety_points(v.equations, v.n, amb, base,
-                                       domains=[domain] * v.n, budget=budget)
+        domain = [x.value for x in amb.subfield(v.d * k, method="span")]
+        pts = enumerate_points(v.equations, v.n, amb, base,
+                               domains=[domain] * v.n, budget=budget)
         vpoints.append(pts)
     cost = 1
     for pts in vpoints:

@@ -1,0 +1,200 @@
+"""The pruned counting engine against plain enumeration.
+
+``partial_count`` skips free variables and counts the last variable's
+values as a gcd degree; these tests hold it to a plain product over
+Frobenius-filtered subfields with ``SparsePoly.evaluate``, and hold
+``count_roots`` to a scan of the subfield it counts in.
+"""
+
+from itertools import product
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from parzeta.counting import count_roots, partial_count
+from parzeta.fields import Field, FieldElement, field
+from parzeta.polys import (SparsePoly, VarietySpec, base_field, lcm,
+                           parse_poly)
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def oracle_count(X, k):
+    """Every tuple of the subfield product, each equation evaluated."""
+    amb = field(X.p, X.s, X.D * k)
+    domains = [amb.subfield(d * k, method="filter") for d in X.profile]
+    return sum(1 for pt in product(*domains)
+               if all(eq.evaluate(pt, amb).is_zero() for eq in X.equations))
+
+
+# (p, s, profile, k) with at most 2^10 tuples and an ambient field of at
+# most 2^12 elements, so the oracle stays quick
+CASES = [(p, s, prof, k)
+         for p in (2, 3) for s in (1, 2) for n in (1, 2, 3)
+         for prof in product((1, 2, 3), repeat=n) for k in (1, 2)
+         if (p ** s) ** (k * sum(prof)) <= 2 ** 10
+         and (p ** s) ** (k * lcm(prof)) <= 2 ** 12]
+
+
+@st.composite
+def varieties(draw):
+    p, s, profile, k = draw(st.sampled_from(CASES))
+    n = len(profile)
+    base = base_field(p, s)
+    equations = []
+    for _ in range(draw(st.integers(0, 2))):
+        terms = {}
+        for _ in range(draw(st.integers(1, 4))):
+            exps = tuple(draw(st.integers(0, 3)) for _ in range(n))
+            terms[exps] = FieldElement(base, draw(st.integers(1, p ** s - 1)))
+        equations.append(SparsePoly(n, base, terms))
+    return VarietySpec(p, s, n, tuple(equations), profile), k
+
+
+@settings(max_examples=120, deadline=None)
+@given(varieties())
+def test_engine_matches_product_oracle(case):
+    X, k = case
+    assert partial_count(X, k) == oracle_count(X, k)
+
+
+def V(p, s, n, texts, profile):
+    base = base_field(p, s)
+    names = [f"x{i+1}" for i in range(n)]
+    eqs = tuple(parse_poly(t, names, base) for t in texts)
+    return VarietySpec(p, s, n, eqs, tuple(profile))
+
+
+@pytest.mark.parametrize("X", [
+    # x1 = 0 makes the last variable's polynomial vanish
+    V(2, 1, 2, ["x1*x2^2 + x1"], (1, 2)),
+    V(3, 1, 2, ["x1*x2^2 + x1"], (2, 1)),
+    # x2 and x3 are free
+    V(2, 1, 3, ["x1^3 + x1"], (1, 2, 1)),
+    V(3, 1, 3, ["x2^2 + 1"], (1, 1, 2)),
+    # constant equations: zero is vacuous, a nonzero one empties X
+    V(2, 1, 2, ["x1 - x1", "x1 + x2"], (1, 2)),
+    V(2, 1, 2, ["x1 + x2", "1"], (1, 1)),
+    V(2, 2, 2, ["g"], (1, 1)),
+    # roots outside the last variable's subfield: x2 = x1 lies in F_{8^k}
+    # only when x1 lies in F_{2^k}, and x2^3 - x2 = x1 has its roots in
+    # x2's F_{9^k} for some x1 only
+    V(2, 1, 2, ["x1 + x2"], (2, 3)),
+    V(3, 1, 2, ["x2^3 - x2 - x1"], (1, 2)),
+    # two equations in the last variable: common roots only
+    V(2, 1, 2, ["x2^2 + x2", "x1*x2 + x2"], (1, 3)),
+    V(2, 2, 2, ["x1*x2^2 + g*x2 + x1", "x2^3 + x1"], (1, 1)),
+])
+@pytest.mark.parametrize("k", [1, 2])
+def test_engine_special_shapes(X, k):
+    assert partial_count(X, k) == oracle_count(X, k)
+
+
+# ---------------------------------------------------------------------------
+# the root counter
+# ---------------------------------------------------------------------------
+
+# (p, s, N, e): the root count is over F_{q^e} inside F_{q^N}; the last
+# three ambient fields, 2^21 and 5^9 elements, lie above TABLE_CAP = 2^20
+# and run on schoolbook products
+ROOT_FIELDS = [(2, 1, 6, 1), (2, 1, 6, 2), (2, 1, 6, 3), (2, 1, 6, 6),
+               (3, 1, 4, 2), (3, 1, 4, 4), (2, 2, 3, 1), (2, 2, 3, 3),
+               (3, 2, 2, 1), (2, 1, 21, 3), (2, 1, 21, 7), (5, 1, 9, 3)]
+
+
+def mul_poly(a, b):
+    out = [a[0].field.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+@st.composite
+def root_problems(draw):
+    """Polynomials (coefficient lists of elements) over F_{q^N} and e."""
+    p, s, N, e = draw(st.sampled_from(ROOT_FIELDS))
+    F = field(p, s, N)
+    sub = F.subfield(e, method="span")
+    # roots from a small pool, so repeated and common roots occur
+    pool = [draw(st.sampled_from(sub)) for _ in range(2)] + [
+        FieldElement(F, draw(st.integers(0, F.size() - 1))) for _ in range(2)]
+    polys = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("zero", "constant", "random", "roots")))
+        if kind == "zero":
+            poly = []
+        elif kind == "constant":
+            poly = [FieldElement(F, draw(st.integers(1, F.size() - 1)))]
+        elif kind == "random":
+            poly = [FieldElement(F, draw(st.integers(0, F.size() - 1)))
+                    for _ in range(draw(st.integers(1, 5)))]
+        else:
+            lead = FieldElement(F, draw(st.integers(1, F.size() - 1)))
+            poly = [lead]
+            for _ in range(draw(st.integers(1, 4))):
+                poly = mul_poly(poly, [-draw(st.sampled_from(pool)), F.one()])
+        while poly and poly[-1].is_zero():
+            poly.pop()
+        polys.append(poly)
+    return F, e, polys
+
+
+def scan_count(F, e, polys):
+    def value(poly, x):
+        acc = F.zero()
+        for c in reversed(poly):
+            acc = acc * x + c
+        return acc
+
+    return sum(1 for x in F.subfield(e, method="span")
+               if all(value(f, x).is_zero() for f in polys))
+
+
+@settings(max_examples=150, deadline=None)
+@given(root_problems())
+def test_root_count_matches_scan(problem):
+    F, e, polys = problem
+    packed = [[c.value for c in f] for f in polys]
+    assert count_roots(packed, F, e) == scan_count(F, e, polys)
+
+
+@pytest.mark.parametrize("p, s, N, e", ROOT_FIELDS)
+def test_root_count_repeated_and_outside_roots(p, s, N, e):
+    F = field(p, s, N)
+    sub = F.subfield(e, method="span")
+    a = sub[-1]
+    square = mul_poly([-a, F.one()], [-a, F.one()])
+    cases = [([], F.q ** e), ([F.one()], 0), (square, 1)]
+    if e < N:
+        outside = next(x for x in (FieldElement(F, v) for v in range(F.size()))
+                       if not F.in_subfield(x, e))
+        cases += [(mul_poly(square, [-outside, F.one()]), 1),
+                  (mul_poly([-outside, F.one()], [-outside, F.one()]), 0)]
+    for poly, want in cases:
+        assert count_roots([[c.value for c in poly]], F, e) == want
+        assert scan_count(F, e, [poly]) == want
+
+
+# ---------------------------------------------------------------------------
+# memory: the last variable's subfield is never listed
+# ---------------------------------------------------------------------------
+
+def test_last_variable_subfield_never_listed(monkeypatch):
+    from parzeta.cli import load_instance
+
+    X, _, _ = load_instance(str(CORPUS / "diag11_f2.json"), "variety")
+    X = X.with_profile((2, 3))
+    asked = []
+    listed = Field.subfield
+
+    def spy(self, e, method="filter"):
+        asked.append(e)
+        return listed(self, e, method)
+
+    monkeypatch.setattr(Field, "subfield", spy)
+    # x1 = x2 in F_{2^4} and F_{2^6}: the common subfield F_{2^2}
+    assert partial_count(X, 2) == 4
+    assert 4 in asked
+    assert 6 not in asked
