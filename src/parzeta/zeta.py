@@ -1,10 +1,16 @@
 """Zeta series, rational reconstruction, and Weil weight checks.
 
-The series exp(sum N_k T^k / k) is built with exact rationals via the
-logarithmic-derivative recurrence; candidate rational functions come from
-an exact Pade-style linear system and are accepted only when they
-reproduce held-out series coefficients.  No floating point enters the
-certification path; floats appear only in the numerical weight report.
+The series exp(sum N_k T^k / k) comes from the logarithmic-derivative
+recurrence run on the integers y_k = k! z_k.  Candidate rational functions
+come from the Pade linear system, solved over the integers: the series is
+scaled by the lcm of its denominators and the Hankel system goes through
+Bareiss fraction-free elimination, whose divisions are exact.  A candidate
+is put in lowest terms by a Euclid modulo the prime 2^61 - 1 when that
+proves the pair coprime, and by the exact rational Euclid otherwise; it
+is accepted only when it reproduces held-out series coefficients.  No
+floating point enters the certification path; floats appear only in the
+numerical weight report, whose exact squarefree split uses the same
+modular shortcut.
 """
 
 from __future__ import annotations
@@ -63,18 +69,27 @@ class TruncatedSeries:
 
 
 def series_from_counts(counts) -> TruncatedSeries:
-    """exp(sum N_k T^k / k) truncated at the length of the count table."""
+    """exp(sum N_k T^k / k) truncated at the length of the count table.
+
+    k z_k = sum_j N_j z_{k-j}, so y_k = k! z_k is the integer
+    sum_j N_j y_{k-j} (k-1)!/(k-j)!; only z_k = y_k / k! is a Fraction.
+    """
     if isinstance(counts, CountTable):
         counts = counts.counts
     counts = list(counts)
     if not counts:
         raise ValueError("empty count table")
+    y = [1]
     z = [Fraction(1)]
+    fact = 1
     for k in range(1, len(counts) + 1):
-        acc = Fraction(0)
+        acc, falling = 0, 1  # falling = (k-1)!/(k-j)!
         for j in range(1, k + 1):
-            acc += Fraction(counts[j - 1]) * z[k - j]
-        z.append(acc / k)
+            acc += counts[j - 1] * falling * y[k - j]
+            falling *= k - j
+        y.append(acc)
+        fact *= k
+        z.append(Fraction(acc, fact))
     return TruncatedSeries(tuple(z))
 
 
@@ -126,43 +141,97 @@ class RationalFunctionZ:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over Q
+# exact linear algebra over Z
 # ---------------------------------------------------------------------------
 
-def _solve_exact(rows, rhs):
-    """Solve A x = b over the rationals; free variables are set to 0.
+def _bareiss_solve(rows, rhs):
+    """Solve A x = b for integer A, b; free variables are set to 0.
 
-    Returns the solution vector or None when the system is inconsistent.
+    Bareiss fraction-free elimination: after the k-th pivot every entry
+    below it is a (k+1)-minor of the row-permuted matrix, so the division
+    by the previous pivot is exact and every entry stays an integer.  A
+    column with no nonzero entry at or below the current row is skipped.
+    With the free variables at 0 the solution is unique, so this is the
+    same vector Gauss-Jordan over Q returns.
+
+    Returns (X, d) with x = X / d and d the last pivot (the pivot minor),
+    or None when the system is inconsistent.
     """
     m = len(rows)
-    if m == 0:
-        return []
-    n = len(rows[0])
-    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    n = len(rows[0]) if m else 0
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
     pivots = []
+    prev = 1
     r = 0
     for c in range(n):
-        pivot = next((i for i in range(r, m) if aug[i][c] != 0), None)
+        pivot = next((i for i in range(r, m) if aug[i][c]), None)
         if pivot is None:
             continue
         aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = aug[r][c]
-        aug[r] = [v / inv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        top = aug[r]
+        pv = top[c]
+        # columns up to c are zero below the pivot, before and after
+        zeros, tail = [0] * (c + 1), top[c + 1:]
+        for i in range(r + 1, m):
+            row = aug[i]
+            f = row[c]
+            aug[i] = zeros + [(pv * a - f * t) // prev
+                              for a, t in zip(row[c + 1:], tail)]
+        prev = pv
         pivots.append(c)
         r += 1
         if r == m:
             break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for ri, c in enumerate(pivots):
-        x[c] = aug[ri][n]
-    return x
+    if any(aug[i][n] for i in range(r, m)):
+        return None
+    # By Cramer's rule d * x is integral, so each division here is exact.
+    X = [0] * n
+    for i in reversed(range(r)):
+        row = aug[i]
+        acc = prev * row[n] - sum(row[c] * X[c] for c in pivots[i + 1:])
+        X[pivots[i]] = acc // row[pivots[i]]
+    return X, prev
+
+
+# the Mersenne prime 2^61 - 1: a residue fits in one 64-bit word
+_P61 = (1 << 61) - 1
+
+
+def _coprime_mod_p(a, b):
+    """True when a and b are certainly coprime over Q (constant first).
+
+    Each polynomial is scaled to integers and reduced mod p = 2^61 - 1.
+    If g = gcd(a, b) over Q has positive degree, its primitive integer
+    multiple divides both scaled polynomials (Gauss's lemma), so its
+    leading coefficient divides theirs.  When neither leading coefficient
+    vanishes mod p, g mod p keeps its degree and divides both reductions.
+    So a degree-0 gcd mod p proves coprimality.  False means only that
+    the exact Euclid must decide.
+    """
+    reduced = []
+    for poly in (a, b):
+        lcm = math.lcm(*(x.denominator for x in poly))
+        r = [x.numerator * (lcm // x.denominator) % _P61 for x in poly]
+        if not r or r[-1] == 0:
+            return False
+        reduced.append(r)
+    a, b = reduced
+    # a nonzero constant b ends the Euclid with a unit gcd
+    while len(b) > 1:
+        inv = pow(b[-1], -1, _P61)
+        db = len(b) - 1
+        while len(a) > db:
+            c = a[-1] * inv % _P61
+            sh = len(a) - 1 - db
+            for i, bi in enumerate(b[:-1]):
+                a[sh + i] = (a[sh + i] - c * bi) % _P61
+            a.pop()
+        while a and a[-1] == 0:
+            a.pop()
+        if not a:
+            return False
+        a, b = b, a
+    return True
 
 
 def _poly_gcd_q(a, b):
@@ -177,8 +246,6 @@ def _poly_gcd_q(a, b):
         x = list(x)
         dy = len(y) - 1
         while len(x) - 1 >= dy and trim(x):
-            if len(x) - 1 < dy:
-                break
             c = x[-1] / y[-1]
             sh = len(x) - 1 - dy
             for i, yi in enumerate(y):
@@ -231,47 +298,46 @@ def pade_reconstruct(S: TruncatedSeries, dn: int, dd: int) -> RationalFunctionZ:
     """
     if dn + dd + 1 > len(S.coeffs):
         raise ValueError("series too short for requested degrees")
-    z = S.coeffs
-    # unknowns b_1..b_dd from  sum_{j=0}^{dd} b_j z_{k-j} = 0,  k = dn+1..dn+dd
-    rows, rhs = [], []
-    for k in range(dn + 1, dn + dd + 1):
-        row = []
-        for j in range(1, dd + 1):
-            row.append(z[k - j] if k - j >= 0 else Fraction(0))
-        rows.append(row)
-        rhs.append(-z[k])
-    sol = _solve_exact(rows, rhs)
+    z = S.coeffs[:dn + dd + 1]
+    # The system below is homogeneous in z, so y = L z (L the lcm of the
+    # denominators) gives the same solution with integer entries.
+    L = math.lcm(*(v.denominator for v in z))
+    y = [v.numerator * (L // v.denominator) for v in z]
+    # unknowns b_1..b_dd from  sum_{j=0}^{dd} b_j y_{k-j} = 0,  k = dn+1..dn+dd
+    rows = [[y[k - j] if k - j >= 0 else 0 for j in range(1, dd + 1)]
+            for k in range(dn + 1, dn + dd + 1)]
+    sol = _bareiss_solve(rows, [-y[k] for k in range(dn + 1, dn + dd + 1)])
     if sol is None:
         raise NoSolutionError(f"no degree ({dn},{dd}) match")
-    den = [Fraction(1)] + list(sol)
-    num = []
-    for k in range(dn + 1):
-        v = Fraction(0)
-        for j in range(0, min(k, dd) + 1):
-            v += den[j] * z[k - j]
-        num.append(v)
+    # den and num up to the nonzero scalars d and d * L; both are
+    # normalised to unit constant terms below, so the scalars drop out.
+    X, d = sol
+    den = [d] + X
+    num = [sum(den[j] * y[k - j] for j in range(min(k, dd) + 1))
+           for k in range(dn + 1)]
     while len(num) > 1 and num[-1] == 0:
         num.pop()
     while len(den) > 1 and den[-1] == 0:
         den.pop()
-    # reduce to lowest terms over Q
-    g = _poly_gcd_q(num, den)
-    if len(g) > 1:
-        num = _poly_div_exact(num, g)
-        den = _poly_div_exact(den, g)
-    if not num or num[0] == 0 or den[0] == 0:
+    # reduce to lowest terms over Q; the exact Euclid runs only when the
+    # modular test cannot prove the pair coprime
+    if not _coprime_mod_p(num, den):
+        g = _poly_gcd_q(num, den)
+        if len(g) > 1:
+            num = _poly_div_exact(num, g)
+            den = _poly_div_exact(den, g)
+    if num[0] == 0 or den[0] == 0:
         raise NoSolutionError("degenerate candidate with vanishing constant term")
-    num = [v / num[0] for v in num]
-    den = [v / den[0] for v in den]
-    if any(v.denominator != 1 for v in num + den):
+    # v / c is an integer exactly when v % c == 0, for ints and Fractions
+    n0, d0 = num[0], den[0]
+    if any(v % n0 for v in num) or any(v % d0 for v in den):
         raise NonIntegerError(
             f"degree ({dn},{dd}) candidate has non-integer coefficients")
-    R = RationalFunctionZ(tuple(int(v) for v in num), tuple(int(v) for v in den))
+    R = RationalFunctionZ(tuple(int(v // n0) for v in num),
+                          tuple(int(v // d0) for v in den))
     # guard: the reduced candidate must still match through order dn + dd
-    exp = R.expand(dn + dd)
-    for k in range(dn + dd + 1):
-        if Fraction(exp[k]) != z[k]:
-            raise NoSolutionError(f"degree ({dn},{dd}) system is inconsistent")
+    if [v * L for v in R.expand(dn + dd)] != y:
+        raise NoSolutionError(f"degree ({dn},{dd}) system is inconsistent")
     return R
 
 
@@ -382,11 +448,12 @@ def _reciprocal_roots(coeffs):
         return []
     P = [Fraction(c) for c in coeffs]
     dP = [i * c for i, c in enumerate(P)][1:]
-    g = _poly_gcd_q(P, dP)
-    if len(g) > 1:
-        sf = _poly_div_exact(P, g)
-        return sorted(_simple_roots(sf) + _reciprocal_roots(g),
-                      key=lambda c: (round(c.real, 9), round(c.imag, 9)))
+    if not _coprime_mod_p(P, dP):
+        g = _poly_gcd_q(P, dP)
+        if len(g) > 1:
+            sf = _poly_div_exact(P, g)
+            return sorted(_simple_roots(sf) + _reciprocal_roots(g),
+                          key=lambda c: (round(c.real, 9), round(c.imag, 9)))
     return _simple_roots(P)
 
 

@@ -9,6 +9,9 @@ from parzeta.zeta import (AutoReconstructError, NoSolutionError,
                           auto_reconstruct, degree_sweep, pade_reconstruct,
                           series_from_counts, sweep_rows_to_csv,
                           weil_weight_check)
+from parzeta.zeta import (NonIntegerError, ReconstructionError, _P61,
+                          _bareiss_solve, _coprime_mod_p, _reciprocal_roots,
+                          _simple_roots)
 
 
 def V(p, s, n, texts, profile):
@@ -175,3 +178,341 @@ def test_degree_sweep_failure_row():
     X = V(2, 1, 3, [], (1, 1, 1))
     rows = degree_sweep(X, [(1, 1, 1)], max_k=10, budget=600)
     assert rows[0]["status"] == "budget-exceeded"
+
+
+# ---------------------------------------------------------------------------
+# Integer Pade and the modular coprimality shortcut against the Fraction
+# Gauss-Jordan path they replaced.  _solve_exact, _poly_gcd_q,
+# _poly_div_exact and pade_reconstruct_oracle are the previous
+# implementation, kept verbatim as the oracle.
+# ---------------------------------------------------------------------------
+
+
+def _solve_exact(rows, rhs):
+    """Solve A x = b over the rationals; free variables are set to 0.
+
+    Returns the solution vector or None when the system is inconsistent.
+    """
+    m = len(rows)
+    if m == 0:
+        return []
+    n = len(rows[0])
+    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    pivots = []
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, m) if aug[i][c] != 0), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        inv = aug[r][c]
+        aug[r] = [v / inv for v in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if aug[i][n] != 0:
+            return None
+    x = [Fraction(0)] * n
+    for ri, c in enumerate(pivots):
+        x[c] = aug[ri][n]
+    return x
+
+
+def _poly_gcd_q(a, b):
+    """Monic gcd of rational-coefficient polynomials (constant first)."""
+
+    def trim(v):
+        while v and v[-1] == 0:
+            v.pop()
+        return v
+
+    def rem(x, y):
+        x = list(x)
+        dy = len(y) - 1
+        while len(x) - 1 >= dy and trim(x):
+            if len(x) - 1 < dy:
+                break
+            c = x[-1] / y[-1]
+            sh = len(x) - 1 - dy
+            for i, yi in enumerate(y):
+                x[sh + i] -= c * yi
+            trim(x)
+        return x
+
+    a, b = trim([Fraction(v) for v in a]), trim([Fraction(v) for v in b])
+    while b:
+        a, b = b, trim(rem(a, b))
+    if a:
+        lead = a[-1]
+        a = [v / lead for v in a]
+    return a
+
+
+def _poly_div_exact(a, b):
+    """Exact quotient a / b over Q; raises if the division is not exact."""
+    a = [Fraction(v) for v in a]
+    b = [Fraction(v) for v in b]
+    while a and a[-1] == 0:
+        a.pop()
+    while b and b[-1] == 0:
+        b.pop()
+    if not a:
+        return [Fraction(0)]
+    q = [Fraction(0)] * (len(a) - len(b) + 1)
+    while len(a) >= len(b) and any(a):
+        while a and a[-1] == 0:
+            a.pop()
+        if len(a) < len(b):
+            break
+        c = a[-1] / b[-1]
+        sh = len(a) - len(b)
+        q[sh] = c
+        for i, bi in enumerate(b):
+            a[sh + i] -= c * bi
+    while a and a[-1] == 0:
+        a.pop()
+    if a:
+        raise ValueError("inexact polynomial division")
+    return q
+
+
+def pade_reconstruct_oracle(S: TruncatedSeries, dn: int, dd: int) -> RationalFunctionZ:
+    """P/Q with deg P <= dn, deg Q <= dd matching S through order dn + dd.
+
+    The match is exact; the result is returned in lowest terms with
+    integer coefficients and unit constant terms.
+    """
+    if dn + dd + 1 > len(S.coeffs):
+        raise ValueError("series too short for requested degrees")
+    z = S.coeffs
+    # unknowns b_1..b_dd from  sum_{j=0}^{dd} b_j z_{k-j} = 0,  k = dn+1..dn+dd
+    rows, rhs = [], []
+    for k in range(dn + 1, dn + dd + 1):
+        row = []
+        for j in range(1, dd + 1):
+            row.append(z[k - j] if k - j >= 0 else Fraction(0))
+        rows.append(row)
+        rhs.append(-z[k])
+    sol = _solve_exact(rows, rhs)
+    if sol is None:
+        raise NoSolutionError(f"no degree ({dn},{dd}) match")
+    den = [Fraction(1)] + list(sol)
+    num = []
+    for k in range(dn + 1):
+        v = Fraction(0)
+        for j in range(0, min(k, dd) + 1):
+            v += den[j] * z[k - j]
+        num.append(v)
+    while len(num) > 1 and num[-1] == 0:
+        num.pop()
+    while len(den) > 1 and den[-1] == 0:
+        den.pop()
+    # reduce to lowest terms over Q
+    g = _poly_gcd_q(num, den)
+    if len(g) > 1:
+        num = _poly_div_exact(num, g)
+        den = _poly_div_exact(den, g)
+    if not num or num[0] == 0 or den[0] == 0:
+        raise NoSolutionError("degenerate candidate with vanishing constant term")
+    num = [v / num[0] for v in num]
+    den = [v / den[0] for v in den]
+    if any(v.denominator != 1 for v in num + den):
+        raise NonIntegerError(
+            f"degree ({dn},{dd}) candidate has non-integer coefficients")
+    R = RationalFunctionZ(tuple(int(v) for v in num), tuple(int(v) for v in den))
+    # guard: the reduced candidate must still match through order dn + dd
+    exp = R.expand(dn + dd)
+    for k in range(dn + dd + 1):
+        if Fraction(exp[k]) != z[k]:
+            raise NoSolutionError(f"degree ({dn},{dd}) system is inconsistent")
+    return R
+
+
+def _reciprocal_roots_oracle(coeffs):
+    deg = len(coeffs) - 1
+    if deg == 0:
+        return []
+    P = [Fraction(c) for c in coeffs]
+    dP = [i * c for i, c in enumerate(P)][1:]
+    g = _poly_gcd_q(P, dP)
+    if len(g) > 1:
+        sf = _poly_div_exact(P, g)
+        return sorted(_simple_roots(sf) + _reciprocal_roots_oracle(g),
+                      key=lambda c: (round(c.real, 9), round(c.imag, 9)))
+    return _simple_roots(P)
+
+
+def _series_oracle(counts):
+    z = [Fraction(1)]
+    for k in range(1, len(counts) + 1):
+        acc = Fraction(0)
+        for j in range(1, k + 1):
+            acc += Fraction(counts[j - 1]) * z[k - j]
+        z.append(acc / k)
+    return tuple(z)
+
+
+def _pmul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _expand(num, den, length):
+    """Series of num/den over Q, den[0] != 0."""
+    z = []
+    for k in range(length):
+        v = Fraction(num[k] if k < len(num) else 0)
+        for j in range(1, min(k, len(den) - 1) + 1):
+            v -= den[j] * z[k - j]
+        z.append(v / den[0])
+    return z
+
+
+def _outcome(reconstruct, S, dn, dd):
+    try:
+        R = reconstruct(S, dn, dd)
+    except (ReconstructionError, ValueError) as exc:
+        return type(exc), str(exc)
+    return R.num, R.den
+
+
+_small = st.integers(-4, 4)
+
+
+@st.composite
+def pade_cases(draw):
+    dn, dd = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    length = dn + dd + 1 + draw(st.integers(0, 2))
+    kind = draw(st.sampled_from(["rational", "counts", "sparse", "fractions"]))
+    if kind == "rational":
+        # P/Q times a common factor F; F(0) != 1 makes the series fractional
+        P = [1] + draw(st.lists(_small, max_size=4))
+        Q = [1] + draw(st.lists(_small, max_size=4))
+        F = [draw(st.sampled_from([1, 1, -1, 2, 3]))] + \
+            draw(st.lists(_small, max_size=3))
+        z = _expand(_pmul(P, F), _pmul(Q, F), length)
+    elif kind == "counts":
+        z = list(series_from_counts(
+            draw(st.lists(st.integers(-6, 12), min_size=length,
+                          max_size=length))).coeffs[:length])
+    elif kind == "sparse":
+        # mostly zeros: singular and inconsistent Hankel systems
+        z = draw(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]),
+                          min_size=length, max_size=length))
+    else:
+        z = draw(st.lists(st.builds(Fraction, _small, st.integers(1, 4)),
+                          min_size=length, max_size=length))
+    if draw(st.booleans()) and draw(st.booleans()):
+        z[0] = 0
+    return TruncatedSeries(tuple(Fraction(v) for v in z)), dn, dd
+
+
+@settings(max_examples=400, deadline=None)
+@given(pade_cases())
+def test_pade_matches_fraction_gauss_jordan(case):
+    S, dn, dd = case
+    assert _outcome(pade_reconstruct, S, dn, dd) == \
+        _outcome(pade_reconstruct_oracle, S, dn, dd)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-50, 200), min_size=1, max_size=20))
+def test_series_integer_recurrence_matches_fractions(counts):
+    assert series_from_counts(counts).coeffs == _series_oracle(counts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([[1, -1], [1, 2], [1, 0, 1],
+                                           [1, -1, 2], [1, 3, 9]]),
+                          st.integers(1, 3)),
+                min_size=1, max_size=3))
+def test_reciprocal_roots_match_exact_split(factors):
+    P = [1]
+    for f, e in factors:
+        for _ in range(e):
+            P = _pmul(P, f)
+    assert _reciprocal_roots(P) == _reciprocal_roots_oracle(P)
+
+
+def test_coprime_mod_p_falls_back_on_leading_multiple_of_p():
+    # (1 + pT)(1 + T) and (1 + pT)(1 + 2T): mod p the common factor
+    # becomes the constant 1 and the degrees drop, so the modular gcd
+    # alone would call the pair coprime
+    p = _P61
+    num, den = _pmul([1, p], [1, 1]), _pmul([1, p], [1, 2])
+    assert num[-1] % p == 0
+    assert not _coprime_mod_p(num, den)
+    assert _poly_gcd_q(num, den) == [Fraction(1, p), 1]
+    assert not _coprime_mod_p([1, 2 * p, p * p], [2 * p, 2 * p * p])
+
+
+def test_coprime_over_q_but_not_mod_p():
+    # 1 + T and 1 + (1 + p)T agree mod p, so the exact Euclid decides
+    p = _P61
+    num, den = [1, 1], [1, 1 + p]
+    assert not _coprime_mod_p(num, den)
+    assert _poly_gcd_q(num, den) == [1]
+    S = TruncatedSeries(tuple(_expand(num, den, 5)))
+    R = pade_reconstruct(S, 1, 1)
+    assert (R.num, R.den) == ((1, 1), (1, 1 + p))
+    assert _outcome(pade_reconstruct, S, 1, 1) == \
+        _outcome(pade_reconstruct_oracle, S, 1, 1)
+    assert _reciprocal_roots(_pmul(num, den)) == \
+        _reciprocal_roots_oracle(_pmul(num, den))
+
+
+def test_coprime_mod_p_certifies_common_cases():
+    assert _coprime_mod_p([1, -1], [1, -2])
+    assert _coprime_mod_p([1, 3, 2], [5])
+    assert _coprime_mod_p([Fraction(1, 2), 1], [1, 0, 1])
+    assert not _coprime_mod_p([1, -3, 2], [1, -1])  # share 1 - T
+    assert not _coprime_mod_p([0], [1, 1])
+
+
+def test_bareiss_skips_a_column_and_divides_exactly():
+    # (1 + 3T)/(1 + T) asked at degrees (2, 4): rank 3 of 4.  Column 1 has
+    # no pivot after column 0's; the pivots of columns 2 and 3 are
+    # divided exactly by -2 and -6, and the last pivot is the 3x3 minor
+    # det [[-2, 1, 0], [2, 2, 1], [-2, -2, 2]] = -18.
+    z = [1, 2, -2, 2, -2, 2, -2]
+    dn, dd = 2, 4
+    rows = [[z[k - j] if k - j >= 0 else 0 for j in range(1, dd + 1)]
+            for k in range(dn + 1, dn + dd + 1)]
+    rhs = [-z[k] for k in range(dn + 1, dn + dd + 1)]
+    assert rows[0] == [-2, 2, 1, 0]
+    assert _bareiss_solve(rows, rhs) == ([-18, 0, 0, 0], -18)
+    assert _solve_exact(rows, rhs) == [1, 0, 0, 0]
+    S = TruncatedSeries(tuple(Fraction(v) for v in z))
+    R = pade_reconstruct(S, dn, dd)
+    assert (R.num, R.den) == ((1, 3), (1, 1))
+    assert _outcome(pade_reconstruct, S, dn, dd) == \
+        _outcome(pade_reconstruct_oracle, S, dn, dd)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bareiss_matches_gauss_jordan_on_any_system(data):
+    # general integer systems, not only Hankel ones: zero columns, repeated
+    # rows and inconsistent right-hand sides
+    m, n = data.draw(st.integers(0, 5)), data.draw(st.integers(1, 5))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 5])
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                              min_size=m, max_size=m))
+    rhs = data.draw(st.lists(entry, min_size=m, max_size=m))
+    want = _solve_exact(rows, rhs)
+    got = _bareiss_solve(rows, rhs)
+    if want is None:
+        assert got is None
+    else:
+        X, d = got
+        assert [Fraction(x, d) for x in X] == want
+
