@@ -16,7 +16,6 @@ modular shortcut.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,6 +47,11 @@ class AutoReconstructError(ReconstructionError):
     def __init__(self, message, table: CountTable):
         super().__init__(message)
         self.table = table
+
+    @property
+    def status(self) -> str:
+        """The report status: the budget ran out, or no candidate held."""
+        return "budget-exceeded" if self.table.truncated else "no-acceptance"
 
 
 class RootFindingError(RuntimeError):
@@ -496,8 +500,8 @@ def _simple_roots(coeffs):
 
 def weil_weight_check(R: RationalFunctionZ, q: int, tol: float = 1e-6) -> WeightReport:
     """Check every reciprocal zero/pole magnitude against q^(w/2), w >= 0."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     records = []
     ok = True
     for side, coeffs in (("zero", R.num), ("pole", R.den)):
@@ -521,7 +525,7 @@ def weil_weight_check(R: RationalFunctionZ, q: int, tol: float = 1e-6) -> Weight
 # ---------------------------------------------------------------------------
 
 SWEEP_COLUMNS = ["profile", "lcm", "B_used", "deg_num", "deg_den",
-                 "total_degree", "weights", "wall_time_s", "status"]
+                 "total_degree", "weights", "status"]
 
 
 def degree_sweep(X: VarietySpec, profiles, max_k: int = 12, holdout: int = 3,
@@ -531,29 +535,27 @@ def degree_sweep(X: VarietySpec, profiles, max_k: int = 12, holdout: int = 3,
     rows = []
     for profile in profiles:
         Xp = X.with_profile(profile)
-        t0 = time.perf_counter()
         row = {
             "profile": " ".join(str(d) for d in profile),
             "lcm": Xp.D,
             "B_used": "", "deg_num": "", "deg_den": "",
-            "total_degree": "", "weights": "",
-            "wall_time_s": "", "status": "ok",
+            "total_degree": "", "weights": "", "status": "ok",
         }
         try:
             res = auto_reconstruct(Xp, max_k, holdout=holdout, budget=budget,
                                    workers=workers)
-            wr = weil_weight_check(res.function, Xp.p ** Xp.s, tol=tol)
             row.update({
                 "B_used": res.B_used,
                 "deg_num": len(res.function.num) - 1,
                 "deg_den": len(res.function.den) - 1,
                 "total_degree": res.function.total_degree(),
-                "weights": " ".join(str(w) for w in wr.weight_multiset()),
             })
+            wr = weil_weight_check(res.function, Xp.p ** Xp.s, tol=tol)
+            row["weights"] = " ".join(str(w) for w in wr.weight_multiset())
         except AutoReconstructError as exc:
-            row["status"] = ("budget-exceeded" if exc.table.truncated
-                             else "no-acceptance")
-        row["wall_time_s"] = f"{time.perf_counter() - t0:.3f}"
+            row["status"] = exc.status
+        except RootFindingError:
+            row["status"] = "root-finding-failed"
         rows.append(row)
     return rows
 

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from parzeta.cli import main
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -184,3 +186,85 @@ def test_zeta_root_finding_failure_keeps_workers(capsys, monkeypatch):
     assert code == 4
     assert rep["outputs"]["status"] == "root-finding-failed"
     assert rep["timings"]["workers"] == 2
+
+
+def _fail_root_finding(*args, **kwargs):
+    from parzeta.zeta import RootFindingError
+    raise RootFindingError("root refinement did not converge", [1])
+
+
+def test_graph_root_finding_failure_exit_4(capsys, monkeypatch):
+    import parzeta.graphs as graphs
+
+    monkeypatch.setattr(graphs, "weil_weight_check", _fail_root_finding)
+    code, rep = run_json(capsys, "graph",
+                         str(CORPUS / "g_selfloop_square.json"))
+    assert code == 4
+    assert rep["outputs"] == {"status": "root-finding-failed"}
+
+
+def test_sweep_root_finding_failure_is_a_row(capsys, monkeypatch):
+    import parzeta.zeta as zeta
+
+    monkeypatch.setattr(zeta, "weil_weight_check", _fail_root_finding)
+    code, rep = run_json(capsys, "sweep", str(CORPUS / "diag11_f2.json"),
+                         "1,1", "1,2")
+    assert code == 4
+    rows = rep["outputs"]["rows"]
+    assert [r["status"] for r in rows] == ["root-finding-failed"] * 2
+    assert [r["weights"] for r in rows] == ["", ""]
+
+
+@pytest.mark.parametrize("argv", [
+    ("zeta", "diag11_f2", "--tol", "nan"),
+    ("zeta", "diag11_f2", "--tol", "inf"),
+    ("zeta", "diag11_f2", "--tol", "-1"),
+    ("zeta", "diag11_f2", "--tol", "0"),
+    ("zeta", "diag11_f2", "--holdout", "0"),
+    ("zeta", "diag11_f2", "--max-k", "0"),
+    ("count", "diag11_f2", "-k", "-2"),
+    ("count", "diag11_f2", "--budget", "-5"),
+    ("count", "diag11_f2", "--workers", "0"),
+    ("count", "diag11_f2", "-k", "x"),
+    ("faltings", "diag11_f2", "--k-max", "0"),
+    ("graph", "g_selfloop_square", "--k-max", "0"),
+    ("graph", "g_selfloop_square", "--tol", "nan"),
+    ("as", "as_cubic_f2_d1", "--e-max", "0"),
+    ("sweep", "diag11_f2", "1,1", "--holdout", "0"),
+], ids=" ".join)
+def test_numeric_flags_rejected_exit_2(capsys, argv):
+    sub, name, *flags = argv
+    with pytest.raises(SystemExit) as exc:
+        main([sub, str(CORPUS / f"{name}.json"), *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flags[-2]}" in err and "invalid positive" in err
+
+
+@pytest.mark.parametrize("sub,name", [("faltings", "diag11_f2"),
+                                      ("graph", "g_selfloop_square"),
+                                      ("as", "as_cubic_f2_d1")])
+def test_workers_recorded_for_every_subcommand(capsys, sub, name):
+    code, rep = run_json(capsys, sub, str(CORPUS / f"{name}.json"),
+                         "--workers", "3")
+    assert code == 0
+    assert rep["timings"]["workers"] == 3
+
+
+def test_sweep_csv_is_deterministic(capsys):
+    argv = ("sweep", str(CORPUS / "diag11_f2.json"), "1,1", "1,2", "2,3")
+    first = run(capsys, *argv, "--format", "csv")
+    second = run(capsys, *argv, "--format", "csv")
+    assert first == second
+    _, rep = run_json(capsys, *argv)
+    header = first[1].splitlines()[0]
+    assert header.split(",") == rep["outputs"]["columns"]
+
+
+def test_field_error_is_schema_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"kind": "variety", "p": 4, "s": 1, "n": 1,
+                               "equations": [], "profile": [1]}))
+    code, out, err = run(capsys, "count", str(bad))
+    assert code == 2 and out == ""
+    assert err == "schema error: p = 4 is not prime\n"

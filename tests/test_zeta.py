@@ -516,3 +516,12 @@ def test_bareiss_matches_gauss_jordan_on_any_system(data):
         X, d = got
         assert [Fraction(x, d) for x in X] == want
 
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_weight_check_rejects_tolerance_not_positive_finite(tol):
+    # |lambda|^2 = 7 at q = 2 is no Weil weight; a NaN tolerance used to
+    # pass it because every comparison with NaN is false
+    with pytest.raises(ValueError):
+        weil_weight_check(RationalFunctionZ((1,), (1, 0, 7)), 2, tol=tol)
+    assert not weil_weight_check(RationalFunctionZ((1,), (1, 0, 7)), 2).passed
