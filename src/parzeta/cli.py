@@ -17,6 +17,7 @@ outputs of None mean it printed its own stdout (`sweep --format csv`).
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -235,8 +236,8 @@ def _graph(G, args, budget):
         rep = reduction_check(G, args.k_max, max_k=args.max_k,
                               holdout=args.holdout, tol=args.tol,
                               budget=budget)
-    except AutoReconstructError:
-        return {"status": "no-acceptance"}, None, EXIT_NO_CONVERGENCE
+    except AutoReconstructError as exc:
+        return {"status": exc.status}, None, EXIT_NO_CONVERGENCE
     except RootFindingError:
         return {"status": "root-finding-failed"}, None, EXIT_NO_CONVERGENCE
     ok = rep.passed and rep.weight_report.passed
@@ -356,7 +357,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use."""
     ap = argparse.ArgumentParser(
         prog="parzeta",
         description="Exact partial zeta functions of varieties over "

@@ -1,16 +1,14 @@
 """Zeta series, rational reconstruction, and Weil weight checks.
 
 The series exp(sum N_k T^k / k) comes from the logarithmic-derivative
-recurrence run on the integers y_k = k! z_k.  Candidate rational functions
-come from the Pade linear system, solved over the integers: the series is
-scaled by the lcm of its denominators and the Hankel system goes through
-Bareiss fraction-free elimination, whose divisions are exact.  A candidate
-is put in lowest terms by a Euclid modulo the prime 2^61 - 1 when that
-proves the pair coprime, and by the exact rational Euclid otherwise; it
-is accepted only when it reproduces held-out series coefficients.  No
-floating point enters the certification path; floats appear only in the
-numerical weight report, whose exact squarefree split uses the same
-modular shortcut.
+recurrence run on the integers y_k = k! z_k.  All exact polynomial
+algebra is one extended Euclid over the integers, `_euclid`.  Run on
+T^(N+1) and the series scaled by the lcm of its denominators, it gives
+the Pade candidate of degrees (dn, dd), N = dn + dd, already in lowest
+terms; a candidate is accepted only when it reproduces held-out series
+coefficients.  Run on P and P', it gives gcd(P, P') and the squarefree
+part for the weight report.  No floating point enters the certification
+path; floats appear only in the numerical weight report.
 """
 
 from __future__ import annotations
@@ -145,153 +143,61 @@ class RationalFunctionZ:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over Z
+# exact polynomial algebra over Z
 # ---------------------------------------------------------------------------
 
-def _bareiss_solve(rows, rhs):
-    """Solve A x = b for integer A, b; free variables are set to 0.
+def _euclid(a, b):
+    """Extended Euclid on integer polynomials a, b (constant term first).
 
-    Bareiss fraction-free elimination: after the k-th pivot every entry
-    below it is a (k+1)-minor of the row-permuted matrix, so the division
-    by the previous pivot is exact and every entry stays an integer.  A
-    column with no nonzero entry at or below the current row is skipped.
-    With the free variables at 0 the solution is unique, so this is the
-    same vector Gauss-Jordan over Q returns.
-
-    Returns (X, d) with x = X / d and d the last pivot (the pivot minor),
-    or None when the system is inconsistent.
+    Yields rows (r, t), trailing zeros trimmed, with r - t*b a multiple of
+    a over Q: from (b, 1) down to the first r = [].  Each step is one
+    pseudo-division s*r_prev = quo*r + rem, with s a product of powers of
+    lc(r) taken only where a quotient term would not be an integer; the
+    new row is s*(r_prev, t_prev) - quo*(r, t), divided by the content of
+    the pair when that exceeds 1.  The degrees of r strictly decrease, the
+    last nonzero r is gcd(a, b) up to a scalar, and the t beside r = [] is
+    a scalar multiple of a / gcd(a, b).
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if aug[i][c]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        top = aug[r]
-        pv = top[c]
-        # columns up to c are zero below the pivot, before and after
-        zeros, tail = [0] * (c + 1), top[c + 1:]
-        for i in range(r + 1, m):
-            row = aug[i]
-            f = row[c]
-            aug[i] = zeros + [(pv * a - f * t) // prev
-                              for a, t in zip(row[c + 1:], tail)]
-        prev = pv
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    if any(aug[i][n] for i in range(r, m)):
-        return None
-    # By Cramer's rule d * x is integral, so each division here is exact.
-    X = [0] * n
-    for i in reversed(range(r)):
-        row = aug[i]
-        acc = prev * row[n] - sum(row[c] * X[c] for c in pivots[i + 1:])
-        X[pivots[i]] = acc // row[pivots[i]]
-    return X, prev
-
-
-# the Mersenne prime 2^61 - 1: a residue fits in one 64-bit word
-_P61 = (1 << 61) - 1
-
-
-def _coprime_mod_p(a, b):
-    """True when a and b are certainly coprime over Q (constant first).
-
-    Each polynomial is scaled to integers and reduced mod p = 2^61 - 1.
-    If g = gcd(a, b) over Q has positive degree, its primitive integer
-    multiple divides both scaled polynomials (Gauss's lemma), so its
-    leading coefficient divides theirs.  When neither leading coefficient
-    vanishes mod p, g mod p keeps its degree and divides both reductions.
-    So a degree-0 gcd mod p proves coprimality.  False means only that
-    the exact Euclid must decide.
-    """
-    reduced = []
-    for poly in (a, b):
-        lcm = math.lcm(*(x.denominator for x in poly))
-        r = [x.numerator * (lcm // x.denominator) % _P61 for x in poly]
-        if not r or r[-1] == 0:
-            return False
-        reduced.append(r)
-    a, b = reduced
-    # a nonzero constant b ends the Euclid with a unit gcd
-    while len(b) > 1:
-        inv = pow(b[-1], -1, _P61)
-        db = len(b) - 1
-        while len(a) > db:
-            c = a[-1] * inv % _P61
-            sh = len(a) - 1 - db
-            for i, bi in enumerate(b[:-1]):
-                a[sh + i] = (a[sh + i] - c * bi) % _P61
-            a.pop()
-        while a and a[-1] == 0:
-            a.pop()
-        if not a:
-            return False
-        a, b = b, a
-    return True
-
-
-def _poly_gcd_q(a, b):
-    """Monic gcd of rational-coefficient polynomials (constant first)."""
 
     def trim(v):
         while v and v[-1] == 0:
             v.pop()
         return v
 
-    def rem(x, y):
-        x = list(x)
-        dy = len(y) - 1
-        while len(x) - 1 >= dy and trim(x):
-            c = x[-1] / y[-1]
-            sh = len(x) - 1 - dy
-            for i, yi in enumerate(y):
-                x[sh + i] -= c * yi
-            trim(x)
-        return x
-
-    a, b = trim([Fraction(v) for v in a]), trim([Fraction(v) for v in b])
-    while b:
-        a, b = b, trim(rem(a, b))
-    if a:
-        lead = a[-1]
-        a = [v / lead for v in a]
-    return a
-
-
-def _poly_div_exact(a, b):
-    """Exact quotient a / b over Q; raises if the division is not exact."""
-    a = [Fraction(v) for v in a]
-    b = [Fraction(v) for v in b]
-    while a and a[-1] == 0:
-        a.pop()
-    while b and b[-1] == 0:
-        b.pop()
-    if not a:
-        return [Fraction(0)]
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        c = a[-1] / b[-1]
-        sh = len(a) - len(b)
-        q[sh] = c
-        for i, bi in enumerate(b):
-            a[sh + i] -= c * bi
-    while a and a[-1] == 0:
-        a.pop()
-    if a:
-        raise ValueError("inexact polynomial division")
-    return q
+    r0, t0 = trim(list(a)), []
+    r1, t1 = trim(list(b)), [1]
+    yield r1, t1
+    while r1:
+        n, lead = len(r1) - 1, r1[-1]
+        x, s = list(r0), 1
+        quo = [0] * max(len(x) - n, 0)
+        for k in reversed(range(len(quo))):
+            c = x[k + n]
+            if not c:
+                continue
+            if c % lead:
+                x = [lead * v for v in x]
+                quo = [lead * v for v in quo]
+                s *= lead
+                c = x[k + n]
+            f = c // lead
+            quo[k] = f
+            for i, v in enumerate(r1):
+                x[k + i] -= f * v
+        r = trim(x[:n])
+        t = [s * v for v in t0]
+        t += [0] * (len(quo) + len(t1) - 1 - len(t))
+        for k, f in enumerate(quo):
+            if f:
+                for i, v in enumerate(t1):
+                    t[k + i] -= f * v
+        trim(t)
+        g = math.gcd(*r, *t)
+        if g > 1:
+            r = [v // g for v in r]
+            t = [v // g for v in t]
+        r0, t0, r1, t1 = r1, t1, r, t
+        yield r1, t1
 
 
 def pade_reconstruct(S: TruncatedSeries, dn: int, dd: int) -> RationalFunctionZ:
@@ -303,43 +209,29 @@ def pade_reconstruct(S: TruncatedSeries, dn: int, dd: int) -> RationalFunctionZ:
     if dn + dd + 1 > len(S.coeffs):
         raise ValueError("series too short for requested degrees")
     z = S.coeffs[:dn + dd + 1]
-    # The system below is homogeneous in z, so y = L z (L the lcm of the
-    # denominators) gives the same solution with integer entries.
+    # P = Q z mod T^(N+1) is homogeneous in z, so y = L z (L the lcm of
+    # the denominators) has the same solutions, with integer entries
     L = math.lcm(*(v.denominator for v in z))
     y = [v.numerator * (L // v.denominator) for v in z]
-    # unknowns b_1..b_dd from  sum_{j=0}^{dd} b_j y_{k-j} = 0,  k = dn+1..dn+dd
-    rows = [[y[k - j] if k - j >= 0 else 0 for j in range(1, dd + 1)]
-            for k in range(dn + 1, dn + dd + 1)]
-    sol = _bareiss_solve(rows, [-y[k] for k in range(dn + 1, dn + dd + 1)])
-    if sol is None:
+    # The first Euclid row with deg r <= dn has deg t <= dd, and every
+    # solution (r', t') of r' = t' y mod T^(N+1), deg r' <= dn,
+    # deg t' <= dd is alpha (r, t) for a polynomial alpha; so when
+    # t(0) = 0, no solution has Q(0) != 0.
+    num, den = next((r, t) for r, t in _euclid([0] * len(y) + [1], y)
+                    if len(r) <= dn + 1)
+    if den[0] == 0:
         raise NoSolutionError(f"no degree ({dn},{dd}) match")
-    # den and num up to the nonzero scalars d and d * L; both are
-    # normalised to unit constant terms below, so the scalars drop out.
-    X, d = sol
-    den = [d] + X
-    num = [sum(den[j] * y[k - j] for j in range(min(k, dd) + 1))
-           for k in range(dn + 1)]
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    while len(den) > 1 and den[-1] == 0:
-        den.pop()
-    # reduce to lowest terms over Q; the exact Euclid runs only when the
-    # modular test cannot prove the pair coprime
-    if not _coprime_mod_p(num, den):
-        g = _poly_gcd_q(num, den)
-        if len(g) > 1:
-            num = _poly_div_exact(num, g)
-            den = _poly_div_exact(den, g)
-    if num[0] == 0 or den[0] == 0:
+    # gcd(num, den) divides T^(N+1) and den(0) != 0: lowest terms already
+    if not num or num[0] == 0:
         raise NoSolutionError("degenerate candidate with vanishing constant term")
-    # v / c is an integer exactly when v % c == 0, for ints and Fractions
     n0, d0 = num[0], den[0]
     if any(v % n0 for v in num) or any(v % d0 for v in den):
         raise NonIntegerError(
             f"degree ({dn},{dd}) candidate has non-integer coefficients")
-    R = RationalFunctionZ(tuple(int(v // n0) for v in num),
-                          tuple(int(v // d0) for v in den))
-    # guard: the reduced candidate must still match through order dn + dd
+    R = RationalFunctionZ(tuple(v // n0 for v in num),
+                          tuple(v // d0 for v in den))
+    # guard: the normalised candidate must still match through order
+    # dn + dd; it rejects a series whose z_0 is not 1
     if [v * L for v in R.expand(dn + dd)] != y:
         raise NoSolutionError(f"degree ({dn},{dd}) system is inconsistent")
     return R
@@ -443,22 +335,28 @@ def _reciprocal_roots(coeffs):
 
     Repeated roots defeat plain Newton refinement, so the polynomial is
     split exactly first: the roots of P are the roots of its squarefree
-    part plus, recursively, those of gcd(P, P').  Both factors are
-    computed in exact rational arithmetic; the numerics only ever see
-    simple roots.
+    part plus, recursively, those of gcd(P, P').  One integer Euclid on
+    P and P' gives both: the gcd is its last nonzero remainder and the
+    squarefree part the cofactor beside the zero remainder.  The numerics
+    only ever see simple roots.
     """
     deg = len(coeffs) - 1
     if deg == 0:
         return []
     P = [Fraction(c) for c in coeffs]
-    dP = [i * c for i, c in enumerate(P)][1:]
-    if not _coprime_mod_p(P, dP):
-        g = _poly_gcd_q(P, dP)
-        if len(g) > 1:
-            sf = _poly_div_exact(P, g)
-            return sorted(_simple_roots(sf) + _reciprocal_roots(g),
-                          key=lambda c: (round(c.real, 9), round(c.imag, 9)))
-    return _simple_roots(P)
+    L = math.lcm(*(c.denominator for c in P))
+    a = [c.numerator * (L // c.denominator) for c in P]
+    g = []
+    for r, t in _euclid(a, [i * c for i, c in enumerate(a)][1:]):
+        g = r or g
+    if len(g) < 2:
+        return _simple_roots(P)
+    # t is a scalar multiple of P / gcd; scale it to P's leading coefficient
+    lead = Fraction(next(c for c in reversed(a) if c), L * t[-1])
+    sf = [v * lead for v in t]
+    g = [Fraction(v, g[-1]) for v in g]
+    return sorted(_simple_roots(sf) + _reciprocal_roots(g),
+                  key=lambda c: (round(c.real, 9), round(c.imag, 9)))
 
 
 def _simple_roots(coeffs):

@@ -40,6 +40,7 @@ EXTRA = [
     ("sweep", "diag11_f2", ("1,1", "x")),
     ("faltings", "diag23_f2", ("--budget", "100")),
     ("graph", "g_selfloop_square", ("--budget", "50")),
+    ("graph", "g_selfloop_square", ("--budget", "200")),
 ] + [(sub, name, flags + ("--format", fmt))
      for sub, name, flags in [("count", "diag11_f2", ()),
                               ("zeta", "diag11_f2", ()),

@@ -9,9 +9,12 @@ from parzeta.zeta import (AutoReconstructError, NoSolutionError,
                           auto_reconstruct, degree_sweep, pade_reconstruct,
                           series_from_counts, sweep_rows_to_csv,
                           weil_weight_check)
-from parzeta.zeta import (NonIntegerError, ReconstructionError, _P61,
-                          _bareiss_solve, _coprime_mod_p, _reciprocal_roots,
-                          _simple_roots)
+from parzeta.zeta import (NonIntegerError, ReconstructionError, _euclid,
+                          _reciprocal_roots, _simple_roots)
+
+# the Mersenne prime 2^61 - 1: pinned inputs built on it agree mod p but
+# differ over Q
+_P61 = (1 << 61) - 1
 
 
 def V(p, s, n, texts, profile):
@@ -181,9 +184,9 @@ def test_degree_sweep_failure_row():
 
 
 # ---------------------------------------------------------------------------
-# Integer Pade and the modular coprimality shortcut against the Fraction
-# Gauss-Jordan path they replaced.  _solve_exact, _poly_gcd_q,
-# _poly_div_exact and pade_reconstruct_oracle are the previous
+# The integer extended Euclid against the Fraction Gauss-Jordan path and
+# the Fraction Euclid it replaced.  _solve_exact, _poly_gcd_q,
+# _poly_div_exact and pade_reconstruct_oracle are the original
 # implementation, kept verbatim as the oracle.
 # ---------------------------------------------------------------------------
 
@@ -432,7 +435,9 @@ def test_series_integer_recurrence_matches_fractions(counts):
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from([[1, -1], [1, 2], [1, 0, 1],
-                                           [1, -1, 2], [1, 3, 9]]),
+                                           [1, -1, 2], [1, 3, 9],
+                                           [1, 0, 2**20 + 1], [1, _P61],
+                                           [3, 0, 0, -7 * 2**30]]),
                           st.integers(1, 3)),
                 min_size=1, max_size=3))
 def test_reciprocal_roots_match_exact_split(factors):
@@ -443,54 +448,46 @@ def test_reciprocal_roots_match_exact_split(factors):
     assert _reciprocal_roots(P) == _reciprocal_roots_oracle(P)
 
 
-def test_coprime_mod_p_falls_back_on_leading_multiple_of_p():
-    # (1 + pT)(1 + T) and (1 + pT)(1 + 2T): mod p the common factor
-    # becomes the constant 1 and the degrees drop, so the modular gcd
-    # alone would call the pair coprime
+def _check_against_oracle(num, den, dn, dd, length):
+    S = TruncatedSeries(tuple(_expand(num, den, length)))
+    got = _outcome(pade_reconstruct, S, dn, dd)
+    assert got == _outcome(pade_reconstruct_oracle, S, dn, dd)
+    for P in (num, den, _pmul(num, den)):
+        assert _reciprocal_roots(P) == _reciprocal_roots_oracle(P)
+    return got
+
+
+def test_leading_multiple_of_p61_matches_oracle():
+    # (1 + pT)(1 + T) / (1 + pT)(1 + 2T): mod p the common factor becomes
+    # the constant 1 and the degrees drop, so a modular gcd alone would
+    # call the pair coprime
     p = _P61
     num, den = _pmul([1, p], [1, 1]), _pmul([1, p], [1, 2])
-    assert num[-1] % p == 0
-    assert not _coprime_mod_p(num, den)
     assert _poly_gcd_q(num, den) == [Fraction(1, p), 1]
-    assert not _coprime_mod_p([1, 2 * p, p * p], [2 * p, 2 * p * p])
+    assert _check_against_oracle(num, den, 2, 2, 6) == ((1, 1), (1, 2))
+    assert _check_against_oracle(num, den, 1, 1, 4) == ((1, 1), (1, 2))
+    # (1 + pT)^2 / 2p(1 + pT): z_0 = 1/(2p), which the final guard rejects
+    assert _check_against_oracle([1, 2 * p, p * p], [2 * p, 2 * p * p],
+                                 2, 1, 5)[0] is NoSolutionError
 
 
 def test_coprime_over_q_but_not_mod_p():
-    # 1 + T and 1 + (1 + p)T agree mod p, so the exact Euclid decides
+    # 1 + T and 1 + (1 + p)T agree mod p, but are coprime over Q
     p = _P61
     num, den = [1, 1], [1, 1 + p]
-    assert not _coprime_mod_p(num, den)
     assert _poly_gcd_q(num, den) == [1]
-    S = TruncatedSeries(tuple(_expand(num, den, 5)))
-    R = pade_reconstruct(S, 1, 1)
-    assert (R.num, R.den) == ((1, 1), (1, 1 + p))
-    assert _outcome(pade_reconstruct, S, 1, 1) == \
-        _outcome(pade_reconstruct_oracle, S, 1, 1)
-    assert _reciprocal_roots(_pmul(num, den)) == \
-        _reciprocal_roots_oracle(_pmul(num, den))
+    assert _check_against_oracle(num, den, 1, 1, 5) == ((1, 1), (1, 1 + p))
 
 
-def test_coprime_mod_p_certifies_common_cases():
-    assert _coprime_mod_p([1, -1], [1, -2])
-    assert _coprime_mod_p([1, 3, 2], [5])
-    assert _coprime_mod_p([Fraction(1, 2), 1], [1, 0, 1])
-    assert not _coprime_mod_p([1, -3, 2], [1, -1])  # share 1 - T
-    assert not _coprime_mod_p([0], [1, 1])
-
-
-def test_bareiss_skips_a_column_and_divides_exactly():
-    # (1 + 3T)/(1 + T) asked at degrees (2, 4): rank 3 of 4.  Column 1 has
-    # no pivot after column 0's; the pivots of columns 2 and 3 are
-    # divided exactly by -2 and -6, and the last pivot is the 3x3 minor
-    # det [[-2, 1, 0], [2, 2, 1], [-2, -2, 2]] = -18.
+def test_pade_rank_deficient_case_matches_oracle():
+    # (1 + 3T)/(1 + T) asked at degrees (2, 4): the Hankel system has rank
+    # 3 of 4, and Gauss-Jordan sets its free variable to 0
     z = [1, 2, -2, 2, -2, 2, -2]
     dn, dd = 2, 4
     rows = [[z[k - j] if k - j >= 0 else 0 for j in range(1, dd + 1)]
             for k in range(dn + 1, dn + dd + 1)]
-    rhs = [-z[k] for k in range(dn + 1, dn + dd + 1)]
-    assert rows[0] == [-2, 2, 1, 0]
-    assert _bareiss_solve(rows, rhs) == ([-18, 0, 0, 0], -18)
-    assert _solve_exact(rows, rhs) == [1, 0, 0, 0]
+    assert _solve_exact(rows, [-z[k] for k in range(dn + 1, dn + dd + 1)]) \
+        == [1, 0, 0, 0]
     S = TruncatedSeries(tuple(Fraction(v) for v in z))
     R = pade_reconstruct(S, dn, dd)
     assert (R.num, R.den) == ((1, 3), (1, 1))
@@ -498,24 +495,47 @@ def test_bareiss_skips_a_column_and_divides_exactly():
         _outcome(pade_reconstruct_oracle, S, dn, dd)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_bareiss_matches_gauss_jordan_on_any_system(data):
-    # general integer systems, not only Hankel ones: zero columns, repeated
-    # rows and inconsistent right-hand sides
-    m, n = data.draw(st.integers(0, 5)), data.draw(st.integers(1, 5))
-    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 5])
-    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
-                              min_size=m, max_size=m))
-    rhs = data.draw(st.lists(entry, min_size=m, max_size=m))
-    want = _solve_exact(rows, rhs)
-    got = _bareiss_solve(rows, rhs)
-    if want is None:
-        assert got is None
-    else:
-        X, d = got
-        assert [Fraction(x, d) for x in X] == want
+def _rem_q(x, a):
+    """Remainder of x modulo a over Q (constant first, a nonzero)."""
+    x = [Fraction(v) for v in x]
+    while x and x[-1] == 0:
+        x.pop()
+    while len(x) >= len(a):
+        c = x[-1] / a[-1]
+        sh = len(x) - len(a)
+        for i, v in enumerate(a):
+            x[sh + i] -= c * v
+        while x and x[-1] == 0:
+            x.pop()
+    return x
 
+
+_int_poly = st.lists(st.sampled_from([0, 0, 1, -1, 2, -3, 5, 2**40 + 1]),
+                     min_size=1, max_size=9).filter(any)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int_poly, _int_poly, st.sampled_from([[1], [1, 1], [-2, 0, 3]]))
+def test_euclid_rows_match_fraction_gcd(a, b, common):
+    # a shared factor makes a nontrivial gcd likely
+    a, b = _pmul(a, common), _pmul(b, common)
+    rows = list(_euclid(a, b))
+    degrees = [len(r) - 1 for r, _ in rows]
+    assert degrees == sorted(set(degrees), reverse=True)
+    assert rows[0] == (_poly_div_exact(b, [1]), [1])
+    assert rows[-1][0] == [] and all(r for r, _ in rows[:-1])
+    for r, t in rows:
+        # r = t b (mod a) over Q: every step keeps the identity exactly
+        tb = _pmul(t, b) if t else [0]
+        diff = [(r[i] if i < len(r) else 0) - (tb[i] if i < len(tb) else 0)
+                for i in range(max(len(r), len(tb)))]
+        assert _rem_q(diff, _poly_div_exact(a, [1])) == []
+    g, t = rows[-2][0], rows[-1][1]
+    want = _poly_gcd_q(a, b)
+    assert [Fraction(v, g[-1]) for v in g] == want
+    # the cofactor beside the zero remainder is a scalar multiple of a / gcd
+    cof = _poly_div_exact(a, want)
+    assert [Fraction(v, t[-1]) for v in t] == [v / cof[-1] for v in cof]
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
