@@ -24,6 +24,12 @@ bound prefix, so binding a variable costs one product per term.
   partial counts with fixed points found this way, so the two sides of
   that check reach their numbers by different routes.
 
+Listed points are combined by ``join``: blocks of candidates tied by
+equal images, placed one at a time, each block's candidates looked up in
+an index keyed by its images towards the blocks already placed.  The
+cyclic cover Y of ``faltings`` and the direct count of ``graphs`` are
+such joins.
+
 Counting runs in one thread; the ``workers`` arguments are kept for the
 reports' ``timings`` block and change nothing.
 """
@@ -283,6 +289,65 @@ def enumerate_points(equations, n: int, ambient: Field, base: Field,
         return 1
 
     _search(equations, ambient, base, range(n), domains, leaf, budget)
+    return out
+
+
+def join(sizes, links, budget: int, context: str):
+    """Index tuples (x_0, ..., x_{m-1}), 0 <= x_b < sizes[b], meeting
+    every link, in block order.
+
+    A link (a, f, b, g) asks f[x_a] == g[x_b]; f and g list hashable
+    images, one per candidate of block a and of block b.  Blocks are
+    placed most-linked-to-placed first, ties going to the lower index.
+    A block's candidates come from an index keyed by their images under
+    its links to the blocks already placed; a self-link (a == b) filters
+    that index.  Every node visited, the root included, counts against
+    ``budget``, and the refusal names ``context``.
+    """
+    m = len(sizes)
+    # per position: the block, its index, and the (placed block, images)
+    # whose values at the chosen candidates form the lookup key
+    steps = []
+    placed = set()
+    while len(placed) < m:
+        b = min((j for j in range(m) if j not in placed),
+                key=lambda j: (-sum((a == j and c in placed) or
+                                    (c == j and a in placed)
+                                    for a, _, c, _ in links), j))
+        own, other, filters = [], [], []
+        for a, f, c, g in links:
+            if a == b == c:
+                filters.append((f, g))
+            elif a == b and c in placed:
+                own.append(f)
+                other.append((c, g))
+            elif c == b and a in placed:
+                own.append(g)
+                other.append((a, f))
+        index = {}
+        for x in range(sizes[b]):
+            if all(f[x] == g[x] for f, g in filters):
+                index.setdefault(tuple(h[x] for h in own), []).append(x)
+        steps.append((b, index, other))
+        placed.add(b)
+    out = []
+    chosen = [None] * m
+    nodes = 0
+
+    def descend(pos):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(nodes, budget, context)
+        if pos == m:
+            out.append(tuple(chosen))
+            return
+        b, index, other = steps[pos]
+        for x in index.get(tuple(g[chosen[c]] for c, g in other), ()):
+            chosen[b] = x
+            descend(pos + 1)
+
+    descend(0)
     return out
 
 

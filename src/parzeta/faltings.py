@@ -5,8 +5,9 @@ cut out by identifying coordinate i of block j with coordinate i of block
 j + d_i (indices mod d); Y is stable under the block rotation sigma, and
 for every a coprime to d the fixed points of sigma^a composed with the
 k-th Frobenius power biject with the partial-count points at level k.
-This module builds Y, enumerates it with constraint propagation, and
-verifies the equality and the per-point reconstruction bijection.
+This module builds Y, enumerates it as a join of d copies of X's points
+tied by equal images under the f_i, and verifies the equality and the
+per-point reconstruction bijection.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .counting import (BudgetExceededError, DEFAULT_BUDGET, enumerate_points,
-                       partial_count)
-from .fields import Field, FieldElement, field
+from .counting import DEFAULT_BUDGET, enumerate_points, join, partial_count
+from .fields import Field, field
 from .polys import SparsePoly, VarietySpec
 
 
@@ -26,8 +26,8 @@ class FaltingsSpec:
     d: int
     block_size: int          # coordinates per block (n of X)
     Y: VarietySpec           # in d * block_size variables
-    ident_pairs: tuple       # projection mode: ((j, i), (j2, i)) slot equalities
-    morphisms: tuple = None  # general mode: one MorphismSpec per profile entry
+    morphisms: tuple = None  # one MorphismSpec per profile entry; None for
+                             # the coordinate projections
 
 
 def h_index(a: int, d: int, j: int) -> int:
@@ -52,53 +52,31 @@ def _slot(j: int, i: int, n: int) -> int:
 def build_faltings(X: VarietySpec, morphisms=None) -> FaltingsSpec:
     """Construct Y inside X^d with its identification equations.
 
-    With no morphisms the f_i are the coordinate projections and the
-    identifications are plain slot equalities; with morphisms they become
+    With no morphisms the f_i are the coordinate projections, so the
+    identifications are slot equalities; with morphisms they are
     componentwise polynomial identities.  Either way the resulting
     equation set is checked to be permuted by the block rotation.
     """
     d = X.D
     n = X.n
-    base = X.base
     dn = d * n
-    equations = []
-    # d copies of X's equations, one per block
-    for j in range(d):
-        mapping = {i: _slot(j, i, n) for i in range(n)}
-        for eq in X.equations:
-            equations.append(eq.rename(mapping, dn))
-    ident_pairs = []
-    if morphisms is None:
-        seen = set()
-        for i, di in enumerate(X.profile):
-            for j in range(d):
-                j2 = (j + di) % d
-                if j2 == j:
-                    continue
-                key = tuple(sorted(((j, i), (j2, i))))
-                if key in seen:
-                    continue
-                seen.add(key)
-                ident_pairs.append(((j, i), (j2, i)))
-                lhs = SparsePoly.var(dn, base, _slot(j, i, n))
-                rhs = SparsePoly.var(dn, base, _slot(j2, i, n))
-                equations.append(lhs - rhs)
-    else:
+    if morphisms is not None:
         morphisms = tuple(morphisms)
         if len(morphisms) != len(X.profile):
             raise ValueError("need one morphism per profile entry")
-        for i, (di, f_i) in enumerate(zip(X.profile, morphisms)):
-            for j in range(d):
-                j2 = (j + di) % d
-                if j2 == j:
-                    continue
-                map_j = {v: _slot(j, v, n) for v in range(n)}
-                map_j2 = {v: _slot(j2, v, n) for v in range(n)}
-                for comp in f_i.components:
-                    equations.append(comp.rename(map_j, dn) - comp.rename(map_j2, dn))
+    blocks = [{v: _slot(j, v, n) for v in range(n)} for j in range(d)]
+    # d copies of X's equations, one per block
+    equations = [eq.rename(blocks[j], dn) for j in range(d) for eq in X.equations]
+    for i, di in enumerate(X.profile):
+        comps = ((SparsePoly.var(n, X.base, i),) if morphisms is None
+                 else morphisms[i].components)
+        for j in range(d):
+            j2 = (j + di) % d
+            if j2 != j:
+                equations.extend(c.rename(blocks[j], dn) - c.rename(blocks[j2], dn)
+                                 for c in comps)
     Y = VarietySpec(X.p, X.s, dn, tuple(equations), (1,) * dn)
-    spec = FaltingsSpec(X, d, n, Y, tuple(ident_pairs),
-                        morphisms if morphisms is None else tuple(morphisms))
+    spec = FaltingsSpec(X, d, n, Y, morphisms)
     _check_sigma_stability(spec)
     return spec
 
@@ -137,151 +115,27 @@ def variety_points(X: VarietySpec, ambient: Field, domains=None,
 # Y enumeration
 # ---------------------------------------------------------------------------
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {i: i for i in items}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def enumerate_y_points(spec: FaltingsSpec, k: int, budget: int = DEFAULT_BUDGET):
-    """Points of Y with all coordinates in F_{q^{dk}}, lex-sorted."""
-    X = spec.X
-    amb = field(X.p, X.s, spec.d * k)
+    """Points of Y with all coordinates in F_{q^{dk}}, lex-sorted.
+
+    X's points are listed once and joined d times over, block j tied to
+    block j + d_i by equal images under f_i.
+    """
+    X, d = spec.X, spec.d
+    amb = field(X.p, X.s, d * k)
     xpts = variety_points(X, amb, budget=budget)
-    if spec.morphisms is not None:
-        return _enumerate_y_general(spec, amb, xpts, budget)
-    return _enumerate_y_projection(spec, amb, xpts, budget)
-
-
-def _enumerate_y_projection(spec, amb, xpts, budget):
-    d, n = spec.d, spec.block_size
-    uf = _UnionFind([(j, i) for j in range(d) for i in range(n)])
-    for a, b in spec.ident_pairs:
-        uf.union(a, b)
-    cls = {slot: uf.find(slot) for slot in uf.parent}
-    # greedy block order: most already-bound slot classes first
-    order = []
-    bound_classes = set()
-    remaining = set(range(d))
-    while remaining:
-        best = min(remaining,
-                   key=lambda j: (-sum(1 for i in range(n)
-                                       if cls[(j, i)] in bound_classes), j))
-        order.append(best)
-        for i in range(n):
-            bound_classes.add(cls[(best, i)])
-        remaining.discard(best)
-    # per-position index of X points keyed by their bound-coordinate pattern
-    index_cache = {}
-
-    def candidates(j, values):
-        bound_pos = tuple(i for i in range(n) if values[cls[(j, i)]] is not None)
-        if not bound_pos:
-            return xpts
-        key_vals = tuple(values[cls[(j, i)]] for i in bound_pos)
-        idx = index_cache.get((j, bound_pos))
-        if idx is None:
-            idx = {}
-            for pt in xpts:
-                kk = tuple(pt[i].value for i in bound_pos)
-                idx.setdefault(kk, []).append(pt)
-            index_cache[(j, bound_pos)] = idx
-        return idx.get(tuple(v for v in key_vals), [])
-
-    out = []
-    values = {c: None for c in set(cls.values())}
-    nodes = [0]
-
-    def descend(pos):
-        nodes[0] += 1
-        if nodes[0] > budget:
-            raise BudgetExceededError(nodes[0], budget, "Y enumeration")
-        if pos == d:
-            blocks = tuple(
-                tuple(FieldElement(amb, values[cls[(j, i)]]) for i in range(n))
-                for j in range(d))
-            out.append(blocks)
-            return
-        j = order[pos]
-        for pt in candidates(j, values):
-            newly = []
-            ok = True
-            for i in range(n):
-                c = cls[(j, i)]
-                if values[c] is None:
-                    values[c] = pt[i].value
-                    newly.append(c)
-                elif values[c] != pt[i].value:
-                    ok = False
-                    break
-            if ok:
-                descend(pos + 1)
-            for c in newly:
-                values[c] = None
-
-    descend(0)
-    out.sort(key=lambda blocks: tuple(x.value for b in blocks for x in b))
-    return out
-
-
-def _enumerate_y_general(spec, amb, xpts, budget):
-    d, n = spec.d, spec.block_size
-    X = spec.X
-
-    def key(pt):
-        return tuple(x.value for x in pt)
-
-    # cache morphism images per X point
-    fvals = []
-    for f_i in spec.morphisms:
-        fvals.append({key(pt): tuple(v.value for v in f_i.apply(pt, amb))
-                      for pt in xpts})
-    # constraint (i, j, j2): f_i(block j) == f_i(block j2)
-    constraints = []
+    links = []
     for i, di in enumerate(X.profile):
-        for j in range(d):
-            j2 = (j + di) % d
-            if j2 != j:
-                constraints.append((i, j, j2))
-    by_block = [[] for _ in range(d)]
-    for (i, j, j2) in constraints:
-        by_block[max(j, j2)].append((i, j, j2))
-    out = []
-    blocks = [None] * d
-    nodes = [0]
-
-    def descend(j):
-        nodes[0] += 1
-        if nodes[0] > budget:
-            raise BudgetExceededError(nodes[0], budget, "Y enumeration")
-        if j == d:
-            out.append(tuple(blocks))
-            return
-        for pt in xpts:
-            blocks[j] = pt
-            ok = True
-            for (i, ja, jb) in by_block[j]:
-                va = fvals[i][key(blocks[ja])]
-                vb = fvals[i][key(blocks[jb])]
-                if va != vb:
-                    ok = False
-                    break
-            if ok:
-                descend(j + 1)
-            blocks[j] = None
-
-    descend(0)
-    out.sort(key=lambda bl: tuple(x.value for b in bl for x in b))
+        if spec.morphisms is None:
+            images = [pt[i].value for pt in xpts]
+        else:
+            images = [tuple(v.value for v in spec.morphisms[i].apply(pt, amb))
+                      for pt in xpts]
+        links.extend((j, images, (j + di) % d, images)
+                     for j in range(d) if (j + di) % d != j)
+    out = [tuple(xpts[x] for x in ix)
+           for ix in join([len(xpts)] * d, links, budget, "Y enumeration")]
+    out.sort(key=lambda blocks: tuple(x.value for b in blocks for x in b))
     return out
 
 
@@ -289,29 +143,24 @@ def _enumerate_y_general(spec, amb, xpts, budget):
 # fixed points and the counting identity
 # ---------------------------------------------------------------------------
 
-def _values(blocks):
-    """A Y point as nested tuples of packed ints."""
-    return tuple(tuple(x.value for x in block) for block in blocks)
-
-
-def _apply_frobenius(blocks, amb: Field, k: int):
-    """Frobenius^k on every coordinate of a Y point given by ``_values``."""
-    frob = amb.frob
-    return tuple(tuple(frob(x, k) for x in block) for block in blocks)
+def _twisted_fixed_points(spec: FaltingsSpec, k: int, twists, budget: int):
+    """For each a in ``twists``, the points y of Y over F_{q^{dk}} with
+    sigma^a(Frob^k(y)) = y, each with its blocks as packed ints."""
+    frob = field(spec.X.p, spec.X.s, spec.d * k).frob
+    ypts = enumerate_y_points(spec, k, budget=budget)
+    yvals = [tuple(tuple(x.value for x in block) for block in y) for y in ypts]
+    images = [tuple(tuple(frob(x, k) for x in block) for block in v)
+              for v in yvals]
+    return {a: [(y, v) for y, v, img in zip(ypts, yvals, images)
+                if sigma_apply(img, a) == v]
+            for a in twists}
 
 
 def fixed_points(spec: FaltingsSpec, a: int, k: int,
                  budget: int = DEFAULT_BUDGET):
     if gcd(a, spec.d) != 1:
         raise ValueError(f"a = {a} is not coprime to d = {spec.d}")
-    amb = field(spec.X.p, spec.X.s, spec.d * k)
-    ypts = enumerate_y_points(spec, k, budget=budget)
-    out = []
-    for y in ypts:
-        v = _values(y)
-        if sigma_apply(_apply_frobenius(v, amb, k), a) == v:
-            out.append(y)
-    return out
+    return [y for y, _ in _twisted_fixed_points(spec, k, (a,), budget)[a]]
 
 
 def fixed_point_count(spec: FaltingsSpec, a: int, k: int,
@@ -379,6 +228,7 @@ def lemma_check(X: VarietySpec, k_max: int, morphisms=None,
     """Compare the partial count with the fixed-point count for all valid a."""
     spec = build_faltings(X, morphisms=morphisms)
     d = spec.d
+    twists = [a for a in range(1, d + 1) if gcd(a, d) == 1]
     entries = []
     witnesses = []
     recon_ok = True
@@ -387,16 +237,8 @@ def lemma_check(X: VarietySpec, k_max: int, morphisms=None,
             lhs = partial_count(X, k, budget=budget)
         else:
             lhs = morphism_partial_count(X, morphisms, k, budget=budget)
-        amb = field(X.p, X.s, d * k)
-        frob = amb.frob
-        ypts = enumerate_y_points(spec, k, budget=budget)
-        yvals = [_values(y) for y in ypts]
-        images = [_apply_frobenius(v, amb, k) for v in yvals]
-        for a in range(1, d + 1):
-            if gcd(a, d) != 1:
-                continue
-            fixed = [(y, v) for y, v, img in zip(ypts, yvals, images)
-                     if sigma_apply(img, a) == v]
+        frob = field(X.p, X.s, d * k).frob
+        for a, fixed in _twisted_fixed_points(spec, k, twists, budget).items():
             entries.append(LemmaEntry(a, k, lhs, len(fixed)))
             if lhs != len(fixed) and len(witnesses) < 10:
                 witnesses.extend(y for y, _ in fixed[:10 - len(witnesses)])

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .counting import (BudgetExceededError, DEFAULT_BUDGET, enumerate_points,
-                       partial_count)
+                       join, partial_count)
 from .fields import field
 from .polys import MorphismSpec, SparsePoly, VarietySpec, lcm
 from .zeta import ReconstructionResult, auto_reconstruct, weil_weight_check
@@ -55,9 +55,6 @@ class GraphSystem:
     def D(self) -> int:
         return lcm(v.d for v in self.vertices)
 
-    def vertex(self, name):
-        return next(v for v in self.vertices if v.name == name)
-
 
 def graph_count_direct(G: GraphSystem, k: int,
                        budget: int = DEFAULT_BUDGET) -> int:
@@ -75,31 +72,17 @@ def graph_count_direct(G: GraphSystem, k: int,
         cost *= len(pts)
     if cost > budget:
         raise BudgetExceededError(cost, budget, f"graph_count_direct k={k}")
+    # edge src -> dst asks f(x_src) == x_dst
     vindex = {v.name: i for i, v in enumerate(G.vertices)}
-    by_depth = [[] for _ in range(len(G.vertices))]
+    links = []
     for e in G.edges:
-        i_src, i_dst = vindex[e.src], vindex[e.dst]
-        by_depth[max(i_src, i_dst)].append((i_src, i_dst, e.morphism))
-    count = [0]
-    chosen = [None] * len(G.vertices)
-
-    def descend(v_i):
-        if v_i == len(G.vertices):
-            count[0] += 1
-            return
-        for pt in vpoints[v_i]:
-            chosen[v_i] = pt
-            ok = True
-            for i_src, i_dst, f in by_depth[v_i]:
-                if f.apply(chosen[i_src], amb) != tuple(chosen[i_dst]):
-                    ok = False
-                    break
-            if ok:
-                descend(v_i + 1)
-            chosen[v_i] = None
-
-    descend(0)
-    return count[0]
+        src, dst = vindex[e.src], vindex[e.dst]
+        images = [tuple(x.value for x in e.morphism.apply(pt, amb))
+                  for pt in vpoints[src]]
+        links.append((src, images, dst,
+                      [tuple(x.value for x in pt) for pt in vpoints[dst]]))
+    return len(join([len(pts) for pts in vpoints], links, budget,
+                    f"graph_count_direct k={k}"))
 
 
 def fibred_product_reduce(G: GraphSystem):

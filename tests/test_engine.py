@@ -2,8 +2,9 @@
 
 ``partial_count`` skips free variables and counts the last variable's
 values as a gcd degree; these tests hold it to a plain product over
-Frobenius-filtered subfields with ``SparsePoly.evaluate``, and hold
-``count_roots`` to a scan of the subfield it counts in.
+Frobenius-filtered subfields with ``SparsePoly.evaluate``, hold
+``count_roots`` to a scan of the subfield it counts in, and hold ``join``
+to a filter over the product of its blocks.
 """
 
 from itertools import product
@@ -12,7 +13,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parzeta.counting import count_roots, partial_count
+from parzeta.counting import (BudgetExceededError, count_roots, join,
+                               partial_count)
 from parzeta.fields import Field, FieldElement, field
 from parzeta.polys import (SparsePoly, VarietySpec, base_field, lcm,
                            parse_poly)
@@ -198,3 +200,47 @@ def test_last_variable_subfield_never_listed(monkeypatch):
     assert partial_count(X, 2) == 4
     assert 4 in asked
     assert 6 not in asked
+
+
+# ---------------------------------------------------------------------------
+# the join of listed points
+# ---------------------------------------------------------------------------
+
+@st.composite
+def join_problems(draw):
+    """Block sizes and links with small-int images; links run both ways,
+    repeat, and tie a block to itself."""
+    sizes = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+    blocks = st.integers(0, len(sizes) - 1)
+
+    def images(b):
+        return draw(st.lists(st.integers(0, 2), min_size=sizes[b],
+                             max_size=sizes[b]))
+
+    links = []
+    for _ in range(draw(st.integers(0, 5))):
+        a, b = draw(blocks), draw(blocks)
+        links.append((a, images(a), b, images(b)))
+    links += links[:draw(st.integers(0, 2))]
+    return sizes, links
+
+
+@settings(max_examples=300, deadline=None)
+@given(join_problems())
+def test_join_matches_product_filter(problem):
+    sizes, links = problem
+    want = {ix for ix in product(*(range(n) for n in sizes))
+            if all(f[ix[a]] == g[ix[b]] for a, f, b, g in links)}
+    got = join(sizes, links, 10 ** 6, "test")
+    assert len(got) == len(set(got))
+    assert set(got) == want
+
+
+def test_join_refuses_one_node_below_its_count():
+    # block 0 first: the root, 2 candidates for x_0, then 2 + 1 for x_1
+    sizes, links = [2, 3], [(0, [0, 1], 1, [0, 0, 1])]
+    assert join(sizes, links, 6, "ctx") == [(0, 0), (0, 1), (1, 2)]
+    with pytest.raises(BudgetExceededError) as info:
+        join(sizes, links, 5, "ctx")
+    assert info.value.cost == 6 and info.value.budget == 5
+    assert str(info.value) == "enumeration cost 6 exceeds budget 5 (ctx)"

@@ -1,11 +1,19 @@
+import json
+from pathlib import Path
+
 import pytest
 
-from parzeta.counting import classical_count, partial_count
+from parzeta.cli import load_instance
+from parzeta.counting import classical_count, enumerate_points, partial_count
 from parzeta.faltings import (build_faltings, enumerate_y_points,
                               fixed_point_count, h_index, lemma_check,
                               sigma_apply, variety_points)
 from parzeta.fields import field
 from parzeta.polys import MorphismSpec, VarietySpec, base_field, parse_poly
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+VARIETIES = sorted(path.stem for path in CORPUS.glob("*.json")
+                   if json.loads(path.read_text())["kind"] == "variety")
 
 
 def V(p, s, n, texts, profile):
@@ -131,3 +139,38 @@ def test_report_json_shape():
     assert d["passed"] is True
     assert {"a", "k", "partial_count", "fixed_point_count", "equal"} \
         <= set(d["entries"][0])
+
+
+# ---------------------------------------------------------------------------
+# the join against Y's own equations
+# ---------------------------------------------------------------------------
+
+def y_by_equations(spec, k):
+    """Y's points from its equations on the counting engine, in blocks."""
+    X, d, n = spec.X, spec.d, spec.block_size
+    amb = field(X.p, X.s, d * k)
+    pts = enumerate_points(spec.Y.equations, spec.Y.n, amb, X.base)
+    return [tuple(tuple(x.value for x in pt[j * n:(j + 1) * n])
+                  for j in range(d)) for pt in pts]
+
+
+def y_by_join(spec, k):
+    return [tuple(tuple(x.value for x in block) for block in y)
+            for y in enumerate_y_points(spec, k)]
+
+
+@pytest.mark.parametrize("name", VARIETIES)
+def test_y_join_matches_y_equations(name):
+    X, _, _ = load_instance(str(CORPUS / f"{name}.json"), "variety")
+    spec = build_faltings(X)
+    for k in (1, 2) if spec.Y.n <= 4 else (1,):
+        assert y_by_join(spec, k) == y_by_equations(spec, k)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_y_join_matches_y_equations_with_morphisms(k):
+    # the morphism case of test_lemma_check_with_morphisms
+    comp = parse_poly("x1^2", ["x1"], base_field(2, 1))
+    spec = build_faltings(V(2, 1, 1, [], (2,)),
+                          morphisms=(MorphismSpec(1, 1, (comp,)),))
+    assert y_by_join(spec, k) == y_by_equations(spec, k)
