@@ -194,8 +194,7 @@ def _enumeration_cost(X: VarietySpec, B: int) -> int:
 
 
 def _count(X, args, budget):
-    counts = [partial_count(X, k, budget=budget, workers=args.workers)
-              for k in range(1, args.k + 1)]
+    counts = [partial_count(X, k, budget=budget) for k in range(1, args.k + 1)]
     if args.format == "json":
         # companion human table on stderr so the JSON stream stays clean
         for k, nk in enumerate(counts, start=1):
@@ -208,7 +207,7 @@ def _zeta(X, args, budget):
     outputs = {"variety": _variety_outputs(X)}
     try:
         res = auto_reconstruct(X, args.max_k, holdout=args.holdout,
-                               budget=budget, workers=args.workers)
+                               budget=budget)
     except AutoReconstructError as exc:
         outputs.update(status=exc.status, counts=list(exc.table.counts))
         return outputs, _enumeration_cost(X, exc.table.B), EXIT_NO_CONVERGENCE
@@ -271,7 +270,7 @@ def _parse_profiles(specs, n):
 def _sweep(X, args, budget):
     rows = degree_sweep(X, _parse_profiles(args.profiles, X.n),
                         max_k=args.max_k, holdout=args.holdout,
-                        budget=budget, tol=args.tol, workers=args.workers)
+                        budget=budget, tol=args.tol)
     ok = all(row["status"] == "ok" for row in rows)
     code = EXIT_OK if ok else EXIT_NO_CONVERGENCE
     if args.format == "csv":

@@ -18,6 +18,13 @@ bound prefix, so binding a variable costs one product per term.
   polynomials, whose common roots in F_Q, Q = q^{d_last k}, ``count_roots``
   counts as deg gcd(f_1, ..., f_r, x^Q - x) (the roots of x^Q - x are the
   elements of F_Q, each simple; Lidl-Niederreiter, *Finite Fields*, ch. 3).
+  The other used variables are bound largest domain first, ties going to
+  the lowest index, and the first of them takes one value per orbit of
+  Frobenius sigma: x -> x^q on its domain, its count weighted by the
+  orbit's length.  The equations have coefficients in F_q, so sigma
+  permutes the solutions and maps the fibre over x onto the fibre over
+  sigma(x); an orbit in F_{q^e} has a length dividing e, so the largest
+  domain gains the most.
 - ``enumerate_points`` binds every variable in index order, the last one
   by scan or linear solve like the others, and lists the solutions in lex
   order of their coordinates.  The cyclic-cover lemma compares the
@@ -29,9 +36,6 @@ equal images, placed one at a time, each block's candidates looked up in
 an index keyed by its images towards the blocks already placed.  The
 cyclic cover Y of ``faltings`` and the direct count of ``graphs`` are
 such joins.
-
-Counting runs in one thread; the ``workers`` arguments are kept for the
-reports' ``timings`` block and change nothing.
 """
 
 from __future__ import annotations
@@ -355,13 +359,29 @@ def join(sizes, links, budget: int, context: str):
 # partial counts
 # ---------------------------------------------------------------------------
 
-def partial_count(X: VarietySpec, k: int, budget: int = DEFAULT_BUDGET,
-                  workers: int = 1) -> int:
+def _frobenius_orbits(values, frob):
+    """The least member of each orbit of x -> frob(x, 1) among the sorted
+    ``values``, mapped to the orbit's length, in increasing order."""
+    weight = {}
+    later = set()
+    for x in values:
+        if x in later:
+            later.discard(x)
+            continue
+        y, n = frob(x, 1), 1
+        while y != x:
+            later.add(y)
+            y, n = frob(y, 1), n + 1
+        weight[x] = n
+    return weight
+
+
+def partial_count(X: VarietySpec, k: int,
+                  budget: int = DEFAULT_BUDGET) -> int:
     """Exact #X_{d_1,...,d_n}(k).
 
     The budget is checked against the product of the domain sizes
-    q^(d_i k) before any subfield is materialised.  ``workers`` is
-    accepted for the callers' reports; counting runs in one thread.
+    q^(d_i k) before any subfield is materialised.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -385,26 +405,35 @@ def partial_count(X: VarietySpec, k: int, budget: int = DEFAULT_BUDGET,
     if not used:
         return free
     last = max(used, key=lambda i: (sizes[i], i))
-    order = sorted(used - {last}) + [last]
+    order = sorted(used - {last}, key=lambda i: (-sizes[i], i)) + [last]
     amb = ambient_field(X, k)
     domains = [[x.value for x in amb.subfield(X.profile[i] * k, method="span")]
                for i in order[:-1]]
     e_last = X.profile[last] * k
+    weight = {}
+    if domains:
+        # sigma: x -> x^q fixes the coefficients, so the first variable
+        # needs one value per sigma-orbit.  A linear equation in it alone
+        # has its root in F_q, which sigma fixes: the engine's linear
+        # solve at this level lands on the root's own representative.
+        weight = _frobenius_orbits(domains[0], amb.frob)
+        domains[0] = list(weight)
 
     def roots(point, polys):
-        return count_roots(polys, amb, e_last)
+        n = count_roots(polys, amb, e_last)
+        return weight[point[0]] * n if point else n
 
     return free * _search(X.equations, amb, X.base, order, domains, roots,
                           budget)
 
 
-def count_table(X: VarietySpec, B: int, budget: int = DEFAULT_BUDGET,
-                workers: int = 1) -> CountTable:
+def count_table(X: VarietySpec, B: int,
+                budget: int = DEFAULT_BUDGET) -> CountTable:
     """N_1..N_B; stops at the first k over budget and flags truncation."""
     counts = []
     for k in range(1, B + 1):
         try:
-            counts.append(partial_count(X, k, budget=budget, workers=workers))
+            counts.append(partial_count(X, k, budget=budget))
         except BudgetExceededError:
             if not counts:
                 raise

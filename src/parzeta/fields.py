@@ -23,7 +23,9 @@ construction:
   element alpha, held in ``array('I')`` (4 bytes an entry).  mul, inv and
   pow add or scale logs mod p^m - 1 and x^(q^e) is exp[log x * q^e].
   Addition is XOR for p = 2; for odd p it goes through the Zech table
-  log(1 + alpha^k) (Lidl-Niederreiter, *Finite Fields*, ch. 9).
+  log(1 + alpha^k) (Lidl-Niederreiter, *Finite Fields*, ch. 9).  For
+  p = 2 the exp table is built by doubling, exp[h:2h] = alpha^h exp[:h],
+  each pass one byte-table lookup per byte over the whole block in numpy.
 - larger fields: schoolbook products reduced by g (shift/XOR carry-less
   multiplication for p = 2, digit convolution for odd p), and x^(q^e)
   applies the F_p-linear matrix of Frobenius^e, the one
@@ -45,6 +47,9 @@ import numpy as np
 
 # the largest p^m whose arithmetic runs on exp/log tables
 TABLE_CAP = 1 << 20
+
+# elements per numpy pass of the p = 2 exp/log build
+_CHUNK = 1 << 16
 
 # the int operations Field binds on first use
 _ARITH = ("add", "sub", "neg", "mul", "inv", "pow", "frob")
@@ -490,14 +495,28 @@ class Field:
         exp = array("I", [0]) * n
         log = array("I", [0]) * size
         if p == 2:
-            # x -> alpha * x costs one table lookup per byte of x
-            step = self._linear_map([mul(1 << (m - 1 - i), alpha)
-                                     for i in range(m)])
-            x = one
-            for i in range(n):
-                exp[i] = x
-                log[x] = i
-                x = step(x)
+            # doubling: exp[h:2h] = alpha^h * exp[:h], and x -> alpha^h * x
+            # is F_2-linear, one table lookup per byte of x, done over a
+            # chunk of the block at a time to keep the temporaries small
+            powers = np.frombuffer(exp, dtype=np.uint32)
+            logs = np.frombuffer(log, dtype=np.uint32)
+            powers[0] = one
+            c, h = alpha, 1
+            while h < n:
+                cols = [mul(1 << (m - 1 - i), c) for i in range(m)]
+                tables = [np.array(t, dtype=np.uint32)
+                          for t in self._byte_tables(cols)]
+                width = min(h, n - h)
+                for lo in range(0, width, _CHUNK):
+                    x = powers[lo:min(lo + _CHUNK, width)]
+                    acc = tables[0][x & 255]
+                    for j, t in enumerate(tables[1:], 1):
+                        acc ^= t[x >> 8 * j & 255]
+                    powers[h + lo:h + lo + len(acc)] = acc
+                c, h = mul(c, c), 2 * h
+            for lo in range(0, n, _CHUNK):
+                hi = min(lo + _CHUNK, n)
+                logs[powers[lo:hi]] = np.arange(lo, hi, dtype=np.uint32)
             return exp, log
         # odd p: a first block of powers by multiplication; past 1024
         # elements, block j is the first block times alpha^(j * block), one
@@ -527,14 +546,7 @@ class Field:
         """x -> sum_i x_i cols[i]: the F_p-linear map sending t^i to cols[i]."""
         p, m = self.p, self.m
         if p == 2:
-            # bit b of x holds t^(m-1-b); one lookup table per byte of x
-            by_bit = cols[::-1]
-            tables = []
-            for lo in range(0, m, 8):
-                t = [0]
-                for c in by_bit[lo:lo + 8]:
-                    t += [v ^ c for v in t]
-                tables.append(t)
+            tables = self._byte_tables(cols)
 
             def apply(x):
                 acc = 0
@@ -554,6 +566,19 @@ class Field:
                         acc[i] += c * v
             return to_int([v % p for v in acc])
         return apply
+
+    def _byte_tables(self, cols):
+        """For p = 2, the F_2-linear map sending t^i to cols[i] as one
+        256-entry table per byte of x: bit b of x holds t^(m-1-b), and
+        table j maps byte j of x to its part of the image."""
+        by_bit = cols[::-1]
+        tables = []
+        for lo in range(0, self.m, 8):
+            t = [0]
+            for c in by_bit[lo:lo + 8]:
+                t += [v ^ c for v in t]
+            tables.append(t)
+        return tables
 
     def _frobenius_cols(self, e: int):
         """Images of the power basis t^i under x -> x^(q^e), as packed ints."""

@@ -252,8 +252,7 @@ def _split_order(total: int):
 
 
 def auto_reconstruct(X: VarietySpec, max_k: int, holdout: int = 3,
-                     budget: int = DEFAULT_BUDGET,
-                     workers: int = 1) -> ReconstructionResult:
+                     budget: int = DEFAULT_BUDGET) -> ReconstructionResult:
     """Iterative-deepening reconstruction with held-out verification.
 
     For B = 2, 3, ... the candidate degrees split dn + dd = B - holdout and
@@ -266,7 +265,7 @@ def auto_reconstruct(X: VarietySpec, max_k: int, holdout: int = 3,
         while len(counts) < B:
             k = len(counts) + 1
             try:
-                counts.append(partial_count(X, k, budget=budget, workers=workers))
+                counts.append(partial_count(X, k, budget=budget))
             except BudgetExceededError as exc:
                 table = CountTable(X, tuple(counts), len(counts), truncated=True)
                 raise AutoReconstructError(
@@ -427,8 +426,7 @@ SWEEP_COLUMNS = ["profile", "lcm", "B_used", "deg_num", "deg_den",
 
 
 def degree_sweep(X: VarietySpec, profiles, max_k: int = 12, holdout: int = 3,
-                 budget: int = DEFAULT_BUDGET, tol: float = 1e-6,
-                 workers: int = 1):
+                 budget: int = DEFAULT_BUDGET, tol: float = 1e-6):
     """One reconstruction per profile; failures become rows, not aborts."""
     rows = []
     for profile in profiles:
@@ -440,8 +438,7 @@ def degree_sweep(X: VarietySpec, profiles, max_k: int = 12, holdout: int = 3,
             "total_degree": "", "weights": "", "status": "ok",
         }
         try:
-            res = auto_reconstruct(Xp, max_k, holdout=holdout, budget=budget,
-                                   workers=workers)
+            res = auto_reconstruct(Xp, max_k, holdout=holdout, budget=budget)
             row.update({
                 "B_used": res.B_used,
                 "deg_num": len(res.function.num) - 1,

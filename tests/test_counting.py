@@ -62,14 +62,6 @@ def test_point_over_f4():
     assert [partial_count(X, k) for k in (1, 2)] == [1, 1]
 
 
-def test_workers_agree():
-    X = V(2, 1, 2, ["x1*x2 + 1"], (1, 2))
-    for k in (1, 2, 3):
-        one = partial_count(X, k, workers=1)
-        assert partial_count(X, k, workers=3) == one
-        assert partial_count(X, k, workers=8) == one
-
-
 def test_budget_enforced():
     X = V(2, 1, 2, [], (1, 1))
     with pytest.raises(BudgetExceededError):

@@ -1,6 +1,7 @@
 """The pruned counting engine against plain enumeration.
 
-``partial_count`` skips free variables and counts the last variable's
+``partial_count`` skips free variables, binds the first enumerated
+variable to one value per Frobenius orbit and counts the last variable's
 values as a gcd degree; these tests hold it to a plain product over
 Frobenius-filtered subfields with ``SparsePoly.evaluate``, hold
 ``count_roots`` to a scan of the subfield it counts in, and hold ``join``
@@ -91,6 +92,47 @@ def V(p, s, n, texts, profile):
 @pytest.mark.parametrize("k", [1, 2])
 def test_engine_special_shapes(X, k):
     assert partial_count(X, k) == oracle_count(X, k)
+
+
+# ---------------------------------------------------------------------------
+# one value per Frobenius orbit of the first enumerated variable
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("X, k", [
+    # x1 runs over F_8, in orbits of length 3; x2 in F_64 is counted
+    (V(2, 1, 2, ["x1^2*x2 + x2^3 + x1 + 1"], (1, 2)), 3),
+    # over F_4 sigma is x -> x^4, so F_16 splits into orbits of length 2
+    (V(2, 2, 2, ["x1^2*x2 + g*x2^2 + x1 + 1"], (1, 1)), 2),
+    # x3 in F_16 is bound first, ahead of x1 in F_4; x2 in F_64 is counted
+    (V(2, 1, 3, ["x1*x2 + x3^2*x2^2 + x3", "x1^3 + x3^5 + x2"], (1, 3, 2)), 2),
+    (V(3, 1, 2, ["x1^2*x2 - x2^3 + x1"], (2, 1)), 2),
+    # linear in the first variable alone: its root g^2 lies in F_4, a
+    # sigma-orbit of its own
+    (V(2, 2, 2, ["g*x1 + 1", "x1*x2^3 + x2 + g"], (1, 1)), 2),
+])
+def test_engine_orbit_cases(X, k):
+    assert partial_count(X, k) == oracle_count(X, k)
+
+
+def test_one_root_count_per_frobenius_orbit(monkeypatch):
+    import parzeta.counting as counting
+
+    # the equation closes at x2, so every value of x1 reaches a leaf
+    X = V(2, 2, 2, ["x1*x2^2 + x2 + 1"], (2, 3))
+    amb = field(2, 2, 6)
+    domain = [x.value for x in amb.subfield(2, method="filter")]
+    orbits = {frozenset(amb.pow(x, 4 ** j) for j in range(2)) for x in domain}
+    calls = []
+    counted = counting.count_roots
+
+    def spy(*args):
+        calls.append(args)
+        return counted(*args)
+
+    monkeypatch.setattr(counting, "count_roots", spy)
+    assert partial_count(X, 1) == oracle_count(X, 1)
+    assert len(calls) == len(orbits) == 10
+    assert len(domain) == 16
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ each compared with code that shares nothing with them.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from array import array
+
 from parzeta.fields import (TABLE_CAP, Field, _poly_mod, _poly_mul,
-                            _poly_powmod, field)
+                            _poly_powmod, _prime_factors, field)
 
 BELOW = [(2, 6), (2, 12), (2, 20), (3, 5), (3, 8), (5, 5), (7, 3)]
 ABOVE = [(2, 21), (3, 13), (5, 9), (7, 8)]
@@ -138,6 +140,24 @@ def test_tables_are_built_lazily():
     assert "mul" not in vars(F)
     assert F.one() * F.gen() == F.gen()
     assert "mul" in vars(F) and "frob" in vars(F)
+
+
+@pytest.mark.parametrize("m", list(range(1, 13)) + [18])
+def test_doubling_exp_log_equals_sequential_build(m):
+    F = Field(2, 1, m)
+    school = F._schoolbook()
+    n, one = 2 ** m - 1, F._one
+    alpha = next(v for v in range(1, n + 1)
+                 if all(school["pow"](v, n // r) != one
+                        for r in _prime_factors(n)))
+    exp = array("I", [0]) * n
+    log = array("I", [0]) * (n + 1)
+    x = one
+    for i in range(n):
+        exp[i] = x
+        log[x] = i
+        x = school["mul"](x, alpha)
+    assert F._exp_log(alpha, school["mul"]) == (exp, log)
 
 
 def test_filter_oracle_never_uses_the_frobenius_matrix(monkeypatch):
