@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .counting import DEFAULT_BUDGET, enumerate_points, join, partial_count
-from .fields import Field, field
+from .fields import Field, FieldElement, field
 from .polys import SparsePoly, VarietySpec
 
 
@@ -115,22 +115,33 @@ def variety_points(X: VarietySpec, ambient: Field, domains=None,
 # Y enumeration
 # ---------------------------------------------------------------------------
 
-def enumerate_y_points(spec: FaltingsSpec, k: int, budget: int = DEFAULT_BUDGET):
+def _x_listing(X: VarietySpec, morphisms, amb: Field, budget: int):
+    """X's points over ``amb`` and, per profile entry i, their images under
+    f_i as packed ints: the i-th coordinate when ``morphisms`` is None,
+    else a tuple per point."""
+    xpts = variety_points(X, amb, budget=budget)
+    if morphisms is None:
+        images = [[pt[i].value for pt in xpts] for i in range(len(X.profile))]
+    else:
+        images = [[tuple(v.value for v in f.apply(pt, amb)) for pt in xpts]
+                  for f in morphisms]
+    return xpts, images
+
+
+def enumerate_y_points(spec: FaltingsSpec, k: int, budget: int = DEFAULT_BUDGET,
+                       listing=None):
     """Points of Y with all coordinates in F_{q^{dk}}, lex-sorted.
 
     X's points are listed once and joined d times over, block j tied to
-    block j + d_i by equal images under f_i.
+    block j + d_i by equal images under f_i.  ``listing`` is `_x_listing`'s
+    result for F_{q^{dk}}, when the caller already has it.
     """
     X, d = spec.X, spec.d
-    amb = field(X.p, X.s, d * k)
-    xpts = variety_points(X, amb, budget=budget)
+    if listing is None:
+        listing = _x_listing(X, spec.morphisms, field(X.p, X.s, d * k), budget)
+    xpts, all_images = listing
     links = []
-    for i, di in enumerate(X.profile):
-        if spec.morphisms is None:
-            images = [pt[i].value for pt in xpts]
-        else:
-            images = [tuple(v.value for v in spec.morphisms[i].apply(pt, amb))
-                      for pt in xpts]
+    for di, images in zip(X.profile, all_images):
         links.extend((j, images, (j + di) % d, images)
                      for j in range(d) if (j + di) % d != j)
     out = [tuple(xpts[x] for x in ix)
@@ -143,11 +154,12 @@ def enumerate_y_points(spec: FaltingsSpec, k: int, budget: int = DEFAULT_BUDGET)
 # fixed points and the counting identity
 # ---------------------------------------------------------------------------
 
-def _twisted_fixed_points(spec: FaltingsSpec, k: int, twists, budget: int):
+def _twisted_fixed_points(spec: FaltingsSpec, k: int, twists, budget: int,
+                          listing=None):
     """For each a in ``twists``, the points y of Y over F_{q^{dk}} with
     sigma^a(Frob^k(y)) = y, each with its blocks as packed ints."""
     frob = field(spec.X.p, spec.X.s, spec.d * k).frob
-    ypts = enumerate_y_points(spec, k, budget=budget)
+    ypts = enumerate_y_points(spec, k, budget=budget, listing=listing)
     yvals = [tuple(tuple(x.value for x in block) for block in y) for y in ypts]
     images = [tuple(tuple(frob(x, k) for x in block) for block in v)
               for v in yvals]
@@ -169,24 +181,21 @@ def fixed_point_count(spec: FaltingsSpec, a: int, k: int,
 
 
 def morphism_partial_count(X: VarietySpec, morphisms, k: int,
-                           budget: int = DEFAULT_BUDGET) -> int:
+                           budget: int = DEFAULT_BUDGET, listing=None) -> int:
     """#{x in X(F_{q^{dk}}) : f_i(x) has coordinates in F_{q^{d_i k}}}.
 
     Complete only when (f_1,...,f_n) is an embedding; that hypothesis is
-    the caller's obligation.
+    the caller's obligation.  ``listing`` is `_x_listing`'s result for
+    F_{q^{dk}}, when the caller already has it.
     """
     amb = field(X.p, X.s, X.D * k)
-    count = 0
-    for pt in variety_points(X, amb, budget=budget):
-        ok = True
-        for di, f_i in zip(X.profile, morphisms):
-            img = f_i.apply(pt, amb)
-            if not all(amb.in_subfield(v, di * k) for v in img):
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    if listing is None:
+        listing = _x_listing(X, morphisms, amb, budget)
+    xpts, images = listing
+    return sum(all(amb.in_subfield(FieldElement(amb, v), di * k)
+                   for di, f_images in zip(X.profile, images)
+                   for v in f_images[x])
+               for x in range(len(xpts)))
 
 
 @dataclass(frozen=True)
@@ -234,11 +243,18 @@ def lemma_check(X: VarietySpec, k_max: int, morphisms=None,
     recon_ok = True
     for k in range(1, k_max + 1):
         if morphisms is None:
+            listing = None
             lhs = partial_count(X, k, budget=budget)
         else:
-            lhs = morphism_partial_count(X, morphisms, k, budget=budget)
+            # one listing of X's points and images serves both sides: the
+            # left filters it by subfield, the right joins it
+            listing = _x_listing(X, spec.morphisms, field(X.p, X.s, d * k),
+                                 budget)
+            lhs = morphism_partial_count(X, morphisms, k, budget=budget,
+                                         listing=listing)
         frob = field(X.p, X.s, d * k).frob
-        for a, fixed in _twisted_fixed_points(spec, k, twists, budget).items():
+        for a, fixed in _twisted_fixed_points(spec, k, twists, budget,
+                                              listing).items():
             entries.append(LemmaEntry(a, k, lhs, len(fixed)))
             if lhs != len(fixed) and len(witnesses) < 10:
                 witnesses.extend(y for y, _ in fixed[:10 - len(witnesses)])

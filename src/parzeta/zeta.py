@@ -6,13 +6,18 @@ algebra is one extended Euclid over the integers, `_euclid`.  Run on
 T^(N+1) and the series scaled by the lcm of its denominators, it gives
 the Pade candidate of degrees (dn, dd), N = dn + dd, already in lowest
 terms; a candidate is accepted only when it reproduces held-out series
-coefficients.  Run on P and P', it gives gcd(P, P') and the squarefree
-part for the weight report.  No floating point enters the certification
-path; floats appear only in the numerical weight report.
+coefficients.  Every split (dn, dd) of one series walks the same rows,
+so one Euclid per series serves all its splits: `_pade_rows` keeps the
+rows of the last series only, because the deepening tries the splits of
+one series back to back.  Run on P and P', `_euclid` gives gcd(P, P')
+and the squarefree part for the weight report.  No floating point
+enters the certification path; floats appear only in the numerical
+weight report.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -200,11 +205,25 @@ def _euclid(a, b):
         yield r1, t1
 
 
+@functools.lru_cache(maxsize=1)
+def _pade_rows(y: tuple) -> tuple:
+    """Every `_euclid` row of (T^(N+1), y), N + 1 = len(y), as tuples,
+    so that the cached rows cannot be mutated."""
+    return tuple((tuple(r), tuple(t))
+                 for r, t in _euclid([0] * len(y) + [1], y))
+
+
 def pade_reconstruct(S: TruncatedSeries, dn: int, dd: int) -> RationalFunctionZ:
     """P/Q with deg P <= dn, deg Q <= dd matching S through order dn + dd.
 
     The match is exact; the result is returned in lowest terms with
     integer coefficients and unit constant terms.
+
+    Every split of one series walks the same Euclid rows, so they come
+    from `_pade_rows`, which keeps one series' rows: the deepening tries
+    all splits of one series back to back, so one entry gives all the
+    sharing, and a larger cache would only remember earlier series, which
+    speeds up nothing but a repeated job.
     """
     if dn + dd + 1 > len(S.coeffs):
         raise ValueError("series too short for requested degrees")
@@ -217,7 +236,7 @@ def pade_reconstruct(S: TruncatedSeries, dn: int, dd: int) -> RationalFunctionZ:
     # solution (r', t') of r' = t' y mod T^(N+1), deg r' <= dn,
     # deg t' <= dd is alpha (r, t) for a polynomial alpha; so when
     # t(0) = 0, no solution has Q(0) != 0.
-    num, den = next((r, t) for r, t in _euclid([0] * len(y) + [1], y)
+    num, den = next((r, t) for r, t in _pade_rows(tuple(y))
                     if len(r) <= dn + 1)
     if den[0] == 0:
         raise NoSolutionError(f"no degree ({dn},{dd}) match")
@@ -365,17 +384,21 @@ def _simple_roots(coeffs):
         return []
     arr = [float(c) for c in coeffs]  # highest power first after reversal
     roots = np.roots(arr)
+    # converted once, exactly as complex + Fraction converts at each step
+    # (complex, not float: 0.0 is added to the imaginary part too)
+    cv = [complex(float(c)) for c in coeffs]
+    cd = [complex(float(c * (deg - i))) for i, c in enumerate(coeffs[:-1])]
 
     def poly_val(x):
         v = 0j
-        for c in coeffs:
+        for c in cv:
             v = v * x + c
         return v
 
     def poly_deriv(x):
         v = 0j
-        for i, c in enumerate(coeffs[:-1]):
-            v = v * x + c * (deg - i)
+        for c in cd:
+            v = v * x + c
         return v
 
     refined = []

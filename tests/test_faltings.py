@@ -1,13 +1,16 @@
 import json
+from math import gcd
 from pathlib import Path
 
 import pytest
 
+from parzeta import faltings
 from parzeta.cli import load_instance
 from parzeta.counting import classical_count, enumerate_points, partial_count
 from parzeta.faltings import (build_faltings, enumerate_y_points,
                               fixed_point_count, h_index, lemma_check,
-                              sigma_apply, variety_points)
+                              morphism_partial_count, sigma_apply,
+                              variety_points)
 from parzeta.fields import field
 from parzeta.polys import MorphismSpec, VarietySpec, base_field, parse_poly
 
@@ -124,12 +127,55 @@ def test_lemma_check_over_f3():
     assert rep.passed and rep.reconstruction_ok
 
 
-def test_lemma_check_with_morphisms():
+def _listing_spy(monkeypatch):
+    """The ambient degree N of every `variety_points` call, in order."""
+    calls = []
+    listing = faltings.variety_points
+
+    def spy(X, ambient, *args, **kwargs):
+        calls.append(ambient.N)
+        return listing(X, ambient, *args, **kwargs)
+
+    monkeypatch.setattr(faltings, "variety_points", spy)
+    return calls
+
+
+def _entries_by_public_calls(X, morphisms, k_max):
+    """(a, k, partial, fixed) from the two sides computed separately."""
+    spec = build_faltings(X, morphisms=morphisms)
+    return [(a, k, morphism_partial_count(X, morphisms, k),
+             fixed_point_count(spec, a, k))
+            for k in range(1, k_max + 1)
+            for a in range(1, spec.d + 1) if gcd(a, spec.d) == 1]
+
+
+def test_lemma_check_with_morphisms(monkeypatch):
     # f_1 the squaring map on the affine line: points of X with f_1(x) in
-    # F_{q^{2k}} -- squaring is injective in characteristic 2
+    # F_{q^{2k}} -- squaring is injective in characteristic 2.  Both sides
+    # of the lemma share one listing of X's points per k.
     X = V(2, 1, 1, [], (2,))
     comp = parse_poly("x1^2", ["x1"], base_field(2, 1))
-    rep = lemma_check(X, 2, morphisms=(MorphismSpec(1, 1, (comp,)),))
+    morphisms = (MorphismSpec(1, 1, (comp,)),)
+    want = _entries_by_public_calls(X, morphisms, 2)
+    calls = _listing_spy(monkeypatch)
+    rep = lemma_check(X, 2, morphisms=morphisms)
+    assert calls == [2, 4]
+    assert [(e.a, e.k, e.partial, e.fixed) for e in rep.entries] == want
+    assert rep.passed and rep.reconstruction_ok
+
+
+def test_lemma_check_with_two_morphisms_lists_points_once_per_k(monkeypatch):
+    # x1 + x2 = 0 at profile (2, 3) with f = (x1, x2^2)
+    X = V(2, 1, 2, ["x1 + x2"], (2, 3))
+    base = base_field(2, 1)
+    morphisms = tuple(MorphismSpec(2, 1, (parse_poly(t, ["x1", "x2"], base),))
+                      for t in ("x1", "x2^2"))
+    want = _entries_by_public_calls(X, morphisms, 2)
+    assert [w[2] for w in want] == [2, 2, 4, 4]
+    calls = _listing_spy(monkeypatch)
+    rep = lemma_check(X, 2, morphisms=morphisms)
+    assert calls == [6, 12]
+    assert [(e.a, e.k, e.partial, e.fixed) for e in rep.entries] == want
     assert rep.passed and rep.reconstruction_ok
 
 

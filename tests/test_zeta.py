@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,8 +11,9 @@ from parzeta.zeta import (AutoReconstructError, NoSolutionError,
                           auto_reconstruct, degree_sweep, pade_reconstruct,
                           series_from_counts, sweep_rows_to_csv,
                           weil_weight_check)
-from parzeta.zeta import (NonIntegerError, ReconstructionError, _euclid,
-                          _reciprocal_roots, _simple_roots)
+from parzeta import zeta
+from parzeta.zeta import (NonIntegerError, ReconstructionError, RootFindingError,
+                          _euclid, _pade_rows, _reciprocal_roots, _simple_roots)
 
 # the Mersenne prime 2^61 - 1: pinned inputs built on it agree mod p but
 # differ over Q
@@ -545,3 +548,180 @@ def test_weight_check_rejects_tolerance_not_positive_finite(tol):
     with pytest.raises(ValueError):
         weil_weight_check(RationalFunctionZ((1,), (1, 0, 7)), 2, tol=tol)
     assert not weil_weight_check(RationalFunctionZ((1,), (1, 0, 7)), 2).passed
+
+
+# ---------------------------------------------------------------------------
+# one Euclid per series: the memoised rows against a fresh Euclid per split
+# ---------------------------------------------------------------------------
+
+def pade_fresh_euclid(S: TruncatedSeries, dn: int, dd: int) -> RationalFunctionZ:
+    """pade_reconstruct with its own `_euclid` run for this one split."""
+    if dn + dd + 1 > len(S.coeffs):
+        raise ValueError("series too short for requested degrees")
+    z = S.coeffs[:dn + dd + 1]
+    L = math.lcm(*(v.denominator for v in z))
+    y = [v.numerator * (L // v.denominator) for v in z]
+    num, den = next((r, t) for r, t in _euclid([0] * len(y) + [1], y)
+                    if len(r) <= dn + 1)
+    if den[0] == 0:
+        raise NoSolutionError(f"no degree ({dn},{dd}) match")
+    if not num or num[0] == 0:
+        raise NoSolutionError("degenerate candidate with vanishing constant term")
+    n0, d0 = num[0], den[0]
+    if any(v % n0 for v in num) or any(v % d0 for v in den):
+        raise NonIntegerError(
+            f"degree ({dn},{dd}) candidate has non-integer coefficients")
+    R = RationalFunctionZ(tuple(v // n0 for v in num),
+                          tuple(v // d0 for v in den))
+    if [v * L for v in R.expand(dn + dd)] != y:
+        raise NoSolutionError(f"degree ({dn},{dd}) system is inconsistent")
+    return R
+
+
+@st.composite
+def weil_factor(draw):
+    """1 - a T + q^w T^2 with a^2 <= 4 q^w, or 1 -/+ q^w T."""
+    qw = draw(st.sampled_from([2, 3, 4, 5, 7, 9])) ** draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        bound = math.isqrt(4 * qw)
+        return [1, -draw(st.integers(-bound, bound)), qw]
+    return [1, draw(st.sampled_from([-qw, qw]))]
+
+
+@st.composite
+def count_lists(draw):
+    """N_1..N_L from a random Weil-factor P/Q, or random integers."""
+    length = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        return draw(st.lists(st.integers(-6, 40), min_size=length,
+                             max_size=length))
+    sides = []
+    for _ in range(2):
+        P = [1]
+        for f in draw(st.lists(weil_factor(), max_size=3)):
+            P = _pmul(P, f)
+        sides.append(tuple(P))
+    return RationalFunctionZ(*sides).counts(length)
+
+
+def _splits(counts):
+    """(S, dn, dd) for every split of every B, S the series of N_1..N_B."""
+    for B in range(1, len(counts) + 1):
+        S = series_from_counts(counts[:B])
+        for dn in range(B + 1):
+            yield S, dn, B - dn
+
+
+@settings(max_examples=60, deadline=None)
+@given(count_lists(), count_lists())
+def test_pade_shared_rows_match_fresh_euclid(counts_a, counts_b):
+    # A, B, A at every split: B evicts A's rows and A refills them, and
+    # A's next split then hits
+    info = _pade_rows.cache_info()
+    splits_b = list(_splits(counts_b))
+    for i, case_a in enumerate(_splits(counts_a)):
+        case_b = splits_b[i % len(splits_b)]
+        for S, dn, dd in (case_a, case_b, case_a):
+            got = _outcome(pade_reconstruct, S, dn, dd)
+            assert got == _outcome(pade_fresh_euclid, S, dn, dd)
+            if isinstance(got[0], type):
+                with pytest.raises(got[0]):
+                    pade_reconstruct(S, dn, dd)
+    after = _pade_rows.cache_info()
+    assert after.maxsize == 1 and after.currsize == 1
+    if counts_a[0] != counts_b[0]:
+        # the first split's y differ, so B evicted A there
+        assert after.misses >= info.misses + 2
+
+
+def test_pade_rows_are_immutable_and_shared():
+    S = series_from_counts(RationalFunctionZ((1, -2), (1, -3, 4)).counts(8))
+    y = tuple(v.numerator for v in S.coeffs[:6])
+    rows = _pade_rows(y)
+    assert rows is _pade_rows(y)
+    assert all(isinstance(r, tuple) and isinstance(t, tuple) for r, t in rows)
+    assert [(list(r), list(t)) for r, t in rows] == \
+        list(_euclid([0] * 6 + [1], list(y)))
+
+
+# ---------------------------------------------------------------------------
+# Newton on coefficients converted once: bit-identical to Fraction operators
+# ---------------------------------------------------------------------------
+
+def _simple_roots_fraction_ops(coeffs):
+    """_simple_roots with every Newton step on the original coefficients."""
+    deg = len(coeffs) - 1
+    if deg == 0:
+        return []
+    roots = np.roots([float(c) for c in coeffs])
+
+    def poly_val(x):
+        v = 0j
+        for c in coeffs:
+            v = v * x + c
+        return v
+
+    def poly_deriv(x):
+        v = 0j
+        for i, c in enumerate(coeffs[:-1]):
+            v = v * x + c * (deg - i)
+        return v
+
+    refined = []
+    for r in roots:
+        x = complex(r)
+        for _ in range(3):
+            d = poly_deriv(x)
+            if d == 0:
+                break
+            x = x - poly_val(x) / d
+        refined.append(x)
+    scale = max(abs(c) for c in coeffs) or 1.0
+    for x in refined:
+        if abs(poly_val(x)) > 1e-6 * scale * max(1.0, abs(x)) ** deg:
+            raise RootFindingError("root refinement did not converge", coeffs)
+    refined.sort(key=lambda c: (round(c.real, 9), round(c.imag, 9)))
+    return refined
+
+
+def _bits(simple_roots, coeffs):
+    try:
+        roots = simple_roots(coeffs)
+    except RootFindingError:
+        return RootFindingError
+    return [(repr(x.real), repr(x.imag)) for x in roots]
+
+
+_coeff = st.one_of(st.integers(-50, 50), st.sampled_from([2**40 + 1, -3**30]),
+                   st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_coeff, min_size=1, max_size=10).filter(lambda c: c[0] != 0))
+def test_simple_roots_newton_bit_identical(coeffs):
+    assert _bits(_simple_roots, coeffs) == \
+        _bits(_simple_roots_fraction_ops, coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(weil_factor(), min_size=1, max_size=4), st.integers(1, 3))
+def test_simple_roots_bit_identical_on_squarefree_parts(factors, power):
+    P = [1]
+    for f in factors:
+        for _ in range(power):
+            P = _pmul(P, f)
+    seen = []
+
+    def spy(coeffs):
+        seen.append(list(coeffs))
+        return _simple_roots(coeffs)
+
+    zeta._simple_roots = spy
+    try:
+        _reciprocal_roots(P)
+    finally:
+        zeta._simple_roots = _simple_roots
+    assert seen
+    for coeffs in seen:
+        assert _bits(_simple_roots, coeffs) == \
+            _bits(_simple_roots_fraction_ops, coeffs)
