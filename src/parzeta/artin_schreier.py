@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .counting import BudgetExceededError, DEFAULT_BUDGET
+from .counting import BudgetExceededError, DEFAULT_BUDGET, enumerate_points
 from .fields import Field, field
 from .polys import SparsePoly
 
@@ -44,15 +44,14 @@ class ASInstance:
 
 
 def _domains(inst: ASInstance):
-    """The ambient F_{q^d}, its elements (the x-domain) and F_q (the y-domain).
+    """The ambient F_{q^d}, its elements (the x-domain, a range) and F_q
+    (the y-domain).
 
     Callers check their budget, from len(xs) = q^d and len(ys) = q, before
-    calling this, so nothing is materialised for a refused instance.
+    calling this, so nothing is built for a refused instance.
     """
     amb = field(inst.p, inst.s, inst.d)
-    xs = amb.subfield(inst.d, method="span")   # the whole field, sorted
-    ys = amb.subfield(1, method="span")
-    return amb, xs, ys
+    return amb, amb.elements(), amb.subfield(1, method="span")
 
 
 def as_count_brute(inst: ASInstance, budget: int = DEFAULT_BUDGET) -> int:
@@ -63,22 +62,22 @@ def as_count_brute(inst: ASInstance, budget: int = DEFAULT_BUDGET) -> int:
         raise BudgetExceededError(cost, budget, "as_count_brute")
     amb, xs, ys = _domains(inst)
     # x_0^p - x_0 for every x_0, scanned in full for each right-hand side
-    lhs = [amb.sub(amb.pow(x0.value, inst.p), x0.value) for x0 in xs]
+    lhs = [amb.sub(amb.pow(x0, inst.p), x0) for x0 in xs]
     count = 0
     for xy in product(*([xs] * inst.n + [ys] * inst.nprime)):
-        count += lhs.count(inst.f.evaluate(xy, amb).value)
+        count += lhs.count(inst.f.evaluate(xy, amb))
     return count
 
 
-def trace_to_prime(amb: Field, x) -> int:
-    """Absolute trace down to F_p, returned as an integer residue."""
+def trace_to_prime(amb: Field, x: int) -> int:
+    """Absolute trace of a packed int down to F_p, as an integer residue."""
     add, pw, p = amb.add, amb.pow, amb.p
-    acc = cur = x.value
+    acc = cur = x
     for _ in range(amb.m - 1):
         cur = pw(cur, p)
         acc = add(acc, cur)
     # in F_p exactly when every digit below the constant term vanishes
-    c, rest = divmod(acc, amb.one().value)
+    c, rest = divmod(acc, amb._one)
     if rest:
         raise ArithmeticError("trace did not land in the prime field")
     return c
@@ -146,29 +145,27 @@ def singular_search(form: SparsePoly, e_max: int,
                     budget: int = DEFAULT_BUDGET):
     """Look for a projective singular point over F_{q^e}, e = 1..e_max.
 
-    Returns a witness (e, point) or None.  None is NOT a smoothness
-    proof, only 'no singular point found up to degree e_max'.
+    Returns a witness (e, point), the point a tuple of packed ints, or
+    None.  None is NOT a smoothness proof, only 'no singular point found
+    up to degree e_max'.  The points are the common zeros of the form and
+    its partials with first nonzero coordinate 1, listed by the counting
+    engine one leading position at a time; the witness is the first in
+    lex order.  Each listing's nodes count against ``budget``.
     """
     if not form.is_homogeneous():
         raise ValueError("form must be homogeneous")
     base = form.base
     n = form.n
-    derivs = [form.partial_derivative(i) for i in range(n)]
+    system = [form] + [form.partial_derivative(i) for i in range(n)]
     for e in range(1, e_max + 1):
         amb = field(base.p, base.s, e)
-        els = list(amb.elements())
-        checked = 0
-        # representatives with first nonzero coordinate equal to 1
         for lead in range(n):
-            for tail in product(els, repeat=n - lead - 1):
-                checked += 1
-                if checked > budget:
-                    raise BudgetExceededError(checked, budget, "singular_search")
-                pt = tuple([amb.zero()] * lead + [amb.one()] + list(tail))
-                if not form.evaluate(pt, amb).is_zero():
-                    continue
-                if all(dv.evaluate(pt, amb).is_zero() for dv in derivs):
-                    return (e, pt)
+            domains = ([(0,)] * lead + [(amb._one,)]
+                       + [amb.elements()] * (n - lead - 1))
+            pts = enumerate_points(system, n, amb, base, domains=domains,
+                                   budget=budget)
+            if pts:
+                return (e, pts[0])
     return None
 
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .fields import Field, FieldElement, field
+from .fields import Field, field
 from .polys import VarietySpec
 
 DEFAULT_BUDGET = 10 ** 8
@@ -224,7 +224,7 @@ def _search(equations, ambient: Field, base: Field, order, domains, leaf,
         if not used:
             return 0  # a nonzero constant equation
         j = len(start)
-        start.append([emb(c.coeffs).value for _, c in terms])
+        start.append([emb(c) for _, c in terms])
         exps.append(by_pos)
         last = used[-1]
         close[last].append(j)
@@ -271,12 +271,15 @@ def _search(equations, ambient: Field, base: Field, order, domains, leaf,
                 total += descend(u + 1, nxt)
         return total
 
-    return descend(0, start)
+    try:
+        return descend(0, start)
+    finally:
+        del descend  # a self-referencing closure: free its state now, not at gc
 
 
 def enumerate_points(equations, n: int, ambient: Field, base: Field,
                      domains=None, budget: int = DEFAULT_BUDGET):
-    """All solutions with coordinates in per-variable domains.
+    """All solutions, as int tuples, with coordinates in per-variable domains.
 
     ``domains`` are iterables of packed ints of ``ambient`` (the whole
     field when None).  The search binds x_1, ..., x_n in turn, so the
@@ -289,7 +292,7 @@ def enumerate_points(equations, n: int, ambient: Field, base: Field,
     out = []
 
     def leaf(point, polys):
-        out.append(tuple(FieldElement(ambient, v) for v in point))
+        out.append(tuple(point))
         return 1
 
     _search(equations, ambient, base, range(n), domains, leaf, budget)
@@ -351,7 +354,10 @@ def join(sizes, links, budget: int, context: str):
             chosen[b] = x
             descend(pos + 1)
 
-    descend(0)
+    try:
+        descend(0)
+    finally:
+        del descend  # as in _search
     return out
 
 
@@ -407,7 +413,7 @@ def partial_count(X: VarietySpec, k: int,
     last = max(used, key=lambda i: (sizes[i], i))
     order = sorted(used - {last}, key=lambda i: (-sizes[i], i)) + [last]
     amb = ambient_field(X, k)
-    domains = [[x.value for x in amb.subfield(X.profile[i] * k, method="span")]
+    domains = [amb.subfield(X.profile[i] * k, method="span")
                for i in order[:-1]]
     e_last = X.profile[last] * k
     weight = {}
@@ -452,7 +458,7 @@ def classical_count(X: VarietySpec, k: int, budget: int = DEFAULT_BUDGET) -> int
     if cost > budget:
         raise BudgetExceededError(cost, budget, f"classical_count k={k}")
     count = 0
-    for point in product(list(amb.elements()), repeat=X.n):
-        if all(eq.evaluate(point, amb).is_zero() for eq in X.equations):
+    for point in product(amb.elements(), repeat=X.n):
+        if not any(eq.evaluate(point, amb) for eq in X.equations):
             count += 1
     return count

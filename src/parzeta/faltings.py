@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .counting import DEFAULT_BUDGET, enumerate_points, join, partial_count
-from .fields import Field, FieldElement, field
+from .fields import Field, field
 from .polys import SparsePoly, VarietySpec
 
 
@@ -103,10 +103,8 @@ def _check_sigma_stability(spec: FaltingsSpec):
 
 def variety_points(X: VarietySpec, ambient: Field, domains=None,
                    budget: int = DEFAULT_BUDGET):
-    """X's points with coordinates in ``domains`` (lists of elements of
-    ``ambient``; the whole field when None), lex-sorted."""
-    if domains is not None:
-        domains = [[x.value for x in d] for d in domains]
+    """X's points with coordinates in ``domains`` (sorted packed ints of
+    ``ambient``; the whole field when None), lex-sorted int tuples."""
     return enumerate_points(X.equations, X.n, ambient, X.base,
                             domains=domains, budget=budget)
 
@@ -117,14 +115,13 @@ def variety_points(X: VarietySpec, ambient: Field, domains=None,
 
 def _x_listing(X: VarietySpec, morphisms, amb: Field, budget: int):
     """X's points over ``amb`` and, per profile entry i, their images under
-    f_i as packed ints: the i-th coordinate when ``morphisms`` is None,
-    else a tuple per point."""
+    f_i: the i-th coordinate when ``morphisms`` is None, else a tuple per
+    point."""
     xpts = variety_points(X, amb, budget=budget)
     if morphisms is None:
-        images = [[pt[i].value for pt in xpts] for i in range(len(X.profile))]
+        images = [[pt[i] for pt in xpts] for i in range(len(X.profile))]
     else:
-        images = [[tuple(v.value for v in f.apply(pt, amb)) for pt in xpts]
-                  for f in morphisms]
+        images = [[f.apply(pt, amb) for pt in xpts] for f in morphisms]
     return xpts, images
 
 
@@ -144,10 +141,8 @@ def enumerate_y_points(spec: FaltingsSpec, k: int, budget: int = DEFAULT_BUDGET,
     for di, images in zip(X.profile, all_images):
         links.extend((j, images, (j + di) % d, images)
                      for j in range(d) if (j + di) % d != j)
-    out = [tuple(xpts[x] for x in ix)
-           for ix in join([len(xpts)] * d, links, budget, "Y enumeration")]
-    out.sort(key=lambda blocks: tuple(x.value for b in blocks for x in b))
-    return out
+    return sorted(tuple(xpts[x] for x in ix)
+                  for ix in join([len(xpts)] * d, links, budget, "Y enumeration"))
 
 
 # ---------------------------------------------------------------------------
@@ -157,14 +152,12 @@ def enumerate_y_points(spec: FaltingsSpec, k: int, budget: int = DEFAULT_BUDGET,
 def _twisted_fixed_points(spec: FaltingsSpec, k: int, twists, budget: int,
                           listing=None):
     """For each a in ``twists``, the points y of Y over F_{q^{dk}} with
-    sigma^a(Frob^k(y)) = y, each with its blocks as packed ints."""
+    sigma^a(Frob^k(y)) = y."""
     frob = field(spec.X.p, spec.X.s, spec.d * k).frob
     ypts = enumerate_y_points(spec, k, budget=budget, listing=listing)
-    yvals = [tuple(tuple(x.value for x in block) for block in y) for y in ypts]
-    images = [tuple(tuple(frob(x, k) for x in block) for block in v)
-              for v in yvals]
-    return {a: [(y, v) for y, v, img in zip(ypts, yvals, images)
-                if sigma_apply(img, a) == v]
+    images = [tuple(tuple(frob(x, k) for x in block) for block in y)
+              for y in ypts]
+    return {a: [y for y, img in zip(ypts, images) if sigma_apply(img, a) == y]
             for a in twists}
 
 
@@ -172,7 +165,7 @@ def fixed_points(spec: FaltingsSpec, a: int, k: int,
                  budget: int = DEFAULT_BUDGET):
     if gcd(a, spec.d) != 1:
         raise ValueError(f"a = {a} is not coprime to d = {spec.d}")
-    return [y for y, _ in _twisted_fixed_points(spec, k, (a,), budget)[a]]
+    return _twisted_fixed_points(spec, k, (a,), budget)[a]
 
 
 def fixed_point_count(spec: FaltingsSpec, a: int, k: int,
@@ -192,7 +185,7 @@ def morphism_partial_count(X: VarietySpec, morphisms, k: int,
     if listing is None:
         listing = _x_listing(X, morphisms, amb, budget)
     xpts, images = listing
-    return sum(all(amb.in_subfield(FieldElement(amb, v), di * k)
+    return sum(all(amb.in_subfield(v, di * k)
                    for di, f_images in zip(X.profile, images)
                    for v in f_images[x])
                for x in range(len(xpts)))
@@ -257,13 +250,12 @@ def lemma_check(X: VarietySpec, k_max: int, morphisms=None,
                                               listing).items():
             entries.append(LemmaEntry(a, k, lhs, len(fixed)))
             if lhs != len(fixed) and len(witnesses) < 10:
-                witnesses.extend(y for y, _ in fixed[:10 - len(witnesses)])
+                witnesses.extend(fixed[:10 - len(witnesses)])
             # reconstruction bijection: y_j = Frob^{k h_j}(y_1)
-            for _, v in fixed:
-                y1 = v[0]
+            for y in fixed:
                 for j in range(1, d + 1):
                     h = h_index(a, d, j)
-                    if v[j - 1] != tuple(frob(x, k * h) for x in y1):
+                    if y[j - 1] != tuple(frob(x, k * h) for x in y[0]):
                         recon_ok = False
     passed = all(e.equal for e in entries)
     return LemmaReport(d, tuple(entries), passed, recon_ok, tuple(witnesses))

@@ -12,9 +12,13 @@ with the constant term as the *most* significant digit.  That choice makes
 int order equal to the lex order of coordinate tuples read from the
 constant term up, the order every sorted subfield list and every report
 has always used, so sorting ints reproduces them unchanged.
-``FieldElement`` is a thin wrapper over the int, ``x.coeffs`` the derived
-tuple; hot loops call the field's int operations (``add``, ``sub``,
-``neg``, ``mul``, ``inv``, ``pow``, ``frob``) directly.
+
+The library works on these ints only: subfields, points, polynomial
+coefficients and values are packed ints, and the field's int operations
+(``add``, ``sub``, ``neg``, ``mul``, ``inv``, ``pow``, ``frob``) do all
+arithmetic.  ``FieldElement`` is the public value type: the int with
+operators, ``x.coeffs`` the derived tuple, made and taken by
+``Field.element/zero/one/from_int/gen/frobenius`` and by nothing else.
 
 The int operations are bound on a field's first arithmetic, never at
 construction:
@@ -288,6 +292,8 @@ class Field:
         self.q = p ** s
         self.modulus = smallest_irreducible(p, self.m)
         self._one = p ** (self.m - 1)  # the constant term's place value
+        # the class of t; it reduces to a constant mod a linear modulus
+        self._gen = (-self.modulus[0]) % p if self.m == 1 else p ** (self.m - 2)
         self._subfield_cache = {}
         self._embed_cache = {}
         self._frob_cols = {}
@@ -608,15 +614,11 @@ class Field:
 
     def gen(self):
         """The class of t."""
-        if self.m == 1:
-            # t reduces to a constant mod the linear modulus
-            return FieldElement(self, (-self.modulus[0]) % self.p)
-        return FieldElement(self, self.p ** (self.m - 2))
+        return FieldElement(self, self._gen)
 
     def elements(self):
-        """All p^m elements in lex order on coefficient tuples."""
-        for v in range(self.p ** self.m):
-            yield FieldElement(self, v)
+        """All p^m elements as packed ints, in lex order on coefficient tuples."""
+        return range(self.p ** self.m)
 
     def size(self) -> int:
         return self.p ** self.m
@@ -629,14 +631,15 @@ class Field:
             raise FieldError("Frobenius exponent must be nonnegative")
         return FieldElement(self, self.frob(x.value, e))
 
-    def in_subfield(self, x: FieldElement, e: int) -> bool:
-        """x^(q^e) = x, decided by powering."""
+    def in_subfield(self, x: int, e: int) -> bool:
+        """x^(q^e) = x for a packed int x, decided by powering."""
         if self.N % e != 0:
             raise FieldError(f"F_q^{e} is not a subfield of F_q^{self.N}")
-        return self.pow(x.value, self.q ** e) == x.value
+        return self.pow(x, self.q ** e) == x
 
     def subfield(self, e: int, method: str = "filter"):
-        """All q^e elements of F_{q^e} inside this field, lex-sorted.
+        """All q^e elements of F_{q^e} inside this field as a sorted tuple
+        of packed ints, cached per (e, method).
 
         ``filter`` scans the whole ambient field for x^(q^e) = x by
         powering; ``span`` solves for the fixed space of Frobenius^e by
@@ -657,8 +660,7 @@ class Field:
             raise FieldError(f"unknown subfield method {method!r}")
         if len(vals) != self.q ** e:
             raise FieldError("subfield enumeration produced the wrong cardinality")
-        out = [FieldElement(self, v) for v in vals]
-        self._subfield_cache[key] = out
+        out = self._subfield_cache[key] = tuple(vals)
         return out
 
     def _subfield_span(self, e: int):
@@ -703,7 +705,7 @@ class Field:
     # -- canonical embedding of the base field F_q -------------------------
 
     def embed_base(self, base: "Field"):
-        """Map coefficient tuples of the base field F_q into this field.
+        """Map packed ints of the base field F_q to packed ints of this field.
 
         The base generator goes to the lex-smallest root of the base modulus
         among the F_q elements of this field; any root works since the
@@ -715,13 +717,9 @@ class Field:
         if key in self._embed_cache:
             return self._embed_cache[key]
         one = self._one
-        table = {}
         if base.m == 1:
-            def emb(coeffs):
-                v = table.get(coeffs)
-                if v is None:
-                    v = table[coeffs] = self.from_int(coeffs[0])
-                return v
+            def emb(c):
+                return c * one
         else:
             add, mul = self.add, self.mul
             root = None
@@ -730,24 +728,25 @@ class Field:
                 for c in base.modulus:
                     if c:
                         val = add(val, mul(c * one, xp))
-                    xp = mul(xp, cand.value)
+                    xp = mul(xp, cand)
                 if not val:
-                    root = cand.value
+                    root = cand
                     break
             if root is None:
                 raise FieldError("no root of base modulus found in ambient field")
             powers = [one]
             for _ in range(base.m - 1):
                 powers.append(mul(powers[-1], root))
+            table = {}
 
-            def emb(coeffs):
-                v = table.get(coeffs)
+            def emb(c):
+                v = table.get(c)
                 if v is None:
                     acc = 0
-                    for c, pw in zip(coeffs, powers):
-                        if c:
-                            acc = add(acc, mul(c * one, pw))
-                    v = table[coeffs] = FieldElement(self, acc)
+                    for d, pw in zip(base.to_coeffs(c), powers):
+                        if d:
+                            acc = add(acc, mul(d * one, pw))
+                    v = table[c] = acc
                 return v
         self._embed_cache[key] = emb
         return emb

@@ -63,7 +63,7 @@ def graph_count_direct(G: GraphSystem, k: int,
     base = field(G.p, G.s, 1)
     vpoints = []
     for v in G.vertices:
-        domain = [x.value for x in amb.subfield(v.d * k, method="span")]
+        domain = amb.subfield(v.d * k, method="span")
         pts = enumerate_points(v.equations, v.n, amb, base,
                                domains=[domain] * v.n, budget=budget)
         vpoints.append(pts)
@@ -77,10 +77,8 @@ def graph_count_direct(G: GraphSystem, k: int,
     links = []
     for e in G.edges:
         src, dst = vindex[e.src], vindex[e.dst]
-        images = [tuple(x.value for x in e.morphism.apply(pt, amb))
-                  for pt in vpoints[src]]
-        links.append((src, images, dst,
-                      [tuple(x.value for x in pt) for pt in vpoints[dst]]))
+        images = [e.morphism.apply(pt, amb) for pt in vpoints[src]]
+        links.append((src, images, dst, vpoints[dst]))
     return len(join([len(pts) for pts in vpoints], links, budget,
                     f"graph_count_direct k={k}"))
 

@@ -2,8 +2,9 @@
 
 Coefficients always live in the base field F_q = F_{p^s}; when s > 1 the
 expression grammar exposes a distinguished generator named ``g``.  Terms are
-kept in a map from exponent vector to nonzero coefficient, and canonical
-printing uses graded lex order so output is stable across runs.
+kept in a map from exponent vector to nonzero coefficient, a packed int of
+the base field, and canonical printing uses graded lex order so output is
+stable across runs.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .fields import Field, FieldElement, field
+from .fields import Field, field
 
 
 class PolyParseError(ValueError):
@@ -36,7 +37,7 @@ class SparsePoly:
             for exps, c in terms.items():
                 if len(exps) != n:
                     raise ValueError("exponent vector length mismatch")
-                if not c.is_zero():
+                if c:
                     self.terms[tuple(exps)] = c
 
     # -- constructors ------------------------------------------------------
@@ -46,22 +47,24 @@ class SparsePoly:
         return cls(n, base)
 
     @classmethod
-    def const(cls, n, base, value: FieldElement):
+    def const(cls, n, base, value: int):
+        """The constant polynomial of a packed int of ``base``."""
         f = cls(n, base)
-        if not value.is_zero():
+        if value:
             f.terms[(0,) * n] = value
         return f
 
     @classmethod
     def const_int(cls, n, base, value: int):
-        return cls.const(n, base, base.from_int(value))
+        """The constant polynomial of an integer, reduced mod p."""
+        return cls.const(n, base, value % base.p * base._one)
 
     @classmethod
     def var(cls, n, base, i, exp=1):
         f = cls(n, base)
         e = [0] * n
         e[i] = exp
-        f.terms[tuple(e)] = base.one()
+        f.terms[tuple(e)] = base._one
         return f
 
     # -- ring operations ---------------------------------------------------
@@ -72,11 +75,12 @@ class SparsePoly:
 
     def __add__(self, other):
         self._check(other)
+        add = self.base.add
         out = dict(self.terms)
         for exps, c in other.terms.items():
             if exps in out:
-                v = out[exps] + c
-                if v.is_zero():
+                v = add(out[exps], c)
+                if not v:
                     del out[exps]
                 else:
                     out[exps] = v
@@ -88,7 +92,8 @@ class SparsePoly:
 
     def __neg__(self):
         f = SparsePoly(self.n, self.base)
-        f.terms = {e: -c for e, c in self.terms.items()}
+        neg = self.base.neg
+        f.terms = {e: neg(c) for e, c in self.terms.items()}
         return f
 
     def __sub__(self, other):
@@ -96,18 +101,19 @@ class SparsePoly:
 
     def __mul__(self, other):
         self._check(other)
+        add, mul = self.base.add, self.base.mul
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
+                c = mul(c1, c2)
                 if e in out:
-                    v = out[e] + c
-                    if v.is_zero():
+                    v = add(out[e], c)
+                    if not v:
                         del out[e]
                     else:
                         out[e] = v
-                elif not c.is_zero():
+                else:
                     out[e] = c
         f = SparsePoly(self.n, self.base)
         f.terms = out
@@ -125,21 +131,15 @@ class SparsePoly:
             e >>= 1
         return result
 
-    def scale(self, c: FieldElement):
-        f = SparsePoly(self.n, self.base)
-        if not c.is_zero():
-            f.terms = {e: v * c for e, v in self.terms.items()}
-        return f
-
     def is_zero(self):
         return not self.terms
 
     def __eq__(self, other):
         return (isinstance(other, SparsePoly) and self.n == other.n
-                and self.terms == other.terms)
+                and self.base == other.base and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.n, frozenset((e, c.value) for e, c in self.terms.items())))
+        return hash((self.n, frozenset(self.terms.items())))
 
     # -- structure ---------------------------------------------------------
 
@@ -160,13 +160,14 @@ class SparsePoly:
         return f, r
 
     def partial_derivative(self, i: int):
+        base = self.base
         out = {}
         for e, c in self.terms.items():
             if e[i]:
                 ne = list(e)
                 ne[i] -= 1
-                v = c * self.base.from_int(e[i])
-                if not v.is_zero():
+                v = base.mul(c, e[i] % base.p * base._one)
+                if v:
                     out[tuple(ne)] = v
         f = SparsePoly(self.n, self.base)
         f.terms = out
@@ -192,8 +193,6 @@ class SparsePoly:
                     if i not in mapping:
                         raise ValueError(f"variable {i} missing from map")
                     ne[mapping[i]] = exp
-                elif i in mapping:
-                    pass
             out[tuple(ne)] = c
         f = SparsePoly(new_n, self.base)
         f.terms = out
@@ -201,8 +200,8 @@ class SparsePoly:
 
     # -- evaluation --------------------------------------------------------
 
-    def evaluate(self, point, ambient: Field) -> FieldElement:
-        """Exact value at a point with coordinates in ``ambient``."""
+    def evaluate(self, point, ambient: Field) -> int:
+        """Exact value, a packed int, at a point of packed ints of ``ambient``."""
         if len(point) != self.n:
             raise ValueError(f"point has {len(point)} coordinates, expected {self.n}")
         emb = ambient.embed_base(self.base)
@@ -210,24 +209,24 @@ class SparsePoly:
         acc = 0
         powcache = {}
         for e, c in self.terms.items():
-            v = emb(c.coeffs).value
+            v = emb(c)
             for i, exp in enumerate(e):
                 if exp:
                     key = (i, exp)
                     x = powcache.get(key)
                     if x is None:
-                        x = powcache[key] = pw(point[i].value, exp)
+                        x = powcache[key] = pw(point[i], exp)
                     v = mul(v, x)
             acc = add(acc, v)
-        return FieldElement(ambient, acc)
+        return acc
 
     # -- printing ----------------------------------------------------------
 
-    def _coeff_str(self, c: FieldElement) -> str:
+    def _coeff_str(self, c: int) -> str:
         if self.base.m == 1:
-            return str(c.coeffs[0])
+            return str(c)
         parts = []
-        for i, v in enumerate(c.coeffs):
+        for i, v in enumerate(self.base.to_coeffs(c)):
             if not v:
                 continue
             if i == 0:
@@ -368,7 +367,7 @@ class _Parser:
                 self.pos += 1
             name = self.text[start:self.pos]
             if name == "g" and self.has_gen:
-                return SparsePoly.const(self.n, self.base, self.base.gen())
+                return SparsePoly.const(self.n, self.base, self.base._gen)
             if name in self.varnames:
                 return SparsePoly.var(self.n, self.base, self.varnames.index(name))
             self.pos = start
@@ -436,4 +435,5 @@ class MorphismSpec:
                 raise ValueError("component variable count mismatch")
 
     def apply(self, point, ambient: Field):
+        """The image of a point of packed ints, as a tuple of packed ints."""
         return tuple(c.evaluate(point, ambient) for c in self.components)

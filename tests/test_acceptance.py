@@ -97,7 +97,7 @@ def oracle_count(X, k):
     doms = [amb.subfield(d * k, method="filter") for d in X.profile]
     total = 0
     for pt in product(*doms):
-        if all(eq.evaluate(pt, amb).is_zero() for eq in X.equations):
+        if not any(eq.evaluate(pt, amb) for eq in X.equations):
             total += 1
     return total
 

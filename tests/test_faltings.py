@@ -196,13 +196,11 @@ def y_by_equations(spec, k):
     X, d, n = spec.X, spec.d, spec.block_size
     amb = field(X.p, X.s, d * k)
     pts = enumerate_points(spec.Y.equations, spec.Y.n, amb, X.base)
-    return [tuple(tuple(x.value for x in pt[j * n:(j + 1) * n])
-                  for j in range(d)) for pt in pts]
+    return [tuple(pt[j * n:(j + 1) * n] for j in range(d)) for pt in pts]
 
 
 def y_by_join(spec, k):
-    return [tuple(tuple(x.value for x in block) for block in y)
-            for y in enumerate_y_points(spec, k)]
+    return enumerate_y_points(spec, k)
 
 
 @pytest.mark.parametrize("name", VARIETIES)

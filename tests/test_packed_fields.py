@@ -132,7 +132,7 @@ def test_constant_term_is_most_significant():
     assert F.one().value == 3 ** 3
     assert F.from_int(2).coeffs == (2, 0, 0, 0)
     assert F.gen().coeffs == (0, 1, 0, 0)
-    assert [x.value for x in F.elements()][:5] == [0, 1, 2, 3, 4]
+    assert list(F.elements())[:5] == [0, 1, 2, 3, 4]
 
 
 def test_tables_are_built_lazily():
@@ -169,5 +169,5 @@ def test_filter_oracle_never_uses_the_frobenius_matrix(monkeypatch):
     assert len(F.subfield(3, method="filter")) == 8
     G = Field(3, 1, 13)  # above the cap
     x = G.element([1, 2, 0, 1, 0, 0, 2, 0, 0, 1, 0, 2, 1])
-    assert G.in_subfield(x, 13)
-    assert not G.in_subfield(x, 1)
+    assert G.in_subfield(x.value, 13)
+    assert not G.in_subfield(x.value, 1)

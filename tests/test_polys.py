@@ -1,8 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parzeta.fields import field
-from parzeta.polys import (MorphismSpec, PolyParseError, VarietySpec,
-                           base_field, parse_poly)
+from parzeta.polys import (MorphismSpec, PolyParseError, SparsePoly,
+                           VarietySpec, base_field, parse_poly)
 
 F2 = base_field(2, 1)
 F3 = base_field(3, 1)
@@ -15,7 +16,7 @@ def P(text, n=2, base=F2):
 
 def test_parse_simple():
     f = P("x1 + x2")
-    assert f.terms == {(1, 0): F2.one(), (0, 1): F2.one()}
+    assert f.terms == {(1, 0): F2.one().value, (0, 1): F2.one().value}
 
 
 def test_parse_collects_coefficients():
@@ -27,8 +28,8 @@ def test_parse_collects_coefficients():
 
 def test_parse_precedence():
     f = P("x1 + x2*x1^2")
-    assert f.terms[(2, 1)] == F2.one()
-    assert f.terms[(1, 0)] == F2.one()
+    assert f.terms[(2, 1)] == F2.one().value
+    assert f.terms[(1, 0)] == F2.one().value
 
 
 def test_parse_parens_and_unary_minus():
@@ -39,8 +40,8 @@ def test_parse_parens_and_unary_minus():
 
 def test_parse_generator():
     f = parse_poly("g*x1 + g^2", ["x1"], F4)
-    assert f.terms[(1,)] == F4.gen()
-    assert f.terms[(0,)] == F4.gen() ** 2
+    assert f.terms[(1,)] == F4.gen().value
+    assert f.terms[(0,)] == (F4.gen() ** 2).value
 
 
 def test_generator_rejected_over_prime_field():
@@ -74,8 +75,8 @@ def test_evaluate():
     F8 = field(2, 1, 3)
     f = P("x1*x2 + 1")
     a = F8.gen()
-    assert f.evaluate((a, a.inverse()), F8).is_zero()
-    assert f.evaluate((a, a), F8) == a * a + F8.one()
+    assert f.evaluate((a.value, a.inverse().value), F8) == 0
+    assert f.evaluate((a.value, a.value), F8) == (a * a + F8.one()).value
 
 
 def test_total_degree_and_leading_form():
@@ -106,7 +107,7 @@ def test_derivative_drops_multiples_of_p():
 def test_rename():
     f = P("x1^2 + x2")
     g = f.rename({0: 2, 1: 0}, 3)
-    assert g.terms == {(0, 0, 2): F2.one(), (1, 0, 0): F2.one()}
+    assert g.terms == {(0, 0, 2): F2.one().value, (1, 0, 0): F2.one().value}
     with pytest.raises(ValueError):
         f.rename({0: 1, 1: 1}, 2)
 
@@ -131,6 +132,76 @@ def test_morphism_apply():
     comp = parse_poly("x1^2", ["x1"], F2)
     m = MorphismSpec(1, 1, (comp,))
     a = F8.gen()
-    assert m.apply((a,), F8) == (a * a,)
+    assert m.apply((a.value,), F8) == ((a * a).value,)
     with pytest.raises(ValueError):
         MorphismSpec(1, 2, (comp,))
+
+
+# ---------------------------------------------------------------------------
+# the int evaluation route against FieldElement operators
+# ---------------------------------------------------------------------------
+
+# (p, s, N): coefficients in F_q, q = p^s, points in F_{q^N}; s = 2 embeds
+# the base generator, and F_2^21 lies above TABLE_CAP = 2^20
+EVAL_FIELDS = [(2, 1, 3), (2, 2, 2), (3, 1, 2), (3, 2, 2), (2, 1, 21)]
+
+
+@st.composite
+def evaluations(draw):
+    """Polynomials in n variables over F_q and an int point of F_{q^N}."""
+    p, s, N = draw(st.sampled_from(EVAL_FIELDS))
+    base, amb = base_field(p, s), field(p, s, N)
+    n = draw(st.integers(1, 3))
+    polys = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = {}
+        for _ in range(draw(st.integers(0, 4))):
+            exps = tuple(draw(st.integers(0, 3)) for _ in range(n))
+            terms[exps] = draw(st.integers(1, base.size() - 1))
+        polys.append(SparsePoly(n, base, terms))
+    point = tuple(draw(st.integers(0, amb.size() - 1)) for _ in range(n))
+    return amb, polys, point
+
+
+def monomial_sum(f, point, amb):
+    """f at ``point`` as a sum of monomials in FieldElement operators.  A
+    coefficient sum c_i g^i goes to sum c_i r^i, r the lex-smallest root of
+    the base modulus in ``amb``, found by scanning ``amb``."""
+    base = f.base
+    els = [amb.element(amb.to_coeffs(v)) for v in point]
+    if base.m == 1:
+        powers = [amb.one()]
+    else:
+        r = next(x for x in (amb.element(amb.to_coeffs(v))
+                             for v in amb.elements())
+                 if sum((amb.from_int(c) * x ** i
+                         for i, c in enumerate(base.modulus)),
+                        amb.zero()).is_zero())
+        powers = [r ** i for i in range(base.m)]
+    total = amb.zero()
+    for exps, c in f.terms.items():
+        term = sum((amb.from_int(ci) * w
+                    for ci, w in zip(base.to_coeffs(c), powers)), amb.zero())
+        for x, e in zip(els, exps):
+            term = term * x ** e
+        total = total + term
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(evaluations())
+def test_int_evaluation_matches_field_element_operators(case):
+    amb, polys, point = case
+    want = tuple(monomial_sum(f, point, amb) for f in polys)
+    assert polys[0].evaluate(point, amb) == want[0].value
+    m = MorphismSpec(len(point), len(polys), tuple(polys))
+    assert m.apply(point, amb) == tuple(w.value for w in want)
+
+
+@pytest.mark.parametrize("p, s, N", [(2, 1, 6), (3, 1, 4), (2, 2, 3)])
+def test_subfield_is_an_int_tuple_equal_between_methods(p, s, N):
+    F = field(p, s, N)
+    for e in (e for e in range(1, N + 1) if N % e == 0):
+        span = F.subfield(e, method="span")
+        assert type(span) is tuple and all(type(x) is int for x in span)
+        assert span == F.subfield(e, method="filter")
