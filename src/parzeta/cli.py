@@ -106,6 +106,8 @@ def graph_from_payload(payload: dict, p: int, s: int) -> GraphSystem:
             raise SchemaError("vertex 'name' must be a non-empty string")
         n = _check_int(v, "n")
         d = _check_int(v, "d")
+        if not isinstance(v["equations"], list):
+            raise SchemaError("vertex 'equations' must be a list")
         names = _var_names(n)
         eqs = tuple(_parse_eq(t, names, base) for t in v["equations"])
         vertices.append(GraphVertex(v["name"], n, eqs, d))
@@ -215,8 +217,8 @@ def _zeta(X, args, budget):
                    counts=list(res.table.counts))
     try:
         wr = weil_weight_check(res.function, X.p ** X.s, tol=args.tol)
-    except RootFindingError:
-        outputs["status"] = "root-finding-failed"
+    except RootFindingError as exc:
+        outputs["status"] = exc.status
         return outputs, None, EXIT_NO_CONVERGENCE
     outputs.update(status="ok", weights=wr.to_json_dict())
     return (outputs, _enumeration_cost(X, res.B_used),
@@ -235,10 +237,8 @@ def _graph(G, args, budget):
         rep = reduction_check(G, args.k_max, max_k=args.max_k,
                               holdout=args.holdout, tol=args.tol,
                               budget=budget)
-    except AutoReconstructError as exc:
+    except (AutoReconstructError, RootFindingError) as exc:
         return {"status": exc.status}, None, EXIT_NO_CONVERGENCE
-    except RootFindingError:
-        return {"status": "root-finding-failed"}, None, EXIT_NO_CONVERGENCE
     ok = rep.passed and rep.weight_report.passed
     return rep.to_json_dict(), None, EXIT_OK if ok else EXIT_ASSERTION
 

@@ -16,8 +16,9 @@ bound prefix, so binding a variable costs one product per term.
   with the largest domain last, ties going to the highest index.  That
   variable is never enumerated: substituting the prefix leaves univariate
   polynomials, whose common roots in F_Q, Q = q^{d_last k}, ``count_roots``
-  counts as deg gcd(f_1, ..., f_r, x^Q - x) (the roots of x^Q - x are the
-  elements of F_Q, each simple; Lidl-Niederreiter, *Finite Fields*, ch. 3).
+  of ``fields`` counts as deg gcd(f_1, ..., f_r, x^Q - x) (the roots of
+  x^Q - x are the elements of F_Q, each simple; Lidl-Niederreiter,
+  *Finite Fields*, ch. 3).
   The other used variables are bound largest domain first, ties going to
   the lowest index, and the first of them takes one value per orbit of
   Frobenius sigma: x -> x^q on its domain, its count weighted by the
@@ -43,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .fields import Field, field
+from .fields import Field, _trim, count_roots, field
 from .polys import VarietySpec
 
 DEFAULT_BUDGET = 10 ** 8
@@ -69,113 +70,6 @@ class CountTable:
 
 def ambient_field(X: VarietySpec, k: int) -> Field:
     return field(X.p, X.s, X.D * k)
-
-
-# ---------------------------------------------------------------------------
-# univariate polynomials over a field: coefficient lists of packed ints,
-# constant term first, with no trailing zeros
-# ---------------------------------------------------------------------------
-
-def _trim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _monic(a, F: Field):
-    if a[-1] == F._one:
-        return a
-    mul, c = F.mul, F.inv(a[-1])
-    return [mul(x, c) for x in a]
-
-
-def _rem(a, g, F: Field):
-    """a mod g for monic g."""
-    sub, mul = F.sub, F.mul
-    a = list(a)
-    dg = len(g) - 1
-    for i in range(len(a) - 1, dg - 1, -1):
-        c = a[i]
-        if c:
-            for j in range(dg):
-                a[i - dg + j] = sub(a[i - dg + j], mul(c, g[j]))
-    return _trim(a[:dg])
-
-
-def _gcd(a, b, F: Field):
-    """The monic gcd of two nonzero polynomials."""
-    while b:
-        b = _monic(b, F)
-        a, b = b, _rem(a, b, F)
-    return a
-
-
-def _x_power(Q: int, g, F: Field):
-    """x^Q mod monic g (deg g = n >= 2) by left-to-right repeated squaring.
-
-    The remainder is kept as n coefficients, trailing zeros included; a
-    square's upper half is folded back with the rows x^(n+j) mod g.
-    """
-    add, mul = F.add, F.mul
-    n = len(g) - 1
-    rows = [[F.neg(c) for c in g[:-1]]]
-    for _ in range(n - 2):
-        prev = rows[-1]
-        top = prev[-1]
-        rows.append([mul(top, rows[0][0])]
-                    + [add(a, mul(top, b)) for a, b in zip(prev, rows[0][1:])])
-    r = [0, F._one] + [0] * (n - 2)
-    for bit in bin(Q)[3:]:
-        sq = [0] * (2 * n - 1)
-        if F.p == 2:
-            # in characteristic 2 only the squares of the terms survive
-            sq[::2] = [mul(c, c) for c in r]
-        else:
-            for i, a in enumerate(r):
-                if a:
-                    for j, b in enumerate(r):
-                        sq[i + j] = add(sq[i + j], mul(a, b))
-        r = sq[:n]
-        for c, row in zip(sq[n:], rows):
-            if c:
-                r = [add(a, mul(c, b)) for a, b in zip(r, row)]
-        if bit == "1":
-            top = r[-1]
-            r = [0] + r[:-1]
-            if top:
-                r = [add(a, mul(top, b)) for a, b in zip(r, rows[0])]
-    return r
-
-
-def count_roots(polys, F: Field, e: int) -> int:
-    """Common roots in F_{q^e} of univariate polynomials over F.
-
-    ``polys`` are coefficient lists of packed ints of F, constant term
-    first, trailing zeros trimmed.  The answer is q^e when every
-    polynomial is zero and 0 when one is a nonzero constant; otherwise it
-    is the degree of G = gcd(f_1, ..., f_r, x^Q - x), Q = q^e: a linear
-    gcd's root r counts when r^Q = r, and a larger one is reduced with
-    x^Q mod G.  No element of F_{q^e} is listed.
-    """
-    polys = [f for f in polys if f]
-    if not polys:
-        return F.q ** e
-    polys.sort(key=len)
-    g = polys[0]
-    for f in polys[1:]:
-        if len(g) == 1:
-            break
-        g = _gcd(g, f, F)
-    if len(g) == 1:
-        return 0
-    if len(g) == 2:
-        r = F.mul(F.neg(g[0]), F.inv(g[1]))
-        return 1 if F.frob(r, e) == r else 0
-    g = _monic(g, F)
-    h = _x_power(F.q ** e, g, F)
-    h[1] = F.sub(h[1], F._one)
-    _trim(h)
-    return len(_gcd(g, h, F)) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,11 @@ construction:
   element alpha, held in ``array('I')`` (4 bytes an entry).  mul, inv and
   pow add or scale logs mod p^m - 1 and x^(q^e) is exp[log x * q^e].
   Addition is XOR for p = 2; for odd p it goes through the Zech table
-  log(1 + alpha^k) (Lidl-Niederreiter, *Finite Fields*, ch. 9).  For
-  p = 2 the exp table is built by doubling, exp[h:2h] = alpha^h exp[:h],
-  each pass one byte-table lookup per byte over the whole block in numpy.
+  log(1 + alpha^k) (Lidl-Niederreiter, *Finite Fields*, ch. 9).  The
+  exp table is built by doubling, exp[h:2h] = alpha^h exp[:h], each pass
+  one F_p-linear map over the whole block in numpy: a byte-table lookup
+  per byte for p = 2, a digit-matrix product for odd p.  The Zech table
+  is one numpy pass over exp and log.
 - larger fields: schoolbook products reduced by g (shift/XOR carry-less
   multiplication for p = 2, digit convolution for odd p), and x^(q^e)
   applies the F_p-linear matrix of Frobenius^e, the one
@@ -37,6 +39,13 @@ construction:
 
 The ``filter`` subfield oracle decides x^(q^e) = x by ``pow`` and never
 uses that matrix, so the two subfield methods stay independent.
+
+Univariate polynomials over a field are coefficient lists of its packed
+ints, constant term first.  One toolkit does their arithmetic: remainder,
+monic gcd, x^Q mod g and ``count_roots``, the number of common roots in
+F_{q^e} as deg gcd(f_1, ..., f_r, x^(q^e) - x).  The counting engine
+counts its last variable with it, and ``is_irreducible`` runs Rabin's
+test with it over F_p = field(p, 1, 1), whose packed ints are the digits.
 """
 
 from __future__ import annotations
@@ -44,7 +53,6 @@ from __future__ import annotations
 from array import array
 from functools import lru_cache
 from itertools import product
-from math import isqrt
 from operator import pos, xor
 
 import numpy as np
@@ -52,7 +60,7 @@ import numpy as np
 # the largest p^m whose arithmetic runs on exp/log tables
 TABLE_CAP = 1 << 20
 
-# elements per numpy pass of the p = 2 exp/log build
+# elements per numpy pass of the exp/log build
 _CHUNK = 1 << 16
 
 # the int operations Field binds on first use
@@ -63,93 +71,139 @@ class FieldError(ValueError):
     pass
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
+def _prime_factors(n: int):
+    out = []
+    f = 2
     while f * f <= n:
         if n % f == 0:
-            return False
-        f += 2
-    return True
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers over F_p (coefficient lists, constant term first)
+# univariate polynomials over a field: coefficient lists of packed ints,
+# constant term first, with no trailing zeros
 # ---------------------------------------------------------------------------
 
 def _trim(a):
-    while a and a[-1] == 0:
+    while a and not a[-1]:
         a.pop()
     return a
 
 
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
+def _monic(a, F: Field):
+    if a[-1] == F._one:
+        return a
+    mul, c = F.mul, F.inv(a[-1])
+    return [mul(x, c) for x in a]
 
 
-def _poly_divmod(a, b, p):
+def _rem(a, g, F: Field):
+    """a mod g for monic g."""
+    sub, mul = F.sub, F.mul
     a = list(a)
-    db, da = len(b) - 1, len(a) - 1
-    if db < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = pow(b[-1], p - 2, p)
-    q = [0] * max(da - db + 1, 0)
-    while len(a) - 1 >= db and any(a):
-        _trim(a)
-        if len(a) - 1 < db:
-            break
-        shift = len(a) - 1 - db
-        c = (a[-1] * inv_lead) % p
-        q[shift] = c
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * bi) % p
-    return _trim(q), _trim(a)
+    dg = len(g) - 1
+    for i in range(len(a) - 1, dg - 1, -1):
+        c = a[i]
+        if c:
+            for j in range(dg):
+                a[i - dg + j] = sub(a[i - dg + j], mul(c, g[j]))
+    return _trim(a[:dg])
 
 
-def _poly_mod(a, b, p):
-    return _poly_divmod(a, b, p)[1]
-
-
-def _poly_gcd(a, b, p):
-    a, b = _trim(list(a)), _trim(list(b))
+def _gcd(a, b, F: Field):
+    """The monic gcd of two nonzero polynomials."""
     while b:
-        a, b = b, _poly_mod(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [(c * inv) % p for c in a]
+        b = _monic(b, F)
+        a, b = b, _rem(a, b, F)
     return a
 
 
-def _poly_powmod(base, e, modulus, p):
-    result = [1]
-    base = _poly_mod(list(base), modulus, p)
-    while e:
-        if e & 1:
-            result = _poly_mod(_poly_mul(result, base, p), modulus, p)
-        base = _poly_mod(_poly_mul(base, base, p), modulus, p)
-        e >>= 1
-    return result
+def _x_power(Q: int, g, F: Field):
+    """x^Q mod monic g (deg g = n >= 2) by left-to-right repeated squaring.
+
+    The remainder is kept as n coefficients, trailing zeros included; a
+    square's upper half is folded back with the rows x^(n+j) mod g.
+    """
+    add, mul = F.add, F.mul
+    n = len(g) - 1
+    rows = [[F.neg(c) for c in g[:-1]]]
+    for _ in range(n - 2):
+        prev = rows[-1]
+        top = prev[-1]
+        rows.append([mul(top, rows[0][0])]
+                    + [add(a, mul(top, b)) for a, b in zip(prev, rows[0][1:])])
+    r = [0, F._one] + [0] * (n - 2)
+    for bit in bin(Q)[3:]:
+        sq = [0] * (2 * n - 1)
+        if F.p == 2:
+            # in characteristic 2 only the squares of the terms survive
+            sq[::2] = [mul(c, c) for c in r]
+        else:
+            for i, a in enumerate(r):
+                if a:
+                    for j, b in enumerate(r):
+                        sq[i + j] = add(sq[i + j], mul(a, b))
+        r = sq[:n]
+        for c, row in zip(sq[n:], rows):
+            if c:
+                r = [add(a, mul(c, b)) for a, b in zip(r, row)]
+        if bit == "1":
+            top = r[-1]
+            r = [0] + r[:-1]
+            if top:
+                r = [add(a, mul(top, b)) for a, b in zip(r, rows[0])]
+    return r
+
+
+def count_roots(polys, F: Field, e: int) -> int:
+    """Common roots in F_{q^e} of univariate polynomials over F.
+
+    ``polys`` are coefficient lists of packed ints of F, constant term
+    first, trailing zeros trimmed.  The answer is q^e when every
+    polynomial is zero and 0 when one is a nonzero constant; otherwise it
+    is the degree of G = gcd(f_1, ..., f_r, x^Q - x), Q = q^e: a linear
+    gcd's root r counts when r^Q = r, and a larger one is reduced with
+    x^Q mod G.  No element of F_{q^e} is listed.
+    """
+    polys = [f for f in polys if f]
+    if not polys:
+        return F.q ** e
+    polys.sort(key=len)
+    g = polys[0]
+    for f in polys[1:]:
+        if len(g) == 1:
+            break
+        g = _gcd(g, f, F)
+    if len(g) == 1:
+        return 0
+    if len(g) == 2:
+        r = F.mul(F.neg(g[0]), F.inv(g[1]))
+        return 1 if F.frob(r, e) == r else 0
+    g = _monic(g, F)
+    h = _x_power(F.q ** e, g, F)
+    h[1] = F.sub(h[1], F._one)
+    _trim(h)
+    return len(_gcd(g, h, F)) - 1
 
 
 def is_irreducible(coeffs, p: int) -> bool:
-    """Monic polynomial irreducibility over F_p.
+    """Monic polynomial irreducibility over F_p, by Rabin's test.
 
-    A monic f of degree m >= 2 is irreducible iff it has no irreducible
-    factor of degree <= m/2; gcd(x^(p^j) - x, f) collects exactly the
-    factors of degree dividing j, so scanning j = 1..m/2 decides it and
-    rejects composites as soon as a small factor shows up.
+    The coefficients are packed ints of F_p = field(p, 1, 1), the digits
+    themselves.  A monic f of degree m >= 2 is irreducible iff it has m
+    roots in F_{p^m}, so that it is squarefree with factors of degrees
+    dividing m, and none in F_p or in F_{p^(m/r)} for a prime r | m,
+    which rules out every such degree below m.
     """
     f = _trim(list(coeffs))
     m = len(f) - 1
@@ -157,22 +211,10 @@ def is_irreducible(coeffs, p: int) -> bool:
         return False
     if m == 1:
         return True
-    if f[0] == 0:  # divisible by t
-        return False
-    h = [0, 1]  # x
-    for _j in range(1, m // 2 + 1):
-        h = _poly_powmod(h, p, f, p)
-        g = list(h)
-        while len(g) < 2:
-            g.append(0)
-        g[1] = (g[1] - 1) % p
-        g = _trim(g)
-        if not g:
-            # x^(p^j) = x mod f: every factor has degree dividing j < m
-            return False
-        if len(_poly_gcd(g, f, p)) != 1:
-            return False
-    return True
+    Fp = field(p, 1, 1)
+    below = sorted({1} | {m // r for r in _prime_factors(m)})
+    return (not any(count_roots([f], Fp, e) for e in below)
+            and count_roots([f], Fp, m) == m)
 
 
 @lru_cache(maxsize=None)
@@ -193,22 +235,6 @@ def smallest_irreducible(p: int, m: int):
             if is_irreducible(cand, p):
                 return cand
     raise FieldError(f"no irreducible of degree {m} over F_{p}")  # unreachable
-
-
-
-
-def _prime_factors(n: int):
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -467,12 +493,11 @@ class Field:
         if p == 2:
             return ops
         # zech[k] = log(1 + alpha^k), or n where 1 + alpha^k = 0; adding 1
-        # steps the constant term, the most significant digit
-        wrap = (p - 1) * one
+        # steps the constant term, the most significant digit, mod p
         zech = array("I", [0]) * n
-        for k, x in enumerate(exp):
-            y = x + one if x < wrap else x - wrap
-            zech[k] = log[y] if y else n
+        y = (np.frombuffer(exp, dtype=np.uint32) + one) % size
+        np.frombuffer(zech, dtype=np.uint32)[:] = np.where(
+            y, np.frombuffer(log, dtype=np.uint32)[y], n)
         half = n // 2  # -1 = alpha^(n/2)
 
         def add(a, b):
@@ -494,59 +519,54 @@ class Field:
         return ops
 
     def _exp_log(self, alpha: int, mul):
-        """exp[i] = alpha^i for i < p^m - 1 and its inverse log, as arrays."""
+        """exp[i] = alpha^i for i < p^m - 1 and its inverse log, as arrays.
+
+        Built by doubling, exp[h:2h] = alpha^h * exp[:h]: x -> alpha^h * x
+        is F_p-linear, so each pass is one ``_block_map``, applied to a
+        chunk of the block at a time to keep the temporaries small.
+        """
         p, m, one = self.p, self.m, self._one
-        size = p ** m
-        n = size - 1
+        n = p ** m - 1
         exp = array("I", [0]) * n
-        log = array("I", [0]) * size
-        if p == 2:
-            # doubling: exp[h:2h] = alpha^h * exp[:h], and x -> alpha^h * x
-            # is F_2-linear, one table lookup per byte of x, done over a
-            # chunk of the block at a time to keep the temporaries small
-            powers = np.frombuffer(exp, dtype=np.uint32)
-            logs = np.frombuffer(log, dtype=np.uint32)
-            powers[0] = one
-            c, h = alpha, 1
-            while h < n:
-                cols = [mul(1 << (m - 1 - i), c) for i in range(m)]
-                tables = [np.array(t, dtype=np.uint32)
-                          for t in self._byte_tables(cols)]
-                width = min(h, n - h)
-                for lo in range(0, width, _CHUNK):
-                    x = powers[lo:min(lo + _CHUNK, width)]
-                    acc = tables[0][x & 255]
-                    for j, t in enumerate(tables[1:], 1):
-                        acc ^= t[x >> 8 * j & 255]
-                    powers[h + lo:h + lo + len(acc)] = acc
-                c, h = mul(c, c), 2 * h
-            for lo in range(0, n, _CHUNK):
-                hi = min(lo + _CHUNK, n)
-                logs[powers[lo:hi]] = np.arange(lo, hi, dtype=np.uint32)
-            return exp, log
-        # odd p: a first block of powers by multiplication; past 1024
-        # elements, block j is the first block times alpha^(j * block), one
-        # matrix product over F_p, with the block size balancing the two
-        block = n if n <= 1024 else isqrt(m * n) + 1
-        x = one
-        for i in range(block):
-            exp[i] = x
-            log[x] = i
-            x = mul(x, alpha)
-        if block == n:
-            return exp, log
+        log = array("I", [0]) * (n + 1)
         powers = np.frombuffer(exp, dtype=np.uint32)
-        place = p ** np.arange(m - 1, -1, -1, dtype=np.int64)
-        digits = powers[:block, None] // place % p
-        c = x
-        for start in range(block, n, block):
-            times_c = np.array([self.to_coeffs(mul(p ** (m - 1 - i), c))
-                                for i in range(m)], dtype=np.int64)
-            stop = min(start + block, n)
-            powers[start:stop] = digits[:stop - start] @ times_c % p @ place
-            c = mul(c, x)
-        np.frombuffer(log, dtype=np.uint32)[powers] = np.arange(n, dtype=np.uint32)
+        powers[0] = one
+        c, h = alpha, 1
+        while h < n:
+            times_c = self._block_map([mul(p ** (m - 1 - i), c)
+                                       for i in range(m)])
+            width = min(h, n - h)
+            for lo in range(0, width, _CHUNK):
+                hi = min(lo + _CHUNK, width)
+                powers[h + lo:h + hi] = times_c(powers[lo:hi])
+            c, h = mul(c, c), 2 * h
+        logs = np.frombuffer(log, dtype=np.uint32)
+        for lo in range(0, n, _CHUNK):
+            hi = min(lo + _CHUNK, n)
+            logs[powers[lo:hi]] = np.arange(lo, hi, dtype=np.uint32)
         return exp, log
+
+    def _block_map(self, cols):
+        """The F_p-linear map sending t^i to cols[i], on a numpy array of
+        packed ints below TABLE_CAP: one byte-table lookup per byte of x
+        for p = 2, and x's digits times the matrix of cols for odd p."""
+        p, m = self.p, self.m
+        if p == 2:
+            tables = [np.array(t, dtype=np.uint32)
+                      for t in self._byte_tables(cols)]
+
+            def apply(x):
+                acc = tables[0][x & 255]
+                for j, t in enumerate(tables[1:], 1):
+                    acc ^= t[x >> 8 * j & 255]
+                return acc
+            return apply
+        place = p ** np.arange(m - 1, -1, -1, dtype=np.int64)
+        matrix = np.array([self.to_coeffs(c) for c in cols], dtype=np.int64)
+
+        def apply(x):
+            return x[:, None] // place % p @ matrix % p @ place
+        return apply
 
     def _linear_map(self, cols):
         """x -> sum_i x_i cols[i]: the F_p-linear map sending t^i to cols[i]."""

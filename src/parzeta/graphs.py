@@ -9,12 +9,13 @@ point of this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .counting import (BudgetExceededError, DEFAULT_BUDGET, enumerate_points,
                        join, partial_count)
 from .fields import field
-from .polys import MorphismSpec, SparsePoly, VarietySpec, lcm
+from .polys import MorphismSpec, SparsePoly, VarietySpec
 from .zeta import ReconstructionResult, auto_reconstruct, weil_weight_check
 
 
@@ -53,7 +54,7 @@ class GraphSystem:
 
     @property
     def D(self) -> int:
-        return lcm(v.d for v in self.vertices)
+        return math.lcm(*(v.d for v in self.vertices))
 
 
 def graph_count_direct(G: GraphSystem, k: int,

@@ -10,7 +10,7 @@ stable across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+import math
 
 from .fields import Field, field
 
@@ -385,13 +385,6 @@ def parse_poly(text: str, varnames, base: Field) -> SparsePoly:
 # variety and morphism specifications
 # ---------------------------------------------------------------------------
 
-def lcm(values) -> int:
-    out = 1
-    for v in values:
-        out = out * v // gcd(out, v)
-    return out
-
-
 @dataclass(frozen=True)
 class VarietySpec:
     p: int
@@ -411,7 +404,7 @@ class VarietySpec:
 
     @property
     def D(self) -> int:
-        return lcm(self.profile)
+        return math.lcm(*self.profile)
 
     @property
     def base(self) -> Field:

@@ -58,6 +58,8 @@ class AutoReconstructError(ReconstructionError):
 
 
 class RootFindingError(RuntimeError):
+    status = "root-finding-failed"  # the report status
+
     def __init__(self, message, coeffs):
         super().__init__(message)
         self.coeffs = coeffs
@@ -470,10 +472,8 @@ def degree_sweep(X: VarietySpec, profiles, max_k: int = 12, holdout: int = 3,
             })
             wr = weil_weight_check(res.function, Xp.p ** Xp.s, tol=tol)
             row["weights"] = " ".join(str(w) for w in wr.weight_multiset())
-        except AutoReconstructError as exc:
+        except (AutoReconstructError, RootFindingError) as exc:
             row["status"] = exc.status
-        except RootFindingError:
-            row["status"] = "root-finding-failed"
         rows.append(row)
     return rows
 

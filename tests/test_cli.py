@@ -137,6 +137,17 @@ def test_bad_polynomial_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("equations", [5, None, "1"])
+def test_vertex_equations_not_a_list_exit_2(tmp_path, capsys, equations):
+    inst = json.loads((CORPUS / "g_selfloop_square.json").read_text())
+    inst["vertices"][0]["equations"] = equations
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(inst))
+    code, out, err = run(capsys, "graph", str(bad))
+    assert code == 2 and out == ""
+    assert err == "schema error: vertex 'equations' must be a list\n"
+
+
 def test_wrong_kind_exit_2(capsys):
     code, _, err = run(capsys, "zeta", str(CORPUS / "g_pair_shift.json"))
     assert code == 2

@@ -9,6 +9,7 @@ to a filter over the product of its blocks.
 """
 
 from itertools import product
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -17,8 +18,7 @@ from hypothesis import given, settings, strategies as st
 from parzeta.counting import (BudgetExceededError, count_roots, join,
                                partial_count)
 from parzeta.fields import Field, FieldElement, field
-from parzeta.polys import (SparsePoly, VarietySpec, base_field, lcm,
-                           parse_poly)
+from parzeta.polys import SparsePoly, VarietySpec, base_field, parse_poly
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -37,7 +37,7 @@ CASES = [(p, s, prof, k)
          for p in (2, 3) for s in (1, 2) for n in (1, 2, 3)
          for prof in product((1, 2, 3), repeat=n) for k in (1, 2)
          if (p ** s) ** (k * sum(prof)) <= 2 ** 10
-         and (p ** s) ** (k * lcm(prof)) <= 2 ** 12]
+         and (p ** s) ** (k * lcm(*prof)) <= 2 ** 12]
 
 
 @st.composite

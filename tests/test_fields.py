@@ -26,6 +26,32 @@ def test_modulus_is_lex_smallest():
     assert smallest_irreducible(2, 3) == best
 
 
+# smallest_irreducible(p, m) for m = 1, 2, ..., as digit strings from the
+# constant term up.  The modulus fixes every packed int, so a change here
+# would change every report.
+MODULI = {
+    2: ["01", "111", "1011", "10011", "100101", "1000011", "10000011",
+        "100011011", "1000000011", "10000001001", "100000000101",
+        "1000000001001", "10000000011011", "100000000100001",
+        "1000000000000011", "10000000000101011", "100000000000001001",
+        "1000000000000001001", "10000000000000100111",
+        "100000000000000001001", "1000000000000000000101",
+        "10000000000000000000011", "100000000000000000100001",
+        "1000000000000000000011011"],
+    3: ["01", "101", "1021", "10111", "100021", "1000111", "10000121",
+        "100001101", "1000002101", "10000000201", "100000000121",
+        "1000000010011"],
+    5: ["01", "111", "1011", "10111", "100041", "1000111"],
+    7: ["01", "101", "1011", "10011", "100031", "1000101"],
+}
+
+
+@pytest.mark.parametrize("p", sorted(MODULI))
+def test_moduli_are_pinned(p):
+    assert ["".join(map(str, smallest_irreducible(p, m)))
+            for m in range(1, len(MODULI[p]) + 1)] == MODULI[p]
+
+
 def test_element_count():
     assert len(list(field(2, 1, 3).elements())) == 8
     assert len(list(field(3, 2, 1).elements())) == 9

@@ -3,16 +3,63 @@
 Every operation is checked against ``_poly_mul``/``_poly_mod``/
 ``_poly_powmod`` on coefficient lists, for p in {2, 3, 5, 7} and degrees
 on both sides of TABLE_CAP, so the table path and the schoolbook path are
-each compared with code that shares nothing with them.
+each compared with code that shares nothing with them.  The same
+reference decides irreducibility by trial division, against the library's
+Rabin test.
 """
+
+from array import array
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from array import array
+from parzeta.fields import (TABLE_CAP, Field, _prime_factors, field,
+                            is_irreducible)
 
-from parzeta.fields import (TABLE_CAP, Field, _poly_mod, _poly_mul,
-                            _poly_powmod, _prime_factors, field)
+# ---------------------------------------------------------------------------
+# the reference: dense polynomials over F_p as coefficient lists, constant
+# term first, with no trailing zeros
+# ---------------------------------------------------------------------------
+
+
+def _trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return _trim(out)
+
+
+def _poly_mod(a, b, p):
+    """a mod b, for b with a nonzero leading coefficient."""
+    a = _trim(list(a))
+    inv_lead = pow(b[-1], p - 2, p)
+    while len(a) >= len(b):
+        c = a[-1] * inv_lead % p
+        shift = len(a) - len(b)
+        for i, bi in enumerate(b):
+            a[shift + i] = (a[shift + i] - c * bi) % p
+        _trim(a)
+    return a
+
+
+def _poly_powmod(base, e, modulus, p):
+    result = [1]
+    base = _poly_mod(base, modulus, p)
+    while e:
+        if e & 1:
+            result = _poly_mod(_poly_mul(result, base, p), modulus, p)
+        base = _poly_mod(_poly_mul(base, base, p), modulus, p)
+        e >>= 1
+    return result
+
 
 BELOW = [(2, 6), (2, 12), (2, 20), (3, 5), (3, 8), (5, 5), (7, 3)]
 ABOVE = [(2, 21), (3, 13), (5, 9), (7, 8)]
@@ -142,11 +189,20 @@ def test_tables_are_built_lazily():
     assert "mul" in vars(F) and "frob" in vars(F)
 
 
-@pytest.mark.parametrize("m", list(range(1, 13)) + [18])
-def test_doubling_exp_log_equals_sequential_build(m):
-    F = Field(2, 1, m)
+# (p, m) with tables built by 1 to 18 doublings; odd p reaches past 1024
+# elements.  The ids are m for p = 2 and p^m for odd p.
+EXP_LOG_SIZES = ([(2, m) for m in list(range(1, 13)) + [18]]
+                 + [(3, m) for m in range(1, 9)] + [(5, m) for m in range(1, 6)]
+                 + [(7, m) for m in range(1, 5)])
+
+
+@pytest.mark.parametrize("p, m", EXP_LOG_SIZES,
+                         ids=[str(m) if p == 2 else f"{p}^{m}"
+                              for p, m in EXP_LOG_SIZES])
+def test_doubling_exp_log_equals_sequential_build(p, m):
+    F = Field(p, 1, m)
     school = F._schoolbook()
-    n, one = 2 ** m - 1, F._one
+    n, one = p ** m - 1, F._one
     alpha = next(v for v in range(1, n + 1)
                  if all(school["pow"](v, n // r) != one
                         for r in _prime_factors(n)))
@@ -158,6 +214,29 @@ def test_doubling_exp_log_equals_sequential_build(m):
         log[x] = i
         x = school["mul"](x, alpha)
     assert F._exp_log(alpha, school["mul"]) == (exp, log)
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (3, 2), (3, 7), (5, 5), (7, 4)])
+def test_zech_table_adds_one_to_every_element(p, m):
+    # add(1, x) reads zech[log x], so this covers the whole Zech table
+    F = Field(p, 1, m)
+    one = F.one().value
+    for x in F.elements():
+        c = F.to_coeffs(x)
+        assert F.to_coeffs(F.add(one, x)) == ((c[0] + 1) % p,) + c[1:]
+
+
+@pytest.mark.parametrize("p, top", [(2, 8), (3, 5), (5, 4), (7, 3)])
+def test_is_irreducible_matches_trial_division(p, top):
+    # every monic polynomial of degree <= top against every monic divisor
+    # of degree 1 .. m/2
+    for m in range(1, top + 1):
+        divisors = [list(t) + [1] for d in range(1, m // 2 + 1)
+                    for t in product(range(p), repeat=d)]
+        for tail in product(range(p), repeat=m):
+            f = list(tail) + [1]
+            trial = all(_poly_mod(f, g, p) for g in divisors)
+            assert is_irreducible(f, p) == trial, f
 
 
 def test_filter_oracle_never_uses_the_frobenius_matrix(monkeypatch):
