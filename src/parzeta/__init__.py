@@ -3,13 +3,14 @@
 from .fields import Field, FieldElement, field, smallest_irreducible
 from .polys import (MorphismSpec, PolyParseError, SparsePoly, VarietySpec,
                     base_field, parse_poly)
-from .counting import (BudgetExceededError, CountTable, DEFAULT_BUDGET,
-                       classical_count, count_table, partial_count)
+from .counting import (BudgetExceededError, DEFAULT_BUDGET, classical_count,
+                       partial_count)
 from .zeta import (AutoReconstructError, NoSolutionError, NonIntegerError,
                    RationalFunctionZ, ReconstructionError,
                    ReconstructionResult, RootFindingError, TruncatedSeries,
                    WeightReport, auto_reconstruct, degree_sweep,
-                   pade_reconstruct, series_from_counts, weil_weight_check)
+                   pade_reconstruct, reconstruct_counts, series_from_counts,
+                   weil_weight_check)
 from .faltings import (FaltingsSpec, LemmaReport, build_faltings,
                        fixed_point_count, fixed_points, h_index, lemma_check,
                        sigma_apply, variety_points)

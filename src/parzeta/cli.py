@@ -211,10 +211,11 @@ def _zeta(X, args, budget):
         res = auto_reconstruct(X, args.max_k, holdout=args.holdout,
                                budget=budget)
     except AutoReconstructError as exc:
-        outputs.update(status=exc.status, counts=list(exc.table.counts))
-        return outputs, _enumeration_cost(X, exc.table.B), EXIT_NO_CONVERGENCE
+        outputs.update(status=exc.status, counts=list(exc.counts))
+        return (outputs, _enumeration_cost(X, len(exc.counts)),
+                EXIT_NO_CONVERGENCE)
     outputs.update(zeta=res.function.to_json_dict(), B_used=res.B_used,
-                   counts=list(res.table.counts))
+                   counts=list(res.counts))
     try:
         wr = weil_weight_check(res.function, X.p ** X.s, tol=args.tol)
     except RootFindingError as exc:

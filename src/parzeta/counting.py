@@ -41,7 +41,8 @@ such joins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import sys
 from itertools import product
 
 from .fields import Field, _trim, count_roots, field
@@ -51,21 +52,17 @@ DEFAULT_BUDGET = 10 ** 8
 
 
 class BudgetExceededError(RuntimeError):
+    """``cost`` is an int, or a pair (q, e) standing for q^e when that
+    number has too many digits to build or print."""
+
     def __init__(self, cost, budget, context=""):
-        msg = f"enumeration cost {cost} exceeds budget {budget}"
+        shown = f"{cost[0]}^{cost[1]}" if isinstance(cost, tuple) else cost
+        msg = f"enumeration cost {shown} exceeds budget {budget}"
         if context:
             msg += f" ({context})"
         super().__init__(msg)
         self.cost = cost
         self.budget = budget
-
-
-@dataclass(frozen=True)
-class CountTable:
-    variety: VarietySpec
-    counts: tuple
-    B: int
-    truncated: bool = False
 
 
 def ambient_field(X: VarietySpec, k: int) -> Field:
@@ -280,18 +277,21 @@ def partial_count(X: VarietySpec, k: int,
                   budget: int = DEFAULT_BUDGET) -> int:
     """Exact #X_{d_1,...,d_n}(k).
 
-    The budget is checked against the product of the domain sizes
-    q^(d_i k) before any subfield is materialised.
+    The budget is checked against the product of the domain sizes,
+    q^e with e = k sum d_i, before any subfield is materialised.
     """
     if k < 1:
         raise ValueError("k must be positive")
     q = X.p ** X.s
-    sizes = [q ** (d * k) for d in X.profile]
-    cost = 1
-    for size in sizes:
-        cost *= size
-    if cost > budget:
+    e = k * sum(X.profile)
+    # q^e >= 2^((bits(q) - 1) e): a power past the budget's bit length is
+    # refused from its exponent, before it is built
+    if (q.bit_length() - 1) * e >= budget.bit_length() or q ** e > budget:
+        # Python's default int-to-str limit when there is none
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+        cost = q ** e if e * math.log10(q) < digits - 1 else (q, e)
         raise BudgetExceededError(cost, budget, f"partial_count k={k}")
+    sizes = [q ** (d * k) for d in X.profile]
     used = set()
     for eq in X.equations:
         vs = eq.variables_used()
@@ -325,20 +325,6 @@ def partial_count(X: VarietySpec, k: int,
 
     return free * _search(X.equations, amb, X.base, order, domains, roots,
                           budget)
-
-
-def count_table(X: VarietySpec, B: int,
-                budget: int = DEFAULT_BUDGET) -> CountTable:
-    """N_1..N_B; stops at the first k over budget and flags truncation."""
-    counts = []
-    for k in range(1, B + 1):
-        try:
-            counts.append(partial_count(X, k, budget=budget))
-        except BudgetExceededError:
-            if not counts:
-                raise
-            return CountTable(X, tuple(counts), len(counts), truncated=True)
-    return CountTable(X, tuple(counts), B, truncated=False)
 
 
 def classical_count(X: VarietySpec, k: int, budget: int = DEFAULT_BUDGET) -> int:

@@ -16,7 +16,8 @@ from .counting import (BudgetExceededError, DEFAULT_BUDGET, enumerate_points,
                        join, partial_count)
 from .fields import field
 from .polys import MorphismSpec, SparsePoly, VarietySpec
-from .zeta import ReconstructionResult, auto_reconstruct, weil_weight_check
+from .zeta import (ReconstructionResult, WeightReport, auto_reconstruct,
+                   weil_weight_check)
 
 
 @dataclass(frozen=True)
@@ -122,20 +123,17 @@ class GraphReport:
     reduced_counts: tuple
     passed: bool
     reconstruction: ReconstructionResult
-    weight_report: object
+    weight_report: WeightReport
 
     def to_json_dict(self):
-        d = {
+        return {
             "direct_counts": list(self.direct_counts),
             "reduced_counts": list(self.reduced_counts),
             "counts_agree": self.passed,
+            "zeta": self.reconstruction.function.to_json_dict(),
+            "B_used": self.reconstruction.B_used,
+            "weights": self.weight_report.to_json_dict(),
         }
-        if self.reconstruction is not None:
-            d["zeta"] = self.reconstruction.function.to_json_dict()
-            d["B_used"] = self.reconstruction.B_used
-        if self.weight_report is not None:
-            d["weights"] = self.weight_report.to_json_dict()
-        return d
 
 
 def reduction_check(G: GraphSystem, k_max: int, max_k: int = 12,

@@ -6,13 +6,13 @@ algebra is one extended Euclid over the integers, `_euclid`.  Run on
 T^(N+1) and the series scaled by the lcm of its denominators, it gives
 the Pade candidate of degrees (dn, dd), N = dn + dd, already in lowest
 terms; a candidate is accepted only when it reproduces held-out series
-coefficients.  Every split (dn, dd) of one series walks the same rows,
-so one Euclid per series serves all its splits: `_pade_rows` keeps the
-rows of the last series only, because the deepening tries the splits of
-one series back to back.  Run on P and P', `_euclid` gives gcd(P, P')
-and the squarefree part for the weight report.  No floating point
-enters the certification path; floats appear only in the numerical
-weight report.
+coefficients.  `reconstruct_counts` is the one deepening over the number
+B of counts: per B it scales the series once and runs one Euclid, whose
+rows serve every split (dn, dd) of N = B - holdout.  `pade_reconstruct`
+is the one-split entry point; both take their candidate from the same
+row check.  Run on P and P', `_euclid` gives gcd(P, P') and the
+squarefree part for the weight report.  No floating point enters the
+certification path; floats appear only in the numerical weight report.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import (BudgetExceededError, CountTable, DEFAULT_BUDGET,
-                       partial_count)
+from .counting import BudgetExceededError, DEFAULT_BUDGET, partial_count
 from .polys import VarietySpec
 
 
@@ -45,16 +44,13 @@ class NonIntegerError(ReconstructionError):
 
 
 class AutoReconstructError(ReconstructionError):
-    """Budget exhausted without an accepted candidate."""
+    """No accepted candidate: ``status`` is the report status,
+    "budget-exceeded" or "no-acceptance", and ``counts`` the counts made."""
 
-    def __init__(self, message, table: CountTable):
+    def __init__(self, message, counts, status: str):
         super().__init__(message)
-        self.table = table
-
-    @property
-    def status(self) -> str:
-        """The report status: the budget ran out, or no candidate held."""
-        return "budget-exceeded" if self.table.truncated else "no-acceptance"
+        self.counts = tuple(counts)
+        self.status = status
 
 
 class RootFindingError(RuntimeError):
@@ -78,13 +74,11 @@ class TruncatedSeries:
 
 
 def series_from_counts(counts) -> TruncatedSeries:
-    """exp(sum N_k T^k / k) truncated at the length of the count table.
+    """exp(sum N_k T^k / k) truncated at the number of counts.
 
     k z_k = sum_j N_j z_{k-j}, so y_k = k! z_k is the integer
     sum_j N_j y_{k-j} (k-1)!/(k-j)!; only z_k = y_k / k! is a Fraction.
     """
-    if isinstance(counts, CountTable):
-        counts = counts.counts
     counts = list(counts)
     if not counts:
         raise ValueError("empty count table")
@@ -210,9 +204,39 @@ def _euclid(a, b):
 @functools.lru_cache(maxsize=1)
 def _pade_rows(y: tuple) -> tuple:
     """Every `_euclid` row of (T^(N+1), y), N + 1 = len(y), as tuples,
-    so that the cached rows cannot be mutated."""
+    so that the cached rows cannot be mutated.  One entry serves a caller
+    that tries one series' splits back to back through `pade_reconstruct`,
+    as the benchmark's own copy of the deepening does."""
     return tuple((tuple(r), tuple(t))
                  for r, t in _euclid([0] * len(y) + [1], y))
+
+
+def _scaled(z):
+    """(L, L z), L the lcm of the denominators of the Fractions z: P = Q z
+    mod T^(N+1) is homogeneous in z, so L z has the same solutions."""
+    L = math.lcm(*(v.denominator for v in z))
+    return L, [v.numerator * (L // v.denominator) for v in z]
+
+
+def _candidate(rows, dn: int, dd: int) -> RationalFunctionZ:
+    """The degree (dn, dd) candidate, with unit constant terms, from the
+    Euclid rows of one series y, else the ReconstructionError ruling it out:
+    the first row with deg r <= dn has deg t <= dd, and every solution
+    (r', t') of r' = t' y mod T^(N+1), deg r' <= dn, deg t' <= dd is
+    alpha (r, t) for a polynomial alpha; so when t(0) = 0, no solution
+    has Q(0) != 0.  gcd(r, t) divides T^(N+1): lowest terms already.
+    """
+    num, den = next((r, t) for r, t in rows if len(r) <= dn + 1)
+    if den[0] == 0:
+        raise NoSolutionError(f"no degree ({dn},{dd}) match")
+    if not num or num[0] == 0:
+        raise NoSolutionError("degenerate candidate with vanishing constant term")
+    n0, d0 = num[0], den[0]
+    if any(v % n0 for v in num) or any(v % d0 for v in den):
+        raise NonIntegerError(
+            f"degree ({dn},{dd}) candidate has non-integer coefficients")
+    return RationalFunctionZ(tuple(v // n0 for v in num),
+                             tuple(v // d0 for v in den))
 
 
 def pade_reconstruct(S: TruncatedSeries, dn: int, dd: int) -> RationalFunctionZ:
@@ -220,37 +244,11 @@ def pade_reconstruct(S: TruncatedSeries, dn: int, dd: int) -> RationalFunctionZ:
 
     The match is exact; the result is returned in lowest terms with
     integer coefficients and unit constant terms.
-
-    Every split of one series walks the same Euclid rows, so they come
-    from `_pade_rows`, which keeps one series' rows: the deepening tries
-    all splits of one series back to back, so one entry gives all the
-    sharing, and a larger cache would only remember earlier series, which
-    speeds up nothing but a repeated job.
     """
     if dn + dd + 1 > len(S.coeffs):
         raise ValueError("series too short for requested degrees")
-    z = S.coeffs[:dn + dd + 1]
-    # P = Q z mod T^(N+1) is homogeneous in z, so y = L z (L the lcm of
-    # the denominators) has the same solutions, with integer entries
-    L = math.lcm(*(v.denominator for v in z))
-    y = [v.numerator * (L // v.denominator) for v in z]
-    # The first Euclid row with deg r <= dn has deg t <= dd, and every
-    # solution (r', t') of r' = t' y mod T^(N+1), deg r' <= dn,
-    # deg t' <= dd is alpha (r, t) for a polynomial alpha; so when
-    # t(0) = 0, no solution has Q(0) != 0.
-    num, den = next((r, t) for r, t in _pade_rows(tuple(y))
-                    if len(r) <= dn + 1)
-    if den[0] == 0:
-        raise NoSolutionError(f"no degree ({dn},{dd}) match")
-    # gcd(num, den) divides T^(N+1) and den(0) != 0: lowest terms already
-    if not num or num[0] == 0:
-        raise NoSolutionError("degenerate candidate with vanishing constant term")
-    n0, d0 = num[0], den[0]
-    if any(v % n0 for v in num) or any(v % d0 for v in den):
-        raise NonIntegerError(
-            f"degree ({dn},{dd}) candidate has non-integer coefficients")
-    R = RationalFunctionZ(tuple(v // n0 for v in num),
-                          tuple(v // d0 for v in den))
+    L, y = _scaled(S.coeffs[:dn + dd + 1])
+    R = _candidate(_pade_rows(tuple(y)), dn, dd)
     # guard: the normalised candidate must still match through order
     # dn + dd; it rejects a series whose z_0 is not 1
     if [v * L for v in R.expand(dn + dd)] != y:
@@ -262,7 +260,7 @@ def pade_reconstruct(S: TruncatedSeries, dn: int, dd: int) -> RationalFunctionZ:
 class ReconstructionResult:
     function: RationalFunctionZ
     B_used: int
-    table: CountTable
+    counts: tuple  # N_1 .. N_B_used
     holdout: int
 
 
@@ -272,41 +270,55 @@ def _split_order(total: int):
     return splits
 
 
-def auto_reconstruct(X: VarietySpec, max_k: int, holdout: int = 3,
-                     budget: int = DEFAULT_BUDGET) -> ReconstructionResult:
-    """Iterative-deepening reconstruction with held-out verification.
-
-    For B = 2, 3, ... the candidate degrees split dn + dd = B - holdout and
-    the first candidate reproducing the held-out coefficients wins.
-    """
+def reconstruct_counts(count_at, max_k: int,
+                       holdout: int = 3) -> ReconstructionResult | None:
+    """Iterative-deepening reconstruction with held-out verification: for
+    B = 2, ..., max_k, fetch N_1..N_B by ``count_at(k)``, once per k in
+    increasing k, then accept the first split dn + dd = B - holdout, in
+    `_split_order`, whose candidate reproduces all B + 1 series
+    coefficients.  None when nothing is accepted up to max_k."""
     if holdout < 1:
         raise ValueError("holdout must be at least 1")
     counts = []
     for B in range(2, max_k + 1):
         while len(counts) < B:
-            k = len(counts) + 1
-            try:
-                counts.append(partial_count(X, k, budget=budget))
-            except BudgetExceededError as exc:
-                table = CountTable(X, tuple(counts), len(counts), truncated=True)
-                raise AutoReconstructError(
-                    f"budget exhausted at k={k} without acceptance", table) from exc
+            counts.append(count_at(len(counts) + 1))
         total = B - holdout
         if total < 0:
             continue
-        S = series_from_counts(counts[:B])
+        L, y = _scaled(series_from_counts(counts).coeffs)
+        rows = _pade_rows(tuple(y[:total + 1]))
         for dn, dd in _split_order(total):
             try:
-                R = pade_reconstruct(S, dn, dd)
+                R = _candidate(rows, dn, dd)
             except ReconstructionError:
                 continue
-            expansion = R.expand(B)
-            if all(Fraction(expansion[k]) == S.coeffs[k] for k in range(B + 1)):
-                table = CountTable(X, tuple(counts[:B]), B)
-                return ReconstructionResult(R, B, table, holdout)
-    table = CountTable(X, tuple(counts), len(counts), truncated=False)
-    raise AutoReconstructError(
-        f"no candidate accepted up to max_k={max_k}", table)
+            if [v * L for v in R.expand(B)] == y:
+                return ReconstructionResult(R, B, tuple(counts), holdout)
+    return None
+
+
+def auto_reconstruct(X: VarietySpec, max_k: int, holdout: int = 3,
+                     budget: int = DEFAULT_BUDGET) -> ReconstructionResult:
+    """`reconstruct_counts` over the partial counts of X; AutoReconstructError
+    with the counts made when the budget runs out or nothing is accepted."""
+    counts = []
+
+    def count_at(k):
+        counts.append(partial_count(X, k, budget=budget))
+        return counts[-1]
+
+    try:
+        res = reconstruct_counts(count_at, max_k, holdout)
+    except BudgetExceededError as exc:
+        raise AutoReconstructError(
+            f"budget exhausted at k={len(counts) + 1} without acceptance",
+            counts, "budget-exceeded") from exc
+    if res is None:
+        raise AutoReconstructError(
+            f"no candidate accepted up to max_k={max_k}", counts,
+            "no-acceptance")
+    return res
 
 
 # ---------------------------------------------------------------------------

@@ -159,7 +159,7 @@ def test_criterion_5_weil_weights(reconstructions, graph_reports):
 def test_criterion_6_integrality(reconstructions):
     ok = True
     for name, (X, res) in reconstructions.items():
-        S = series_from_counts(res.table.counts)
+        S = series_from_counts(res.counts)
         if not S.all_integral():
             ok = False
         coeffs = res.function.num + res.function.den

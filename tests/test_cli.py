@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -182,6 +183,30 @@ def test_file_budget_override(tmp_path, capsys):
     code, rep = run_json(capsys, "count", str(f), "-k", "2",
                          "--budget", "1000")
     assert code == 0
+
+
+@pytest.mark.parametrize("d", [20000, 10 ** 12])
+def test_huge_profile_entry_refused_from_the_exponent(tmp_path, capsys, d):
+    # 2^(d + 1) tuples: too many digits to print, or to build at all
+    inst = {"kind": "variety", "p": 2, "s": 1, "n": 2,
+            "equations": ["x1 + x2"], "profile": [d, 1]}
+    f = tmp_path / "inst.json"
+    f.write_text(json.dumps(inst))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "count", str(f), "--budget", "1000")
+    assert code == 3 and out == ""
+    assert err == (f"budget exceeded: enumeration cost 2^{d + 1} exceeds "
+                   "budget 1000 (partial_count k=1)\n")
+    code, rep = run_json(capsys, "zeta", str(f), "--budget", "1000")
+    assert code == 4
+    assert rep["outputs"]["status"] == "budget-exceeded"
+    assert rep["outputs"]["counts"] == []
+    code, rep = run_json(capsys, "sweep", str(f), f"{d},1", "1,1",
+                         "--budget", "1000")
+    assert code == 4
+    assert [row["status"] for row in rep["outputs"]["rows"]] == \
+        ["budget-exceeded", "ok"]
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_zeta_root_finding_failure_keeps_workers(capsys, monkeypatch):

@@ -1,7 +1,7 @@
 import pytest
 
 from parzeta.counting import (BudgetExceededError, classical_count,
-                              count_table, partial_count)
+                              partial_count)
 from parzeta.polys import VarietySpec, base_field, parse_poly
 
 F2 = base_field(2, 1)
@@ -68,17 +68,33 @@ def test_budget_enforced():
         partial_count(X, 4, budget=100)
 
 
-def test_count_table_truncation():
-    X = V(2, 1, 2, [], (1, 1))
-    table = count_table(X, 6, budget=300)
-    assert table.truncated
-    assert table.counts == (4, 16, 64, 256)  # k=5 would cost 1024
+@pytest.mark.parametrize("d", [20000, 10 ** 12])
+def test_budget_refusal_from_the_exponent(d):
+    # 2^(d + 1) has too many digits to print, or to build at all: the
+    # refusal names it as a power
+    X = V(2, 1, 2, ["x1 + x2"], (d, 1))
+    with pytest.raises(BudgetExceededError) as exc:
+        partial_count(X, 1, budget=1000)
+    assert exc.value.cost == (2, d + 1)
+    assert str(exc.value) == (f"enumeration cost 2^{d + 1} exceeds budget "
+                              "1000 (partial_count k=1)")
 
 
-def test_count_table_full():
-    table = count_table(DIAG, 4)
-    assert not table.truncated
-    assert table.counts == (2, 4, 8, 16)
+@pytest.mark.parametrize("q, budget", [(2, 1), (2, 1023), (2, 1024),
+                                       (3, 3 ** 40 - 1), (3, 3 ** 40),
+                                       (4, 10 ** 8), (9, 10 ** 300)])
+def test_budget_exponent_boundary(q, budget):
+    # the largest e with q^e <= budget runs, e + 1 is refused with q^(e+1)
+    p, s = {2: (2, 1), 3: (3, 1), 4: (2, 2), 9: (3, 2)}[q]
+    e = 0
+    while q ** (e + 1) <= budget:
+        e += 1
+    X = V(p, s, 1, [], (1,))
+    if e:
+        assert partial_count(X, e, budget=budget) == q ** e
+    with pytest.raises(BudgetExceededError) as exc:
+        partial_count(X, e + 1, budget=budget)
+    assert exc.value.cost == q ** (e + 1)
 
 
 def test_invalid_k():

@@ -9,11 +9,12 @@ from parzeta.polys import VarietySpec, base_field, parse_poly
 from parzeta.zeta import (AutoReconstructError, NoSolutionError,
                           RationalFunctionZ, TruncatedSeries,
                           auto_reconstruct, degree_sweep, pade_reconstruct,
-                          series_from_counts, sweep_rows_to_csv,
-                          weil_weight_check)
+                          reconstruct_counts, series_from_counts,
+                          sweep_rows_to_csv, weil_weight_check)
 from parzeta import zeta
 from parzeta.zeta import (NonIntegerError, ReconstructionError, RootFindingError,
-                          _euclid, _pade_rows, _reciprocal_roots, _simple_roots)
+                          _euclid, _pade_rows, _reciprocal_roots, _simple_roots,
+                          _split_order)
 
 # the Mersenne prime 2^61 - 1: pinned inputs built on it agree mod p but
 # differ over Q
@@ -119,8 +120,26 @@ def test_auto_reconstruct_reports_budget():
     X = V(2, 1, 3, [], (1, 1, 1))
     with pytest.raises(AutoReconstructError) as exc:
         auto_reconstruct(X, 10, budget=600)
-    assert exc.value.table.truncated
-    assert exc.value.table.counts == (8, 64, 512)
+    assert exc.value.status == "budget-exceeded"
+    assert exc.value.counts == (8, 64, 512)
+
+
+def test_auto_reconstruct_truncated_counts():
+    # N_k = 4^k; with 4 held out nothing fits N_1..N_4, and N_5 would
+    # cost 1024 tuples
+    X = V(2, 1, 2, [], (1, 1))
+    with pytest.raises(AutoReconstructError) as exc:
+        auto_reconstruct(X, 6, holdout=4, budget=300)
+    assert exc.value.status == "budget-exceeded"
+    assert exc.value.counts == (4, 16, 64, 256)
+
+
+def test_auto_reconstruct_counts_through_max_k():
+    X = V(2, 1, 2, ["x1 + x2"], (1, 1))
+    with pytest.raises(AutoReconstructError) as exc:
+        auto_reconstruct(X, 4, holdout=4)
+    assert exc.value.status == "no-acceptance"
+    assert exc.value.counts == (2, 4, 8, 16)
 
 
 def test_reconstructed_counts_match_fresh_enumeration():
@@ -579,9 +598,9 @@ def pade_fresh_euclid(S: TruncatedSeries, dn: int, dd: int) -> RationalFunctionZ
 
 
 @st.composite
-def weil_factor(draw):
-    """1 - a T + q^w T^2 with a^2 <= 4 q^w, or 1 -/+ q^w T."""
-    qw = draw(st.sampled_from([2, 3, 4, 5, 7, 9])) ** draw(st.integers(0, 2))
+def weil_factor(draw, qs=(2, 3, 4, 5, 7, 9)):
+    """1 - a T + q^w T^2 with a^2 <= 4 q^w, or 1 -/+ q^w T, q in qs."""
+    qw = draw(st.sampled_from(qs)) ** draw(st.integers(0, 2))
     if draw(st.booleans()):
         bound = math.isqrt(4 * qw)
         return [1, -draw(st.integers(-bound, bound)), qw]
@@ -642,6 +661,109 @@ def test_pade_rows_are_immutable_and_shared():
     assert all(isinstance(r, tuple) and isinstance(t, tuple) for r, t in rows)
     assert [(list(r), list(t)) for r, t in rows] == \
         list(_euclid([0] * 6 + [1], list(y)))
+
+
+# ---------------------------------------------------------------------------
+# reconstruct_counts against a deepening of one pade_reconstruct per split
+# ---------------------------------------------------------------------------
+
+def deepening_per_split(counts, max_k, holdout):
+    """(P/Q, B) or None: the deepening over B with one `pade_reconstruct`
+    per split, accepting the first candidate whose expansion equals the
+    series coefficient by coefficient, as Fractions."""
+    for B in range(2, max_k + 1):
+        total = B - holdout
+        if total < 0:
+            continue
+        S = series_from_counts(counts[:B])
+        for dn, dd in _split_order(total):
+            try:
+                R = pade_reconstruct(S, dn, dd)
+            except ReconstructionError:
+                continue
+            expansion = R.expand(B)
+            if all(Fraction(expansion[k]) == S.coeffs[k]
+                   for k in range(B + 1)):
+                return R, B
+    return None
+
+
+@st.composite
+def weil_product_counts(draw):
+    """(counts, max_k, holdout): N_1..N_max_k of a product of Weil factors
+    over one q in {2, 3, 4, 5} on each side, one count sometimes off by
+    one, so that some deepenings end with no acceptance."""
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    sides = []
+    for _ in range(2):
+        P = [1]
+        for f in draw(st.lists(weil_factor(qs=(q,)), max_size=4)):
+            P = _pmul(P, f)
+        sides.append(tuple(P))
+    R = RationalFunctionZ(*sides)
+    holdout = draw(st.integers(1, 4))
+    # about enough counts to see the whole P/Q, give or take three
+    max_k = max(1, R.total_degree() + holdout + draw(st.integers(-3, 3)))
+    counts = R.counts(max_k)
+    if draw(st.integers(0, 3)) == 0:
+        counts[draw(st.integers(0, max_k - 1))] += draw(st.sampled_from([-1, 1]))
+    return counts, max_k, holdout
+
+
+def _recording(counts):
+    calls = []
+
+    def count_at(k):
+        calls.append(k)
+        return counts[k - 1]
+
+    return count_at, calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(weil_product_counts())
+def test_reconstruct_counts_matches_per_split_deepening(case):
+    counts, max_k, holdout = case
+    count_at, calls = _recording(counts)
+    res = reconstruct_counts(count_at, max_k, holdout)
+    ref = deepening_per_split(counts, max_k, holdout)
+    if ref is None:
+        assert res is None
+        assert calls == list(range(1, max_k + 1) if max_k >= 2 else [])
+    else:
+        R, B = ref
+        assert (res.function, res.B_used, res.holdout) == (R, B, holdout)
+        assert res.counts == tuple(counts[:B])
+        assert calls == list(range(1, B + 1))
+
+
+def test_reconstruct_counts_fetches_counts_below_holdout():
+    # max_k < holdout: nothing is tried, yet N_1..N_max_k are made, so a
+    # refusal reports them
+    count_at, calls = _recording([2, 4, 8])
+    assert reconstruct_counts(count_at, 2, holdout=3) is None
+    assert calls == [1, 2]
+    X = V(2, 1, 2, ["x1 + x2"], (1, 1))
+    with pytest.raises(AutoReconstructError) as exc:
+        auto_reconstruct(X, 2)
+    assert exc.value.status == "no-acceptance"
+    assert exc.value.counts == (2, 4)
+
+
+def test_reconstruct_counts_calls_once_per_k_in_order():
+    counts = RationalFunctionZ((1, -1, 2), (1, -3, 4)).counts(12)
+    count_at, calls = _recording(counts)
+    res = reconstruct_counts(count_at, 12)
+    assert res.function == RationalFunctionZ((1, -1, 2), (1, -3, 4))
+    assert res.B_used == 7 and res.counts == tuple(counts[:7])
+    assert calls == list(range(1, 8))
+
+
+def test_reconstruct_counts_rejects_holdout_zero():
+    count_at, calls = _recording([2, 4, 8])
+    with pytest.raises(ValueError):
+        reconstruct_counts(count_at, 3, holdout=0)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
