@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .counting import BudgetExceededError, DEFAULT_BUDGET, enumerate_points
+from .counting import DEFAULT_BUDGET, check_cost, enumerate_points
 from .fields import Field, field
 from .polys import SparsePoly
 
@@ -47,8 +47,8 @@ def _domains(inst: ASInstance):
     """The ambient F_{q^d}, its elements (the x-domain, a range) and F_q
     (the y-domain).
 
-    Callers check their budget, from len(xs) = q^d and len(ys) = q, before
-    calling this, so nothing is built for a refused instance.
+    Both counts pass ``check_cost`` before calling this, and ``bound_check``
+    counts first, so a refused instance builds nothing.
     """
     amb = field(inst.p, inst.s, inst.d)
     return amb, amb.elements(), amb.subfield(1, method="span")
@@ -56,10 +56,8 @@ def _domains(inst: ASInstance):
 
 def as_count_brute(inst: ASInstance, budget: int = DEFAULT_BUDGET) -> int:
     """Full enumeration over (x_0, x, y)."""
-    q, d = inst.q, inst.d
-    cost = q ** (d * (inst.n + 1)) * q ** inst.nprime
-    if cost > budget:
-        raise BudgetExceededError(cost, budget, "as_count_brute")
+    check_cost(inst.q, inst.d * (inst.n + 1) + inst.nprime, budget,
+               "as_count_brute")
     amb, xs, ys = _domains(inst)
     # x_0^p - x_0 for every x_0, scanned in full for each right-hand side
     lhs = [amb.sub(amb.pow(x0, inst.p), x0) for x0 in xs]
@@ -85,10 +83,8 @@ def trace_to_prime(amb: Field, x: int) -> int:
 
 def as_count_trace(inst: ASInstance, budget: int = DEFAULT_BUDGET) -> int:
     """Trace oracle: x_0^p - x_0 = c has p solutions iff Tr(c) = 0, else none."""
-    q, d = inst.q, inst.d
-    cost = q ** (d * inst.n) * q ** inst.nprime
-    if cost > budget:
-        raise BudgetExceededError(cost, budget, "as_count_trace")
+    check_cost(inst.q, inst.d * inst.n + inst.nprime, budget,
+               "as_count_trace")
     amb, xs, ys = _domains(inst)
     count = 0
     for xy in product(*([xs] * inst.n + [ys] * inst.nprime)):
@@ -203,6 +199,12 @@ class BoundReport:
 def bound_check(inst: ASInstance, e_max: int = 2,
                 budget: int = DEFAULT_BUDGET) -> BoundReport:
     """Exact count both ways, hypothesis flags, and the squared comparison."""
+    # the counts refuse from their exponents, so count before building
+    n_brute = as_count_brute(inst, budget=budget)
+    n_trace = as_count_trace(inst, budget=budget)
+    if n_brute != n_trace:
+        raise OracleMismatchError(
+            f"brute count {n_brute} != trace count {n_trace}")
     fr, r = inst.f.leading_form()
     p, q, d, n, nn = inst.p, inst.q, inst.d, inst.n, inst.nprime
     p_div_r = (r % p == 0)
@@ -215,11 +217,6 @@ def bound_check(inst: ASInstance, e_max: int = 2,
     else:
         witness = singular_search(form_sum, e_max, budget=budget)
         status = "singular" if witness is not None else "heuristic-pass"
-    n_brute = as_count_brute(inst, budget=budget)
-    n_trace = as_count_trace(inst, budget=budget)
-    if n_brute != n_trace:
-        raise OracleMismatchError(
-            f"brute count {n_brute} != trace count {n_trace}")
     e_tot = d * n + nn
     main = q ** e_tot
     deviation = abs(n_brute - main)

@@ -65,8 +65,16 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
-def ambient_field(X: VarietySpec, k: int) -> Field:
-    return field(X.p, X.s, X.D * k)
+def check_cost(q: int, e: int, budget: int, context: str) -> None:
+    """Refuse q^e tuples over ``budget`` before they are enumerated; the
+    refusal's ``cost`` is q^e or, when too long to print, the pair (q, e)."""
+    # q^e >= 2^((bits(q) - 1) e): a power past the budget's bit length is
+    # refused from its exponent, before it is built
+    if (q.bit_length() - 1) * e >= budget.bit_length() or q ** e > budget:
+        # Python's default int-to-str limit when there is none
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+        cost = q ** e if e * math.log10(q) < digits - 1 else (q, e)
+        raise BudgetExceededError(cost, budget, context)
 
 
 # ---------------------------------------------------------------------------
@@ -273,24 +281,20 @@ def _frobenius_orbits(values, frob):
     return weight
 
 
+def partial_count_check(X: VarietySpec, k: int, budget: int) -> None:
+    """partial_count's refusal at level k: the product of the domain
+    sizes, q^e with e = k sum d_i, over the budget."""
+    check_cost(X.p ** X.s, k * sum(X.profile), budget, f"partial_count k={k}")
+
+
 def partial_count(X: VarietySpec, k: int,
                   budget: int = DEFAULT_BUDGET) -> int:
-    """Exact #X_{d_1,...,d_n}(k).
-
-    The budget is checked against the product of the domain sizes,
-    q^e with e = k sum d_i, before any subfield is materialised.
-    """
+    """Exact #X_{d_1,...,d_n}(k), refused by ``partial_count_check``
+    before any subfield is materialised."""
     if k < 1:
         raise ValueError("k must be positive")
+    partial_count_check(X, k, budget)
     q = X.p ** X.s
-    e = k * sum(X.profile)
-    # q^e >= 2^((bits(q) - 1) e): a power past the budget's bit length is
-    # refused from its exponent, before it is built
-    if (q.bit_length() - 1) * e >= budget.bit_length() or q ** e > budget:
-        # Python's default int-to-str limit when there is none
-        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
-        cost = q ** e if e * math.log10(q) < digits - 1 else (q, e)
-        raise BudgetExceededError(cost, budget, f"partial_count k={k}")
     sizes = [q ** (d * k) for d in X.profile]
     used = set()
     for eq in X.equations:
@@ -306,7 +310,7 @@ def partial_count(X: VarietySpec, k: int,
         return free
     last = max(used, key=lambda i: (sizes[i], i))
     order = sorted(used - {last}, key=lambda i: (-sizes[i], i)) + [last]
-    amb = ambient_field(X, k)
+    amb = field(X.p, X.s, X.D * k)
     domains = [amb.subfield(X.profile[i] * k, method="span")
                for i in order[:-1]]
     e_last = X.profile[last] * k
@@ -333,10 +337,8 @@ def classical_count(X: VarietySpec, k: int, budget: int = DEFAULT_BUDGET) -> int
     Independent of the subfield machinery; used to cross-check the
     profile (1,...,1) case.
     """
+    check_cost(X.p ** X.s, k * X.n, budget, f"classical_count k={k}")
     amb = field(X.p, X.s, k)
-    cost = amb.size() ** X.n
-    if cost > budget:
-        raise BudgetExceededError(cost, budget, f"classical_count k={k}")
     count = 0
     for point in product(amb.elements(), repeat=X.n):
         if not any(eq.evaluate(point, amb) for eq in X.equations):

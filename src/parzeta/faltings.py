@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .counting import DEFAULT_BUDGET, enumerate_points, join, partial_count
+from .counting import (DEFAULT_BUDGET, enumerate_points, join, partial_count,
+                       partial_count_check)
 from .fields import Field, field
 from .polys import SparsePoly, VarietySpec
 
@@ -228,6 +229,8 @@ class LemmaReport:
 def lemma_check(X: VarietySpec, k_max: int, morphisms=None,
                 budget: int = DEFAULT_BUDGET) -> LemmaReport:
     """Compare the partial count with the fixed-point count for all valid a."""
+    if morphisms is None:  # the first count's refusal, before Y is built
+        partial_count_check(X, 1, budget)
     spec = build_faltings(X, morphisms=morphisms)
     d = spec.d
     twists = [a for a in range(1, d + 1) if gcd(a, d) == 1]

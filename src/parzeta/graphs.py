@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .counting import (BudgetExceededError, DEFAULT_BUDGET, enumerate_points,
-                       join, partial_count)
+                       join, partial_count, partial_count_check)
 from .fields import field
 from .polys import MorphismSpec, SparsePoly, VarietySpec
 from .zeta import (ReconstructionResult, WeightReport, auto_reconstruct,
@@ -141,6 +141,7 @@ def reduction_check(G: GraphSystem, k_max: int, max_k: int = 12,
                     budget: int = DEFAULT_BUDGET) -> GraphReport:
     """Direct counts vs the reduction for k <= k_max, then the graph zeta."""
     X, _ = fibred_product_reduce(G)
+    partial_count_check(X, 1, budget)  # before the direct count's field
     direct = tuple(graph_count_direct(G, k, budget=budget)
                    for k in range(1, k_max + 1))
     reduced = tuple(partial_count(X, k, budget=budget)

@@ -65,10 +65,6 @@ class RootFindingError(RuntimeError):
 class TruncatedSeries:
     coeffs: tuple  # Fractions z_0 .. z_B
 
-    @property
-    def B(self) -> int:
-        return len(self.coeffs) - 1
-
     def all_integral(self) -> bool:
         return all(z.denominator == 1 for z in self.coeffs)
 

@@ -193,10 +193,11 @@ def test_huge_profile_entry_refused_from_the_exponent(tmp_path, capsys, d):
     f = tmp_path / "inst.json"
     f.write_text(json.dumps(inst))
     t0 = time.perf_counter()
-    code, out, err = run(capsys, "count", str(f), "--budget", "1000")
-    assert code == 3 and out == ""
-    assert err == (f"budget exceeded: enumeration cost 2^{d + 1} exceeds "
-                   "budget 1000 (partial_count k=1)\n")
+    for sub in ("count", "faltings"):
+        code, out, err = run(capsys, sub, str(f), "--budget", "1000")
+        assert code == 3 and out == ""
+        assert err == (f"budget exceeded: enumeration cost 2^{d + 1} exceeds "
+                       "budget 1000 (partial_count k=1)\n")
     code, rep = run_json(capsys, "zeta", str(f), "--budget", "1000")
     assert code == 4
     assert rep["outputs"]["status"] == "budget-exceeded"
@@ -207,6 +208,36 @@ def test_huge_profile_entry_refused_from_the_exponent(tmp_path, capsys, d):
     assert [row["status"] for row in rep["outputs"]["rows"]] == \
         ["budget-exceeded", "ok"]
     assert time.perf_counter() - t0 < 1.0
+
+
+def _as_with_d(d):
+    return {**json.loads((CORPUS / "as_linear_f2.json").read_text()), "d": d}
+
+
+def _graph_with_u_at(d):
+    inst = json.loads((CORPUS / "g_cycle3_square.json").read_text())
+    inst["vertices"][0]["d"] = d
+    return inst
+
+
+@pytest.mark.parametrize("sub, inst, cost, context", [
+    ("as", _as_with_d(20000), "2^40001", "as_count_brute"),
+    ("as", _as_with_d(10 ** 12), f"2^{2 * 10 ** 12 + 1}", "as_count_brute"),
+    # the fibred product's profile is (d, 1, 1)
+    ("graph", _graph_with_u_at(200), str(2 ** 202), "partial_count k=1"),
+    ("graph", _graph_with_u_at(10 ** 12), f"2^{10 ** 12 + 2}",
+     "partial_count k=1"),
+], ids=["as-20000", "as-10^12", "graph-200", "graph-10^12"])
+def test_huge_level_refused_before_anything_is_built(tmp_path, capsys, sub,
+                                                     inst, cost, context):
+    f = tmp_path / "inst.json"
+    f.write_text(json.dumps(inst))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, sub, str(f), "--budget", "1000")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and out == ""
+    assert err == (f"budget exceeded: enumeration cost {cost} exceeds "
+                   f"budget 1000 ({context})\n")
 
 
 def test_zeta_root_finding_failure_keeps_workers(capsys, monkeypatch):

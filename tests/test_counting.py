@@ -1,8 +1,12 @@
+import time
+
 import pytest
 
+from parzeta import artin_schreier, counting
+from parzeta.artin_schreier import ASInstance, as_count_brute, as_count_trace
 from parzeta.counting import (BudgetExceededError, classical_count,
                               partial_count)
-from parzeta.polys import VarietySpec, base_field, parse_poly
+from parzeta.polys import SparsePoly, VarietySpec, base_field, parse_poly
 
 F2 = base_field(2, 1)
 F3 = base_field(3, 1)
@@ -68,33 +72,82 @@ def test_budget_enforced():
         partial_count(X, 4, budget=100)
 
 
+def _as_inst(p, s, nprime, d=1):
+    # f = x1 with n = 1: the brute count enumerates q^(2d + n') tuples,
+    # the trace count q^(d + n')
+    f = SparsePoly.var(1 + nprime, base_field(p, s), 0)
+    return ASInstance(p, s, 1, nprime, d, f)
+
+
 @pytest.mark.parametrize("d", [20000, 10 ** 12])
 def test_budget_refusal_from_the_exponent(d):
-    # 2^(d + 1) has too many digits to print, or to build at all: the
-    # refusal names it as a power
-    X = V(2, 1, 2, ["x1 + x2"], (d, 1))
-    with pytest.raises(BudgetExceededError) as exc:
-        partial_count(X, 1, budget=1000)
-    assert exc.value.cost == (2, d + 1)
-    assert str(exc.value) == (f"enumeration cost 2^{d + 1} exceeds budget "
-                              "1000 (partial_count k=1)")
+    # 2^e has too many digits to print, or to build at all: each count
+    # refuses within a second and names it as a power
+    runs = [
+        (lambda: partial_count(V(2, 1, 2, ["x1 + x2"], (d, 1)), 1,
+                               budget=1000), d + 1, "partial_count k=1"),
+        (lambda: classical_count(V(2, 1, 1, [], (1,)), d, budget=1000),
+         d, f"classical_count k={d}"),
+        (lambda: as_count_brute(_as_inst(2, 1, 1, d), budget=1000),
+         2 * d + 1, "as_count_brute"),
+        (lambda: as_count_trace(_as_inst(2, 1, 1, d), budget=1000),
+         d + 1, "as_count_trace"),
+    ]
+    for run, e, context in runs:
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceededError) as exc:
+            run()
+        assert time.perf_counter() - t0 < 1.0, context
+        assert exc.value.cost == (2, e)
+        assert str(exc.value) == (f"enumeration cost 2^{e} exceeds budget "
+                                  f"1000 ({context})")
+
+
+# counter -> (the least exponent of q it can cost, a run at cost q^e)
+BOUNDARY_RUNS = {
+    "partial_count": (1, lambda p, s, e, budget: partial_count(
+        V(p, s, 1, [], (1,)), e, budget=budget)),
+    "classical_count": (1, lambda p, s, e, budget: classical_count(
+        V(p, s, 1, [], (1,)), e, budget=budget)),
+    "as_count_brute": (3, lambda p, s, e, budget: as_count_brute(
+        _as_inst(p, s, e - 2), budget=budget)),
+    "as_count_trace": (2, lambda p, s, e, budget: as_count_trace(
+        _as_inst(p, s, e - 1), budget=budget)),
+}
+
+
+class FieldBuilt(Exception):
+    """Raised in place of a field build: the count passed its budget check."""
 
 
 @pytest.mark.parametrize("q, budget", [(2, 1), (2, 1023), (2, 1024),
                                        (3, 3 ** 40 - 1), (3, 3 ** 40),
                                        (4, 10 ** 8), (9, 10 ** 300)])
-def test_budget_exponent_boundary(q, budget):
-    # the largest e with q^e <= budget runs, e + 1 is refused with q^(e+1)
+def test_budget_exponent_boundary(monkeypatch, q, budget):
+    # for each count, the largest e with q^e <= budget passes the shared
+    # check, and every larger exponent is refused with cost q^e.
+    # partial_count counts the free variety outright; the other counts
+    # enumerate all q^e tuples, so they are stopped where they would build
+    # their field
+    def built(*args):
+        raise FieldBuilt
+
+    monkeypatch.setattr(counting, "field", built)
+    monkeypatch.setattr(artin_schreier, "field", built)
     p, s = {2: (2, 1), 3: (3, 1), 4: (2, 2), 9: (3, 2)}[q]
     e = 0
     while q ** (e + 1) <= budget:
         e += 1
-    X = V(p, s, 1, [], (1,))
-    if e:
-        assert partial_count(X, e, budget=budget) == q ** e
-    with pytest.raises(BudgetExceededError) as exc:
-        partial_count(X, e + 1, budget=budget)
-    assert exc.value.cost == q ** (e + 1)
+    for counter, (low, run) in BOUNDARY_RUNS.items():
+        if e >= low and counter == "partial_count":
+            assert run(p, s, e, budget) == q ** e
+        elif e >= low:
+            with pytest.raises(FieldBuilt):
+                run(p, s, e, budget)
+        over = max(e + 1, low)
+        with pytest.raises(BudgetExceededError) as exc:
+            run(p, s, over, budget)
+        assert exc.value.cost == q ** over, counter
 
 
 def test_invalid_k():
