@@ -35,8 +35,8 @@ bound prefix, so binding a variable costs one product per term.
 Listed points are combined by ``join``: blocks of candidates tied by
 equal images, placed one at a time, each block's candidates looked up in
 an index keyed by its images towards the blocks already placed.  The
-cyclic cover Y of ``faltings`` and the direct count of ``graphs`` are
-such joins.
+direct count of ``graphs`` is such a join, and so is the full listing of
+the cyclic cover Y of ``faltings``, which its tests use as an oracle.
 """
 
 from __future__ import annotations

@@ -5,9 +5,10 @@ cut out by identifying coordinate i of block j with coordinate i of block
 j + d_i (indices mod d); Y is stable under the block rotation sigma, and
 for every a coprime to d the fixed points of sigma^a composed with the
 k-th Frobenius power biject with the partial-count points at level k.
-This module builds Y, enumerates it as a join of d copies of X's points
-tied by equal images under the f_i, and verifies the equality and the
-per-point reconstruction bijection.
+This module builds Y, finds those fixed points by walking Frobenius
+chains through one listing of X's points per level (Y is never listed),
+and verifies the equality and the per-point reconstruction bijection.
+Y's full listing, a join of d copies of X's points, is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -126,22 +127,30 @@ def _x_listing(X: VarietySpec, morphisms, amb: Field, budget: int):
     return xpts, images
 
 
+def _y_links(profile, d: int, images):
+    """Y's links, as `join` takes them: block j and block j + d_i (mod d)
+    have equal images under f_i, for each profile entry d_i and each j it
+    moves."""
+    return [(j, f, (j + di) % d, f)
+            for di, f in zip(profile, images)
+            for j in range(d) if (j + di) % d != j]
+
+
 def enumerate_y_points(spec: FaltingsSpec, k: int, budget: int = DEFAULT_BUDGET,
                        listing=None):
-    """Points of Y with all coordinates in F_{q^{dk}}, lex-sorted.
+    """Y's full listing: its points with all coordinates in F_{q^{dk}},
+    lex-sorted.  The tests use it, and it is the oracle for the fixed
+    points.
 
-    X's points are listed once and joined d times over, block j tied to
-    block j + d_i by equal images under f_i.  ``listing`` is `_x_listing`'s
-    result for F_{q^{dk}}, when the caller already has it.
+    X's points are listed once and joined d times over by Y's links.
+    ``listing`` is `_x_listing`'s result for F_{q^{dk}}, when the caller
+    already has it.
     """
     X, d = spec.X, spec.d
     if listing is None:
         listing = _x_listing(X, spec.morphisms, field(X.p, X.s, d * k), budget)
-    xpts, all_images = listing
-    links = []
-    for di, images in zip(X.profile, all_images):
-        links.extend((j, images, (j + di) % d, images)
-                     for j in range(d) if (j + di) % d != j)
+    xpts, images = listing
+    links = _y_links(X.profile, d, images)
     return sorted(tuple(xpts[x] for x in ix)
                   for ix in join([len(xpts)] * d, links, budget, "Y enumeration"))
 
@@ -153,13 +162,39 @@ def enumerate_y_points(spec: FaltingsSpec, k: int, budget: int = DEFAULT_BUDGET,
 def _twisted_fixed_points(spec: FaltingsSpec, k: int, twists, budget: int,
                           listing=None):
     """For each a in ``twists``, the points y of Y over F_{q^{dk}} with
-    sigma^a(Frob^k(y)) = y."""
-    frob = field(spec.X.p, spec.X.s, spec.d * k).frob
-    ypts = enumerate_y_points(spec, k, budget=budget, listing=listing)
-    images = [tuple(tuple(frob(x, k) for x in block) for block in y)
-              for y in ypts]
-    return {a: [y for y, img in zip(ypts, images) if sigma_apply(img, a) == y]
-            for a in twists}
+    sigma^a(Frob^k(y)) = y, lex-sorted.
+
+    The equation reads y_j = Frob^k(y_{j-a}) for every block j.  With a
+    coprime to d this is y_{ma} = F^m(y_0) for m = 0..d-1, F being Frob^k
+    as a permutation of X's listing (X is defined over F_q); the chain
+    closes because Frob^{dk} fixes F_{q^{dk}}.  So each listed point y_0
+    starts one candidate per twist, kept when it meets Y's links.  Y
+    itself is never listed.
+    """
+    X, d = spec.X, spec.d
+    amb = field(X.p, X.s, d * k)
+    if listing is None:
+        listing = _x_listing(X, spec.morphisms, amb, budget)
+    xpts, images = listing
+    frob = amb.frob
+    where = {pt: x for x, pt in enumerate(xpts)}
+    # power[m][x]: the listing index of F^m(x)
+    power = [range(len(xpts))]
+    step = [where[tuple(frob(c, k) for c in pt)] for pt in xpts]
+    for _ in range(d - 1):
+        power.append([step[x] for x in power[-1]])
+    links = _y_links(X.profile, d, images)
+    out = {}
+    for a in twists:
+        # block j holds F^m(y_0) for m = j / a (mod d)
+        inv = pow(a, -1, d)
+        m_of = [j * inv % d for j in range(d)]
+        kept = power[0]
+        for j, f, j2, _ in links:
+            p1, p2 = power[m_of[j]], power[m_of[j2]]
+            kept = [x for x in kept if f[p1[x]] == f[p2[x]]]
+        out[a] = sorted(tuple(xpts[power[m][x]] for m in m_of) for x in kept)
+    return out
 
 
 def fixed_points(spec: FaltingsSpec, a: int, k: int,
@@ -243,7 +278,8 @@ def lemma_check(X: VarietySpec, k_max: int, morphisms=None,
             lhs = partial_count(X, k, budget=budget)
         else:
             # one listing of X's points and images serves both sides: the
-            # left filters it by subfield, the right joins it
+            # left filters it by subfield, the right walks Frobenius chains
+            # through it
             listing = _x_listing(X, spec.morphisms, field(X.p, X.s, d * k),
                                  budget)
             lhs = morphism_partial_count(X, morphisms, k, budget=budget,
@@ -255,10 +291,10 @@ def lemma_check(X: VarietySpec, k_max: int, morphisms=None,
             if lhs != len(fixed) and len(witnesses) < 10:
                 witnesses.extend(fixed[:10 - len(witnesses)])
             # reconstruction bijection: y_j = Frob^{k h_j}(y_1)
+            hs = [h_index(a, d, j) for j in range(1, d + 1)]
             for y in fixed:
-                for j in range(1, d + 1):
-                    h = h_index(a, d, j)
-                    if y[j - 1] != tuple(frob(x, k * h) for x in y[0]):
+                for block, h in zip(y, hs):
+                    if block != tuple(frob(x, k * h) for x in y[0]):
                         recon_ok = False
     passed = all(e.equal for e in entries)
     return LemmaReport(d, tuple(entries), passed, recon_ok, tuple(witnesses))

@@ -41,8 +41,10 @@ CASES = [(p, s, prof, k)
 
 
 @st.composite
-def varieties(draw):
-    p, s, profile, k = draw(st.sampled_from(CASES))
+def varieties(draw, cases=CASES):
+    """(X, k) with (p, s, profile, k) from ``cases`` and up to two random
+    equations."""
+    p, s, profile, k = draw(st.sampled_from(cases))
     n = len(profile)
     base = base_field(p, s)
     equations = []

@@ -1,18 +1,23 @@
 import json
-from math import gcd
+from itertools import product
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
+from hypothesis import given, reject, settings
 
 from parzeta import faltings
 from parzeta.cli import load_instance
-from parzeta.counting import classical_count, enumerate_points, partial_count
+from parzeta.counting import (DEFAULT_BUDGET, BudgetExceededError,
+                              classical_count, enumerate_points,
+                              partial_count)
 from parzeta.faltings import (build_faltings, enumerate_y_points,
-                              fixed_point_count, h_index, lemma_check,
-                              morphism_partial_count, sigma_apply,
-                              variety_points)
+                              fixed_point_count, fixed_points, h_index,
+                              lemma_check, morphism_partial_count,
+                              sigma_apply, variety_points)
 from parzeta.fields import field
 from parzeta.polys import MorphismSpec, VarietySpec, base_field, parse_poly
+from test_engine import varieties
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 VARIETIES = sorted(path.stem for path in CORPUS.glob("*.json")
@@ -76,7 +81,6 @@ def test_trivial_profile_gives_back_x():
     spec = build_faltings(X)
     assert spec.d == 1
     assert spec.Y.n == X.n
-    amb = field(2, 1, 2)
     ypts = enumerate_y_points(spec, 2)
     assert len(ypts) == partial_count(X, 2)
 
@@ -140,6 +144,20 @@ def _listing_spy(monkeypatch):
     return calls
 
 
+def squaring_line():
+    """The affine line at profile (2,) with f_1 the squaring map."""
+    comp = parse_poly("x1^2", ["x1"], base_field(2, 1))
+    return V(2, 1, 1, [], (2,)), (MorphismSpec(1, 1, (comp,)),)
+
+
+def diagonal_23_with_square():
+    """x1 + x2 = 0 at profile (2, 3) with f = (x1, x2^2)."""
+    base = base_field(2, 1)
+    morphisms = tuple(MorphismSpec(2, 1, (parse_poly(t, ["x1", "x2"], base),))
+                      for t in ("x1", "x2^2"))
+    return V(2, 1, 2, ["x1 + x2"], (2, 3)), morphisms
+
+
 def _entries_by_public_calls(X, morphisms, k_max):
     """(a, k, partial, fixed) from the two sides computed separately."""
     spec = build_faltings(X, morphisms=morphisms)
@@ -153,9 +171,7 @@ def test_lemma_check_with_morphisms(monkeypatch):
     # f_1 the squaring map on the affine line: points of X with f_1(x) in
     # F_{q^{2k}} -- squaring is injective in characteristic 2.  Both sides
     # of the lemma share one listing of X's points per k.
-    X = V(2, 1, 1, [], (2,))
-    comp = parse_poly("x1^2", ["x1"], base_field(2, 1))
-    morphisms = (MorphismSpec(1, 1, (comp,)),)
+    X, morphisms = squaring_line()
     want = _entries_by_public_calls(X, morphisms, 2)
     calls = _listing_spy(monkeypatch)
     rep = lemma_check(X, 2, morphisms=morphisms)
@@ -165,11 +181,7 @@ def test_lemma_check_with_morphisms(monkeypatch):
 
 
 def test_lemma_check_with_two_morphisms_lists_points_once_per_k(monkeypatch):
-    # x1 + x2 = 0 at profile (2, 3) with f = (x1, x2^2)
-    X = V(2, 1, 2, ["x1 + x2"], (2, 3))
-    base = base_field(2, 1)
-    morphisms = tuple(MorphismSpec(2, 1, (parse_poly(t, ["x1", "x2"], base),))
-                      for t in ("x1", "x2^2"))
+    X, morphisms = diagonal_23_with_square()
     want = _entries_by_public_calls(X, morphisms, 2)
     assert [w[2] for w in want] == [2, 2, 4, 4]
     calls = _listing_spy(monkeypatch)
@@ -214,7 +226,88 @@ def test_y_join_matches_y_equations(name):
 @pytest.mark.parametrize("k", [1, 2])
 def test_y_join_matches_y_equations_with_morphisms(k):
     # the morphism case of test_lemma_check_with_morphisms
-    comp = parse_poly("x1^2", ["x1"], base_field(2, 1))
-    spec = build_faltings(V(2, 1, 1, [], (2,)),
-                          morphisms=(MorphismSpec(1, 1, (comp,)),))
+    X, morphisms = squaring_line()
+    spec = build_faltings(X, morphisms=morphisms)
     assert y_by_join(spec, k) == y_by_equations(spec, k)
+
+
+# ---------------------------------------------------------------------------
+# the fixed points against a filter over Y's full listing
+# ---------------------------------------------------------------------------
+
+def fixed_by_filter(spec, a, k, budget=DEFAULT_BUDGET):
+    """The points of Y's listing that sigma^a(Frob^k(y)) sends to y."""
+    frob = field(spec.X.p, spec.X.s, spec.d * k).frob
+    return [y for y in enumerate_y_points(spec, k, budget=budget)
+            if sigma_apply(tuple(tuple(frob(x, k) for x in b) for b in y), a)
+            == y]
+
+
+def twists(d):
+    return [a for a in range(1, d + 1) if gcd(a, d) == 1]
+
+
+# (p, s, profile, k) with n <= 2 and at most 2^12 tuples of X over
+# F_{q^{Dk}}: listing X scans up to q^{Dk n} tuples
+FALTINGS_CASES = [(p, s, prof, k)
+                  for p in (2, 3) for s in (1, 2) for n in (1, 2)
+                  for prof in product((1, 2, 3), repeat=n) for k in (1, 2)
+                  if (p ** s) ** (k * lcm(*prof) * n) <= 2 ** 12]
+
+
+@settings(max_examples=100, deadline=None)
+@given(varieties(FALTINGS_CASES))
+def test_fixed_points_match_filter_on_random_varieties(case):
+    X, k = case
+    spec = build_faltings(X)
+    for a in twists(spec.d):
+        try:
+            want = fixed_by_filter(spec, a, k, budget=2 ** 15)
+        except BudgetExceededError:
+            reject()  # Y too large for the oracle to list
+        assert fixed_points(spec, a, k) == want
+
+
+@pytest.mark.parametrize("name", VARIETIES)
+def test_fixed_points_match_filter_on_corpus(name):
+    X, _, _ = load_instance(str(CORPUS / f"{name}.json"), "variety")
+    spec = build_faltings(X)
+    for k, a in product((1, 2), twists(spec.d)):
+        assert fixed_points(spec, a, k) == fixed_by_filter(spec, a, k)
+
+
+CHOSEN = {
+    "squaring_line": squaring_line(),
+    "diagonal_23_with_square": diagonal_23_with_square(),
+    # d = 5, where twists 2 and 3 are each other's inverse, unlike every
+    # twist mod 1, 2, 3, 4 or 6: the five roots of an irreducible quintic
+    "quintic": (V(2, 1, 1, ["x1^5 + x1^2 + 1"], (5,)), None),
+    # ... and with x2 their common trace, tied across the blocks
+    "quintic_trace": (V(2, 1, 2, ["x1^5 + x1^2 + 1",
+                                  "x2 + x1 + x1^2 + x1^4 + x1^8 + x1^16"],
+                        (5, 1)), None),
+}
+
+
+@pytest.mark.parametrize("name", CHOSEN)
+def test_fixed_points_match_filter_on_chosen_specs(name):
+    X, morphisms = CHOSEN[name]
+    spec = build_faltings(X, morphisms=morphisms)
+    for k, a in product((1, 2), twists(spec.d)):
+        fixed = fixed_points(spec, a, k)
+        assert fixed  # the comparison below is not vacuous
+        assert fixed == fixed_by_filter(spec, a, k)
+
+
+def test_lemma_check_never_lists_y(monkeypatch):
+    # without morphisms the fixed points come from one listing of X per k,
+    # walked along Frobenius chains; Y is never joined or listed
+    def refuse(*args, **kwargs):
+        raise AssertionError("Y listed")
+
+    monkeypatch.setattr(faltings, "join", refuse)
+    monkeypatch.setattr(faltings, "enumerate_y_points", refuse)
+    calls = _listing_spy(monkeypatch)
+    rep = lemma_check(V(2, 1, 2, ["x1 + x2"], (2, 3)), 2)
+    assert calls == [6, 12]
+    assert rep.passed and rep.reconstruction_ok
