@@ -7,9 +7,17 @@ profile) and at which every defining equation vanishes.
 One depth-first engine, ``_search``, serves both counting and point
 listing.  It binds the variables in a given order, each to the values of
 its domain; an equation is checked as soon as its last variable is bound,
-and an equation linear in the variable being bound is solved for it
-instead of scanned.  Each equation's terms carry their values at the
-bound prefix, so binding a variable costs one product per term.
+an equation linear in the variable being bound is solved for it instead
+of scanned, and one that is a nonzero constant in it prunes the branch.
+Each equation's terms carry their values at the bound prefix, so binding
+a variable costs one product per term.  The first variable bound takes
+one value per orbit of Frobenius sigma: x -> x^q on its domain, which
+must be sigma-stable.  The equations have coefficients in F_q, so sigma
+permutes the solutions and maps the fibre over x onto the fibre over
+sigma(x); an orbit in F_{q^e} has a length dividing e.  The budget
+counts every node of the search over all the orbit's values: a node
+under x counts the length of x's orbit, so a refusal does not depend on
+the reduction, and its cost is always ``budget + 1``.
 
 - ``partial_count`` leaves out the variables no equation uses (they
   multiply the count by their domain size) and binds the used variable
@@ -20,17 +28,16 @@ bound prefix, so binding a variable costs one product per term.
   x^Q - x are the elements of F_Q, each simple; Lidl-Niederreiter,
   *Finite Fields*, ch. 3).
   The other used variables are bound largest domain first, ties going to
-  the lowest index, and the first of them takes one value per orbit of
-  Frobenius sigma: x -> x^q on its domain, its count weighted by the
-  orbit's length.  The equations have coefficients in F_q, so sigma
-  permutes the solutions and maps the fibre over x onto the fibre over
-  sigma(x); an orbit in F_{q^e} has a length dividing e, so the largest
-  domain gains the most.
-- ``enumerate_points`` binds every variable in index order, the last one
-  by scan or linear solve like the others, and lists the solutions in lex
-  order of their coordinates.  The cyclic-cover lemma compares the
-  partial counts with fixed points found this way, so the two sides of
-  that check reach their numbers by different routes.
+  the lowest index, so the orbits reduce the largest domain, and each
+  root count is weighted by the length of its first value's orbit.
+- ``enumerate_orbit_points`` binds every variable in index order, the
+  last one by scan or linear solve like the others.  It lists the
+  solutions whose first coordinate is its orbit's least member, in lex
+  order, each with that orbit's length L.  ``enumerate_points`` adds
+  each one's images under sigma^i, 0 < i < L, and sorts: the full
+  listing.  The cyclic-cover lemma walks Frobenius chains from the
+  orbit listing and compares them with the partial counts, so the two
+  sides of that check reach their numbers by different routes.
 
 Listed points are combined by ``join``: blocks of candidates tied by
 equal images, placed one at a time, each block's candidates looked up in
@@ -92,17 +99,27 @@ def _collect(vals, exps, F: Field):
 
 
 def _search(equations, ambient: Field, base: Field, order, domains, leaf,
-            budget: int):
+            budget: int, weight=None):
     """Depth-first search binding variable ``order[u]`` to the values in
     ``domains[u]``, for u < len(domains).
 
     ``order`` lists every variable the equations use, and may hold one
     more than ``domains`` covers.  An equation is checked once all its
-    variables are bound.  At each full prefix, ``leaf(point, polys)`` is
-    called with ``point`` the bound values in search order and ``polys``
-    the equations that use the unbound variable, as coefficient lists in
-    it; the sum of its return values is returned.  Every node visited,
-    full prefixes included, counts against ``budget``.
+    variables are bound; one that is a nonzero constant in the variable
+    being bound prunes the branch without a scan.  At each full prefix,
+    ``leaf(point, polys)`` is called with ``point`` the bound values in
+    search order and ``polys`` the equations that use the unbound
+    variable, as coefficient lists in it; the sum of its return values is
+    returned.
+
+    ``weight``, when given, maps each value of ``domains[0]`` to the
+    length of its Frobenius orbit: ``domains[0]`` holds one value per
+    orbit of a Frobenius-stable domain, and the later domains must be
+    Frobenius-stable too.  Every node visited, full prefixes included,
+    counts against ``budget``, a node under first-level value x counting
+    weight[x]: the values of one orbit have isomorphic subtrees, so the
+    count is the node count of the search over the whole domain.  The
+    refusal's cost is ``budget + 1``, the node at which that search stops.
     """
     add, mul, neg, inv, pw = (ambient.add, ambient.mul, ambient.neg,
                               ambient.inv, ambient.pow)
@@ -136,11 +153,12 @@ def _search(equations, ambient: Field, base: Field, order, domains, leaf,
     point = [None] * stop
     nodes = 0
 
-    def descend(u, vals):
+    def descend(u, vals, w):
         nonlocal nodes
-        nodes += 1
+        nodes += w
         if nodes > budget:
-            raise BudgetExceededError(nodes, budget, "variety enumeration")
+            raise BudgetExceededError(budget + 1, budget,
+                                      "variety enumeration")
         if u == stop:
             return leaf(point, [_collect(vals[j], exps[j][u], ambient)
                                 for j in close[u]])
@@ -148,6 +166,9 @@ def _search(equations, ambient: Field, base: Field, order, domains, leaf,
         candidates = domains[u]
         for j in closing:
             c = _collect(vals[j], exps[j][u], ambient)
+            if len(c) == 1:  # a nonzero constant: no value closes it
+                candidates = ()
+                break
             if len(c) == 2:
                 x = mul(neg(c[0]), inv(c[1]))
                 candidates = (x,) if x in members[u] else ()
@@ -167,34 +188,63 @@ def _search(equations, ambient: Field, base: Field, order, domains, leaf,
                     nxt[j] = [mul(v, xp[e]) if e else v
                               for v, e in zip(vals[j], exps[j][u])]
                 point[u] = x
-                total += descend(u + 1, nxt)
+                total += descend(u + 1, nxt,
+                                 w if u or weight is None else weight[x])
         return total
 
     try:
-        return descend(0, start)
+        return descend(0, start, 1)
     finally:
         del descend  # a self-referencing closure: free its state now, not at gc
 
 
-def enumerate_points(equations, n: int, ambient: Field, base: Field,
-                     domains=None, budget: int = DEFAULT_BUDGET):
-    """All solutions, as int tuples, with coordinates in per-variable domains.
+def enumerate_orbit_points(equations, n: int, ambient: Field, base: Field,
+                           domains=None, budget: int = DEFAULT_BUDGET):
+    """The solutions whose first coordinate is the least member of its
+    Frobenius orbit, as lex-sorted (point, L) pairs of an int tuple and
+    the length L of that orbit.
 
-    ``domains`` are iterables of packed ints of ``ambient`` (the whole
-    field when None).  The search binds x_1, ..., x_n in turn, so the
-    solutions come out in lex order when the domains are sorted, and it
-    raises ``BudgetExceededError`` once it has visited more than
-    ``budget`` nodes.
+    sigma: x -> x^q permutes the solutions, the equations having
+    coefficients in F_q, and maps the fibre over x_1 onto the fibre over
+    sigma(x_1); so the solutions are the sigma^i(point), 0 <= i < L, of
+    the pairs, each once.  ``domains`` are sorted iterables of packed
+    ints of ``ambient`` (the whole field when None), each stable under
+    sigma, or ``ValueError`` is raised.  The search binds x_1, ..., x_n
+    in turn and raises ``BudgetExceededError`` once it has visited more
+    than ``budget`` nodes, counted as by the search over every value of
+    x_1.
     """
-    if domains is None:
-        domains = [range(ambient.size())] * n
+    whole = range(ambient.size())
+    domains = [whole] * n if domains is None else list(domains)
+    weight = None
+    if n:
+        weight = _frobenius_orbits(domains[0], ambient.frob)
+        for dom in domains[1:]:
+            if dom is not domains[0] and dom != whole:
+                _frobenius_orbits(dom, ambient.frob)  # its stability check
+        domains[0] = list(weight)
     out = []
 
     def leaf(point, polys):
-        out.append(tuple(point))
+        out.append((tuple(point), weight[point[0]] if point else 1))
         return 1
 
-    _search(equations, ambient, base, range(n), domains, leaf, budget)
+    _search(equations, ambient, base, range(n), domains, leaf, budget, weight)
+    return out
+
+
+def enumerate_points(equations, n: int, ambient: Field, base: Field,
+                     domains=None, budget: int = DEFAULT_BUDGET):
+    """All solutions, as lex-sorted int tuples, with coordinates in
+    per-variable domains: ``enumerate_orbit_points``' pairs, each point
+    with its images under sigma^i for 0 < i < L."""
+    frob = ambient.frob
+    out = []
+    for point, length in enumerate_orbit_points(equations, n, ambient, base,
+                                                domains, budget):
+        out.append(point)
+        out.extend(tuple(frob(c, i) for c in point) for i in range(1, length))
+    out.sort()
     return out
 
 
@@ -266,7 +316,11 @@ def join(sizes, links, budget: int, context: str):
 
 def _frobenius_orbits(values, frob):
     """The least member of each orbit of x -> frob(x, 1) among the sorted
-    ``values``, mapped to the orbit's length, in increasing order."""
+    ``values``, mapped to the orbit's length, in increasing order.
+
+    Raises ``ValueError`` when an orbit leaves ``values``: a domain that
+    is not Frobenius-stable would be miscounted by its orbits.
+    """
     weight = {}
     later = set()
     for x in values:
@@ -278,6 +332,9 @@ def _frobenius_orbits(values, frob):
             later.add(y)
             y, n = frob(y, 1), n + 1
         weight[x] = n
+    if later:  # orbit members never met among the values
+        raise ValueError(f"domain not stable under Frobenius: it holds a "
+                         f"conjugate of {min(later)} but not {min(later)}")
     return weight
 
 
@@ -314,7 +371,7 @@ def partial_count(X: VarietySpec, k: int,
     domains = [amb.subfield(X.profile[i] * k, method="span")
                for i in order[:-1]]
     e_last = X.profile[last] * k
-    weight = {}
+    weight = None
     if domains:
         # sigma: x -> x^q fixes the coefficients, so the first variable
         # needs one value per sigma-orbit.  A linear equation in it alone
@@ -328,7 +385,7 @@ def partial_count(X: VarietySpec, k: int,
         return weight[point[0]] * n if point else n
 
     return free * _search(X.equations, amb, X.base, order, domains, roots,
-                          budget)
+                          budget, weight)
 
 
 def classical_count(X: VarietySpec, k: int, budget: int = DEFAULT_BUDGET) -> int:

@@ -6,8 +6,12 @@ j + d_i (indices mod d); Y is stable under the block rotation sigma, and
 for every a coprime to d the fixed points of sigma^a composed with the
 k-th Frobenius power biject with the partial-count points at level k.
 This module builds Y, finds those fixed points by walking Frobenius
-chains through one listing of X's points per level (Y is never listed),
-and verifies the equality and the per-point reconstruction bijection.
+chains, and verifies the equality and the per-point reconstruction
+bijection.  Per level it lists only X's points whose first coordinate is
+the least member of its orbit under Frobenius x -> x^q, each with that
+orbit's length L.  Each such point starts one chain, and Frobenius, which
+commutes with the whole construction, carries each fixed point found to
+L of them; so the count sums L, and neither Y nor all of X is listed.
 Y's full listing, a join of d copies of X's points, is the tests' oracle.
 """
 
@@ -16,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .counting import (DEFAULT_BUDGET, enumerate_points, join, partial_count,
+from .counting import (DEFAULT_BUDGET, enumerate_orbit_points,
+                       enumerate_points, join, partial_count,
                        partial_count_check)
 from .fields import Field, field
 from .polys import SparsePoly, VarietySpec
@@ -111,46 +116,45 @@ def variety_points(X: VarietySpec, ambient: Field, domains=None,
                             domains=domains, budget=budget)
 
 
+def variety_orbit_points(X: VarietySpec, ambient: Field, domains=None,
+                         budget: int = DEFAULT_BUDGET):
+    """X's points whose first coordinate is the least member of its
+    Frobenius orbit, as lex-sorted (point, L) pairs, L that orbit's
+    length; the other points are their images under Frobenius^i, i < L."""
+    return enumerate_orbit_points(X.equations, X.n, ambient, X.base,
+                                  domains=domains, budget=budget)
+
+
+def _y_links(profile, d: int):
+    """Y's links (j, i, j2): blocks j and j2 = j + d_i (mod d) have equal
+    images under f_i, for each profile entry d_i and each j it moves."""
+    return [(j, i, (j + di) % d)
+            for i, di in enumerate(profile)
+            for j in range(d) if (j + di) % d != j]
+
+
 # ---------------------------------------------------------------------------
 # Y enumeration
 # ---------------------------------------------------------------------------
 
-def _x_listing(X: VarietySpec, morphisms, amb: Field, budget: int):
-    """X's points over ``amb`` and, per profile entry i, their images under
-    f_i: the i-th coordinate when ``morphisms`` is None, else a tuple per
-    point."""
-    xpts = variety_points(X, amb, budget=budget)
-    if morphisms is None:
-        images = [[pt[i] for pt in xpts] for i in range(len(X.profile))]
-    else:
-        images = [[f.apply(pt, amb) for pt in xpts] for f in morphisms]
-    return xpts, images
-
-
-def _y_links(profile, d: int, images):
-    """Y's links, as `join` takes them: block j and block j + d_i (mod d)
-    have equal images under f_i, for each profile entry d_i and each j it
-    moves."""
-    return [(j, f, (j + di) % d, f)
-            for di, f in zip(profile, images)
-            for j in range(d) if (j + di) % d != j]
-
-
-def enumerate_y_points(spec: FaltingsSpec, k: int, budget: int = DEFAULT_BUDGET,
-                       listing=None):
+def enumerate_y_points(spec: FaltingsSpec, k: int,
+                       budget: int = DEFAULT_BUDGET):
     """Y's full listing: its points with all coordinates in F_{q^{dk}},
     lex-sorted.  The tests use it, and it is the oracle for the fixed
     points.
 
-    X's points are listed once and joined d times over by Y's links.
-    ``listing`` is `_x_listing`'s result for F_{q^{dk}}, when the caller
-    already has it.
+    X's points are listed once, in full, and joined d times over by Y's
+    links.
     """
     X, d = spec.X, spec.d
-    if listing is None:
-        listing = _x_listing(X, spec.morphisms, field(X.p, X.s, d * k), budget)
-    xpts, images = listing
-    links = _y_links(X.profile, d, images)
+    amb = field(X.p, X.s, d * k)
+    xpts = variety_points(X, amb, budget=budget)
+    if spec.morphisms is None:
+        images = [[pt[i] for pt in xpts] for i in range(len(X.profile))]
+    else:
+        images = [[f.apply(pt, amb) for pt in xpts] for f in spec.morphisms]
+    links = [(j, images[i], j2, images[i])
+             for j, i, j2 in _y_links(X.profile, d)]
     return sorted(tuple(xpts[x] for x in ix)
                   for ix in join([len(xpts)] * d, links, budget, "Y enumeration"))
 
@@ -159,49 +163,70 @@ def enumerate_y_points(spec: FaltingsSpec, k: int, budget: int = DEFAULT_BUDGET,
 # fixed points and the counting identity
 # ---------------------------------------------------------------------------
 
+def _orbit_listing(X: VarietySpec, morphisms, amb: Field, budget: int):
+    """``variety_orbit_points`` over ``amb`` and, with ``morphisms``, the
+    points' images under each f_i (None for the coordinate projections)."""
+    reps = variety_orbit_points(X, amb, budget=budget)
+    if morphisms is None:
+        return reps, None
+    return reps, [[f.apply(pt, amb) for pt, _ in reps] for f in morphisms]
+
+
 def _twisted_fixed_points(spec: FaltingsSpec, k: int, twists, budget: int,
                           listing=None):
     """For each a in ``twists``, the points y of Y over F_{q^{dk}} with
-    sigma^a(Frob^k(y)) = y, lex-sorted.
+    sigma^a(Frob^k(y)) = y whose first block is one of
+    `variety_orbit_points`' points, as lex-sorted pairs (y, L); the
+    others are the Frob^s(y), 0 < s < L (`_expand`).
 
     The equation reads y_j = Frob^k(y_{j-a}) for every block j.  With a
-    coprime to d this is y_{ma} = F^m(y_0) for m = 0..d-1, F being Frob^k
-    as a permutation of X's listing (X is defined over F_q); the chain
-    closes because Frob^{dk} fixes F_{q^{dk}}.  So each listed point y_0
-    starts one candidate per twist, kept when it meets Y's links.  Y
-    itself is never listed.
+    coprime to d this is y_{ma} = F^m(y_0) for m = 0..d-1, F = Frob^k;
+    the chain closes because Frob^{dk} fixes F_{q^{dk}}.  So each listed
+    y_0 starts one chain F^m(y_0), m < d, computed once, and one
+    candidate per twist, kept when it meets Y's links.  The chain's
+    images under f_i are the F^m of f_i(y_0), f_i being defined over
+    F_q.  Frobenius commutes with sigma^a, F and Y's links, so it carries
+    the fixed points over y_0 onto those over each conjugate of y_0.  Y
+    itself is never listed.  ``listing`` is `_orbit_listing`'s result
+    for F_{q^{dk}}, when the caller already has it.
     """
     X, d = spec.X, spec.d
     amb = field(X.p, X.s, d * k)
     if listing is None:
-        listing = _x_listing(X, spec.morphisms, amb, budget)
-    xpts, images = listing
+        listing = _orbit_listing(X, spec.morphisms, amb, budget)
+    reps, images = listing
     frob = amb.frob
-    where = {pt: x for x, pt in enumerate(xpts)}
-    # power[m][x]: the listing index of F^m(x)
-    power = [range(len(xpts))]
-    step = [where[tuple(frob(c, k) for c in pt)] for pt in xpts]
-    for _ in range(d - 1):
-        power.append([step[x] for x in power[-1]])
-    links = _y_links(X.profile, d, images)
-    out = {}
-    for a in twists:
-        # block j holds F^m(y_0) for m = j / a (mod d)
-        inv = pow(a, -1, d)
-        m_of = [j * inv % d for j in range(d)]
-        kept = power[0]
-        for j, f, j2, _ in links:
-            p1, p2 = power[m_of[j]], power[m_of[j2]]
-            kept = [x for x in kept if f[p1[x]] == f[p2[x]]]
-        out[a] = sorted(tuple(xpts[power[m][x]] for m in m_of) for x in kept)
+    steps = [k * m for m in range(1, d)]
+    links = _y_links(X.profile, d)
+    # block j holds F^m(y_0) for m = j / a (mod d)
+    m_of = {a: [j * pow(a, -1, d) % d for j in range(d)] for a in twists}
+    out = {a: [] for a in twists}
+    for x, (y0, length) in enumerate(reps):
+        chain = [y0] + [tuple(frob(c, e) for c in y0) for e in steps]
+        # seen[m][i]: f_i(F^m(y_0))
+        seen = chain
+        if images is not None:
+            own = tuple(f[x] for f in images)
+            seen = [own] + [tuple(tuple(frob(v, e) for v in w) for w in own)
+                            for e in steps]
+        for a, m in m_of.items():
+            if all(seen[m[j]][i] == seen[m[j2]][i] for j, i, j2 in links):
+                out[a].append((tuple(chain[mj] for mj in m), length))
     return out
+
+
+def _expand(pairs, frob):
+    """The points Frob^s(y), 0 <= s < L, of the pairs (y, L), lex-sorted."""
+    return sorted(tuple(tuple(frob(c, s) for c in block) for block in y)
+                  for y, length in pairs for s in range(length))
 
 
 def fixed_points(spec: FaltingsSpec, a: int, k: int,
                  budget: int = DEFAULT_BUDGET):
     if gcd(a, spec.d) != 1:
         raise ValueError(f"a = {a} is not coprime to d = {spec.d}")
-    return _twisted_fixed_points(spec, k, (a,), budget)[a]
+    pairs = _twisted_fixed_points(spec, k, (a,), budget)[a]
+    return _expand(pairs, field(spec.X.p, spec.X.s, spec.d * k).frob)
 
 
 def fixed_point_count(spec: FaltingsSpec, a: int, k: int,
@@ -214,17 +239,19 @@ def morphism_partial_count(X: VarietySpec, morphisms, k: int,
     """#{x in X(F_{q^{dk}}) : f_i(x) has coordinates in F_{q^{d_i k}}}.
 
     Complete only when (f_1,...,f_n) is an embedding; that hypothesis is
-    the caller's obligation.  ``listing`` is `_x_listing`'s result for
-    F_{q^{dk}}, when the caller already has it.
+    the caller's obligation.  Subfield membership is Frobenius-invariant
+    and f_i commutes with Frobenius, so each listed orbit representative
+    counts its orbit's length.  ``listing`` is `_orbit_listing`'s result
+    for F_{q^{dk}}, when the caller already has it.
     """
     amb = field(X.p, X.s, X.D * k)
     if listing is None:
-        listing = _x_listing(X, morphisms, amb, budget)
-    xpts, images = listing
-    return sum(all(amb.in_subfield(v, di * k)
-                   for di, f_images in zip(X.profile, images)
-                   for v in f_images[x])
-               for x in range(len(xpts)))
+        listing = _orbit_listing(X, morphisms, amb, budget)
+    reps, images = listing
+    return sum(length for x, (_, length) in enumerate(reps)
+               if all(amb.in_subfield(v, di * k)
+                      for di, f_images in zip(X.profile, images)
+                      for v in f_images[x]))
 
 
 @dataclass(frozen=True)
@@ -273,26 +300,28 @@ def lemma_check(X: VarietySpec, k_max: int, morphisms=None,
     witnesses = []
     recon_ok = True
     for k in range(1, k_max + 1):
+        amb = field(X.p, X.s, d * k)
         if morphisms is None:
             listing = None
             lhs = partial_count(X, k, budget=budget)
         else:
-            # one listing of X's points and images serves both sides: the
-            # left filters it by subfield, the right walks Frobenius chains
-            # through it
-            listing = _x_listing(X, spec.morphisms, field(X.p, X.s, d * k),
-                                 budget)
+            # one listing of X's orbit representatives and their images
+            # serves both sides: the left filters it by subfield, the
+            # right walks Frobenius chains from it
+            listing = _orbit_listing(X, spec.morphisms, amb, budget)
             lhs = morphism_partial_count(X, morphisms, k, budget=budget,
                                          listing=listing)
-        frob = field(X.p, X.s, d * k).frob
-        for a, fixed in _twisted_fixed_points(spec, k, twists, budget,
+        frob = amb.frob
+        for a, pairs in _twisted_fixed_points(spec, k, twists, budget,
                                               listing).items():
-            entries.append(LemmaEntry(a, k, lhs, len(fixed)))
-            if lhs != len(fixed) and len(witnesses) < 10:
-                witnesses.extend(fixed[:10 - len(witnesses)])
-            # reconstruction bijection: y_j = Frob^{k h_j}(y_1)
+            fixed = sum(length for _, length in pairs)
+            entries.append(LemmaEntry(a, k, lhs, fixed))
+            if lhs != fixed and len(witnesses) < 10:
+                witnesses.extend(_expand(pairs, frob)[:10 - len(witnesses)])
+            # reconstruction bijection: y_j = Frob^{k h_j}(y_1), checked on
+            # the chains; Frobenius carries it to their conjugates
             hs = [h_index(a, d, j) for j in range(1, d + 1)]
-            for y in fixed:
+            for y, _ in pairs:
                 for block, h in zip(y, hs):
                     if block != tuple(frob(x, k * h) for x in y[0]):
                         recon_ok = False

@@ -5,7 +5,10 @@ variable to one value per Frobenius orbit and counts the last variable's
 values as a gcd degree; these tests hold it to a plain product over
 Frobenius-filtered subfields with ``SparsePoly.evaluate``, hold
 ``count_roots`` to a scan of the subfield it counts in, and hold ``join``
-to a filter over the product of its blocks.
+to a filter over the product of its blocks.  ``enumerate_points``, which
+lists one value of x_1 per Frobenius orbit and adds the conjugates, is
+held to a filter over the product of its domains, and its budget to the
+node count of the search over every value of x_1.
 """
 
 from itertools import product
@@ -15,7 +18,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parzeta.counting import (BudgetExceededError, count_roots, join,
+from parzeta.counting import (BudgetExceededError, _frobenius_orbits,
+                               _search, count_roots, enumerate_points, join,
                                partial_count)
 from parzeta.fields import Field, FieldElement, field
 from parzeta.polys import SparsePoly, VarietySpec, base_field, parse_poly
@@ -135,6 +139,108 @@ def test_one_root_count_per_frobenius_orbit(monkeypatch):
     assert partial_count(X, 1) == oracle_count(X, 1)
     assert len(calls) == len(orbits) == 10
     assert len(domain) == 16
+
+
+# ---------------------------------------------------------------------------
+# the point listing: one value of x_1 per Frobenius orbit, then conjugates
+# ---------------------------------------------------------------------------
+
+# (p, s, N): ambient fields F_{q^N} of at most 81 elements
+LISTING_FIELDS = [(2, 1, N) for N in range(1, 7)] + [
+    (2, 2, 1), (2, 2, 2), (2, 2, 3), (3, 1, 1), (3, 1, 2), (3, 1, 3),
+    (3, 1, 4), (3, 2, 1), (3, 2, 2)]
+
+
+@st.composite
+def listing_problems(draw):
+    """Equations over F_q, an ambient F_{q^N} and per-variable domains:
+    subfields, the whole field, and the (0,) and (1,) of the singular
+    point search, at most 2^12 tuples in all."""
+    p, s, N = draw(st.sampled_from(LISTING_FIELDS))
+    amb = field(p, s, N)
+    base = base_field(p, s)
+    n = draw(st.integers(1, 3))
+    choices = ([amb.subfield(e, method="span")
+                for e in range(1, N + 1) if N % e == 0]
+               + [amb.elements(), (0,), (amb.one().value,)])
+    domains = [draw(st.sampled_from(choices)) for _ in range(n)]
+    size = 1
+    for dom in domains:
+        size *= len(dom)
+    if size > 2 ** 12:
+        domains = [(0,)] + domains[1:]
+    equations = []
+    for _ in range(draw(st.integers(0, 2))):
+        terms = {}
+        for _ in range(draw(st.integers(1, 4))):
+            exps = tuple(draw(st.integers(0, 3)) for _ in range(n))
+            terms[exps] = draw(st.integers(1, p ** s - 1))
+        equations.append(SparsePoly(n, base, terms))
+    return equations, n, amb, base, domains
+
+
+def unreduced_nodes(equations, n, amb, base, domains):
+    """The node count of the search over every value of x_1: the least
+    budget under which ``_search`` without orbit weights passes."""
+    def passes(budget):
+        try:
+            _search(equations, amb, base, range(n), domains,
+                    lambda point, polys: 1, budget)
+        except BudgetExceededError:
+            return False
+        return True
+
+    if passes(0):
+        return 0  # a nonzero constant equation: not even the root is visited
+    hi = 1
+    while not passes(hi):
+        hi *= 2
+    lo = hi // 2  # refused
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+    return hi
+
+
+@settings(max_examples=150, deadline=None)
+@given(listing_problems())
+def test_listing_matches_product_filter(problem):
+    equations, n, amb, base, domains = problem
+    want = sorted(pt for pt in product(*domains)
+                  if not any(eq.evaluate(pt, amb) for eq in equations))
+    nodes = unreduced_nodes(equations, n, amb, base, domains)
+    assert enumerate_points(equations, n, amb, base, domains, nodes) == want
+    if nodes:
+        with pytest.raises(BudgetExceededError) as info:
+            enumerate_points(equations, n, amb, base, domains, nodes - 1)
+        assert info.value.cost == nodes and info.value.budget == nodes - 1
+
+
+def test_listing_refuses_a_domain_frobenius_moves():
+    amb = field(2, 1, 4)
+    moved = next(x for x in amb.elements() if amb.frob(x, 1) != x)
+    F4 = amb.subfield(2, method="span")
+    X = parse_poly("x1 + x2", ["x1", "x2"], base_field(2, 1))
+    with pytest.raises(ValueError, match="not stable under Frobenius"):
+        _frobenius_orbits((moved,), amb.frob)
+    # first or later domain, each is checked before the search
+    for domains in ([(moved,), F4], [F4, (0, moved)]):
+        with pytest.raises(ValueError, match="not stable under Frobenius"):
+            enumerate_points([X], 2, amb, X.base, domains)
+    orbit = tuple(sorted({amb.frob(moved, i) for i in range(4)}))
+    assert _frobenius_orbits(orbit, amb.frob) == {orbit[0]: len(orbit)}
+
+
+def test_constant_in_the_bound_variable_prunes_without_a_scan():
+    # at x1 = 0, x1*x2 + 1 is the constant 1 in x2: no value of x2 is tried
+    amb = Field(2, 1, 12)  # its own instance, so the spy stays local
+    tried = []
+    power = amb.pow
+    amb.pow = lambda x, e: tried.append(x) or power(x, e)
+    eq = parse_poly("x1*x2 + 1", ["x1", "x2"], base_field(2, 1))
+    assert enumerate_points([eq], 2, amb, eq.base,
+                            [(0,), amb.elements()]) == []
+    assert tried == [0]  # x1's own power, and no scan of the 4096 x2
 
 
 # ---------------------------------------------------------------------------

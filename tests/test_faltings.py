@@ -132,15 +132,22 @@ def test_lemma_check_over_f3():
 
 
 def _listing_spy(monkeypatch):
-    """The ambient degree N of every `variety_points` call, in order."""
+    """The ambient degree N of every `variety_orbit_points` call, in
+    order; listing Y, or all of X, fails the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("Y or all of X listed")
+
+    monkeypatch.setattr(faltings, "join", refuse)
+    monkeypatch.setattr(faltings, "enumerate_y_points", refuse)
+    monkeypatch.setattr(faltings, "variety_points", refuse)
     calls = []
-    listing = faltings.variety_points
+    listing = faltings.variety_orbit_points
 
     def spy(X, ambient, *args, **kwargs):
         calls.append(ambient.N)
         return listing(X, ambient, *args, **kwargs)
 
-    monkeypatch.setattr(faltings, "variety_points", spy)
+    monkeypatch.setattr(faltings, "variety_orbit_points", spy)
     return calls
 
 
@@ -170,7 +177,8 @@ def _entries_by_public_calls(X, morphisms, k_max):
 def test_lemma_check_with_morphisms(monkeypatch):
     # f_1 the squaring map on the affine line: points of X with f_1(x) in
     # F_{q^{2k}} -- squaring is injective in characteristic 2.  Both sides
-    # of the lemma share one listing of X's points per k.
+    # of the lemma share one listing of X's orbit representatives per k,
+    # and neither Y nor all of X is listed.
     X, morphisms = squaring_line()
     want = _entries_by_public_calls(X, morphisms, 2)
     calls = _listing_spy(monkeypatch)
@@ -300,13 +308,9 @@ def test_fixed_points_match_filter_on_chosen_specs(name):
 
 
 def test_lemma_check_never_lists_y(monkeypatch):
-    # without morphisms the fixed points come from one listing of X per k,
-    # walked along Frobenius chains; Y is never joined or listed
-    def refuse(*args, **kwargs):
-        raise AssertionError("Y listed")
-
-    monkeypatch.setattr(faltings, "join", refuse)
-    monkeypatch.setattr(faltings, "enumerate_y_points", refuse)
+    # without morphisms the fixed points come from one listing of X's
+    # orbit representatives per k, walked along Frobenius chains; Y is
+    # never joined or listed, and X is never listed in full
     calls = _listing_spy(monkeypatch)
     rep = lemma_check(V(2, 1, 2, ["x1 + x2"], (2, 3)), 2)
     assert calls == [6, 12]
