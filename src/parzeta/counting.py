@@ -12,7 +12,9 @@ of scanned, and one that is a nonzero constant in it prunes the branch.
 Each equation's terms carry their values at the bound prefix, so binding
 a variable costs one product per term.  The first variable bound takes
 one value per orbit of Frobenius sigma: x -> x^q on its domain, which
-must be sigma-stable.  The equations have coefficients in F_q, so sigma
+must be sigma-stable; an orbit is walked only when the search reaches
+its least member, so a refused search has walked only the orbits it
+reached.  The equations have coefficients in F_q, so sigma
 permutes the solutions and maps the fibre over x onto the fibre over
 sigma(x); an orbit in F_{q^e} has a length dividing e.  The budget
 counts every node of the search over all the orbit's values: a node
@@ -34,10 +36,13 @@ the reduction, and its cost is always ``budget + 1``.
   last one by scan or linear solve like the others.  It lists the
   solutions whose first coordinate is its orbit's least member, in lex
   order, each with that orbit's length L.  ``enumerate_points`` adds
-  each one's images under sigma^i, 0 < i < L, and sorts: the full
-  listing.  The cyclic-cover lemma walks Frobenius chains from the
-  orbit listing and compares them with the partial counts, so the two
-  sides of that check reach their numbers by different routes.
+  each one's images under sigma^i, 0 < i < L (``frobenius_conjugates``),
+  and sorts: the full listing.  With ``by_orbit=False`` it binds x_1 to
+  every value instead: the plain listing, which the oracles of the
+  tests build on.  The cyclic-cover lemma walks Frobenius chains from
+  the orbit listing and compares their orbit-length sum with the
+  partial count's root counts: both sides reduce by the same orbits of
+  x_1, but count by different routes.
 
 Listed points are combined by ``join``: blocks of candidates tied by
 equal images, placed one at a time, each block's candidates looked up in
@@ -98,8 +103,35 @@ def _collect(vals, exps, F: Field):
     return _trim(c)
 
 
+def _frobenius_orbits(values, frob, member, length):
+    """The least member x of each orbit of sigma = frob(., 1) among the
+    sorted ``values``, in increasing order, with length[x] set to the
+    orbit's length before x is yielded.
+
+    Lazy: a value met in an earlier orbit is skipped, and an orbit is
+    walked when its least member is reached, so a search stopped early
+    has walked only the orbits it reached.  Raises ``ValueError`` when an
+    orbit leaves ``member`` (the values as a set or range): a domain that
+    is not Frobenius-stable would be miscounted by its orbits.
+    """
+    later = set()
+    for x in values:
+        if x in later:
+            later.discard(x)
+            continue
+        y, n = frob(x, 1), 1
+        while y != x:
+            if y not in member:
+                raise ValueError(f"domain not stable under Frobenius: it "
+                                 f"holds {x} but not its conjugate {y}")
+            later.add(y)
+            y, n = frob(y, 1), n + 1
+        length[x] = n
+        yield x
+
+
 def _search(equations, ambient: Field, base: Field, order, domains, leaf,
-            budget: int, weight=None):
+            budget: int, frob=None):
     """Depth-first search binding variable ``order[u]`` to the values in
     ``domains[u]``, for u < len(domains).
 
@@ -107,19 +139,21 @@ def _search(equations, ambient: Field, base: Field, order, domains, leaf,
     more than ``domains`` covers.  An equation is checked once all its
     variables are bound; one that is a nonzero constant in the variable
     being bound prunes the branch without a scan.  At each full prefix,
-    ``leaf(point, polys)`` is called with ``point`` the bound values in
-    search order and ``polys`` the equations that use the unbound
-    variable, as coefficient lists in it; the sum of its return values is
-    returned.
+    ``leaf(point, polys, w)`` is called with ``point`` the bound values in
+    search order, ``polys`` the equations that use the unbound variable,
+    as coefficient lists in it, and ``w`` the length of point[0]'s orbit
+    (1 without ``frob``); the sum of its return values is returned.
 
-    ``weight``, when given, maps each value of ``domains[0]`` to the
-    length of its Frobenius orbit: ``domains[0]`` holds one value per
-    orbit of a Frobenius-stable domain, and the later domains must be
-    Frobenius-stable too.  Every node visited, full prefixes included,
-    counts against ``budget``, a node under first-level value x counting
-    weight[x]: the values of one orbit have isomorphic subtrees, so the
-    count is the node count of the search over the whole domain.  The
-    refusal's cost is ``budget + 1``, the node at which that search stops.
+    With ``frob`` (the ambient field's Frobenius), ``order[0]`` takes one
+    value per orbit of sigma = frob(., 1), the orbit's least member, and
+    every domain must be sigma-stable (sorted, for the first): an orbit
+    is walked when the search reaches its least member, and one that
+    leaves the first domain raises ``ValueError``.  Every node visited,
+    full prefixes included, counts against ``budget``, a node under a
+    first value of orbit length L counting L: the values of one orbit
+    have isomorphic subtrees, so the count is the node count of the
+    search over the whole domain.  The refusal's cost is ``budget + 1``,
+    the node at which that search stops.
     """
     add, mul, neg, inv, pw = (ambient.add, ambient.mul, ambient.neg,
                               ambient.inv, ambient.pow)
@@ -151,6 +185,7 @@ def _search(equations, ambient: Field, base: Field, order, domains, leaf,
               for u in range(stop)]
     members = [d if isinstance(d, range) else set(d) for d in domains]
     point = [None] * stop
+    length = {}  # each first value bound, with frob: its orbit's length
     nodes = 0
 
     def descend(u, vals, w):
@@ -161,7 +196,7 @@ def _search(equations, ambient: Field, base: Field, order, domains, leaf,
                                       "variety enumeration")
         if u == stop:
             return leaf(point, [_collect(vals[j], exps[j][u], ambient)
-                                for j in close[u]])
+                                for j in close[u]], w)
         closing = close[u]
         candidates = domains[u]
         for j in closing:
@@ -173,6 +208,11 @@ def _search(equations, ambient: Field, base: Field, order, domains, leaf,
                 x = mul(neg(c[0]), inv(c[1]))
                 candidates = (x,) if x in members[u] else ()
                 break
+        if not u and frob is not None:
+            # the root of a linear equation in order[0] alone lies in F_q,
+            # an orbit of its own, so each case is sigma-stable
+            candidates = _frobenius_orbits(candidates, frob, members[0],
+                                           length)
         total = 0
         for x in candidates:
             xp = {e: pw(x, e) for e in powers[u]}
@@ -189,7 +229,7 @@ def _search(equations, ambient: Field, base: Field, order, domains, leaf,
                               for v, e in zip(vals[j], exps[j][u])]
                 point[u] = x
                 total += descend(u + 1, nxt,
-                                 w if u or weight is None else weight[x])
+                                 w if u or frob is None else length[x])
         return total
 
     try:
@@ -207,44 +247,66 @@ def enumerate_orbit_points(equations, n: int, ambient: Field, base: Field,
     sigma: x -> x^q permutes the solutions, the equations having
     coefficients in F_q, and maps the fibre over x_1 onto the fibre over
     sigma(x_1); so the solutions are the sigma^i(point), 0 <= i < L, of
-    the pairs, each once.  ``domains`` are sorted iterables of packed
-    ints of ``ambient`` (the whole field when None), each stable under
-    sigma, or ``ValueError`` is raised.  The search binds x_1, ..., x_n
-    in turn and raises ``BudgetExceededError`` once it has visited more
-    than ``budget`` nodes, counted as by the search over every value of
-    x_1.
+    the pairs, each once (``frobenius_conjugates``).  ``domains`` are
+    sorted iterables of packed ints of ``ambient`` (the whole field when
+    None), each stable under sigma, or ``ValueError`` is raised.  The
+    search binds x_1, ..., x_n in turn and raises ``BudgetExceededError``
+    once it has visited more than ``budget`` nodes, counted as by the
+    search over every value of x_1.
     """
     whole = range(ambient.size())
     domains = [whole] * n if domains is None else list(domains)
-    weight = None
-    if n:
-        weight = _frobenius_orbits(domains[0], ambient.frob)
-        for dom in domains[1:]:
-            if dom is not domains[0] and dom != whole:
-                _frobenius_orbits(dom, ambient.frob)  # its stability check
-        domains[0] = list(weight)
+    for dom in domains[1:]:
+        if dom is not domains[0] and dom != whole:
+            # the stability check: walking every orbit is one frob a value
+            for _ in _frobenius_orbits(dom, ambient.frob, set(dom), {}):
+                pass
     out = []
 
-    def leaf(point, polys):
-        out.append((tuple(point), weight[point[0]] if point else 1))
+    def leaf(point, polys, length):
+        out.append((tuple(point), length))
         return 1
 
-    _search(equations, ambient, base, range(n), domains, leaf, budget, weight)
+    _search(equations, ambient, base, range(n), domains, leaf, budget,
+            ambient.frob)
+    return out
+
+
+def frobenius_conjugates(pairs, frob):
+    """The points sigma^i(y), 0 <= i < L, of the (y, L) pairs of
+    ``enumerate_orbit_points``, lex-sorted; ``frob`` is the ambient
+    field's Frobenius."""
+    out = []
+    for point, length in pairs:
+        out.append(point)
+        out.extend(tuple(frob(c, i) for c in point) for i in range(1, length))
+    out.sort()
     return out
 
 
 def enumerate_points(equations, n: int, ambient: Field, base: Field,
-                     domains=None, budget: int = DEFAULT_BUDGET):
+                     domains=None, budget: int = DEFAULT_BUDGET,
+                     by_orbit: bool = True):
     """All solutions, as lex-sorted int tuples, with coordinates in
-    per-variable domains: ``enumerate_orbit_points``' pairs, each point
-    with its images under sigma^i for 0 < i < L."""
-    frob = ambient.frob
+    per-variable domains, under the budget of ``enumerate_orbit_points``.
+
+    By default ``enumerate_orbit_points``' pairs with their conjugates.
+    With ``by_orbit`` false the search binds x_1 to every value of its
+    domain instead and no domain need be Frobenius-stable: the slower,
+    plain listing, which shares no orbit reduction with the rest.
+    """
+    if by_orbit:
+        return frobenius_conjugates(
+            enumerate_orbit_points(equations, n, ambient, base, domains,
+                                   budget), ambient.frob)
+    domains = [range(ambient.size())] * n if domains is None else domains
     out = []
-    for point, length in enumerate_orbit_points(equations, n, ambient, base,
-                                                domains, budget):
-        out.append(point)
-        out.extend(tuple(frob(c, i) for c in point) for i in range(1, length))
-    out.sort()
+
+    def leaf(point, polys, length):
+        out.append(tuple(point))
+        return 1
+
+    _search(equations, ambient, base, range(n), domains, leaf, budget)
     return out
 
 
@@ -314,30 +376,6 @@ def join(sizes, links, budget: int, context: str):
 # partial counts
 # ---------------------------------------------------------------------------
 
-def _frobenius_orbits(values, frob):
-    """The least member of each orbit of x -> frob(x, 1) among the sorted
-    ``values``, mapped to the orbit's length, in increasing order.
-
-    Raises ``ValueError`` when an orbit leaves ``values``: a domain that
-    is not Frobenius-stable would be miscounted by its orbits.
-    """
-    weight = {}
-    later = set()
-    for x in values:
-        if x in later:
-            later.discard(x)
-            continue
-        y, n = frob(x, 1), 1
-        while y != x:
-            later.add(y)
-            y, n = frob(y, 1), n + 1
-        weight[x] = n
-    if later:  # orbit members never met among the values
-        raise ValueError(f"domain not stable under Frobenius: it holds a "
-                         f"conjugate of {min(later)} but not {min(later)}")
-    return weight
-
-
 def partial_count_check(X: VarietySpec, k: int, budget: int) -> None:
     """partial_count's refusal at level k: the product of the domain
     sizes, q^e with e = k sum d_i, over the budget."""
@@ -371,21 +409,15 @@ def partial_count(X: VarietySpec, k: int,
     domains = [amb.subfield(X.profile[i] * k, method="span")
                for i in order[:-1]]
     e_last = X.profile[last] * k
-    weight = None
-    if domains:
-        # sigma: x -> x^q fixes the coefficients, so the first variable
-        # needs one value per sigma-orbit.  A linear equation in it alone
-        # has its root in F_q, which sigma fixes: the engine's linear
-        # solve at this level lands on the root's own representative.
-        weight = _frobenius_orbits(domains[0], amb.frob)
-        domains[0] = list(weight)
 
-    def roots(point, polys):
-        n = count_roots(polys, amb, e_last)
-        return weight[point[0]] * n if point else n
+    # sigma: x -> x^q fixes the coefficients, so the first variable needs
+    # one value per sigma-orbit, its root count weighted by the orbit's
+    # length
+    def roots(point, polys, length):
+        return length * count_roots(polys, amb, e_last)
 
     return free * _search(X.equations, amb, X.base, order, domains, roots,
-                          budget, weight)
+                          budget, amb.frob)
 
 
 def classical_count(X: VarietySpec, k: int, budget: int = DEFAULT_BUDGET) -> int:

@@ -12,7 +12,9 @@ the least member of its orbit under Frobenius x -> x^q, each with that
 orbit's length L.  Each such point starts one chain, and Frobenius, which
 commutes with the whole construction, carries each fixed point found to
 L of them; so the count sums L, and neither Y nor all of X is listed.
-Y's full listing, a join of d copies of X's points, is the tests' oracle.
+Y's full listing, a join of d copies of X's points, is the tests' oracle;
+it lists X by the plain search, over every value of x_1, so it shares no
+orbit reduction with the fixed points it checks.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 from math import gcd
 
 from .counting import (DEFAULT_BUDGET, enumerate_orbit_points,
-                       enumerate_points, join, partial_count,
-                       partial_count_check)
+                       enumerate_points, frobenius_conjugates, join,
+                       partial_count, partial_count_check)
 from .fields import Field, field
 from .polys import SparsePoly, VarietySpec
 
@@ -143,12 +145,14 @@ def enumerate_y_points(spec: FaltingsSpec, k: int,
     lex-sorted.  The tests use it, and it is the oracle for the fixed
     points.
 
-    X's points are listed once, in full, and joined d times over by Y's
-    links.
+    X's points are listed once, in full, by the plain search, which
+    binds x_1 to every value rather than one per Frobenius orbit, and
+    joined d times over by Y's links.
     """
     X, d = spec.X, spec.d
     amb = field(X.p, X.s, d * k)
-    xpts = variety_points(X, amb, budget=budget)
+    xpts = enumerate_points(X.equations, X.n, amb, X.base, budget=budget,
+                            by_orbit=False)
     if spec.morphisms is None:
         images = [[pt[i] for pt in xpts] for i in range(len(X.profile))]
     else:
@@ -177,7 +181,7 @@ def _twisted_fixed_points(spec: FaltingsSpec, k: int, twists, budget: int,
     """For each a in ``twists``, the points y of Y over F_{q^{dk}} with
     sigma^a(Frob^k(y)) = y whose first block is one of
     `variety_orbit_points`' points, as lex-sorted pairs (y, L); the
-    others are the Frob^s(y), 0 < s < L (`_expand`).
+    others are the Frob^s(y), 0 < s < L (`_conjugates`).
 
     The equation reads y_j = Frob^k(y_{j-a}) for every block j.  With a
     coprime to d this is y_{ma} = F^m(y_0) for m = 0..d-1, F = Frob^k;
@@ -215,23 +219,30 @@ def _twisted_fixed_points(spec: FaltingsSpec, k: int, twists, budget: int,
     return out
 
 
-def _expand(pairs, frob):
-    """The points Frob^s(y), 0 <= s < L, of the pairs (y, L), lex-sorted."""
-    return sorted(tuple(tuple(frob(c, s) for c in block) for block in y)
-                  for y, length in pairs for s in range(length))
+def _conjugates(spec: FaltingsSpec, k: int, pairs):
+    """The points Frob^s(y), 0 <= s < L, of the pairs (y, L), lex-sorted:
+    ``frobenius_conjugates`` of the flattened blocks, which sort as the
+    blocks do."""
+    n = spec.block_size
+    flat = frobenius_conjugates([(sum(y, ()), length) for y, length in pairs],
+                                field(spec.X.p, spec.X.s, spec.d * k).frob)
+    return [tuple(pt[j:j + n] for j in range(0, len(pt), n)) for pt in flat]
+
+
+def _fixed_pairs(spec: FaltingsSpec, a: int, k: int, budget: int):
+    if gcd(a, spec.d) != 1:
+        raise ValueError(f"a = {a} is not coprime to d = {spec.d}")
+    return _twisted_fixed_points(spec, k, (a,), budget)[a]
 
 
 def fixed_points(spec: FaltingsSpec, a: int, k: int,
                  budget: int = DEFAULT_BUDGET):
-    if gcd(a, spec.d) != 1:
-        raise ValueError(f"a = {a} is not coprime to d = {spec.d}")
-    pairs = _twisted_fixed_points(spec, k, (a,), budget)[a]
-    return _expand(pairs, field(spec.X.p, spec.X.s, spec.d * k).frob)
+    return _conjugates(spec, k, _fixed_pairs(spec, a, k, budget))
 
 
 def fixed_point_count(spec: FaltingsSpec, a: int, k: int,
                       budget: int = DEFAULT_BUDGET) -> int:
-    return len(fixed_points(spec, a, k, budget=budget))
+    return sum(length for _, length in _fixed_pairs(spec, a, k, budget))
 
 
 def morphism_partial_count(X: VarietySpec, morphisms, k: int,
@@ -317,7 +328,8 @@ def lemma_check(X: VarietySpec, k_max: int, morphisms=None,
             fixed = sum(length for _, length in pairs)
             entries.append(LemmaEntry(a, k, lhs, fixed))
             if lhs != fixed and len(witnesses) < 10:
-                witnesses.extend(_expand(pairs, frob)[:10 - len(witnesses)])
+                witnesses.extend(
+                    _conjugates(spec, k, pairs)[:10 - len(witnesses)])
             # reconstruction bijection: y_j = Frob^{k h_j}(y_1), checked on
             # the chains; Frobenius carries it to their conjugates
             hs = [h_index(a, d, j) for j in range(1, d + 1)]

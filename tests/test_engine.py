@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from parzeta.counting import (BudgetExceededError, _frobenius_orbits,
                                _search, count_roots, enumerate_points, join,
                                partial_count)
+from parzeta.faltings import variety_points
 from parzeta.fields import Field, FieldElement, field
 from parzeta.polys import SparsePoly, VarietySpec, base_field, parse_poly
 
@@ -185,7 +186,7 @@ def unreduced_nodes(equations, n, amb, base, domains):
     def passes(budget):
         try:
             _search(equations, amb, base, range(n), domains,
-                    lambda point, polys: 1, budget)
+                    lambda point, polys, length: 1, budget)
         except BudgetExceededError:
             return False
         return True
@@ -209,11 +210,15 @@ def test_listing_matches_product_filter(problem):
     want = sorted(pt for pt in product(*domains)
                   if not any(eq.evaluate(pt, amb) for eq in equations))
     nodes = unreduced_nodes(equations, n, amb, base, domains)
-    assert enumerate_points(equations, n, amb, base, domains, nodes) == want
-    if nodes:
-        with pytest.raises(BudgetExceededError) as info:
-            enumerate_points(equations, n, amb, base, domains, nodes - 1)
-        assert info.value.cost == nodes and info.value.budget == nodes - 1
+    for by_orbit in (True, False):
+        assert enumerate_points(equations, n, amb, base, domains, nodes,
+                                by_orbit=by_orbit) == want
+        if nodes:
+            with pytest.raises(BudgetExceededError) as info:
+                enumerate_points(equations, n, amb, base, domains, nodes - 1,
+                                 by_orbit=by_orbit)
+            assert info.value.cost == nodes
+            assert info.value.budget == nodes - 1
 
 
 def test_listing_refuses_a_domain_frobenius_moves():
@@ -222,13 +227,37 @@ def test_listing_refuses_a_domain_frobenius_moves():
     F4 = amb.subfield(2, method="span")
     X = parse_poly("x1 + x2", ["x1", "x2"], base_field(2, 1))
     with pytest.raises(ValueError, match="not stable under Frobenius"):
-        _frobenius_orbits((moved,), amb.frob)
-    # first or later domain, each is checked before the search
+        list(_frobenius_orbits((moved,), amb.frob, {moved}, {}))
+    # first or later domain, each is checked
     for domains in ([(moved,), F4], [F4, (0, moved)]):
         with pytest.raises(ValueError, match="not stable under Frobenius"):
             enumerate_points([X], 2, amb, X.base, domains)
     orbit = tuple(sorted({amb.frob(moved, i) for i in range(4)}))
-    assert _frobenius_orbits(orbit, amb.frob) == {orbit[0]: len(orbit)}
+    length = {}
+    assert list(_frobenius_orbits(orbit, amb.frob, set(orbit), length)) \
+        == [orbit[0]]
+    assert length == {orbit[0]: len(orbit)}
+
+
+def test_orbits_walked_only_as_the_search_reaches_them():
+    # x2 is solved linearly under every x1, so the search over F_(2^40)
+    # passes its budget of 1000 nodes within the first few hundred orbits
+    # of x1; walking all 2^40 values of x1 first would not end
+    amb = Field(2, 1, 40)  # its own instance, so the spy stays local
+    calls = 0
+    frob = amb.frob
+
+    def spy(x, i):
+        nonlocal calls
+        calls += 1
+        assert calls <= 40 * 1000, "orbits walked ahead of the search"
+        return frob(x, i)
+
+    amb.frob = spy
+    X = V(2, 1, 2, ["x1^3 + x2 + 1"], (1, 1))
+    with pytest.raises(BudgetExceededError) as info:
+        variety_points(X, amb, budget=1000)
+    assert info.value.cost == 1001
 
 
 def test_constant_in_the_bound_variable_prunes_without_a_scan():
