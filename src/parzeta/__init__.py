@@ -13,7 +13,7 @@ from .zeta import (AutoReconstructError, NoSolutionError, NonIntegerError,
                    weil_weight_check)
 from .faltings import (FaltingsSpec, LemmaReport, build_faltings,
                        fixed_point_count, fixed_points, h_index, lemma_check,
-                       sigma_apply, variety_points)
+                       sigma_apply)
 from .graphs import (GraphEdge, GraphReport, GraphSystem, GraphVertex,
                      fibred_product_reduce, graph_count_direct,
                      reduction_check)

@@ -10,16 +10,17 @@ its domain; an equation is checked as soon as its last variable is bound,
 an equation linear in the variable being bound is solved for it instead
 of scanned, and one that is a nonzero constant in it prunes the branch.
 Each equation's terms carry their values at the bound prefix, so binding
-a variable costs one product per term.  The first variable bound takes
-one value per orbit of Frobenius sigma: x -> x^q on its domain, which
-must be sigma-stable; an orbit is walked only when the search reaches
-its least member, so a refused search has walked only the orbits it
-reached.  The equations have coefficients in F_q, so sigma
-permutes the solutions and maps the fibre over x onto the fibre over
-sigma(x); an orbit in F_{q^e} has a length dividing e.  The budget
-counts every node of the search over all the orbit's values: a node
-under x counts the length of x's orbit, so a refusal does not depend on
-the reduction, and its cost is always ``budget + 1``.
+a variable costs one product per term.  In ``partial_count`` and
+``enumerate_orbit_points`` the first variable bound takes one value per
+orbit of Frobenius sigma: x -> x^q on its domain, which must be
+sigma-stable; an orbit is walked only when the search reaches its least
+member, so a refused search has walked only the orbits it reached.  The
+equations have coefficients in F_q, so sigma permutes the solutions and
+maps the fibre over x onto the fibre over sigma(x); an orbit in F_{q^e}
+has a length dividing e.  The budget counts every node of the search
+over all the orbit's values: a node under x counts the length of x's
+orbit, so a refusal does not depend on the reduction, and its cost is
+always ``budget + 1``.
 
 - ``partial_count`` leaves out the variables no equation uses (they
   multiply the count by their domain size) and binds the used variable
@@ -32,17 +33,19 @@ the reduction, and its cost is always ``budget + 1``.
   The other used variables are bound largest domain first, ties going to
   the lowest index, so the orbits reduce the largest domain, and each
   root count is weighted by the length of its first value's orbit.
-- ``enumerate_orbit_points`` binds every variable in index order, the
-  last one by scan or linear solve like the others.  It lists the
-  solutions whose first coordinate is its orbit's least member, in lex
-  order, each with that orbit's length L.  ``enumerate_points`` adds
-  each one's images under sigma^i, 0 < i < L (``frobenius_conjugates``),
-  and sorts: the full listing.  With ``by_orbit=False`` it binds x_1 to
-  every value instead: the plain listing, which the oracles of the
-  tests build on.  The cyclic-cover lemma walks Frobenius chains from
-  the orbit listing and compares their orbit-length sum with the
-  partial count's root counts: both sides reduce by the same orbits of
-  x_1, but count by different routes.
+- ``enumerate_points`` binds every variable in index order, each to
+  every value of its domain, the last one by scan or linear solve like
+  the others: the plain listing, in lex order.  The direct graph count,
+  the singular-point search and the listing of the cyclic cover Y build
+  on it, so none of them shares the orbit reduction.
+- ``enumerate_orbit_points`` binds the variables the same way, x_1 to
+  one value per orbit.  It lists the solutions whose first coordinate
+  is its orbit's least member, in lex order, each with that orbit's
+  length L; the others are their images under sigma^i, 0 < i < L.  The
+  cyclic-cover lemma of ``faltings`` walks Frobenius chains from it and
+  compares their orbit-length sum with the partial count's root counts:
+  both sides reduce by the same orbits of x_1, but count by different
+  routes.
 
 Listed points are combined by ``join``: blocks of candidates tied by
 equal images, placed one at a time, each block's candidates looked up in
@@ -247,12 +250,12 @@ def enumerate_orbit_points(equations, n: int, ambient: Field, base: Field,
     sigma: x -> x^q permutes the solutions, the equations having
     coefficients in F_q, and maps the fibre over x_1 onto the fibre over
     sigma(x_1); so the solutions are the sigma^i(point), 0 <= i < L, of
-    the pairs, each once (``frobenius_conjugates``).  ``domains`` are
-    sorted iterables of packed ints of ``ambient`` (the whole field when
-    None), each stable under sigma, or ``ValueError`` is raised.  The
-    search binds x_1, ..., x_n in turn and raises ``BudgetExceededError``
-    once it has visited more than ``budget`` nodes, counted as by the
-    search over every value of x_1.
+    the pairs, each once.  ``domains`` are sorted iterables of packed
+    ints of ``ambient`` (the whole field when None), each stable under
+    sigma, or ``ValueError`` is raised.  The search binds x_1, ..., x_n
+    in turn and raises ``BudgetExceededError`` once it has visited more
+    than ``budget`` nodes, counted as by the search over every value of
+    x_1.
     """
     whole = range(ambient.size())
     domains = [whole] * n if domains is None else list(domains)
@@ -272,33 +275,16 @@ def enumerate_orbit_points(equations, n: int, ambient: Field, base: Field,
     return out
 
 
-def frobenius_conjugates(pairs, frob):
-    """The points sigma^i(y), 0 <= i < L, of the (y, L) pairs of
-    ``enumerate_orbit_points``, lex-sorted; ``frob`` is the ambient
-    field's Frobenius."""
-    out = []
-    for point, length in pairs:
-        out.append(point)
-        out.extend(tuple(frob(c, i) for c in point) for i in range(1, length))
-    out.sort()
-    return out
-
-
 def enumerate_points(equations, n: int, ambient: Field, base: Field,
-                     domains=None, budget: int = DEFAULT_BUDGET,
-                     by_orbit: bool = True):
+                     domains=None, budget: int = DEFAULT_BUDGET):
     """All solutions, as lex-sorted int tuples, with coordinates in
-    per-variable domains, under the budget of ``enumerate_orbit_points``.
+    per-variable ``domains`` (sorted iterables of packed ints of
+    ``ambient``; the whole field when None).
 
-    By default ``enumerate_orbit_points``' pairs with their conjugates.
-    With ``by_orbit`` false the search binds x_1 to every value of its
-    domain instead and no domain need be Frobenius-stable: the slower,
-    plain listing, which shares no orbit reduction with the rest.
+    The search binds x_1, ..., x_n in turn, each to every value of its
+    domain, and raises ``BudgetExceededError`` once it has visited more
+    than ``budget`` nodes.
     """
-    if by_orbit:
-        return frobenius_conjugates(
-            enumerate_orbit_points(equations, n, ambient, base, domains,
-                                   budget), ambient.frob)
     domains = [range(ambient.size())] * n if domains is None else domains
     out = []
 

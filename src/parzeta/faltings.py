@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from math import gcd
 
 from .counting import (DEFAULT_BUDGET, enumerate_orbit_points,
-                       enumerate_points, frobenius_conjugates, join,
-                       partial_count, partial_count_check)
+                       enumerate_points, join, partial_count,
+                       partial_count_check)
 from .fields import Field, field
 from .polys import SparsePoly, VarietySpec
 
@@ -107,25 +107,8 @@ def _check_sigma_stability(spec: FaltingsSpec):
 
 
 # ---------------------------------------------------------------------------
-# variety points
+# Y enumeration
 # ---------------------------------------------------------------------------
-
-def variety_points(X: VarietySpec, ambient: Field, domains=None,
-                   budget: int = DEFAULT_BUDGET):
-    """X's points with coordinates in ``domains`` (sorted packed ints of
-    ``ambient``; the whole field when None), lex-sorted int tuples."""
-    return enumerate_points(X.equations, X.n, ambient, X.base,
-                            domains=domains, budget=budget)
-
-
-def variety_orbit_points(X: VarietySpec, ambient: Field, domains=None,
-                         budget: int = DEFAULT_BUDGET):
-    """X's points whose first coordinate is the least member of its
-    Frobenius orbit, as lex-sorted (point, L) pairs, L that orbit's
-    length; the other points are their images under Frobenius^i, i < L."""
-    return enumerate_orbit_points(X.equations, X.n, ambient, X.base,
-                                  domains=domains, budget=budget)
-
 
 def _y_links(profile, d: int):
     """Y's links (j, i, j2): blocks j and j2 = j + d_i (mod d) have equal
@@ -134,10 +117,6 @@ def _y_links(profile, d: int):
             for i, di in enumerate(profile)
             for j in range(d) if (j + di) % d != j]
 
-
-# ---------------------------------------------------------------------------
-# Y enumeration
-# ---------------------------------------------------------------------------
 
 def enumerate_y_points(spec: FaltingsSpec, k: int,
                        budget: int = DEFAULT_BUDGET):
@@ -151,8 +130,7 @@ def enumerate_y_points(spec: FaltingsSpec, k: int,
     """
     X, d = spec.X, spec.d
     amb = field(X.p, X.s, d * k)
-    xpts = enumerate_points(X.equations, X.n, amb, X.base, budget=budget,
-                            by_orbit=False)
+    xpts = enumerate_points(X.equations, X.n, amb, X.base, budget=budget)
     if spec.morphisms is None:
         images = [[pt[i] for pt in xpts] for i in range(len(X.profile))]
     else:
@@ -168,9 +146,11 @@ def enumerate_y_points(spec: FaltingsSpec, k: int,
 # ---------------------------------------------------------------------------
 
 def _orbit_listing(X: VarietySpec, morphisms, amb: Field, budget: int):
-    """``variety_orbit_points`` over ``amb`` and, with ``morphisms``, the
-    points' images under each f_i (None for the coordinate projections)."""
-    reps = variety_orbit_points(X, amb, budget=budget)
+    """X's ``enumerate_orbit_points`` over ``amb`` and, with ``morphisms``,
+    the points' images under each f_i (None for the coordinate
+    projections)."""
+    reps = enumerate_orbit_points(X.equations, X.n, amb, X.base,
+                                  budget=budget)
     if morphisms is None:
         return reps, None
     return reps, [[f.apply(pt, amb) for pt, _ in reps] for f in morphisms]
@@ -180,7 +160,7 @@ def _twisted_fixed_points(spec: FaltingsSpec, k: int, twists, budget: int,
                           listing=None):
     """For each a in ``twists``, the points y of Y over F_{q^{dk}} with
     sigma^a(Frob^k(y)) = y whose first block is one of
-    `variety_orbit_points`' points, as lex-sorted pairs (y, L); the
+    `_orbit_listing`'s points, as lex-sorted pairs (y, L); the
     others are the Frob^s(y), 0 < s < L (`_conjugates`).
 
     The equation reads y_j = Frob^k(y_{j-a}) for every block j.  With a
@@ -220,13 +200,10 @@ def _twisted_fixed_points(spec: FaltingsSpec, k: int, twists, budget: int,
 
 
 def _conjugates(spec: FaltingsSpec, k: int, pairs):
-    """The points Frob^s(y), 0 <= s < L, of the pairs (y, L), lex-sorted:
-    ``frobenius_conjugates`` of the flattened blocks, which sort as the
-    blocks do."""
-    n = spec.block_size
-    flat = frobenius_conjugates([(sum(y, ()), length) for y, length in pairs],
-                                field(spec.X.p, spec.X.s, spec.d * k).frob)
-    return [tuple(pt[j:j + n] for j in range(0, len(pt), n)) for pt in flat]
+    """The points Frob^s(y), 0 <= s < L, of the pairs (y, L), lex-sorted."""
+    frob = field(spec.X.p, spec.X.s, spec.d * k).frob
+    return sorted(tuple(tuple(frob(c, s) for c in b) for b in y)
+                  for y, length in pairs for s in range(length))
 
 
 def _fixed_pairs(spec: FaltingsSpec, a: int, k: int, budget: int):

@@ -141,9 +141,11 @@ def reduction_check(G: GraphSystem, k_max: int, max_k: int = 12,
                     budget: int = DEFAULT_BUDGET) -> GraphReport:
     """Direct counts vs the reduction for k <= k_max, then the graph zeta."""
     X, _ = fibred_product_reduce(G)
-    partial_count_check(X, 1, budget)  # before the direct count's field
-    direct = tuple(graph_count_direct(G, k, budget=budget)
-                   for k in range(1, k_max + 1))
+    direct = []
+    for k in range(1, k_max + 1):
+        partial_count_check(X, k, budget)  # before the direct count's field
+        direct.append(graph_count_direct(G, k, budget=budget))
+    direct = tuple(direct)
     reduced = tuple(partial_count(X, k, budget=budget)
                     for k in range(1, k_max + 1))
     passed = direct == reduced

@@ -240,6 +240,18 @@ def test_huge_level_refused_before_anything_is_built(tmp_path, capsys, sub,
                    f"budget 1000 ({context})\n")
 
 
+def test_graph_refused_at_the_first_level_past_the_budget(tmp_path, capsys):
+    # the fibred product has 2^19 tuples at level 1, within the budget, and
+    # 2^38 at level 2: refused there before u's points over F_(2^34) are
+    # listed for the direct count
+    f = tmp_path / "inst.json"
+    f.write_text(json.dumps(_graph_with_u_at(17)))
+    code, out, err = run(capsys, "graph", str(f), "--budget", "1000000")
+    assert code == 3 and out == ""
+    assert err == ("budget exceeded: enumeration cost 274877906944 exceeds "
+                   "budget 1000000 (partial_count k=2)\n")
+
+
 def test_zeta_root_finding_failure_keeps_workers(capsys, monkeypatch):
     import parzeta.cli as cli
     from parzeta.zeta import RootFindingError

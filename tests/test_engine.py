@@ -5,12 +5,16 @@ variable to one value per Frobenius orbit and counts the last variable's
 values as a gcd degree; these tests hold it to a plain product over
 Frobenius-filtered subfields with ``SparsePoly.evaluate``, hold
 ``count_roots`` to a scan of the subfield it counts in, and hold ``join``
-to a filter over the product of its blocks.  ``enumerate_points``, which
-lists one value of x_1 per Frobenius orbit and adds the conjugates, is
-held to a filter over the product of its domains, and its budget to the
-node count of the search over every value of x_1.
+to a filter over the product of its blocks.  Both listings are held to
+a filter over the product of their domains, and their budgets to the
+node count of the search over every value of x_1:
+``enumerate_points``, the plain search, and ``enumerate_orbit_points``,
+which lists one value of x_1 per Frobenius orbit, with the conjugates
+added.  The direct graph count and the singular-point search, built on
+the plain listing, are held to walk no Frobenius orbit.
 """
 
+import json
 from itertools import product
 from math import lcm
 from pathlib import Path
@@ -18,11 +22,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parzeta import counting
+from parzeta.artin_schreier import singular_search
+from parzeta.cli import load_instance
 from parzeta.counting import (BudgetExceededError, _frobenius_orbits,
-                               _search, count_roots, enumerate_points, join,
-                               partial_count)
-from parzeta.faltings import variety_points
+                               _search, count_roots, enumerate_orbit_points,
+                               enumerate_points, join, partial_count)
 from parzeta.fields import Field, FieldElement, field
+from parzeta.graphs import fibred_product_reduce, graph_count_direct
 from parzeta.polys import SparsePoly, VarietySpec, base_field, parse_poly
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -143,7 +150,7 @@ def test_one_root_count_per_frobenius_orbit(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the point listing: one value of x_1 per Frobenius orbit, then conjugates
+# the point listings: every value of x_1, or one per Frobenius orbit
 # ---------------------------------------------------------------------------
 
 # (p, s, N): ambient fields F_{q^N} of at most 81 elements
@@ -210,13 +217,20 @@ def test_listing_matches_product_filter(problem):
     want = sorted(pt for pt in product(*domains)
                   if not any(eq.evaluate(pt, amb) for eq in equations))
     nodes = unreduced_nodes(equations, n, amb, base, domains)
-    for by_orbit in (True, False):
-        assert enumerate_points(equations, n, amb, base, domains, nodes,
-                                by_orbit=by_orbit) == want
+
+    def conjugates(budget):
+        pairs = enumerate_orbit_points(equations, n, amb, base, domains,
+                                       budget)
+        return sorted(tuple(amb.frob(c, i) for c in pt)
+                      for pt, length in pairs for i in range(length))
+
+    for listing in (conjugates,
+                    lambda budget: enumerate_points(equations, n, amb, base,
+                                                    domains, budget)):
+        assert listing(nodes) == want
         if nodes:
             with pytest.raises(BudgetExceededError) as info:
-                enumerate_points(equations, n, amb, base, domains, nodes - 1,
-                                 by_orbit=by_orbit)
+                listing(nodes - 1)
             assert info.value.cost == nodes
             assert info.value.budget == nodes - 1
 
@@ -231,7 +245,7 @@ def test_listing_refuses_a_domain_frobenius_moves():
     # first or later domain, each is checked
     for domains in ([(moved,), F4], [F4, (0, moved)]):
         with pytest.raises(ValueError, match="not stable under Frobenius"):
-            enumerate_points([X], 2, amb, X.base, domains)
+            enumerate_orbit_points([X], 2, amb, X.base, domains)
     orbit = tuple(sorted({amb.frob(moved, i) for i in range(4)}))
     length = {}
     assert list(_frobenius_orbits(orbit, amb.frob, set(orbit), length)) \
@@ -256,8 +270,31 @@ def test_orbits_walked_only_as_the_search_reaches_them():
     amb.frob = spy
     X = V(2, 1, 2, ["x1^3 + x2 + 1"], (1, 1))
     with pytest.raises(BudgetExceededError) as info:
-        variety_points(X, amb, budget=1000)
+        enumerate_orbit_points(X.equations, X.n, amb, X.base, budget=1000)
     assert info.value.cost == 1001
+
+
+def test_plain_listing_walks_no_frobenius_orbit(monkeypatch):
+    # the direct graph count and the singular-point search share no orbit
+    # reduction with partial_count, which the fibred product's count uses
+    graphs = [load_instance(str(path), "graph")[0]
+              for path in sorted(CORPUS.glob("*.json"))
+              if json.loads(path.read_text())["kind"] == "graph"]
+    want = [[partial_count(fibred_product_reduce(G)[0], k) for k in (1, 2)]
+            for G in graphs]
+    assert len(graphs) == 6
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Frobenius orbits walked")
+
+    monkeypatch.setattr(counting, "_frobenius_orbits", refuse)
+    assert [[graph_count_direct(G, k) for k in (1, 2)]
+            for G in graphs] == want
+    F2 = base_field(2, 1)
+    # x1^2*x2 is singular along x1 = 0; x1*x2 is smooth
+    assert singular_search(parse_poly("x1^2*x2", ["x1", "x2"], F2), 2) \
+        == (1, (0, 1))
+    assert singular_search(parse_poly("x1*x2", ["x1", "x2"], F2), 2) is None
 
 
 def test_constant_in_the_bound_variable_prunes_without_a_scan():

@@ -14,7 +14,7 @@ from parzeta.counting import (DEFAULT_BUDGET, BudgetExceededError,
 from parzeta.faltings import (build_faltings, enumerate_y_points,
                               fixed_point_count, fixed_points, h_index,
                               lemma_check, morphism_partial_count,
-                              sigma_apply, variety_points)
+                              sigma_apply)
 from parzeta.fields import field
 from parzeta.polys import MorphismSpec, VarietySpec, base_field, parse_poly
 from test_engine import varieties
@@ -88,7 +88,7 @@ def test_trivial_profile_gives_back_x():
 def test_variety_points_match_classical():
     X = V(3, 1, 2, ["x2 - x1^2"], (1, 1))
     amb = field(3, 1, 2)
-    pts = variety_points(X, amb)
+    pts = enumerate_points(X.equations, X.n, amb, X.base)
     assert len(pts) == classical_count(X, 2)
 
 
@@ -132,22 +132,22 @@ def test_lemma_check_over_f3():
 
 
 def _listing_spy(monkeypatch):
-    """The ambient degree N of every `variety_orbit_points` call, in
+    """The ambient degree N of every `enumerate_orbit_points` call, in
     order; listing Y, or all of X, fails the test."""
     def refuse(*args, **kwargs):
         raise AssertionError("Y or all of X listed")
 
     monkeypatch.setattr(faltings, "join", refuse)
     monkeypatch.setattr(faltings, "enumerate_y_points", refuse)
-    monkeypatch.setattr(faltings, "variety_points", refuse)
+    monkeypatch.setattr(faltings, "enumerate_points", refuse)
     calls = []
-    listing = faltings.variety_orbit_points
+    listing = faltings.enumerate_orbit_points
 
-    def spy(X, ambient, *args, **kwargs):
+    def spy(equations, n, ambient, *args, **kwargs):
         calls.append(ambient.N)
-        return listing(X, ambient, *args, **kwargs)
+        return listing(equations, n, ambient, *args, **kwargs)
 
-    monkeypatch.setattr(faltings, "variety_orbit_points", spy)
+    monkeypatch.setattr(faltings, "enumerate_orbit_points", spy)
     return calls
 
 
