@@ -13,8 +13,11 @@ Each equation's terms carry their values at the bound prefix, so binding
 a variable costs one product per term.  In ``partial_count`` and
 ``enumerate_orbit_points`` the first variable bound takes one value per
 orbit of Frobenius sigma: x -> x^q on its domain, which must be
-sigma-stable; an orbit is walked only when the search reaches its least
-member, so a refused search has walked only the orbits it reached.  The
+sigma-stable.  The orbits come from the ambient field's memoised walk,
+``Field.frobenius_orbits``, when the domain is a subfield: an orbit is
+walked only when the search reaches its least member, so a refused
+search has walked only the orbits it reached, and a later search over
+the same subfield replays them and walks on from there.  The
 equations have coefficients in F_q, so sigma permutes the solutions and
 maps the fibre over x onto the fibre over sigma(x); an orbit in F_{q^e}
 has a length dividing e.  The budget counts every node of the search
@@ -58,9 +61,9 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import product
+from itertools import product, repeat
 
-from .fields import Field, _trim, count_roots, field
+from .fields import Field, _frobenius_orbits, _trim, count_roots, field
 from .polys import VarietySpec
 
 DEFAULT_BUDGET = 10 ** 8
@@ -106,35 +109,8 @@ def _collect(vals, exps, F: Field):
     return _trim(c)
 
 
-def _frobenius_orbits(values, frob, member, length):
-    """The least member x of each orbit of sigma = frob(., 1) among the
-    sorted ``values``, in increasing order, with length[x] set to the
-    orbit's length before x is yielded.
-
-    Lazy: a value met in an earlier orbit is skipped, and an orbit is
-    walked when its least member is reached, so a search stopped early
-    has walked only the orbits it reached.  Raises ``ValueError`` when an
-    orbit leaves ``member`` (the values as a set or range): a domain that
-    is not Frobenius-stable would be miscounted by its orbits.
-    """
-    later = set()
-    for x in values:
-        if x in later:
-            later.discard(x)
-            continue
-        y, n = frob(x, 1), 1
-        while y != x:
-            if y not in member:
-                raise ValueError(f"domain not stable under Frobenius: it "
-                                 f"holds {x} but not its conjugate {y}")
-            later.add(y)
-            y, n = frob(y, 1), n + 1
-        length[x] = n
-        yield x
-
-
 def _search(equations, ambient: Field, base: Field, order, domains, leaf,
-            budget: int, frob=None):
+            budget: int, orbits=None):
     """Depth-first search binding variable ``order[u]`` to the values in
     ``domains[u]``, for u < len(domains).
 
@@ -145,18 +121,18 @@ def _search(equations, ambient: Field, base: Field, order, domains, leaf,
     ``leaf(point, polys, w)`` is called with ``point`` the bound values in
     search order, ``polys`` the equations that use the unbound variable,
     as coefficient lists in it, and ``w`` the length of point[0]'s orbit
-    (1 without ``frob``); the sum of its return values is returned.
+    (1 without ``orbits``); the sum of its return values is returned.
 
-    With ``frob`` (the ambient field's Frobenius), ``order[0]`` takes one
-    value per orbit of sigma = frob(., 1), the orbit's least member, and
-    every domain must be sigma-stable (sorted, for the first): an orbit
-    is walked when the search reaches its least member, and one that
-    leaves the first domain raises ``ValueError``.  Every node visited,
-    full prefixes included, counts against ``budget``, a node under a
-    first value of orbit length L counting L: the values of one orbit
-    have isomorphic subtrees, so the count is the node count of the
-    search over the whole domain.  The refusal's cost is ``budget + 1``,
-    the node at which that search stops.
+    With ``orbits``, the pairs (x, L) of the least member x of each orbit
+    of sigma: x -> x^q on ``domains[0]`` and its length L (one of
+    ``fields``' orbit walks, read as the search reaches each pair),
+    ``order[0]`` takes one value per orbit, and every domain must be
+    sigma-stable.  Every node visited, full prefixes included, counts
+    against ``budget``, a node under a first value of orbit length L
+    counting L: the values of one orbit have isomorphic subtrees, so the
+    count is the node count of the search over the whole domain.  The
+    refusal's cost is ``budget + 1``, the node at which that search
+    stops.
     """
     add, mul, neg, inv, pw = (ambient.add, ambient.mul, ambient.neg,
                               ambient.inv, ambient.pow)
@@ -188,7 +164,6 @@ def _search(equations, ambient: Field, base: Field, order, domains, leaf,
               for u in range(stop)]
     members = [d if isinstance(d, range) else set(d) for d in domains]
     point = [None] * stop
-    length = {}  # each first value bound, with frob: its orbit's length
     nodes = 0
 
     def descend(u, vals, w):
@@ -201,7 +176,7 @@ def _search(equations, ambient: Field, base: Field, order, domains, leaf,
             return leaf(point, [_collect(vals[j], exps[j][u], ambient)
                                 for j in close[u]], w)
         closing = close[u]
-        candidates = domains[u]
+        candidates = None
         for j in closing:
             c = _collect(vals[j], exps[j][u], ambient)
             if len(c) == 1:  # a nonzero constant: no value closes it
@@ -211,13 +186,17 @@ def _search(equations, ambient: Field, base: Field, order, domains, leaf,
                 x = mul(neg(c[0]), inv(c[1]))
                 candidates = (x,) if x in members[u] else ()
                 break
-        if not u and frob is not None:
-            # the root of a linear equation in order[0] alone lies in F_q,
-            # an orbit of its own, so each case is sigma-stable
-            candidates = _frobenius_orbits(candidates, frob, members[0],
-                                           length)
+        if candidates is not None:
+            # a solved level keeps the weight; at u = 0 that is 1: the root
+            # of a linear equation in order[0] alone lies in F_q, an orbit
+            # of length 1
+            candidates = zip(candidates, repeat(w))
+        elif u or orbits is None:
+            candidates = zip(domains[u], repeat(w))
+        else:
+            candidates = orbits
         total = 0
-        for x in candidates:
+        for x, wx in candidates:
             xp = {e: pw(x, e) for e in powers[u]}
             for j in closing:
                 acc = 0
@@ -231,8 +210,7 @@ def _search(equations, ambient: Field, base: Field, order, domains, leaf,
                     nxt[j] = [mul(v, xp[e]) if e else v
                               for v, e in zip(vals[j], exps[j][u])]
                 point[u] = x
-                total += descend(u + 1, nxt,
-                                 w if u or frob is None else length[x])
+                total += descend(u + 1, nxt, wx)
         return total
 
     try:
@@ -251,19 +229,27 @@ def enumerate_orbit_points(equations, n: int, ambient: Field, base: Field,
     coefficients in F_q, and maps the fibre over x_1 onto the fibre over
     sigma(x_1); so the solutions are the sigma^i(point), 0 <= i < L, of
     the pairs, each once.  ``domains`` are sorted iterables of packed
-    ints of ``ambient`` (the whole field when None), each stable under
-    sigma, or ``ValueError`` is raised.  The search binds x_1, ..., x_n
-    in turn and raises ``BudgetExceededError`` once it has visited more
-    than ``budget`` nodes, counted as by the search over every value of
-    x_1.
+    ints of ``ambient``, each stable under sigma, or ``ValueError`` is
+    raised; each is walked afresh.  When None, every domain is the whole
+    field, and x_1's orbits come from ``ambient.frobenius_orbits``, so a
+    second listing over the same field replays them.  The search binds
+    x_1, ..., x_n in turn and raises ``BudgetExceededError`` once it has
+    visited more than ``budget`` nodes, counted as by the search over
+    every value of x_1.
     """
-    whole = range(ambient.size())
-    domains = [whole] * n if domains is None else list(domains)
-    for dom in domains[1:]:
-        if dom is not domains[0] and dom != whole:
-            # the stability check: walking every orbit is one frob a value
-            for _ in _frobenius_orbits(dom, ambient.frob, set(dom), {}):
-                pass
+    if domains is None:
+        domains = [range(ambient.size())] * n
+        orbits = ambient.frobenius_orbits(ambient.N)
+    else:
+        # explicit domains are walked afresh, each checked for stability:
+        # the first as the search walks it, the others up front, one frob
+        # a value
+        domains = list(domains)
+        orbits = _frobenius_orbits(domains[0], ambient.frob, set(domains[0]))
+        for dom in domains[1:]:
+            if dom is not domains[0] and dom != ambient.elements():
+                for _ in _frobenius_orbits(dom, ambient.frob, set(dom)):
+                    pass
     out = []
 
     def leaf(point, polys, length):
@@ -271,7 +257,7 @@ def enumerate_orbit_points(equations, n: int, ambient: Field, base: Field,
         return 1
 
     _search(equations, ambient, base, range(n), domains, leaf, budget,
-            ambient.frob)
+            orbits)
     return out
 
 
@@ -398,12 +384,13 @@ def partial_count(X: VarietySpec, k: int,
 
     # sigma: x -> x^q fixes the coefficients, so the first variable needs
     # one value per sigma-orbit, its root count weighted by the orbit's
-    # length
+    # length; the field keeps the orbits walked for the next count
     def roots(point, polys, length):
         return length * count_roots(polys, amb, e_last)
 
+    orbits = amb.frobenius_orbits(X.profile[order[0]] * k)
     return free * _search(X.equations, amb, X.base, order, domains, roots,
-                          budget, amb.frob)
+                          budget, orbits)
 
 
 def classical_count(X: VarietySpec, k: int, budget: int = DEFAULT_BUDGET) -> int:

@@ -9,9 +9,10 @@ This module builds Y, finds those fixed points by walking Frobenius
 chains, and verifies the equality and the per-point reconstruction
 bijection.  Per level it lists only X's points whose first coordinate is
 the least member of its orbit under Frobenius x -> x^q, each with that
-orbit's length L.  Each such point starts one chain, and Frobenius, which
-commutes with the whole construction, carries each fixed point found to
-L of them; so the count sums L, and neither Y nor all of X is listed.
+orbit's length L.  Each such point starts one chain, computed only as
+far as Y's links ask for it, and Frobenius, which commutes with the
+whole construction, carries each fixed point found to L of them; so the
+count sums L, and neither Y nor all of X is listed.
 Y's full listing, a join of d copies of X's points, is the tests' oracle;
 it lists X by the plain search, over every value of x_1, so it shares no
 orbit reduction with the fixed points it checks.
@@ -166,36 +167,52 @@ def _twisted_fixed_points(spec: FaltingsSpec, k: int, twists, budget: int,
     The equation reads y_j = Frob^k(y_{j-a}) for every block j.  With a
     coprime to d this is y_{ma} = F^m(y_0) for m = 0..d-1, F = Frob^k;
     the chain closes because Frob^{dk} fixes F_{q^{dk}}.  So each listed
-    y_0 starts one chain F^m(y_0), m < d, computed once, and one
-    candidate per twist, kept when it meets Y's links.  The chain's
-    images under f_i are the F^m of f_i(y_0), f_i being defined over
-    F_q.  Frobenius commutes with sigma^a, F and Y's links, so it carries
-    the fixed points over y_0 onto those over each conjugate of y_0.  Y
-    itself is never listed.  ``listing`` is `_orbit_listing`'s result
-    for F_{q^{dk}}, when the caller already has it.
+    y_0 starts one candidate per twist, kept when its chain meets Y's
+    links.  The chain's images under f_i are the F^m of f_i(y_0), f_i
+    being defined over F_q; each is computed when a link first asks for
+    it and shared by the twists, and the whole chain is built only for a
+    kept candidate.  Frobenius commutes with sigma^a, F and Y's links, so
+    it carries the fixed points over y_0 onto those over each conjugate
+    of y_0.  Y itself is never listed.  ``listing`` is `_orbit_listing`'s
+    result for F_{q^{dk}}, when the caller already has it.
     """
     X, d = spec.X, spec.d
+    r = len(X.profile)
     amb = field(X.p, X.s, d * k)
     if listing is None:
         listing = _orbit_listing(X, spec.morphisms, amb, budget)
     reps, images = listing
     frob = amb.frob
-    steps = [k * m for m in range(1, d)]
-    links = _y_links(X.profile, d)
-    # block j holds F^m(y_0) for m = j / a (mod d)
-    m_of = {a: [j * pow(a, -1, d) % d for j in range(d)] for a in twists}
+    if images is None:
+        move = frob
+    else:
+        def move(w, e):
+            return tuple(frob(v, e) for v in w)
+    # block j holds F^m(y_0) for m = j / a (mod d); a link (j, i, j2)
+    # compares the slots m_j r + i and m_j2 r + i of f_i(F^m(y_0)), each
+    # slot with its i and its power e = k m of Frobenius
+    m_of, tests = {}, {}
+    for a in twists:
+        m = m_of[a] = [j * pow(a, -1, d) % d for j in range(d)]
+        tests[a] = [(m[j] * r + i, i, k * m[j], m[j2] * r + i, k * m[j2])
+                    for j, i, j2 in _y_links(X.profile, d)]
     out = {a: [] for a in twists}
     for x, (y0, length) in enumerate(reps):
-        chain = [y0] + [tuple(frob(c, e) for c in y0) for e in steps]
-        # seen[m][i]: f_i(F^m(y_0))
-        seen = chain
-        if images is not None:
-            own = tuple(f[x] for f in images)
-            seen = [own] + [tuple(tuple(frob(v, e) for v in w) for w in own)
-                            for e in steps]
-        for a, m in m_of.items():
-            if all(seen[m[j]][i] == seen[m[j2]][i] for j, i, j2 in links):
-                out[a].append((tuple(chain[mj] for mj in m), length))
+        seen = [None] * (d * r)
+        seen[:r] = y0 if images is None else [f[x] for f in images]
+        for a, links in tests.items():
+            for s, i, e, t, et in links:
+                u = seen[s]
+                if u is None:
+                    u = seen[s] = move(seen[i], e)
+                v = seen[t]
+                if v is None:
+                    v = seen[t] = move(seen[i], et)
+                if u != v:
+                    break
+            else:
+                out[a].append((tuple(tuple(frob(c, k * mj) for c in y0)
+                                     for mj in m_of[a]), length))
     return out
 
 

@@ -35,10 +35,20 @@ construction:
 - larger fields: schoolbook products reduced by g (shift/XOR carry-less
   multiplication for p = 2, digit convolution for odd p), and x^(q^e)
   applies the F_p-linear matrix of Frobenius^e, the one
-  ``subfield(e, "span")`` takes the fixed space of.
+  ``subfield(e, "span")`` takes the fixed space of.  For p = 2 the
+  inverse is extended Euclid over F_2[t] on the bit-reversed int, whose
+  bit i holds t^i (Hankerson, Menezes and Vanstone, *Guide to Elliptic
+  Curve Cryptography*, Alg. 2.48); for odd p it is a^(p^m - 2).
 
 The ``filter`` subfield oracle decides x^(q^e) = x by ``pow`` and never
 uses that matrix, so the two subfield methods stay independent.
+
+``Field.frobenius_orbits(e)`` walks the orbits of sigma: x -> x^q on
+F_{q^e}, one ``frob`` per element, and yields the least member of each
+with the orbit's length.  The walk is lazy and memoised per e: a later
+call replays the orbits already walked and resumes where the furthest
+call stopped, so each subfield is walked at most once per field, and a
+search refused part-way has walked only the orbits it reached.
 
 Univariate polynomials over a field are coefficient lists of its packed
 ints, constant term first.  One toolkit does their arithmetic: remainder,
@@ -87,6 +97,30 @@ def _prime_factors(n: int):
 
 def is_prime(n: int) -> bool:
     return n >= 2 and _prime_factors(n) == [n]
+
+
+def _frobenius_orbits(values, frob, member=None):
+    """(x, L) for the least member x of each orbit of sigma = frob(., 1)
+    among the sorted ``values``, in increasing x, L the orbit's length.
+
+    Lazy: a value met in an earlier orbit is skipped, and an orbit is
+    walked when its least member is reached.  With ``member`` (the values
+    as a set or range), an orbit that leaves it raises ``ValueError``: a
+    domain that is not Frobenius-stable would be miscounted by its orbits.
+    """
+    later = set()
+    for x in values:
+        if x in later:
+            later.discard(x)
+            continue
+        y, n = frob(x, 1), 1
+        while y != x:
+            if member is not None and y not in member:
+                raise ValueError(f"domain not stable under Frobenius: it "
+                                 f"holds {x} but not its conjugate {y}")
+            later.add(y)
+            y, n = frob(y, 1), n + 1
+        yield x, n
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +355,7 @@ class Field:
         # the class of t; it reduces to a constant mod a linear modulus
         self._gen = (-self.modulus[0]) % p if self.m == 1 else p ** (self.m - 2)
         self._subfield_cache = {}
+        self._orbit_cache = {}
         self._embed_cache = {}
         self._frob_cols = {}
 
@@ -434,11 +469,23 @@ class Field:
             return result
 
         size = p ** m
+        mod = sum(c << i for i, c in enumerate(self.modulus))  # p = 2: bit i, t^i
 
         def inv(a):
             if not a:
                 raise ZeroDivisionError("inversion of zero field element")
-            return power(a, size - 2)
+            if p != 2:
+                return power(a, size - 2)
+            # u = s*a and v = r*a mod g; each step lowers deg u or deg v
+            u, v = int(format(a, f"0{m}b")[::-1], 2), mod
+            s, r = 1, 0
+            while u != 1:
+                j = u.bit_length() - v.bit_length()
+                if j < 0:
+                    u, v, s, r, j = v, u, r, s, -j
+                u ^= v << j
+                s ^= r << j
+            return int(format(s, f"0{m}b")[::-1], 2)
 
         maps = {}
 
@@ -682,6 +729,37 @@ class Field:
             raise FieldError("subfield enumeration produced the wrong cardinality")
         out = self._subfield_cache[key] = tuple(vals)
         return out
+
+    def frobenius_orbits(self, e: int):
+        """(x, L) for the least member x of each orbit of sigma: x -> x^q
+        on F_{q^e} (the whole field when e = N), in increasing x, L the
+        orbit's length.
+
+        Memoised per e: the pairs walked so far are recorded, and a later
+        call replays them, then resumes the one lazy walk where the
+        furthest call stopped, so each element's orbit is walked at most
+        once per field.
+        """
+        memo = self._orbit_cache.get(e)
+        if memo is None:
+            values = (self.elements() if e == self.N
+                      else self.subfield(e, method="span"))
+            memo = self._orbit_cache[e] = ([], _frobenius_orbits(values,
+                                                                 self.frob))
+        walked, walk = memo
+        i = 0
+        while True:
+            if i == len(walked):
+                try:
+                    pair = next(walk, None)
+                except BaseException:
+                    del self._orbit_cache[e]  # the walk is dead: start anew
+                    raise
+                if pair is None:
+                    return
+                walked.append(pair)
+            yield walked[i]
+            i += 1
 
     def _subfield_span(self, e: int):
         p, m = self.p, self.m

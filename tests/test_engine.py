@@ -11,7 +11,10 @@ node count of the search over every value of x_1:
 ``enumerate_points``, the plain search, and ``enumerate_orbit_points``,
 which lists one value of x_1 per Frobenius orbit, with the conjugates
 added.  The direct graph count and the singular-point search, built on
-the plain listing, are held to walk no Frobenius orbit.
+the plain listing, are held to walk no Frobenius orbit.  The field's
+memoised orbit walk is held to a fresh walk, and a second count, lemma
+check or refused-then-completed listing over the same field to walk no
+orbit twice.
 """
 
 import json
@@ -25,10 +28,11 @@ from hypothesis import given, settings, strategies as st
 from parzeta import counting
 from parzeta.artin_schreier import singular_search
 from parzeta.cli import load_instance
-from parzeta.counting import (BudgetExceededError, _frobenius_orbits,
-                               _search, count_roots, enumerate_orbit_points,
-                               enumerate_points, join, partial_count)
-from parzeta.fields import Field, FieldElement, field
+from parzeta.counting import (BudgetExceededError, _search, count_roots,
+                               enumerate_orbit_points, enumerate_points, join,
+                               partial_count)
+from parzeta.faltings import lemma_check
+from parzeta.fields import Field, FieldElement, _frobenius_orbits, field
 from parzeta.graphs import fibred_product_reduce, graph_count_direct
 from parzeta.polys import SparsePoly, VarietySpec, base_field, parse_poly
 
@@ -241,16 +245,14 @@ def test_listing_refuses_a_domain_frobenius_moves():
     F4 = amb.subfield(2, method="span")
     X = parse_poly("x1 + x2", ["x1", "x2"], base_field(2, 1))
     with pytest.raises(ValueError, match="not stable under Frobenius"):
-        list(_frobenius_orbits((moved,), amb.frob, {moved}, {}))
+        list(_frobenius_orbits((moved,), amb.frob, {moved}))
     # first or later domain, each is checked
     for domains in ([(moved,), F4], [F4, (0, moved)]):
         with pytest.raises(ValueError, match="not stable under Frobenius"):
             enumerate_orbit_points([X], 2, amb, X.base, domains)
     orbit = tuple(sorted({amb.frob(moved, i) for i in range(4)}))
-    length = {}
-    assert list(_frobenius_orbits(orbit, amb.frob, set(orbit), length)) \
-        == [orbit[0]]
-    assert length == {orbit[0]: len(orbit)}
+    assert list(_frobenius_orbits(orbit, amb.frob, set(orbit))) \
+        == [(orbit[0], len(orbit))]
 
 
 def test_orbits_walked_only_as_the_search_reaches_them():
@@ -274,6 +276,104 @@ def test_orbits_walked_only_as_the_search_reaches_them():
     assert info.value.cost == 1001
 
 
+def test_orbit_replay_equals_a_fresh_walk():
+    # each orbit's least member and length, read off the orbits themselves
+    for p, s, N in ((2, 1, 12), (3, 1, 6), (2, 2, 4)):
+        amb = Field(p, s, N)  # its own instance, so the memo starts empty
+        for e in [e for e in range(1, N + 1) if N % e == 0]:
+            values = amb.subfield(e, method="filter")
+            orbits = {frozenset(amb.frob(x, i) for i in range(e))
+                      for x in values}
+            want = sorted((min(o), len(o)) for o in orbits)
+            assert list(_frobenius_orbits(values, amb.frob, set(values))) \
+                == want
+            # a partial walk, two interleaved readers, then a full replay
+            head = amb.frobenius_orbits(e)
+            assert [next(head) for _ in range(min(3, len(want)))] \
+                == want[:3]
+            first, second = amb.frobenius_orbits(e), amb.frobenius_orbits(e)
+            mixed = [[], []]
+            for a, b in zip(first, second):
+                mixed[0].append(a)
+                mixed[1].append(b)
+            assert mixed == [want, want]
+            assert list(head) == want[3:]
+            assert list(amb.frobenius_orbits(e)) == want
+
+
+def test_interrupted_orbit_walk_starts_anew():
+    # an exception inside frob (an interrupt, say) ends the walk's
+    # generator; the memo must not then replay a truncated walk
+    amb = Field(2, 1, 10)  # its own instance, so the spy stays local
+    want = list(_frobenius_orbits(amb.elements(), amb.frob))
+    frob, calls = amb.frob, []
+
+    def interrupted(x, e):
+        calls.append(x)
+        if len(calls) == 100:
+            raise KeyboardInterrupt
+        return frob(x, e)
+
+    amb.frob = interrupted
+    with pytest.raises(KeyboardInterrupt):
+        list(amb.frobenius_orbits(10))
+    amb.frob = frob
+    assert list(amb.frobenius_orbits(10)) == want
+
+
+def _first_level_spy(monkeypatch, amb):
+    """Record amb.frob(x, 1), the step of every orbit walk; no other
+    Frobenius power the checks below use is 1."""
+    walked = []
+    frob = amb.frob
+
+    def spy(x, e):
+        if e == 1:
+            walked.append(x)
+        return frob(x, e)
+
+    monkeypatch.setattr(amb, "frob", spy)
+    return walked
+
+
+def test_second_count_replays_the_first_level(monkeypatch):
+    # x1 ranges over F_(2^4) inside F_(2^12); x2^3 + x1^3 + 1 never has a
+    # linear gcd, so the root count applies no Frobenius either
+    X = V(2, 1, 2, ["x1^3 + x2^3 + 1"], (2, 3))
+    want = oracle_count(X, 2)
+    assert partial_count(X, 2) == want
+    walked = _first_level_spy(monkeypatch, field(2, 1, 12))
+    assert partial_count(X, 2) == want
+    assert walked == []
+
+
+def test_second_lemma_check_replays_the_first_level(monkeypatch):
+    # at k = 2 the chains apply Frob^(2m) and the root counts Frob^(2 d_i),
+    # so a frob(x, 1) there comes only from an orbit walk
+    X = load_instance(str(CORPUS / "hyperbola23_f2.json"), "variety")[0]
+    report = lemma_check(X, 2)
+    assert report.passed
+    walked = _first_level_spy(monkeypatch, field(2, 1, X.D * 2))
+    assert lemma_check(X, 2) == report
+    assert walked == []
+
+
+def test_refused_listing_resumes_to_the_fresh_pairs():
+    X = V(2, 1, 2, ["x1^3 + x2 + 1"], (1, 1))
+    amb = Field(2, 1, 12)  # its own instance, so the spy stays local
+    frob, calls = amb.frob, []
+    amb.frob = lambda x, e: calls.append(x) or frob(x, e)
+    with pytest.raises(BudgetExceededError) as info:
+        enumerate_orbit_points(X.equations, X.n, amb, X.base, budget=500)
+    assert info.value.cost == 501
+    refused = len(calls)
+    pairs = enumerate_orbit_points(X.equations, X.n, amb, X.base)
+    assert pairs == enumerate_orbit_points(X.equations, X.n, Field(2, 1, 12),
+                                           X.base)
+    # one frob per element over both listings: the second resumed the walk
+    assert 0 < refused < len(calls) == amb.size()
+
+
 def test_plain_listing_walks_no_frobenius_orbit(monkeypatch):
     # the direct graph count and the singular-point search share no orbit
     # reduction with partial_count, which the fibred product's count uses
@@ -288,6 +388,7 @@ def test_plain_listing_walks_no_frobenius_orbit(monkeypatch):
         raise AssertionError("Frobenius orbits walked")
 
     monkeypatch.setattr(counting, "_frobenius_orbits", refuse)
+    monkeypatch.setattr(Field, "frobenius_orbits", refuse)
     assert [[graph_count_direct(G, k) for k in (1, 2)]
             for G in graphs] == want
     F2 = base_field(2, 1)

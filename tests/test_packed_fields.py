@@ -5,7 +5,8 @@ Every operation is checked against ``_poly_mul``/``_poly_mod``/
 on both sides of TABLE_CAP, so the table path and the schoolbook path are
 each compared with code that shares nothing with them.  The same
 reference decides irreducibility by trial division, against the library's
-Rabin test.
+Rabin test.  Above the cap, the p = 2 extended-Euclid inverse is also
+held to a^(p^m - 2) by schoolbook products.
 """
 
 from array import array
@@ -125,6 +126,21 @@ def test_inv_matches_reference(case):
     one = F.to_coeffs(F.one().value)
     assert ref_mul(F, a, F.inv(a)) == one
     assert F.to_coeffs(F.inv(a)) == ref_pow(F, a, F.size() - 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(21, 64), st.data())
+def test_euclid_inverse_matches_powering(m, data):
+    # above the cap F_(2^m) inverts by extended Euclid over F_2[t];
+    # a^(2^m - 2), by schoolbook products alone, is the reference
+    F = field(2, 1, m)
+    assert F.size() > TABLE_CAP
+    a = data.draw(st.one_of(st.just(1), st.just(F.size() - 1),
+                            st.integers(1, F.size() - 1)))
+    assert F.mul(a, F.inv(a)) == F.to_int((1,) + (0,) * (m - 1))
+    assert F.inv(a) == F.pow(a, F.size() - 2)
+    with pytest.raises(ZeroDivisionError):
+        F.inv(0)
 
 
 @settings(max_examples=150, deadline=None)
