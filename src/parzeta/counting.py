@@ -32,7 +32,9 @@ always ``budget + 1``.
   polynomials, whose common roots in F_Q, Q = q^{d_last k}, ``count_roots``
   of ``fields`` counts as deg gcd(f_1, ..., f_r, x^Q - x) (the roots of
   x^Q - x are the elements of F_Q, each simple; Lidl-Niederreiter,
-  *Finite Fields*, ch. 3).
+  *Finite Fields*, ch. 3): a linear polynomial's root by Horner on the
+  others, then Frobenius descent of the gcd to coefficients in F_Q, a
+  closed form for a quadratic, and x^Q mod g only for a larger gcd.
   The other used variables are bound largest domain first, ties going to
   the lowest index, so the orbits reduce the largest domain, and each
   root count is weighted by the length of its first value's orbit.

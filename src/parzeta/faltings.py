@@ -8,11 +8,15 @@ k-th Frobenius power biject with the partial-count points at level k.
 This module builds Y, finds those fixed points by walking Frobenius
 chains, and verifies the equality and the per-point reconstruction
 bijection.  Per level it lists only X's points whose first coordinate is
-the least member of its orbit under Frobenius x -> x^q, each with that
-orbit's length L.  Each such point starts one chain, computed only as
-far as Y's links ask for it, and Frobenius, which commutes with the
-whole construction, carries each fixed point found to L of them; so the
-count sums L, and neither Y nor all of X is listed.
+the least member of its orbit under Frobenius x -> x^q.  Each such point
+starts one chain, computed only as far as Y's links ask for it, and
+Frobenius, which commutes with the whole construction, carries each
+fixed point found to L of them, L the degree over F_q of its first
+coordinate; so the count sums L, and neither Y nor all of X is listed.
+L is decided by powering, ``Field.in_subfield``, not taken from the
+orbit walk whose lengths weight the partial count, so a wrong length
+from the walk makes the two sides differ.  The representatives
+themselves, which x_1 values start a chain, still come from that walk.
 Y's full listing, a join of d copies of X's points, is the tests' oracle;
 it lists X by the plain search, over every value of x_1, so it shares no
 orbit reduction with the fixed points it checks.
@@ -161,8 +165,9 @@ def _twisted_fixed_points(spec: FaltingsSpec, k: int, twists, budget: int,
                           listing=None):
     """For each a in ``twists``, the points y of Y over F_{q^{dk}} with
     sigma^a(Frob^k(y)) = y whose first block is one of
-    `_orbit_listing`'s points, as lex-sorted pairs (y, L); the
-    others are the Frob^s(y), 0 < s < L (`_conjugates`).
+    `_orbit_listing`'s points, as lex-sorted pairs (y, L), L the degree
+    of y_0's first coordinate over F_q; the others are the Frob^s(y),
+    0 < s < L (`_conjugates`).
 
     The equation reads y_j = Frob^k(y_{j-a}) for every block j.  With a
     coprime to d this is y_{ma} = F^m(y_0) for m = 0..d-1, F = Frob^k;
@@ -196,8 +201,20 @@ def _twisted_fixed_points(spec: FaltingsSpec, k: int, twists, budget: int,
         m = m_of[a] = [j * pow(a, -1, d) % d for j in range(d)]
         tests[a] = [(m[j] * r + i, i, k * m[j], m[j2] * r + i, k * m[j2])
                     for j, i, j2 in _y_links(X.profile, d)]
+    # a kept chain counts the degree over F_q of y_0's first coordinate,
+    # decided by powering: the orbit walk's lengths weight the partial
+    # count's side, so this side does not take them from it
+    degrees = {}
+    divisors = [e for e in range(1, d * k + 1) if d * k % e == 0]
+
+    def degree(x):
+        n = degrees.get(x)
+        if n is None:
+            n = degrees[x] = next(j for j in divisors if amb.in_subfield(x, j))
+        return n
+
     out = {a: [] for a in twists}
-    for x, (y0, length) in enumerate(reps):
+    for x, (y0, _) in enumerate(reps):
         seen = [None] * (d * r)
         seen[:r] = y0 if images is None else [f[x] for f in images]
         for a, links in tests.items():
@@ -212,7 +229,7 @@ def _twisted_fixed_points(spec: FaltingsSpec, k: int, twists, budget: int,
                     break
             else:
                 out[a].append((tuple(tuple(frob(c, k * mj) for c in y0)
-                                     for mj in m_of[a]), length))
+                                     for mj in m_of[a]), degree(y0[0])))
     return out
 
 

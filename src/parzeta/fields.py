@@ -53,9 +53,16 @@ search refused part-way has walked only the orbits it reached.
 Univariate polynomials over a field are coefficient lists of its packed
 ints, constant term first.  One toolkit does their arithmetic: remainder,
 monic gcd, x^Q mod g and ``count_roots``, the number of common roots in
-F_{q^e} as deg gcd(f_1, ..., f_r, x^(q^e) - x).  The counting engine
-counts its last variable with it, and ``is_irreducible`` runs Rabin's
-test with it over F_p = field(p, 1, 1), whose packed ints are the digits.
+F_{q^e} as deg gcd(f_1, ..., f_r, x^(q^e) - x).  ``count_roots`` gets
+that degree by algebra first: a linear polynomial's root r counts when
+r^Q = r and the others vanish at it; otherwise the gcd g of them all
+descends to gcd(g, g^sigma), g^sigma its coefficients raised to the Q-th
+power, until its coefficients lie in F_Q; a quadratic is then counted by
+a closed form (the discriminant's quadratic character for odd p, the
+absolute trace of c/b^2 for p = 2), and only a g of degree >= 3 reduces
+x^Q mod g.  The counting engine counts its last variable with it, and
+``is_irreducible`` runs Rabin's test with it over F_p = field(p, 1, 1),
+whose packed ints are the digits.
 """
 
 from __future__ import annotations
@@ -205,25 +212,72 @@ def count_roots(polys, F: Field, e: int) -> int:
     ``polys`` are coefficient lists of packed ints of F, constant term
     first, trailing zeros trimmed.  The answer is q^e when every
     polynomial is zero and 0 when one is a nonzero constant; otherwise it
-    is the degree of G = gcd(f_1, ..., f_r, x^Q - x), Q = q^e: a linear
-    gcd's root r counts when r^Q = r, and a larger one is reduced with
-    x^Q mod G.  No element of F_{q^e} is listed.
+    is the degree of G = gcd(f_1, ..., f_r, x^Q - x), Q = q^e, found by
+    algebra where it can be, in this order:
+
+    - a linear gcd of the shortest polynomials, before the others enter
+      it: its root r counts when r^Q = r and every other polynomial is
+      zero at r, by Horner;
+    - Frobenius descent: with g the monic gcd of all of them and
+      g^sigma its coefficients raised to the Q-th power, a root of g in
+      F_Q is a root of g^sigma, so g becomes gcd(g, g^sigma) until
+      g^sigma = g, which puts its coefficients in F_Q;
+    - a quadratic x^2 + bx + c with b, c in F_Q by a closed form: for odd
+      p, 1 root if the discriminant D = b^2 - 4c is 0, else 2 if
+      D^((Q-1)/2) = 1, else 0; for p = 2, 1 root if b = 0, else 2 if the
+      absolute trace of c/b^2 is 0 (x = by gives y^2 + y = c/b^2), else 0;
+    - a larger g is reduced with x^Q mod g.
+
+    These identities hold in the algebraic closure, so F_Q need not lie
+    in F: ``is_irreducible`` counts over F_p with e > 1.  No element of
+    F_{q^e} is listed.
     """
     polys = [f for f in polys if f]
     if not polys:
         return F.q ** e
     polys.sort(key=len)
-    g = polys[0]
-    for f in polys[1:]:
-        if len(g) == 1:
-            break
-        g = _gcd(g, f, F)
+    add, mul, frob = F.add, F.mul, F.frob
+    g, i = polys[0], 1
+    while len(g) > 2 and i < len(polys):
+        g = _gcd(g, polys[i], F)
+        i += 1
     if len(g) == 1:
         return 0
     if len(g) == 2:
-        r = F.mul(F.neg(g[0]), F.inv(g[1]))
-        return 1 if F.frob(r, e) == r else 0
+        r = mul(F.neg(g[0]), F.inv(g[1]))
+        if frob(r, e) != r:
+            return 0
+        for f in polys[i:]:
+            acc = 0
+            for c in reversed(f):
+                acc = add(mul(acc, r), c)
+            if acc:
+                return 0
+        return 1
     g = _monic(g, F)
+    while True:
+        h = [frob(c, e) for c in g]
+        if h == g:
+            break
+        g = _gcd(g, h, F)
+        if len(g) == 1:
+            return 0
+    if len(g) == 2:
+        return 1
+    if len(g) == 3:
+        c, b = g[0], g[1]
+        if F.p == 2:
+            if not b:
+                return 1
+            a = t = mul(c, F.inv(mul(b, b)))
+            for _ in range(F.s * e - 1):
+                a = mul(a, a)
+                t = add(t, a)
+            return 0 if t else 2
+        disc = F.sub(mul(b, b), mul(4 % F.p * F._one, c))
+        if not disc:
+            return 1
+        return 2 if F.pow(disc, (F.q ** e - 1) // 2) == F._one else 0
     h = _x_power(F.q ** e, g, F)
     h[1] = F.sub(h[1], F._one)
     _trim(h)

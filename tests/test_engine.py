@@ -4,8 +4,9 @@
 variable to one value per Frobenius orbit and counts the last variable's
 values as a gcd degree; these tests hold it to a plain product over
 Frobenius-filtered subfields with ``SparsePoly.evaluate``, hold
-``count_roots`` to a scan of the subfield it counts in, and hold ``join``
-to a filter over the product of its blocks.  Both listings are held to
+``count_roots`` to a scan of the subfield it counts in, and its linear,
+descent and quadratic routes to the gcd with x^Q - x by x^Q mod g, and
+hold ``join`` to a filter over the product of its blocks.  Both listings are held to
 a filter over the product of their domains, and their budgets to the
 node count of the search over every value of x_1:
 ``enumerate_points``, the plain search, and ``enumerate_orbit_points``,
@@ -25,14 +26,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parzeta import counting
+from parzeta import counting, fields
 from parzeta.artin_schreier import singular_search
 from parzeta.cli import load_instance
 from parzeta.counting import (BudgetExceededError, _search, count_roots,
                                enumerate_orbit_points, enumerate_points, join,
                                partial_count)
 from parzeta.faltings import lemma_check
-from parzeta.fields import Field, FieldElement, _frobenius_orbits, field
+from parzeta.fields import (Field, FieldElement, _frobenius_orbits, _gcd,
+                            _monic, _trim, field)
 from parzeta.graphs import fibred_product_reduce, graph_count_direct
 from parzeta.polys import SparsePoly, VarietySpec, base_field, parse_poly
 
@@ -494,6 +496,146 @@ def test_root_count_repeated_and_outside_roots(p, s, N, e):
     for poly, want in cases:
         assert count_roots([[c.value for c in poly]], F, e) == want
         assert scan_count(F, e, [poly]) == want
+
+
+def gcd_route_count(polys, F, e):
+    """deg gcd(f_1, ..., f_r, x^Q - x), Q = q^e, with x^Q reduced by
+    ``fields._x_power`` whatever the gcd's degree: the route of every
+    count before the linear, descent and quadratic routes."""
+    polys = [f for f in polys if f]
+    if not polys:
+        return F.q ** e
+    g = polys[0]
+    for f in polys[1:]:
+        g = _gcd(g, f, F)
+    if len(g) == 1:
+        return 0
+    # x^Q - x is squarefree, so g^2 has the same common roots with it as
+    # g, and the degree >= 2 that _x_power asks for
+    g = packed_product(_monic(g, F), _monic(g, F), F)
+    h = fields._x_power(F.q ** e, g, F)
+    h[1] = F.sub(h[1], F._one)
+    return len(_gcd(g, _trim(h), F)) - 1
+
+
+def packed_product(a, b, F):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = F.add(out[i + j], F.mul(x, y))
+    return out
+
+
+# (p, s, N, e) with N = 2e, so F holds F_{Q^2}, Q = q^e, and a quadratic
+# over F_Q with no root in it is (x - z)(x - z^Q) for z outside F_Q: p = 2
+# and odd p, each with s = 1 and s = 2, and two ambient fields above
+# TABLE_CAP
+ROUTE_FIELDS = [(2, 1, 2, 1), (2, 1, 6, 3), (2, 2, 2, 1), (2, 2, 4, 2),
+                (3, 1, 4, 2), (3, 2, 2, 1), (5, 1, 2, 1), (2, 1, 22, 11),
+                (3, 1, 14, 7)]
+
+
+@st.composite
+def route_problems(draw):
+    """(F, e, polys, want): packed coefficient lists for one route of
+    ``count_roots``, with the count when the draw fixes it, else None."""
+    kind = draw(st.sampled_from(("double", "split", "irreducible",
+                                 "descent", "linear", "prime field")))
+    if kind == "prime field":
+        # F_Q lies outside F = F_p, as in Rabin's test
+        p, e = draw(st.sampled_from((2, 3, 5))), draw(st.integers(2, 6))
+        F = field(p, 1, 1)
+        coeff = st.integers(0, p - 1)
+        polys = [draw(st.lists(coeff, min_size=2, max_size=6))
+                 for _ in range(draw(st.integers(1, 3)))]
+        return F, e, [_trim(f) for f in polys], None
+    p, s, N, e = draw(st.sampled_from(ROUTE_FIELDS))
+    F = field(p, s, N)
+    sub = F.subfield(e, method="span")
+    inside = st.sampled_from(sub)
+    outside = st.integers(1, F.size() - 1).filter(
+        lambda v: not F.in_subfield(v, e))
+    unit = st.integers(1, F.size() - 1)
+
+    def linear(root):
+        return [F.neg(root), F._one]
+
+    lead = [draw(unit)]
+    if kind in ("double", "split", "irreducible"):
+        a = draw(inside)
+        if kind == "double":
+            roots, want = (a, a), 1
+        elif kind == "split":
+            roots, want = (a, draw(inside.filter(lambda v: v != a))), 2
+        else:
+            z = draw(outside)
+            roots, want = (z, F.frob(z, e)), 0
+        poly = packed_product(lead, packed_product(linear(roots[0]),
+                                                   linear(roots[1]), F), F)
+        return F, e, [poly], want
+    pool = st.one_of(inside, outside)
+    if kind == "descent":
+        # a root outside F_Q puts coefficients outside it; the count is
+        # that of the distinct roots inside
+        roots = draw(st.lists(inside, max_size=2))
+        poly = lead
+        for r in roots + draw(st.lists(outside, min_size=1, max_size=2)):
+            poly = packed_product(poly, linear(r), F)
+        polys = [poly]
+        if draw(st.booleans()):
+            polys.append(packed_product(poly, linear(draw(pool)), F))
+        return F, e, polys, len(set(roots))
+    # a linear polynomial and others, each zero at its root or not
+    r = draw(pool)
+    polys = [packed_product(lead, linear(r), F)]
+    for _ in range(draw(st.integers(1, 2))):
+        poly = _trim(draw(st.lists(st.integers(0, F.size() - 1),
+                                   min_size=1, max_size=4)))
+        if draw(st.booleans()):
+            poly = packed_product(poly or [F._one], linear(r), F)
+        polys.append(poly)
+    return F, e, polys, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(route_problems())
+def test_root_count_routes_match_gcd_with_x_power(problem):
+    F, e, polys, want = problem
+    got = count_roots([list(f) for f in polys], F, e)
+    assert got == gcd_route_count(polys, F, e)
+    if want is not None:
+        assert got == want
+
+
+def _x_power_calls(monkeypatch):
+    calls = []
+    reduce = fields._x_power
+
+    def spy(*args):
+        calls.append(args)
+        return reduce(*args)
+
+    monkeypatch.setattr(fields, "_x_power", spy)
+    return calls
+
+
+def test_quadratic_leaves_never_reduce_x_to_the_q(monkeypatch):
+    # 2 x2 (x1 + x2) is quadratic in the last variable x2 at every x1
+    X = V(3, 1, 2, ["2*x1*x2 + 2*x2^2"], (1, 1))
+    for k in range(1, 5):
+        field(3, 1, k)  # the modulus search reduces x^Q too: build first
+    calls = _x_power_calls(monkeypatch)
+    assert [partial_count(X, k) for k in range(1, 5)] == [5, 17, 53, 161]
+    assert calls == []
+
+
+def test_cubic_leaves_still_reduce_x_to_the_q(monkeypatch):
+    X, _, _ = load_instance(str(CORPUS / "mu3_d2_f2.json"), "variety")
+    want = [oracle_count(X, k) for k in range(1, 4)]
+    calls = _x_power_calls(monkeypatch)
+    # x1 is the only variable: each level has one leaf, the cubic x1^3 + 1
+    assert [partial_count(X, k) for k in range(1, 4)] == want
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------

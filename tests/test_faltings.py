@@ -15,7 +15,7 @@ from parzeta.faltings import (build_faltings, enumerate_y_points,
                               fixed_point_count, fixed_points, h_index,
                               lemma_check, morphism_partial_count,
                               sigma_apply)
-from parzeta.fields import field
+from parzeta.fields import Field, field
 from parzeta.polys import MorphismSpec, VarietySpec, base_field, parse_poly
 from test_engine import varieties
 
@@ -129,6 +129,24 @@ def test_lemma_check_hyperbola():
 def test_lemma_check_over_f3():
     rep = lemma_check(V(3, 1, 2, ["x2 - x1^2"], (1, 2)), 2)
     assert rep.passed and rep.reconstruction_ok
+
+
+def test_lemma_check_fails_on_wrong_orbit_lengths(monkeypatch):
+    # the orbit walk weights the partial count; the fixed points are
+    # weighted by their first coordinate's degree, so doubling the walk's
+    # lengths must make the two sides differ
+    walk = Field.frobenius_orbits
+
+    def doubled(self, e):
+        return ((x, 2 * length) for x, length in walk(self, e))
+
+    monkeypatch.setattr(Field, "frobenius_orbits", doubled)
+    for X, morphisms in [(V(2, 1, 2, ["x1 + x2"], (2, 3)), None),
+                         (V(2, 1, 2, ["x1*x2 + 1"], (1, 2)), None),
+                         squaring_line()]:
+        rep = lemma_check(X, 2, morphisms)
+        assert not rep.passed
+        assert not any(e.equal for e in rep.entries)
 
 
 def _listing_spy(monkeypatch):
