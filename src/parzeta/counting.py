@@ -10,7 +10,10 @@ its domain; an equation is checked as soon as its last variable is bound,
 an equation linear in the variable being bound is solved for it instead
 of scanned, and one that is a nonzero constant in it prunes the branch.
 Each equation's terms carry their values at the bound prefix, so binding
-a variable costs one product per term.  In ``partial_count`` and
+a variable costs one product per term.  The last bound level is fused
+with the leaf: each value that passes it builds the coefficient lists of
+the equations left for the leaf directly from those term values and its
+own powers, with no further level of the search.  In ``partial_count`` and
 ``enumerate_orbit_points`` the first variable bound takes one value per
 orbit of Frobenius sigma: x -> x^q on its domain, which must be
 sigma-stable.  The orbits come from the ambient field's memoised walk,
@@ -26,18 +29,25 @@ orbit, so a refusal does not depend on the reduction, and its cost is
 always ``budget + 1``.
 
 - ``partial_count`` leaves out the variables no equation uses (they
-  multiply the count by their domain size) and binds the used variable
-  with the largest domain last, ties going to the highest index.  That
-  variable is never enumerated: substituting the prefix leaves univariate
-  polynomials, whose common roots in F_Q, Q = q^{d_last k}, ``count_roots``
-  of ``fields`` counts as deg gcd(f_1, ..., f_r, x^Q - x) (the roots of
+  multiply the count by their domain size) and counts one used variable
+  of largest domain instead of binding it: substituting the prefix
+  leaves univariate polynomials, whose common roots in F_Q,
+  Q = q^{d_c k} with d_c its profile entry, ``count_roots`` of
+  ``fields`` counts as deg gcd(f_1, ..., f_r, x^Q - x) (the roots of
   x^Q - x are the elements of F_Q, each simple; Lidl-Niederreiter,
   *Finite Fields*, ch. 3): a linear polynomial's root by Horner on the
   others, then Frobenius descent of the gcd to coefficients in F_Q, a
-  closed form for a quadratic, and x^Q mod g only for a larger gcd.
-  The other used variables are bound largest domain first, ties going to
-  the lowest index, so the orbits reduce the largest domain, and each
-  root count is weighted by the length of its first value's orbit.
+  closed form for a quadratic, and x^Q mod g only for a larger gcd.  The
+  order, ``_count_order``'s, depends on the equations and the profile,
+  not on k.  It binds the constraining variables first, so that
+  equations close early and a linear one is solved with one candidate
+  instead of a scan of q^{d k} (the fail-first principle; Haralick and
+  Elliott, "Increasing tree search efficiency for constraint
+  satisfaction problems", 1980), and it counts a variable of least
+  degree, so that a linear leaf takes the linear route; otherwise the
+  first bound variable has the largest domain, for the orbits to reduce.
+  Each root count is weighted by the length of the first bound value's
+  orbit.
 - ``enumerate_points`` binds every variable in index order, each to
   every value of its domain, the last one by scan or linear solve like
   the others: the plain listing, in lex order.  The direct graph count,
@@ -48,9 +58,10 @@ always ``budget + 1``.
   is its orbit's least member, in lex order, each with that orbit's
   length L; the others are their images under sigma^i, 0 < i < L.  The
   cyclic-cover lemma of ``faltings`` walks Frobenius chains from it and
-  compares their orbit-length sum with the partial count's root counts:
-  both sides reduce by the same orbits of x_1, but count by different
-  routes.
+  compares their orbit-length sum with the partial count's root counts.
+  Both sides take their representatives from the field's orbit walk,
+  the partial count over its first bound variable's subfield, which need
+  not be x_1's, and they count by different routes.
 
 Listed points are combined by ``join``: blocks of candidates tied by
 equal images, placed one at a time, each block's candidates looked up in
@@ -63,6 +74,7 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import lru_cache
 from itertools import product, repeat
 
 from .fields import Field, _frobenius_orbits, _trim, count_roots, field
@@ -122,8 +134,11 @@ def _search(equations, ambient: Field, base: Field, order, domains, leaf,
     being bound prunes the branch without a scan.  At each full prefix,
     ``leaf(point, polys, w)`` is called with ``point`` the bound values in
     search order, ``polys`` the equations that use the unbound variable,
-    as coefficient lists in it, and ``w`` the length of point[0]'s orbit
-    (1 without ``orbits``); the sum of its return values is returned.
+    as coefficient lists in it (none when every variable is bound), and
+    ``w`` the length of point[0]'s orbit (1 without ``orbits``); the sum
+    of its return values is returned.  ``polys`` are built at the last
+    bound level, from a plan of each term's exponents there and in the
+    unbound variable, and ``leaf`` is called from that level's loop.
 
     With ``orbits``, the pairs (x, L) of the least member x of each orbit
     of sigma: x -> x^q on ``domains[0]`` and its length L (one of
@@ -166,17 +181,21 @@ def _search(equations, ambient: Field, base: Field, order, domains, leaf,
               for u in range(stop)]
     members = [d if isinstance(d, range) else set(d) for d in domains]
     point = [None] * stop
-    nodes = 0
+    nodes = 1  # the root
+    if budget < 1:
+        raise BudgetExceededError(budget + 1, budget, "variety enumeration")
+    if not stop:
+        return leaf(point, [_collect(start[j], exps[j][0], ambient)
+                            for j in close[0]], 1)
+    # the last bound level builds the leaf's polynomials itself: per
+    # equation closing at the leaf, its length and each term's exponents
+    # at that level and in the unbound variable
+    fuse = stop - 1
+    plan = [(j, max(exps[j][stop]) + 1,
+             list(zip(exps[j][fuse], exps[j][stop]))) for j in close[stop]]
 
     def descend(u, vals, w):
         nonlocal nodes
-        nodes += w
-        if nodes > budget:
-            raise BudgetExceededError(budget + 1, budget,
-                                      "variety enumeration")
-        if u == stop:
-            return leaf(point, [_collect(vals[j], exps[j][u], ambient)
-                                for j in close[u]], w)
         closing = close[u]
         candidates = None
         for j in closing:
@@ -207,12 +226,25 @@ def _search(equations, ambient: Field, base: Field, order, domains, leaf,
                 if acc:
                     break
             else:
-                nxt = list(vals)
-                for j in touch[u]:
-                    nxt[j] = [mul(v, xp[e]) if e else v
-                              for v, e in zip(vals[j], exps[j][u])]
+                nodes += wx
+                if nodes > budget:
+                    raise BudgetExceededError(budget + 1, budget,
+                                              "variety enumeration")
                 point[u] = x
-                total += descend(u + 1, nxt, wx)
+                if u < fuse:
+                    nxt = list(vals)
+                    for j in touch[u]:
+                        nxt[j] = [mul(v, xp[e]) if e else v
+                                  for v, e in zip(vals[j], exps[j][u])]
+                    total += descend(u + 1, nxt, wx)
+                else:
+                    polys = []
+                    for j, size, terms in plan:
+                        c = [0] * size
+                        for v, (e, f) in zip(vals[j], terms):
+                            c[f] = add(c[f], mul(v, xp[e]) if e else v)
+                        polys.append(_trim(c))
+                    total += leaf(point, polys, wx)
         return total
 
     try:
@@ -356,10 +388,64 @@ def partial_count_check(X: VarietySpec, k: int, budget: int) -> None:
     check_cost(X.p ** X.s, k * sum(X.profile), budget, f"partial_count k={k}")
 
 
+@lru_cache(maxsize=256)
+def _count_order(X: VarietySpec):
+    """``partial_count``'s order of the variables the equations use, the
+    counted one last; it depends on the equations and the profile, not on
+    k, so it is worked out once per variety.
+
+    The counted variable has a largest domain.  For each such choice the
+    others are placed back to front, each place taking, in this order of
+    preference, a variable at which an equation without the counted one
+    closes linearly (the search solves it: one candidate), one at which
+    such an equation closes at all (it prunes), and the smallest domain,
+    ties going to the highest index, so that the first variable, bound to
+    one value per Frobenius orbit, has the largest domain left.  The
+    counted variable is the choice whose places close best, back to
+    front; then the one of least degree in the equations that use it, so
+    that a linear leaf takes ``count_roots``' linear route; then the one
+    of highest index.
+    """
+    d = X.profile
+    degrees = []
+    for eq in X.equations:
+        if eq.terms:
+            deg = [max(col) for col in zip(*eq.terms)]
+            degrees.append(({i for i, e in enumerate(deg) if e}, deg))
+    used = set().union(*(vs for vs, _ in degrees))
+    top = max(d[i] for i in used)
+    best = None
+    for last in sorted(i for i in used if d[i] == top):
+        rest = used - {last}
+        bound = [(vs, deg) for vs, deg in degrees if last not in vs]
+        order, places = [last], []
+        while rest:
+            ranks = []
+            for v in rest:
+                # the degrees in v of the equations that close at v
+                closing = [deg[v] for vs, deg in bound
+                           if v in vs and vs <= rest]
+                ranks.append((1 in closing, bool(closing), -d[v], v))
+            linear, closes, _, v = max(ranks)
+            places += [linear, closes]
+            order.append(v)
+            rest = rest - {v}
+        key = (places, -min(deg[last] for vs, deg in degrees if last in vs))
+        if best is None or key >= best[0]:
+            best = key, tuple(order[::-1])
+    return best[1]
+
+
 def partial_count(X: VarietySpec, k: int,
                   budget: int = DEFAULT_BUDGET) -> int:
     """Exact #X_{d_1,...,d_n}(k), refused by ``partial_count_check``
-    before any subfield is materialised."""
+    before any subfield is materialised.
+
+    The used variables are searched in ``_count_order``'s order: the
+    last is counted by ``count_roots``, the first takes one value per
+    Frobenius orbit, and the last bound level builds the leaf's
+    polynomials itself.
+    """
     if k < 1:
         raise ValueError("k must be positive")
     partial_count_check(X, k, budget)
@@ -377,8 +463,8 @@ def partial_count(X: VarietySpec, k: int,
             free *= size
     if not used:
         return free
-    last = max(used, key=lambda i: (sizes[i], i))
-    order = sorted(used - {last}, key=lambda i: (-sizes[i], i)) + [last]
+    order = _count_order(X)
+    last = order[-1]
     amb = field(X.p, X.s, X.D * k)
     domains = [amb.subfield(X.profile[i] * k, method="span")
                for i in order[:-1]]

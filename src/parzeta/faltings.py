@@ -16,7 +16,11 @@ coordinate; so the count sums L, and neither Y nor all of X is listed.
 L is decided by powering, ``Field.in_subfield``, not taken from the
 orbit walk whose lengths weight the partial count, so a wrong length
 from the walk makes the two sides differ.  The representatives
-themselves, which x_1 values start a chain, still come from that walk.
+themselves, which x_1 values start a chain, still come from that walk,
+as do the partial count's, over the subfield of its first bound
+variable.  A walk that skips an orbit mostly shows as unequal sides
+(``x1*x2 + 1`` at profile (1, 2)), but not always: on ``x1 + x2`` at
+(2, 3) both sides drop the same representative and still agree.
 Y's full listing, a join of d copies of X's points, is the tests' oracle;
 it lists X by the plain search, over every value of x_1, so it shares no
 orbit reduction with the fixed points it checks.

@@ -108,6 +108,11 @@ def V(p, s, n, texts, profile):
     # two equations in the last variable: common roots only
     V(2, 1, 2, ["x2^2 + x2", "x1*x2 + x2"], (1, 3)),
     V(2, 2, 2, ["x1*x2^2 + g*x2 + x1", "x2^3 + x1"], (1, 1)),
+    # tied domains: the counted variable is the one of least degree, x2
+    # and not x3, x1 and not x3, x1 and not x2
+    V(2, 1, 3, ["x2 + x2*x3^2 + x3^3"], (1, 1, 1)),
+    V(2, 1, 3, ["x2^2*x3 + 1 + x3^2 + x1*x3^2"], (1, 1, 1)),
+    V(3, 1, 2, ["x1^2 + 2*x2^3 + x1"], (1, 1)),
 ])
 @pytest.mark.parametrize("k", [1, 2])
 def test_engine_special_shapes(X, k):
@@ -134,14 +139,7 @@ def test_engine_orbit_cases(X, k):
     assert partial_count(X, k) == oracle_count(X, k)
 
 
-def test_one_root_count_per_frobenius_orbit(monkeypatch):
-    import parzeta.counting as counting
-
-    # the equation closes at x2, so every value of x1 reaches a leaf
-    X = V(2, 2, 2, ["x1*x2^2 + x2 + 1"], (2, 3))
-    amb = field(2, 2, 6)
-    domain = amb.subfield(2, method="filter")
-    orbits = {frozenset(amb.pow(x, 4 ** j) for j in range(2)) for x in domain}
+def _count_roots_calls(monkeypatch):
     calls = []
     counted = counting.count_roots
 
@@ -150,9 +148,33 @@ def test_one_root_count_per_frobenius_orbit(monkeypatch):
         return counted(*args)
 
     monkeypatch.setattr(counting, "count_roots", spy)
+    return calls
+
+
+def test_one_root_count_per_frobenius_orbit(monkeypatch):
+    # the equation closes at x2, so every value of x1 reaches a leaf
+    X = V(2, 2, 2, ["x1*x2^2 + x2 + 1"], (2, 3))
+    amb = field(2, 2, 6)
+    domain = amb.subfield(2, method="filter")
+    orbits = {frozenset(amb.pow(x, 4 ** j) for j in range(2)) for x in domain}
+    calls = _count_roots_calls(monkeypatch)
     assert partial_count(X, 1) == oracle_count(X, 1)
     assert len(calls) == len(orbits) == 10
     assert len(domain) == 16
+
+
+def test_a_linearly_closing_variable_is_solved_not_counted(monkeypatch):
+    # x3 (x1^2 + 1) closes linearly in x3, so x3 is bound after x1 and
+    # solved, and x2 is counted.  x1 runs over F_8 in 4 orbits: 0, 1 and
+    # two of length 3.  At x1 = 1 the equation vanishes and x3 takes all 8
+    # values, elsewhere only x3 = 0: 1 + 8 + 2 leaves, where counting x3
+    # would reach 4 * 8.
+    X = V(2, 1, 3, ["x1^2*x3 + x3", "x1^2*x2 + x1*x2*x3 + x1*x2 + 1"],
+          (1, 1, 1))
+    want = oracle_count(X, 3)
+    calls = _count_roots_calls(monkeypatch)
+    assert partial_count(X, 3) == want
+    assert len(calls) == 11
 
 
 # ---------------------------------------------------------------------------
@@ -620,12 +642,13 @@ def _x_power_calls(monkeypatch):
 
 
 def test_quadratic_leaves_never_reduce_x_to_the_q(monkeypatch):
-    # 2 x2 (x1 + x2) is quadratic in the last variable x2 at every x1
-    X = V(3, 1, 2, ["2*x1*x2 + 2*x2^2"], (1, 1))
-    for k in range(1, 5):
-        field(3, 1, k)  # the modulus search reduces x^Q too: build first
+    # 2 x2 (x1 + x2) is quadratic in x2 at every x1; x2 has the larger
+    # domain, so it is the counted variable
+    X = V(3, 1, 2, ["2*x1*x2 + 2*x2^2"], (1, 2))
+    # the oracle builds the fields first: their modulus search reduces x^Q
+    want = [oracle_count(X, k) for k in range(1, 4)]
     calls = _x_power_calls(monkeypatch)
-    assert [partial_count(X, k) for k in range(1, 5)] == [5, 17, 53, 161]
+    assert [partial_count(X, k) for k in range(1, 4)] == want
     assert calls == []
 
 

@@ -149,6 +149,28 @@ def test_lemma_check_fails_on_wrong_orbit_lengths(monkeypatch):
         assert not any(e.equal for e in rep.entries)
 
 
+def test_lemma_check_fails_on_a_skipped_orbit(monkeypatch):
+    # both sides take their representatives from the walk, the partial
+    # count's over the first bound variable's subfield and the fixed
+    # points' over the whole field; dropping the first orbit of length > 1
+    # must make them differ.  (On x1 + x2 at (2, 3) it does not: both sides
+    # drop the same representative, so the lemma cannot see the skip.)
+    walk = Field.frobenius_orbits
+
+    def skipping(self, e):
+        pairs = walk(self, e)
+        for x, length in pairs:
+            if length > 1:
+                break
+            yield x, length
+        yield from pairs
+
+    monkeypatch.setattr(Field, "frobenius_orbits", skipping)
+    for X in (V(2, 1, 2, ["x1*x2 + 1"], (1, 2)),
+              V(3, 1, 2, ["x2 - x1^2"], (1, 2))):
+        assert not lemma_check(X, 2).passed
+
+
 def _listing_spy(monkeypatch):
     """The ambient degree N of every `enumerate_orbit_points` call, in
     order; listing Y, or all of X, fails the test."""
