@@ -15,12 +15,12 @@ with the leaf: each value that passes it builds the coefficient lists of
 the equations left for the leaf directly from those term values and its
 own powers, with no further level of the search.  In ``partial_count`` and
 ``enumerate_orbit_points`` the first variable bound takes one value per
-orbit of Frobenius sigma: x -> x^q on its domain, which must be
-sigma-stable.  The orbits come from the ambient field's memoised walk,
-``Field.frobenius_orbits``, when the domain is a subfield: an orbit is
-walked only when the search reaches its least member, so a refused
-search has walked only the orbits it reached, and a later search over
-the same subfield replays them and walks on from there.  The
+orbit of Frobenius sigma: x -> x^q on its domain, a subfield (the whole
+field for the listing).  The orbits come from the ambient field's
+memoised walk, ``Field.frobenius_orbits``: an orbit is walked only when
+the search reaches its least member, so a refused search has walked
+only the orbits it reached, and a later search over the same subfield
+replays them and walks on from there.  The
 equations have coefficients in F_q, so sigma permutes the solutions and
 maps the fibre over x onto the fibre over sigma(x); an orbit in F_{q^e}
 has a length dividing e.  The budget counts every node of the search
@@ -50,13 +50,14 @@ always ``budget + 1``.
   orbit.
 - ``enumerate_points`` binds every variable in index order, each to
   every value of its domain, the last one by scan or linear solve like
-  the others: the plain listing, in lex order.  The direct graph count,
-  the singular-point search and the listing of the cyclic cover Y build
-  on it, so none of them shares the orbit reduction.
-- ``enumerate_orbit_points`` binds the variables the same way, x_1 to
-  one value per orbit.  It lists the solutions whose first coordinate
-  is its orbit's least member, in lex order, each with that orbit's
-  length L; the others are their images under sigma^i, 0 < i < L.  The
+  the others: the plain listing, in lex order.  The direct graph count
+  and the singular-point search build on it, so neither shares the orbit
+  reduction.
+- ``enumerate_orbit_points`` binds the variables the same way, each over
+  the whole ambient field, x_1 to one value per orbit.  It lists the
+  solutions whose first coordinate is its orbit's least member, in lex
+  order, each with that orbit's length L; the others are their images
+  under sigma^i, 0 < i < L.  The
   cyclic-cover lemma of ``faltings`` walks Frobenius chains from it and
   compares their orbit-length sum with the partial count's root counts.
   Both sides take their representatives from the field's orbit walk,
@@ -66,8 +67,7 @@ always ``budget + 1``.
 Listed points are combined by ``join``: blocks of candidates tied by
 equal images, placed one at a time, each block's candidates looked up in
 an index keyed by its images towards the blocks already placed.  The
-direct count of ``graphs`` is such a join, and so is the full listing of
-the cyclic cover Y of ``faltings``, which its tests use as an oracle.
+direct count of ``graphs`` is such a join.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ import sys
 from functools import lru_cache
 from itertools import product, repeat
 
-from .fields import Field, _frobenius_orbits, _trim, count_roots, field
+from .fields import Field, _trim, count_roots, field
 from .polys import VarietySpec
 
 DEFAULT_BUDGET = 10 ** 8
@@ -254,44 +254,29 @@ def _search(equations, ambient: Field, base: Field, order, domains, leaf,
 
 
 def enumerate_orbit_points(equations, n: int, ambient: Field, base: Field,
-                           domains=None, budget: int = DEFAULT_BUDGET):
-    """The solutions whose first coordinate is the least member of its
-    Frobenius orbit, as lex-sorted (point, L) pairs of an int tuple and
-    the length L of that orbit.
+                           budget: int = DEFAULT_BUDGET):
+    """The solutions in ``ambient`` whose first coordinate is the least
+    member of its Frobenius orbit, as lex-sorted (point, L) pairs of an
+    int tuple and the length L of that orbit.
 
     sigma: x -> x^q permutes the solutions, the equations having
     coefficients in F_q, and maps the fibre over x_1 onto the fibre over
     sigma(x_1); so the solutions are the sigma^i(point), 0 <= i < L, of
-    the pairs, each once.  ``domains`` are sorted iterables of packed
-    ints of ``ambient``, each stable under sigma, or ``ValueError`` is
-    raised; each is walked afresh.  When None, every domain is the whole
-    field, and x_1's orbits come from ``ambient.frobenius_orbits``, so a
-    second listing over the same field replays them.  The search binds
-    x_1, ..., x_n in turn and raises ``BudgetExceededError`` once it has
-    visited more than ``budget`` nodes, counted as by the search over
-    every value of x_1.
+    the pairs, each once.  x_1's orbits come from
+    ``ambient.frobenius_orbits``, so a second listing over the same field
+    replays them.  The search binds x_1, ..., x_n in turn, each over the
+    whole field, and raises ``BudgetExceededError`` once it has visited
+    more than ``budget`` nodes, counted as by the search over every value
+    of x_1.
     """
-    if domains is None:
-        domains = [range(ambient.size())] * n
-        orbits = ambient.frobenius_orbits(ambient.N)
-    else:
-        # explicit domains are walked afresh, each checked for stability:
-        # the first as the search walks it, the others up front, one frob
-        # a value
-        domains = list(domains)
-        orbits = _frobenius_orbits(domains[0], ambient.frob, set(domains[0]))
-        for dom in domains[1:]:
-            if dom is not domains[0] and dom != ambient.elements():
-                for _ in _frobenius_orbits(dom, ambient.frob, set(dom)):
-                    pass
     out = []
 
     def leaf(point, polys, length):
         out.append((tuple(point), length))
         return 1
 
-    _search(equations, ambient, base, range(n), domains, leaf, budget,
-            orbits)
+    _search(equations, ambient, base, range(n), [range(ambient.size())] * n,
+            leaf, budget, ambient.frobenius_orbits(ambient.N))
     return out
 
 

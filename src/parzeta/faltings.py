@@ -1,18 +1,20 @@
 """The cyclic-shift fixed-point variety and its counting identity.
 
 Given X with profile (d_1,...,d_n) and d = lcm, the subvariety Y of X^d is
-cut out by identifying coordinate i of block j with coordinate i of block
-j + d_i (indices mod d); Y is stable under the block rotation sigma, and
-for every a coprime to d the fixed points of sigma^a composed with the
-k-th Frobenius power biject with the partial-count points at level k.
-This module builds Y, finds those fixed points by walking Frobenius
-chains, and verifies the equality and the per-point reconstruction
-bijection.  Per level it lists only X's points whose first coordinate is
-the least member of its orbit under Frobenius x -> x^q.  Each such point
-starts one chain, computed only as far as Y's links ask for it, and
-Frobenius, which commutes with the whole construction, carries each
-fixed point found to L of them, L the degree over F_q of its first
-coordinate; so the count sums L, and neither Y nor all of X is listed.
+cut out by identifying the image under f_i of block j with that of block
+j + d_i (indices mod d), f_i the i-th coordinate when no morphisms are
+given; Y is stable under the block rotation sigma, and for every a
+coprime to d the fixed points of sigma^a composed with the k-th
+Frobenius power biject with the partial-count points at level k.
+This module finds those fixed points by walking Frobenius chains along
+Y's links, ``_y_links``, and verifies the equality and the per-point
+reconstruction bijection; Y's equations are never built.  Per level it
+lists only X's points whose first coordinate is the least member of its
+orbit under Frobenius x -> x^q.  Each such point starts one chain,
+computed only as far as Y's links ask for it, and Frobenius, which
+commutes with the whole construction, carries each fixed point found to
+L of them, L the degree over F_q of its first coordinate; so the count
+sums L, and neither Y nor all of X is listed.
 L is decided by powering, ``Field.in_subfield``, not taken from the
 orbit walk whose lengths weight the partial count, so a wrong length
 from the walk makes the two sides differ.  The representatives
@@ -21,9 +23,10 @@ as do the partial count's, over the subfield of its first bound
 variable.  A walk that skips an orbit mostly shows as unequal sides
 (``x1*x2 + 1`` at profile (1, 2)), but not always: on ``x1 + x2`` at
 (2, 3) both sides drop the same representative and still agree.
-Y's full listing, a join of d copies of X's points, is the tests' oracle;
-it lists X by the plain search, over every value of x_1, so it shares no
-orbit reduction with the fixed points it checks.
+Y's equations, their stability under sigma, and Y's full listing, a join
+of d copies of X's points listed by the plain search over every value of
+x_1, are the tests' oracle; they share no orbit reduction with the fixed
+points they check.
 """
 
 from __future__ import annotations
@@ -31,19 +34,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .counting import (DEFAULT_BUDGET, enumerate_orbit_points,
-                       enumerate_points, join, partial_count,
+from .counting import (DEFAULT_BUDGET, enumerate_orbit_points, partial_count,
                        partial_count_check)
 from .fields import Field, field
-from .polys import SparsePoly, VarietySpec
+from .polys import VarietySpec
 
 
 @dataclass(frozen=True)
 class FaltingsSpec:
     X: VarietySpec
     d: int
-    block_size: int          # coordinates per block (n of X)
-    Y: VarietySpec           # in d * block_size variables
     morphisms: tuple = None  # one MorphismSpec per profile entry; None for
                              # the coordinate projections
 
@@ -57,67 +57,23 @@ def h_index(a: int, d: int, j: int) -> int:
     return ((j - 1) * pow(a, -1, d)) % d
 
 
-def sigma_apply(blocks, a: int):
-    """sigma^a: one step sends (y_1,...,y_d) to (y_d, y_1,...,y_{d-1})."""
-    d = len(blocks)
-    return tuple(blocks[(j - a) % d] for j in range(d))
-
-
-def _slot(j: int, i: int, n: int) -> int:
-    return j * n + i
-
-
 def build_faltings(X: VarietySpec, morphisms=None) -> FaltingsSpec:
-    """Construct Y inside X^d with its identification equations.
-
-    With no morphisms the f_i are the coordinate projections, so the
-    identifications are slot equalities; with morphisms they are
-    componentwise polynomial identities.  Either way the resulting
-    equation set is checked to be permuted by the block rotation.
-    """
-    d = X.D
-    n = X.n
-    dn = d * n
+    """X, d = lcm of its profile, and the morphisms f_i, one per profile
+    entry, each a map from X's n variables with coefficients in X's base
+    field F_q; ``ValueError`` otherwise.  Y itself is not built."""
     if morphisms is not None:
         morphisms = tuple(morphisms)
         if len(morphisms) != len(X.profile):
             raise ValueError("need one morphism per profile entry")
-    blocks = [{v: _slot(j, v, n) for v in range(n)} for j in range(d)]
-    # d copies of X's equations, one per block
-    equations = [eq.rename(blocks[j], dn) for j in range(d) for eq in X.equations]
-    for i, di in enumerate(X.profile):
-        comps = ((SparsePoly.var(n, X.base, i),) if morphisms is None
-                 else morphisms[i].components)
-        for j in range(d):
-            j2 = (j + di) % d
-            if j2 != j:
-                equations.extend(c.rename(blocks[j], dn) - c.rename(blocks[j2], dn)
-                                 for c in comps)
-    Y = VarietySpec(X.p, X.s, dn, tuple(equations), (1,) * dn)
-    spec = FaltingsSpec(X, d, n, Y, morphisms)
-    _check_sigma_stability(spec)
-    return spec
+        for f in morphisms:
+            if f.n_in != X.n:
+                raise ValueError(f"a morphism takes {f.n_in} variables, "
+                                 f"X has {X.n}")
+            if any(c.base is not X.base for c in f.components):
+                raise ValueError("a morphism has coefficients outside "
+                                 "X's base field")
+    return FaltingsSpec(X, X.D, morphisms)
 
-
-def _check_sigma_stability(spec: FaltingsSpec):
-    """Rotating the blocks must permute Y's equation set."""
-    d, n = spec.d, spec.block_size
-    dn = d * n
-    rot = {_slot(j, i, n): _slot((j + 1) % d, i, n)
-           for j in range(d) for i in range(n)}
-    eqset = set()
-    for eq in spec.Y.equations:
-        eqset.add(eq)
-        eqset.add(-eq)  # equalities are sign-insensitive
-    for eq in spec.Y.equations:
-        r = eq.rename(rot, dn)
-        if r not in eqset:
-            raise ValueError("Y equation set is not stable under the shift")
-
-
-# ---------------------------------------------------------------------------
-# Y enumeration
-# ---------------------------------------------------------------------------
 
 def _y_links(profile, d: int):
     """Y's links (j, i, j2): blocks j and j2 = j + d_i (mod d) have equal
@@ -125,29 +81,6 @@ def _y_links(profile, d: int):
     return [(j, i, (j + di) % d)
             for i, di in enumerate(profile)
             for j in range(d) if (j + di) % d != j]
-
-
-def enumerate_y_points(spec: FaltingsSpec, k: int,
-                       budget: int = DEFAULT_BUDGET):
-    """Y's full listing: its points with all coordinates in F_{q^{dk}},
-    lex-sorted.  The tests use it, and it is the oracle for the fixed
-    points.
-
-    X's points are listed once, in full, by the plain search, which
-    binds x_1 to every value rather than one per Frobenius orbit, and
-    joined d times over by Y's links.
-    """
-    X, d = spec.X, spec.d
-    amb = field(X.p, X.s, d * k)
-    xpts = enumerate_points(X.equations, X.n, amb, X.base, budget=budget)
-    if spec.morphisms is None:
-        images = [[pt[i] for pt in xpts] for i in range(len(X.profile))]
-    else:
-        images = [[f.apply(pt, amb) for pt in xpts] for f in spec.morphisms]
-    links = [(j, images[i], j2, images[i])
-             for j, i, j2 in _y_links(X.profile, d)]
-    return sorted(tuple(xpts[x] for x in ix)
-                  for ix in join([len(xpts)] * d, links, budget, "Y enumeration"))
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +250,7 @@ class LemmaReport:
 def lemma_check(X: VarietySpec, k_max: int, morphisms=None,
                 budget: int = DEFAULT_BUDGET) -> LemmaReport:
     """Compare the partial count with the fixed-point count for all valid a."""
-    if morphisms is None:  # the first count's refusal, before Y is built
+    if morphisms is None:  # the first count's refusal comes first
         partial_count_check(X, 1, budget)
     spec = build_faltings(X, morphisms=morphisms)
     d = spec.d

@@ -48,7 +48,9 @@ F_{q^e}, one ``frob`` per element, and yields the least member of each
 with the orbit's length.  The walk is lazy and memoised per e: a later
 call replays the orbits already walked and resumes where the furthest
 call stopped, so each subfield is walked at most once per field, and a
-search refused part-way has walked only the orbits it reached.
+search refused part-way has walked only the orbits it reached.  It walks
+only whole subfields, which sigma maps onto themselves, so the walk
+checks no stability.
 
 Univariate polynomials over a field are coefficient lists of its packed
 ints, constant term first.  One toolkit does their arithmetic: remainder,
@@ -106,14 +108,13 @@ def is_prime(n: int) -> bool:
     return n >= 2 and _prime_factors(n) == [n]
 
 
-def _frobenius_orbits(values, frob, member=None):
+def _frobenius_orbits(values, frob):
     """(x, L) for the least member x of each orbit of sigma = frob(., 1)
-    among the sorted ``values``, in increasing x, L the orbit's length.
+    among the sorted, sigma-stable ``values``, in increasing x, L the
+    orbit's length.
 
     Lazy: a value met in an earlier orbit is skipped, and an orbit is
-    walked when its least member is reached.  With ``member`` (the values
-    as a set or range), an orbit that leaves it raises ``ValueError``: a
-    domain that is not Frobenius-stable would be miscounted by its orbits.
+    walked when its least member is reached.
     """
     later = set()
     for x in values:
@@ -122,9 +123,6 @@ def _frobenius_orbits(values, frob, member=None):
             continue
         y, n = frob(x, 1), 1
         while y != x:
-            if member is not None and y not in member:
-                raise ValueError(f"domain not stable under Frobenius: it "
-                                 f"holds {x} but not its conjugate {y}")
             later.add(y)
             y, n = frob(y, 1), n + 1
         yield x, n

@@ -1,3 +1,14 @@
+"""The cyclic-cover lemma against Y itself.
+
+The library finds the fixed points of sigma^a o Frob^k on the cyclic
+cover Y from X's orbit listing and Y's links alone, and never builds Y.
+These tests keep Y: its equations in d*n variables (``y_variety``), their
+stability under the block rotation sigma, and its full listing
+(``enumerate_y_points``), X listed in full by the plain search and joined
+d times over.  The listing is held to the equations, and the fixed points
+to a filter over the listing.
+"""
+
 import json
 from itertools import product
 from math import gcd, lcm
@@ -6,17 +17,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given, reject, settings
 
-from parzeta import faltings
+from parzeta import counting, faltings
 from parzeta.cli import load_instance
 from parzeta.counting import (DEFAULT_BUDGET, BudgetExceededError,
-                              classical_count, enumerate_points,
+                              classical_count, enumerate_points, join,
                               partial_count)
-from parzeta.faltings import (build_faltings, enumerate_y_points,
-                              fixed_point_count, fixed_points, h_index,
-                              lemma_check, morphism_partial_count,
-                              sigma_apply)
+from parzeta.faltings import (_y_links, build_faltings, fixed_point_count,
+                              fixed_points, h_index, lemma_check,
+                              morphism_partial_count)
 from parzeta.fields import Field, field
-from parzeta.polys import MorphismSpec, VarietySpec, base_field, parse_poly
+from parzeta.polys import (MorphismSpec, SparsePoly, VarietySpec, base_field,
+                           parse_poly)
 from test_engine import varieties
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -29,6 +40,69 @@ def V(p, s, n, texts, profile):
     names = [f"x{i+1}" for i in range(n)]
     eqs = tuple(parse_poly(t, names, base) for t in texts)
     return VarietySpec(p, s, n, eqs, tuple(profile))
+
+
+# ---------------------------------------------------------------------------
+# Y itself: its equations, the block rotation and its full listing
+# ---------------------------------------------------------------------------
+
+def sigma_apply(blocks, a: int):
+    """sigma^a: one step sends (y_1,...,y_d) to (y_d, y_1,...,y_{d-1})."""
+    d = len(blocks)
+    return tuple(blocks[(j - a) % d] for j in range(d))
+
+
+def _slot(j: int, i: int, n: int) -> int:
+    return j * n + i
+
+
+def y_variety(spec):
+    """Y inside X^d, in d*n variables: d copies of X's equations, one per
+    block, and for each profile entry d_i and block j the identity
+    f_i(block j) = f_i(block j + d_i), componentwise; without morphisms
+    f_i is the i-th coordinate, and the identity a slot equality."""
+    X, d, n = spec.X, spec.d, spec.X.n
+    dn = d * n
+    blocks = [{v: _slot(j, v, n) for v in range(n)} for j in range(d)]
+    equations = [eq.rename(blocks[j], dn) for j in range(d)
+                 for eq in X.equations]
+    for i, di in enumerate(X.profile):
+        comps = ((SparsePoly.var(n, X.base, i),) if spec.morphisms is None
+                 else spec.morphisms[i].components)
+        for j in range(d):
+            j2 = (j + di) % d
+            if j2 != j:
+                equations.extend(c.rename(blocks[j], dn)
+                                 - c.rename(blocks[j2], dn) for c in comps)
+    return VarietySpec(X.p, X.s, dn, tuple(equations), (1,) * dn)
+
+
+def sigma_stable(spec, Y):
+    """Whether rotating the blocks permutes Y's equation set, up to sign."""
+    d, n = spec.d, spec.X.n
+    dn = d * n
+    rot = {_slot(j, i, n): _slot((j + 1) % d, i, n)
+           for j in range(d) for i in range(n)}
+    eqset = set(Y.equations) | {-eq for eq in Y.equations}
+    return all(eq.rename(rot, dn) in eqset for eq in Y.equations)
+
+
+def enumerate_y_points(spec, k: int, budget: int = DEFAULT_BUDGET):
+    """Y's full listing: its points with all coordinates in F_{q^{dk}},
+    lex-sorted.  X's points are listed once, in full, by the plain search,
+    which binds x_1 to every value rather than one per Frobenius orbit,
+    and joined d times over by Y's links."""
+    X, d = spec.X, spec.d
+    amb = field(X.p, X.s, d * k)
+    xpts = enumerate_points(X.equations, X.n, amb, X.base, budget=budget)
+    if spec.morphisms is None:
+        images = [[pt[i] for pt in xpts] for i in range(len(X.profile))]
+    else:
+        images = [[f.apply(pt, amb) for pt in xpts] for f in spec.morphisms]
+    links = [(j, images[i], j2, images[i])
+             for j, i, j2 in _y_links(X.profile, d)]
+    return sorted(tuple(xpts[x] for x in ix)
+                  for ix in join([len(xpts)] * d, links, budget, "Y enumeration"))
 
 
 def test_h_index_defining_property():
@@ -71,16 +145,17 @@ def test_build_faltings_shape():
     X = V(2, 1, 2, ["x1 + x2"], (1, 2))
     spec = build_faltings(X)
     assert spec.d == 2
-    assert spec.Y.n == 4
+    Y = y_variety(spec)
+    assert Y.n == 4
     # two rotated copies of the defining equation plus identifications
-    assert len(spec.Y.equations) >= 2
+    assert len(Y.equations) >= 2
 
 
 def test_trivial_profile_gives_back_x():
     X = V(2, 1, 2, ["x1*x2 + 1"], (1, 1))
     spec = build_faltings(X)
     assert spec.d == 1
-    assert spec.Y.n == X.n
+    assert y_variety(spec).n == X.n
     ypts = enumerate_y_points(spec, 2)
     assert len(ypts) == partial_count(X, 2)
 
@@ -103,6 +178,30 @@ def test_fixed_points_require_coprime_twist():
     spec = build_faltings(V(2, 1, 2, ["x1 + x2"], (1, 2)))
     with pytest.raises(ValueError):
         fixed_point_count(spec, 2, 1)
+
+
+def test_build_faltings_refuses_a_bad_morphism():
+    # one morphism per profile entry, each taking X's n variables, with
+    # coefficients in X's base field; on a variety with no points nothing
+    # else would catch a bad one
+    F2, F4 = base_field(2, 1), base_field(2, 2)
+
+    def f(n_in, text, base=F2):
+        names = [f"x{i+1}" for i in range(n_in)]
+        return MorphismSpec(n_in, 1, (parse_poly(text, names, base),))
+
+    good = (f(2, "x1"), f(2, "x2^2"))
+    bad = {"one morphism per profile entry": (f(2, "x1"),),
+           "takes 1 variables": (f(2, "x1"), f(1, "x1")),
+           "takes 3 variables": (f(2, "x1"), f(3, "x2 + x3")),
+           "outside X's base field": (f(2, "x1"), f(2, "x2", F4))}
+    for X in (V(2, 1, 2, ["x1 + x2"], (2, 3)), V(2, 1, 2, ["1"], (2, 3))):
+        assert build_faltings(X, good).morphisms == good
+        for match, morphisms in bad.items():
+            with pytest.raises(ValueError, match=match):
+                build_faltings(X, morphisms)
+            with pytest.raises(ValueError, match=match):
+                lemma_check(X, 1, morphisms)
 
 
 def test_lemma_check_diagonal_12():
@@ -177,9 +276,10 @@ def _listing_spy(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("Y or all of X listed")
 
-    monkeypatch.setattr(faltings, "join", refuse)
-    monkeypatch.setattr(faltings, "enumerate_y_points", refuse)
-    monkeypatch.setattr(faltings, "enumerate_points", refuse)
+    for name in ("join", "enumerate_points", "enumerate_y_points"):
+        assert not hasattr(faltings, name)
+    monkeypatch.setattr(counting, "join", refuse)
+    monkeypatch.setattr(counting, "enumerate_points", refuse)
     calls = []
     listing = faltings.enumerate_orbit_points
 
@@ -253,9 +353,10 @@ def test_report_json_shape():
 
 def y_by_equations(spec, k):
     """Y's points from its equations on the counting engine, in blocks."""
-    X, d, n = spec.X, spec.d, spec.block_size
+    X, d, n = spec.X, spec.d, spec.X.n
     amb = field(X.p, X.s, d * k)
-    pts = enumerate_points(spec.Y.equations, spec.Y.n, amb, X.base)
+    Y = y_variety(spec)
+    pts = enumerate_points(Y.equations, Y.n, amb, X.base)
     return [tuple(pt[j * n:(j + 1) * n] for j in range(d)) for pt in pts]
 
 
@@ -267,7 +368,7 @@ def y_by_join(spec, k):
 def test_y_join_matches_y_equations(name):
     X, _, _ = load_instance(str(CORPUS / f"{name}.json"), "variety")
     spec = build_faltings(X)
-    for k in (1, 2) if spec.Y.n <= 4 else (1,):
+    for k in (1, 2) if spec.d * X.n <= 4 else (1,):
         assert y_by_join(spec, k) == y_by_equations(spec, k)
 
 
@@ -345,6 +446,40 @@ def test_fixed_points_match_filter_on_chosen_specs(name):
         fixed = fixed_points(spec, a, k)
         assert fixed  # the comparison below is not vacuous
         assert fixed == fixed_by_filter(spec, a, k)
+
+
+# ---------------------------------------------------------------------------
+# Y's equations are permuted by the block rotation
+# ---------------------------------------------------------------------------
+
+def test_sigma_stability_sees_a_missing_equation():
+    spec = build_faltings(V(2, 1, 2, ["x1 + x2"], (2, 3)))
+    Y = y_variety(spec)
+    assert sigma_stable(spec, Y)
+    # without block 0's copy of x1 + x2, block 5's rotates out of the set
+    assert not sigma_stable(spec, VarietySpec(Y.p, Y.s, Y.n, Y.equations[1:],
+                                              Y.profile))
+
+
+@pytest.mark.parametrize("name", VARIETIES)
+def test_y_stable_under_sigma_on_corpus(name):
+    X, _, _ = load_instance(str(CORPUS / f"{name}.json"), "variety")
+    spec = build_faltings(X)
+    assert sigma_stable(spec, y_variety(spec))
+
+
+@pytest.mark.parametrize("name", CHOSEN)
+def test_y_stable_under_sigma_on_chosen_specs(name):
+    X, morphisms = CHOSEN[name]
+    spec = build_faltings(X, morphisms=morphisms)
+    assert sigma_stable(spec, y_variety(spec))
+
+
+@settings(max_examples=100, deadline=None)
+@given(varieties(FALTINGS_CASES))
+def test_y_stable_under_sigma_on_random_varieties(case):
+    spec = build_faltings(case[0])
+    assert sigma_stable(spec, y_variety(spec))
 
 
 def test_lemma_check_never_lists_y(monkeypatch):
