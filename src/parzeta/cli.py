@@ -319,8 +319,7 @@ def _run(args) -> int:
               "parameters": {name: getattr(args, name) for name in flags},
               "outputs": outputs,
               "budget": {"limit": budget, "consumed": consumed},
-              "timings": {"wall_time_s": time.perf_counter() - t0,
-                          "workers": args.workers}},
+              "timings": {"wall_time_s": time.perf_counter() - t0}},
              args.format, sys.stdout)
     return code
 
@@ -370,9 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("file", help="instance JSON file")
         sp.add_argument("--budget", type=_positive(int), default=None,
                         help="enumeration budget (tuples per count)")
-        sp.add_argument("--workers", type=_positive(int), default=1,
-                        help="recorded in the report's timings block; "
-                             "counting runs in one thread")
         sp.add_argument("--format", choices=("json", "csv", "table"),
                         default="json")
         for flag, default in flags.items():

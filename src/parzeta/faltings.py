@@ -8,13 +8,14 @@ coprime to d the fixed points of sigma^a composed with the k-th
 Frobenius power biject with the partial-count points at level k.
 This module finds those fixed points by walking Frobenius chains along
 Y's links, ``_y_links``, and verifies the equality and the per-point
-reconstruction bijection; Y's equations are never built.  Per level it
-lists only X's points whose first coordinate is the least member of its
-orbit under Frobenius x -> x^q.  Each such point starts one chain,
-computed only as far as Y's links ask for it, and Frobenius, which
-commutes with the whole construction, carries each fixed point found to
-L of them, L the degree over F_q of its first coordinate; so the count
-sums L, and neither Y nor all of X is listed.
+reconstruction bijection: each chain's blocks lie on X, by evaluation,
+and obey y_j = Frob^k(y_{j-a}).  Y's equations are never built.  Per
+level it lists only X's points whose first coordinate is the least
+member of its orbit under Frobenius x -> x^q.  Each such point starts
+one chain, computed only as far as Y's links ask for it, and Frobenius,
+which commutes with the whole construction, carries each fixed point
+found to L of them, L the degree over F_q of its first coordinate; so
+the count sums L, and neither Y nor all of X is listed.
 L is decided by powering, ``Field.in_subfield``, not taken from the
 orbit walk whose lengths weight the partial count, so a wrong length
 from the walk makes the two sides differ.  The representatives
@@ -112,8 +113,8 @@ def _twisted_fixed_points(spec: FaltingsSpec, k: int, twists, budget: int,
     y_0 starts one candidate per twist, kept when its chain meets Y's
     links.  The chain's images under f_i are the F^m of f_i(y_0), f_i
     being defined over F_q; each is computed when a link first asks for
-    it and shared by the twists, and the whole chain is built only for a
-    kept candidate.  Frobenius commutes with sigma^a, F and Y's links, so
+    it and shared by the twists, and the whole chain is built once, for
+    the first twist that keeps it.  Frobenius commutes with sigma^a, F and Y's links, so
     it carries the fixed points over y_0 onto those over each conjugate
     of y_0.  Y itself is never listed.  ``listing`` is `_orbit_listing`'s
     result for F_{q^{dk}}, when the caller already has it.
@@ -154,6 +155,7 @@ def _twisted_fixed_points(spec: FaltingsSpec, k: int, twists, budget: int,
     for x, (y0, _) in enumerate(reps):
         seen = [None] * (d * r)
         seen[:r] = y0 if images is None else [f[x] for f in images]
+        chain = None  # F^m(y_0), m < d, built once for the twists keeping it
         for a, links in tests.items():
             for s, i, e, t, et in links:
                 u = seen[s]
@@ -165,8 +167,10 @@ def _twisted_fixed_points(spec: FaltingsSpec, k: int, twists, budget: int,
                 if u != v:
                     break
             else:
-                out[a].append((tuple(tuple(frob(c, k * mj) for c in y0)
-                                     for mj in m_of[a]), degree(y0[0])))
+                chain = chain or [tuple(frob(c, k * m) for c in y0)
+                                  for m in range(d)]
+                out[a].append((tuple(chain[m] for m in m_of[a]),
+                               degree(y0[0])))
     return out
 
 
@@ -271,19 +275,21 @@ def lemma_check(X: VarietySpec, k_max: int, morphisms=None,
             lhs = morphism_partial_count(X, morphisms, k, budget=budget,
                                          listing=listing)
         frob = amb.frob
-        for a, pairs in _twisted_fixed_points(spec, k, twists, budget,
-                                              listing).items():
+        found = _twisted_fixed_points(spec, k, twists, budget, listing)
+        # reconstruction bijection, checked on the chains; Frobenius carries
+        # it to their conjugates.  Every distinct block is a point of X ...
+        blocks = {b for pairs in found.values() for y, _ in pairs for b in y}
+        recon_ok = recon_ok and not any(eq.evaluate(b, amb) for b in blocks
+                                        for eq in X.equations)
+        for a, pairs in found.items():
             fixed = sum(length for _, length in pairs)
             entries.append(LemmaEntry(a, k, lhs, fixed))
             if lhs != fixed and len(witnesses) < 10:
                 witnesses.extend(
                     _conjugates(spec, k, pairs)[:10 - len(witnesses)])
-            # reconstruction bijection: y_j = Frob^{k h_j}(y_1), checked on
-            # the chains; Frobenius carries it to their conjugates
-            hs = [h_index(a, d, j) for j in range(1, d + 1)]
-            for y, _ in pairs:
-                for block, h in zip(y, hs):
-                    if block != tuple(frob(x, k * h) for x in y[0]):
-                        recon_ok = False
+            # ... and sigma^a(Frob^k(y)) = y: y_j = Frob^k(y_{j-a}) for all j
+            recon_ok = recon_ok and all(
+                y[j] == tuple(frob(c, k) for c in y[(j - a) % d])
+                for y, _ in pairs for j in range(d))
     passed = all(e.equal for e in entries)
     return LemmaReport(d, tuple(entries), passed, recon_ok, tuple(witnesses))

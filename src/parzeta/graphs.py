@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .counting import (BudgetExceededError, DEFAULT_BUDGET, enumerate_points,
-                       join, partial_count, partial_count_check)
+from .counting import (DEFAULT_BUDGET, enumerate_points, join, partial_count,
+                       partial_count_check)
 from .fields import field
 from .polys import MorphismSpec, SparsePoly, VarietySpec
 from .zeta import (ReconstructionResult, WeightReport, auto_reconstruct,
@@ -69,11 +69,6 @@ def graph_count_direct(G: GraphSystem, k: int,
         pts = enumerate_points(v.equations, v.n, amb, base,
                                domains=[domain] * v.n, budget=budget)
         vpoints.append(pts)
-    cost = 1
-    for pts in vpoints:
-        cost *= len(pts)
-    if cost > budget:
-        raise BudgetExceededError(cost, budget, f"graph_count_direct k={k}")
     # edge src -> dst asks f(x_src) == x_dst
     vindex = {v.name: i for i, v in enumerate(G.vertices)}
     links = []

@@ -6,6 +6,9 @@ default here) to see them for passing tests too.
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from itertools import product
 from pathlib import Path
@@ -25,6 +28,7 @@ from parzeta.zeta import (auto_reconstruct, series_from_counts,
                           weil_weight_check)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+SRC = CORPUS.parent / "src"
 
 PER_K_BUDGET = 10 ** 7
 
@@ -193,17 +197,34 @@ def test_criterion_7_artin_schreier():
     report("7 (exponential-sum oracles and bound)", ok)
 
 
+def _without_timings(stdout):
+    rep = json.loads(stdout)
+    del rep["timings"]
+    return json.dumps(rep, sort_keys=True, indent=2).encode()
+
+
 def _cli_report(argv):
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = main(argv)
     assert code == 0
-    rep = json.loads(buf.getvalue())
-    del rep["timings"]
-    return json.dumps(rep, sort_keys=True, indent=2).encode()
+    return _without_timings(buf.getvalue())
+
+
+def _fresh_cli_report(argv, hash_seed):
+    """The report of ``python -m parzeta.cli`` in a new process, whose
+    field, orbit and count-order caches start empty."""
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONHASHSEED": str(hash_seed),
+           "PYTHONPATH": os.pathsep.join(path)}
+    run = subprocess.run([sys.executable, "-m", "parzeta.cli", *argv],
+                         capture_output=True, env=env, check=True)
+    return _without_timings(run.stdout)
 
 
 def test_criterion_8_determinism():
+    # each job in two fresh processes under different hash seeds, then
+    # twice here, where the second run finds every cache warm
     ok = True
     jobs = [
         ["zeta", str(CORPUS / "diag12_f2.json")],
@@ -211,9 +232,8 @@ def test_criterion_8_determinism():
         ["zeta", str(CORPUS / "union_axes_f2.json")],
     ]
     for argv in jobs:
-        one = _cli_report(argv + ["--workers", "1"])
-        four = _cli_report(argv + ["--workers", "4"])
-        again = _cli_report(argv + ["--workers", "4"])
-        if not (one == four == again):
+        reports = {_fresh_cli_report(argv, 0), _fresh_cli_report(argv, 1),
+                   _cli_report(argv), _cli_report(argv)}
+        if len(reports) != 1:
             ok = False
-    report("8 (worker-count determinism)", ok)
+    report("8 (determinism)", ok)

@@ -44,7 +44,7 @@ def test_cubic_d1_exact_count():
 def test_counts_agree_random_f2(monomials):
     f = SparsePoly.zero(2, F2)
     for ex, ey in monomials:
-        f = f + SparsePoly(2, F2, {(ex, ey): F2.one().value})
+        f = f + SparsePoly(2, F2, {(ex, ey): 1})
     if f.is_zero():
         return
     inst = ASInstance(2, 1, 1, 1, 1, f)

@@ -161,17 +161,6 @@ def test_budget_exit_3(capsys):
     assert code == 3
 
 
-def test_reports_deterministic_across_workers(capsys):
-    def report(workers):
-        code, rep = run_json(capsys, "zeta", str(CORPUS / "diag12_f2.json"),
-                             "--workers", workers)
-        assert code == 0
-        del rep["timings"]
-        return json.dumps(rep, sort_keys=True)
-
-    assert report("1") == report("4")
-
-
 def test_file_budget_override(tmp_path, capsys):
     inst = {"kind": "variety", "p": 2, "s": 1, "n": 2,
             "equations": ["x1 + x2"], "profile": [1, 1], "budget": 4}
@@ -252,7 +241,7 @@ def test_graph_refused_at_the_first_level_past_the_budget(tmp_path, capsys):
                    "budget 1000000 (partial_count k=2)\n")
 
 
-def test_zeta_root_finding_failure_keeps_workers(capsys, monkeypatch):
+def test_zeta_root_finding_failure_exit_4(capsys, monkeypatch):
     import parzeta.cli as cli
     from parzeta.zeta import RootFindingError
 
@@ -260,11 +249,9 @@ def test_zeta_root_finding_failure_keeps_workers(capsys, monkeypatch):
         raise RootFindingError("root refinement did not converge", [1])
 
     monkeypatch.setattr(cli, "weil_weight_check", fail)
-    code, rep = run_json(capsys, "zeta", str(CORPUS / "diag11_f2.json"),
-                         "--workers", "2")
+    code, rep = run_json(capsys, "zeta", str(CORPUS / "diag11_f2.json"))
     assert code == 4
     assert rep["outputs"]["status"] == "root-finding-failed"
-    assert rep["timings"]["workers"] == 2
 
 
 def _fail_root_finding(*args, **kwargs):
@@ -303,7 +290,6 @@ def test_sweep_root_finding_failure_is_a_row(capsys, monkeypatch):
     ("zeta", "diag11_f2", "--max-k", "0"),
     ("count", "diag11_f2", "-k", "-2"),
     ("count", "diag11_f2", "--budget", "-5"),
-    ("count", "diag11_f2", "--workers", "0"),
     ("count", "diag11_f2", "-k", "x"),
     ("faltings", "diag11_f2", "--k-max", "0"),
     ("graph", "g_selfloop_square", "--k-max", "0"),
@@ -320,14 +306,28 @@ def test_numeric_flags_rejected_exit_2(capsys, argv):
     assert f"argument {flags[-2]}" in err and "invalid positive" in err
 
 
-@pytest.mark.parametrize("sub,name", [("faltings", "diag11_f2"),
-                                      ("graph", "g_selfloop_square"),
-                                      ("as", "as_cubic_f2_d1")])
-def test_workers_recorded_for_every_subcommand(capsys, sub, name):
-    code, rep = run_json(capsys, sub, str(CORPUS / f"{name}.json"),
-                         "--workers", "3")
+@pytest.mark.parametrize("argv", [
+    ("count", "diag11_f2"),
+    ("zeta", "diag11_f2"),
+    ("faltings", "diag11_f2"),
+    ("graph", "g_selfloop_square"),
+    ("as", "as_cubic_f2_d1"),
+    ("sweep", "diag11_f2", "1,1"),
+], ids=lambda argv: argv[0])
+def test_workers_flag_is_gone_exit_2(capsys, argv):
+    sub, name, *rest = argv
+    with pytest.raises(SystemExit) as exc:
+        main([sub, str(CORPUS / f"{name}.json"), *rest, "--workers", "2"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "unrecognized arguments: --workers 2" in out.err
+
+
+def test_timings_hold_only_the_wall_time(capsys):
+    code, rep = run_json(capsys, "count", str(CORPUS / "diag11_f2.json"))
     assert code == 0
-    assert rep["timings"]["workers"] == 3
+    assert list(rep["timings"]) == ["wall_time_s"]
 
 
 def test_sweep_csv_is_deterministic(capsys):

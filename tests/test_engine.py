@@ -4,7 +4,8 @@
 variable to one value per Frobenius orbit and counts the last variable's
 values as a gcd degree; these tests hold it to a plain product over
 Frobenius-filtered subfields with ``SparsePoly.evaluate``, hold
-``count_roots`` to a scan of the subfield it counts in, and its linear,
+``count_roots`` to a scan of the subfield it counts in, computed with
+``test_packed_fields``' dense schoolbook reference, and its linear,
 descent and quadratic routes to the gcd with x^Q - x by x^Q mod g, and
 hold ``join`` to a filter over the product of its blocks.  Both listings
 are held to a filter over the product of their domains, and their
@@ -34,10 +35,12 @@ from parzeta.counting import (BudgetExceededError, _search, count_roots,
                                enumerate_orbit_points, enumerate_points, join,
                                partial_count)
 from parzeta.faltings import lemma_check
-from parzeta.fields import (Field, FieldElement, _frobenius_orbits, _gcd,
-                            _monic, _trim, field)
+from parzeta.fields import (Field, _frobenius_orbits, _gcd, _monic, _trim,
+                            field)
 from parzeta.graphs import fibred_product_reduce, graph_count_direct
 from parzeta.polys import SparsePoly, VarietySpec, base_field, parse_poly
+
+from test_packed_fields import ref_add, ref_mul, ref_neg, ref_one
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -200,7 +203,7 @@ def listing_problems(draw):
     n = draw(st.integers(1, 3))
     choices = ([amb.subfield(e, method="span")
                 for e in range(1, N + 1) if N % e == 0]
-               + [amb.elements(), (0,), (amb.one().value,)])
+               + [amb.elements(), (0,), (ref_one(amb),)])
     if amb.size() ** n <= 2 ** 12 and draw(st.booleans()):
         domains = [amb.elements()] * n
     else:
@@ -435,77 +438,82 @@ ROOT_FIELDS = [(2, 1, 6, 1), (2, 1, 6, 2), (2, 1, 6, 3), (2, 1, 6, 6),
                (3, 2, 2, 1), (2, 1, 21, 3), (2, 1, 21, 7), (5, 1, 9, 3)]
 
 
-def mul_poly(a, b):
-    out = [a[0].field.zero()] * (len(a) + len(b) - 1)
+def mul_poly(F, a, b):
+    """The product of two packed coefficient lists, by the reference."""
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
+            out[i + j] = ref_add(F, out[i + j], ref_mul(F, x, y))
     return out
+
+
+def linear(F, root):
+    """x - root, as a packed coefficient list."""
+    return [ref_neg(F, root), ref_one(F)]
 
 
 @st.composite
 def root_problems(draw):
-    """Polynomials (coefficient lists of elements) over F_{q^N} and e."""
+    """Polynomials (packed coefficient lists) over F_{q^N} and e."""
     p, s, N, e = draw(st.sampled_from(ROOT_FIELDS))
     F = field(p, s, N)
     sub = F.subfield(e, method="span")
     # roots from a small pool, so repeated and common roots occur
-    pool = [FieldElement(F, draw(st.sampled_from(sub))) for _ in range(2)] + [
-        FieldElement(F, draw(st.integers(0, F.size() - 1))) for _ in range(2)]
+    pool = ([draw(st.sampled_from(sub)) for _ in range(2)]
+            + [draw(st.integers(0, F.size() - 1)) for _ in range(2)])
     polys = []
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(("zero", "constant", "random", "roots")))
         if kind == "zero":
             poly = []
         elif kind == "constant":
-            poly = [FieldElement(F, draw(st.integers(1, F.size() - 1)))]
+            poly = [draw(st.integers(1, F.size() - 1))]
         elif kind == "random":
-            poly = [FieldElement(F, draw(st.integers(0, F.size() - 1)))
+            poly = [draw(st.integers(0, F.size() - 1))
                     for _ in range(draw(st.integers(1, 5)))]
         else:
-            lead = FieldElement(F, draw(st.integers(1, F.size() - 1)))
-            poly = [lead]
+            poly = [draw(st.integers(1, F.size() - 1))]
             for _ in range(draw(st.integers(1, 4))):
-                poly = mul_poly(poly, [-draw(st.sampled_from(pool)), F.one()])
-        while poly and poly[-1].is_zero():
+                root = draw(st.sampled_from(pool))
+                poly = mul_poly(F, poly, linear(F, root))
+        while poly and poly[-1] == 0:
             poly.pop()
         polys.append(poly)
     return F, e, polys
 
 
 def scan_count(F, e, polys):
+    """The values of F_{q^e} at which every polynomial vanishes, by Horner
+    in the reference arithmetic."""
     def value(poly, x):
-        acc = F.zero()
+        acc = 0
         for c in reversed(poly):
-            acc = acc * x + c
+            acc = ref_add(F, ref_mul(F, acc, x), c)
         return acc
 
     return sum(1 for x in F.subfield(e, method="span")
-               if all(value(f, FieldElement(F, x)).is_zero() for f in polys))
+               if all(value(f, x) == 0 for f in polys))
 
 
 @settings(max_examples=150, deadline=None)
 @given(root_problems())
 def test_root_count_matches_scan(problem):
     F, e, polys = problem
-    packed = [[c.value for c in f] for f in polys]
-    assert count_roots(packed, F, e) == scan_count(F, e, polys)
+    assert count_roots(polys, F, e) == scan_count(F, e, polys)
 
 
 @pytest.mark.parametrize("p, s, N, e", ROOT_FIELDS)
 def test_root_count_repeated_and_outside_roots(p, s, N, e):
     F = field(p, s, N)
     sub = F.subfield(e, method="span")
-    a = FieldElement(F, sub[-1])
-    square = mul_poly([-a, F.one()], [-a, F.one()])
-    cases = [([], F.q ** e), ([F.one()], 0), (square, 1)]
+    square = mul_poly(F, linear(F, sub[-1]), linear(F, sub[-1]))
+    cases = [([], F.q ** e), ([ref_one(F)], 0), (square, 1)]
     if e < N:
-        outside = next(FieldElement(F, v) for v in range(F.size())
-                       if not F.in_subfield(v, e))
-        cases += [(mul_poly(square, [-outside, F.one()]), 1),
-                  (mul_poly([-outside, F.one()], [-outside, F.one()]), 0)]
+        outside = next(v for v in range(F.size()) if not F.in_subfield(v, e))
+        cases += [(mul_poly(F, square, linear(F, outside)), 1),
+                  (mul_poly(F, linear(F, outside), linear(F, outside)), 0)]
     for poly, want in cases:
-        assert count_roots([[c.value for c in poly]], F, e) == want
+        assert count_roots([poly], F, e) == want
         assert scan_count(F, e, [poly]) == want
 
 

@@ -270,6 +270,37 @@ def test_lemma_check_fails_on_a_skipped_orbit(monkeypatch):
         assert not lemma_check(X, 2).passed
 
 
+def test_reconstruction_fails_on_a_block_off_x(monkeypatch):
+    # diag11_f2, x1 + x2 at (1, 1), with the point (1, 0), not on X, added
+    # to the listing: at d = 1 Y has no links, so its chain is kept, and
+    # only the check that each block lies on X can refuse it
+    listing = faltings.enumerate_orbit_points
+
+    def with_stray_point(*args, **kwargs):
+        return listing(*args, **kwargs) + [((1, 0), 1)]
+
+    monkeypatch.setattr(faltings, "enumerate_orbit_points", with_stray_point)
+    rep = lemma_check(V(2, 1, 2, ["x1 + x2"], (1, 1)), 2)
+    assert rep.d == 1
+    assert not rep.reconstruction_ok
+
+
+def test_reconstruction_fails_on_blocks_out_of_order(monkeypatch):
+    # the plane at (1, 3): every chain lies on X, and a chain whose second
+    # coordinate is outside F_q is not constant, so reversing its d = 3
+    # blocks breaks y_j = Frob^k(y_(j - a)) while both counts stay equal
+    found = faltings._twisted_fixed_points
+
+    def reversed_blocks(*args, **kwargs):
+        return {a: [(y[::-1], length) for y, length in pairs]
+                for a, pairs in found(*args, **kwargs).items()}
+
+    monkeypatch.setattr(faltings, "_twisted_fixed_points", reversed_blocks)
+    rep = lemma_check(V(2, 1, 2, [], (1, 3)), 1)
+    assert rep.passed
+    assert not rep.reconstruction_ok
+
+
 def _listing_spy(monkeypatch):
     """The ambient degree N of every `enumerate_orbit_points` call, in
     order; listing Y, or all of X, fails the test."""

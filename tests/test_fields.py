@@ -146,6 +146,15 @@ def test_embedded_base_lands_in_subfield():
         assert F.in_subfield(emb(a), 1)
 
 
+def test_element_constructors_pack_constant_term_first():
+    F = field(3, 1, 4)
+    assert F.one().value == 3 ** 3
+    assert F.from_int(2).coeffs == (2, 0, 0, 0)
+    assert F.gen().coeffs == (0, 1, 0, 0)
+    x = (2, 0, 1, 1)
+    assert F.element(x).value == F.to_int(x) and F.element(x).coeffs == x
+
+
 def test_from_int():
     F = field(5, 1, 1)
     assert F.from_int(7) == F.from_int(2)

@@ -5,6 +5,8 @@ from parzeta.fields import field
 from parzeta.polys import (MorphismSpec, PolyParseError, SparsePoly,
                            VarietySpec, base_field, parse_poly)
 
+from test_packed_fields import ref_add, ref_mul, ref_one, ref_pow
+
 F2 = base_field(2, 1)
 F3 = base_field(3, 1)
 F4 = base_field(2, 2)
@@ -16,7 +18,7 @@ def P(text, n=2, base=F2):
 
 def test_parse_simple():
     f = P("x1 + x2")
-    assert f.terms == {(1, 0): F2.one().value, (0, 1): F2.one().value}
+    assert f.terms == {(1, 0): 1, (0, 1): 1}
 
 
 def test_parse_collects_coefficients():
@@ -28,8 +30,8 @@ def test_parse_collects_coefficients():
 
 def test_parse_precedence():
     f = P("x1 + x2*x1^2")
-    assert f.terms[(2, 1)] == F2.one().value
-    assert f.terms[(1, 0)] == F2.one().value
+    assert f.terms[(2, 1)] == 1
+    assert f.terms[(1, 0)] == 1
 
 
 def test_parse_parens_and_unary_minus():
@@ -39,9 +41,10 @@ def test_parse_parens_and_unary_minus():
 
 
 def test_parse_generator():
+    # F_4 = F_2[g]/(1 + g + g^2), so g^2 = 1 + g
     f = parse_poly("g*x1 + g^2", ["x1"], F4)
-    assert f.terms[(1,)] == F4.gen().value
-    assert f.terms[(0,)] == (F4.gen() ** 2).value
+    assert f.terms[(1,)] == F4.to_int((0, 1))
+    assert f.terms[(0,)] == F4.to_int((1, 1))
 
 
 def test_generator_rejected_over_prime_field():
@@ -72,11 +75,12 @@ def test_roundtrip_printing():
 
 
 def test_evaluate():
+    # F_8 = F_2[t]/(1 + t^2 + t^3), where 1/t = t + t^2
     F8 = field(2, 1, 3)
     f = P("x1*x2 + 1")
-    a = F8.gen()
-    assert f.evaluate((a.value, a.inverse().value), F8) == 0
-    assert f.evaluate((a.value, a.value), F8) == (a * a + F8.one()).value
+    t, t_inv = F8.to_int((0, 1, 0)), F8.to_int((0, 1, 1))
+    assert f.evaluate((t, t_inv), F8) == 0
+    assert f.evaluate((t, t), F8) == F8.to_int((1, 0, 1))
 
 
 def test_total_degree_and_leading_form():
@@ -107,7 +111,7 @@ def test_derivative_drops_multiples_of_p():
 def test_rename():
     f = P("x1^2 + x2")
     g = f.rename({0: 2, 1: 0}, 3)
-    assert g.terms == {(0, 0, 2): F2.one().value, (1, 0, 0): F2.one().value}
+    assert g.terms == {(0, 0, 2): 1, (1, 0, 0): 1}
     with pytest.raises(ValueError):
         f.rename({0: 1, 1: 1}, 2)
 
@@ -131,14 +135,13 @@ def test_morphism_apply():
     F8 = field(2, 1, 3)
     comp = parse_poly("x1^2", ["x1"], F2)
     m = MorphismSpec(1, 1, (comp,))
-    a = F8.gen()
-    assert m.apply((a.value,), F8) == ((a * a).value,)
+    assert m.apply((F8.to_int((0, 1, 0)),), F8) == (F8.to_int((0, 0, 1)),)
     with pytest.raises(ValueError):
         MorphismSpec(1, 2, (comp,))
 
 
 # ---------------------------------------------------------------------------
-# the int evaluation route against FieldElement operators
+# the int evaluation route against the reference arithmetic
 # ---------------------------------------------------------------------------
 
 # (p, s, N): coefficients in F_q, q = p^s, points in F_{q^N}; s = 2 embeds
@@ -164,38 +167,42 @@ def evaluations(draw):
 
 
 def monomial_sum(f, point, amb):
-    """f at ``point`` as a sum of monomials in FieldElement operators.  A
-    coefficient sum c_i g^i goes to sum c_i r^i, r the lex-smallest root of
-    the base modulus in ``amb``, found by scanning ``amb``."""
+    """f at ``point`` as a sum of monomials in the reference arithmetic of
+    ``test_packed_fields``.  A coefficient sum c_i g^i goes to
+    sum c_i r^i, r the lex-smallest root of the base modulus in ``amb``,
+    found by scanning ``amb``."""
     base = f.base
-    els = [amb.element(amb.to_coeffs(v)) for v in point]
+
+    def combine(coeffs, powers):  # sum c_i w_i, c_i in F_p
+        total = 0
+        for c, w in zip(coeffs, powers):
+            total = ref_add(amb, total, ref_mul(amb, c * ref_one(amb), w))
+        return total
+
     if base.m == 1:
-        powers = [amb.one()]
+        powers = [ref_one(amb)]
     else:
-        r = next(x for x in (amb.element(amb.to_coeffs(v))
-                             for v in amb.elements())
-                 if sum((amb.from_int(c) * x ** i
-                         for i, c in enumerate(base.modulus)),
-                        amb.zero()).is_zero())
-        powers = [r ** i for i in range(base.m)]
-    total = amb.zero()
+        r = next(x for x in amb.elements()
+                 if combine(base.modulus, [ref_pow(amb, x, i) for i in
+                                           range(len(base.modulus))]) == 0)
+        powers = [ref_pow(amb, r, i) for i in range(base.m)]
+    total = 0
     for exps, c in f.terms.items():
-        term = sum((amb.from_int(ci) * w
-                    for ci, w in zip(base.to_coeffs(c), powers)), amb.zero())
-        for x, e in zip(els, exps):
-            term = term * x ** e
-        total = total + term
+        term = combine(base.to_coeffs(c), powers)
+        for x, e in zip(point, exps):
+            term = ref_mul(amb, term, ref_pow(amb, x, e))
+        total = ref_add(amb, total, term)
     return total
 
 
 @settings(max_examples=150, deadline=None)
 @given(evaluations())
-def test_int_evaluation_matches_field_element_operators(case):
+def test_int_evaluation_matches_reference_arithmetic(case):
     amb, polys, point = case
     want = tuple(monomial_sum(f, point, amb) for f in polys)
-    assert polys[0].evaluate(point, amb) == want[0].value
+    assert polys[0].evaluate(point, amb) == want[0]
     m = MorphismSpec(len(point), len(polys), tuple(polys))
-    assert m.apply(point, amb) == tuple(w.value for w in want)
+    assert m.apply(point, amb) == want
 
 
 @pytest.mark.parametrize("p, s, N", [(2, 1, 6), (3, 1, 4), (2, 2, 3)])
