@@ -11,8 +11,7 @@ from .zeta import (AutoReconstructError, NoSolutionError, NonIntegerError,
                    WeightReport, auto_reconstruct, degree_sweep,
                    pade_reconstruct, reconstruct_counts, series_from_counts,
                    weil_weight_check)
-from .faltings import (FaltingsSpec, LemmaReport, build_faltings,
-                       fixed_point_count, fixed_points, h_index, lemma_check)
+from .faltings import FaltingsSpec, LemmaReport, build_faltings, lemma_check
 from .graphs import (GraphEdge, GraphReport, GraphSystem, GraphVertex,
                      fibred_product_reduce, graph_count_direct,
                      reduction_check)

@@ -148,6 +148,8 @@ def singular_search(form: SparsePoly, e_max: int,
     engine one leading position at a time; the witness is the first in
     lex order.  Each listing's nodes count against ``budget``.
     """
+    if e_max < 1:
+        raise ValueError("e_max must be positive")
     if not form.is_homogeneous():
         raise ValueError("form must be homogeneous")
     base = form.base
@@ -199,6 +201,8 @@ class BoundReport:
 def bound_check(inst: ASInstance, e_max: int = 2,
                 budget: int = DEFAULT_BUDGET) -> BoundReport:
     """Exact count both ways, hypothesis flags, and the squared comparison."""
+    if e_max < 1:  # before the counts, though only a search would use it
+        raise ValueError("e_max must be positive")
     # the counts refuse from their exponents, so count before building
     n_brute = as_count_brute(inst, budget=budget)
     n_trace = as_count_trace(inst, budget=budget)

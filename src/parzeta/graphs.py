@@ -135,6 +135,8 @@ def reduction_check(G: GraphSystem, k_max: int, max_k: int = 12,
                     holdout: int = 3, tol: float = 1e-6,
                     budget: int = DEFAULT_BUDGET) -> GraphReport:
     """Direct counts vs the reduction for k <= k_max, then the graph zeta."""
+    if k_max < 1:
+        raise ValueError("k_max must be positive")
     X, _ = fibred_product_reduce(G)
     direct = []
     for k in range(1, k_max + 1):

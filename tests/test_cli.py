@@ -4,7 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from parzeta.cli import main
+from parzeta.artin_schreier import bound_check, singular_search
+from parzeta.cli import load_instance, main
+from parzeta.faltings import lemma_check
+from parzeta.graphs import reduction_check
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -304,6 +307,24 @@ def test_numeric_flags_rejected_exit_2(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flags[-2]}" in err and "invalid positive" in err
+
+
+def _loaded(name, kind):
+    return load_instance(str(CORPUS / f"{name}.json"), kind)[0]
+
+
+@pytest.mark.parametrize("check", [
+    lambda: lemma_check(_loaded("diag11_f2", "variety"), 0),
+    lambda: reduction_check(_loaded("g_selfloop_square", "graph"), 0),
+    lambda: bound_check(_loaded("as_xy_f2", "artin-schreier"), e_max=0),
+    lambda: singular_search(_loaded("as_xy_f2", "artin-schreier")
+                            .f.leading_form()[0], 0),
+], ids=["lemma_check", "reduction_check", "bound_check", "singular_search"])
+def test_library_checks_refuse_an_empty_range(check):
+    # the library twin of the flags above: a check over k (or e) in 1..0
+    # checks nothing, so it must not report a pass
+    with pytest.raises(ValueError, match="must be positive"):
+        check()
 
 
 @pytest.mark.parametrize("argv", [

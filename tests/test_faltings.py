@@ -6,7 +6,9 @@ These tests keep Y: its equations in d*n variables (``y_variety``), their
 stability under the block rotation sigma, and its full listing
 (``enumerate_y_points``), X listed in full by the plain search and joined
 d times over.  The listing is held to the equations, and the fixed points
-to a filter over the listing.
+to a filter over the listing.  The fixed points come from the library's
+one path, ``lemma_check``'s listing and chains, expanded here
+(``fixed_points``) to every conjugate.
 """
 
 import json
@@ -22,8 +24,8 @@ from parzeta.cli import load_instance
 from parzeta.counting import (DEFAULT_BUDGET, BudgetExceededError,
                               classical_count, enumerate_points, join,
                               partial_count)
-from parzeta.faltings import (_y_links, build_faltings, fixed_point_count,
-                              fixed_points, h_index, lemma_check,
+from parzeta.faltings import (_orbit_listing, _twisted_fixed_points,
+                              _y_links, build_faltings, lemma_check,
                               morphism_partial_count)
 from parzeta.fields import Field, field
 from parzeta.polys import (MorphismSpec, SparsePoly, VarietySpec, base_field,
@@ -105,27 +107,6 @@ def enumerate_y_points(spec, k: int, budget: int = DEFAULT_BUDGET):
                   for ix in join([len(xpts)] * d, links, budget, "Y enumeration"))
 
 
-def test_h_index_defining_property():
-    # h_j is the unique h with a*h + 1 = j mod d
-    for d in (2, 3, 4, 5, 6):
-        for a in range(1, d + 1):
-            from math import gcd
-            if gcd(a, d) != 1:
-                continue
-            for j in range(1, d + 1):
-                h = h_index(a, d, j)
-                assert (a * h + 1) % d == j % d
-    assert h_index(1, 5, 4) == 3
-    assert h_index(3, 5, 2) == 2
-
-
-def test_h_index_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        h_index(2, 4, 1)
-    with pytest.raises(ValueError):
-        h_index(1, 3, 4)
-
-
 def test_sigma_apply():
     blocks = ("A", "B", "C")
     assert sigma_apply(blocks, 1) == ("C", "A", "B")
@@ -167,17 +148,22 @@ def test_variety_points_match_classical():
     assert len(pts) == classical_count(X, 2)
 
 
+def fixed_points(spec, a, k):
+    """The fixed points of sigma^a o Frob^k by ``lemma_check``'s path:
+    the kept chains over one orbit listing of X, each (y, L) expanded to
+    its conjugates Frob^s(y), s < L, lex-sorted."""
+    amb = field(spec.X.p, spec.X.s, spec.d * k)
+    listing = _orbit_listing(spec.X, spec.morphisms, amb, DEFAULT_BUDGET)
+    pairs = _twisted_fixed_points(spec, k, (a,), listing)[a]
+    return sorted(tuple(tuple(amb.frob(c, s) for c in b) for b in y)
+                  for y, length in pairs for s in range(length))
+
+
 def test_fixed_point_count_matches_partial_count():
     X = V(2, 1, 2, ["x1 + x2"], (1, 2))
     spec = build_faltings(X)
-    assert fixed_point_count(spec, 1, 1) == partial_count(X, 1)
-    assert fixed_point_count(spec, 1, 2) == partial_count(X, 2)
-
-
-def test_fixed_points_require_coprime_twist():
-    spec = build_faltings(V(2, 1, 2, ["x1 + x2"], (1, 2)))
-    with pytest.raises(ValueError):
-        fixed_point_count(spec, 2, 1)
+    assert len(fixed_points(spec, 1, 1)) == partial_count(X, 1)
+    assert len(fixed_points(spec, 1, 2)) == partial_count(X, 2)
 
 
 def test_build_faltings_refuses_a_bad_morphism():
@@ -240,12 +226,16 @@ def test_lemma_check_fails_on_wrong_orbit_lengths(monkeypatch):
         return ((x, 2 * length) for x, length in walk(self, e))
 
     monkeypatch.setattr(Field, "frobenius_orbits", doubled)
-    for X, morphisms in [(V(2, 1, 2, ["x1 + x2"], (2, 3)), None),
-                         (V(2, 1, 2, ["x1*x2 + 1"], (1, 2)), None),
-                         squaring_line()]:
+    # every entry mismatches, so witness_count sums their fixed points,
+    # capped at 10: 2 + 2 + 4 + 4 on the first, 1 + 3 on the second
+    for (X, morphisms), witnesses in [
+            ((V(2, 1, 2, ["x1 + x2"], (2, 3)), None), 10),
+            ((V(2, 1, 2, ["x1*x2 + 1"], (1, 2)), None), 4),
+            (squaring_line(), 10)]:
         rep = lemma_check(X, 2, morphisms)
         assert not rep.passed
         assert not any(e.equal for e in rep.entries)
+        assert rep.witness_count == witnesses
 
 
 def test_lemma_check_fails_on_a_skipped_orbit(monkeypatch):
@@ -336,13 +326,17 @@ def diagonal_23_with_square():
     return V(2, 1, 2, ["x1 + x2"], (2, 3)), morphisms
 
 
-def _entries_by_public_calls(X, morphisms, k_max):
+def _entries_by_separate_calls(X, morphisms, k_max):
     """(a, k, partial, fixed) from the two sides computed separately."""
     spec = build_faltings(X, morphisms=morphisms)
-    return [(a, k, morphism_partial_count(X, morphisms, k),
-             fixed_point_count(spec, a, k))
-            for k in range(1, k_max + 1)
-            for a in range(1, spec.d + 1) if gcd(a, spec.d) == 1]
+    entries = []
+    for k in range(1, k_max + 1):
+        amb = field(X.p, X.s, spec.d * k)
+        partial = morphism_partial_count(
+            X, k, _orbit_listing(X, morphisms, amb, DEFAULT_BUDGET))
+        entries += [(a, k, partial, len(fixed_points(spec, a, k)))
+                    for a in twists(spec.d)]
+    return entries
 
 
 def test_lemma_check_with_morphisms(monkeypatch):
@@ -351,7 +345,7 @@ def test_lemma_check_with_morphisms(monkeypatch):
     # of the lemma share one listing of X's orbit representatives per k,
     # and neither Y nor all of X is listed.
     X, morphisms = squaring_line()
-    want = _entries_by_public_calls(X, morphisms, 2)
+    want = _entries_by_separate_calls(X, morphisms, 2)
     calls = _listing_spy(monkeypatch)
     rep = lemma_check(X, 2, morphisms=morphisms)
     assert calls == [2, 4]
@@ -361,7 +355,7 @@ def test_lemma_check_with_morphisms(monkeypatch):
 
 def test_lemma_check_with_two_morphisms_lists_points_once_per_k(monkeypatch):
     X, morphisms = diagonal_23_with_square()
-    want = _entries_by_public_calls(X, morphisms, 2)
+    want = _entries_by_separate_calls(X, morphisms, 2)
     assert [w[2] for w in want] == [2, 2, 4, 4]
     calls = _listing_spy(monkeypatch)
     rep = lemma_check(X, 2, morphisms=morphisms)
