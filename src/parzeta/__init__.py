@@ -1,10 +1,9 @@
 """Exact partial zeta functions of affine varieties over finite fields."""
 
-from .fields import Field, FieldElement, field, smallest_irreducible
+from .fields import Field, field, smallest_irreducible
 from .polys import (MorphismSpec, PolyParseError, SparsePoly, VarietySpec,
                     base_field, parse_poly)
-from .counting import (BudgetExceededError, DEFAULT_BUDGET, classical_count,
-                       partial_count)
+from .counting import BudgetExceededError, DEFAULT_BUDGET, partial_count
 from .zeta import (AutoReconstructError, NoSolutionError, NonIntegerError,
                    RationalFunctionZ, ReconstructionError,
                    ReconstructionResult, RootFindingError, TruncatedSeries,

@@ -368,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp = subs.add_parser(name, help=help_text)
         sp.add_argument("file", help="instance JSON file")
         sp.add_argument("--budget", type=_positive(int), default=None,
-                        help="enumeration budget (tuples per count)")
+                        help="enumeration budget: the most tuples, search "
+                             "nodes or join nodes one enumeration may visit")
         sp.add_argument("--format", choices=("json", "csv", "table"),
                         default="json")
         for flag, default in flags.items():

@@ -75,7 +75,7 @@ from __future__ import annotations
 import math
 import sys
 from functools import lru_cache
-from itertools import product, repeat
+from itertools import repeat
 
 from .fields import Field, _trim, count_roots, field
 from .polys import VarietySpec
@@ -464,18 +464,3 @@ def partial_count(X: VarietySpec, k: int,
     orbits = amb.frobenius_orbits(X.profile[order[0]] * k)
     return free * _search(X.equations, amb, X.base, order, domains, roots,
                           budget, orbits)
-
-
-def classical_count(X: VarietySpec, k: int, budget: int = DEFAULT_BUDGET) -> int:
-    """#X(F_{q^k}) by direct enumeration of the single field F_{q^k}.
-
-    Independent of the subfield machinery; used to cross-check the
-    profile (1,...,1) case.
-    """
-    check_cost(X.p ** X.s, k * X.n, budget, f"classical_count k={k}")
-    amb = field(X.p, X.s, k)
-    count = 0
-    for point in product(amb.elements(), repeat=X.n):
-        if not any(eq.evaluate(point, amb) for eq in X.equations):
-            count += 1
-    return count

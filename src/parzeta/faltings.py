@@ -26,7 +26,9 @@ variable.  A walk that skips an orbit mostly shows as unequal sides
 (2, 3) both sides drop the same representative and still agree.
 ``lemma_check`` is the one entry: it builds each level's listing and
 reports counts, with ``witness_count`` the fixed points of the mismatched
-entries, at most 10; no point is expanded to its conjugates.
+entries, at most 10; no point is expanded to its conjugates.  A level
+whose listing would pass the budget is refused from q^{dk} before
+F_{q^{dk}} is built, after the partial count's own check.
 Y's equations, their stability under sigma, and Y's full listing, a join
 of d copies of X's points listed by the plain search over every value of
 x_1, are the tests' oracle; they share no orbit reduction with the fixed
@@ -38,8 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .counting import (DEFAULT_BUDGET, enumerate_orbit_points, partial_count,
-                       partial_count_check)
+from .counting import (DEFAULT_BUDGET, check_cost, enumerate_orbit_points,
+                       partial_count, partial_count_check)
 from .fields import Field, field
 from .polys import VarietySpec
 
@@ -91,6 +93,18 @@ def _orbit_listing(X: VarietySpec, morphisms, amb: Field, budget: int):
     if morphisms is None:
         return reps, None
     return reps, [[f.apply(pt, amb) for pt, _ in reps] for f in morphisms]
+
+
+def _orbit_listing_check(X: VarietySpec, k: int, budget: int) -> None:
+    """`_orbit_listing`'s refusal at level k, from q^{Dk} alone.  Unless
+    an equation closes at x_1 alone, or is a nonzero constant and leaves
+    nothing to search, each of x_1's q^{Dk} values is a node, so the node
+    budget would refuse every listing this refuses.  A zero equation
+    closes nothing."""
+    if not any(eq.terms and eq.variables_used() <= {0}
+               for eq in X.equations):
+        check_cost(X.p ** X.s, X.D * k, budget,
+                   f"enumerate_orbit_points k={k}")
 
 
 def _twisted_fixed_points(spec: FaltingsSpec, k: int, twists, listing):
@@ -224,11 +238,16 @@ def lemma_check(X: VarietySpec, k_max: int, morphisms=None,
         partial_count_check(X, 1, budget)
     spec = build_faltings(X, morphisms=morphisms)
     d = spec.d
+    _orbit_listing_check(X, 1, budget)  # before twists lists range(1, d + 1)
     twists = [a for a in range(1, d + 1) if gcd(a, d) == 1]
     entries = []
     witness_count = 0
     recon_ok = True
     for k in range(1, k_max + 1):
+        # both sides' refusals, the count's first, before the field is built
+        if morphisms is None:
+            partial_count_check(X, k, budget)
+        _orbit_listing_check(X, k, budget)
         amb = field(X.p, X.s, d * k)
         # one listing of X's orbit representatives per level; the chains
         # walk it, and with morphisms the left side filters it by subfield

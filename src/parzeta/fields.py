@@ -16,9 +16,11 @@ has always used, so sorting ints reproduces them unchanged.
 The library works on these ints only: subfields, points, polynomial
 coefficients and values are packed ints, and the field's int operations
 (``add``, ``sub``, ``neg``, ``mul``, ``inv``, ``pow``, ``frob``) do all
-arithmetic.  ``FieldElement`` is the public value type: the int with
-operators, ``x.coeffs`` the derived tuple, made and taken by
-``Field.element/zero/one/from_int/gen/frobenius`` and by nothing else.
+arithmetic.  ``FieldElement`` is only a handle on one packed int, for
+timing the per-element operations: ``Field.element(coeffs)`` makes one,
+and its ``+``, ``*`` and ``inverse()`` and ``Field.frobenius`` call
+``add``, ``mul``, ``inv`` and ``frob``.  It has no other operation, and
+nothing in the library takes one.
 
 The int operations are bound on a field's first arithmetic, never at
 construction:
@@ -328,7 +330,7 @@ def smallest_irreducible(p: int, m: int):
 # ---------------------------------------------------------------------------
 
 class FieldElement:
-    """An element of a Field: the packed int ``value`` (see the module doc)."""
+    """A handle on the packed int ``value`` of a Field (see the module doc)."""
 
     __slots__ = ("field", "value")
 
@@ -336,53 +338,17 @@ class FieldElement:
         self.field = field
         self.value = value
 
-    @property
-    def coeffs(self):
-        """Coordinates in the power basis of t, constant term first."""
-        return self.field.to_coeffs(self.value)
-
     def __add__(self, other):
         f = self.field
         return FieldElement(f, f.add(self.value, other.value))
-
-    def __sub__(self, other):
-        f = self.field
-        return FieldElement(f, f.sub(self.value, other.value))
-
-    def __neg__(self):
-        f = self.field
-        return FieldElement(f, f.neg(self.value))
 
     def __mul__(self, other):
         f = self.field
         return FieldElement(f, f.mul(self.value, other.value))
 
-    def __pow__(self, e):
-        f = self.field
-        return FieldElement(f, f.pow(self.value, e))
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
     def inverse(self):
         f = self.field
         return FieldElement(f, f.inv(self.value))
-
-    def is_zero(self):
-        return not self.value
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldElement)
-                and self.value == other.value
-                and (self.field is other.field
-                     or (self.field.p == other.field.p
-                         and self.field.modulus == other.field.modulus)))
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __repr__(self):
-        return f"FieldElement({list(self.coeffs)})"
 
 
 class Field:
@@ -716,24 +682,13 @@ class Field:
 
     # -- element constructors ---------------------------------------------
 
-    def zero(self):
-        return FieldElement(self, 0)
-
-    def one(self):
-        return FieldElement(self, self._one)
-
-    def from_int(self, c: int):
-        return FieldElement(self, c % self.p * self._one)
-
     def element(self, coeffs):
+        """The handle on the element with these coordinates, constant term
+        first, each reduced mod p."""
         coeffs = tuple(c % self.p for c in coeffs)
         if len(coeffs) != self.m:
             raise FieldError(f"expected {self.m} coordinates, got {len(coeffs)}")
         return FieldElement(self, self.to_int(coeffs))
-
-    def gen(self):
-        """The class of t."""
-        return FieldElement(self, self._gen)
 
     def elements(self):
         """All p^m elements as packed ints, in lex order on coefficient tuples."""

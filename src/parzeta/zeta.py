@@ -257,7 +257,6 @@ class ReconstructionResult:
     function: RationalFunctionZ
     B_used: int
     counts: tuple  # N_1 .. N_B_used
-    holdout: int
 
 
 def _split_order(total: int):
@@ -290,7 +289,7 @@ def reconstruct_counts(count_at, max_k: int,
             except ReconstructionError:
                 continue
             if [v * L for v in R.expand(B)] == y:
-                return ReconstructionResult(R, B, tuple(counts), holdout)
+                return ReconstructionResult(R, B, tuple(counts))
     return None
 
 

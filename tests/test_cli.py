@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from parzeta import fields
 from parzeta.artin_schreier import bound_check, singular_search
 from parzeta.cli import load_instance, main
 from parzeta.faltings import lemma_check
@@ -242,6 +243,30 @@ def test_graph_refused_at_the_first_level_past_the_budget(tmp_path, capsys):
     assert code == 3 and out == ""
     assert err == ("budget exceeded: enumeration cost 274877906944 exceeds "
                    "budget 1000000 (partial_count k=2)\n")
+
+
+def test_faltings_listing_refused_before_its_field_is_built(tmp_path, capsys,
+                                                          monkeypatch):
+    # the partial count's 2^24 tuples pass the default budget, but the
+    # listing binds x_1 over all of F_(2^143): refused before any field
+    # past the count's is built, F_(2^143) included
+    inst = {"kind": "variety", "p": 2, "s": 1, "n": 2,
+            "equations": ["x1^3 + x2^2 + 1"], "profile": [11, 13]}
+    f = tmp_path / "inst.json"
+    f.write_text(json.dumps(inst))
+    degrees = []
+    search = fields.smallest_irreducible
+
+    def spy(p, m):
+        degrees.append(m)
+        return search(p, m)
+
+    monkeypatch.setattr(fields, "smallest_irreducible", spy)
+    code, out, err = run(capsys, "faltings", str(f), "--k-max", "1")
+    assert code == 3 and out == ""
+    assert err == (f"budget exceeded: enumeration cost {2 ** 143} exceeds "
+                   "budget 100000000 (enumerate_orbit_points k=1)\n")
+    assert max(degrees, default=0) <= 13
 
 
 def test_zeta_root_finding_failure_exit_4(capsys, monkeypatch):

@@ -2,11 +2,13 @@ import time
 
 import pytest
 
-from parzeta import artin_schreier, counting
+from parzeta import artin_schreier, counting, faltings
 from parzeta.artin_schreier import ASInstance, as_count_brute, as_count_trace
-from parzeta.counting import (BudgetExceededError, classical_count,
-                              partial_count)
-from parzeta.polys import SparsePoly, VarietySpec, base_field, parse_poly
+from parzeta.counting import BudgetExceededError, partial_count
+from parzeta.faltings import lemma_check
+from parzeta.polys import (MorphismSpec, SparsePoly, VarietySpec, base_field,
+                           parse_poly)
+from test_engine import oracle_count
 
 F2 = base_field(2, 1)
 F3 = base_field(3, 1)
@@ -58,7 +60,7 @@ def test_empty_variety():
 def test_matches_classical_on_trivial_profile():
     X = V(3, 1, 2, ["x2 - x1^2"], (1, 1))
     for k in (1, 2):
-        assert partial_count(X, k) == classical_count(X, k)
+        assert partial_count(X, k) == oracle_count(X, k)
 
 
 def test_point_over_f4():
@@ -79,6 +81,15 @@ def _as_inst(p, s, nprime, d=1):
     return ASInstance(p, s, 1, nprime, d, f)
 
 
+def _listing_run(p, s, e, budget):
+    # x2 at profile (e, 1) with f_i the coordinates: no partial count is
+    # checked, and the listing binds x_1 over all q^e values of F_(q^e)
+    X = V(p, s, 2, ["x2"], (e, 1))
+    projections = tuple(MorphismSpec(2, 1, (SparsePoly.var(2, X.base, i),))
+                        for i in range(2))
+    return lemma_check(X, 1, projections, budget=budget)
+
+
 @pytest.mark.parametrize("d", [20000, 10 ** 12])
 def test_budget_refusal_from_the_exponent(d):
     # 2^e has too many digits to print, or to build at all: each count
@@ -86,8 +97,8 @@ def test_budget_refusal_from_the_exponent(d):
     runs = [
         (lambda: partial_count(V(2, 1, 2, ["x1 + x2"], (d, 1)), 1,
                                budget=1000), d + 1, "partial_count k=1"),
-        (lambda: classical_count(V(2, 1, 1, [], (1,)), d, budget=1000),
-         d, f"classical_count k={d}"),
+        (lambda: _listing_run(2, 1, d, 1000), d,
+         "enumerate_orbit_points k=1"),
         (lambda: as_count_brute(_as_inst(2, 1, 1, d), budget=1000),
          2 * d + 1, "as_count_brute"),
         (lambda: as_count_trace(_as_inst(2, 1, 1, d), budget=1000),
@@ -107,8 +118,7 @@ def test_budget_refusal_from_the_exponent(d):
 BOUNDARY_RUNS = {
     "partial_count": (1, lambda p, s, e, budget: partial_count(
         V(p, s, 1, [], (1,)), e, budget=budget)),
-    "classical_count": (1, lambda p, s, e, budget: classical_count(
-        V(p, s, 1, [], (1,)), e, budget=budget)),
+    "lemma_check": (1, _listing_run),
     "as_count_brute": (3, lambda p, s, e, budget: as_count_brute(
         _as_inst(p, s, e - 2), budget=budget)),
     "as_count_trace": (2, lambda p, s, e, budget: as_count_trace(
@@ -127,13 +137,14 @@ def test_budget_exponent_boundary(monkeypatch, q, budget):
     # for each count, the largest e with q^e <= budget passes the shared
     # check, and every larger exponent is refused with cost q^e.
     # partial_count counts the free variety outright; the other counts
-    # enumerate all q^e tuples, so they are stopped where they would build
-    # their field
+    # enumerate all q^e tuples (the lemma's listing, all q^e values of x_1),
+    # so they are stopped where they would build their field
     def built(*args):
         raise FieldBuilt
 
     monkeypatch.setattr(counting, "field", built)
     monkeypatch.setattr(artin_schreier, "field", built)
+    monkeypatch.setattr(faltings, "field", built)
     p, s = {2: (2, 1), 3: (3, 1), 4: (2, 2), 9: (3, 2)}[q]
     e = 0
     while q ** (e + 1) <= budget:

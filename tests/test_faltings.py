@@ -17,20 +17,21 @@ from math import gcd, lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import given, reject, settings, strategies as st
 
 from parzeta import counting, faltings
 from parzeta.cli import load_instance
 from parzeta.counting import (DEFAULT_BUDGET, BudgetExceededError,
-                              classical_count, enumerate_points, join,
+                              enumerate_orbit_points, enumerate_points, join,
                               partial_count)
-from parzeta.faltings import (_orbit_listing, _twisted_fixed_points,
-                              _y_links, build_faltings, lemma_check,
+from parzeta.faltings import (_orbit_listing, _orbit_listing_check,
+                              _twisted_fixed_points, _y_links,
+                              build_faltings, lemma_check,
                               morphism_partial_count)
 from parzeta.fields import Field, field
 from parzeta.polys import (MorphismSpec, SparsePoly, VarietySpec, base_field,
                            parse_poly)
-from test_engine import varieties
+from test_engine import oracle_count, varieties
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 VARIETIES = sorted(path.stem for path in CORPUS.glob("*.json")
@@ -145,7 +146,7 @@ def test_variety_points_match_classical():
     X = V(3, 1, 2, ["x2 - x1^2"], (1, 1))
     amb = field(3, 1, 2)
     pts = enumerate_points(X.equations, X.n, amb, X.base)
-    assert len(pts) == classical_count(X, 2)
+    assert len(pts) == oracle_count(X, 2)
 
 
 def fixed_points(spec, a, k):
@@ -515,3 +516,19 @@ def test_lemma_check_never_lists_y(monkeypatch):
     rep = lemma_check(V(2, 1, 2, ["x1 + x2"], (2, 3)), 2)
     assert calls == [6, 12]
     assert rep.passed and rep.reconstruction_ok
+
+
+@settings(max_examples=200, deadline=None)
+@given(varieties(), st.data())
+def test_listing_check_refuses_only_what_the_node_budget_refuses(case, data):
+    # the a-priori check of a level's orbit listing refuses from q^(Dk)
+    # alone; every listing it refuses must also exceed the node budget
+    X, k = case
+    amb = field(X.p, X.s, X.D * k)
+    budget = data.draw(st.integers(1, 2 * amb.size()))
+    try:
+        _orbit_listing_check(X, k, budget)
+    except BudgetExceededError:
+        with pytest.raises(BudgetExceededError):
+            enumerate_orbit_points(X.equations, X.n, amb, X.base,
+                                   budget=budget)

@@ -106,7 +106,6 @@ def test_auto_reconstruct_diagonal():
     res = auto_reconstruct(X, 10)
     assert res.function.num == (1,)
     assert res.function.den == (1, -2)
-    assert res.holdout == 3
 
 
 def test_auto_reconstruct_hyperbola():
@@ -732,7 +731,7 @@ def test_reconstruct_counts_matches_per_split_deepening(case):
         assert calls == list(range(1, max_k + 1) if max_k >= 2 else [])
     else:
         R, B = ref
-        assert (res.function, res.B_used, res.holdout) == (R, B, holdout)
+        assert (res.function, res.B_used) == (R, B)
         assert res.counts == tuple(counts[:B])
         assert calls == list(range(1, B + 1))
 
