@@ -10,13 +10,13 @@ from .zeta import (AutoReconstructError, NoSolutionError, NonIntegerError,
                    WeightReport, auto_reconstruct, degree_sweep,
                    pade_reconstruct, reconstruct_counts, series_from_counts,
                    weil_weight_check)
-from .faltings import FaltingsSpec, LemmaReport, build_faltings, lemma_check
+from .faltings import LemmaReport, lemma_check
 from .graphs import (GraphEdge, GraphReport, GraphSystem, GraphVertex,
                      fibred_product_reduce, graph_count_direct,
                      reduction_check)
 from .artin_schreier import (ASInstance, BoundReport, OracleMismatchError,
                              as_count_brute, as_count_trace, bound_check,
-                             diagonal_smooth_check, example44_sweep,
-                             fibred_sum, singular_search)
+                             diagonal_smooth_check, fibred_sum,
+                             singular_search)
 
 __version__ = "0.1.0"

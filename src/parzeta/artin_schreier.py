@@ -235,30 +235,3 @@ def bound_check(inst: ASInstance, e_max: int = 2,
         hypothesis_ok=hypothesis_ok,
         satisfied=deviation * deviation <= bound_sq,
     )
-
-
-def example44_sweep(f1r: SparsePoly, f2r: SparsePoly, p: int, d_list):
-    """Diagonal split forms: smoothness of the fibred sum iff p does not divide d."""
-    r1 = f1r.total_degree()
-    r2 = f2r.total_degree()
-    if r1 != r2:
-        raise ValueError("split forms must have equal degree")
-    if r1 % p == 0:
-        raise ValueError("p must not divide the degree r")
-    for g, name in ((f1r, "x-part"), (f2r, "y-part")):
-        if diagonal_smooth_check(g, p) != "smooth":
-            raise ValueError(f"{name} must itself be diagonal-smooth")
-    n, nn = f1r.n, f2r.n
-    total = n + nn
-    f = (f1r.rename({i: i for i in range(n)}, total)
-         + f2r.rename({j: n + j for j in range(nn)}, total))
-    rows = []
-    for d in d_list:
-        verdict = diagonal_smooth_check(fibred_sum(f, n, nn, d), p)
-        rows.append({
-            "d": d,
-            "verdict": verdict,
-            "expected_smooth": d % p != 0,
-            "matches": (verdict == "smooth") == (d % p != 0),
-        })
-    return rows

@@ -46,32 +46,6 @@ from .fields import Field, field
 from .polys import VarietySpec
 
 
-@dataclass(frozen=True)
-class FaltingsSpec:
-    X: VarietySpec
-    d: int
-    morphisms: tuple = None  # one MorphismSpec per profile entry; None for
-                             # the coordinate projections
-
-
-def build_faltings(X: VarietySpec, morphisms=None) -> FaltingsSpec:
-    """X, d = lcm of its profile, and the morphisms f_i, one per profile
-    entry, each a map from X's n variables with coefficients in X's base
-    field F_q; ``ValueError`` otherwise.  Y itself is not built."""
-    if morphisms is not None:
-        morphisms = tuple(morphisms)
-        if len(morphisms) != len(X.profile):
-            raise ValueError("need one morphism per profile entry")
-        for f in morphisms:
-            if f.n_in != X.n:
-                raise ValueError(f"a morphism takes {f.n_in} variables, "
-                                 f"X has {X.n}")
-            if any(c.base is not X.base for c in f.components):
-                raise ValueError("a morphism has coefficients outside "
-                                 "X's base field")
-    return FaltingsSpec(X, X.D, morphisms)
-
-
 def _y_links(profile, d: int):
     """Y's links (j, i, j2): blocks j and j2 = j + d_i (mod d) have equal
     images under f_i, for each profile entry d_i and each j it moves."""
@@ -107,7 +81,7 @@ def _orbit_listing_check(X: VarietySpec, k: int, budget: int) -> None:
                    f"enumerate_orbit_points k={k}")
 
 
-def _twisted_fixed_points(spec: FaltingsSpec, k: int, twists, listing):
+def _twisted_fixed_points(X: VarietySpec, k: int, twists, listing):
     """For each a in ``twists``, the points y of Y over F_{q^{dk}} with
     sigma^a(Frob^k(y)) = y whose first block is one of ``listing``'s
     points, ``listing`` being `_orbit_listing`'s result for F_{q^{dk}},
@@ -125,7 +99,7 @@ def _twisted_fixed_points(spec: FaltingsSpec, k: int, twists, listing):
     it carries the fixed points over y_0 onto those over each conjugate
     of y_0.  Y itself is never listed.
     """
-    X, d = spec.X, spec.d
+    d = X.D
     r = len(X.profile)
     amb = field(X.p, X.s, d * k)
     reps, images = listing
@@ -231,23 +205,35 @@ class LemmaReport:
 
 def lemma_check(X: VarietySpec, k_max: int, morphisms=None,
                 budget: int = DEFAULT_BUDGET) -> LemmaReport:
-    """Compare the partial count with the fixed-point count for all valid a."""
+    """Compare the partial count with the fixed-point count for all valid a.
+
+    ``morphisms`` are the f_i, one per profile entry, each a map from X's
+    n variables with coefficients in X's base field, else ``ValueError``;
+    None means the coordinate projections."""
     if k_max < 1:
         raise ValueError("k_max must be positive")
-    if morphisms is None:  # the first count's refusal comes first
-        partial_count_check(X, 1, budget)
-    spec = build_faltings(X, morphisms=morphisms)
-    d = spec.d
-    _orbit_listing_check(X, 1, budget)  # before twists lists range(1, d + 1)
-    twists = [a for a in range(1, d + 1) if gcd(a, d) == 1]
+    if morphisms is not None:
+        morphisms = tuple(morphisms)
+        if len(morphisms) != len(X.profile):
+            raise ValueError("need one morphism per profile entry")
+        for f in morphisms:
+            if f.n_in != X.n:
+                raise ValueError(f"a morphism takes {f.n_in} variables, "
+                                 f"X has {X.n}")
+            if any(c.base is not X.base for c in f.components):
+                raise ValueError("a morphism has coefficients outside "
+                                 "X's base field")
+    d = X.D
     entries = []
     witness_count = 0
     recon_ok = True
     for k in range(1, k_max + 1):
-        # both sides' refusals, the count's first, before the field is built
+        # both sides' refusals, the count's first, before the twists are
+        # listed and the field is built
         if morphisms is None:
             partial_count_check(X, k, budget)
         _orbit_listing_check(X, k, budget)
+        twists = [a for a in range(1, d + 1) if gcd(a, d) == 1]
         amb = field(X.p, X.s, d * k)
         # one listing of X's orbit representatives per level; the chains
         # walk it, and with morphisms the left side filters it by subfield
@@ -255,10 +241,10 @@ def lemma_check(X: VarietySpec, k_max: int, morphisms=None,
             lhs = partial_count(X, k, budget=budget)
             listing = _orbit_listing(X, None, amb, budget)
         else:
-            listing = _orbit_listing(X, spec.morphisms, amb, budget)
+            listing = _orbit_listing(X, morphisms, amb, budget)
             lhs = morphism_partial_count(X, k, listing)
         frob = amb.frob
-        found = _twisted_fixed_points(spec, k, twists, listing)
+        found = _twisted_fixed_points(X, k, twists, listing)
         # reconstruction bijection, checked on the chains; Frobenius carries
         # it to their conjugates.  Every distinct block is a point of X ...
         blocks = {b for pairs in found.values() for y, _ in pairs for b in y}

@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .counting import (DEFAULT_BUDGET, enumerate_points, join, partial_count,
-                       partial_count_check)
+from .counting import (DEFAULT_BUDGET, check_cost, enumerate_points, join,
+                       partial_count, partial_count_check)
 from .fields import field
 from .polys import MorphismSpec, SparsePoly, VarietySpec
 from .zeta import (ReconstructionResult, WeightReport, auto_reconstruct,
@@ -60,7 +60,13 @@ class GraphSystem:
 
 def graph_count_direct(G: GraphSystem, k: int,
                        budget: int = DEFAULT_BUDGET) -> int:
-    """Tuples (x_v) with x_v in X_v(F_{q^{d_v k}}) meeting every edge equation."""
+    """Tuples (x_v) with x_v in X_v(F_{q^{d_v k}}) meeting every edge equation.
+
+    Refused before any field is built when the product of the vertex
+    domains, q^e with e = k sum n_v d_v (the fibred product's count), is
+    over the budget."""
+    check_cost(G.p ** G.s, k * sum(v.n * v.d for v in G.vertices), budget,
+               f"graph_count_direct k={k}")
     amb = field(G.p, G.s, G.D * k)
     base = field(G.p, G.s, 1)
     vpoints = []

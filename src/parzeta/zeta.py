@@ -65,9 +65,6 @@ class RootFindingError(RuntimeError):
 class TruncatedSeries:
     coeffs: tuple  # Fractions z_0 .. z_B
 
-    def all_integral(self) -> bool:
-        return all(z.denominator == 1 for z in self.coeffs)
-
 
 def series_from_counts(counts) -> TruncatedSeries:
     """exp(sum N_k T^k / k) truncated at the number of counts.
@@ -102,6 +99,12 @@ class RationalFunctionZ:
     def __post_init__(self):
         if self.num[0] != 1 or self.den[0] != 1:
             raise ValueError("constant terms must be 1")
+        # a trailing zero is no degree: (1, 0)/(1, -2) is 1/(1 - 2T)
+        for name in ("num", "den"):
+            c = tuple(getattr(self, name))
+            while c[-1] == 0:
+                c = c[:-1]
+            object.__setattr__(self, name, c)
 
     def total_degree(self) -> int:
         return (len(self.num) - 1) + (len(self.den) - 1)
@@ -436,10 +439,6 @@ def weil_weight_check(R: RationalFunctionZ, q: int, tol: float = 1e-6) -> Weight
     for side, coeffs in (("zero", R.num), ("pole", R.den)):
         for lam in _reciprocal_roots(coeffs):
             mag = abs(lam)
-            if mag <= 0:
-                ok = False
-                records.append(RootRecord(side, lam, mag, -1, float("inf")))
-                continue
             w = round(2 * math.log(mag) / math.log(q))
             target = q ** (w / 2)
             residual = abs(mag - target)

@@ -3,9 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from parzeta.artin_schreier import (ASInstance, as_count_brute,
                                     as_count_trace, bound_check,
-                                    diagonal_smooth_check, example44_sweep,
-                                    fibred_sum, singular_search,
-                                    trace_to_prime)
+                                    diagonal_smooth_check, fibred_sum,
+                                    singular_search, trace_to_prime)
 from parzeta.fields import field
 from parzeta.polys import SparsePoly, base_field, parse_poly
 
@@ -121,24 +120,21 @@ def test_bound_uses_leading_form():
     assert rep.smooth_status == "verified-diagonal"
 
 
+def example44_verdicts(f, p):
+    """Example 4.4: the fibred sum of the split form f(x) + f(y) is smooth
+    exactly when p does not divide d; its verdicts for d = 1..6."""
+    return [diagonal_smooth_check(fibred_sum(f, 1, 1, d), p)
+            for d in range(1, 7)]
+
+
 def test_example_sweep_p2():
-    f1 = parse_poly("x1^3", ["x1"], F2)
-    rows = example44_sweep(f1, f1, 2, range(1, 7))
-    assert all(r["matches"] for r in rows)
-    assert [r["verdict"] for r in rows] == ["smooth", "singular"] * 3
+    verdicts = example44_verdicts(CUBIC, 2)
+    assert verdicts == ["smooth", "singular"] * 3
 
 
 def test_example_sweep_p3():
-    g1 = parse_poly("x1^2", ["x1"], F3)
-    rows = example44_sweep(g1, g1, 3, range(1, 7))
-    assert all(r["matches"] for r in rows)
-    assert [r["verdict"] for r in rows[2::3]] == ["singular", "singular"]
-
-
-def test_example_sweep_rejects_bad_degree():
-    f1 = parse_poly("x1^2", ["x1"], F2)
-    with pytest.raises(ValueError):
-        example44_sweep(f1, f1, 2, [1])
+    verdicts = example44_verdicts(xy_poly("x1^2 + y1^2", F3), 3)
+    assert verdicts == ["smooth", "smooth", "singular"] * 2
 
 
 def test_budget_checked_before_domains(monkeypatch):

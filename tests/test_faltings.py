@@ -25,8 +25,7 @@ from parzeta.counting import (DEFAULT_BUDGET, BudgetExceededError,
                               enumerate_orbit_points, enumerate_points, join,
                               partial_count)
 from parzeta.faltings import (_orbit_listing, _orbit_listing_check,
-                              _twisted_fixed_points, _y_links,
-                              build_faltings, lemma_check,
+                              _twisted_fixed_points, _y_links, lemma_check,
                               morphism_partial_count)
 from parzeta.fields import Field, field
 from parzeta.polys import (MorphismSpec, SparsePoly, VarietySpec, base_field,
@@ -59,19 +58,19 @@ def _slot(j: int, i: int, n: int) -> int:
     return j * n + i
 
 
-def y_variety(spec):
+def y_variety(X, morphisms=None):
     """Y inside X^d, in d*n variables: d copies of X's equations, one per
     block, and for each profile entry d_i and block j the identity
     f_i(block j) = f_i(block j + d_i), componentwise; without morphisms
     f_i is the i-th coordinate, and the identity a slot equality."""
-    X, d, n = spec.X, spec.d, spec.X.n
+    d, n = X.D, X.n
     dn = d * n
     blocks = [{v: _slot(j, v, n) for v in range(n)} for j in range(d)]
     equations = [eq.rename(blocks[j], dn) for j in range(d)
                  for eq in X.equations]
     for i, di in enumerate(X.profile):
-        comps = ((SparsePoly.var(n, X.base, i),) if spec.morphisms is None
-                 else spec.morphisms[i].components)
+        comps = ((SparsePoly.var(n, X.base, i),) if morphisms is None
+                 else morphisms[i].components)
         for j in range(d):
             j2 = (j + di) % d
             if j2 != j:
@@ -80,9 +79,9 @@ def y_variety(spec):
     return VarietySpec(X.p, X.s, dn, tuple(equations), (1,) * dn)
 
 
-def sigma_stable(spec, Y):
+def sigma_stable(X, Y):
     """Whether rotating the blocks permutes Y's equation set, up to sign."""
-    d, n = spec.d, spec.X.n
+    d, n = X.D, X.n
     dn = d * n
     rot = {_slot(j, i, n): _slot((j + 1) % d, i, n)
            for j in range(d) for i in range(n)}
@@ -90,18 +89,18 @@ def sigma_stable(spec, Y):
     return all(eq.rename(rot, dn) in eqset for eq in Y.equations)
 
 
-def enumerate_y_points(spec, k: int, budget: int = DEFAULT_BUDGET):
+def enumerate_y_points(X, morphisms, k: int, budget: int = DEFAULT_BUDGET):
     """Y's full listing: its points with all coordinates in F_{q^{dk}},
     lex-sorted.  X's points are listed once, in full, by the plain search,
     which binds x_1 to every value rather than one per Frobenius orbit,
     and joined d times over by Y's links."""
-    X, d = spec.X, spec.d
+    d = X.D
     amb = field(X.p, X.s, d * k)
     xpts = enumerate_points(X.equations, X.n, amb, X.base, budget=budget)
-    if spec.morphisms is None:
+    if morphisms is None:
         images = [[pt[i] for pt in xpts] for i in range(len(X.profile))]
     else:
-        images = [[f.apply(pt, amb) for pt in xpts] for f in spec.morphisms]
+        images = [[f.apply(pt, amb) for pt in xpts] for f in morphisms]
     links = [(j, images[i], j2, images[i])
              for j, i, j2 in _y_links(X.profile, d)]
     return sorted(tuple(xpts[x] for x in ix)
@@ -125,9 +124,8 @@ def test_sigma_orbit_order():
 
 def test_build_faltings_shape():
     X = V(2, 1, 2, ["x1 + x2"], (1, 2))
-    spec = build_faltings(X)
-    assert spec.d == 2
-    Y = y_variety(spec)
+    assert X.D == 2
+    Y = y_variety(X)
     assert Y.n == 4
     # two rotated copies of the defining equation plus identifications
     assert len(Y.equations) >= 2
@@ -135,10 +133,9 @@ def test_build_faltings_shape():
 
 def test_trivial_profile_gives_back_x():
     X = V(2, 1, 2, ["x1*x2 + 1"], (1, 1))
-    spec = build_faltings(X)
-    assert spec.d == 1
-    assert y_variety(spec).n == X.n
-    ypts = enumerate_y_points(spec, 2)
+    assert X.D == 1
+    assert y_variety(X).n == X.n
+    ypts = enumerate_y_points(X, None, 2)
     assert len(ypts) == partial_count(X, 2)
 
 
@@ -149,22 +146,21 @@ def test_variety_points_match_classical():
     assert len(pts) == oracle_count(X, 2)
 
 
-def fixed_points(spec, a, k):
+def fixed_points(X, morphisms, a, k):
     """The fixed points of sigma^a o Frob^k by ``lemma_check``'s path:
     the kept chains over one orbit listing of X, each (y, L) expanded to
     its conjugates Frob^s(y), s < L, lex-sorted."""
-    amb = field(spec.X.p, spec.X.s, spec.d * k)
-    listing = _orbit_listing(spec.X, spec.morphisms, amb, DEFAULT_BUDGET)
-    pairs = _twisted_fixed_points(spec, k, (a,), listing)[a]
+    amb = field(X.p, X.s, X.D * k)
+    listing = _orbit_listing(X, morphisms, amb, DEFAULT_BUDGET)
+    pairs = _twisted_fixed_points(X, k, (a,), listing)[a]
     return sorted(tuple(tuple(amb.frob(c, s) for c in b) for b in y)
                   for y, length in pairs for s in range(length))
 
 
 def test_fixed_point_count_matches_partial_count():
     X = V(2, 1, 2, ["x1 + x2"], (1, 2))
-    spec = build_faltings(X)
-    assert len(fixed_points(spec, 1, 1)) == partial_count(X, 1)
-    assert len(fixed_points(spec, 1, 2)) == partial_count(X, 2)
+    assert len(fixed_points(X, None, 1, 1)) == partial_count(X, 1)
+    assert len(fixed_points(X, None, 1, 2)) == partial_count(X, 2)
 
 
 def test_build_faltings_refuses_a_bad_morphism():
@@ -183,10 +179,8 @@ def test_build_faltings_refuses_a_bad_morphism():
            "takes 3 variables": (f(2, "x1"), f(3, "x2 + x3")),
            "outside X's base field": (f(2, "x1"), f(2, "x2", F4))}
     for X in (V(2, 1, 2, ["x1 + x2"], (2, 3)), V(2, 1, 2, ["1"], (2, 3))):
-        assert build_faltings(X, good).morphisms == good
+        assert lemma_check(X, 1, good).passed
         for match, morphisms in bad.items():
-            with pytest.raises(ValueError, match=match):
-                build_faltings(X, morphisms)
             with pytest.raises(ValueError, match=match):
                 lemma_check(X, 1, morphisms)
 
@@ -329,14 +323,13 @@ def diagonal_23_with_square():
 
 def _entries_by_separate_calls(X, morphisms, k_max):
     """(a, k, partial, fixed) from the two sides computed separately."""
-    spec = build_faltings(X, morphisms=morphisms)
     entries = []
     for k in range(1, k_max + 1):
-        amb = field(X.p, X.s, spec.d * k)
+        amb = field(X.p, X.s, X.D * k)
         partial = morphism_partial_count(
             X, k, _orbit_listing(X, morphisms, amb, DEFAULT_BUDGET))
-        entries += [(a, k, partial, len(fixed_points(spec, a, k)))
-                    for a in twists(spec.d)]
+        entries += [(a, k, partial, len(fixed_points(X, morphisms, a, k)))
+                    for a in twists(X.D)]
     return entries
 
 
@@ -377,43 +370,38 @@ def test_report_json_shape():
 # the join against Y's own equations
 # ---------------------------------------------------------------------------
 
-def y_by_equations(spec, k):
+def y_by_equations(X, morphisms, k):
     """Y's points from its equations on the counting engine, in blocks."""
-    X, d, n = spec.X, spec.d, spec.X.n
+    d, n = X.D, X.n
     amb = field(X.p, X.s, d * k)
-    Y = y_variety(spec)
+    Y = y_variety(X, morphisms)
     pts = enumerate_points(Y.equations, Y.n, amb, X.base)
     return [tuple(pt[j * n:(j + 1) * n] for j in range(d)) for pt in pts]
-
-
-def y_by_join(spec, k):
-    return enumerate_y_points(spec, k)
 
 
 @pytest.mark.parametrize("name", VARIETIES)
 def test_y_join_matches_y_equations(name):
     X, _, _ = load_instance(str(CORPUS / f"{name}.json"), "variety")
-    spec = build_faltings(X)
-    for k in (1, 2) if spec.d * X.n <= 4 else (1,):
-        assert y_by_join(spec, k) == y_by_equations(spec, k)
+    for k in (1, 2) if X.D * X.n <= 4 else (1,):
+        assert enumerate_y_points(X, None, k) == y_by_equations(X, None, k)
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_y_join_matches_y_equations_with_morphisms(k):
     # the morphism case of test_lemma_check_with_morphisms
     X, morphisms = squaring_line()
-    spec = build_faltings(X, morphisms=morphisms)
-    assert y_by_join(spec, k) == y_by_equations(spec, k)
+    assert (enumerate_y_points(X, morphisms, k)
+            == y_by_equations(X, morphisms, k))
 
 
 # ---------------------------------------------------------------------------
 # the fixed points against a filter over Y's full listing
 # ---------------------------------------------------------------------------
 
-def fixed_by_filter(spec, a, k, budget=DEFAULT_BUDGET):
+def fixed_by_filter(X, morphisms, a, k, budget=DEFAULT_BUDGET):
     """The points of Y's listing that sigma^a(Frob^k(y)) sends to y."""
-    frob = field(spec.X.p, spec.X.s, spec.d * k).frob
-    return [y for y in enumerate_y_points(spec, k, budget=budget)
+    frob = field(X.p, X.s, X.D * k).frob
+    return [y for y in enumerate_y_points(X, morphisms, k, budget=budget)
             if sigma_apply(tuple(tuple(frob(x, k) for x in b) for b in y), a)
             == y]
 
@@ -434,21 +422,19 @@ FALTINGS_CASES = [(p, s, prof, k)
 @given(varieties(FALTINGS_CASES))
 def test_fixed_points_match_filter_on_random_varieties(case):
     X, k = case
-    spec = build_faltings(X)
-    for a in twists(spec.d):
+    for a in twists(X.D):
         try:
-            want = fixed_by_filter(spec, a, k, budget=2 ** 15)
+            want = fixed_by_filter(X, None, a, k, budget=2 ** 15)
         except BudgetExceededError:
             reject()  # Y too large for the oracle to list
-        assert fixed_points(spec, a, k) == want
+        assert fixed_points(X, None, a, k) == want
 
 
 @pytest.mark.parametrize("name", VARIETIES)
 def test_fixed_points_match_filter_on_corpus(name):
     X, _, _ = load_instance(str(CORPUS / f"{name}.json"), "variety")
-    spec = build_faltings(X)
-    for k, a in product((1, 2), twists(spec.d)):
-        assert fixed_points(spec, a, k) == fixed_by_filter(spec, a, k)
+    for k, a in product((1, 2), twists(X.D)):
+        assert fixed_points(X, None, a, k) == fixed_by_filter(X, None, a, k)
 
 
 CHOSEN = {
@@ -467,11 +453,10 @@ CHOSEN = {
 @pytest.mark.parametrize("name", CHOSEN)
 def test_fixed_points_match_filter_on_chosen_specs(name):
     X, morphisms = CHOSEN[name]
-    spec = build_faltings(X, morphisms=morphisms)
-    for k, a in product((1, 2), twists(spec.d)):
-        fixed = fixed_points(spec, a, k)
+    for k, a in product((1, 2), twists(X.D)):
+        fixed = fixed_points(X, morphisms, a, k)
         assert fixed  # the comparison below is not vacuous
-        assert fixed == fixed_by_filter(spec, a, k)
+        assert fixed == fixed_by_filter(X, morphisms, a, k)
 
 
 # ---------------------------------------------------------------------------
@@ -479,33 +464,31 @@ def test_fixed_points_match_filter_on_chosen_specs(name):
 # ---------------------------------------------------------------------------
 
 def test_sigma_stability_sees_a_missing_equation():
-    spec = build_faltings(V(2, 1, 2, ["x1 + x2"], (2, 3)))
-    Y = y_variety(spec)
-    assert sigma_stable(spec, Y)
+    X = V(2, 1, 2, ["x1 + x2"], (2, 3))
+    Y = y_variety(X)
+    assert sigma_stable(X, Y)
     # without block 0's copy of x1 + x2, block 5's rotates out of the set
-    assert not sigma_stable(spec, VarietySpec(Y.p, Y.s, Y.n, Y.equations[1:],
+    assert not sigma_stable(X, VarietySpec(Y.p, Y.s, Y.n, Y.equations[1:],
                                               Y.profile))
 
 
 @pytest.mark.parametrize("name", VARIETIES)
 def test_y_stable_under_sigma_on_corpus(name):
     X, _, _ = load_instance(str(CORPUS / f"{name}.json"), "variety")
-    spec = build_faltings(X)
-    assert sigma_stable(spec, y_variety(spec))
+    assert sigma_stable(X, y_variety(X))
 
 
 @pytest.mark.parametrize("name", CHOSEN)
 def test_y_stable_under_sigma_on_chosen_specs(name):
     X, morphisms = CHOSEN[name]
-    spec = build_faltings(X, morphisms=morphisms)
-    assert sigma_stable(spec, y_variety(spec))
+    assert sigma_stable(X, y_variety(X, morphisms))
 
 
 @settings(max_examples=100, deadline=None)
 @given(varieties(FALTINGS_CASES))
 def test_y_stable_under_sigma_on_random_varieties(case):
-    spec = build_faltings(case[0])
-    assert sigma_stable(spec, y_variety(spec))
+    X = case[0]
+    assert sigma_stable(X, y_variety(X))
 
 
 def test_lemma_check_never_lists_y(monkeypatch):

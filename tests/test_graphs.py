@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import pytest
 
-from parzeta.counting import partial_count
+from parzeta.cli import load_instance
+from parzeta.counting import BudgetExceededError, partial_count
+from parzeta.fields import Field
 from parzeta.graphs import (GraphEdge, GraphSystem, GraphVertex,
                             fibred_product_reduce, graph_count_direct,
                             reduction_check)
@@ -103,3 +107,19 @@ def test_report_json():
     d = rep.to_json_dict()
     assert d["counts_agree"] is True
     assert d["zeta"]["denominator"] == [1, -2, 1]
+
+
+def test_direct_count_refuses_before_it_builds_anything(monkeypatch):
+    # g_single_d2 at k = 10: the product of the vertex domains is 2^20,
+    # refused from its exponent before any subfield is listed
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    G, _, _ = load_instance(str(corpus / "g_single_d2.json"), "graph")
+
+    def refuse(self, e, method="filter"):
+        raise AssertionError("subfield listed before the budget check")
+
+    monkeypatch.setattr(Field, "subfield", refuse)
+    with pytest.raises(BudgetExceededError,
+                       match=r"\(graph_count_direct k=10\)") as exc:
+        graph_count_direct(G, 10, budget=100)
+    assert exc.value.cost == 2 ** 20
