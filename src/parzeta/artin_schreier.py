@@ -51,7 +51,7 @@ def _domains(inst: ASInstance):
     counts first, so a refused instance builds nothing.
     """
     amb = field(inst.p, inst.s, inst.d)
-    return amb, amb.elements(), amb.subfield(1, method="span")
+    return amb, amb.elements(), amb.subfield(1)
 
 
 def as_count_brute(inst: ASInstance, budget: int = DEFAULT_BUDGET) -> int:

@@ -17,16 +17,15 @@ own powers, with no further level of the search.  In ``partial_count`` and
 ``enumerate_orbit_points`` the first variable bound takes one value per
 orbit of Frobenius sigma: x -> x^q on its domain, a subfield (the whole
 field for the listing).  The orbits come from the ambient field's
-memoised walk, ``Field.frobenius_orbits``: an orbit is walked only when
-the search reaches its least member, so a refused search has walked
-only the orbits it reached, and a later search over the same subfield
-replays them and walks on from there.  The
-equations have coefficients in F_q, so sigma permutes the solutions and
-maps the fibre over x onto the fibre over sigma(x); an orbit in F_{q^e}
-has a length dividing e.  The budget counts every node of the search
-over all the orbit's values: a node under x counts the length of x's
-orbit, so a refusal does not depend on the reduction, and its cost is
-always ``budget + 1``.
+walk, ``Field.frobenius_orbits``: an orbit is walked only when the
+search reaches its least member, so a refused search has walked only
+the orbits it reached, and a later search over the same subfield
+replays a walk that ran to its end.  The equations have coefficients
+in F_q, so sigma permutes the solutions and maps the fibre over x onto
+the fibre over sigma(x); an orbit in F_{q^e} has a length dividing e.
+The budget counts every node of the search over all the orbit's values:
+a node under x counts the length of x's orbit, so a refusal does not
+depend on the reduction, and its cost is always ``budget + 1``.
 
 - ``partial_count`` leaves out the variables no equation uses (they
   multiply the count by their domain size) and counts one used variable
@@ -263,11 +262,11 @@ def enumerate_orbit_points(equations, n: int, ambient: Field, base: Field,
     coefficients in F_q, and maps the fibre over x_1 onto the fibre over
     sigma(x_1); so the solutions are the sigma^i(point), 0 <= i < L, of
     the pairs, each once.  x_1's orbits come from
-    ``ambient.frobenius_orbits``, so a second listing over the same field
-    replays them.  The search binds x_1, ..., x_n in turn, each over the
-    whole field, and raises ``BudgetExceededError`` once it has visited
-    more than ``budget`` nodes, counted as by the search over every value
-    of x_1.
+    ``ambient.frobenius_orbits``, so a listing over the same field after
+    a finished one replays its walk.  The search binds x_1, ..., x_n in
+    turn, each over the whole field, and raises ``BudgetExceededError``
+    once it has visited more than ``budget`` nodes, counted as by the
+    search over every value of x_1.
     """
     out = []
 
@@ -451,13 +450,12 @@ def partial_count(X: VarietySpec, k: int,
     order = _count_order(X)
     last = order[-1]
     amb = field(X.p, X.s, X.D * k)
-    domains = [amb.subfield(X.profile[i] * k, method="span")
-               for i in order[:-1]]
+    domains = [amb.subfield(X.profile[i] * k) for i in order[:-1]]
     e_last = X.profile[last] * k
 
     # sigma: x -> x^q fixes the coefficients, so the first variable needs
     # one value per sigma-orbit, its root count weighted by the orbit's
-    # length; the field keeps the orbits walked for the next count
+    # length; the field keeps a finished walk for the next count
     def roots(point, polys, length):
         return length * count_roots(polys, amb, e_last)
 

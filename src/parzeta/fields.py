@@ -36,23 +36,22 @@ construction:
   is one numpy pass over exp and log.
 - larger fields: schoolbook products reduced by g (shift/XOR carry-less
   multiplication for p = 2, digit convolution for odd p), and x^(q^e)
-  applies the F_p-linear matrix of Frobenius^e, the one
-  ``subfield(e, "span")`` takes the fixed space of.  For p = 2 the
+  applies the F_p-linear matrix of Frobenius^e.  For p = 2 the
   inverse is extended Euclid over F_2[t] on the bit-reversed int, whose
   bit i holds t^i (Hankerson, Menezes and Vanstone, *Guide to Elliptic
   Curve Cryptography*, Alg. 2.48); for odd p it is a^(p^m - 2).
 
-The ``filter`` subfield oracle decides x^(q^e) = x by ``pow`` and never
-uses that matrix, so the two subfield methods stay independent.
+``subfield(e)`` lists F_{q^e} as the F_p-span of the relative traces
+of the power basis, each taken with ``frob``.  The ``filter`` oracle
+decides x^(q^e) = x by ``pow`` and never uses the Frobenius matrix, so
+the two subfield methods stay independent.
 
 ``Field.frobenius_orbits(e)`` walks the orbits of sigma: x -> x^q on
 F_{q^e}, one ``frob`` per element, and yields the least member of each
-with the orbit's length.  The walk is lazy and memoised per e: a later
-call replays the orbits already walked and resumes where the furthest
-call stopped, so each subfield is walked at most once per field, and a
-search refused part-way has walked only the orbits it reached.  It walks
-only whole subfields, which sigma maps onto themselves, so the walk
-checks no stability.
+with the orbit's length.  The walk is lazy, so a search refused part-way
+has walked only the orbits it reached, and only a finished walk is
+cached per e, for later calls to replay.  It walks only whole subfields,
+which sigma maps onto themselves, so the walk checks no stability.
 
 Univariate polynomials over a field are coefficient lists of its packed
 ints, constant term first.  One toolkit does their arithmetic: remainder,
@@ -375,7 +374,6 @@ class Field:
         self._subfield_cache = {}
         self._orbit_cache = {}
         self._embed_cache = {}
-        self._frob_cols = {}
 
     def __getattr__(self, name):
         # reached only for attributes not set yet: the unbound int operations
@@ -673,12 +671,8 @@ class Field:
 
     def _frobenius_cols(self, e: int):
         """Images of the power basis t^i under x -> x^(q^e), as packed ints."""
-        cols = self._frob_cols.get(e)
-        if cols is None:
-            p, m, qe = self.p, self.m, self.q ** e
-            cols = [self.pow(p ** (m - 1 - i), qe) for i in range(m)]
-            self._frob_cols[e] = cols
-        return cols
+        p, m, qe = self.p, self.m, self.q ** e
+        return [self.pow(p ** (m - 1 - i), qe) for i in range(m)]
 
     # -- element constructors ---------------------------------------------
 
@@ -711,14 +705,14 @@ class Field:
             raise FieldError(f"F_q^{e} is not a subfield of F_q^{self.N}")
         return self.pow(x, self.q ** e) == x
 
-    def subfield(self, e: int, method: str = "filter"):
+    def subfield(self, e: int, method: str = "span"):
         """All q^e elements of F_{q^e} inside this field as a sorted tuple
         of packed ints, cached per (e, method).
 
-        ``filter`` scans the whole ambient field for x^(q^e) = x by
-        powering; ``span`` solves for the fixed space of Frobenius^e by
-        linear algebra over F_p.  Both agree as sets; span is the fast path
-        used by the counting engines.
+        ``span`` lists the F_p-span of the relative traces of the power
+        basis; ``filter`` scans the whole ambient field for x^(q^e) = x by
+        powering, the slow oracle the tests check ``span`` against.  Both
+        agree as sets.
         """
         if self.N % e != 0:
             raise FieldError(f"e = {e} does not divide N = {self.N}")
@@ -742,69 +736,44 @@ class Field:
         on F_{q^e} (the whole field when e = N), in increasing x, L the
         orbit's length.
 
-        Memoised per e: the pairs walked so far are recorded, and a later
-        call replays them, then resumes the one lazy walk where the
-        furthest call stopped, so each element's orbit is walked at most
-        once per field.
+        A finished walk is cached per e and replayed.  Otherwise the orbits
+        are walked lazily, one ``frob`` per element, as the reader reaches
+        them, and the pairs are cached only when the walk ends: a walk left
+        part-way leaves nothing behind.
         """
-        memo = self._orbit_cache.get(e)
-        if memo is None:
-            values = (self.elements() if e == self.N
-                      else self.subfield(e, method="span"))
-            memo = self._orbit_cache[e] = ([], _frobenius_orbits(values,
-                                                                 self.frob))
-        walked, walk = memo
-        i = 0
-        while True:
-            if i == len(walked):
-                try:
-                    pair = next(walk, None)
-                except BaseException:
-                    del self._orbit_cache[e]  # the walk is dead: start anew
-                    raise
-                if pair is None:
-                    return
-                walked.append(pair)
-            yield walked[i]
-            i += 1
+        done = self._orbit_cache.get(e)
+        if done is not None:
+            yield from done
+            return
+        values = self.elements() if e == self.N else self.subfield(e)
+        walked = []
+        for pair in _frobenius_orbits(values, self.frob):
+            walked.append(pair)
+            yield pair
+        self._orbit_cache[e] = walked
 
     def _subfield_span(self, e: int):
-        p, m = self.p, self.m
-        # column j: Frobenius^e of the basis vector t^j
-        cols = [self.to_coeffs(c) for c in self._frobenius_cols(e)]
-        # kernel of (M - I) over F_p
-        rows = [[(cols[j][i] - (1 if i == j else 0)) % p for j in range(m)]
-                for i in range(m)]
-        pivots = []
-        r = 0
-        for c in range(m):
-            pivot = next((i for i in range(r, m) if rows[i][c]), None)
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            inv = pow(rows[r][c], p - 2, p)
-            rows[r] = [(v * inv) % p for v in rows[r]]
-            for i in range(m):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-        free = [c for c in range(m) if c not in pivots]
-        basis_vecs = []
-        for fc in free:
-            v = [0] * m
-            v[fc] = 1
-            for ri, pc in enumerate(pivots):
-                v[pc] = (-rows[ri][fc]) % p
-            basis_vecs.append(v)
-        add = self.add
+        """F_{q^e} as the F_p-span of the relative traces
+        Tr(t^i) = sum_j (t^i)^(q^(e j)), j < N/e, of the power basis: Tr
+        is F_p-linear onto F_{q^e} (Lidl-Niederreiter, *Finite Fields*,
+        ch. 2 section 3).  A trace already in the span is skipped; each new
+        one multiplies the span by p, until it holds q^e elements."""
+        p, m, add, frob = self.p, self.m, self.add, self.frob
+        size, terms = self.q ** e, self.N // e
         out = [0]
-        for v in basis_vecs:
-            multiples = [self.to_int(v)]
+        for i in range(m):
+            if len(out) == size:
+                break
+            x = tr = p ** (m - 1 - i)  # t^i
+            for _ in range(terms - 1):
+                x = frob(x, e)
+                tr = add(tr, x)
+            if tr in out:
+                continue
+            multiples = [tr]
             for _ in range(p - 2):
-                multiples.append(add(multiples[-1], multiples[0]))
-            out += [add(x, c) for c in multiples for x in out]
+                multiples.append(add(multiples[-1], tr))
+            out += [add(y, c) for c in multiples for y in out]
         return sorted(out)
 
     # -- canonical embedding of the base field F_q -------------------------
@@ -828,7 +797,7 @@ class Field:
         else:
             add, mul = self.add, self.mul
             root = None
-            for cand in self.subfield(1, method="span"):
+            for cand in self.subfield(1):
                 val, xp = 0, one
                 for c in base.modulus:
                     if c:

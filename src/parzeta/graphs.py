@@ -71,7 +71,7 @@ def graph_count_direct(G: GraphSystem, k: int,
     base = field(G.p, G.s, 1)
     vpoints = []
     for v in G.vertices:
-        domain = amb.subfield(v.d * k, method="span")
+        domain = amb.subfield(v.d * k)
         pts = enumerate_points(v.equations, v.n, amb, base,
                                domains=[domain] * v.n, budget=budget)
         vpoints.append(pts)

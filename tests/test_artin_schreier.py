@@ -141,7 +141,7 @@ def test_budget_checked_before_domains(monkeypatch):
     from parzeta.counting import BudgetExceededError
     from parzeta.fields import Field
 
-    def refuse(self, e, method="filter"):
+    def refuse(self, e, method="span"):
         raise AssertionError("domain materialised before the budget check")
 
     monkeypatch.setattr(Field, "subfield", refuse)

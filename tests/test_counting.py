@@ -176,7 +176,7 @@ def test_budget_checked_before_subfields(monkeypatch):
     corpus = Path(__file__).resolve().parent.parent / "corpus"
     X, _, _ = load_instance(str(corpus / "mu3_profile6_f2.json"), "variety")
 
-    def refuse(self, e, method="filter"):
+    def refuse(self, e, method="span"):
         raise AssertionError("subfield materialised before the budget check")
 
     monkeypatch.setattr(Field, "subfield", refuse)

@@ -374,7 +374,7 @@ def test_second_lemma_check_replays_the_first_level(monkeypatch):
     assert walked == []
 
 
-def test_refused_listing_resumes_to_the_fresh_pairs():
+def test_refused_listing_keeps_no_partial_walk():
     X = V(2, 1, 2, ["x1^3 + x2 + 1"], (1, 1))
     amb = Field(2, 1, 12)  # its own instance, so the spy stays local
     frob, calls = amb.frob, []
@@ -382,12 +382,17 @@ def test_refused_listing_resumes_to_the_fresh_pairs():
     with pytest.raises(BudgetExceededError) as info:
         enumerate_orbit_points(X.equations, X.n, amb, X.base, budget=500)
     assert info.value.cost == 501
+    assert amb.N not in amb._orbit_cache
     refused = len(calls)
     pairs = enumerate_orbit_points(X.equations, X.n, amb, X.base)
     assert pairs == enumerate_orbit_points(X.equations, X.n, Field(2, 1, 12),
                                            X.base)
-    # one frob per element over both listings: the second resumed the walk
-    assert 0 < refused < len(calls) == amb.size()
+    # the full listing walks every element once, the partial walk not kept
+    assert 0 < refused and len(calls) - refused == amb.size()
+    # a third listing replays the finished walk
+    del calls[:]
+    assert enumerate_orbit_points(X.equations, X.n, amb, X.base) == pairs
+    assert calls == []
 
 
 def test_plain_listing_walks_no_frobenius_orbit(monkeypatch):

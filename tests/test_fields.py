@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parzeta.fields import (FieldError, field, is_irreducible,
+from parzeta.fields import (TABLE_CAP, FieldError, field, is_irreducible,
                             smallest_irreducible)
 
 
@@ -127,6 +127,23 @@ def test_subfield_methods_agree():
         assert F.subfield(e, method="filter") == F.subfield(e, method="span")
     G = field(3, 1, 4)
     assert G.subfield(2, method="filter") == G.subfield(2, method="span")
+
+
+@pytest.mark.parametrize("p, s, N, e", [
+    (2, 1, 24, 1), (2, 1, 24, 2), (2, 1, 24, 3), (2, 1, 24, 4),
+    (2, 1, 24, 6), (2, 1, 24, 8), (3, 1, 14, 1), (3, 1, 14, 2),
+    (3, 1, 14, 7), (2, 2, 11, 1)])
+def test_span_above_the_table_cap(p, s, N, e):
+    # q^e strictly increasing elements, each fixed by x -> x^(q^e) as
+    # decided by powering: x^(q^e) - x has only q^e roots, so that is
+    # the whole subfield
+    F = field(p, s, N)
+    assert F.size() > TABLE_CAP
+    sub = F.subfield(e, method="span")
+    assert isinstance(sub, tuple)
+    assert all(a < b for a, b in zip(sub, sub[1:]))
+    assert len(sub) == F.q ** e
+    assert all(F.in_subfield(x, e) for x in sub)
 
 
 def test_subfield_is_closed():

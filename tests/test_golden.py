@@ -107,6 +107,12 @@ def test_zeta_golden(case):
 OTHER = sorted(k for k in CASES if k[0] != "zeta")
 
 
+def test_every_golden_has_a_case():
+    # a golden left behind when its case is removed would go unchecked
+    files = {(path.parent.name, path.stem) for path in GOLDEN.glob("*/*")}
+    assert files == set(CASES)
+
+
 @pytest.mark.parametrize("sub,case", OTHER, ids=["/".join(k) for k in OTHER])
 def test_golden(sub, case):
     check(sub, case)

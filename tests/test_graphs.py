@@ -115,7 +115,7 @@ def test_direct_count_refuses_before_it_builds_anything(monkeypatch):
     corpus = Path(__file__).resolve().parent.parent / "corpus"
     G, _, _ = load_instance(str(corpus / "g_single_d2.json"), "graph")
 
-    def refuse(self, e, method="filter"):
+    def refuse(self, e, method="span"):
         raise AssertionError("subfield listed before the budget check")
 
     monkeypatch.setattr(Field, "subfield", refuse)
