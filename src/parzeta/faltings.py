@@ -26,9 +26,10 @@ variable.  A walk that skips an orbit mostly shows as unequal sides
 (2, 3) both sides drop the same representative and still agree.
 ``lemma_check`` is the one entry: it builds each level's listing and
 reports counts, with ``witness_count`` the fixed points of the mismatched
-entries, at most 10; no point is expanded to its conjugates.  A level
-whose listing would pass the budget is refused from q^{dk} before
-F_{q^{dk}} is built, after the partial count's own check.
+entries, at most 10; no point is expanded to its conjugates.  Each side
+checks its own cost before it builds F_{q^{dk}}: the partial count's
+check comes first, then the listing refuses x_1's q^{dk} values over
+the budget, whatever the equations, and only then is the field built.
 Y's equations, their stability under sigma, and Y's full listing, a join
 of d copies of X's points listed by the plain search over every value of
 x_1, are the tests' oracle; they share no orbit reduction with the fixed
@@ -42,7 +43,7 @@ from math import gcd
 
 from .counting import (DEFAULT_BUDGET, check_cost, enumerate_orbit_points,
                        partial_count, partial_count_check)
-from .fields import Field, field
+from .fields import field
 from .polys import VarietySpec
 
 
@@ -58,27 +59,18 @@ def _y_links(profile, d: int):
 # fixed points and the counting identity
 # ---------------------------------------------------------------------------
 
-def _orbit_listing(X: VarietySpec, morphisms, amb: Field, budget: int):
-    """X's ``enumerate_orbit_points`` over ``amb`` and, with ``morphisms``,
-    the points' images under each f_i (None for the coordinate
-    projections)."""
+def _orbit_listing(X: VarietySpec, k: int, morphisms, budget: int):
+    """X's ``enumerate_orbit_points`` over F_{q^{Dk}} and, with
+    ``morphisms``, the points' images under each f_i (None for the
+    coordinate projections).  Refused from x_1's q^{Dk} values before
+    that field is built."""
+    check_cost(X.p ** X.s, X.D * k, budget, f"enumerate_orbit_points k={k}")
+    amb = field(X.p, X.s, X.D * k)
     reps = enumerate_orbit_points(X.equations, X.n, amb, X.base,
                                   budget=budget)
     if morphisms is None:
         return reps, None
     return reps, [[f.apply(pt, amb) for pt, _ in reps] for f in morphisms]
-
-
-def _orbit_listing_check(X: VarietySpec, k: int, budget: int) -> None:
-    """`_orbit_listing`'s refusal at level k, from q^{Dk} alone.  Unless
-    an equation closes at x_1 alone, or is a nonzero constant and leaves
-    nothing to search, each of x_1's q^{Dk} values is a node, so the node
-    budget would refuse every listing this refuses.  A zero equation
-    closes nothing."""
-    if not any(eq.terms and eq.variables_used() <= {0}
-               for eq in X.equations):
-        check_cost(X.p ** X.s, X.D * k, budget,
-                   f"enumerate_orbit_points k={k}")
 
 
 def _twisted_fixed_points(X: VarietySpec, k: int, twists, listing):
@@ -228,21 +220,20 @@ def lemma_check(X: VarietySpec, k_max: int, morphisms=None,
     witness_count = 0
     recon_ok = True
     for k in range(1, k_max + 1):
-        # both sides' refusals, the count's first, before the twists are
-        # listed and the field is built
+        # both checks precede F_{q^{dk}}: the count's here, the listing's
+        # inside it; partial_count builds that field too, so it counts
+        # after the listing, and the up-to-d twists are listed past both
         if morphisms is None:
             partial_count_check(X, k, budget)
-        _orbit_listing_check(X, k, budget)
-        twists = [a for a in range(1, d + 1) if gcd(a, d) == 1]
-        amb = field(X.p, X.s, d * k)
         # one listing of X's orbit representatives per level; the chains
         # walk it, and with morphisms the left side filters it by subfield
-        if morphisms is None:  # counted first: a refusal names the count
+        listing = _orbit_listing(X, k, morphisms, budget)
+        twists = [a for a in range(1, d + 1) if gcd(a, d) == 1]
+        if morphisms is None:
             lhs = partial_count(X, k, budget=budget)
-            listing = _orbit_listing(X, None, amb, budget)
         else:
-            listing = _orbit_listing(X, morphisms, amb, budget)
             lhs = morphism_partial_count(X, k, listing)
+        amb = field(X.p, X.s, d * k)
         frob = amb.frob
         found = _twisted_fixed_points(X, k, twists, listing)
         # reconstruction bijection, checked on the chains; Frobenius carries

@@ -22,8 +22,8 @@ and its ``+``, ``*`` and ``inverse()`` and ``Field.frobenius`` call
 ``add``, ``mul``, ``inv`` and ``frob``.  It has no other operation, and
 nothing in the library takes one.
 
-The int operations are bound on a field's first arithmetic, never at
-construction:
+The int operations are bound when a field is built; a caller that may
+refuse the work checks its cost first:
 
 - p^m <= TABLE_CAP (2^20): exp/log tables over the lex-smallest primitive
   element alpha, held in ``array('I')`` (4 bytes an entry).  mul, inv and
@@ -42,9 +42,10 @@ construction:
   Curve Cryptography*, Alg. 2.48); for odd p it is a^(p^m - 2).
 
 ``subfield(e)`` lists F_{q^e} as the F_p-span of the relative traces
-of the power basis, each taken with ``frob``.  The ``filter`` oracle
-decides x^(q^e) = x by ``pow`` and never uses the Frobenius matrix, so
-the two subfield methods stay independent.
+of the power basis, each taken with ``frob``, and the whole field,
+e = N, as ``elements()``.  The ``filter`` oracle decides x^(q^e) = x by
+``pow`` and never uses the Frobenius matrix, so the two subfield methods
+stay independent below N.
 
 ``Field.frobenius_orbits(e)`` walks the orbits of sigma: x -> x^q on
 F_{q^e}, one ``frob`` per element, and yields the least member of each
@@ -82,9 +83,6 @@ TABLE_CAP = 1 << 20
 
 # elements per numpy pass of the exp/log build
 _CHUNK = 1 << 16
-
-# the int operations Field binds on first use
-_ARITH = ("add", "sub", "neg", "mul", "inv", "pow", "frob")
 
 
 class FieldError(ValueError):
@@ -353,8 +351,8 @@ class FieldElement:
 class Field:
     """F_{q^N} with q = p^s, realized as F_p[t]/(g), g the canonical modulus.
 
-    The int operations named in ``_ARITH`` are instance attributes that the
-    first access to any of them binds (``__getattr__``), tables and all.
+    The int operations are instance attributes bound at construction,
+    tables and all.
     """
 
     def __init__(self, p: int, s: int, N: int):
@@ -374,16 +372,10 @@ class Field:
         self._subfield_cache = {}
         self._orbit_cache = {}
         self._embed_cache = {}
-
-    def __getattr__(self, name):
-        # reached only for attributes not set yet: the unbound int operations
-        if name not in _ARITH:
-            raise AttributeError(name)
         ops = self._schoolbook()
         if self.p ** self.m <= TABLE_CAP:
             ops.update(self._tables(ops))
         self.__dict__.update(ops)
-        return ops[name]
 
     # -- packed ints <-> coordinate tuples ---------------------------------
 
@@ -707,7 +699,8 @@ class Field:
 
     def subfield(self, e: int, method: str = "span"):
         """All q^e elements of F_{q^e} inside this field as a sorted tuple
-        of packed ints, cached per (e, method).
+        of packed ints, cached per (e, method); for e = N, by either
+        method, the whole field as ``elements()``.
 
         ``span`` lists the F_p-span of the relative traces of the power
         basis; ``filter`` scans the whole ambient field for x^(q^e) = x by
@@ -716,6 +709,8 @@ class Field:
         """
         if self.N % e != 0:
             raise FieldError(f"e = {e} does not divide N = {self.N}")
+        if e == self.N:
+            return self.elements()
         key = (e, method)
         if key in self._subfield_cache:
             return self._subfield_cache[key]
@@ -733,8 +728,7 @@ class Field:
 
     def frobenius_orbits(self, e: int):
         """(x, L) for the least member x of each orbit of sigma: x -> x^q
-        on F_{q^e} (the whole field when e = N), in increasing x, L the
-        orbit's length.
+        on F_{q^e}, in increasing x, L the orbit's length.
 
         A finished walk is cached per e and replayed.  Otherwise the orbits
         are walked lazily, one ``frob`` per element, as the reader reaches
@@ -745,9 +739,8 @@ class Field:
         if done is not None:
             yield from done
             return
-        values = self.elements() if e == self.N else self.subfield(e)
         walked = []
-        for pair in _frobenius_orbits(values, self.frob):
+        for pair in _frobenius_orbits(self.subfield(e), self.frob):
             walked.append(pair)
             yield pair
         self._orbit_cache[e] = walked

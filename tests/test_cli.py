@@ -245,13 +245,11 @@ def test_graph_refused_at_the_first_level_past_the_budget(tmp_path, capsys):
                    "budget 1000000 (partial_count k=2)\n")
 
 
-def test_faltings_listing_refused_before_its_field_is_built(tmp_path, capsys,
-                                                          monkeypatch):
-    # the partial count's 2^24 tuples pass the default budget, but the
-    # listing binds x_1 over all of F_(2^143): refused before any field
-    # past the count's is built, F_(2^143) included
+def _faltings_on(tmp_path, capsys, monkeypatch, equations, profile, *argv):
+    """``parzeta faltings`` on X over F_2 in two variables, with the
+    degrees of the moduli it searched for and its wall time."""
     inst = {"kind": "variety", "p": 2, "s": 1, "n": 2,
-            "equations": ["x1^3 + x2^2 + 1"], "profile": [11, 13]}
+            "equations": equations, "profile": profile}
     f = tmp_path / "inst.json"
     f.write_text(json.dumps(inst))
     degrees = []
@@ -261,12 +259,49 @@ def test_faltings_listing_refused_before_its_field_is_built(tmp_path, capsys,
         degrees.append(m)
         return search(p, m)
 
-    monkeypatch.setattr(fields, "smallest_irreducible", spy)
-    code, out, err = run(capsys, "faltings", str(f), "--k-max", "1")
+    with monkeypatch.context() as mp:
+        mp.setattr(fields, "smallest_irreducible", spy)
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "faltings", str(f), *argv)
+        wall = time.perf_counter() - t0
+    return code, out, err, degrees, wall
+
+
+def test_faltings_listing_refused_before_its_field_is_built(tmp_path, capsys,
+                                                          monkeypatch):
+    # the partial count's 2^24 tuples pass the default budget, but the
+    # listing binds x_1 over all of F_(2^143): refused before any field
+    # past the count's is built, F_(2^143) included.  An equation in x_1
+    # alone, linear or not, leaves x_1 fewer nodes than values, and is
+    # refused all the same, before the later variables are scanned
+    for equations in (["x1^3 + x2^2 + 1"], ["x1 + 1", "x2^3 + x2 + 1"],
+                      ["x1^3 + x1 + 1", "x1^3 + x2^2 + 1"]):
+        code, out, err, degrees, wall = _faltings_on(
+            tmp_path, capsys, monkeypatch, equations, [11, 13],
+            "--k-max", "1")
+        assert code == 3 and out == ""
+        assert err == (f"budget exceeded: enumeration cost {2 ** 143} "
+                       "exceeds budget 100000000 "
+                       "(enumerate_orbit_points k=1)\n")
+        assert max(degrees, default=0) <= 13
+        assert wall < 1.0
+
+
+def test_faltings_listing_refused_though_x1_is_fixed(tmp_path, capsys,
+                                                     monkeypatch):
+    # x_1 = 1 leaves one node at x_1 and the count only 2^11 tuples, but
+    # the listing's 2^28 values of x_1 are over the default budget
+    eqs, prof = ["x1 + 1", "x2 + x1"], [4, 7]
+    code, out, err, _, _ = _faltings_on(tmp_path, capsys, monkeypatch,
+                                        eqs, prof, "--k-max", "1")
     assert code == 3 and out == ""
-    assert err == (f"budget exceeded: enumeration cost {2 ** 143} exceeds "
+    assert err == ("budget exceeded: enumeration cost 268435456 exceeds "
                    "budget 100000000 (enumerate_orbit_points k=1)\n")
-    assert max(degrees, default=0) <= 13
+    code, out, err, _, _ = _faltings_on(tmp_path, capsys, monkeypatch,
+                                        eqs, prof, "--k-max", "1",
+                                        "--budget", "268435456")
+    assert code == 0 and err == ""
+    assert json.loads(out)["outputs"]["lemma"]["passed"] is True
 
 
 def test_zeta_root_finding_failure_exit_4(capsys, monkeypatch):

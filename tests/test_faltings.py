@@ -22,11 +22,9 @@ from hypothesis import given, reject, settings, strategies as st
 from parzeta import counting, faltings
 from parzeta.cli import load_instance
 from parzeta.counting import (DEFAULT_BUDGET, BudgetExceededError,
-                              enumerate_orbit_points, enumerate_points, join,
-                              partial_count)
-from parzeta.faltings import (_orbit_listing, _orbit_listing_check,
-                              _twisted_fixed_points, _y_links, lemma_check,
-                              morphism_partial_count)
+                              enumerate_points, join, partial_count)
+from parzeta.faltings import (_orbit_listing, _twisted_fixed_points,
+                              _y_links, lemma_check, morphism_partial_count)
 from parzeta.fields import Field, field
 from parzeta.polys import (MorphismSpec, SparsePoly, VarietySpec, base_field,
                            parse_poly)
@@ -151,7 +149,7 @@ def fixed_points(X, morphisms, a, k):
     the kept chains over one orbit listing of X, each (y, L) expanded to
     its conjugates Frob^s(y), s < L, lex-sorted."""
     amb = field(X.p, X.s, X.D * k)
-    listing = _orbit_listing(X, morphisms, amb, DEFAULT_BUDGET)
+    listing = _orbit_listing(X, k, morphisms, DEFAULT_BUDGET)
     pairs = _twisted_fixed_points(X, k, (a,), listing)[a]
     return sorted(tuple(tuple(amb.frob(c, s) for c in b) for b in y)
                   for y, length in pairs for s in range(length))
@@ -325,9 +323,8 @@ def _entries_by_separate_calls(X, morphisms, k_max):
     """(a, k, partial, fixed) from the two sides computed separately."""
     entries = []
     for k in range(1, k_max + 1):
-        amb = field(X.p, X.s, X.D * k)
         partial = morphism_partial_count(
-            X, k, _orbit_listing(X, morphisms, amb, DEFAULT_BUDGET))
+            X, k, _orbit_listing(X, k, morphisms, DEFAULT_BUDGET))
         entries += [(a, k, partial, len(fixed_points(X, morphisms, a, k)))
                     for a in twists(X.D)]
     return entries
@@ -501,17 +498,63 @@ def test_lemma_check_never_lists_y(monkeypatch):
     assert rep.passed and rep.reconstruction_ok
 
 
+def _build_spy(mp):
+    """The names of the `faltings.field` and
+    `faltings.enumerate_orbit_points` calls, in order."""
+    calls = []
+    for name in ("field", "enumerate_orbit_points"):
+        def spy(*args, _name=name, _real=getattr(faltings, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        mp.setattr(faltings, name, spy)
+    return calls
+
+
 @settings(max_examples=200, deadline=None)
-@given(varieties(), st.data())
-def test_listing_check_refuses_only_what_the_node_budget_refuses(case, data):
-    # the a-priori check of a level's orbit listing refuses from q^(Dk)
-    # alone; every listing it refuses must also exceed the node budget
+@given(varieties(),
+       st.sampled_from([None, "x1 + 1", "x1^3 + x1 + 1", "1"]), st.data())
+def test_listing_refused_from_its_field_size_alone(case, extra, data):
+    # a level's orbit listing is refused from x_1's q^(Dk) values alone,
+    # whatever the equations, before its field is built or searched;
+    # ``extra`` adds an equation that closes at x_1 alone, or a nonzero
+    # constant, which leave x_1 with fewer nodes than values
     X, k = case
-    amb = field(X.p, X.s, X.D * k)
-    budget = data.draw(st.integers(1, 2 * amb.size()))
-    try:
-        _orbit_listing_check(X, k, budget)
-    except BudgetExceededError:
-        with pytest.raises(BudgetExceededError):
-            enumerate_orbit_points(X.equations, X.n, amb, X.base,
-                                   budget=budget)
+    if extra is not None:
+        names = [f"x{i+1}" for i in range(X.n)]
+        X = VarietySpec(X.p, X.s, X.n,
+                        (parse_poly(extra, names, X.base),) + X.equations,
+                        X.profile)
+    size = (X.p ** X.s) ** (X.D * k)
+    budget = data.draw(st.integers(1, 2 * size))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _build_spy(mp)
+        if size > budget:
+            with pytest.raises(BudgetExceededError) as info:
+                _orbit_listing(X, k, None, budget)
+            assert info.value.cost == size
+            assert str(info.value).endswith(
+                f"(enumerate_orbit_points k={k})")
+            assert calls == []
+        else:
+            try:
+                _orbit_listing(X, k, None, budget)
+            except BudgetExceededError as err:
+                assert str(err).endswith("(variety enumeration)")
+            assert calls == ["field", "enumerate_orbit_points"]
+
+
+def test_lemma_check_with_morphisms_refused_before_its_field_is_built():
+    # x_1 is fixed by an equation in x_1 alone and the morphisms skip the
+    # partial count's check, but the listing's own check refuses
+    # F_(2^4096) before its modulus is searched for
+    X = V(2, 1, 2, ["x1 + 1"], (1, 4096))
+    base = base_field(2, 1)
+    morphisms = tuple(MorphismSpec(2, 1, (parse_poly(t, ["x1", "x2"], base),))
+                      for t in ("x1", "x2"))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _build_spy(mp)
+        with pytest.raises(BudgetExceededError) as info:
+            lemma_check(X, 1, morphisms, budget=1000)
+    assert info.value.cost == 2 ** 4096
+    assert str(info.value).endswith("(enumerate_orbit_points k=1)")
+    assert calls == []

@@ -208,14 +208,6 @@ def test_constant_term_is_most_significant():
     assert list(F.elements())[:5] == [0, 1, 2, 3, 4]
 
 
-def test_tables_are_built_lazily():
-    F = Field(2, 1, 18)
-    assert "mul" not in vars(F)
-    t = 2 ** 16
-    assert F.mul(ref_one(F), t) == t
-    assert "mul" in vars(F) and "frob" in vars(F)
-
-
 # (p, m) with tables built by 1 to 18 doublings; odd p reaches past 1024
 # elements.  The ids are m for p = 2 and p^m for odd p.
 EXP_LOG_SIZES = ([(2, m) for m in list(range(1, 13)) + [18]]

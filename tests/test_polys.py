@@ -208,7 +208,13 @@ def test_int_evaluation_matches_reference_arithmetic(case):
 @pytest.mark.parametrize("p, s, N", [(2, 1, 6), (3, 1, 4), (2, 2, 3)])
 def test_subfield_is_an_int_tuple_equal_between_methods(p, s, N):
     F = field(p, s, N)
-    for e in (e for e in range(1, N + 1) if N % e == 0):
+    for e in (e for e in range(1, N) if N % e == 0):
         span = F.subfield(e, method="span")
         assert type(span) is tuple and all(type(x) is int for x in span)
         assert span == F.subfield(e, method="filter")
+    # the whole field is elements(), by either method; powering confirms
+    # that every element is in it
+    for method in ("span", "filter"):
+        assert F.subfield(N, method) == F.elements()
+    assert len(F.elements()) == F.q ** N
+    assert all(F.in_subfield(x, N) for x in F.elements())
