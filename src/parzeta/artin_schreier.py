@@ -98,7 +98,7 @@ def fibred_sum(f: SparsePoly, n: int, nprime: int, d: int) -> SparsePoly:
     if f.n != n + nprime:
         raise ValueError("f must have n + n' variables")
     total = d * n + nprime
-    out = SparsePoly.zero(total, f.base)
+    out = SparsePoly(total, f.base)
     for block in range(d):
         mapping = {}
         for i in range(n):
@@ -146,7 +146,8 @@ def singular_search(form: SparsePoly, e_max: int,
     up to degree e_max'.  The points are the common zeros of the form and
     its partials with first nonzero coordinate 1, listed by the counting
     engine one leading position at a time; the witness is the first in
-    lex order.  Each listing's nodes count against ``budget``.
+    lex order.  Degree e is refused before F_{q^e} is built when q^(e(n-1))
+    (q^e for n = 1) passes ``budget``; each listing's nodes count against it.
     """
     if e_max < 1:
         raise ValueError("e_max must be positive")
@@ -156,6 +157,7 @@ def singular_search(form: SparsePoly, e_max: int,
     n = form.n
     system = [form] + [form.partial_derivative(i) for i in range(n)]
     for e in range(1, e_max + 1):
+        check_cost(base.q, e * max(n - 1, 1), budget, f"singular_search e={e}")
         amb = field(base.p, base.s, e)
         for lead in range(n):
             domains = ([(0,)] * lead + [(amb._one,)]

@@ -4,10 +4,10 @@ Six subcommands take a variety (count, zeta, faltings, sweep), a graph
 (graph) or an Artin-Schreier instance (as).  `COMMANDS` is their table:
 each one's instance kind, help, compute and extra flags, which are also
 the report's parameters.  One runner, `_run`, owns the rest: it loads the
-instance (unknown fields are rejected before any computation), takes the
-budget from the flag, else the file's "budget", else DEFAULT_BUDGET,
-times the compute, builds the report and emits it as sorted-key JSON, a
-key,value csv or a table.  Runs are byte-identical apart from `timings`.
+instance and its budget, the flag, else the file's "budget", else
+DEFAULT_BUDGET (unknown fields and a base field past the budget are refused
+first), times the compute, builds the report and emits it as sorted-key
+JSON, a key,value csv or a table.  Runs differ only in `timings`.
 
 A compute maps (instance, args, budget) to (outputs, budget consumed, exit
 code) and reports a mathematical failure as a status in its outputs;
@@ -25,7 +25,8 @@ import sys
 import time
 
 from .artin_schreier import ASInstance, OracleMismatchError, bound_check
-from .counting import BudgetExceededError, DEFAULT_BUDGET, partial_count
+from .counting import (BudgetExceededError, DEFAULT_BUDGET, check_cost,
+                       partial_count)
 from .faltings import lemma_check
 from .graphs import GraphEdge, GraphSystem, GraphVertex, reduction_check
 from .polys import (MorphismSpec, PolyParseError, VarietySpec, base_field,
@@ -146,7 +147,9 @@ _LOADERS = {"variety": (("n", "equations", "profile"), variety_from_payload),
             "artin-schreier": (("n", "n_prime", "d", "f"), as_from_payload)}
 
 
-def load_instance(path: str, expect_kind: str):
+def load_instance(path: str, expect_kind: str, budget=None):
+    """(instance, digest, budget), the budget ``budget``, else the file's,
+    else DEFAULT_BUDGET; F_(p^s) is refused past it before it is built."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -168,15 +171,19 @@ def load_instance(path: str, expect_kind: str):
     digest = hashlib.sha256(raw).hexdigest()
     fields, loader = _LOADERS[kind]
     _require(payload, ("kind", "p", "s") + fields, optional=("budget",))
-    try:
-        obj = loader(payload, _check_int(payload, "p", 2),
-                     _check_int(payload, "s"))
-    except ValueError as exc:     # FieldError and the constructors' checks
-        raise SchemaError(str(exc)) from exc
+    p, s = _check_int(payload, "p", 2), _check_int(payload, "s")
     file_budget = payload.get("budget")
     if file_budget is not None and not _is_int(file_budget):
         raise SchemaError("'budget' must be a positive integer")
-    return obj, digest, file_budget
+    budget = next(b for b in (budget, file_budget, DEFAULT_BUDGET)
+                  if b is not None)
+    # every enumeration over F_q visits at least q tuples
+    check_cost(p, s, budget, "base field")
+    try:
+        obj = loader(payload, p, s)
+    except ValueError as exc:     # FieldError and the constructors' checks
+        raise SchemaError(str(exc)) from exc
+    return obj, digest, budget
 
 
 # -- computes: (instance, args, budget) -> (outputs, consumed, exit code) --
@@ -308,9 +315,7 @@ def emit(report, fmt, out):
 
 def _run(args) -> int:
     kind, _, compute, flags = COMMANDS[args.subcommand]
-    obj, digest, file_budget = load_instance(args.file, kind)
-    budget = next(b for b in (args.budget, file_budget, DEFAULT_BUDGET)
-                  if b is not None)
+    obj, digest, budget = load_instance(args.file, kind, args.budget)
     t0 = time.perf_counter()
     outputs, consumed, code = compute(obj, args, budget)
     if outputs is not None:

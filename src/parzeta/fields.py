@@ -47,12 +47,14 @@ e = N, as ``elements()``.  The ``filter`` oracle decides x^(q^e) = x by
 ``pow`` and never uses the Frobenius matrix, so the two subfield methods
 stay independent below N.
 
-``Field.frobenius_orbits(e)`` walks the orbits of sigma: x -> x^q on
-F_{q^e}, one ``frob`` per element, and yields the least member of each
-with the orbit's length.  The walk is lazy, so a search refused part-way
-has walked only the orbits it reached, and only a finished walk is
-cached per e, for later calls to replay.  It walks only whole subfields,
-which sigma maps onto themselves, so the walk checks no stability.
+``Field.frobenius_orbits(e)``, the library's one orbit walker, walks the
+orbits of sigma: x -> x^q on F_{q^e}, one ``frob`` per element, and
+yields the least member of each with the orbit's length.  The walk is
+lazy, a value met in an earlier orbit skipped and an orbit walked when
+its least member is reached, so a search refused part-way has walked
+only the orbits it reached; only a finished walk is cached per e, for
+later calls to replay.  It walks only whole subfields, which sigma maps
+onto themselves, so the walk checks no stability.
 
 Univariate polynomials over a field are coefficient lists of its packed
 ints, constant term first.  One toolkit does their arithmetic: remainder,
@@ -105,26 +107,6 @@ def _prime_factors(n: int):
 
 def is_prime(n: int) -> bool:
     return n >= 2 and _prime_factors(n) == [n]
-
-
-def _frobenius_orbits(values, frob):
-    """(x, L) for the least member x of each orbit of sigma = frob(., 1)
-    among the sorted, sigma-stable ``values``, in increasing x, L the
-    orbit's length.
-
-    Lazy: a value met in an earlier orbit is skipped, and an orbit is
-    walked when its least member is reached.
-    """
-    later = set()
-    for x in values:
-        if x in later:
-            later.discard(x)
-            continue
-        y, n = frob(x, 1), 1
-        while y != x:
-            later.add(y)
-            y, n = frob(y, 1), n + 1
-        yield x, n
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +353,7 @@ class Field:
         self._gen = (-self.modulus[0]) % p if self.m == 1 else p ** (self.m - 2)
         self._subfield_cache = {}
         self._orbit_cache = {}
-        self._embed_cache = {}
+        self._embed = None  # embed_base's map, built on first use
         ops = self._schoolbook()
         if self.p ** self.m <= TABLE_CAP:
             ops.update(self._tables(ops))
@@ -739,10 +721,17 @@ class Field:
         if done is not None:
             yield from done
             return
-        walked = []
-        for pair in _frobenius_orbits(self.subfield(e), self.frob):
-            walked.append(pair)
-            yield pair
+        frob, later, walked = self.frob, set(), []
+        for x in self.subfield(e):
+            if x in later:
+                later.discard(x)
+                continue
+            y, n = frob(x, 1), 1
+            while y != x:
+                later.add(y)
+                y, n = frob(y, 1), n + 1
+            walked.append((x, n))
+            yield x, n
         self._orbit_cache[e] = walked
 
     def _subfield_span(self, e: int):
@@ -780,9 +769,8 @@ class Field:
         """
         if base.p != self.p or base.s != self.s or base.N != 1:
             raise FieldError("base field must be F_q = F_{p^s} for this tower")
-        key = (base.p, base.s)
-        if key in self._embed_cache:
-            return self._embed_cache[key]
+        if self._embed is not None:
+            return self._embed
         one = self._one
         if base.m == 1:
             def emb(c):
@@ -815,18 +803,11 @@ class Field:
                             acc = add(acc, mul(d * one, pw))
                     v = table[c] = acc
                 return v
-        self._embed_cache[key] = emb
+        self._embed = emb
         return emb
 
     def __repr__(self):
         return f"Field(p={self.p}, s={self.s}, N={self.N})"
-
-    def __eq__(self, other):
-        return (isinstance(other, Field) and self.p == other.p
-                and self.s == other.s and self.N == other.N)
-
-    def __hash__(self):
-        return hash((self.p, self.s, self.N))
 
 
 @lru_cache(maxsize=None)

@@ -43,10 +43,6 @@ class SparsePoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, n, base):
-        return cls(n, base)
-
-    @classmethod
     def const(cls, n, base, value: int):
         """The constant polynomial of a packed int of ``base``."""
         f = cls(n, base)
@@ -136,7 +132,7 @@ class SparsePoly:
 
     def __eq__(self, other):
         return (isinstance(other, SparsePoly) and self.n == other.n
-                and self.base == other.base and self.terms == other.terms)
+                and self.base is other.base and self.terms == other.terms)
 
     def __hash__(self):
         return hash((self.n, frozenset(self.terms.items())))
@@ -378,7 +374,11 @@ class _Parser:
 
 
 def parse_poly(text: str, varnames, base: Field) -> SparsePoly:
-    return _Parser(text, varnames, base).parse()
+    parser = _Parser(text, varnames, base)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise PolyParseError("expression nested too deeply", parser.pos)
 
 
 # ---------------------------------------------------------------------------

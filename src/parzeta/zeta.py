@@ -392,8 +392,6 @@ def _reciprocal_roots(coeffs):
 def _simple_roots(coeffs):
     """Roots of a squarefree polynomial, refined by Newton's method."""
     deg = len(coeffs) - 1
-    if deg == 0:
-        return []
     arr = [float(c) for c in coeffs]  # highest power first after reversal
     roots = np.roots(arr)
     # converted once, exactly as complex + Fraction converts at each step

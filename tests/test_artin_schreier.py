@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,6 +7,8 @@ from parzeta.artin_schreier import (ASInstance, as_count_brute,
                                     as_count_trace, bound_check,
                                     diagonal_smooth_check, fibred_sum,
                                     singular_search, trace_to_prime)
+from parzeta import fields
+from parzeta.counting import BudgetExceededError
 from parzeta.fields import field
 from parzeta.polys import SparsePoly, base_field, parse_poly
 
@@ -41,7 +45,7 @@ def test_cubic_d1_exact_count():
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                 min_size=1, max_size=4))
 def test_counts_agree_random_f2(monomials):
-    f = SparsePoly.zero(2, F2)
+    f = SparsePoly(2, F2)
     for ex, ey in monomials:
         f = f + SparsePoly(2, F2, {(ex, ey): 1})
     if f.is_zero():
@@ -152,3 +156,24 @@ def test_budget_checked_before_domains(monkeypatch):
     with pytest.raises(BudgetExceededError) as exc:
         as_count_trace(inst, budget=10)
     assert exc.value.cost == 2 ** 9 * 2
+
+
+def test_singular_search_refused_before_its_field_is_built(monkeypatch):
+    # x1*y1 is smooth: every degree is searched until 2^(e(n-1)) = 2^27
+    # passes the default budget, refused before F_(2^27) is built
+    degrees = []
+    search = fields.smallest_irreducible
+
+    def spy(p, m):
+        degrees.append(m)
+        return search(p, m)
+
+    monkeypatch.setattr(fields, "smallest_irreducible", spy)
+    assert singular_search(xy_poly("x1*y1"), 26) is None
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as exc:
+        singular_search(xy_poly("x1*y1"), 40)
+    assert time.perf_counter() - t0 < 1.0
+    assert exc.value.cost == 2 ** 27
+    assert str(exc.value).endswith("(singular_search e=27)")
+    assert max(degrees, default=0) <= 26

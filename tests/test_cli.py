@@ -217,9 +217,9 @@ def _graph_with_u_at(d):
     ("as", _as_with_d(20000), "2^40001", "as_count_brute"),
     ("as", _as_with_d(10 ** 12), f"2^{2 * 10 ** 12 + 1}", "as_count_brute"),
     # the fibred product's profile is (d, 1, 1)
-    ("graph", _graph_with_u_at(200), str(2 ** 202), "partial_count k=1"),
+    ("graph", _graph_with_u_at(200), str(2 ** 202), "graph_count_direct k=1"),
     ("graph", _graph_with_u_at(10 ** 12), f"2^{10 ** 12 + 2}",
-     "partial_count k=1"),
+     "graph_count_direct k=1"),
 ], ids=["as-20000", "as-10^12", "graph-200", "graph-10^12"])
 def test_huge_level_refused_before_anything_is_built(tmp_path, capsys, sub,
                                                      inst, cost, context):
@@ -242,7 +242,50 @@ def test_graph_refused_at_the_first_level_past_the_budget(tmp_path, capsys):
     code, out, err = run(capsys, "graph", str(f), "--budget", "1000000")
     assert code == 3 and out == ""
     assert err == ("budget exceeded: enumeration cost 274877906944 exceeds "
-                   "budget 1000000 (partial_count k=2)\n")
+                   "budget 1000000 (graph_count_direct k=2)\n")
+
+
+@pytest.mark.parametrize("p, s", [(2, 3000), (2 ** 61 - 1, 1),
+                                  (10 ** 30 + 57, 1)])
+def test_base_field_refused_before_it_is_built(tmp_path, capsys, monkeypatch,
+                                               p, s):
+    # q > budget: every enumeration over F_q visits at least q tuples
+    inst = {"kind": "variety", "p": p, "s": s, "n": 1, "equations": ["x1"],
+            "profile": [1]}
+    f = tmp_path / "inst.json"
+    f.write_text(json.dumps(inst))
+
+    def refuse(*args):
+        raise AssertionError("base field built before the budget check")
+
+    monkeypatch.setattr(fields, "is_prime", refuse)
+    monkeypatch.setattr(fields, "smallest_irreducible", refuse)
+    for argv in (("count", "-k", "1"), ("zeta",)):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, argv[0], str(f), *argv[1:])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 3 and out == ""
+        assert err.endswith("(base field)\n")
+
+
+def test_singular_search_refused_past_the_budget(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "as", str(CORPUS / "as_xy_f2.json"),
+                         "--e-max", "300")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and out == ""
+    assert err == ("budget exceeded: enumeration cost 134217728 exceeds "
+                   "budget 100000000 (singular_search e=27)\n")
+
+
+def test_deeply_nested_equation_is_a_schema_error(tmp_path, capsys):
+    f = tmp_path / "inst.json"
+    for eq in ("(" * 3000 + "x1" + ")" * 3000, "-" * 3000 + "x1"):
+        f.write_text(json.dumps({"kind": "variety", "p": 2, "s": 1, "n": 1,
+                                 "equations": [eq], "profile": [1]}))
+        code, out, err = run(capsys, "count", str(f))
+        assert code == 2 and out == ""
+        assert "expression nested too deeply" in err
 
 
 def _faltings_on(tmp_path, capsys, monkeypatch, equations, profile, *argv):

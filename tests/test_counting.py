@@ -3,7 +3,8 @@ import time
 import pytest
 
 from parzeta import artin_schreier, counting, faltings
-from parzeta.artin_schreier import ASInstance, as_count_brute, as_count_trace
+from parzeta.artin_schreier import (ASInstance, as_count_brute, as_count_trace,
+                                    singular_search)
 from parzeta.counting import BudgetExceededError, partial_count
 from parzeta.faltings import lemma_check
 from parzeta.polys import (MorphismSpec, SparsePoly, VarietySpec, base_field,
@@ -123,6 +124,9 @@ BOUNDARY_RUNS = {
         _as_inst(p, s, e - 2), budget=budget)),
     "as_count_trace": (2, lambda p, s, e, budget: as_count_trace(
         _as_inst(p, s, e - 1), budget=budget)),
+    # degree 1 in e + 1 variables: e coordinates after the leading 1
+    "singular_search": (1, lambda p, s, e, budget: singular_search(
+        SparsePoly.var(e + 1, base_field(p, s), 0, 2), 1, budget=budget)),
 }
 
 

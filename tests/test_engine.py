@@ -35,8 +35,7 @@ from parzeta.counting import (BudgetExceededError, _search, count_roots,
                                enumerate_orbit_points, enumerate_points, join,
                                partial_count)
 from parzeta.faltings import lemma_check
-from parzeta.fields import (Field, _frobenius_orbits, _gcd, _monic, _trim,
-                            field)
+from parzeta.fields import Field, _gcd, _monic, _trim, field
 from parzeta.graphs import fibred_product_reduce, graph_count_direct
 from parzeta.polys import SparsePoly, VarietySpec, base_field, parse_poly
 
@@ -302,7 +301,7 @@ def test_orbit_replay_equals_a_fresh_walk():
             orbits = {frozenset(amb.frob(x, i) for i in range(e))
                       for x in values}
             want = sorted((min(o), len(o)) for o in orbits)
-            assert list(_frobenius_orbits(values, amb.frob)) == want
+            assert list(Field(p, s, N).frobenius_orbits(e)) == want
             # a partial walk, two interleaved readers, then a full replay
             head = amb.frobenius_orbits(e)
             assert [next(head) for _ in range(min(3, len(want)))] \
@@ -321,7 +320,7 @@ def test_interrupted_orbit_walk_starts_anew():
     # an exception inside frob (an interrupt, say) ends the walk's
     # generator; the memo must not then replay a truncated walk
     amb = Field(2, 1, 10)  # its own instance, so the spy stays local
-    want = list(_frobenius_orbits(amb.elements(), amb.frob))
+    want = list(Field(2, 1, 10).frobenius_orbits(10))
     frob, calls = amb.frob, []
 
     def interrupted(x, e):
@@ -408,7 +407,6 @@ def test_plain_listing_walks_no_frobenius_orbit(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("Frobenius orbits walked")
 
-    monkeypatch.setattr(fields, "_frobenius_orbits", refuse)
     monkeypatch.setattr(Field, "frobenius_orbits", refuse)
     assert [[graph_count_direct(G, k) for k in (1, 2)]
             for G in graphs] == want

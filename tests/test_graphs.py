@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from parzeta import graphs, zeta
 from parzeta.cli import load_instance
 from parzeta.counting import BudgetExceededError, partial_count
 from parzeta.fields import Field
@@ -123,3 +124,22 @@ def test_direct_count_refuses_before_it_builds_anything(monkeypatch):
                        match=r"\(graph_count_direct k=10\)") as exc:
         graph_count_direct(G, 10, budget=100)
     assert exc.value.cost == 2 ** 20
+
+
+def test_reduction_check_counts_each_level_once(monkeypatch):
+    # the deepening accepts at B_used = 4; levels 5 and 6 are counted
+    # after it, each once
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    G, _, _ = load_instance(str(corpus / "g_single_d2.json"), "graph")
+    levels = []
+
+    def spy(X, k, budget):
+        levels.append(k)
+        return partial_count(X, k, budget=budget)
+
+    monkeypatch.setattr(graphs, "partial_count", spy)
+    monkeypatch.setattr(zeta, "partial_count", spy)
+    rep = reduction_check(G, 6)
+    assert rep.reconstruction.B_used == 4
+    assert levels == [1, 2, 3, 4, 5, 6]
+    assert rep.passed and rep.reduced_counts == rep.direct_counts

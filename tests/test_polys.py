@@ -58,6 +58,14 @@ def test_parse_error_position():
     assert exc.value.position == 5
 
 
+@pytest.mark.parametrize("text", ["(" * 3000 + "x1" + ")" * 3000,
+                                  "-" * 3000 + "x1"],
+                         ids=["parentheses", "unary-minus"])
+def test_deep_nesting_is_a_parse_error(text):
+    with pytest.raises(PolyParseError, match="nested too deeply"):
+        P(text)
+
+
 def test_negative_exponent_rejected():
     with pytest.raises(PolyParseError):
         P("x1^-2")
