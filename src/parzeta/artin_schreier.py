@@ -215,7 +215,8 @@ def bound_check(inst: ASInstance, e_max: int = 2,
     p, q, d, n, nn = inst.p, inst.q, inst.d, inst.n, inst.nprime
     p_div_r = (r % p == 0)
     form_sum = fibred_sum(fr, n, nn, d)
-    verdict = diagonal_smooth_check(form_sum, p)
+    verdict = ("singular" if form_sum.is_zero()  # all of it is singular
+               else diagonal_smooth_check(form_sum, p))
     if verdict == "smooth":
         status = "verified-diagonal"
     elif verdict == "singular":

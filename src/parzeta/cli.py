@@ -279,8 +279,9 @@ def _sweep(X, args, budget):
     rows = degree_sweep(X, _parse_profiles(args.profiles, X.n),
                         max_k=args.max_k, holdout=args.holdout,
                         budget=budget, tol=args.tol)
-    ok = all(row["status"] == "ok" for row in rows)
-    code = EXIT_OK if ok else EXIT_NO_CONVERGENCE
+    statuses = {row["status"] for row in rows}
+    code = (EXIT_ASSERTION if "weights-failed" in statuses else
+            EXIT_OK if statuses == {"ok"} else EXIT_NO_CONVERGENCE)
     if args.format == "csv":
         sweep_rows_to_csv(rows, sys.stdout)
         return None, None, code

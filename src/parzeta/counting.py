@@ -10,14 +10,16 @@ its domain; an equation is checked as soon as its last variable is bound,
 an equation linear in the variable being bound is solved for it instead
 of scanned, and one that is a nonzero constant in it prunes the branch.
 Each equation's terms carry their values at the bound prefix, so binding
-a variable costs one product per term.  The last bound level is fused
-with the leaf: each value that passes it builds the coefficient lists of
-the equations left for the leaf directly from those term values and its
-own powers, with no further level of the search.  In ``partial_count`` and
-``enumerate_orbit_points`` the first variable bound takes one value per
-orbit of Frobenius sigma: x -> x^q on its domain, a subfield (the whole
-field for the listing).  The orbits come from the ambient field's
-walk, ``Field.frobenius_orbits``: an orbit is walked only when the
+a variable costs one product per term; their exponents e >= 1 are taken
+to (e - 1) mod (|F| - 1) + 1, F the ambient field, on which x^e takes the
+same values.  The last bound level is fused with the leaf: each value
+that passes it builds the coefficient lists of the equations left for the
+leaf directly from those term values and its own powers, with no further
+level of the search.  In ``partial_count`` and ``enumerate_orbit_points``
+the first variable bound takes one value per orbit of Frobenius sigma:
+x -> x^q on its domain, a subfield (the whole field for the listing).
+The orbits come from the ambient field's walk,
+``Field.frobenius_orbits``: an orbit is walked only when the
 search reaches its least member, so a refused search has walked only
 the orbits it reached, and a later search over the same subfield
 replays a walk that ran to its end.  The equations have coefficients
@@ -156,7 +158,8 @@ def _search(equations, ambient: Field, base: Field, order, domains, leaf,
     depth = len(order)
     stop = len(domains)
     # per equation: term values (the coefficients, to begin with) and the
-    # exponent of each term in the variable at each position
+    # exponent, reduced to F, of each term in the variable at each position
+    top = ambient.size() - 1
     start, exps = [], []
     close = [[] for _ in range(depth + 1)]
     touch = [[] for _ in range(depth)]
@@ -164,7 +167,8 @@ def _search(equations, ambient: Field, base: Field, order, domains, leaf,
         if not eq.terms:
             continue
         terms = sorted(eq.terms.items())
-        by_pos = [tuple(ex[v] for ex, _ in terms) for v in order]
+        by_pos = [tuple(ex[v] and (ex[v] - 1) % top + 1 for ex, _ in terms)
+                  for v in order]
         used = [u for u in range(depth) if any(by_pos[u])]
         if not used:
             return 0  # a nonzero constant equation
@@ -280,16 +284,14 @@ def enumerate_orbit_points(equations, n: int, ambient: Field, base: Field,
 
 
 def enumerate_points(equations, n: int, ambient: Field, base: Field,
-                     domains=None, budget: int = DEFAULT_BUDGET):
-    """All solutions, as lex-sorted int tuples, with coordinates in
-    per-variable ``domains`` (sorted iterables of packed ints of
-    ``ambient``; the whole field when None).
+                     domains, budget: int = DEFAULT_BUDGET):
+    """All solutions, as lex-sorted int tuples, with coordinates in the
+    per-variable ``domains``: sorted iterables of ``ambient``'s packed ints.
 
     The search binds x_1, ..., x_n in turn, each to every value of its
     domain, and raises ``BudgetExceededError`` once it has visited more
     than ``budget`` nodes.
     """
-    domains = [range(ambient.size())] * n if domains is None else domains
     out = []
 
     def leaf(point, polys, length):

@@ -24,9 +24,10 @@ as do the partial count's, over the subfield of its first bound
 variable.  A walk that skips an orbit mostly shows as unequal sides
 (``x1*x2 + 1`` at profile (1, 2)), but not always: on ``x1 + x2`` at
 (2, 3) both sides drop the same representative and still agree.
-``lemma_check`` is the one entry: it builds each level's listing and
-reports counts, with ``witness_count`` the fixed points of the mismatched
-entries, at most 10; no point is expanded to its conjugates.  Each side
+``lemma_check`` is the one entry: it builds each level's listing, whose
+field every step of the level reads, and reports counts, with
+``witness_count`` the fixed points of the mismatched entries, at most
+10; no point is expanded to its conjugates.  Each side
 checks its own cost before it builds F_{q^{dk}}: the partial count's
 check comes first, then the listing refuses x_1's q^{dk} values over
 the budget, whatever the equations, and only then is the field built.
@@ -60,25 +61,25 @@ def _y_links(profile, d: int):
 # ---------------------------------------------------------------------------
 
 def _orbit_listing(X: VarietySpec, k: int, morphisms, budget: int):
-    """X's ``enumerate_orbit_points`` over F_{q^{Dk}} and, with
-    ``morphisms``, the points' images under each f_i (None for the
-    coordinate projections).  Refused from x_1's q^{Dk} values before
-    that field is built."""
+    """(amb, reps, images): the level's one field F_{q^{Dk}}, X's
+    ``enumerate_orbit_points`` over it and, with ``morphisms``, the points'
+    images under each f_i (None for the coordinate projections).  Refused
+    from x_1's q^{Dk} values before that field is built."""
     check_cost(X.p ** X.s, X.D * k, budget, f"enumerate_orbit_points k={k}")
     amb = field(X.p, X.s, X.D * k)
     reps = enumerate_orbit_points(X.equations, X.n, amb, X.base,
                                   budget=budget)
     if morphisms is None:
-        return reps, None
-    return reps, [[f.apply(pt, amb) for pt, _ in reps] for f in morphisms]
+        return amb, reps, None
+    return amb, reps, [[f.apply(pt, amb) for pt, _ in reps] for f in morphisms]
 
 
 def _twisted_fixed_points(X: VarietySpec, k: int, twists, listing):
     """For each a in ``twists``, the points y of Y over F_{q^{dk}} with
     sigma^a(Frob^k(y)) = y whose first block is one of ``listing``'s
-    points, ``listing`` being `_orbit_listing`'s result for F_{q^{dk}},
-    as lex-sorted pairs (y, L), L the degree of y_0's first coordinate
-    over F_q; the others are the Frob^s(y), 0 < s < L.
+    points, ``listing`` being `_orbit_listing`'s result for level k, as
+    lex-sorted pairs (y, L), L the degree of y_0's first coordinate over
+    F_q, once per kept chain; the others are the Frob^s(y), 0 < s < L.
 
     The equation reads y_j = Frob^k(y_{j-a}) for every block j.  With a
     coprime to d this is y_{ma} = F^m(y_0) for m = 0..d-1, F = Frob^k;
@@ -93,8 +94,7 @@ def _twisted_fixed_points(X: VarietySpec, k: int, twists, listing):
     """
     d = X.D
     r = len(X.profile)
-    amb = field(X.p, X.s, d * k)
-    reps, images = listing
+    amb, reps, images = listing
     frob = amb.frob
     if images is None:
         move = frob
@@ -112,15 +112,7 @@ def _twisted_fixed_points(X: VarietySpec, k: int, twists, listing):
     # a kept chain counts the degree over F_q of y_0's first coordinate,
     # decided by powering: the orbit walk's lengths weight the partial
     # count's side, so this side does not take them from it
-    degrees = {}
     divisors = [e for e in range(1, d * k + 1) if d * k % e == 0]
-
-    def degree(x):
-        n = degrees.get(x)
-        if n is None:
-            n = degrees[x] = next(j for j in divisors if amb.in_subfield(x, j))
-        return n
-
     out = {a: [] for a in twists}
     for x, (y0, _) in enumerate(reps):
         seen = [None] * (d * r)
@@ -137,10 +129,11 @@ def _twisted_fixed_points(X: VarietySpec, k: int, twists, listing):
                 if u != v:
                     break
             else:
-                chain = chain or [tuple(frob(c, k * m) for c in y0)
-                                  for m in range(d)]
-                out[a].append((tuple(chain[m] for m in m_of[a]),
-                               degree(y0[0])))
+                if chain is None:
+                    chain = [tuple(frob(c, k * m) for c in y0)
+                             for m in range(d)]
+                    L = next(j for j in divisors if amb.in_subfield(y0[0], j))
+                out[a].append((tuple(chain[m] for m in m_of[a]), L))
     return out
 
 
@@ -151,10 +144,9 @@ def morphism_partial_count(X: VarietySpec, k: int, listing) -> int:
     the caller's obligation.  Subfield membership is Frobenius-invariant
     and f_i commutes with Frobenius, so each listed orbit representative
     counts its orbit's length.  ``listing`` is `_orbit_listing`'s result
-    for F_{q^{dk}}, with the morphisms' images.
+    for level k, with its field and the morphisms' images.
     """
-    amb = field(X.p, X.s, X.D * k)
-    reps, images = listing
+    amb, reps, images = listing
     return sum(length for x, (_, length) in enumerate(reps)
                if all(amb.in_subfield(v, di * k)
                       for di, f_images in zip(X.profile, images)
@@ -233,7 +225,7 @@ def lemma_check(X: VarietySpec, k_max: int, morphisms=None,
             lhs = partial_count(X, k, budget=budget)
         else:
             lhs = morphism_partial_count(X, k, listing)
-        amb = field(X.p, X.s, d * k)
+        amb = listing[0]
         frob = amb.frob
         found = _twisted_fixed_points(X, k, twists, listing)
         # reconstruction bijection, checked on the chains; Frobenius carries

@@ -289,18 +289,14 @@ def smallest_irreducible(p: int, m: int):
     """Lex-smallest monic irreducible of degree m over F_p.
 
     Candidates are ordered by their coefficient sequence compared from the
-    constant term up, so (0,...,0) i.e. t^m comes first.
+    constant term up; past m = 1 that term is nonzero, else t divides.
     """
-    for c0 in range(p):
-        if c0 == 0:
-            # zero constant term means divisible by t; only t itself qualifies
-            if m == 1:
-                return (0, 1)
-            continue
-        for tail in product(range(p), repeat=m - 1):
-            cand = (c0,) + tail + (1,)
-            if is_irreducible(cand, p):
-                return cand
+    if m == 1:
+        return (0, 1)
+    for head in product(range(1, p), *[range(p)] * (m - 1)):
+        cand = head + (1,)
+        if is_irreducible(cand, p):
+            return cand
     raise FieldError(f"no irreducible of degree {m} over F_{p}")  # unreachable
 
 

@@ -56,10 +56,6 @@ class AutoReconstructError(ReconstructionError):
 class RootFindingError(RuntimeError):
     status = "root-finding-failed"  # the report status
 
-    def __init__(self, message, coeffs):
-        super().__init__(message)
-        self.coeffs = coeffs
-
 
 @dataclass(frozen=True)
 class TruncatedSeries:
@@ -119,23 +115,6 @@ class RationalFunctionZ:
                 v -= den[j] * z[k - j]
             z.append(v)
         return z
-
-    def counts(self, k_max: int):
-        """N_1..N_k via exact Newton power sums on both polynomials."""
-
-        def power_sums(coeffs):
-            out = []
-            for k in range(1, k_max + 1):
-                c_k = coeffs[k] if k < len(coeffs) else 0
-                v = -k * c_k
-                for j in range(1, min(k - 1, len(coeffs) - 1) + 1):
-                    v -= coeffs[j] * out[k - j - 1]
-                out.append(v)
-            return out
-
-        sp = power_sums(self.den)
-        sz = power_sums(self.num)
-        return [a - b for a, b in zip(sp, sz)]
 
     def to_json_dict(self):
         return {"numerator": list(self.num), "denominator": list(self.den),
@@ -423,7 +402,7 @@ def _simple_roots(coeffs):
     scale = max(abs(c) for c in coeffs) or 1.0
     for x in refined:
         if abs(poly_val(x)) > 1e-6 * scale * max(1.0, abs(x)) ** deg:
-            raise RootFindingError("root refinement did not converge", coeffs)
+            raise RootFindingError("root refinement did not converge")
     refined.sort(key=lambda c: (round(c.real, 9), round(c.imag, 9)))
     return refined
 
@@ -456,7 +435,8 @@ SWEEP_COLUMNS = ["profile", "lcm", "B_used", "deg_num", "deg_den",
 
 def degree_sweep(X: VarietySpec, profiles, max_k: int = 12, holdout: int = 3,
                  budget: int = DEFAULT_BUDGET, tol: float = 1e-6):
-    """One reconstruction per profile; failures become rows, not aborts."""
+    """One reconstruction per profile; failures become rows, not aborts,
+    a failed Weil weight check among them, as status "weights-failed"."""
     rows = []
     for profile in profiles:
         Xp = X.with_profile(profile)
@@ -476,6 +456,7 @@ def degree_sweep(X: VarietySpec, profiles, max_k: int = 12, holdout: int = 3,
             })
             wr = weil_weight_check(res.function, Xp.p ** Xp.s, tol=tol)
             row["weights"] = " ".join(str(w) for w in wr.weight_multiset())
+            row["status"] = "ok" if wr.passed else "weights-failed"
         except (AutoReconstructError, RootFindingError) as exc:
             row["status"] = exc.status
         rows.append(row)

@@ -26,6 +26,7 @@ from parzeta.zeta import (auto_reconstruct, series_from_counts,
                           weil_weight_check)
 
 from test_engine import oracle_count
+from test_zeta import counts_of
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 SRC = CORPUS.parent / "src"
@@ -88,7 +89,7 @@ def test_criterion_1_rationality(reconstructions):
     for name, (X, res) in reconstructions.items():
         fresh = [partial_count(X, k, budget=PER_K_BUDGET)
                  for k in (res.B_used + 1, res.B_used + 2)]
-        predicted = res.function.counts(res.B_used + 2)[res.B_used:]
+        predicted = counts_of(res.function, res.B_used + 2)[res.B_used:]
         if predicted != fresh:
             ok = False
     report("1 (rationality certification)", ok)
@@ -103,13 +104,14 @@ def test_criterion_2_closed_forms():
         if res.function.num != (1,) or res.function.den != (1, -2):
             ok = False
         oracle = [oracle_count(X, k) for k in (1, 2, 3)]
-        if res.function.counts(3) != oracle:
+        if counts_of(res.function, 3) != oracle:
             ok = False
     hyp = variety("hyperbola11_f2")
     res = auto_reconstruct(hyp, 12)
     if res.function.num != (1, -1) or res.function.den != (1, -2):
         ok = False
-    if res.function.counts(3) != [oracle_count(hyp, k) for k in (1, 2, 3)]:
+    if counts_of(res.function, 3) != [oracle_count(hyp, k)
+                                      for k in (1, 2, 3)]:
         ok = False
     report("2 (closed-form matches)", ok)
 

@@ -124,6 +124,18 @@ def test_bound_uses_leading_form():
     assert rep.smooth_status == "verified-diagonal"
 
 
+def test_bound_zero_fibred_form_is_singular():
+    # f = 1 is its own leading form; two copies of it sum to 0 over F_2,
+    # which defines no hypersurface
+    f = xy_poly("1")
+    with pytest.raises(ValueError, match="zero form"):
+        diagonal_smooth_check(fibred_sum(f, 1, 1, 2), 2)
+    rep = bound_check(ASInstance(2, 1, 1, 1, 2, f))
+    assert rep.r == 0 and rep.p_divides_r
+    assert rep.smooth_status == "singular"
+    assert not rep.hypothesis_ok
+
+
 def example44_verdicts(f, p):
     """Example 4.4: the fibred sum of the split form f(x) + f(y) is smooth
     exactly when p does not divide d; its verdicts for d = 1..6."""

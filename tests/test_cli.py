@@ -288,6 +288,35 @@ def test_deeply_nested_equation_is_a_schema_error(tmp_path, capsys):
         assert "expression nested too deeply" in err
 
 
+@pytest.mark.parametrize("equations, profile, counts", [
+    (["x1^99999999999"], [1], [1]),
+    (["x1^99999999999 + x2^99999999999 + 1"], [1, 2], [4]),
+    (["(x1+1)^100000"], [1], [1]),
+])
+def test_huge_exponents_are_reduced_to_the_field(tmp_path, capsys, equations,
+                                                 profile, counts):
+    f = tmp_path / "inst.json"
+    f.write_text(json.dumps({"kind": "variety", "p": 2, "s": 1,
+                             "n": len(profile), "equations": equations,
+                             "profile": profile}))
+    t0 = time.perf_counter()
+    code, rep = run_json(capsys, "count", str(f), "-k", "1")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0 and rep["outputs"]["counts"] == counts
+
+
+def test_as_zero_fibred_form_is_singular(tmp_path, capsys):
+    # f = 1 is its own leading form; two copies of it sum to 0 over F_2
+    f = tmp_path / "inst.json"
+    f.write_text(json.dumps({"kind": "artin-schreier", "p": 2, "s": 1,
+                             "n": 1, "n_prime": 1, "d": 2, "f": "1"}))
+    code, rep = run_json(capsys, "as", str(f))
+    assert code == 0
+    out = rep["outputs"]
+    assert out["smooth_status"] == "singular" and out["r"] == 0
+    assert out["p_divides_r"] is True and out["hypothesis_ok"] is False
+
+
 def _faltings_on(tmp_path, capsys, monkeypatch, equations, profile, *argv):
     """``parzeta faltings`` on X over F_2 in two variables, with the
     degrees of the moduli it searched for and its wall time."""
@@ -352,7 +381,7 @@ def test_zeta_root_finding_failure_exit_4(capsys, monkeypatch):
     from parzeta.zeta import RootFindingError
 
     def fail(*args, **kwargs):
-        raise RootFindingError("root refinement did not converge", [1])
+        raise RootFindingError("root refinement did not converge")
 
     monkeypatch.setattr(cli, "weil_weight_check", fail)
     code, rep = run_json(capsys, "zeta", str(CORPUS / "diag11_f2.json"))
@@ -362,7 +391,7 @@ def test_zeta_root_finding_failure_exit_4(capsys, monkeypatch):
 
 def _fail_root_finding(*args, **kwargs):
     from parzeta.zeta import RootFindingError
-    raise RootFindingError("root refinement did not converge", [1])
+    raise RootFindingError("root refinement did not converge")
 
 
 def test_graph_root_finding_failure_exit_4(capsys, monkeypatch):
@@ -385,6 +414,28 @@ def test_sweep_root_finding_failure_is_a_row(capsys, monkeypatch):
     rows = rep["outputs"]["rows"]
     assert [r["status"] for r in rows] == ["root-finding-failed"] * 2
     assert [r["weights"] for r in rows] == ["", ""]
+
+
+def _fail_weights(R, q, tol):
+    from parzeta.zeta import WeightReport
+    return WeightReport(q, tol, (), False)
+
+
+def test_sweep_failed_weight_check_exit_5(capsys, monkeypatch):
+    import parzeta.zeta as zeta
+
+    monkeypatch.setattr(zeta, "weil_weight_check", _fail_weights)
+    code, rep = run_json(capsys, "sweep", str(CORPUS / "diag11_f2.json"),
+                         "1,1", "1,2")
+    assert code == 5
+    assert [r["status"] for r in rep["outputs"]["rows"]] == \
+        ["weights-failed"] * 2
+    # a failed weight check outranks a row that did not converge
+    code, rep = run_json(capsys, "sweep", str(CORPUS / "diag11_f2.json"),
+                         "1,1", "20000,1", "--budget", "1000")
+    assert code == 5
+    assert [r["status"] for r in rep["outputs"]["rows"]] == \
+        ["weights-failed", "budget-exceeded"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -85,6 +85,21 @@ def test_engine_matches_product_oracle(case):
     assert partial_count(X, k) == oracle_count(X, k)
 
 
+@settings(max_examples=60, deadline=None)
+@given(varieties(), st.integers(1, 3))
+def test_exponents_shifted_by_the_field_order_count_the_same(case, j):
+    # x^e and x^(e + j (Q - 1)), Q = q^(Dk), agree on F_Q, which holds
+    # every value the count binds or counts
+    X, k = case
+    shift = j * ((X.p ** X.s) ** (X.D * k) - 1)
+    shifted = tuple(
+        SparsePoly(X.n, X.base, {tuple(e and e + shift for e in exps): c
+                                 for exps, c in eq.terms.items()})
+        for eq in X.equations)
+    Xs = VarietySpec(X.p, X.s, X.n, shifted, X.profile)
+    assert partial_count(Xs, k) == partial_count(X, k)
+
+
 def V(p, s, n, texts, profile):
     base = base_field(p, s)
     names = [f"x{i+1}" for i in range(n)]
