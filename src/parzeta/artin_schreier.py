@@ -43,22 +43,13 @@ class ASInstance:
         return self.p ** self.s
 
 
-def _domains(inst: ASInstance):
-    """The ambient F_{q^d}, its elements (the x-domain, a range) and F_q
-    (the y-domain).
-
-    Both counts pass ``check_cost`` before calling this, and ``bound_check``
-    counts first, so a refused instance builds nothing.
-    """
-    amb = field(inst.p, inst.s, inst.d)
-    return amb, amb.elements(), amb.subfield(1)
-
-
 def as_count_brute(inst: ASInstance, budget: int = DEFAULT_BUDGET) -> int:
     """Full enumeration over (x_0, x, y)."""
     check_cost(inst.q, inst.d * (inst.n + 1) + inst.nprime, budget,
                "as_count_brute")
-    amb, xs, ys = _domains(inst)
+    # both counts pass check_cost before the field is built
+    amb = field(inst.p, inst.s, inst.d)
+    xs, ys = amb.elements(), amb.subfield(1)  # F_{q^d}, a range, and F_q
     # x_0^p - x_0 for every x_0, scanned in full for each right-hand side
     lhs = [amb.sub(amb.pow(x0, inst.p), x0) for x0 in xs]
     count = 0
@@ -85,7 +76,8 @@ def as_count_trace(inst: ASInstance, budget: int = DEFAULT_BUDGET) -> int:
     """Trace oracle: x_0^p - x_0 = c has p solutions iff Tr(c) = 0, else none."""
     check_cost(inst.q, inst.d * inst.n + inst.nprime, budget,
                "as_count_trace")
-    amb, xs, ys = _domains(inst)
+    amb = field(inst.p, inst.s, inst.d)
+    xs, ys = amb.elements(), amb.subfield(1)
     count = 0
     for xy in product(*([xs] * inst.n + [ys] * inst.nprime)):
         if trace_to_prime(amb, inst.f.evaluate(xy, amb)) == 0:

@@ -88,36 +88,32 @@ def graph_count_direct(G: GraphSystem, k: int,
                     f"graph_count_direct k={k}"))
 
 
-def fibred_product_reduce(G: GraphSystem):
-    """The fibred product as a single variety plus the vertex index map.
+def fibred_product_reduce(G: GraphSystem) -> VarietySpec:
+    """The fibred product as a single variety.
 
     Coordinates are the concatenated vertex blocks in input order; the
     profile repeats each d_v over its block.
     """
     base = field(G.p, G.s, 1)
-    offsets = {}
+    start = {}  # vertex name -> its block's first coordinate
     total = 0
     for v in G.vertices:
-        offsets[v.name] = (total, total + v.n)
+        start[v.name] = total
         total += v.n
     equations = []
     profile = []
     for v in G.vertices:
-        start, _ = offsets[v.name]
-        mapping = {i: start + i for i in range(v.n)}
+        mapping = {i: start[v.name] + i for i in range(v.n)}
         for eq in v.equations:
             equations.append(eq.rename(mapping, total))
         profile.extend([v.d] * v.n)
     for e in G.edges:
-        s_start, _ = offsets[e.src]
-        d_start, _ = offsets[e.dst]
-        src_map = {i: s_start + i for i in range(e.morphism.n_in)}
+        src_map = {i: start[e.src] + i for i in range(e.morphism.n_in)}
         for c_i, comp in enumerate(e.morphism.components):
             lhs = comp.rename(src_map, total)
-            rhs = SparsePoly.var(total, base, d_start + c_i)
+            rhs = SparsePoly.var(total, base, start[e.dst] + c_i)
             equations.append(lhs - rhs)
-    X = VarietySpec(G.p, G.s, total, tuple(equations), tuple(profile))
-    return X, offsets
+    return VarietySpec(G.p, G.s, total, tuple(equations), tuple(profile))
 
 
 @dataclass(frozen=True)
@@ -145,7 +141,7 @@ def reduction_check(G: GraphSystem, k_max: int, max_k: int = 12,
     """Direct counts vs the reduction for k <= k_max, then the graph zeta."""
     if k_max < 1:
         raise ValueError("k_max must be positive")
-    X, _ = fibred_product_reduce(G)
+    X = fibred_product_reduce(G)
     direct = tuple(graph_count_direct(G, k, budget=budget)
                    for k in range(1, k_max + 1))
     res = auto_reconstruct(X, max_k, holdout=holdout, budget=budget)

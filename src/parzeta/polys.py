@@ -10,6 +10,7 @@ stable across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 import math
 
 from .fields import Field, field
@@ -56,11 +57,17 @@ class SparsePoly:
         return cls.const(n, base, value % base.p * base._one)
 
     @classmethod
-    def var(cls, n, base, i, exp=1):
+    def var(cls, n, base, i):
         f = cls(n, base)
         e = [0] * n
-        e[i] = exp
+        e[i] = 1
         f.terms[tuple(e)] = base._one
+        return f
+
+    def _of(self, terms, n=None):
+        """A polynomial of this ring, or of ``n`` variables, with ``terms``."""
+        f = SparsePoly(self.n if n is None else n, self.base)
+        f.terms = terms
         return f
 
     # -- ring operations ---------------------------------------------------
@@ -69,51 +76,39 @@ class SparsePoly:
         if self.n != other.n or self.base is not other.base:
             raise ValueError("polynomial arithmetic across different rings")
 
+    def _sum(self, pairs):
+        """The sum of the terms (exponents, coefficient) in ``pairs``,
+        a term that cancels deleted."""
+        add = self.base.add
+        out = {}
+        for e, c in pairs:
+            if e in out:
+                v = add(out[e], c)
+                if not v:
+                    del out[e]
+                else:
+                    out[e] = v
+            else:
+                out[e] = c
+        return self._of(out)
+
     def __add__(self, other):
         self._check(other)
-        add = self.base.add
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            if exps in out:
-                v = add(out[exps], c)
-                if not v:
-                    del out[exps]
-                else:
-                    out[exps] = v
-            else:
-                out[exps] = c
-        f = SparsePoly(self.n, self.base)
-        f.terms = out
-        return f
+        return self._sum(chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self):
-        f = SparsePoly(self.n, self.base)
         neg = self.base.neg
-        f.terms = {e: neg(c) for e, c in self.terms.items()}
-        return f
+        return self._of({e: neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
-        add, mul = self.base.add, self.base.mul
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = mul(c1, c2)
-                if e in out:
-                    v = add(out[e], c)
-                    if not v:
-                        del out[e]
-                    else:
-                        out[e] = v
-                else:
-                    out[e] = c
-        f = SparsePoly(self.n, self.base)
-        f.terms = out
-        return f
+        mul = self.base.mul
+        return self._sum((tuple(a + b for a, b in zip(e1, e2)), mul(c1, c2))
+                         for e1, c1 in self.terms.items()
+                         for e2, c2 in other.terms.items())
 
     def __pow__(self, e: int):
         if e < 0:
@@ -151,9 +146,7 @@ class SparsePoly:
     def leading_form(self):
         """The top-degree homogeneous part and its degree."""
         r = self.total_degree()
-        f = SparsePoly(self.n, self.base)
-        f.terms = {e: c for e, c in self.terms.items() if sum(e) == r}
-        return f, r
+        return self._of({e: c for e, c in self.terms.items() if sum(e) == r}), r
 
     def partial_derivative(self, i: int):
         base = self.base
@@ -165,9 +158,7 @@ class SparsePoly:
                 v = base.mul(c, e[i] % base.p * base._one)
                 if v:
                     out[tuple(ne)] = v
-        f = SparsePoly(self.n, self.base)
-        f.terms = out
-        return f
+        return self._of(out)
 
     def variables_used(self):
         used = set()
@@ -190,9 +181,7 @@ class SparsePoly:
                         raise ValueError(f"variable {i} missing from map")
                     ne[mapping[i]] = exp
             out[tuple(ne)] = c
-        f = SparsePoly(new_n, self.base)
-        f.terms = out
-        return f
+        return self._of(out, new_n)
 
     # -- evaluation --------------------------------------------------------
 
@@ -203,16 +192,11 @@ class SparsePoly:
         emb = ambient.embed_base(self.base)
         add, mul, pw = ambient.add, ambient.mul, ambient.pow
         acc = 0
-        powcache = {}
         for e, c in self.terms.items():
             v = emb(c)
-            for i, exp in enumerate(e):
+            for x, exp in zip(point, e):
                 if exp:
-                    key = (i, exp)
-                    x = powcache.get(key)
-                    if x is None:
-                        x = powcache[key] = pw(point[i], exp)
-                    v = mul(v, x)
+                    v = mul(v, pw(x, exp))
             acc = add(acc, v)
         return acc
 
@@ -236,9 +220,8 @@ class SparsePoly:
             return parts[0]
         return "(" + " + ".join(parts) + ")"
 
-    def to_string(self, varnames=None) -> str:
-        if varnames is None:
-            varnames = [f"x{i+1}" for i in range(self.n)]
+    def to_string(self) -> str:
+        varnames = [f"x{i+1}" for i in range(self.n)]
         if not self.terms:
             return "0"
         keys = sorted(self.terms, key=lambda e: (-sum(e), tuple(-x for x in e)))

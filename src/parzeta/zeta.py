@@ -378,15 +378,9 @@ def _simple_roots(coeffs):
     cv = [complex(float(c)) for c in coeffs]
     cd = [complex(float(c * (deg - i))) for i, c in enumerate(coeffs[:-1])]
 
-    def poly_val(x):
+    def horner(cs, x):
         v = 0j
-        for c in cv:
-            v = v * x + c
-        return v
-
-    def poly_deriv(x):
-        v = 0j
-        for c in cd:
+        for c in cs:
             v = v * x + c
         return v
 
@@ -394,14 +388,14 @@ def _simple_roots(coeffs):
     for r in roots:
         x = complex(r)
         for _ in range(3):
-            d = poly_deriv(x)
+            d = horner(cd, x)
             if d == 0:
                 break
-            x = x - poly_val(x) / d
+            x = x - horner(cv, x) / d
         refined.append(x)
     scale = max(abs(c) for c in coeffs) or 1.0
     for x in refined:
-        if abs(poly_val(x)) > 1e-6 * scale * max(1.0, abs(x)) ** deg:
+        if abs(horner(cv, x)) > 1e-6 * scale * max(1.0, abs(x)) ** deg:
             raise RootFindingError("root refinement did not converge")
     refined.sort(key=lambda c: (round(c.real, 9), round(c.imag, 9)))
     return refined

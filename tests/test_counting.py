@@ -126,7 +126,7 @@ BOUNDARY_RUNS = {
         _as_inst(p, s, e - 1), budget=budget)),
     # degree 1 in e + 1 variables: e coordinates after the leading 1
     "singular_search": (1, lambda p, s, e, budget: singular_search(
-        SparsePoly.var(e + 1, base_field(p, s), 0, 2), 1, budget=budget)),
+        SparsePoly.var(e + 1, base_field(p, s), 0) ** 2, 1, budget=budget)),
 }
 
 

@@ -74,17 +74,16 @@ def test_identity_edge_pair():
 
 
 def test_reduction_shape():
-    X, offsets = fibred_product_reduce(SELF_LOOP)
+    X = fibred_product_reduce(SELF_LOOP)
     assert X.n == 1
     assert X.profile == (2,)
-    assert offsets == {"v": (0, 1)}
     assert len(X.equations) == 1
     assert X.equations[0] == poly("x1^2 + x1")
 
 
 def test_reduction_counts_match_direct():
     for G in (SELF_LOOP, CYCLE3):
-        X, _ = fibred_product_reduce(G)
+        X = fibred_product_reduce(G)
         for k in (1, 2, 3):
             assert partial_count(X, k) == graph_count_direct(G, k)
 
