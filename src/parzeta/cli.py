@@ -71,16 +71,17 @@ def _var_names(n, prefix="x"):
     return [f"{prefix}{i + 1}" for i in range(n)]
 
 
-def _parse_eq(text, varnames, base):
+def _parse_eq(text, varnames, base, budget):
     if not isinstance(text, str):
         raise SchemaError("equations must be strings")
     try:
-        return parse_poly(text, varnames, base)
+        return parse_poly(text, varnames, base, budget)
     except PolyParseError as exc:
         raise SchemaError(f"bad polynomial {text!r}: {exc}") from exc
 
 
-def variety_from_payload(payload: dict, p: int, s: int) -> VarietySpec:
+def variety_from_payload(payload: dict, p: int, s: int,
+                         budget: int) -> VarietySpec:
     n = _check_int(payload, "n")
     if not isinstance(payload["equations"], list):
         raise SchemaError("'equations' must be a list")
@@ -90,11 +91,13 @@ def variety_from_payload(payload: dict, p: int, s: int) -> VarietySpec:
         raise SchemaError("'profile' must be a list of n positive integers")
     base = base_field(p, s)
     names = _var_names(n)
-    eqs = tuple(_parse_eq(t, names, base) for t in payload["equations"])
+    eqs = tuple(_parse_eq(t, names, base, budget)
+                for t in payload["equations"])
     return VarietySpec(p, s, n, eqs, tuple(profile))
 
 
-def graph_from_payload(payload: dict, p: int, s: int) -> GraphSystem:
+def graph_from_payload(payload: dict, p: int, s: int,
+                       budget: int) -> GraphSystem:
     base = base_field(p, s)
     if not isinstance(payload["vertices"], list) or not payload["vertices"]:
         raise SchemaError("'vertices' must be a non-empty list")
@@ -110,7 +113,8 @@ def graph_from_payload(payload: dict, p: int, s: int) -> GraphSystem:
         if not isinstance(v["equations"], list):
             raise SchemaError("vertex 'equations' must be a list")
         names = _var_names(n)
-        eqs = tuple(_parse_eq(t, names, base) for t in v["equations"])
+        eqs = tuple(_parse_eq(t, names, base, budget)
+                    for t in v["equations"])
         vertices.append(GraphVertex(v["name"], n, eqs, d))
     dims = {v.name: v.n for v in vertices}
     edges = []
@@ -125,23 +129,24 @@ def graph_from_payload(payload: dict, p: int, s: int) -> GraphSystem:
             raise SchemaError("edge 'morphism' must list one component "
                               "per target coordinate")
         names = _var_names(n_in)
-        components = tuple(_parse_eq(t, names, base) for t in comps)
+        components = tuple(_parse_eq(t, names, base, budget) for t in comps)
         edges.append(GraphEdge(e["src"], e["dst"],
                                MorphismSpec(n_in, n_out, components)))
     return GraphSystem(p, s, tuple(vertices), tuple(edges))
 
 
-def as_from_payload(payload: dict, p: int, s: int) -> ASInstance:
+def as_from_payload(payload: dict, p: int, s: int,
+                    budget: int) -> ASInstance:
     n = _check_int(payload, "n")
     nprime = _check_int(payload, "n_prime")
     d = _check_int(payload, "d")
     base = base_field(p, s)
     names = _var_names(n) + _var_names(nprime, prefix="y")
-    f = _parse_eq(payload["f"], names, base)
+    f = _parse_eq(payload["f"], names, base, budget)
     return ASInstance(p, s, n, nprime, d, f)
 
 
-# kind -> (fields beside kind, p, s and budget, loader(payload, p, s))
+# kind -> (fields beside kind, p, s and budget, loader(payload, p, s, budget))
 _LOADERS = {"variety": (("n", "equations", "profile"), variety_from_payload),
             "graph": (("vertices", "edges"), graph_from_payload),
             "artin-schreier": (("n", "n_prime", "d", "f"), as_from_payload)}
@@ -180,7 +185,7 @@ def load_instance(path: str, expect_kind: str, budget=None):
     # every enumeration over F_q visits at least q tuples
     check_cost(p, s, budget, "base field")
     try:
-        obj = loader(payload, p, s)
+        obj = loader(payload, p, s, budget)
     except ValueError as exc:     # FieldError and the constructors' checks
         raise SchemaError(str(exc)) from exc
     return obj, digest, budget
@@ -375,7 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("file", help="instance JSON file")
         sp.add_argument("--budget", type=_positive(int), default=None,
                         help="enumeration budget: the most tuples, search "
-                             "nodes or join nodes one enumeration may visit")
+                             "nodes or join nodes one enumeration may visit, "
+                             "term pairs one product of the equation parser "
+                             "may make, and products (deg^2 times Q's bit "
+                             "length) one root count's x^Q mod g may take")
         sp.add_argument("--format", choices=("json", "csv", "table"),
                         default="json")
         for flag, default in flags.items():

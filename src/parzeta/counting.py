@@ -77,9 +77,12 @@ import math
 import sys
 from functools import lru_cache
 from itertools import repeat
+from typing import TYPE_CHECKING
 
 from .fields import Field, _trim, count_roots, field
-from .polys import VarietySpec
+
+if TYPE_CHECKING:  # polys imports the budget from here
+    from .polys import VarietySpec
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -425,7 +428,9 @@ def _count_order(X: VarietySpec):
 def partial_count(X: VarietySpec, k: int,
                   budget: int = DEFAULT_BUDGET) -> int:
     """Exact #X_{d_1,...,d_n}(k), refused by ``partial_count_check``
-    before any subfield is materialised.
+    before any subfield is materialised, and before the field is built
+    when x^Q mod a leaf's gcd would take more products than the budget:
+    deg^2 times Q's bit length, deg > 2 the counted variable's degree.
 
     The used variables are searched in ``_count_order``'s order: the
     last is counted by ``count_roots``, the first takes one value per
@@ -451,9 +456,17 @@ def partial_count(X: VarietySpec, k: int,
         return free
     order = _count_order(X)
     last = order[-1]
+    e_last = X.profile[last] * k
+    # a leaf's gcd has degree up to the counted variable's largest exponent
+    # deg, reduced as the engine reduces it; x^Q mod it, Q = q^e_last, takes
+    # about deg^2 log2(Q) products, and count_roots takes none for deg <= 2
+    deg = max(ex[last] for eq in X.equations for ex in eq.terms)
+    deg = (deg - 1) % (q ** (X.D * k) - 1) + 1
+    cost = deg * deg * (q ** e_last).bit_length()
+    if deg > 2 and cost > budget:
+        raise BudgetExceededError(cost, budget, f"count_roots k={k}")
     amb = field(X.p, X.s, X.D * k)
     domains = [amb.subfield(X.profile[i] * k) for i in order[:-1]]
-    e_last = X.profile[last] * k
 
     # sigma: x -> x^q fixes the coefficients, so the first variable needs
     # one value per sigma-orbit, its root count weighted by the orbit's

@@ -23,7 +23,11 @@ themselves, which x_1 values start a chain, still come from that walk,
 as do the partial count's, over the subfield of its first bound
 variable.  A walk that skips an orbit mostly shows as unequal sides
 (``x1*x2 + 1`` at profile (1, 2)), but not always: on ``x1 + x2`` at
-(2, 3) both sides drop the same representative and still agree.
+(2, 3) both sides drop the same representative and still agree.  So a
+level passes only when each walk it read also has M_q(L) orbits of
+each length L dividing its degree, ``_walk_is_whole``, a count that
+shares no code with the walk.  What stays shared is which member of an
+orbit represents it, which neither count depends on.
 ``lemma_check`` is the one entry: it builds each level's listing, whose
 field every step of the level reads, and reports counts, with
 ``witness_count`` the fixed points of the mismatched entries, at most
@@ -39,6 +43,7 @@ points they check, which the tests expand from ``lemma_check``'s path.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
@@ -137,6 +142,21 @@ def _twisted_fixed_points(X: VarietySpec, k: int, twists, listing):
     return out
 
 
+def _walk_is_whole(amb, e: int) -> bool:
+    """Whether ``amb.frobenius_orbits(e)`` lists, for each L dividing e,
+    M_q(L) orbits of length L and no other: M_q(L) is the number of monic
+    irreducibles of degree L over F_q (Gauss; Lidl and Niederreiter,
+    *Finite Fields*, Thm 3.25), here L M_q(L) = q^L minus the elements of
+    each smaller degree j dividing L."""
+    exact = {}  # L -> the elements of F_{q^e} of degree exactly L over F_q
+    for L in range(1, e + 1):
+        if e % L == 0:
+            exact[L] = amb.q ** L - sum(n for j, n in exact.items()
+                                        if L % j == 0)
+    return Counter(L for _, L in amb.frobenius_orbits(e)) == Counter(
+        {L: n // L for L, n in exact.items()})
+
+
 def morphism_partial_count(X: VarietySpec, k: int, listing) -> int:
     """#{x in X(F_{q^{dk}}) : f_i(x) has coordinates in F_{q^{d_i k}}}.
 
@@ -210,7 +230,7 @@ def lemma_check(X: VarietySpec, k_max: int, morphisms=None,
     d = X.D
     entries = []
     witness_count = 0
-    recon_ok = True
+    recon_ok = walks_ok = True
     for k in range(1, k_max + 1):
         # both checks precede F_{q^{dk}}: the count's here, the listing's
         # inside it; partial_count builds that field too, so it counts
@@ -227,6 +247,14 @@ def lemma_check(X: VarietySpec, k_max: int, morphisms=None,
             lhs = morphism_partial_count(X, k, listing)
         amb = listing[0]
         frob = amb.frob
+        # the walks the level read, the listing's over F_{q^{dk}} and the
+        # partial count's over its first bound variable's F_{q^{d_i k}},
+        # replayed: the field keeps a walk only once it has ended, so one
+        # it does not keep was not read
+        walks_ok = walks_ok and all(
+            _walk_is_whole(amb, e)
+            for e in {amb.N, *(di * k for di in X.profile)}
+            if e in amb._orbit_cache)
         found = _twisted_fixed_points(X, k, twists, listing)
         # reconstruction bijection, checked on the chains; Frobenius carries
         # it to their conjugates.  Every distinct block is a point of X ...
@@ -242,5 +270,5 @@ def lemma_check(X: VarietySpec, k_max: int, morphisms=None,
             recon_ok = recon_ok and all(
                 y[j] == tuple(frob(c, k) for c in y[(j - a) % d])
                 for y, _ in pairs for j in range(d))
-    passed = all(e.equal for e in entries)
+    passed = walks_ok and all(e.equal for e in entries)
     return LemmaReport(d, tuple(entries), passed, recon_ok, witness_count)

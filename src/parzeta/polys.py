@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from itertools import chain
 import math
 
+from .counting import BudgetExceededError, DEFAULT_BUDGET
 from .fields import Field, field
 
 
@@ -111,15 +112,21 @@ class SparsePoly:
                          for e2, c2 in other.terms.items())
 
     def __pow__(self, e: int):
+        return self._power(e, SparsePoly.__mul__)
+
+    def _power(self, e: int, product):
+        """self^e by square and multiply, each product ``product(a, b)``;
+        b is squared only while a bit of e is left."""
         if e < 0:
             raise ValueError("negative polynomial power")
         result = SparsePoly.const_int(self.n, self.base, 1)
         b = self
         while e:
             if e & 1:
-                result = result * b
-            b = b * b
+                result = product(result, b)
             e >>= 1
+            if e:
+                b = product(b, b)
         return result
 
     def is_zero(self):
@@ -254,13 +261,21 @@ class SparsePoly:
 # ---------------------------------------------------------------------------
 
 class _Parser:
-    def __init__(self, text, varnames, base: Field):
+    def __init__(self, text, varnames, base: Field, budget: int):
         self.text = text
         self.pos = 0
         self.varnames = list(varnames)
         self.base = base
         self.n = len(self.varnames)
         self.has_gen = base.m > 1
+        self.budget = budget
+
+    def product(self, a, b):
+        """a * b, refused when its term pairs |a| |b| pass the budget."""
+        pairs = len(a.terms) * len(b.terms)
+        if pairs > self.budget:
+            raise BudgetExceededError(pairs, self.budget, "parse_poly")
+        return a * b
 
     def error(self, msg):
         raise PolyParseError(msg, self.pos)
@@ -304,7 +319,7 @@ class _Parser:
         acc = self.parse_factor()
         while self.peek() == "*":
             self.pos += 1
-            acc = acc * self.parse_factor()
+            acc = self.product(acc, self.parse_factor())
         return acc
 
     def parse_factor(self):
@@ -319,7 +334,7 @@ class _Parser:
                 if self.pos < len(self.text) and self.text[self.pos] == "-":
                     self.error("negative exponent")
                 self.error("expected integer exponent")
-            return atom ** int(self.text[start:self.pos])
+            return atom._power(int(self.text[start:self.pos]), self.product)
         return atom
 
     def parse_atom(self):
@@ -356,8 +371,11 @@ class _Parser:
         self.error(f"unexpected character {ch!r}")
 
 
-def parse_poly(text: str, varnames, base: Field) -> SparsePoly:
-    parser = _Parser(text, varnames, base)
+def parse_poly(text: str, varnames, base: Field,
+               budget: int = DEFAULT_BUDGET) -> SparsePoly:
+    """The polynomial ``text`` in ``varnames`` over ``base``; a product of
+    more than ``budget`` term pairs raises ``BudgetExceededError``."""
+    parser = _Parser(text, varnames, base, budget)
     try:
         return parser.parse()
     except RecursionError:

@@ -676,6 +676,20 @@ def test_cubic_leaves_still_reduce_x_to_the_q(monkeypatch):
     assert len(calls) == 3
 
 
+def test_high_degree_leaf_refused_by_its_x_power_cost(monkeypatch):
+    # x1^9 + x1 + 1 is its own gcd at every leaf: x^16 mod a degree-9 g,
+    # priced deg^2 log2(Q) = 9^2 * 5 before F_16 is built
+    X = V(2, 1, 1, ["x1^9 + x1 + 1"], (4,))
+    want = oracle_count(X, 1)
+    calls = _x_power_calls(monkeypatch)
+    assert partial_count(X, 1, budget=9 * 9 * 5) == want
+    assert len(calls) == 1
+    with pytest.raises(BudgetExceededError) as exc:
+        partial_count(X, 1, budget=9 * 9 * 5 - 1)
+    assert exc.value.cost == 9 * 9 * 5
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # memory: the last variable's subfield is never listed
 # ---------------------------------------------------------------------------

@@ -233,26 +233,61 @@ def test_lemma_check_fails_on_wrong_orbit_lengths(monkeypatch):
         assert rep.witness_count == witnesses
 
 
-def test_lemma_check_fails_on_a_skipped_orbit(monkeypatch):
+@pytest.mark.parametrize("dropped", [1, 2])
+def test_lemma_check_fails_on_a_skipped_orbit(monkeypatch, dropped):
     # both sides take their representatives from the walk, the partial
     # count's over the first bound variable's subfield and the fixed
-    # points' over the whole field; dropping the first orbit of length > 1
-    # must make them differ.  (On x1 + x2 at (2, 3) it does not: both sides
-    # drop the same representative, so the lemma cannot see the skip.)
+    # points' over the whole field; dropping the first orbit of length 1,
+    # or of length > 1, must fail the level.  On x1 + x2 at (2, 3) both
+    # sides drop the same representative and still agree: only the tally
+    # of the walk's orbits by length catches it
     walk = Field.frobenius_orbits
 
     def skipping(self, e):
         pairs = walk(self, e)
         for x, length in pairs:
-            if length > 1:
+            if min(length, 2) == dropped:
                 break
             yield x, length
         yield from pairs
 
     monkeypatch.setattr(Field, "frobenius_orbits", skipping)
     for X in (V(2, 1, 2, ["x1*x2 + 1"], (1, 2)),
-              V(3, 1, 2, ["x2 - x1^2"], (1, 2))):
+              V(3, 1, 2, ["x2 - x1^2"], (1, 2)),
+              V(2, 1, 2, ["x1 + x2"], (2, 3))):
         assert not lemma_check(X, 2).passed
+
+
+def _orbits_of_length(q, L):
+    """M_q(L) = (1/L) sum_(j | L) mu(L/j) q^j, by the Moebius function."""
+    def mu(n):
+        sign, f = 1, 2
+        while n > 1:
+            if n % f == 0:
+                n //= f
+                if n % f == 0:
+                    return 0
+                sign = -sign
+            f += 1
+        return sign
+    return sum(mu(L // j) * q ** j for j in range(1, L + 1) if L % j == 0) // L
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(p, s, e, c) for p in (2, 3) for s in (1, 2)
+                        for e in range(1, 13) for c in (1, 2, 3)
+                        if (p ** s) ** (e * c) <= 2 ** 14]))
+def test_orbit_walk_tallies_to_the_irreducible_count(case):
+    # the walk of F_(q^e) inside F_(q^(ec)), the whole field at c = 1
+    p, s, e, c = case
+    amb = field(p, s, e * c)
+    q = p ** s
+    tally = {}
+    for _, length in amb.frobenius_orbits(e):
+        tally[length] = tally.get(length, 0) + 1
+    assert tally == {L: _orbits_of_length(q, L)
+                     for L in range(1, e + 1) if e % L == 0}
+    assert faltings._walk_is_whole(amb, e)
 
 
 def test_reconstruction_fails_on_a_block_off_x(monkeypatch):

@@ -1,6 +1,9 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parzeta.counting import BudgetExceededError, DEFAULT_BUDGET
 from parzeta.fields import field
 from parzeta.polys import (MorphismSpec, PolyParseError, SparsePoly,
                            VarietySpec, base_field, parse_poly)
@@ -12,8 +15,8 @@ F3 = base_field(3, 1)
 F4 = base_field(2, 2)
 
 
-def P(text, n=2, base=F2):
-    return parse_poly(text, [f"x{i+1}" for i in range(n)], base)
+def P(text, n=2, base=F2, budget=DEFAULT_BUDGET):
+    return parse_poly(text, [f"x{i+1}" for i in range(n)], base, budget)
 
 
 def test_parse_simple():
@@ -26,6 +29,29 @@ def test_parse_collects_coefficients():
     assert P("x1 + x1").is_zero()
     assert P("3*x1", base=F3).is_zero()
     assert P("4*x1", base=F3) == P("x1", base=F3)
+
+
+def test_power_squares_only_while_a_bit_is_left():
+    # over F_3, (1+x1+x2)^(3^j) = 1 + x1^(3^j) + x2^(3^j), and 728 is
+    # 2 (1 + 3 + ... + 3^5): the product of the squares of those six
+    t0 = time.perf_counter()
+    f = P("(1+x1+x2)^728", base=F3)
+    assert time.perf_counter() - t0 < 1.0
+    assert f == P("*".join(f"(1 + x1^{3 ** j} + x2^{3 ** j})^2"
+                           for j in range(6)), base=F3)
+    assert len(f.terms) == 6 ** 6
+
+
+def test_parse_products_refused_past_the_budget():
+    # (1+x1+x2)^512 has 1296 terms over F_3: its square is 1296^2 pairs
+    with pytest.raises(BudgetExceededError) as exc:
+        parse_poly("(1+x1+x2)^2186", ["x1", "x2"], F3, budget=10 ** 6)
+    assert exc.value.cost == 1296 ** 2
+    assert str(exc.value).endswith("(parse_poly)")
+    # a product of exactly the budget's pairs passes
+    assert P("(x1 + x2)*(x1 + 1)", budget=4) == P("x1^2 + x1*x2 + x1 + x2")
+    with pytest.raises(BudgetExceededError):
+        P("(x1 + x2)*(x1 + 1)", budget=3)
 
 
 def test_parse_precedence():
