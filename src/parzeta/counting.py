@@ -462,9 +462,10 @@ def partial_count(X: VarietySpec, k: int,
     # about deg^2 log2(Q) products, and count_roots takes none for deg <= 2
     deg = max(ex[last] for eq in X.equations for ex in eq.terms)
     deg = (deg - 1) % (q ** (X.D * k) - 1) + 1
-    cost = deg * deg * (q ** e_last).bit_length()
-    if deg > 2 and cost > budget:
-        raise BudgetExceededError(cost, budget, f"count_roots k={k}")
+    if deg > 2:
+        cost = deg * deg * (q ** e_last).bit_length()
+        if cost > budget:
+            raise BudgetExceededError(cost, budget, f"count_roots k={k}")
     amb = field(X.p, X.s, X.D * k)
     domains = [amb.subfield(X.profile[i] * k) for i in order[:-1]]
 

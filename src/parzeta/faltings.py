@@ -153,8 +153,8 @@ def _walk_is_whole(amb, e: int) -> bool:
         if e % L == 0:
             exact[L] = amb.q ** L - sum(n for j, n in exact.items()
                                         if L % j == 0)
-    return Counter(L for _, L in amb.frobenius_orbits(e)) == Counter(
-        {L: n // L for L, n in exact.items()})
+    return Counter(L for _, L in amb.frobenius_orbits(e)) == {
+        L: n // L for L, n in exact.items()}
 
 
 def morphism_partial_count(X: VarietySpec, k: int, listing) -> int:

@@ -678,7 +678,7 @@ def test_cubic_leaves_still_reduce_x_to_the_q(monkeypatch):
 
 def test_high_degree_leaf_refused_by_its_x_power_cost(monkeypatch):
     # x1^9 + x1 + 1 is its own gcd at every leaf: x^16 mod a degree-9 g,
-    # priced deg^2 log2(Q) = 9^2 * 5 before F_16 is built
+    # priced deg^2 times Q's bit length, 9^2 * 5, before F_16 is built
     X = V(2, 1, 1, ["x1^9 + x1 + 1"], (4,))
     want = oracle_count(X, 1)
     calls = _x_power_calls(monkeypatch)
