@@ -209,7 +209,9 @@ class LemmaReport:
 
 def lemma_check(X: VarietySpec, k_max: int, morphisms=None,
                 budget: int = DEFAULT_BUDGET) -> LemmaReport:
-    """Compare the partial count with the fixed-point count for all valid a.
+    """Compare the partial count with the fixed-point count for all valid a;
+    ``passed`` also asks each Frobenius walk a level read to pass
+    ``_walk_is_whole``.
 
     ``morphisms`` are the f_i, one per profile entry, each a map from X's
     n variables with coefficients in X's base field, else ``ValueError``;
