@@ -368,8 +368,6 @@ class Field:
     def to_coeffs(self, v: int):
         """The coordinate tuple of a packed int, constant term first."""
         p, m = self.p, self.m
-        if p == 2:
-            return tuple(map(int, format(v, f"0{m}b")))
         out = [0] * m
         for i in range(m - 1, -1, -1):
             v, out[i] = divmod(v, p)
@@ -775,11 +773,9 @@ class Field:
             add, mul = self.add, self.mul
             root = None
             for cand in self.subfield(1):
-                val, xp = 0, one
-                for c in base.modulus:
-                    if c:
-                        val = add(val, mul(c * one, xp))
-                    xp = mul(xp, cand)
+                val = 0
+                for c in reversed(base.modulus):
+                    val = add(mul(val, cand), c * one)
                 if not val:
                     root = cand
                     break

@@ -111,24 +111,6 @@ class SparsePoly:
                          for e1, c1 in self.terms.items()
                          for e2, c2 in other.terms.items())
 
-    def __pow__(self, e: int):
-        return self._power(e, SparsePoly.__mul__)
-
-    def _power(self, e: int, product):
-        """self^e by square and multiply, each product ``product(a, b)``;
-        b is squared only while a bit of e is left."""
-        if e < 0:
-            raise ValueError("negative polynomial power")
-        result = SparsePoly.const_int(self.n, self.base, 1)
-        b = self
-        while e:
-            if e & 1:
-                result = product(result, b)
-            e >>= 1
-            if e:
-                b = product(b, b)
-        return result
-
     def is_zero(self):
         return not self.terms
 
@@ -277,6 +259,18 @@ class _Parser:
             raise BudgetExceededError(pairs, self.budget, "parse_poly")
         return a * b
 
+    def power(self, b, e: int):
+        """b^e by square and multiply; b is squared only while a bit of e
+        is left."""
+        result = SparsePoly.const_int(self.n, self.base, 1)
+        while e:
+            if e & 1:
+                result = self.product(result, b)
+            e >>= 1
+            if e:
+                b = self.product(b, b)
+        return result
+
     def error(self, msg):
         raise PolyParseError(msg, self.pos)
 
@@ -296,24 +290,14 @@ class _Parser:
         return f
 
     def parse_expr(self):
-        ch = self.peek()
-        if ch == "-":
+        if self.peek() == "+":
             self.pos += 1
-            acc = -self.parse_term()
-        else:
-            if ch == "+":
-                self.pos += 1
-            acc = self.parse_term()
-        while True:
-            ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                acc = acc + self.parse_term()
-            elif ch == "-":
-                self.pos += 1
-                acc = acc - self.parse_term()
-            else:
-                return acc
+        acc = self.parse_term()
+        while (ch := self.peek()) in ("+", "-"):
+            self.pos += 1
+            term = self.parse_term()
+            acc = acc + term if ch == "+" else acc - term
+        return acc
 
     def parse_term(self):
         acc = self.parse_factor()
@@ -323,19 +307,28 @@ class _Parser:
         return acc
 
     def parse_factor(self):
-        atom = self.parse_atom()
-        if self.peek() == "^":
+        """A unary minus negates the power that follows it: -x^2 = -(x^2)."""
+        if self.peek() == "-":
             self.pos += 1
-            self.skip_ws()
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if start == self.pos:
-                if self.pos < len(self.text) and self.text[self.pos] == "-":
-                    self.error("negative exponent")
-                self.error("expected integer exponent")
-            return atom._power(int(self.text[start:self.pos]), self.product)
-        return atom
+            return -self.parse_factor()
+        atom = self.parse_atom()
+        if self.peek() != "^":
+            return atom
+        self.pos += 1
+        self.skip_ws()
+        e = self.integer()
+        if e is None:
+            if self.text.startswith("-", self.pos):
+                self.error("negative exponent")
+            self.error("expected integer exponent")
+        return self.power(atom, e)
+
+    def integer(self):
+        """The decimal integer at the position, else None."""
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        return int(self.text[start:self.pos]) if self.pos > start else None
 
     def parse_atom(self):
         ch = self.peek()
@@ -346,14 +339,8 @@ class _Parser:
                 self.error("expected ')'")
             self.pos += 1
             return f
-        if ch == "-":
-            self.pos += 1
-            return -self.parse_atom()
         if ch.isdigit():
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            return SparsePoly.const_int(self.n, self.base, int(self.text[start:self.pos]))
+            return SparsePoly.const_int(self.n, self.base, self.integer())
         if ch.isalpha() or ch == "_":
             start = self.pos
             while self.pos < len(self.text) and (self.text[self.pos].isalnum()

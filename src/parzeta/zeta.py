@@ -25,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .counting import BudgetExceededError, DEFAULT_BUDGET, partial_count
+from .fields import _trim
 from .polys import VarietySpec
 
 
@@ -97,10 +98,8 @@ class RationalFunctionZ:
             raise ValueError("constant terms must be 1")
         # a trailing zero is no degree: (1, 0)/(1, -2) is 1/(1 - 2T)
         for name in ("num", "den"):
-            c = tuple(getattr(self, name))
-            while c[-1] == 0:
-                c = c[:-1]
-            object.__setattr__(self, name, c)
+            c = _trim(list(getattr(self, name)))
+            object.__setattr__(self, name, tuple(c))
 
     def total_degree(self) -> int:
         return (len(self.num) - 1) + (len(self.den) - 1)
@@ -137,14 +136,8 @@ def _euclid(a, b):
     last nonzero r is gcd(a, b) up to a scalar, and the t beside r = [] is
     a scalar multiple of a / gcd(a, b).
     """
-
-    def trim(v):
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
-    r0, t0 = trim(list(a)), []
-    r1, t1 = trim(list(b)), [1]
+    r0, t0 = _trim(list(a)), []
+    r1, t1 = _trim(list(b)), [1]
     yield r1, t1
     while r1:
         n, lead = len(r1) - 1, r1[-1]
@@ -163,14 +156,14 @@ def _euclid(a, b):
             quo[k] = f
             for i, v in enumerate(r1):
                 x[k + i] -= f * v
-        r = trim(x[:n])
+        r = _trim(x[:n])
         t = [s * v for v in t0]
         t += [0] * (len(quo) + len(t1) - 1 - len(t))
         for k, f in enumerate(quo):
             if f:
                 for i, v in enumerate(t1):
                     t[k + i] -= f * v
-        trim(t)
+        _trim(t)
         g = math.gcd(*r, *t)
         if g > 1:
             r = [v // g for v in r]
@@ -353,8 +346,7 @@ def _reciprocal_roots(coeffs):
     if deg == 0:
         return []
     P = [Fraction(c) for c in coeffs]
-    L = math.lcm(*(c.denominator for c in P))
-    a = [c.numerator * (L // c.denominator) for c in P]
+    L, a = _scaled(P)
     g = []
     for r, t in _euclid(a, [i * c for i, c in enumerate(a)][1:]):
         g = r or g

@@ -82,6 +82,11 @@ def _as_inst(p, s, nprime, d=1):
     return ASInstance(p, s, 1, nprime, d, f)
 
 
+def _x1_squared(n, base):
+    x1 = SparsePoly.var(n, base, 0)
+    return x1 * x1
+
+
 def _listing_run(p, s, e, budget):
     # x2 at profile (e, 1) with f_i the coordinates: no partial count is
     # checked, and the listing binds x_1 over all q^e values of F_(q^e)
@@ -126,7 +131,7 @@ BOUNDARY_RUNS = {
         _as_inst(p, s, e - 1), budget=budget)),
     # degree 1 in e + 1 variables: e coordinates after the leading 1
     "singular_search": (1, lambda p, s, e, budget: singular_search(
-        SparsePoly.var(e + 1, base_field(p, s), 0) ** 2, 1, budget=budget)),
+        _x1_squared(e + 1, base_field(p, s)), 1, budget=budget)),
 }
 
 
