@@ -112,6 +112,8 @@ def graph_from_payload(payload: dict, p: int, s: int,
         d = _check_int(v, "d")
         if not isinstance(v["equations"], list):
             raise SchemaError("vertex 'equations' must be a list")
+        # the direct count visits at least q^n tuples
+        check_cost(p ** s, n, budget, "variables")
         names = _var_names(n)
         eqs = tuple(_parse_eq(t, names, base, budget)
                     for t in v["equations"])
@@ -140,6 +142,8 @@ def as_from_payload(payload: dict, p: int, s: int,
     n = _check_int(payload, "n")
     nprime = _check_int(payload, "n_prime")
     d = _check_int(payload, "d")
+    # both counts visit at least q^(n + n') tuples
+    check_cost(p ** s, n + nprime, budget, "variables")
     base = base_field(p, s)
     names = _var_names(n) + _var_names(nprime, prefix="y")
     f = _parse_eq(payload["f"], names, base, budget)
@@ -381,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--budget", type=_positive(int), default=None,
                         help="enumeration budget: the most tuples, search "
                              "nodes or join nodes one enumeration may visit, "
-                             "term pairs one product of the equation parser "
+                             "term pairs the products of one equation's parse "
                              "may make, and products (deg^2 times Q's bit "
                              "length) one root count's x^Q mod g may take")
         sp.add_argument("--format", choices=("json", "csv", "table"),

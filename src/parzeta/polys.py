@@ -251,12 +251,14 @@ class _Parser:
         self.n = len(self.varnames)
         self.has_gen = base.m > 1
         self.budget = budget
+        self.pairs = 0
 
     def product(self, a, b):
-        """a * b, refused when its term pairs |a| |b| pass the budget."""
-        pairs = len(a.terms) * len(b.terms)
-        if pairs > self.budget:
-            raise BudgetExceededError(pairs, self.budget, "parse_poly")
+        """a * b, its term pairs |a| |b| added to the parse's running total,
+        which is refused past the budget."""
+        self.pairs += len(a.terms) * len(b.terms)
+        if self.pairs > self.budget:
+            raise BudgetExceededError(self.pairs, self.budget, "parse_poly")
         return a * b
 
     def power(self, b, e: int):
@@ -360,8 +362,8 @@ class _Parser:
 
 def parse_poly(text: str, varnames, base: Field,
                budget: int = DEFAULT_BUDGET) -> SparsePoly:
-    """The polynomial ``text`` in ``varnames`` over ``base``; a product of
-    more than ``budget`` term pairs raises ``BudgetExceededError``."""
+    """The polynomial ``text`` in ``varnames`` over ``base``; products of
+    more than ``budget`` term pairs in all raise ``BudgetExceededError``."""
     parser = _Parser(text, varnames, base, budget)
     try:
         return parser.parse()

@@ -310,9 +310,10 @@ def test_huge_exponents_are_reduced_to_the_field(tmp_path, capsys, equations,
     (2, "x1^100000 + 1", [20], 10 ** 8,
      "enumeration cost 210000000000 exceeds budget 100000000 "
      "(count_roots k=1)"),
-    # the square of (1+x1+x2)^512, 1296 terms over F_3: 1296^2 pairs
+    # the square of (1+x1+x2)^512, 1296 terms over F_3: 1296^2 pairs after
+    # the 124,845 of the products before it
     (3, "(1+x1+x2)^2186", [1, 1], 10 ** 6,
-     "enumeration cost 1679616 exceeds budget 1000000 (parse_poly)"),
+     "enumeration cost 1804461 exceeds budget 1000000 (parse_poly)"),
 ])
 def test_leaf_degree_and_parse_refused_before_their_work(
         tmp_path, capsys, p, equation, profile, budget, refusal):
@@ -326,6 +327,36 @@ def test_leaf_degree_and_parse_refused_before_their_work(
     assert time.perf_counter() - t0 < 1.0
     assert code == 3 and out == ""
     assert err == f"budget exceeded: {refusal}\n"
+
+
+@pytest.mark.parametrize("equation", ["x1^2 + -x2^2", "x1^2 - x2^2"])
+def test_unary_minus_after_plus_counts_as_minus(tmp_path, capsys, equation):
+    f = tmp_path / "inst.json"
+    f.write_text(json.dumps({"kind": "variety", "p": 3, "s": 1, "n": 2,
+                             "equations": [equation], "profile": [1, 1]}))
+    code, rep = run_json(capsys, "count", str(f), "-k", "3")
+    assert code == 0 and rep["outputs"]["counts"] == [5, 17, 53]
+
+
+def _graph_with_n(n):
+    return {"kind": "graph", "p": 2, "s": 1, "edges": [],
+            "vertices": [{"name": "u", "n": n, "d": 1, "equations": []}]}
+
+
+@pytest.mark.parametrize("sub, inst, e", [
+    ("as", {**_as_with_d(1), "n": 2 * 10 ** 6}, 2 * 10 ** 6 + 1),
+    ("graph", _graph_with_n(2 * 10 ** 6), 2 * 10 ** 6),
+], ids=["as", "graph"])
+def test_huge_variable_count_refused_before_its_names(tmp_path, capsys, sub,
+                                                      inst, e):
+    f = tmp_path / "inst.json"
+    f.write_text(json.dumps(inst))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, sub, str(f))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and out == ""
+    assert err == (f"budget exceeded: enumeration cost 2^{e} exceeds budget "
+                   f"100000000 (variables)\n")
 
 
 def test_as_zero_fibred_form_is_singular(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import pytest
@@ -43,15 +44,25 @@ def test_power_squares_only_while_a_bit_is_left():
 
 
 def test_parse_products_refused_past_the_budget():
-    # (1+x1+x2)^512 has 1296 terms over F_3: its square is 1296^2 pairs
+    # (1+x1+x2)^512 has 1296 terms over F_3: its square, 1296^2 pairs,
+    # passes the budget after the 124,845 pairs of the products before it
     with pytest.raises(BudgetExceededError) as exc:
         parse_poly("(1+x1+x2)^2186", ["x1", "x2"], F3, budget=10 ** 6)
-    assert exc.value.cost == 1296 ** 2
+    assert exc.value.cost == 124845 + 1296 ** 2
     assert str(exc.value).endswith("(parse_poly)")
     # a product of exactly the budget's pairs passes
     assert P("(x1 + x2)*(x1 + 1)", budget=4) == P("x1^2 + x1*x2 + x1 + x2")
     with pytest.raises(BudgetExceededError):
         P("(x1 + x2)*(x1 + 1)", budget=3)
+
+
+def test_parse_budget_counts_the_whole_parse():
+    # 2*2 pairs, then 3*2: each product is under 9 pairs, the parse is not
+    text = "(x1+1)*(x1+1)*(x1+1)"
+    assert P(text, n=1, base=F3, budget=10) == P("x1^3 + 1", n=1, base=F3)
+    with pytest.raises(BudgetExceededError) as exc:
+        P(text, n=1, base=F3, budget=9)
+    assert exc.value.cost == 10
 
 
 def test_parse_precedence():
@@ -64,6 +75,74 @@ def test_parse_parens_and_unary_minus():
     f = parse_poly("-(x1 - x2)^2", ["x1", "x2"], F3)
     g = parse_poly("2*x1^2 + 2*x2^2 + 2*x1*x2", ["x1", "x2"], F3)
     assert f == g
+
+
+@pytest.mark.parametrize("text, want", [
+    ("0 + -x1^2", "2*x1^2"),
+    ("x2*-x1^2", "2*x1^2*x2"),
+    ("--x1^2", "x1^2"),
+    ("-x1^2", "2*x1^2"),
+    ("x1^2 + -x2^2", "x1^2 - x2^2"),
+])
+def test_unary_minus_negates_the_power_after_it(text, want):
+    assert P(text, base=F3) == P(want, base=F3)
+
+
+# an expression tree: ("var", i), ("const", c), ("neg", t), ("pow", t, e),
+# or (op, a, b) for op in "+", "-", "*"; printed with the fewest
+# parentheses that conventional precedence allows: ^, then unary -, then *,
+# then + and -, all left-associative
+LEVEL = {"+": 1, "-": 1, "*": 2, "neg": 3, "pow": 4, "var": 5, "const": 5}
+
+
+def show(t, least=1):
+    kind = t[0]
+    if kind == "var":
+        text = f"x{t[1] + 1}"
+    elif kind == "const":
+        text = str(t[1])
+    elif kind == "neg":
+        text = "-" + show(t[1], LEVEL["neg"])
+    elif kind == "pow":
+        text = f"{show(t[1], LEVEL['var'])}^{t[2]}"
+    else:
+        sep = "*" if kind == "*" else f" {kind} "
+        text = show(t[1], LEVEL[kind]) + sep + show(t[2], LEVEL[kind] + 1)
+    return text if LEVEL[kind] >= least else f"({text})"
+
+
+def value(t, point, p):
+    """The tree at ``point`` on plain ints mod p."""
+    kind = t[0]
+    if kind == "var":
+        return point[t[1]]
+    if kind == "const":
+        return t[1] % p
+    if kind == "neg":
+        return -value(t[1], point, p) % p
+    if kind == "pow":
+        return pow(value(t[1], point, p), t[2], p)
+    a, b = value(t[1], point, p), value(t[2], point, p)
+    return (a + b if kind == "+" else a - b if kind == "-" else a * b) % p
+
+
+trees = st.recursive(
+    st.one_of(st.tuples(st.just("var"), st.integers(0, 1)),
+              st.tuples(st.just("const"), st.integers(0, 7))),
+    lambda sub: st.one_of(
+        st.tuples(st.just("neg"), sub),
+        st.tuples(st.just("pow"), sub, st.integers(0, 3)),
+        st.tuples(st.sampled_from("+-*"), sub, sub)),
+    max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([3, 5]), trees)
+def test_parse_follows_conventional_precedence(p, tree):
+    base = base_field(p, 1)
+    f = P(show(tree), base=base)
+    for point in itertools.product(range(p), repeat=2):
+        assert f.evaluate(point, base) == value(tree, point, p), show(tree)
 
 
 def test_parse_generator():
