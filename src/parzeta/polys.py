@@ -326,11 +326,17 @@ class _Parser:
         return self.power(atom, e)
 
     def integer(self):
-        """The decimal integer at the position, else None."""
+        """The decimal integer (ASCII digits) at the position, else None."""
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
-        return int(self.text[start:self.pos]) if self.pos > start else None
+        if self.pos == start:
+            return None
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # more digits than Python's int-string limit
+            self.pos = start
+            self.error("integer literal too long")
 
     def parse_atom(self):
         ch = self.peek()
@@ -341,7 +347,7 @@ class _Parser:
                 self.error("expected ')'")
             self.pos += 1
             return f
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             return SparsePoly.const_int(self.n, self.base, self.integer())
         if ch.isalpha() or ch == "_":
             start = self.pos

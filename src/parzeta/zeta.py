@@ -1,25 +1,27 @@
 """Zeta series, rational reconstruction, and Weil weight checks.
 
-The series exp(sum N_k T^k / k) comes from the logarithmic-derivative
-recurrence run on the integers y_k = k! z_k.  All exact polynomial
-algebra is one extended Euclid over the integers, `_euclid`.  Run on
-T^(N+1) and the series scaled by the lcm of its denominators, it gives
-the Pade candidate of degrees (dn, dd), N = dn + dd, already in lowest
-terms; a candidate is accepted only when it reproduces held-out series
-coefficients.  `reconstruct_counts` is the one deepening over the number
-B of counts: per B it scales the series once and runs one Euclid, whose
-rows serve every split (dn, dd) of N = B - holdout.  `pade_reconstruct`
-is the one-split entry point; both take their candidate from the same
-row check.  Run on P and P', `_euclid` gives gcd(P, P') and the
-squarefree part for the weight report.  No floating point enters the
-certification path; floats appear only in the numerical weight report.
+The series exp(sum N_k T^k / k) comes from the recurrence
+k z_k = sum_j N_j z_{k-j}; its terms are ints where integral.  All exact
+polynomial algebra is one extended Euclid over the integers, `_euclid`.
+Run on T^(N+1) and z_0..z_N scaled by the lcm of their denominators, it
+gives the Pade candidate of degrees (dn, dd), N = dn + dd, already in
+lowest terms.  A series keeps one table per N: the scaled terms, the
+Euclid rows, and each row's verdict, judged when a split first asks for
+it, so every split (dn, dd) of N after the first is a lookup.
+`pade_reconstruct` is the one candidate path; `reconstruct_counts`, the
+deepening over the number B of counts, builds one series per B and
+accepts a candidate only when it reproduces the held-out coefficients.
+Run on P and P', `_euclid` gives gcd(P, P') and the squarefree part for
+the weight report.  No floating point enters the certification path;
+floats appear only in the numerical weight report.
 """
 
 from __future__ import annotations
 
-import functools
+import bisect
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -60,29 +62,23 @@ class RootFindingError(RuntimeError):
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    coeffs: tuple  # Fractions z_0 .. z_B
+    coeffs: tuple  # z_0 .. z_B: ints where integral, else Fractions
+    # N -> the Pade table of z_0..z_N (`pade_reconstruct`), not compared
+    _pade: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
 
 def series_from_counts(counts) -> TruncatedSeries:
-    """exp(sum N_k T^k / k) truncated at the number of counts.
-
-    k z_k = sum_j N_j z_{k-j}, so y_k = k! z_k is the integer
-    sum_j N_j y_{k-j} (k-1)!/(k-j)!; only z_k = y_k / k! is a Fraction.
-    """
+    """exp(sum N_k T^k / k) truncated at the number of counts, by
+    k z_k = sum_j N_j z_{k-j}: z_k is an int where k divides the sum,
+    else a Fraction."""
     counts = list(counts)
     if not counts:
         raise ValueError("empty count table")
-    y = [1]
-    z = [Fraction(1)]
-    fact = 1
+    z = [1]
     for k in range(1, len(counts) + 1):
-        acc, falling = 0, 1  # falling = (k-1)!/(k-j)!
-        for j in range(1, k + 1):
-            acc += counts[j - 1] * falling * y[k - j]
-            falling *= k - j
-        y.append(acc)
-        fact *= k
-        z.append(Fraction(acc, fact))
+        acc = sum(map(operator.mul, counts, reversed(z)))
+        z.append(acc // k if acc % k == 0 else Fraction(acc, k))
     return TruncatedSeries(tuple(z))
 
 
@@ -106,13 +102,11 @@ class RationalFunctionZ:
 
     def expand(self, B: int):
         """Series coefficients z_0..z_B of P/Q (integers since Q(0)=1)."""
-        num, den = self.num, self.den
+        num, tail = self.num, self.den[1:]
         z = []
         for k in range(B + 1):
-            v = num[k] if k < len(num) else 0
-            for j in range(1, min(k, len(den) - 1) + 1):
-                v -= den[j] * z[k - j]
-            z.append(v)
+            z.append((num[k] if k < len(num) else 0)
+                     - sum(map(operator.mul, tail, reversed(z))))
         return z
 
     def to_json_dict(self):
@@ -172,59 +166,65 @@ def _euclid(a, b):
         yield r1, t1
 
 
-@functools.lru_cache(maxsize=1)
-def _pade_rows(y: tuple) -> tuple:
-    """Every `_euclid` row of (T^(N+1), y), N + 1 = len(y), as tuples,
-    so that the cached rows cannot be mutated.  One entry serves a caller
-    that tries one series' splits back to back through `pade_reconstruct`,
-    as the benchmark's own copy of the deepening does."""
-    return tuple((tuple(r), tuple(t))
-                 for r, t in _euclid([0] * len(y) + [1], y))
-
-
 def _scaled(z):
-    """(L, L z), L the lcm of the denominators of the Fractions z: P = Q z
-    mod T^(N+1) is homogeneous in z, so L z has the same solutions."""
+    """(L, L z), L the lcm of the denominators of z: P = Q z mod T^(N+1)
+    is homogeneous in z, so L z has the same solutions."""
     L = math.lcm(*(v.denominator for v in z))
     return L, [v.numerator * (L // v.denominator) for v in z]
 
 
-def _candidate(rows, dn: int, dd: int) -> RationalFunctionZ:
-    """The degree (dn, dd) candidate, with unit constant terms, from the
-    Euclid rows of one series y, else the ReconstructionError ruling it out:
-    the first row with deg r <= dn has deg t <= dd, and every solution
-    (r', t') of r' = t' y mod T^(N+1), deg r' <= dn, deg t' <= dd is
-    alpha (r, t) for a polynomial alpha; so when t(0) = 0, no solution
-    has Q(0) != 0.  gcd(r, t) divides T^(N+1): lowest terms already.
+def _judge(L, y, num, den):
+    """The candidate with unit constant terms from the Euclid row
+    (num, den) of y, else (error class, message) ruling it out, the
+    message with {} for the asking degrees.  For dn + dd = N, the first
+    row with deg r <= dn has deg t <= dd, and every solution (r', t') of
+    r' = t' y mod T^(N+1), deg r' <= dn, deg t' <= dd is alpha (r, t) for
+    a polynomial alpha; so when t(0) = 0, no solution has Q(0) != 0.
+    gcd(r, t) divides T^(N+1): lowest terms already.
     """
-    num, den = next((r, t) for r, t in rows if len(r) <= dn + 1)
     if den[0] == 0:
-        raise NoSolutionError(f"no degree ({dn},{dd}) match")
+        return NoSolutionError, "no degree ({},{}) match"
     if not num or num[0] == 0:
-        raise NoSolutionError("degenerate candidate with vanishing constant term")
+        return NoSolutionError, "degenerate candidate with vanishing constant term"
     n0, d0 = num[0], den[0]
     if any(v % n0 for v in num) or any(v % d0 for v in den):
-        raise NonIntegerError(
-            f"degree ({dn},{dd}) candidate has non-integer coefficients")
-    return RationalFunctionZ(tuple(v // n0 for v in num),
-                             tuple(v // d0 for v in den))
+        return (NonIntegerError,
+                "degree ({},{}) candidate has non-integer coefficients")
+    R = RationalFunctionZ(tuple(v // n0 for v in num),
+                          tuple(v // d0 for v in den))
+    # guard: the normalised candidate must still match through order N;
+    # it rejects a series whose z_0 is not 1
+    if [v * L for v in R.expand(len(y) - 1)] != y:
+        return NoSolutionError, "degree ({},{}) system is inconsistent"
+    return R
 
 
 def pade_reconstruct(S: TruncatedSeries, dn: int, dd: int) -> RationalFunctionZ:
     """P/Q with deg P <= dn, deg Q <= dd matching S through order dn + dd.
 
     The match is exact; the result is returned in lowest terms with
-    integer coefficients and unit constant terms.
+    integer coefficients and unit constant terms.  S keeps a table per
+    N = dn + dd, made on first use: L and y = L z_0..L z_N (`_scaled`),
+    the `_euclid` rows of (T^(N+1), y), minus their lengths (increasing,
+    for bisect), and each row's verdict, None until a split asks for it.
     """
-    if dn + dd + 1 > len(S.coeffs):
+    N = dn + dd
+    if N + 1 > len(S.coeffs):
         raise ValueError("series too short for requested degrees")
-    L, y = _scaled(S.coeffs[:dn + dd + 1])
-    R = _candidate(_pade_rows(tuple(y)), dn, dd)
-    # guard: the normalised candidate must still match through order
-    # dn + dd; it rejects a series whose z_0 is not 1
-    if [v * L for v in R.expand(dn + dd)] != y:
-        raise NoSolutionError(f"degree ({dn},{dd}) system is inconsistent")
-    return R
+    table = S._pade.get(N)
+    if table is None:
+        L, y = _scaled(S.coeffs[:N + 1])
+        rows = list(_euclid([0] * (N + 1) + [1], y))
+        table = S._pade[N] = (L, y, rows, [-len(r) for r, _ in rows],
+                              [None] * len(rows))
+    L, y, rows, sizes, verdicts = table
+    i = bisect.bisect_left(sizes, -dn - 1)  # the first row with deg r <= dn
+    v = verdicts[i]
+    if v is None:
+        v = verdicts[i] = _judge(L, y, *rows[i])
+    if isinstance(v, tuple):
+        raise v[0](v[1].format(dn, dd))
+    return v
 
 
 @dataclass
@@ -256,14 +256,13 @@ def reconstruct_counts(count_at, max_k: int,
         total = B - holdout
         if total < 0:
             continue
-        L, y = _scaled(series_from_counts(counts).coeffs)
-        rows = _pade_rows(tuple(y[:total + 1]))
+        S = series_from_counts(counts)
         for dn, dd in _split_order(total):
             try:
-                R = _candidate(rows, dn, dd)
+                R = pade_reconstruct(S, dn, dd)
             except ReconstructionError:
                 continue
-            if [v * L for v in R.expand(B)] == y:
+            if tuple(R.expand(B)) == S.coeffs:
                 return ReconstructionResult(R, B, tuple(counts))
     return None
 
@@ -345,13 +344,12 @@ def _reciprocal_roots(coeffs):
     deg = len(coeffs) - 1
     if deg == 0:
         return []
-    P = [Fraction(c) for c in coeffs]
-    L, a = _scaled(P)
+    L, a = _scaled(coeffs)
     g = []
     for r, t in _euclid(a, [i * c for i, c in enumerate(a)][1:]):
         g = r or g
     if len(g) < 2:
-        return _simple_roots(P)
+        return _simple_roots(coeffs)
     # t is a scalar multiple of P / gcd; scale it to P's leading coefficient
     lead = Fraction(next(c for c in reversed(a) if c), L * t[-1])
     sf = [v * lead for v in t]

@@ -142,6 +142,19 @@ def test_bad_polynomial_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("equation", ["x1^\u00b2", "x1^" + "9" * 5000],
+                         ids=["superscript", "5000-digit"])
+def test_non_ascii_or_overlong_exponent_is_a_bad_polynomial(tmp_path, capsys,
+                                                            equation):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"kind": "variety", "p": 2, "s": 1, "n": 1,
+                               "equations": [equation], "profile": [1]}))
+    code, out, err = run(capsys, "count", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("schema error: bad polynomial ")
+    assert "(at position 3)" in err
+
+
 @pytest.mark.parametrize("equations", [5, None, "1"])
 def test_vertex_equations_not_a_list_exit_2(tmp_path, capsys, equations):
     inst = json.loads((CORPUS / "g_selfloop_square.json").read_text())

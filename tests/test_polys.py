@@ -163,6 +163,22 @@ def test_parse_error_position():
     assert exc.value.position == 5
 
 
+@pytest.mark.parametrize("text, position, message", [
+    ("x1^\u00b2", 3, "expected integer exponent"),
+    ("\u00b2", 0, "unexpected character"),
+    ("x1^" + "9" * 5000, 3, "integer literal too long"),
+    ("x1 + " + "7" * 5000, 5, "integer literal too long"),
+], ids=["superscript-exponent", "superscript-literal", "long-exponent",
+        "long-literal"])
+def test_only_ascii_digits_of_bounded_length_are_integers(text, position,
+                                                          message):
+    # str.isdigit() accepts a superscript two, which int() then refuses,
+    # and int() refuses a digit run past Python's int-string limit
+    with pytest.raises(PolyParseError, match=message) as exc:
+        P(text)
+    assert exc.value.position == position
+
+
 @pytest.mark.parametrize("text", ["(" * 3000 + "x1" + ")" * 3000,
                                   "-" * 3000 + "x1"],
                          ids=["parentheses", "unary-minus"])

@@ -13,7 +13,7 @@ from parzeta.zeta import (AutoReconstructError, NoSolutionError,
                           sweep_rows_to_csv, weil_weight_check)
 from parzeta import zeta
 from parzeta.zeta import (NonIntegerError, ReconstructionError, RootFindingError,
-                          _euclid, _pade_rows, _reciprocal_roots, _simple_roots,
+                          _euclid, _reciprocal_roots, _simple_roots,
                           _split_order)
 
 # the Mersenne prime 2^61 - 1: pinned inputs built on it agree mod p but
@@ -610,7 +610,8 @@ def test_weight_check_rejects_tolerance_not_positive_finite(tol):
 
 
 # ---------------------------------------------------------------------------
-# one Euclid per series: the memoised rows against a fresh Euclid per split
+# one Pade table per series: the tabled verdicts against a fresh Euclid
+# per split
 # ---------------------------------------------------------------------------
 
 def pade_fresh_euclid(S: TruncatedSeries, dn: int, dd: int) -> RationalFunctionZ:
@@ -674,9 +675,8 @@ def _splits(counts):
 @settings(max_examples=60, deadline=None)
 @given(count_lists(), count_lists())
 def test_pade_shared_rows_match_fresh_euclid(counts_a, counts_b):
-    # A, B, A at every split: B evicts A's rows and A refills them, and
-    # A's next split then hits
-    info = _pade_rows.cache_info()
+    # A, B, A at every split: each series answers from its own table, and
+    # A's second ask reads the verdict its first one judged
     splits_b = list(_splits(counts_b))
     for i, case_a in enumerate(_splits(counts_a)):
         case_b = splits_b[i % len(splits_b)]
@@ -686,22 +686,88 @@ def test_pade_shared_rows_match_fresh_euclid(counts_a, counts_b):
             if isinstance(got[0], type):
                 with pytest.raises(got[0]):
                     pade_reconstruct(S, dn, dd)
-    after = _pade_rows.cache_info()
-    assert after.maxsize == 1 and after.currsize == 1
-    if counts_a[0] != counts_b[0]:
-        # the first split's y differ, so B evicted A there
-        assert after.misses >= info.misses + 2
 
 
-def test_pade_rows_are_immutable_and_shared():
+def test_pade_table_runs_one_euclid_per_order(monkeypatch):
+    runs = []
+
+    def spy(a, b):
+        runs.append(len(a) - 2)  # a = T^(N+1)
+        return _euclid(a, b)
+
+    monkeypatch.setattr(zeta, "_euclid", spy)
     R = RationalFunctionZ((1, -2), (1, -3, 4))
     S = series_from_counts(counts_of(R, 8))
-    y = tuple(v.numerator for v in S.coeffs[:6])
-    rows = _pade_rows(y)
-    assert rows is _pade_rows(y)
-    assert all(isinstance(r, tuple) and isinstance(t, tuple) for r, t in rows)
-    assert [(list(r), list(t)) for r, t in rows] == \
-        list(_euclid([0] * 6 + [1], list(y)))
+    for _ in range(2):
+        for N in range(9):
+            for dn in range(N + 1):
+                assert _outcome(pade_reconstruct, S, dn, N - dn) == \
+                    _outcome(pade_fresh_euclid, S, dn, N - dn)
+    assert runs == list(range(9))
+    # a row is judged only when a split asks for it
+    T = series_from_counts(counts_of(R, 8))
+    assert pade_reconstruct(T, 1, 2) == R
+    assert runs == list(range(9)) + [3]
+    verdicts = T._pade[3][-1]
+    assert sum(v is not None for v in verdicts) == 1 < len(verdicts)
+    # the library's deepening: one Euclid per B, N = B - holdout
+    del runs[:]
+    res = reconstruct_counts(_recording(counts_of(R, 12))[0], 12)
+    assert res.function == R and runs == list(range(res.B_used - 2))
+
+
+def test_series_equality_ignores_the_pade_table():
+    S, T = series_from_counts([1, 3, 4, 9]), series_from_counts([1, 3, 4, 9])
+    pade_reconstruct(S, 1, 2)
+    assert S._pade and not T._pade
+    assert S == T and hash(S) == hash(T) and repr(S) == repr(T)
+    F = TruncatedSeries(tuple(Fraction(v) for v in S.coeffs))
+    assert F == S and hash(F) == hash(S)
+    assert len({S, T, F}) == 1
+    assert S != series_from_counts([1, 3, 4, 8])
+
+
+def _expand_double_loop(R, B):
+    """RationalFunctionZ.expand as a loop over j for every k."""
+    num, den = R.num, R.den
+    z = []
+    for k in range(B + 1):
+        v = num[k] if k < len(num) else 0
+        for j in range(1, min(k, len(den) - 1) + 1):
+            v -= den[j] * z[k - j]
+        z.append(v)
+    return z
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-9, 9) | st.sampled_from([2**70, -3**45]),
+                max_size=6),
+       st.lists(st.integers(-9, 9) | st.sampled_from([2**70, -3**45]),
+                max_size=6),
+       st.integers(0, 14))
+def test_expand_matches_double_loop(num_tail, den_tail, B):
+    R = RationalFunctionZ((1, *num_tail), (1, *den_tail))
+    got = R.expand(B)
+    assert got == _expand_double_loop(R, B)
+    assert all(type(v) is int for v in got)
+
+
+def test_series_terms_are_ints_where_k_divides_the_sum():
+    # exp(T), N = (1, 0, 0, 0): 2 z_2 = N_1 z_1 + N_2 z_0 = 1, so
+    # z_2 = 1/2; then 3 z_3 = z_2 = 1/2 and 4 z_4 = z_3 = 1/6
+    assert series_from_counts([1, 0, 0, 0]).coeffs == \
+        (1, 1, Fraction(1, 2), Fraction(1, 6), Fraction(1, 24))
+    # 1/(1 - T)(1 - 2T): every sum is divisible by its k
+    S = series_from_counts(counts_of(RationalFunctionZ((1,), (1, -3, 2)), 6))
+    assert S.coeffs == (1, 3, 7, 15, 31, 63, 127)
+    for counts in ([1, 3, 4], [2, 4, 8, 16], [1, 0], [3, 1, 7, 2, 5],
+                   [-6, 40, 12, 0, 1, 7]):
+        z = series_from_counts(counts).coeffs
+        assert type(z[0]) is int
+        for k in range(1, len(z)):
+            acc = sum(counts[j - 1] * z[k - j] for j in range(1, k + 1))
+            assert z[k] == Fraction(acc, k)
+            assert type(z[k]) is (int if acc % k == 0 else Fraction)
 
 
 # ---------------------------------------------------------------------------
