@@ -2,18 +2,24 @@
 
 The series exp(sum N_k T^k / k) comes from the recurrence
 k z_k = sum_j N_j z_{k-j}; its terms are ints where integral.  All exact
-polynomial algebra is one extended Euclid over the integers, `_euclid`.
-Run on T^(N+1) and z_0..z_N scaled by the lcm of their denominators, it
-gives the Pade candidate of degrees (dn, dd), N = dn + dd, already in
-lowest terms.  A series keeps one table per N: the scaled terms, the
-Euclid rows, and each row's verdict, judged when a split first asks for
-it, so every split (dn, dd) of N after the first is a lookup.
-`pade_reconstruct` is the one candidate path; `reconstruct_counts`, the
-deepening over the number B of counts, builds one series per B and
-accepts a candidate only when it reproduces the held-out coefficients.
-Run on P and P', `_euclid` gives gcd(P, P') and the squarefree part for
-the weight report.  No floating point enters the certification path;
-floats appear only in the numerical weight report.
+polynomial algebra is one extended Euclid over the integers, `_euclid`,
+whose rows come one at a time from `_euclid_step`: a step where the
+degree drops by one, every step of a normal Pade table, is one pass of
+pseudo-division by lc^2; longer drops run the general loop.  Run on
+T^(N+1) and z_0..z_N scaled by the lcm L of their denominators, it gives
+the Pade candidate of degrees (dn, dd), N = dn + dd, already in lowest
+terms.  A series keeps one table per N: L, the scaled z_0, the Euclid
+rows built so far and the verdicts judged so far.  A split extends the
+rows only until its row exists, the first with deg r <= dn, and judges
+that row once; a later split on a built row is a lookup.  The judge's
+last guard, that the candidate matches the series through order N, is
+z_0 = 1: every row has r = t y mod T^(N+1), so the candidate's expansion
+is y / y_0.  `pade_reconstruct` is the one candidate path;
+`reconstruct_counts`, the deepening over the number B of counts, builds
+one series per B and accepts a candidate only when it reproduces the
+held-out coefficients.  Run on P and P', `_euclid` gives gcd(P, P') and
+the squarefree part for the weight report.  No floating point enters the
+certification path; floats appear only in the numerical weight report.
 """
 
 from __future__ import annotations
@@ -118,23 +124,27 @@ class RationalFunctionZ:
 # exact polynomial algebra over Z
 # ---------------------------------------------------------------------------
 
-def _euclid(a, b):
-    """Extended Euclid on integer polynomials a, b (constant term first).
+def _euclid_step(r0, t0, r1, t1):
+    """The Euclid row after (r0, t0) and (r1, t1), r1 nonzero.
 
-    Yields rows (r, t), trailing zeros trimmed, with r - t*b a multiple of
-    a over Q: from (b, 1) down to the first r = [].  Each step is one
-    pseudo-division s*r_prev = quo*r + rem, with s a product of powers of
-    lc(r) taken only where a quotient term would not be an integer; the
-    new row is s*(r_prev, t_prev) - quo*(r, t), divided by the content of
-    the pair when that exceeds 1.  The degrees of r strictly decrease, the
-    last nonzero r is gcd(a, b) up to a scalar, and the t beside r = [] is
-    a scalar multiple of a / gcd(a, b).
+    With delta = deg r0 - deg r1, the new r is the pseudo-remainder
+    lc(r1)^(delta+1) r0 - quo r1 (no scaling when delta < 0) and the new
+    t is lc(r1)^(delta+1) t0 - quo t1, both divided by the positive
+    content of the pair.  A drop of one, every step of a normal Pade
+    table, is one pass: lc^2 r0 = (f1 T + f0) r1 + r.  Longer drops run
+    the general loop, which scales by lc only where a quotient term would
+    not be an integer, then takes the sign of lc^(delta+1).
     """
-    r0, t0 = _trim(list(a)), []
-    r1, t1 = _trim(list(b)), [1]
-    yield r1, t1
-    while r1:
-        n, lead = len(r1) - 1, r1[-1]
+    n, lead = len(r1) - 1, r1[-1]
+    if len(r0) == n + 2:
+        sq, shifted = lead * lead, [0, *r1]
+        f1 = lead * r0[-1]
+        f0 = lead * r0[-2] - r0[-1] * shifted[n]
+        r = [sq * a - f1 * s - f0 * b for a, s, b in zip(r0[:n], shifted, r1)]
+        m = max(len(t0), len(t1) + 1)
+        t0, t1 = t0 + [0] * (m - len(t0)), t1 + [0] * (m - len(t1))
+        t = [sq * a - f1 * s - f0 * b for a, s, b in zip(t0, [0, *t1], t1)]
+    else:
         x, s = list(r0), 1
         quo = [0] * max(len(x) - n, 0)
         for k in reversed(range(len(quo))):
@@ -150,19 +160,43 @@ def _euclid(a, b):
             quo[k] = f
             for i, v in enumerate(r1):
                 x[k + i] -= f * v
-        r = _trim(x[:n])
+        r = x[:n]
         t = [s * v for v in t0]
         t += [0] * (len(quo) + len(t1) - 1 - len(t))
         for k, f in enumerate(quo):
             if f:
                 for i, v in enumerate(t1):
                     t[k + i] -= f * v
-        _trim(t)
-        g = math.gcd(*r, *t)
-        if g > 1:
-            r = [v // g for v in r]
-            t = [v // g for v in t]
-        r0, t0, r1, t1 = r1, t1, r, t
+        # s = lc^e, e <= delta + 1, so (r, t) is lc^(e - delta - 1) times
+        # the pseudo-remainder pair: give it that pair's sign
+        if (s < 0) != (lead < 0 and len(quo) % 2 == 1):
+            r, t = [-v for v in r], [-v for v in t]
+    _trim(r)
+    _trim(t)
+    g = math.gcd(*r, *t)
+    if g > 1:
+        r = [v // g for v in r]
+        t = [v // g for v in t]
+    return r, t
+
+
+def _euclid(a, b):
+    """Extended Euclid on integer polynomials a, b (constant term first).
+
+    Yields rows (r, t), trailing zeros trimmed, with r - t*b a multiple of
+    a over Q: from (b, 1) down to the first r = [], each row made from
+    the two before it by `_euclid_step`, the one before (b, 1) being
+    (a, 0).  Sign rule: each row after (b, 1) is the pseudo-remainder
+    pair, scaled by lc^(delta+1), divided by its positive content, so a
+    row is the primitive pair of its degree with that sign.  The degrees
+    of r strictly decrease, the last nonzero r is gcd(a, b) up to a
+    scalar, and the t beside r = [] is a scalar multiple of a / gcd(a, b).
+    """
+    r0, t0 = _trim(list(a)), []
+    r1, t1 = _trim(list(b)), [1]
+    yield r1, t1
+    while r1:
+        r0, t0, (r1, t1) = r1, t1, _euclid_step(r0, t0, r1, t1)
         yield r1, t1
 
 
@@ -173,14 +207,14 @@ def _scaled(z):
     return L, [v.numerator * (L // v.denominator) for v in z]
 
 
-def _judge(L, y, num, den):
+def _judge(L, y0, num, den):
     """The candidate with unit constant terms from the Euclid row
-    (num, den) of y, else (error class, message) ruling it out, the
-    message with {} for the asking degrees.  For dn + dd = N, the first
-    row with deg r <= dn has deg t <= dd, and every solution (r', t') of
-    r' = t' y mod T^(N+1), deg r' <= dn, deg t' <= dd is alpha (r, t) for
-    a polynomial alpha; so when t(0) = 0, no solution has Q(0) != 0.
-    gcd(r, t) divides T^(N+1): lowest terms already.
+    (num, den) of y = L z_0..L z_N, y0 = y_0, else (error class, message)
+    ruling it out, the message with {} for the asking degrees.  For
+    dn + dd = N, the first row with deg r <= dn has deg t <= dd, and every
+    solution (r', t') of r' = t' y mod T^(N+1), deg r' <= dn, deg t' <= dd
+    is alpha (r, t) for a polynomial alpha; so when t(0) = 0, no solution
+    has Q(0) != 0.  gcd(r, t) divides T^(N+1): lowest terms already.
     """
     if den[0] == 0:
         return NoSolutionError, "no degree ({},{}) match"
@@ -190,13 +224,17 @@ def _judge(L, y, num, den):
     if any(v % n0 for v in num) or any(v % d0 for v in den):
         return (NonIntegerError,
                 "degree ({},{}) candidate has non-integer coefficients")
-    R = RationalFunctionZ(tuple(v // n0 for v in num),
-                          tuple(v // d0 for v in den))
-    # guard: the normalised candidate must still match through order N;
-    # it rejects a series whose z_0 is not 1
-    if [v * L for v in R.expand(len(y) - 1)] != y:
+    # guard: the normalised candidate must still match through order N.
+    # r = t y mod T^(N+1) gives n0 = d0 y0 and L expand(R) = (L / y0) y,
+    # so it matches exactly when y0 = L, that is, when z_0 = 1
+    if y0 != L:
         return NoSolutionError, "degree ({},{}) system is inconsistent"
-    return R
+    return RationalFunctionZ(tuple(v // n0 for v in num),
+                             tuple(v // d0 for v in den))
+
+
+def _row_size(row):
+    return -len(row[0])
 
 
 def pade_reconstruct(S: TruncatedSeries, dn: int, dd: int) -> RationalFunctionZ:
@@ -204,24 +242,30 @@ def pade_reconstruct(S: TruncatedSeries, dn: int, dd: int) -> RationalFunctionZ:
 
     The match is exact; the result is returned in lowest terms with
     integer coefficients and unit constant terms.  S keeps a table per
-    N = dn + dd, made on first use: L and y = L z_0..L z_N (`_scaled`),
-    the `_euclid` rows of (T^(N+1), y), minus their lengths (increasing,
-    for bisect), and each row's verdict, None until a split asks for it.
+    N = dn + dd, made on first use: L and y_0 of y = L z_0..L z_N
+    (`_scaled`), the `_euclid` rows of (T^(N+1), y) after the row
+    (T^(N+1), 0), and each row's verdict, judged when a split first lands
+    on it.  The rows are extended by `_euclid_step` only until the row
+    for the asked split exists: the first with deg r <= dn.
     """
+    if dn < 0 or dd < 0:
+        raise ValueError("degrees must be nonnegative")
     N = dn + dd
     if N + 1 > len(S.coeffs):
         raise ValueError("series too short for requested degrees")
     table = S._pade.get(N)
     if table is None:
         L, y = _scaled(S.coeffs[:N + 1])
-        rows = list(_euclid([0] * (N + 1) + [1], y))
-        table = S._pade[N] = (L, y, rows, [-len(r) for r, _ in rows],
-                              [None] * len(rows))
-    L, y, rows, sizes, verdicts = table
-    i = bisect.bisect_left(sizes, -dn - 1)  # the first row with deg r <= dn
-    v = verdicts[i]
+        y0 = y[0]
+        table = S._pade[N] = (L, y0, [([0] * (N + 1) + [1], []),
+                                      (_trim(y), [1])], {})
+    L, y0, rows, verdicts = table
+    while len(rows[-1][0]) > dn + 1:
+        rows.append(_euclid_step(*rows[-2], *rows[-1]))
+    i = bisect.bisect_left(rows, -dn - 1, key=_row_size)
+    v = verdicts.get(i)
     if v is None:
-        v = verdicts[i] = _judge(L, y, *rows[i])
+        v = verdicts[i] = _judge(L, y0, *rows[i])
     if isinstance(v, tuple):
         raise v[0](v[1].format(dn, dd))
     return v

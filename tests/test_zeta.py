@@ -1,10 +1,13 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from parzeta.fields import _trim
 from parzeta.polys import VarietySpec, base_field, parse_poly
 from parzeta.zeta import (AutoReconstructError, NoSolutionError,
                           RationalFunctionZ, TruncatedSeries,
@@ -13,8 +16,8 @@ from parzeta.zeta import (AutoReconstructError, NoSolutionError,
                           sweep_rows_to_csv, weil_weight_check)
 from parzeta import zeta
 from parzeta.zeta import (NonIntegerError, ReconstructionError, RootFindingError,
-                          _euclid, _reciprocal_roots, _simple_roots,
-                          _split_order)
+                          _euclid, _euclid_step, _reciprocal_roots,
+                          _simple_roots, _split_order)
 
 # the Mersenne prime 2^61 - 1: pinned inputs built on it agree mod p but
 # differ over Q
@@ -572,7 +575,8 @@ def _rem_q(x, a):
     return x
 
 
-_int_poly = st.lists(st.sampled_from([0, 0, 1, -1, 2, -3, 5, 2**40 + 1]),
+_int_poly = st.lists(st.sampled_from([0, 0, 1, -1, 2, -3, 5, 2**40 + 1,
+                                      -(2**40 + 1)]),
                      min_size=1, max_size=9).filter(any)
 
 
@@ -598,6 +602,108 @@ def test_euclid_rows_match_fraction_gcd(a, b, common):
     # the cofactor beside the zero remainder is a scalar multiple of a / gcd
     cof = _poly_div_exact(a, want)
     assert [Fraction(v, t[-1]) for v in t] == [v / cof[-1] for v in cof]
+
+
+def _euclid_reference(a, b):
+    """The extended Euclid of the parent commit, kept as the reference: its
+    pseudo-division scales by lc only where a quotient term would not be
+    an integer, so its rows equal `_euclid`'s up to sign."""
+    r0, t0 = _trim(list(a)), []
+    r1, t1 = _trim(list(b)), [1]
+    yield r1, t1
+    while r1:
+        n, lead = len(r1) - 1, r1[-1]
+        x, s = list(r0), 1
+        quo = [0] * max(len(x) - n, 0)
+        for k in reversed(range(len(quo))):
+            c = x[k + n]
+            if not c:
+                continue
+            if c % lead:
+                x = [lead * v for v in x]
+                quo = [lead * v for v in quo]
+                s *= lead
+                c = x[k + n]
+            f = c // lead
+            quo[k] = f
+            for i, v in enumerate(r1):
+                x[k + i] -= f * v
+        r = _trim(x[:n])
+        t = [s * v for v in t0]
+        t += [0] * (len(quo) + len(t1) - 1 - len(t))
+        for k, f in enumerate(quo):
+            if f:
+                for i, v in enumerate(t1):
+                    t[k + i] -= f * v
+        _trim(t)
+        g = math.gcd(*r, *t)
+        if g > 1:
+            r = [v // g for v in r]
+            t = [v // g for v in t]
+        r0, t0, r1, t1 = r1, t1, r, t
+        yield r1, t1
+
+
+def _sign_rule_row(r0, t0, r1, t1):
+    """The row after (r0, t0), (r1, t1) by the sign rule, over Q: e =
+    max(deg r0 - deg r1 + 1, 0), quo the quotient of lc(r1)^e r0 by r1,
+    and the pair lc^e (r0, t0) - quo (r1, t1) divided by its positive
+    content."""
+    lead, e = r1[-1], max(len(r0) - len(r1) + 1, 0)
+    x = [Fraction(lead ** e * v) for v in r0]
+    quo = [Fraction(0)] * max(len(x) - len(r1) + 1, 0)
+    for k in reversed(range(len(quo))):
+        quo[k] = x[k + len(r1) - 1] / lead
+        for i, v in enumerate(r1):
+            x[k + i] -= quo[k] * v
+    assert all(v.denominator == 1 for v in quo)  # a pseudo-quotient
+    qt = _pmul(quo, t1) if quo and t1 else []
+    t = [(lead ** e * (t0[i] if i < len(t0) else 0)
+          - (qt[i] if i < len(qt) else 0)) for i in range(max(len(t0), len(qt)))]
+    r, t = _trim([int(v) for v in x[:len(r1) - 1]]), _trim([int(v) for v in t])
+    g = math.gcd(*r, *t)
+    return [v // g for v in r], [v // g for v in t]
+
+
+_SIGN_FLIP = ([0, 0, 0, 0, 1], [1, 0, -1, 0, 0, 0, -2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int_poly, _int_poly, st.sampled_from([[1], [1, 1], [-2, 0, 3],
+                                               [0, 5, 0, -(2**40 + 1)]]))
+@example(*_SIGN_FLIP, [1])
+@example([1, 0, 0, 0, 0, 0, 0, 1], [3, 0, -(2**40 + 1), 0, -1], [1])
+# a Pade table: T^9 against a scaled series, every step a drop of one
+@example([0] * 9 + [1], [840, 840, 1680, 2520, 4620, 7308, 13608, 17676,
+                         26979], [1])
+def test_euclid_rows_equal_reference_up_to_sign(a, b, common):
+    # drops of one (the one-pass step) and of two or more (the general
+    # loop), shared factors, negative leading coefficients, zeros, 2^40 + 1
+    a, b = _pmul(a, common), _pmul(b, common)
+    rows, ref = list(_euclid(a, b)), list(_euclid_reference(a, b))
+    assert [len(r) for r, _ in rows] == [len(r) for r, _ in ref]
+    for (r, t), (u, w) in zip(rows, ref):
+        assert (r, t) in ((u, w), ([-v for v in u], [-v for v in w]))
+    # the sign rule: each row after (b, 1) is lc^(delta+1) times the one
+    # two back, minus quo times the last, over its positive content
+    prev = [(_trim(list(a)), [])] + rows
+    for (r0, t0), (r1, t1), row in zip(prev, prev[1:], prev[2:]):
+        assert row == _sign_rule_row(r0, t0, r1, t1)
+
+
+def test_euclid_sign_rule_examples():
+    # T^4 against 1 - T^2 - 2T^6: a swap (no scaling), a drop of two by
+    # T^4, then a drop of two by 1 - T^2, lc = -1: the rule scales by
+    # (-1)^3, the parent by nothing (every quotient term was an integer),
+    # so the signs part there
+    rows, ref = list(_euclid(*_SIGN_FLIP)), list(_euclid_reference(*_SIGN_FLIP))
+    assert rows == [([1, 0, -1, 0, 0, 0, -2], [1]), ([0, 0, 0, 0, 1], []),
+                    ([1, 0, -1], [1]), ([-1], [-1, 0, -1]),
+                    ([], [0, 0, 0, 0, -1])]
+    assert ref[:3] == rows[:3]
+    assert ref[3:] == [([1], [1, 0, 1]), ([], [0, 0, 0, 0, 1])]
+    # a drop of one is scaled by lc^2 > 0: 4T^2 - (-2T - 3)(3 - 2T) = 9
+    assert _euclid_step([0, 0, 1], [], [3, -2], [1]) == ([9], [3, 2])
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
@@ -688,32 +794,139 @@ def test_pade_shared_rows_match_fresh_euclid(counts_a, counts_b):
                     pade_reconstruct(S, dn, dd)
 
 
+def _step_spy(monkeypatch):
+    """Patch `zeta._euclid_step` to record each call's arguments."""
+    calls = []
+
+    def spy(r0, t0, r1, t1):
+        calls.append((r0, t0, r1, t1))
+        return _euclid_step(r0, t0, r1, t1)
+
+    monkeypatch.setattr(zeta, "_euclid_step", spy)
+    return calls
+
+
+def _table_rows(S, N):
+    """dn -> the rows a table of S for N should hold once dn is asked:
+    (T^(N+1), 0) and the `_euclid` rows of (T^(N+1), y), y the scaled
+    z_0..z_N, down to the first with deg r <= dn."""
+    z = S.coeffs[:N + 1]
+    L = math.lcm(*(v.denominator for v in z))
+    a = [0] * (N + 1) + [1]
+    rows = [(a, [])] + list(_euclid(a, [v.numerator * (L // v.denominator)
+                                        for v in z]))
+    return lambda dn: rows[:next(i for i, (r, _) in enumerate(rows)
+                                 if len(r) <= dn + 1) + 1]
+
+
+def _fresh_outcomes(S, orders):
+    """(dn, dd) -> `pade_fresh_euclid`'s outcome, for N in orders and dn
+    from N down to 0."""
+    return {(dn, N - dn): _outcome(pade_fresh_euclid, S, dn, N - dn)
+            for N in orders for dn in reversed(range(N + 1))}
+
+
 def test_pade_table_runs_one_euclid_per_order(monkeypatch):
-    runs = []
-
-    def spy(a, b):
-        runs.append(len(a) - 2)  # a = T^(N+1)
-        return _euclid(a, b)
-
-    monkeypatch.setattr(zeta, "_euclid", spy)
     R = RationalFunctionZ((1, -2), (1, -3, 4))
     S = series_from_counts(counts_of(R, 8))
+    want = _fresh_outcomes(S, range(9))
+    rows_of = {N: _table_rows(S, N) for N in range(9)}
+    calls = _step_spy(monkeypatch)
     for _ in range(2):
-        for N in range(9):
-            for dn in range(N + 1):
-                assert _outcome(pade_reconstruct, S, dn, N - dn) == \
-                    _outcome(pade_fresh_euclid, S, dn, N - dn)
-    assert runs == list(range(9))
+        for (dn, dd), outcome in want.items():
+            assert _outcome(pade_reconstruct, S, dn, dd) == outcome
+    # one Euclid per order, each step run once, down to the row of dn = 0
+    assert sorted(S._pade) == list(range(9))
+    for N, (_, _, rows, _) in S._pade.items():
+        assert rows == rows_of[N](0)
+    steps = [(*rows[i - 2], *rows[i - 1]) for _, _, rows, _ in S._pade.values()
+             for i in range(2, len(rows))]
+    assert sorted(map(repr, calls)) == sorted(map(repr, steps))
     # a row is judged only when a split asks for it
+    del calls[:]
     T = series_from_counts(counts_of(R, 8))
     assert pade_reconstruct(T, 1, 2) == R
-    assert runs == list(range(9)) + [3]
-    verdicts = T._pade[3][-1]
-    assert sum(v is not None for v in verdicts) == 1 < len(verdicts)
-    # the library's deepening: one Euclid per B, N = B - holdout
-    del runs[:]
+    assert list(T._pade) == [3] and len(T._pade[3][-1]) == 1
+    assert T._pade[3][2] == rows_of[3](1)
+    assert len(calls) == len(T._pade[3][2]) - 2 > 0
+    # the library's deepening: one table per B, N = B - holdout, each
+    # started once (N = 0 needs no step: its row (1, 1) has degree 0)
+    del calls[:]
     res = reconstruct_counts(_recording(counts_of(R, 12))[0], 12)
-    assert res.function == R and runs == list(range(res.B_used - 2))
+    starts = [len(r0) - 2 for r0, t0, _, _ in calls if t0 == []]
+    assert res.function == R and starts == list(range(1, res.B_used - 2))
+
+
+def test_pade_builds_rows_on_demand(monkeypatch):
+    # a generic series: every step drops the degree by one
+    S = series_from_counts([1, 3, 4, 9, 12, 30, 2, 5, 7])
+    want = _fresh_outcomes(S, reversed(range(9)))
+    rows_of = {N: _table_rows(S, N) for N in range(9)}
+    calls = _step_spy(monkeypatch)
+    assert _outcome(pade_reconstruct, S, 4, 4) == want[(4, 4)]
+    rows = S._pade[8][2]
+    assert rows == rows_of[8](4)
+    assert len(rows[-2][0]) > 5 >= len(rows[-1][0])
+    assert len(calls) == len(rows) - 2 == 4
+    # every split asked afterwards, dn falling: the fresh Euclid's
+    # outcome, with the rows grown only as far as the smallest dn asked
+    for (dn, dd), outcome in want.items():
+        N = dn + dd
+        assert _outcome(pade_reconstruct, S, dn, dd) == outcome
+        assert S._pade[N][2] == rows_of[N](min(dn, 4) if N == 8 else dn)
+    assert len(calls) == sum(len(rows) - 2 for _, _, rows, _ in S._pade.values())
+
+
+def test_used_series_pickles_deep_copies_and_equals_fresh():
+    S = series_from_counts([1, 3, 4, 9, 12, 30, 2, 5, 7])
+    for dn, dd in [(4, 4), (2, 1), (0, 5)]:
+        _outcome(pade_reconstruct, S, dn, dd)
+    fresh = series_from_counts([1, 3, 4, 9, 12, 30, 2, 5, 7])
+    for T in (pickle.loads(pickle.dumps(S)), copy.deepcopy(S)):
+        assert T == S == fresh and hash(T) == hash(fresh)
+        assert T._pade == S._pade
+        for N in range(10):
+            for dn in range(N + 1):
+                assert _outcome(pade_reconstruct, T, dn, N - dn) == \
+                    _outcome(pade_reconstruct, fresh, dn, N - dn)
+
+
+@pytest.mark.parametrize("dn, dd", [(3, -1), (-2, 2), (-5, 0), (-1, 3),
+                                    (-1, 1)])
+def test_pade_refuses_negative_degrees(dn, dd):
+    # at the parent, (3, -1) returned (1 + T + 2T^2)/1 as a "degree (3, -1)"
+    # candidate, (-2, 2) and (-5, 0) raised IndexError and (-1, 3)
+    # NoSolutionError
+    S = series_from_counts([1, 3, 4, 9, 12, 30])
+    with pytest.raises(ValueError, match="nonnegative"):
+        pade_reconstruct(S, dn, dd)
+    assert not S._pade
+    # and on a used series, before its table grows
+    _outcome(pade_reconstruct, S, 0, 2)
+    tables = copy.deepcopy(S._pade)
+    with pytest.raises(ValueError, match="nonnegative"):
+        pade_reconstruct(S, dn, dd)
+    assert S._pade == tables
+
+
+def test_constant_time_guard_matches_expansion_guard():
+    # z_0 = 2 and z_0 = 1/2: the guard y_0 != L rules out exactly the
+    # splits whose expansion guard failed, with the same message
+    R = RationalFunctionZ((1, -2), (1, -3, 4))
+    cases = [tuple(2 * v for v in R.expand(4)),
+             tuple(Fraction(v, 2) for v in R.expand(4)),
+             (2, 1, 3, -1, 5), (Fraction(1, 2), 1, 0, 0, 3)]
+    for z in cases:
+        S, inconsistent = TruncatedSeries(z), 0
+        for N in range(5):
+            for dn in range(N + 1):
+                got = _outcome(pade_reconstruct, S, dn, N - dn)
+                assert got == _outcome(pade_reconstruct_oracle, S, dn, N - dn)
+                assert got == _outcome(pade_fresh_euclid, S, dn, N - dn)
+                inconsistent += got == (
+                    NoSolutionError,
+                    f"degree ({dn},{N - dn}) system is inconsistent")
+        assert inconsistent > 0
 
 
 def test_series_equality_ignores_the_pade_table():
