@@ -669,7 +669,7 @@ class Field:
 
     def in_subfield(self, x: int, e: int) -> bool:
         """x^(q^e) = x for a packed int x, decided by powering."""
-        if self.N % e != 0:
+        if e < 1 or self.N % e != 0:
             raise FieldError(f"F_q^{e} is not a subfield of F_q^{self.N}")
         return self.pow(x, self.q ** e) == x
 
@@ -683,8 +683,8 @@ class Field:
         powering, the slow oracle the tests check ``span`` against.  Both
         agree as sets.
         """
-        if self.N % e != 0:
-            raise FieldError(f"e = {e} does not divide N = {self.N}")
+        if e < 1 or self.N % e != 0:
+            raise FieldError(f"e = {e} is not a positive divisor of N = {self.N}")
         if e == self.N:
             return self.elements()
         key = (e, method)

@@ -5,26 +5,25 @@ k z_k = sum_j N_j z_{k-j}; its terms are ints where integral.  All exact
 polynomial algebra is one extended Euclid over the integers, `_euclid`,
 whose rows come one at a time from `_euclid_step`: a step where the
 degree drops by one, every step of a normal Pade table, is one pass of
-pseudo-division by lc^2; longer drops run the general loop.  Run on
-T^(N+1) and z_0..z_N scaled by the lcm L of their denominators, it gives
-the Pade candidate of degrees (dn, dd), N = dn + dd, already in lowest
-terms.  A series keeps one table per N: L, the scaled z_0, the Euclid
-rows built so far and the verdicts judged so far.  A split extends the
-rows only until its row exists, the first with deg r <= dn, and judges
-that row once; a later split on a built row is a lookup.  The judge's
-last guard, that the candidate matches the series through order N, is
-z_0 = 1: every row has r = t y mod T^(N+1), so the candidate's expansion
-is y / y_0.  `pade_reconstruct` is the one candidate path;
-`reconstruct_counts`, the deepening over the number B of counts, builds
-one series per B and accepts a candidate only when it reproduces the
-held-out coefficients.  Run on P and P', `_euclid` gives gcd(P, P') and
-the squarefree part for the weight report.  No floating point enters the
-certification path; floats appear only in the numerical weight report.
+pseudo-division by lc^2; any other drop is plain pseudo-division by
+lc^(delta+1).  Run on T^(N+1) and z_0..z_N scaled by the lcm L of their
+denominators, it gives the Pade candidate of degrees (dn, dd),
+N = dn + dd, already in lowest terms.  A series keeps one table per N,
+its Euclid rows built so far.  A split extends the rows only until its
+row exists, the first with deg r <= dn, and judges that row.  The
+judge's last guard, that the candidate matches the series through order
+N, is z_0 = 1, read from the series: every row has r = t y mod T^(N+1),
+so the candidate's expansion is y / y_0.  `pade_reconstruct` is the one
+candidate path; `reconstruct_counts`, the deepening over the number B of
+counts, builds one series per B and accepts a candidate only when it
+reproduces the held-out coefficients.  Run on P and P', `_euclid` gives
+gcd(P, P') and the squarefree part for the weight report.  No floating
+point enters the certification path; floats appear only in the
+numerical weight report.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import operator
 from dataclasses import dataclass, field
@@ -69,7 +68,8 @@ class RootFindingError(RuntimeError):
 @dataclass(frozen=True)
 class TruncatedSeries:
     coeffs: tuple  # z_0 .. z_B: ints where integral, else Fractions
-    # N -> the Pade table of z_0..z_N (`pade_reconstruct`), not compared
+    # N -> the Pade table's Euclid rows for z_0..z_N (`pade_reconstruct`),
+    # not compared
     _pade: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 
@@ -131,9 +131,9 @@ def _euclid_step(r0, t0, r1, t1):
     lc(r1)^(delta+1) r0 - quo r1 (no scaling when delta < 0) and the new
     t is lc(r1)^(delta+1) t0 - quo t1, both divided by the positive
     content of the pair.  A drop of one, every step of a normal Pade
-    table, is one pass: lc^2 r0 = (f1 T + f0) r1 + r.  Longer drops run
-    the general loop, which scales by lc only where a quotient term would
-    not be an integer, then takes the sign of lc^(delta+1).
+    table, is one pass: lc^2 r0 = (f1 T + f0) r1 + r.  Any other drop is
+    plain pseudo-division of lc^(delta+1) r0 by r1 (Knuth, TAOCP vol. 2,
+    4.6.1, Algorithm R).
     """
     n, lead = len(r1) - 1, r1[-1]
     if len(r0) == n + 2:
@@ -145,32 +145,20 @@ def _euclid_step(r0, t0, r1, t1):
         t0, t1 = t0 + [0] * (m - len(t0)), t1 + [0] * (m - len(t1))
         t = [sq * a - f1 * s - f0 * b for a, s, b in zip(t0, [0, *t1], t1)]
     else:
-        x, s = list(r0), 1
-        quo = [0] * max(len(x) - n, 0)
-        for k in reversed(range(len(quo))):
-            c = x[k + n]
-            if not c:
-                continue
-            if c % lead:
-                x = [lead * v for v in x]
-                quo = [lead * v for v in quo]
-                s *= lead
-                c = x[k + n]
-            f = c // lead
-            quo[k] = f
-            for i, v in enumerate(r1):
-                x[k + i] -= f * v
-        r = x[:n]
-        t = [s * v for v in t0]
-        t += [0] * (len(quo) + len(t1) - 1 - len(t))
-        for k, f in enumerate(quo):
+        # pseudo-division: lc^e r0 with e = max(delta + 1, 0) makes every
+        # quotient term an exact division by lc
+        e = max(len(r0) - n, 0)
+        s = lead ** e
+        x, t = [s * v for v in r0], [s * v for v in t0]
+        t += [0] * (e + len(t1) - 1 - len(t))
+        for k in reversed(range(e)):
+            f = x[k + n] // lead
             if f:
+                for i, v in enumerate(r1):
+                    x[k + i] -= f * v
                 for i, v in enumerate(t1):
                     t[k + i] -= f * v
-        # s = lc^e, e <= delta + 1, so (r, t) is lc^(e - delta - 1) times
-        # the pseudo-remainder pair: give it that pair's sign
-        if (s < 0) != (lead < 0 and len(quo) % 2 == 1):
-            r, t = [-v for v in r], [-v for v in t]
+        r = x[:n]
     _trim(r)
     _trim(t)
     g = math.gcd(*r, *t)
@@ -207,68 +195,54 @@ def _scaled(z):
     return L, [v.numerator * (L // v.denominator) for v in z]
 
 
-def _judge(L, y0, num, den):
+def _judge(S, dn, dd, num, den):
     """The candidate with unit constant terms from the Euclid row
-    (num, den) of y = L z_0..L z_N, y0 = y_0, else (error class, message)
-    ruling it out, the message with {} for the asking degrees.  For
-    dn + dd = N, the first row with deg r <= dn has deg t <= dd, and every
+    (num, den) of y = L z_0..L z_N, N = dn + dd, else the error ruling it
+    out.  The first row with deg r <= dn has deg t <= dd, and every
     solution (r', t') of r' = t' y mod T^(N+1), deg r' <= dn, deg t' <= dd
     is alpha (r, t) for a polynomial alpha; so when t(0) = 0, no solution
     has Q(0) != 0.  gcd(r, t) divides T^(N+1): lowest terms already.
     """
     if den[0] == 0:
-        return NoSolutionError, "no degree ({},{}) match"
+        raise NoSolutionError(f"no degree ({dn},{dd}) match")
     if not num or num[0] == 0:
-        return NoSolutionError, "degenerate candidate with vanishing constant term"
+        raise NoSolutionError("degenerate candidate with vanishing constant term")
     n0, d0 = num[0], den[0]
     if any(v % n0 for v in num) or any(v % d0 for v in den):
-        return (NonIntegerError,
-                "degree ({},{}) candidate has non-integer coefficients")
+        raise NonIntegerError(
+            f"degree ({dn},{dd}) candidate has non-integer coefficients")
     # guard: the normalised candidate must still match through order N.
-    # r = t y mod T^(N+1) gives n0 = d0 y0 and L expand(R) = (L / y0) y,
-    # so it matches exactly when y0 = L, that is, when z_0 = 1
-    if y0 != L:
-        return NoSolutionError, "degree ({},{}) system is inconsistent"
+    # r = t y mod T^(N+1) gives n0 = d0 y_0 and L expand(R) = (L / y_0) y,
+    # so it matches exactly when y_0 = L z_0 equals L, that is, z_0 = 1
+    if S.coeffs[0] != 1:
+        raise NoSolutionError(f"degree ({dn},{dd}) system is inconsistent")
     return RationalFunctionZ(tuple(v // n0 for v in num),
                              tuple(v // d0 for v in den))
-
-
-def _row_size(row):
-    return -len(row[0])
 
 
 def pade_reconstruct(S: TruncatedSeries, dn: int, dd: int) -> RationalFunctionZ:
     """P/Q with deg P <= dn, deg Q <= dd matching S through order dn + dd.
 
     The match is exact; the result is returned in lowest terms with
-    integer coefficients and unit constant terms.  S keeps a table per
-    N = dn + dd, made on first use: L and y_0 of y = L z_0..L z_N
-    (`_scaled`), the `_euclid` rows of (T^(N+1), y) after the row
-    (T^(N+1), 0), and each row's verdict, judged when a split first lands
-    on it.  The rows are extended by `_euclid_step` only until the row
-    for the asked split exists: the first with deg r <= dn.
+    integer coefficients and unit constant terms.  S keeps one table per
+    N = dn + dd, made on first use: the rows (T^(N+1), 0), then the
+    `_euclid` rows of (T^(N+1), y), y = L z_0..L z_N (`_scaled`).  The
+    rows are extended by `_euclid_step` only until the asked split's row
+    exists, the first with deg r <= dn, and each ask judges that row.
     """
     if dn < 0 or dd < 0:
         raise ValueError("degrees must be nonnegative")
     N = dn + dd
     if N + 1 > len(S.coeffs):
         raise ValueError("series too short for requested degrees")
-    table = S._pade.get(N)
-    if table is None:
-        L, y = _scaled(S.coeffs[:N + 1])
-        y0 = y[0]
-        table = S._pade[N] = (L, y0, [([0] * (N + 1) + [1], []),
-                                      (_trim(y), [1])], {})
-    L, y0, rows, verdicts = table
+    rows = S._pade.get(N)
+    if rows is None:
+        rows = S._pade[N] = [([0] * (N + 1) + [1], []),
+                             (_trim(_scaled(S.coeffs[:N + 1])[1]), [1])]
     while len(rows[-1][0]) > dn + 1:
         rows.append(_euclid_step(*rows[-2], *rows[-1]))
-    i = bisect.bisect_left(rows, -dn - 1, key=_row_size)
-    v = verdicts.get(i)
-    if v is None:
-        v = verdicts[i] = _judge(L, y0, *rows[i])
-    if isinstance(v, tuple):
-        raise v[0](v[1].format(dn, dd))
-    return v
+    row = next(row for row in rows if len(row[0]) <= dn + 1)
+    return _judge(S, dn, dd, *row)
 
 
 @dataclass
@@ -439,6 +413,8 @@ def weil_weight_check(R: RationalFunctionZ, q: int, tol: float = 1e-6) -> Weight
     """Check every reciprocal zero/pole magnitude against q^(w/2), w >= 0."""
     if not 0 < tol < math.inf:
         raise ValueError("tolerance must be positive and finite")
+    if q < 2:
+        raise ValueError("q must be at least 2")
     records = []
     ok = True
     for side, coeffs in (("zero", R.num), ("pole", R.den)):

@@ -129,6 +129,17 @@ def test_subfield_methods_agree():
     assert G.subfield(2, method="filter") == G.subfield(2, method="span")
 
 
+@pytest.mark.parametrize("e", [0, -1, -2])
+def test_subfield_refuses_degree_below_one(e):
+    # e = 0 used to raise ZeroDivisionError, and e = -1, -2 spanned the
+    # whole field before they were refused for the wrong cardinality
+    F = field(2, 1, 4)
+    with pytest.raises(FieldError, match="positive divisor"):
+        F.subfield(e)
+    with pytest.raises(FieldError, match="not a subfield"):
+        F.in_subfield(1, e)
+
+
 @pytest.mark.parametrize("p, s, N, e", [
     (2, 1, 24, 1), (2, 1, 24, 2), (2, 1, 24, 3), (2, 1, 24, 4),
     (2, 1, 24, 6), (2, 1, 24, 8), (3, 1, 14, 1), (3, 1, 14, 2),

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -706,6 +707,75 @@ def test_euclid_sign_rule_examples():
     assert _euclid_step([0, 0, 1], [], [3, -2], [1]) == ([9], [3, 2])
 
 
+def _euclid_step_rescaling(r0, t0, r1, t1):
+    """The reference Euclid step: `_euclid_step`'s one-pass drop of one,
+    and a general loop that scales by lc only where a quotient term would
+    not be an integer, then takes the sign of lc^(delta+1)."""
+    n, lead = len(r1) - 1, r1[-1]
+    if len(r0) == n + 2:
+        sq, shifted = lead * lead, [0, *r1]
+        f1 = lead * r0[-1]
+        f0 = lead * r0[-2] - r0[-1] * shifted[n]
+        r = [sq * a - f1 * s - f0 * b for a, s, b in zip(r0[:n], shifted, r1)]
+        m = max(len(t0), len(t1) + 1)
+        t0, t1 = t0 + [0] * (m - len(t0)), t1 + [0] * (m - len(t1))
+        t = [sq * a - f1 * s - f0 * b for a, s, b in zip(t0, [0, *t1], t1)]
+    else:
+        x, s = list(r0), 1
+        quo = [0] * max(len(x) - n, 0)
+        for k in reversed(range(len(quo))):
+            c = x[k + n]
+            if not c:
+                continue
+            if c % lead:
+                x = [lead * v for v in x]
+                quo = [lead * v for v in quo]
+                s *= lead
+                c = x[k + n]
+            f = c // lead
+            quo[k] = f
+            for i, v in enumerate(r1):
+                x[k + i] -= f * v
+        r = x[:n]
+        t = [s * v for v in t0]
+        t += [0] * (len(quo) + len(t1) - 1 - len(t))
+        for k, f in enumerate(quo):
+            if f:
+                for i, v in enumerate(t1):
+                    t[k + i] -= f * v
+        # s = lc^e, e <= delta + 1, so (r, t) is lc^(e - delta - 1) times
+        # the pseudo-remainder pair: give it that pair's sign
+        if (s < 0) != (lead < 0 and len(quo) % 2 == 1):
+            r, t = [-v for v in r], [-v for v in t]
+    _trim(r)
+    _trim(t)
+    g = math.gcd(*r, *t)
+    if g > 1:
+        r = [v // g for v in r]
+        t = [v // g for v in t]
+    return r, t
+
+
+@pytest.mark.parametrize("lead", [1, -1, 2, -2, 3, -3])
+@pytest.mark.parametrize("drop", [0, 1, 2, 3, -1, -2])
+def test_euclid_step_rows_identical_to_rescaling_reference(drop, lead):
+    # the same row, sign included, as the loop that rescaled only where a
+    # quotient term was not an integer; drop = deg r0 - deg r1 < 0 is the
+    # first step when deg a < deg b.  Leads 2 and 3 against tops 1, 5 and
+    # 7 make that loop rescale; leads -1, -2 and -3 its sign fix-up
+    rng = random.Random(f"{drop} {lead}")
+    for _ in range(60):
+        n = rng.randint(max(0, -drop), 4)
+        r1 = [rng.randint(-6, 6) for _ in range(n)] + [lead]
+        r0 = [rng.randint(-6, 6) for _ in range(n + drop)] + [
+            rng.choice([1, -1, 2, 5, -6, 7, 9])]
+        t1 = [rng.randint(-4, 4) for _ in range(rng.randint(0, 3))] + [
+            rng.choice([1, -2, 3])]
+        t0 = _trim([rng.randint(-4, 4) for _ in range(rng.randint(0, 3))])
+        assert (_euclid_step(r0, t0, r1, t1)
+                == _euclid_step_rescaling(r0, t0, r1, t1))
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
 def test_weight_check_rejects_tolerance_not_positive_finite(tol):
     # |lambda|^2 = 7 at q = 2 is no Weil weight; a NaN tolerance used to
@@ -715,9 +785,19 @@ def test_weight_check_rejects_tolerance_not_positive_finite(tol):
     assert not weil_weight_check(RationalFunctionZ((1,), (1, 0, 7)), 2).passed
 
 
+@pytest.mark.parametrize("R", [RationalFunctionZ((1,), (1,)),
+                               RationalFunctionZ((1,), (1, -2))])
+@pytest.mark.parametrize("q", [1, 0, -2])
+def test_weight_check_refuses_q_below_two(q, R):
+    # q = 1 used to pass 1/1 and raise ZeroDivisionError on 1/(1 - 2T),
+    # and q = 0 a math domain error
+    with pytest.raises(ValueError, match="q must be at least 2"):
+        weil_weight_check(R, q)
+
+
 # ---------------------------------------------------------------------------
-# one Pade table per series: the tabled verdicts against a fresh Euclid
-# per split
+# one Pade table per series: the tabled rows against a fresh Euclid per
+# split
 # ---------------------------------------------------------------------------
 
 def pade_fresh_euclid(S: TruncatedSeries, dn: int, dd: int) -> RationalFunctionZ:
@@ -782,7 +862,7 @@ def _splits(counts):
 @given(count_lists(), count_lists())
 def test_pade_shared_rows_match_fresh_euclid(counts_a, counts_b):
     # A, B, A at every split: each series answers from its own table, and
-    # A's second ask reads the verdict its first one judged
+    # A's second ask judges the row its first one built
     splits_b = list(_splits(counts_b))
     for i, case_a in enumerate(_splits(counts_a)):
         case_b = splits_b[i % len(splits_b)]
@@ -837,18 +917,18 @@ def test_pade_table_runs_one_euclid_per_order(monkeypatch):
             assert _outcome(pade_reconstruct, S, dn, dd) == outcome
     # one Euclid per order, each step run once, down to the row of dn = 0
     assert sorted(S._pade) == list(range(9))
-    for N, (_, _, rows, _) in S._pade.items():
+    for N, rows in S._pade.items():
         assert rows == rows_of[N](0)
-    steps = [(*rows[i - 2], *rows[i - 1]) for _, _, rows, _ in S._pade.values()
+    steps = [(*rows[i - 2], *rows[i - 1]) for rows in S._pade.values()
              for i in range(2, len(rows))]
     assert sorted(map(repr, calls)) == sorted(map(repr, steps))
-    # a row is judged only when a split asks for it
+    # one split builds one table, down to its own row only
     del calls[:]
     T = series_from_counts(counts_of(R, 8))
     assert pade_reconstruct(T, 1, 2) == R
-    assert list(T._pade) == [3] and len(T._pade[3][-1]) == 1
-    assert T._pade[3][2] == rows_of[3](1)
-    assert len(calls) == len(T._pade[3][2]) - 2 > 0
+    assert list(T._pade) == [3]
+    assert T._pade[3] == rows_of[3](1)
+    assert len(calls) == len(T._pade[3]) - 2 > 0
     # the library's deepening: one table per B, N = B - holdout, each
     # started once (N = 0 needs no step: its row (1, 1) has degree 0)
     del calls[:]
@@ -864,7 +944,7 @@ def test_pade_builds_rows_on_demand(monkeypatch):
     rows_of = {N: _table_rows(S, N) for N in range(9)}
     calls = _step_spy(monkeypatch)
     assert _outcome(pade_reconstruct, S, 4, 4) == want[(4, 4)]
-    rows = S._pade[8][2]
+    rows = S._pade[8]
     assert rows == rows_of[8](4)
     assert len(rows[-2][0]) > 5 >= len(rows[-1][0])
     assert len(calls) == len(rows) - 2 == 4
@@ -873,8 +953,8 @@ def test_pade_builds_rows_on_demand(monkeypatch):
     for (dn, dd), outcome in want.items():
         N = dn + dd
         assert _outcome(pade_reconstruct, S, dn, dd) == outcome
-        assert S._pade[N][2] == rows_of[N](min(dn, 4) if N == 8 else dn)
-    assert len(calls) == sum(len(rows) - 2 for _, _, rows, _ in S._pade.values())
+        assert S._pade[N] == rows_of[N](min(dn, 4) if N == 8 else dn)
+    assert len(calls) == sum(len(rows) - 2 for rows in S._pade.values())
 
 
 def test_used_series_pickles_deep_copies_and_equals_fresh():
@@ -910,7 +990,7 @@ def test_pade_refuses_negative_degrees(dn, dd):
 
 
 def test_constant_time_guard_matches_expansion_guard():
-    # z_0 = 2 and z_0 = 1/2: the guard y_0 != L rules out exactly the
+    # z_0 = 2 and z_0 = 1/2: the guard z_0 != 1 rules out exactly the
     # splits whose expansion guard failed, with the same message
     R = RationalFunctionZ((1, -2), (1, -3, 4))
     cases = [tuple(2 * v for v in R.expand(4)),
