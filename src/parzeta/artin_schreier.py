@@ -154,7 +154,7 @@ def singular_search(form: SparsePoly, e_max: int,
         for lead in range(n):
             domains = ([(0,)] * lead + [(amb._one,)]
                        + [amb.elements()] * (n - lead - 1))
-            pts = enumerate_points(system, n, amb, base, domains=domains,
+            pts = enumerate_points(system, amb, base, domains=domains,
                                    budget=budget)
             if pts:
                 return (e, pts[0])

@@ -39,7 +39,7 @@ depend on the reduction, and its cost is always ``budget + 1``.
   *Finite Fields*, ch. 3): a linear polynomial's root by Horner on the
   others, then Frobenius descent of the gcd to coefficients in F_Q, a
   closed form for a quadratic, and x^Q mod g only for a larger gcd.  The
-  order, ``_count_order``'s, depends on the equations and the profile,
+  order, ``_count_plan``'s, depends on the equations and the profile,
   not on k.  It binds the constraining variables first, so that
   equations close early and a linear one is solved with one candidate
   instead of a scan of q^{d k} (the fail-first principle; Haralick and
@@ -91,12 +91,10 @@ class BudgetExceededError(RuntimeError):
     """``cost`` is an int, or a pair (q, e) standing for q^e when that
     number has too many digits to build or print."""
 
-    def __init__(self, cost, budget, context=""):
+    def __init__(self, cost, budget, context):
         shown = f"{cost[0]}^{cost[1]}" if isinstance(cost, tuple) else cost
-        msg = f"enumeration cost {shown} exceeds budget {budget}"
-        if context:
-            msg += f" ({context})"
-        super().__init__(msg)
+        super().__init__(f"enumeration cost {shown} exceeds budget {budget} "
+                         f"({context})")
         self.cost = cost
         self.budget = budget
 
@@ -286,14 +284,14 @@ def enumerate_orbit_points(equations, n: int, ambient: Field, base: Field,
     return out
 
 
-def enumerate_points(equations, n: int, ambient: Field, base: Field,
-                     domains, budget: int = DEFAULT_BUDGET):
+def enumerate_points(equations, ambient: Field, base: Field, domains,
+                     budget: int = DEFAULT_BUDGET):
     """All solutions, as lex-sorted int tuples, with coordinates in the
     per-variable ``domains``: sorted iterables of ``ambient``'s packed ints.
 
-    The search binds x_1, ..., x_n in turn, each to every value of its
-    domain, and raises ``BudgetExceededError`` once it has visited more
-    than ``budget`` nodes.
+    The search binds x_1, ..., x_n, n = len(domains), in turn, each to every
+    value of its domain, and raises ``BudgetExceededError`` once it has
+    visited more than ``budget`` nodes.
     """
     out = []
 
@@ -301,7 +299,8 @@ def enumerate_points(equations, n: int, ambient: Field, base: Field,
         out.append(tuple(point))
         return 1
 
-    _search(equations, ambient, base, range(n), domains, leaf, budget)
+    _search(equations, ambient, base, range(len(domains)), domains, leaf,
+            budget)
     return out
 
 
@@ -378,10 +377,12 @@ def partial_count_check(X: VarietySpec, k: int, budget: int) -> None:
 
 
 @lru_cache(maxsize=256)
-def _count_order(X: VarietySpec):
-    """``partial_count``'s order of the variables the equations use, the
-    counted one last; it depends on the equations and the profile, not on
-    k, so it is worked out once per variety.
+def _count_plan(X: VarietySpec):
+    """``partial_count``'s plan: None when an equation is a nonzero
+    constant, else the order of the variables the equations use, the
+    counted one last (empty when none is used), and the counted
+    variable's largest exponent.  It depends on the equations and the
+    profile, not on k, so it is worked out once per variety.
 
     The counted variable has a largest domain.  For each such choice the
     others are placed back to front, each place taking, in this order of
@@ -400,8 +401,13 @@ def _count_order(X: VarietySpec):
     for eq in X.equations:
         if eq.terms:
             deg = [max(col) for col in zip(*eq.terms)]
-            degrees.append(({i for i, e in enumerate(deg) if e}, deg))
+            vs = {i for i, e in enumerate(deg) if e}
+            if not vs:
+                return None
+            degrees.append((vs, deg))
     used = set().union(*(vs for vs, _ in degrees))
+    if not used:
+        return (), 0
     top = max(d[i] for i in used)
     best = None
     for last in sorted(i for i in used if d[i] == top):
@@ -422,7 +428,8 @@ def _count_order(X: VarietySpec):
         key = (places, -min(deg[last] for vs, deg in degrees if last in vs))
         if best is None or key >= best[0]:
             best = key, tuple(order[::-1])
-    return best[1]
+    order = best[1]
+    return order, max(deg[order[-1]] for _, deg in degrees)
 
 
 def partial_count(X: VarietySpec, k: int,
@@ -432,7 +439,7 @@ def partial_count(X: VarietySpec, k: int,
     when x^Q mod a leaf's gcd would take more products than the budget:
     deg^2 times Q's bit length, deg > 2 the counted variable's degree.
 
-    The used variables are searched in ``_count_order``'s order: the
+    The used variables are searched in ``_count_plan``'s order: the
     last is counted by ``count_roots``, the first takes one value per
     Frobenius orbit, and the last bound level builds the leaf's
     polynomials itself.
@@ -440,27 +447,20 @@ def partial_count(X: VarietySpec, k: int,
     if k < 1:
         raise ValueError("k must be positive")
     partial_count_check(X, k, budget)
+    plan = _count_plan(X)
+    if plan is None:
+        return 0
+    order, deg = plan
     q = X.p ** X.s
-    sizes = [q ** (d * k) for d in X.profile]
-    used = set()
-    for eq in X.equations:
-        vs = eq.variables_used()
-        if eq.terms and not vs:
-            return 0
-        used |= vs
-    free = 1
-    for i, size in enumerate(sizes):
-        if i not in used:
-            free *= size
-    if not used:
+    # each variable no equation uses multiplies the count by its domain
+    free = q ** (k * (sum(X.profile) - sum(X.profile[i] for i in order)))
+    if not order:
         return free
-    order = _count_order(X)
     last = order[-1]
     e_last = X.profile[last] * k
-    # a leaf's gcd has degree up to the counted variable's largest exponent
-    # deg, reduced as the engine reduces it; x^Q mod it, Q = q^e_last, takes
-    # about deg^2 log2(Q) products, and count_roots takes none for deg <= 2
-    deg = max(ex[last] for eq in X.equations for ex in eq.terms)
+    # a leaf's gcd has degree up to deg, reduced as the engine reduces it;
+    # x^Q mod it, Q = q^e_last, takes about deg^2 log2(Q) products, and
+    # count_roots takes none for deg <= 2
     deg = (deg - 1) % (q ** (X.D * k) - 1) + 1
     if deg > 2:
         cost = deg * deg * (q ** e_last).bit_length()

@@ -74,7 +74,7 @@ def graph_count_direct(G: GraphSystem, k: int,
     vpoints = []
     for v in G.vertices:
         domain = amb.subfield(v.d * k)
-        pts = enumerate_points(v.equations, v.n, amb, base,
+        pts = enumerate_points(v.equations, amb, base,
                                domains=[domain] * v.n, budget=budget)
         vpoints.append(pts)
     # edge src -> dst asks f(x_src) == x_dst

@@ -149,14 +149,6 @@ class SparsePoly:
                     out[tuple(ne)] = v
         return self._of(out)
 
-    def variables_used(self):
-        used = set()
-        for e in self.terms:
-            for i, v in enumerate(e):
-                if v:
-                    used.add(i)
-        return used
-
     def rename(self, mapping: dict, new_n: int):
         """Move variable i to mapping[i] in an n=new_n ring."""
         if len(set(mapping.values())) != len(mapping):

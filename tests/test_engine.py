@@ -273,7 +273,7 @@ def test_listing_matches_product_filter(problem):
         return sorted(tuple(amb.frob(c, i) for c in pt)
                       for pt, length in pairs for i in range(length))
 
-    listings = [lambda budget: enumerate_points(equations, n, amb, base,
+    listings = [lambda budget: enumerate_points(equations, amb, base,
                                                 domains, budget)]
     if all(len(dom) == amb.size() for dom in domains):
         listings.append(conjugates)  # the orbit listing's whole field
@@ -439,7 +439,7 @@ def test_constant_in_the_bound_variable_prunes_without_a_scan():
     power = amb.pow
     amb.pow = lambda x, e: tried.append(x) or power(x, e)
     eq = parse_poly("x1*x2 + 1", ["x1", "x2"], base_field(2, 1))
-    assert enumerate_points([eq], 2, amb, eq.base,
+    assert enumerate_points([eq], amb, eq.base,
                             [(0,), amb.elements()]) == []
     assert tried == [0]  # x1's own power, and no scan of the 4096 x2
 

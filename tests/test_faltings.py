@@ -94,7 +94,7 @@ def enumerate_y_points(X, morphisms, k: int, budget: int = DEFAULT_BUDGET):
     and joined d times over by Y's links."""
     d = X.D
     amb = field(X.p, X.s, d * k)
-    xpts = enumerate_points(X.equations, X.n, amb, X.base,
+    xpts = enumerate_points(X.equations, amb, X.base,
                             [amb.elements()] * X.n, budget=budget)
     if morphisms is None:
         images = [[pt[i] for pt in xpts] for i in range(len(X.profile))]
@@ -141,7 +141,7 @@ def test_trivial_profile_gives_back_x():
 def test_variety_points_match_classical():
     X = V(3, 1, 2, ["x2 - x1^2"], (1, 1))
     amb = field(3, 1, 2)
-    pts = enumerate_points(X.equations, X.n, amb, X.base,
+    pts = enumerate_points(X.equations, amb, X.base,
                            [amb.elements()] * X.n)
     assert len(pts) == oracle_count(X, 2)
 
@@ -409,7 +409,7 @@ def y_by_equations(X, morphisms, k):
     d, n = X.D, X.n
     amb = field(X.p, X.s, d * k)
     Y = y_variety(X, morphisms)
-    pts = enumerate_points(Y.equations, Y.n, amb, X.base,
+    pts = enumerate_points(Y.equations, amb, X.base,
                            [amb.elements()] * Y.n)
     return [tuple(pt[j * n:(j + 1) * n] for j in range(d)) for pt in pts]
 
