@@ -9,6 +9,7 @@ squares so everything stays in exact integer arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -220,12 +221,16 @@ def bound_check(inst: ASInstance, e_max: int = 2,
     main = q ** e_tot
     deviation = abs(n_brute - main)
     bound_sq = (p - 1) ** 2 * (r - 1) ** (2 * e_tot) * q ** e_tot
+    try:
+        bound_dec = (p - 1) * (r - 1) ** e_tot * q ** (e_tot / 2)
+    except OverflowError:  # past the float range; the comparison is exact
+        bound_dec = math.inf
     hypothesis_ok = (not p_div_r) and status in ("verified-diagonal",
                                                  "heuristic-pass")
     return BoundReport(
         instance=inst, r=r, N_d=n_brute, main_term=main, deviation=deviation,
         bound_squared=bound_sq,
-        bound_decimal=(p - 1) * (r - 1) ** e_tot * q ** (e_tot / 2),
+        bound_decimal=bound_dec,
         p_divides_r=p_div_r, smooth_status=status,
         hypothesis_ok=hypothesis_ok,
         satisfied=deviation * deviation <= bound_sq,

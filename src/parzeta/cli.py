@@ -23,6 +23,7 @@ import json
 import math
 import sys
 import time
+from decimal import Decimal
 
 from .artin_schreier import ASInstance, OracleMismatchError, bound_check
 from .counting import (BudgetExceededError, DEFAULT_BUDGET, check_cost,
@@ -147,7 +148,20 @@ def as_from_payload(payload: dict, p: int, s: int,
     base = base_field(p, s)
     names = _var_names(n) + _var_names(nprime, prefix="y")
     f = _parse_eq(payload["f"], names, base, budget)
-    return ASInstance(p, s, n, nprime, d, f)
+    inst = ASInstance(p, s, n, nprime, d, f)
+    # the brute count's refusal first, as in bound_check; then, before the
+    # counts, the report's decimal bound square (p-1)^2 (r-1)^(2e) q^e,
+    # r = deg f and e = dn + n', past the int-to-str limit (0, or none in
+    # this Python, is no limit)
+    check_cost(p ** s, d * (n + 1) + nprime, budget, "as_count_brute")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    r, e = f.total_degree(), d * n + nprime
+    if limit and (2 * math.log10(p - 1) + e * (2 * math.log10(abs(r - 1) or 1)
+                                               + s * math.log10(p))) >= limit:
+        raise SchemaError(f"f's degree, a {Decimal(r).adjusted() + 1}-digit "
+                          f"number, makes the bound's square longer than the "
+                          f"{limit}-digit limit on printing an integer")
+    return inst
 
 
 # kind -> (fields beside kind, p, s and budget, loader(payload, p, s, budget))
@@ -170,6 +184,9 @@ def load_instance(path: str, expect_kind: str, budget=None):
         raise SchemaError(
             f"malformed JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}") from exc
+    # too deep to decode, not UTF-8, or an integer past the int-to-str limit
+    except (RecursionError, ValueError) as exc:
+        raise SchemaError(f"malformed JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise SchemaError("instance file must be a JSON object")
     kind = payload.get("kind")

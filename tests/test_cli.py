@@ -1,16 +1,19 @@
 import json
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from parzeta import fields
+from parzeta import artin_schreier, fields
 from parzeta.artin_schreier import bound_check, singular_search
 from parzeta.cli import load_instance, main
 from parzeta.faltings import lemma_check
 from parzeta.graphs import reduction_check
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+# Python's int-to-str limit; 0 is none
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def run(capsys, *argv):
@@ -132,6 +135,23 @@ def test_malformed_json_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "count", str(bad))
     assert code == 2
     assert "line 1" in err
+
+
+@pytest.mark.parametrize("raw, error", [
+    (b"[" * 100000, "malformed JSON: maximum recursion depth"),
+    (b'{"kind": "variety", "p": 2\xff}', "malformed JSON: 'utf-8' codec"),
+    # the variety's n: past the int-to-str limit, or else not the
+    # profile's length
+    (b'{"kind": "variety", "p": 2, "s": 1, "n": ' + b"9" * 5000
+     + b', "equations": [], "profile": [1]}',
+     "malformed JSON: Exceeds the limit" if INT_DIGITS else "'profile'"),
+], ids=["100000-deep", "not-utf8", "5000-digit"])
+def test_unreadable_json_exit_2(tmp_path, capsys, raw, error):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(raw)
+    code, out, err = run(capsys, "count", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("schema error: " + error)
 
 
 def test_bad_polynomial_exit_2(tmp_path, capsys):
@@ -370,6 +390,47 @@ def test_huge_variable_count_refused_before_its_names(tmp_path, capsys, sub,
     assert code == 3 and out == ""
     assert err == (f"budget exceeded: enumeration cost 2^{e} exceeds budget "
                    f"100000000 (variables)\n")
+
+
+def _as_with_exponent(digits):
+    return {"kind": "artin-schreier", "p": 2, "s": 1, "n": 1, "n_prime": 1,
+            "d": 1, "f": "x1^" + "9" * digits + " + y1"}
+
+
+def test_as_bound_past_the_float_range_is_inf(tmp_path, capsys):
+    f = tmp_path / "inst.json"
+    f.write_text(json.dumps(_as_with_exponent(400)))
+    code, rep = run_json(capsys, "as", str(f))
+    assert code == 0
+    out = rep["outputs"]
+    assert out["bound_decimal"] == "inf"
+    # r = 10^400 - 1 and q^(dn + n') = 4: the squared bound stays exact
+    r = 10 ** 400 - 1
+    assert out["bound_squared"] == str((r - 1) ** 4 * 4)
+    assert out["satisfied"] is True
+
+
+@pytest.mark.skipif(not INT_DIGITS, reason="no int-to-str limit")
+def test_as_bound_too_long_to_print_is_a_schema_error(tmp_path, capsys,
+                                                      monkeypatch):
+    f = tmp_path / "inst.json"
+    f.write_text(json.dumps(_as_with_exponent(2500)))
+
+    def refuse(*args):
+        raise AssertionError("a count ran before the instance was refused")
+
+    monkeypatch.setattr(artin_schreier, "field", refuse)
+    code, out, err = run(capsys, "as", str(f))
+    assert code == 2 and out == ""
+    assert err == ("schema error: f's degree, a 2500-digit number, makes the "
+                   "bound's square longer than the "
+                   f"{INT_DIGITS}-digit limit on printing "
+                   "an integer\n")
+    # past the budget too: the count's refusal comes first
+    f.write_text(json.dumps({**_as_with_exponent(2500), "d": 20000}))
+    code, out, err = run(capsys, "as", str(f))
+    assert code == 3 and out == ""
+    assert err.endswith("(as_count_brute)\n")
 
 
 def test_as_zero_fibred_form_is_singular(tmp_path, capsys):

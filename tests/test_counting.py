@@ -58,6 +58,38 @@ def test_empty_variety():
     assert partial_count(X, 5) == 0
 
 
+@pytest.mark.parametrize("p, texts, profile, plan", [
+    (2, ["1", "x1"], (1, 1), None),  # a nonzero constant equation
+    (2, [], (1, 1), ((), 0)),        # no variable used
+    # x3 is counted by its linear roots, and x2 placed just before it,
+    # where x1^2 + x2 closes linearly
+    (2, ["x3 + x1^3 + 1", "x1^2 + x2"], (1, 1, 1), ((0, 1, 2), 1)),
+    # every equation uses x3, the largest domain, which is counted; the
+    # others are placed smallest domain last, so x2's orbits come first
+    (3, ["x1*x2^2 + 2*x1^2*x3 + x3",
+         "x2^2*x3 + 2*x1*x2^2 + 2*x1^2*x3 + x3^3"], (1, 2, 3),
+     ((1, 0, 2), 3)),
+], ids=["constant", "empty", "p2-111", "p3-123"])
+def test_count_plan(p, texts, profile, plan):
+    assert counting._count_plan(V(p, 1, len(profile), texts, profile)) == plan
+
+
+def test_constant_equation_builds_no_field(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("field built for a nonzero constant equation")
+
+    monkeypatch.setattr(counting, "field", refuse)
+    assert partial_count(V(2, 1, 2, ["1", "x1"], (1, 1)), 3) == 0
+
+
+def test_count_plan_worked_out_once_per_variety():
+    X = V(2, 1, 2, ["x2 + x1^3"], (1, 2))
+    counting._count_plan.cache_clear()
+    for k in range(1, 7):
+        partial_count(X, k)
+    assert counting._count_plan.cache_info().misses == 1
+
+
 def test_matches_classical_on_trivial_profile():
     X = V(3, 1, 2, ["x2 - x1^2"], (1, 1))
     for k in (1, 2):
