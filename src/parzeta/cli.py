@@ -156,7 +156,7 @@ def as_from_payload(payload: dict, p: int, s: int,
     check_cost(p ** s, d * (n + 1) + nprime, budget, "as_count_brute")
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     r, e = f.total_degree(), d * n + nprime
-    if limit and (2 * math.log10(p - 1) + e * (2 * math.log10(abs(r - 1) or 1)
+    if limit and (2 * math.log10(p - 1) + e * (2 * math.log10(max(r - 1, 1))
                                                + s * math.log10(p))) >= limit:
         raise SchemaError(f"f's degree, a {Decimal(r).adjusted() + 1}-digit "
                           f"number, makes the bound's square longer than the "

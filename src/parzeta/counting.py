@@ -287,12 +287,15 @@ def enumerate_orbit_points(equations, n: int, ambient: Field, base: Field,
 def enumerate_points(equations, ambient: Field, base: Field, domains,
                      budget: int = DEFAULT_BUDGET):
     """All solutions, as lex-sorted int tuples, with coordinates in the
-    per-variable ``domains``: sorted iterables of ``ambient``'s packed ints.
+    per-variable ``domains``: sorted iterables of ``ambient``'s packed ints,
+    one per variable of the equations (else ``ValueError``).
 
     The search binds x_1, ..., x_n, n = len(domains), in turn, each to every
     value of its domain, and raises ``BudgetExceededError`` once it has
     visited more than ``budget`` nodes.
     """
+    if any(eq.n != len(domains) for eq in equations):
+        raise ValueError("enumerate_points takes one domain per variable")
     out = []
 
     def leaf(point, polys, length):

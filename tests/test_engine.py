@@ -444,6 +444,15 @@ def test_constant_in_the_bound_variable_prunes_without_a_scan():
     assert tried == [0]  # x1's own power, and no scan of the 4096 x2
 
 
+@pytest.mark.parametrize("count", [1, 3])
+def test_listing_takes_one_domain_per_variable(count):
+    # one domain would read x2 as a constant, three would index past x2
+    amb = field(2, 1, 2)
+    eq = parse_poly("x1 + x2 + 1", ["x1", "x2"], base_field(2, 1))
+    with pytest.raises(ValueError, match="one domain per variable"):
+        enumerate_points([eq], amb, eq.base, [amb.elements()] * count)
+
+
 # ---------------------------------------------------------------------------
 # the root counter
 # ---------------------------------------------------------------------------
