@@ -1,8 +1,11 @@
 """Partial point counts over prescribed subfield products.
 
 The count N_k is the number of tuples whose i-th coordinate lies in
-F_{q^{d_i k}} inside the ambient field F_{q^{Dk}} (D the lcm of the
-profile) and at which every defining equation vanishes.
+F_{q^{d_i k}} (inside F_{q^{Dk}}, D the lcm of the profile) and at which
+every defining equation vanishes.  ``partial_count`` never builds
+F_{q^{Dk}}: it searches ``count_field``, F_{q^{Lk}} with L the lcm of the
+profile entries of the variables it binds, and counts the last variable
+in F_{q^{d_c k}}, which need not lie in that field.
 
 One depth-first engine, ``_search``, serves both counting and point
 listing.  It binds the variables in a given order, each to the values of
@@ -12,12 +15,14 @@ of scanned, and one that is a nonzero constant in it prunes the branch.
 Each equation's terms carry their values at the bound prefix, so binding
 a variable costs one product per term; their exponents e >= 1 are taken
 to (e - 1) mod (|F| - 1) + 1, F the ambient field, on which x^e takes the
-same values.  The last bound level is fused with the leaf: each value
-that passes it builds the coefficient lists of the equations left for the
-leaf directly from those term values and its own powers, with no further
-level of the search.  In ``partial_count`` and ``enumerate_orbit_points``
-the first variable bound takes one value per orbit of Frobenius sigma:
-x -> x^q on its domain, a subfield (the whole field for the listing).
+same values, and the unbound variable's to (e - 1) mod (Q - 1) + 1, F_Q
+the field its roots are counted in.  The last bound level is fused with
+the leaf: each value that passes it builds the coefficient lists of the
+equations left for the leaf directly from those term values and its own
+powers, with no further level of the search.  In ``partial_count`` and
+``enumerate_orbit_points`` the first variable bound takes one value per
+orbit of Frobenius sigma: x -> x^q on its domain, a subfield (the whole
+field for the listing).
 The orbits come from the ambient field's walk,
 ``Field.frobenius_orbits``: an orbit is walked only when the
 search reaches its least member, so a refused search has walked only
@@ -38,7 +43,12 @@ depend on the reduction, and its cost is always ``budget + 1``.
   x^Q - x are the elements of F_Q, each simple; Lidl-Niederreiter,
   *Finite Fields*, ch. 3): a linear polynomial's root by Horner on the
   others, then Frobenius descent of the gcd to coefficients in F_Q, a
-  closed form for a quadratic, and x^Q mod g only for a larger gcd.  The
+  closed form for a quadratic, and x^Q mod g only for a larger gcd.
+  That degree is the same over any field holding the coefficients
+  (Rabin, "Probabilistic algorithms in finite fields", 1980), so the
+  search runs over ``count_field``, the smallest field holding the bound
+  values, and F_Q need not lie in it: x1 + x2 at profile (2, 3) and
+  k = 4 searches F_{2^8}, not F_{2^24}, and counts x2 in F_{2^12}.  The
   order, ``_count_plan``'s, depends on the equations and the profile,
   not on k.  It binds the constraining variables first, so that
   equations close early and a linear one is solved with one candidate
@@ -61,9 +71,10 @@ depend on the reduction, and its cost is always ``budget + 1``.
   under sigma^i, 0 < i < L.  The
   cyclic-cover lemma of ``faltings`` walks Frobenius chains from it and
   compares their orbit-length sum with the partial count's root counts.
-  Both sides take their representatives from the field's orbit walk,
-  the partial count over its first bound variable's subfield, which need
-  not be x_1's, and they count by different routes.
+  Both sides take their representatives from an orbit walk, the
+  partial count over its first bound variable's subfield of
+  ``count_field``, which need not be x_1's, and they count by different
+  routes.
 
 Listed points are combined by ``join``: blocks of candidates tied by
 equal images, placed one at a time, each block's candidates looked up in
@@ -126,19 +137,21 @@ def _collect(vals, exps, F: Field):
 
 
 def _search(equations, ambient: Field, base: Field, order, domains, leaf,
-            budget: int, orbits=None):
+            budget: int, orbits=None, leaf_size=None):
     """Depth-first search binding variable ``order[u]`` to the values in
     ``domains[u]``, for u < len(domains).
 
     ``order`` lists every variable the equations use, and may hold one
-    more than ``domains`` covers.  An equation is checked once all its
-    variables are bound; one that is a nonzero constant in the variable
-    being bound prunes the branch without a scan.  At each full prefix,
-    ``leaf(point, polys, w)`` is called with ``point`` the bound values in
-    search order, ``polys`` the equations that use the unbound variable,
-    as coefficient lists in it (none when every variable is bound), and
-    ``w`` the length of point[0]'s orbit (1 without ``orbits``); the sum
-    of its return values is returned.  ``polys`` are built at the last
+    more than ``domains`` covers: the unbound variable, whose values lie
+    in the field of ``leaf_size`` elements (by default ``ambient``'s
+    size), which need not lie in ``ambient``.  An equation is checked
+    once all its variables are bound; one that is a nonzero constant in
+    the variable being bound prunes the branch without a scan.  At each
+    full prefix, ``leaf(point, polys, w)`` is called with ``point`` the
+    bound values in search order, ``polys`` the equations that use the
+    unbound variable, as coefficient lists in it (none when every
+    variable is bound), and ``w`` the length of point[0]'s orbit (1
+    without ``orbits``); the sum of its return values is returned.  ``polys`` are built at the last
     bound level, from a plan of each term's exponents there and in the
     unbound variable, and ``leaf`` is called from that level's loop.
 
@@ -159,8 +172,10 @@ def _search(equations, ambient: Field, base: Field, order, domains, leaf,
     depth = len(order)
     stop = len(domains)
     # per equation: term values (the coefficients, to begin with) and the
-    # exponent, reduced to F, of each term in the variable at each position
-    top = ambient.size() - 1
+    # exponent, reduced to its variable's field, of each term in the
+    # variable at each position
+    tops = ([ambient.size() - 1] * stop
+            + [(leaf_size or ambient.size()) - 1] * (depth - stop))
     start, exps = [], []
     close = [[] for _ in range(depth + 1)]
     touch = [[] for _ in range(depth)]
@@ -169,7 +184,7 @@ def _search(equations, ambient: Field, base: Field, order, domains, leaf,
             continue
         terms = sorted(eq.terms.items())
         by_pos = [tuple(ex[v] and (ex[v] - 1) % top + 1 for ex, _ in terms)
-                  for v in order]
+                  for v, top in zip(order, tops)]
         used = [u for u in range(depth) if any(by_pos[u])]
         if not used:
             return 0  # a nonzero constant equation
@@ -384,8 +399,9 @@ def _count_plan(X: VarietySpec):
     """``partial_count``'s plan: None when an equation is a nonzero
     constant, else the order of the variables the equations use, the
     counted one last (empty when none is used), and the counted
-    variable's largest exponent.  It depends on the equations and the
-    profile, not on k, so it is worked out once per variety.
+    variable's positive exponents in the equations' terms, sorted.  It
+    depends on the equations and the profile, not on k, so it is worked
+    out once per variety.
 
     The counted variable has a largest domain.  For each such choice the
     others are placed back to front, each place taking, in this order of
@@ -410,7 +426,7 @@ def _count_plan(X: VarietySpec):
             degrees.append((vs, deg))
     used = set().union(*(vs for vs, _ in degrees))
     if not used:
-        return (), 0
+        return (), ()
     top = max(d[i] for i in used)
     best = None
     for last in sorted(i for i in used if d[i] == top):
@@ -432,7 +448,20 @@ def _count_plan(X: VarietySpec):
         if best is None or key >= best[0]:
             best = key, tuple(order[::-1])
     order = best[1]
-    return order, max(deg[order[-1]] for _, deg in degrees)
+    return order, tuple(sorted({ex[order[-1]] for eq in X.equations
+                                for ex in eq.terms} - {0}))
+
+
+def count_field(X: VarietySpec, k: int) -> Field:
+    """The field ``partial_count`` searches at level k: F_{q^{Lk}}, L the
+    lcm of the profile entries of the variables it binds (``_count_plan``'s
+    order but the last), or F_q when it binds none.  It holds every bound
+    value and the coefficients; the counted variable's F_Q need not lie in
+    it, as ``count_roots`` counts over any field holding the coefficients."""
+    plan = _count_plan(X)
+    bound = plan[0][:-1] if plan else ()
+    return field(X.p, X.s,
+                 math.lcm(*(X.profile[i] for i in bound)) * k if bound else 1)
 
 
 def partial_count(X: VarietySpec, k: int,
@@ -440,11 +469,14 @@ def partial_count(X: VarietySpec, k: int,
     """Exact #X_{d_1,...,d_n}(k), refused by ``partial_count_check``
     before any subfield is materialised, and before the field is built
     when x^Q mod a leaf's gcd would take more products than the budget:
-    deg^2 times Q's bit length, deg > 2 the counted variable's degree.
+    deg^2 times Q's bit length, deg > 2 the counted variable's degree
+    once its exponents are reduced mod Q - 1, as the engine reduces them.
 
-    The used variables are searched in ``_count_plan``'s order: the
-    last is counted by ``count_roots``, the first takes one value per
-    Frobenius orbit, and the last bound level builds the leaf's
+    The used variables are searched in ``_count_plan``'s order over
+    ``count_field``, which holds the bound variables' subfields: the
+    last is counted by ``count_roots`` in F_Q, Q = q^{d_c k} with d_c its
+    profile entry, which need not lie in that field; the first takes one
+    value per Frobenius orbit, and the last bound level builds the leaf's
     polynomials itself.
     """
     if k < 1:
@@ -453,23 +485,23 @@ def partial_count(X: VarietySpec, k: int,
     plan = _count_plan(X)
     if plan is None:
         return 0
-    order, deg = plan
+    order, exps = plan
     q = X.p ** X.s
     # each variable no equation uses multiplies the count by its domain
     free = q ** (k * (sum(X.profile) - sum(X.profile[i] for i in order)))
     if not order:
         return free
-    last = order[-1]
-    e_last = X.profile[last] * k
-    # a leaf's gcd has degree up to deg, reduced as the engine reduces it;
-    # x^Q mod it, Q = q^e_last, takes about deg^2 log2(Q) products, and
+    e_last = X.profile[order[-1]] * k
+    Q = q ** e_last
+    # a leaf's gcd has degree up to the largest exponent as the engine
+    # reduces it; x^Q mod it takes about deg^2 log2(Q) products, and
     # count_roots takes none for deg <= 2
-    deg = (deg - 1) % (q ** (X.D * k) - 1) + 1
+    deg = max((e - 1) % (Q - 1) + 1 for e in exps)
     if deg > 2:
-        cost = deg * deg * (q ** e_last).bit_length()
+        cost = deg * deg * Q.bit_length()
         if cost > budget:
             raise BudgetExceededError(cost, budget, f"count_roots k={k}")
-    amb = field(X.p, X.s, X.D * k)
+    amb = count_field(X, k)
     domains = [amb.subfield(X.profile[i] * k) for i in order[:-1]]
 
     # sigma: x -> x^q fixes the coefficients, so the first variable needs
@@ -480,4 +512,4 @@ def partial_count(X: VarietySpec, k: int,
 
     orbits = amb.frobenius_orbits(X.profile[order[0]] * k)
     return free * _search(X.equations, amb, X.base, order, domains, roots,
-                          budget, orbits)
+                          budget, orbits, Q)

@@ -21,17 +21,19 @@ orbit walk whose lengths weight the partial count, so a wrong length
 from the walk makes the two sides differ.  The representatives
 themselves, which x_1 values start a chain, still come from that walk,
 as do the partial count's, over the subfield of its first bound
-variable.  A walk that skips an orbit mostly shows as unequal sides
-(``x1*x2 + 1`` at profile (1, 2)), but not always: on ``x1 + x2`` at
-(2, 3) both sides drop the same representative and still agree.  So a
+variable inside ``counting.count_field``, a smaller field whenever the
+bound variables' profile entries have an lcm below d.  A walk that skips
+an orbit mostly shows as unequal sides (``x1*x2 + 1`` at profile
+(1, 2)), but not always: on ``x1 + x2`` at (2, 3) both sides drop the
+same representative and still agree.  So a
 level passes only when each walk it read also has M_q(L) orbits of
 each length L dividing its degree, ``_walk_is_whole``, a count that
 shares no code with the walk.  What stays shared is which member of an
 orbit represents it, which neither count depends on.
 ``lemma_check`` is the one entry: it builds each level's listing, whose
-field every step of the level reads, and reports counts, with
-``witness_count`` the fixed points of the mismatched entries, at most
-10; no point is expanded to its conjugates.  Each side
+field every step of the level but the partial count reads, and reports
+counts, with ``witness_count`` the fixed points of the mismatched
+entries, at most 10; no point is expanded to its conjugates.  Each side
 checks its own cost before it builds F_{q^{dk}}: the partial count's
 check comes first, then the listing refuses x_1's q^{dk} values over
 the budget, whatever the equations, and only then is the field built.
@@ -47,8 +49,9 @@ from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
-from .counting import (DEFAULT_BUDGET, check_cost, enumerate_orbit_points,
-                       partial_count, partial_count_check)
+from .counting import (DEFAULT_BUDGET, check_cost, count_field,
+                       enumerate_orbit_points, partial_count,
+                       partial_count_check)
 from .fields import field
 from .polys import VarietySpec
 
@@ -235,28 +238,30 @@ def lemma_check(X: VarietySpec, k_max: int, morphisms=None,
     recon_ok = walks_ok = True
     for k in range(1, k_max + 1):
         # both checks precede F_{q^{dk}}: the count's here, the listing's
-        # inside it; partial_count builds that field too, so it counts
-        # after the listing, and the up-to-d twists are listed past both
+        # inside it; partial_count, which builds its own smaller field,
+        # counts after the listing, and the up-to-d twists past both
         if morphisms is None:
             partial_count_check(X, k, budget)
         # one listing of X's orbit representatives per level; the chains
         # walk it, and with morphisms the left side filters it by subfield
         listing = _orbit_listing(X, k, morphisms, budget)
         twists = [a for a in range(1, d + 1) if gcd(a, d) == 1]
+        amb = listing[0]
         if morphisms is None:
             lhs = partial_count(X, k, budget=budget)
+            read = {amb, count_field(X, k)}
         else:
             lhs = morphism_partial_count(X, k, listing)
-        amb = listing[0]
+            read = {amb}
         frob = amb.frob
         # the walks the level read, the listing's over F_{q^{dk}} and the
-        # partial count's over its first bound variable's F_{q^{d_i k}},
-        # replayed: the field keeps a walk only once it has ended, so one
-        # it does not keep was not read
+        # partial count's over its first bound variable's F_{q^{d_i k}}
+        # inside ``count_field``, replayed: a field keeps a walk only once
+        # it has ended, so one it does not keep was not read
         walks_ok = walks_ok and all(
-            _walk_is_whole(amb, e)
-            for e in {amb.N, *(di * k for di in X.profile)}
-            if e in amb._orbit_cache)
+            _walk_is_whole(F, e) for F in read
+            for e in {F.N, *(di * k for di in X.profile)}
+            if e in F._orbit_cache)
         found = _twisted_fixed_points(X, k, twists, listing)
         # reconstruction bijection, checked on the chains; Frobenius carries
         # it to their conjugates.  Every distinct block is a point of X ...

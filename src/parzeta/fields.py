@@ -36,7 +36,8 @@ refuse the work checks its cost first:
   is one numpy pass over exp and log.
 - larger fields: schoolbook products reduced by g (shift/XOR carry-less
   multiplication for p = 2, digit convolution for odd p), and x^(q^e)
-  applies the F_p-linear matrix of Frobenius^e.  For p = 2 the
+  applies the F_p-linear matrix of Frobenius^(e mod N), one built per
+  residue.  For p = 2 the
   inverse is extended Euclid over F_2[t] on the bit-reversed int, whose
   bit i holds t^i (Hankerson, Menezes and Vanstone, *Guide to Elliptic
   Curve Cryptography*, Alg. 2.48); for odd p it is a^(p^m - 2).
@@ -208,8 +209,11 @@ def count_roots(polys, F: Field, e: int) -> int:
     - a larger g is reduced with x^Q mod g.
 
     These identities hold in the algebraic closure, so F_Q need not lie
-    in F: ``is_irreducible`` counts over F_p with e > 1.  No element of
-    F_{q^e} is listed.
+    in F; the descent then stops at coefficients in F_Q inside F, its
+    subfield F_{q^gcd(e, N)}.  ``is_irreducible`` counts over F_p with
+    e > 1, and ``partial_count`` over the smallest field holding its bound
+    values, with e past N when the counted variable's subfield is larger
+    than theirs.  No element of F_{q^e} is listed.
     """
     polys = [f for f in polys if f]
     if not polys:
@@ -471,9 +475,11 @@ class Field:
                 s ^= r << j
             return int(format(s, f"0{m}b")[::-1], 2)
 
-        maps = {}
+        maps, N = {}, self.N
 
         def frob(a, e):
+            # x^(q^N) = x: one matrix per e mod N, however large e is
+            e %= N
             apply = maps.get(e)
             if apply is None:
                 apply = maps[e] = self._linear_map(self._frobenius_cols(e))

@@ -60,15 +60,15 @@ def test_empty_variety():
 
 @pytest.mark.parametrize("p, texts, profile, plan", [
     (2, ["1", "x1"], (1, 1), None),  # a nonzero constant equation
-    (2, [], (1, 1), ((), 0)),        # no variable used
+    (2, [], (1, 1), ((), ())),       # no variable used
     # x3 is counted by its linear roots, and x2 placed just before it,
     # where x1^2 + x2 closes linearly
-    (2, ["x3 + x1^3 + 1", "x1^2 + x2"], (1, 1, 1), ((0, 1, 2), 1)),
+    (2, ["x3 + x1^3 + 1", "x1^2 + x2"], (1, 1, 1), ((0, 1, 2), (1,))),
     # every equation uses x3, the largest domain, which is counted; the
     # others are placed smallest domain last, so x2's orbits come first
     (3, ["x1*x2^2 + 2*x1^2*x3 + x3",
          "x2^2*x3 + 2*x1*x2^2 + 2*x1^2*x3 + x3^3"], (1, 2, 3),
-     ((1, 0, 2), 3)),
+     ((1, 0, 2), (1, 3))),
 ], ids=["constant", "empty", "p2-111", "p3-123"])
 def test_count_plan(p, texts, profile, plan):
     assert counting._count_plan(V(p, 1, len(profile), texts, profile)) == plan

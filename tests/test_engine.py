@@ -367,25 +367,30 @@ def _first_level_spy(monkeypatch, amb):
 
 
 def test_second_count_replays_the_first_level(monkeypatch):
-    # x1 ranges over F_(2^4) inside F_(2^12); x2^3 + x1^3 + 1 never has a
-    # linear gcd, so the root count applies no Frobenius either
+    # x1 ranges over F_(2^4), the whole of the count's field; x2^3 + x1^3
+    # + 1 never has a linear gcd, so the root count applies no Frobenius
+    # either
     X = V(2, 1, 2, ["x1^3 + x2^3 + 1"], (2, 3))
     want = oracle_count(X, 2)
     assert partial_count(X, 2) == want
-    walked = _first_level_spy(monkeypatch, field(2, 1, 12))
+    amb = counting.count_field(X, 2)
+    assert amb is field(2, 1, 4)
+    walked = _first_level_spy(monkeypatch, amb)
     assert partial_count(X, 2) == want
     assert walked == []
 
 
 def test_second_lemma_check_replays_the_first_level(monkeypatch):
     # at k = 2 the chains apply Frob^(2m) and the root counts Frob^(2 d_i),
-    # so a frob(x, 1) there comes only from an orbit walk
+    # so a frob(x, 1) there comes only from an orbit walk, the listing's
+    # over F_(2^12) or the count's over F_(2^4)
     X = load_instance(str(CORPUS / "hyperbola23_f2.json"), "variety")[0]
     report = lemma_check(X, 2)
     assert report.passed
-    walked = _first_level_spy(monkeypatch, field(2, 1, X.D * 2))
+    walked = [_first_level_spy(monkeypatch, amb)
+              for amb in (field(2, 1, X.D * 2), counting.count_field(X, 2))]
     assert lemma_check(X, 2) == report
-    assert walked == []
+    assert walked == [[], []]
 
 
 def test_refused_listing_keeps_no_partial_walk():
@@ -697,6 +702,128 @@ def test_high_degree_leaf_refused_by_its_x_power_cost(monkeypatch):
         partial_count(X, 1, budget=9 * 9 * 5 - 1)
     assert exc.value.cost == 9 * 9 * 5
     assert len(calls) == 1
+
+
+def test_leaf_degree_reduced_as_the_engine_reduces_it():
+    # x2^8 = x2 on x2's F_8 at k = 1, so the leaf is linear and counted,
+    # although 8 is not reduced mod |F_4| - 1 nor mod 2^6 - 1; at k = 2
+    # the product's 2^10 tuples are refused first
+    X = V(2, 1, 2, ["x2^8 + x1"], (2, 3))
+    assert partial_count(X, 1, budget=200) == oracle_count(X, 1) == 2
+    with pytest.raises(BudgetExceededError) as exc:
+        partial_count(X, 2, budget=200)
+    assert exc.value.cost == 1024
+    assert str(exc.value).endswith("(partial_count k=2)")
+    # on F_8, x1^7 + x1^8 + 1 is x1^7 + x1 + 1: the largest reduced
+    # exponent is 7, where the reduced largest exponent would be 1
+    X = V(2, 1, 1, ["x1^7 + x1^8 + 1"], (3,))
+    assert partial_count(X, 1, budget=7 * 7 * 4) == oracle_count(X, 1) == 0
+    with pytest.raises(BudgetExceededError) as exc:
+        partial_count(X, 1, budget=7 * 7 * 4 - 1)
+    assert exc.value.cost == 7 * 7 * 4
+    assert str(exc.value).endswith("(count_roots k=1)")
+
+
+# ---------------------------------------------------------------------------
+# counting in the smallest field that holds the bound values
+# ---------------------------------------------------------------------------
+
+# (p, s, N, e) with e not dividing N: F_{q^e} lies outside F = F_{q^N}; the
+# last field, 2^21 elements, lies above TABLE_CAP
+OUTSIDE_FIELDS = [(2, 1, 1, 3), (2, 1, 2, 3), (2, 1, 3, 2), (2, 1, 4, 6),
+                  (2, 2, 1, 2), (2, 2, 2, 3), (3, 1, 1, 2), (3, 1, 2, 3),
+                  (3, 1, 3, 2), (3, 2, 2, 3), (2, 1, 21, 2)]
+
+
+@st.composite
+def outside_root_problems(draw):
+    """(p, s, N, e, polys): polynomials over F_q, as base-field packed
+    ints, of degree <= 6: zero, random, p-th powers and products with a
+    square."""
+    p, s, N, e = draw(st.sampled_from(OUTSIDE_FIELDS))
+    base = base_field(p, s)
+    coeff = st.integers(0, base.size() - 1)
+
+    def poly(most):
+        return _trim(draw(st.lists(coeff, min_size=1, max_size=most + 1)))
+
+    polys = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("zero", "random", "power", "square")))
+        if kind == "zero":
+            f = []
+        elif kind == "random":
+            f = poly(6)
+        elif kind == "power":  # f' = 0
+            g = f = poly(6 // p)
+            for _ in range(p - 1):
+                f = packed_product(f, g, base)
+        else:  # a repeated factor
+            g = poly(2)
+            f = packed_product(packed_product(g, g, base), poly(2), base)
+        polys.append(_trim(f))
+    return p, s, N, e, polys
+
+
+@settings(max_examples=200, deadline=None)
+@given(outside_root_problems())
+def test_root_count_outside_the_field_matches_scan(problem):
+    # the count over F = F_{q^N} against a Horner scan of F_{q^e} itself,
+    # the coefficients mapped into each by its embedding of F_q
+    p, s, N, e, polys = problem
+    base, F, S = base_field(p, s), field(p, s, N), field(p, s, e)
+    into_F, into_S = F.embed_base(base), S.embed_base(base)
+
+    def zero_at(f, x):
+        acc = 0
+        for c in reversed(f):
+            acc = S.add(S.mul(acc, x), into_S(c))
+        return not acc
+
+    want = sum(1 for x in S.elements() if all(zero_at(f, x) for f in polys))
+    assert count_roots([[into_F(c) for c in f] for f in polys], F, e) == want
+
+
+OUTSIDE_VARIETIES = [
+    # x2's F_{q^{2k}} lies outside the count's F_{q^k}
+    V(2, 1, 2, ["x1*x2^2 + x2 + x1"], (1, 2)),
+    V(3, 1, 2, ["x2^3 - x2 - x1", "x1*x2^2 + x2^3 + 1"], (1, 2)),
+    # x2's F_{q^{3k}} outside x1's F_{q^{2k}}
+    V(2, 1, 2, ["x1*x2 + x2^3 + 1"], (2, 3)),
+    V(2, 1, 2, ["x1^2 + x2^3 + x2"], (2, 3)),
+    V(2, 1, 2, ["x1 + x2^2 + x1*x2^4"], (2, 3)),
+    # x2's F_{q^{3k}} outside x1's F_{q^k}
+    V(2, 1, 2, ["x2^2 + x1*x2 + 1"], (1, 3)),
+    V(3, 1, 2, ["x2^2 - x1"], (1, 3)),
+    # x3's F_{q^{3k}} outside the F_{q^{2k}} of x1 and x2
+    V(2, 1, 3, ["x1*x2 + x3^2 + x2 + 1"], (1, 2, 3)),
+    V(2, 1, 3, ["x3^3 + x1*x3 + x2", "x1^2*x2 + x2 + 1"], (1, 2, 3)),
+]
+
+
+# k <= 3, with at most 2^18 tuples for the oracle
+@pytest.mark.parametrize("X, k", [
+    (X, k) for X in OUTSIDE_VARIETIES for k in (1, 2, 3)
+    if (X.p ** X.s) ** (k * sum(X.profile)) <= 2 ** 18])
+def test_engine_counts_outside_its_field(X, k):
+    assert partial_count(X, k) == oracle_count(X, k)
+
+
+def test_count_builds_no_field_past_the_bound_variables(monkeypatch):
+    # x1 + x2 at (2, 3), k = 4: x1 is bound in F_(2^8) and x2 counted in
+    # F_(2^12); nothing needs F_(2^24)
+    built = []
+    init = Field.__init__
+
+    def spy(self, p, s, N):
+        built.append(s * N)
+        init(self, p, s, N)
+
+    monkeypatch.setattr(Field, "__init__", spy)
+    monkeypatch.setattr(counting, "field", Field)  # every field built anew
+    X = V(2, 1, 2, ["x1 + x2"], (2, 3))
+    assert partial_count(X, 4) == 16
+    assert built and max(built) <= 8
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,30 @@ def test_lemma_check_fails_on_a_skipped_orbit(monkeypatch):
             assert not lemma_check(X, 2).passed
 
 
+def test_lemma_check_certifies_the_count_fields_walk(monkeypatch):
+    # partial_count walks x1's orbits in its own field, F_4 at k = 1, not
+    # in the listing's F_64; dropping the orbit {w, w^2} of F_4 there alone
+    # leaves both sides equal, since x2^3 + w x2 + 1 has no root in F_8,
+    # so only the tally of the count's walk can fail the level
+    X = V(2, 1, 2, ["x1*x2 + x2^3 + 1"], (2, 3))
+    counted = counting.count_field(X, 1)
+    assert counted.N == 2
+    walk = Field.frobenius_orbits
+
+    def skipping(self, e):
+        pairs = walk(self, e)
+        for x, length in pairs:
+            if self is counted and length > 1:
+                break
+            yield x, length
+        yield from pairs
+
+    monkeypatch.setattr(Field, "frobenius_orbits", skipping)
+    rep = lemma_check(X, 1)
+    assert all(e.equal for e in rep.entries)
+    assert not rep.passed
+
+
 def _orbits_of_length(q, L):
     """M_q(L) = (1/L) sum_(j | L) mu(L/j) q^j, by the Moebius function."""
     def mu(n):

@@ -189,6 +189,23 @@ def test_frobenius_matrix_equals_pow_above_cap(case, e):
     assert F.frob(a, e) == F.pow(a, F.q ** e)
 
 
+@pytest.mark.parametrize("p, m", [(2, 21), (3, 13)])
+def test_frobenius_above_cap_reduces_its_power_mod_n(p, m):
+    # x^(q^N) = x, so Frob^e = Frob^(e mod N): one matrix per residue, with
+    # root counts asking for e past N
+    F = Field(p, 1, m)  # its own instance, so no matrix is cached yet
+    built = []
+    cols = F._frobenius_cols
+    F._frobenius_cols = lambda e: built.append(e) or cols(e)
+    values = [1, F._gen, F.size() - 1, F.size() // 3]
+    for e in range(3 * m + 1):
+        for a in values:
+            assert F.frob(a, e) == F.frob(a, e % m)
+    assert len(built) <= m
+    assert [F.frob(a, 2 * m + 1) for a in values] == \
+        [ref_pow(F, a, p ** (2 * m + 1)) for a in values]
+
+
 @settings(max_examples=300, deadline=None)
 @given(operands())
 def test_int_tuple_round_trip_and_order(case):
