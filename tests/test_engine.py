@@ -5,7 +5,9 @@ variable to one value per Frobenius orbit and counts the last variable's
 values as a gcd degree; these tests hold it to a plain product over
 Frobenius-filtered subfields with ``SparsePoly.evaluate``, hold
 ``count_roots`` to a scan of the subfield it counts in, computed with
-``test_packed_fields``' dense schoolbook reference, and its linear,
+``test_packed_fields``' dense schoolbook reference, or, where F_{q^e}
+lies outside its field, as it does for ``partial_count``'s counted
+variable, to a scan of F_{q^e} itself, and its linear,
 descent and quadratic routes to the gcd with x^Q - x by x^Q mod g, and
 hold ``join`` to a filter over the product of its blocks.  Both listings
 are held to a filter over the product of their domains, and their
