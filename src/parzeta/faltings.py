@@ -22,7 +22,9 @@ from the walk makes the two sides differ.  The representatives
 themselves, which x_1 values start a chain, still come from that walk,
 as do the partial count's, over the subfield of its first bound
 variable inside ``counting.count_field``, a smaller field whenever the
-bound variables' profile entries have an lcm below d.  A walk that skips
+bound variables' profile entries have an lcm below d; a partial count
+that sums that variable's level by root counts reads no walk, and then
+a wrong length shows only in the listing's tally.  A walk that skips
 an orbit mostly shows as unequal sides (``x1*x2 + 1`` at profile
 (1, 2)), but not always: on ``x1 + x2`` at (2, 3) both sides drop the
 same representative and still agree.  So a

@@ -64,10 +64,13 @@ F_{q^e} as deg gcd(f_1, ..., f_r, x^(q^e) - x).  ``count_roots`` gets
 that degree by algebra first: a linear polynomial's root r counts when
 r^Q = r and the others vanish at it; otherwise the gcd g of them all
 descends to gcd(g, g^sigma), g^sigma its coefficients raised to the Q-th
-power, until its coefficients lie in F_Q; a quadratic is then counted by
-a closed form (the discriminant's quadratic character for odd p, the
-absolute trace of c/b^2 for p = 2), and only a g of degree >= 3 reduces
-x^Q mod g.  The counting engine counts its last variable with it, and
+power, until its coefficients lie in F_Q; a g with g' = 0, a p-th power,
+is replaced by its p-th root; a quadratic is then counted by a closed
+form (the discriminant's quadratic character for odd p, the absolute
+trace of c/b^2 for p = 2), and only a g of degree >= 3 reduces x^Q mod
+g.  The gcd's remainders are left unnormalised, each divided by one
+inverse of its divisor's leading coefficient, and only the last is made
+monic.  The counting engine counts its last variable with it, and
 ``is_irreducible`` runs Rabin's test with it over F_p = field(p, 1, 1),
 whose packed ints are the digits.
 """
@@ -129,24 +132,29 @@ def _monic(a, F: Field):
 
 
 def _rem(a, g, F: Field):
-    """a mod g for monic g."""
+    """a mod g for nonzero g: one inverse, of g's leading coefficient."""
     sub, mul = F.sub, F.mul
     a = list(a)
     dg = len(g) - 1
+    scale = None if g[-1] == F._one else F.inv(g[-1])
     for i in range(len(a) - 1, dg - 1, -1):
         c = a[i]
         if c:
+            if scale:
+                c = mul(c, scale)
             for j in range(dg):
                 a[i - dg + j] = sub(a[i - dg + j], mul(c, g[j]))
     return _trim(a[:dg])
 
 
 def _gcd(a, b, F: Field):
-    """The monic gcd of two nonzero polynomials."""
+    """The monic gcd of two nonzero polynomials; only the last nonzero
+    remainder is made monic."""
     while b:
-        b = _monic(b, F)
+        if len(b) == 1:
+            return [F._one]
         a, b = b, _rem(a, b, F)
-    return a
+    return _monic(a, F)
 
 
 def _x_power(Q: int, g, F: Field):
@@ -202,6 +210,9 @@ def count_roots(polys, F: Field, e: int) -> int:
       g^sigma its coefficients raised to the Q-th power, a root of g in
       F_Q is a root of g^sigma, so g becomes gcd(g, g^sigma) until
       g^sigma = g, which puts its coefficients in F_Q;
+    - p-th roots: a g of degree >= 3 with g' = 0 is h^p, h's coefficients
+      the p-th roots of g's, which lie in F_Q too, and h has g's roots, so
+      g becomes h while g' = 0;
     - a quadratic x^2 + bx + c with b, c in F_Q by a closed form: for odd
       p, 1 root if the discriminant D = b^2 - 4c is 0, else 2 if
       D^((Q-1)/2) = 1, else 0; for p = 2, 1 root if b = 0, else 2 if the
@@ -245,11 +256,14 @@ def count_roots(polys, F: Field, e: int) -> int:
         g = _gcd(g, h, F)
         if len(g) == 1:
             return 0
+    p = F.p
+    while len(g) > 3 and not any(g[i] for i in range(1, len(g)) if i % p):
+        g = [F.pow(c, p ** (F.m - 1)) for c in g[::p]]
     if len(g) == 2:
         return 1
     if len(g) == 3:
         c, b = g[0], g[1]
-        if F.p == 2:
+        if p == 2:
             if not b:
                 return 1
             a = t = mul(c, F.inv(mul(b, b)))
@@ -257,7 +271,7 @@ def count_roots(polys, F: Field, e: int) -> int:
                 a = mul(a, a)
                 t = add(t, a)
             return 0 if t else 2
-        disc = F.sub(mul(b, b), mul(4 % F.p * F._one, c))
+        disc = F.sub(mul(b, b), mul(4 % p * F._one, c))
         if not disc:
             return 1
         return 2 if F.pow(disc, (F.q ** e - 1) // 2) == F._one else 0

@@ -33,9 +33,9 @@ from hypothesis import given, settings, strategies as st
 from parzeta import counting, fields
 from parzeta.artin_schreier import singular_search
 from parzeta.cli import load_instance
-from parzeta.counting import (BudgetExceededError, _search, count_roots,
-                               enumerate_orbit_points, enumerate_points, join,
-                               partial_count)
+from parzeta.counting import (BudgetExceededError, _count_plan, _search,
+                               count_roots, enumerate_orbit_points,
+                               enumerate_points, join, partial_count)
 from parzeta.faltings import lemma_check
 from parzeta.fields import Field, _gcd, _monic, _trim, field
 from parzeta.graphs import fibred_product_reduce, graph_count_direct
@@ -186,15 +186,17 @@ def test_one_root_count_per_frobenius_orbit(monkeypatch):
 def test_a_linearly_closing_variable_is_solved_not_counted(monkeypatch):
     # x3 (x1^2 + 1) closes linearly in x3, so x3 is bound after x1 and
     # solved, and x2 is counted.  x1 runs over F_8 in 4 orbits: 0, 1 and
-    # two of length 3.  At x1 = 1 the equation vanishes and x3 takes all 8
-    # values, elsewhere only x3 = 0: 1 + 8 + 2 leaves, where counting x3
-    # would reach 4 * 8.
+    # two of length 3.  Where x1^2 + 1 != 0 only x3 = 0 passes: one leaf
+    # each, 1 + 2.  At x1 = 1 the equation vanishes, and the leaf
+    # x3 x2 + 1 is linear in x2: its level is summed by root counts, one
+    # of A = x3 (B = 1 is a nonzero constant and takes none), where a scan
+    # would reach 8 leaves.  Counting x3 would reach 4 * 8.
     X = V(2, 1, 3, ["x1^2*x3 + x3", "x1^2*x2 + x1*x2*x3 + x1*x2 + 1"],
           (1, 1, 1))
     want = oracle_count(X, 3)
     calls = _count_roots_calls(monkeypatch)
     assert partial_count(X, 3) == want
-    assert len(calls) == 11
+    assert len(calls) == 1 + 1 + 2
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +553,46 @@ def test_root_count_repeated_and_outside_roots(p, s, N, e):
         assert scan_count(F, e, [poly]) == want
 
 
+@st.composite
+def pth_power_problems(draw):
+    """(F, e, polys, h): polys[0] = h^(p^j), j = 1, or 2 for p < 5, h of
+    degree 1-3 over F with roots inside F_{q^e} and outside it, or random,
+    and maybe a second polynomial."""
+    p, s, N, e = draw(st.sampled_from(ROOT_FIELDS))
+    F = field(p, s, N)
+    sub = F.subfield(e, method="span")
+    h = [draw(st.integers(1, F.size() - 1))]
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            h = mul_poly(F, h, linear(F, draw(st.sampled_from(sub))))
+        else:
+            h = mul_poly(F, h, [draw(st.integers(0, F.size() - 1)),
+                                ref_one(F)])
+    step = p ** draw(st.integers(1, 2 if p < 5 else 1))
+    g = [0] * (step * (len(h) - 1) + 1)
+    for i, c in enumerate(h):
+        g[step * i] = F.pow(c, step)
+    polys = [g]
+    if draw(st.booleans()):
+        polys.append(mul_poly(F, h, [draw(st.integers(0, F.size() - 1)),
+                                     ref_one(F)]))
+    return F, e, polys, h
+
+
+@settings(max_examples=80, deadline=None)
+@given(pth_power_problems())
+def test_root_count_of_a_pth_power_matches_scan(problem):
+    # g' = 0 makes g = h^p: g alone is counted by its p-th root, and x^Q
+    # is reduced only when that root has degree >= 3
+    F, e, polys, h = problem
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _x_power_calls(mp)
+        got = count_roots([list(f) for f in polys], F, e)
+    assert got == scan_count(F, e, polys)
+    if len(polys) == 1 and len(h) <= 3:
+        assert calls == []
+
+
 def gcd_route_count(polys, F, e):
     """deg gcd(f_1, ..., f_r, x^Q - x), Q = q^e, with x^Q reduced by
     ``fields._x_power`` whatever the gcd's degree: the route of every
@@ -826,6 +868,165 @@ def test_count_builds_no_field_past_the_bound_variables(monkeypatch):
     X = V(2, 1, 2, ["x1 + x2"], (2, 3))
     assert partial_count(X, 4) == 16
     assert built and max(built) <= 8
+
+
+# ---------------------------------------------------------------------------
+# a last bound level whose leaves are linear in the counted variable
+# ---------------------------------------------------------------------------
+
+# CASES with two or more variables, the last of largest profile entry: a
+# multiple of the others' ((1, 2), (1, 1, 3)), so that F_Q holds the
+# count's field and the level is summed by root counts, or not ((2, 3)),
+# so that it is scanned
+LINEAR_CASES = [case for case in CASES
+                if len(case[2]) > 1 and case[2][-1] == max(case[2])]
+
+
+@st.composite
+def linear_leaf_varieties(draw):
+    """(X, k): one to three equations A y + B, y the last variable, A and
+    B random in the others, each maybe times a common factor, so that A
+    and B share roots; zero A and A zero on the domain occur.  Maybe one
+    more equation in the others alone, which closes at the last bound
+    level or before it."""
+    p, s, profile, k = draw(st.sampled_from(LINEAR_CASES))
+    n = len(profile)
+    base = base_field(p, s)
+
+    def poly():  # in the variables but y
+        terms = {}
+        for _ in range(draw(st.integers(0, 3))):
+            exps = tuple(draw(st.integers(0, 3)) for _ in range(n - 1))
+            terms[exps + (0,)] = draw(st.integers(1, p ** s - 1))
+        return SparsePoly(n, base, terms)
+
+    y = SparsePoly.var(n, base, n - 1)
+    equations = []
+    for _ in range(draw(st.integers(1, 3))):
+        eq = poly() * y + poly()
+        if draw(st.booleans()):
+            eq = eq * poly()
+        equations.append(eq)
+    if draw(st.booleans()):
+        equations.append(poly())
+    return VarietySpec(p, s, n, tuple(equations), profile), k
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_leaf_varieties())
+def test_linear_leaf_level_matches_product_oracle(case):
+    X, k = case
+    assert partial_count(X, k) == oracle_count(X, k)
+
+
+def search_count(X, k, budget, collapse):
+    """``partial_count``'s search at level k, without its a-priori checks,
+    which refuse every budget near the node count: its last bound level
+    summed by root counts where ``collapse`` allows, else scanned."""
+    order, _ = _count_plan(X)
+    amb = counting.count_field(X, k)
+    e_last = X.profile[order[-1]] * k
+    domains = [amb.subfield(X.profile[i] * k) for i in order[:-1]]
+    return _search(X.equations, amb, X.base, order, domains,
+                   lambda point, polys, w: w * count_roots(polys, amb, e_last),
+                   budget, amb.frobenius_orbits(X.profile[order[0]] * k),
+                   amb.q ** e_last,
+                   X.profile[order[-2]] * k if collapse else None)
+
+
+def search_outcome(X, k, budget, collapse):
+    try:
+        return search_count(X, k, budget, collapse)
+    except BudgetExceededError as err:
+        return err.cost, str(err)
+
+
+@settings(max_examples=60, deadline=None)
+@given(linear_leaf_varieties())
+def test_a_summed_level_charges_what_its_scan_does(case):
+    # the scan charges a prefix of weight w one node per passing value of
+    # the level's variable, w r(C) in all, and so does the sum; so both
+    # refuse at the same budgets, with cost budget + 1 and one context
+    X, k = case
+    plan = _count_plan(X)
+    if plan is None or len(plan[0]) < 2:
+        return  # no bound variable
+    want = search_count(X, k, 10 ** 9, False)
+    assert search_count(X, k, 10 ** 9, True) == want
+    least = 1
+    while isinstance(search_outcome(X, k, least, False), tuple):
+        least *= 2
+    lo = least // 2
+    while least - lo > 1:
+        mid = (lo + least) // 2
+        if isinstance(search_outcome(X, k, mid, False), tuple):
+            lo = mid
+        else:
+            least = mid
+    for budget in range(max(1, least - 2), least + 2):
+        got = search_outcome(X, k, budget, True)
+        assert got == search_outcome(X, k, budget, False)
+        if budget < least:
+            assert got == (budget + 1, f"enumeration cost {budget + 1} "
+                           f"exceeds budget {budget} (variety enumeration)")
+        else:
+            assert got == want
+
+
+@pytest.mark.parametrize("X, k, most", [
+    # one equation: r(C), r(C u A), r(C u A u B); x1 alone is bound
+    (V(2, 1, 2, ["x1^2*x2 + x1^3 + 1"], (1, 2)), 3, 3),
+    (V(3, 1, 2, ["x1^2*x2 + x2 + x1 + 2"], (1, 2)), 2, 3),
+    # x2^3 + x1^3 + 1 closes nonlinearly at x2, bound after x1
+    (V(2, 1, 3, ["x1*x2*x3 + x2^2 + x1", "x1^2*x2^2 + x2^3 + x1^3 + 1"],
+       (1, 1, 2)), 2, 3),
+    # two leaf equations and no closing one: r(M), r(A), r(A u B)
+    (V(2, 1, 3, ["x1*x2*x3 + x2^2 + x1", "x2^2*x3 + x1*x2 + 1"], (1, 1, 2)),
+     2, 3),
+    (V(2, 2, 2, ["x1*x2 + g", "x1^2*x2 + x1 + 1"], (1, 2)), 1, 3),
+    # both: r(C) is the charge and r(C u M) a count of its own
+    (V(2, 1, 3, ["x1*x2*x3 + x2^2 + x1", "x2^2*x3 + x1*x2 + 1",
+                 "x1^2*x2^2 + x2^3 + x1^3 + 1"], (1, 1, 2)), 2, 4),
+])
+def test_a_summed_level_takes_few_root_counts(monkeypatch, X, k, most):
+    want = oracle_count(X, k)
+    calls = _count_roots_calls(monkeypatch)
+    decide = counting._collapses
+
+    def spy(deg, size):
+        summed = decide(deg, size)
+        calls.append(summed)  # the counts of one prefix follow its mark
+        return summed
+
+    monkeypatch.setattr(counting, "_collapses", spy)
+    assert partial_count(X, k) == want
+    # every prefix of the last bound level is summed, and none reaches a
+    # leaf
+    assert calls[0] is True and False not in calls
+    per_prefix = [0]
+    for call in calls[1:]:
+        if call is True:
+            per_prefix.append(0)
+        else:
+            per_prefix[-1] += 1
+    assert max(per_prefix) <= most
+
+
+def test_the_degree_bound_scans_a_level_of_high_degree(monkeypatch):
+    # x1^4 x2 + x1 + 1 over F_2 at (1, 2): on x1's F_(2^k), x1^4 is x1 at
+    # k = 1 and 2, and of degree 4 at k = 3 and 4: past 3, and with
+    # 4^2 > 8 at k = 3 the level is scanned, with 4^2 <= 16 at k = 4 summed
+    X = V(2, 1, 2, ["x1^4*x2 + x1 + 1"], (1, 2))
+    want = [oracle_count(X, k) for k in (1, 2, 3, 4)]
+    decided = []
+    decide = counting._collapses
+    monkeypatch.setattr(counting, "_collapses",
+                        lambda deg, size: decided.append((deg, size))
+                        or decide(deg, size))
+    assert [partial_count(X, k) for k in (1, 2, 3, 4)] == want
+    assert decided == [(1, 2), (1, 4), (4, 8), (4, 16)]
+    assert [decide(deg, size) for deg, size in decided] == [
+        True, True, False, True]
 
 
 # ---------------------------------------------------------------------------

@@ -212,7 +212,7 @@ def test_lemma_check_over_f3():
 
 
 def test_lemma_check_fails_on_wrong_orbit_lengths(monkeypatch):
-    # the orbit walk weights the partial count; the fixed points are
+    # where the orbit walk weights the partial count, the fixed points are
     # weighted by their first coordinate's degree, so doubling the walk's
     # lengths must make the two sides differ
     walk = Field.frobenius_orbits
@@ -221,16 +221,24 @@ def test_lemma_check_fails_on_wrong_orbit_lengths(monkeypatch):
         return ((x, 2 * length) for x, length in walk(self, e))
 
     monkeypatch.setattr(Field, "frobenius_orbits", doubled)
-    # every entry mismatches, so witness_count sums their fixed points,
-    # capped at 10: 2 + 2 + 4 + 4 on the first, 1 + 3 on the second
+    # the count reads the walk where x2's leaf is nonlinear (x1*x2^2 + 1),
+    # or linear but with x2's F_(8^k) not holding x1's F_(4^k) (x1 + x2 at
+    # (2, 3)); every entry mismatches, so witness_count sums their fixed
+    # points, capped at 10: 2 + 2 + 4 + 4 on the first, 1 + 3 on the second
     for (X, morphisms), witnesses in [
             ((V(2, 1, 2, ["x1 + x2"], (2, 3)), None), 10),
-            ((V(2, 1, 2, ["x1*x2 + 1"], (1, 2)), None), 4),
+            ((V(2, 1, 2, ["x1*x2^2 + 1"], (1, 2)), None), 4),
             (squaring_line(), 10)]:
         rep = lemma_check(X, 2, morphisms)
         assert not rep.passed
         assert not any(e.equal for e in rep.entries)
         assert rep.witness_count == witnesses
+    # x1*x2 + 1 at (1, 2) is linear in x2, whose F_(4^k) holds x1's F_(2^k):
+    # the count sums x1's level by root counts and reads no walk, so the
+    # entries agree, and the tally of the listing's walk fails the level
+    rep = lemma_check(V(2, 1, 2, ["x1*x2 + 1"], (1, 2)), 2)
+    assert all(e.equal for e in rep.entries)
+    assert not rep.passed
 
 
 def test_lemma_check_fails_on_a_skipped_orbit(monkeypatch):
@@ -587,7 +595,11 @@ def test_listing_refused_from_its_field_size_alone(case, extra, data):
                         (parse_poly(extra, names, X.base),) + X.equations,
                         X.profile)
     size = (X.p ** X.s) ** (X.D * k)
-    budget = data.draw(st.integers(1, 2 * size))
+    # a budget at or past the field size runs the listing, whose scans of
+    # x_2, ... the budget does not bound: only over at most 2^8 elements,
+    # so that one draw takes well under a second
+    budget = data.draw(st.integers(1, 2 * size if size <= 2 ** 8
+                                   else size - 1))
     with pytest.MonkeyPatch.context() as mp:
         calls = _build_spy(mp)
         if size > budget:
