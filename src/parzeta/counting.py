@@ -66,9 +66,9 @@ depend on the reduction, and its cost is always ``budget + 1``.
   (the root -B/A lies in ``count_field``, so in F_Q), else 0.  So, with
   C the equations closing at that level and r(S) the common roots in
   F_{q^e} of S, the level sums to r(C u M) - r(C u A) + Q r(C u A u B),
-  M the minors (none for one equation, and then r(C u M) = r(C)): three
-  or four ``count_roots`` calls, with r(C) the scan's node charge, in
-  place of one leaf per value.  A level of too high a degree in x, by
+  M the minors (none for one equation, and then r(C u M) = r(C)): at
+  most three ``count_roots`` calls in place of one leaf per value, and
+  no node charge.  A level of too high a degree in x, by
   ``_collapses``, is scanned.
 - ``enumerate_points`` binds every variable in index order, each to
   every value of its domain, the last one by scan or linear solve like
@@ -213,9 +213,8 @@ def _search(equations, ambient: Field, base: Field, order, domains, leaf,
     against ``budget``, a node under a first value of orbit length L
     counting L: the values of one orbit have isomorphic subtrees, so the
     count is the node count of the search over the whole domain.  A
-    summed level charges w r(C), the values of x that the scan would have
-    passed.  The refusal's cost is ``budget + 1``, the node at which that
-    search stops.
+    summed level binds no value, so it charges no node.  The refusal's
+    cost is ``budget + 1``, the node at which that search stops.
     """
     add, mul, neg, inv, pw = (ambient.add, ambient.mul, ambient.neg,
                               ambient.inv, ambient.pow)
@@ -286,7 +285,7 @@ def _search(equations, ambient: Field, base: Field, order, domains, leaf,
             return count_roots(polys, ambient, level_degree)
 
         def collapse(vals):
-            """(r(C), the level's sum) at the prefix whose term values are
+            """The level's sum at the prefix whose term values are
             ``vals``, or None for a degree ``_collapses`` refuses."""
             C = [_collect(vals[j], low[j], ambient) for j in close[fuse]]
             A, B = [], []
@@ -301,14 +300,13 @@ def _search(equations, ambient: Field, base: Field, order, domains, leaf,
                 return None
             M = [_minor(A[i], B[i], A[j], B[j], ambient, size - 1)
                  for j in range(len(A)) for i in range(j)]
-            reach = r(C)
-            total = r(C + M) if M else reach
+            total = r(C + M)
             if total:
                 inside = r(C + A)
                 total -= inside
                 if inside:
                     total += Q * r(C + A + B)
-            return reach, total
+            return total
 
     def descend(u, vals, w):
         nonlocal nodes
@@ -326,11 +324,7 @@ def _search(equations, ambient: Field, base: Field, order, domains, leaf,
         if candidates is None and u == fuse and collapse is not None:
             level = collapse(vals)
             if level is not None:
-                nodes += w * level[0]
-                if nodes > budget:
-                    raise BudgetExceededError(budget + 1, budget,
-                                              "variety enumeration")
-                return w * level[1]
+                return w * level
         if candidates is not None:
             # a solved level keeps the weight; at u = 0 that is 1: the root
             # of a linear equation in order[0] alone lies in F_q, an orbit
@@ -494,9 +488,22 @@ def join(sizes, links, budget: int, context: str):
 # ---------------------------------------------------------------------------
 
 def partial_count_check(X: VarietySpec, k: int, budget: int) -> None:
-    """partial_count's refusal at level k: the product of the domain
-    sizes, q^e with e = k sum d_i, over the budget."""
-    check_cost(X.p ** X.s, k * sum(X.profile), budget, f"partial_count k={k}")
+    """partial_count's refusals at level k, before any field is built:
+    the product of the domain sizes, q^e with e = k sum d_i, over the
+    budget; then x^Q mod a leaf's gcd, about deg^2 times Q's bit length
+    products, over the budget (``count_roots k=...``), deg > 2 the
+    counted variable's largest exponent reduced mod Q - 1 as the engine
+    reduces it (``count_roots`` takes no x^Q for deg <= 2)."""
+    q = X.p ** X.s
+    check_cost(q, k * sum(X.profile), budget, f"partial_count k={k}")
+    plan = _count_plan(X)
+    if plan and plan[0]:
+        order, exps = plan
+        Q = q ** (X.profile[order[-1]] * k)
+        deg = max((e - 1) % (Q - 1) + 1 for e in exps)
+        cost = deg * deg * Q.bit_length()
+        if deg > 2 and cost > budget:
+            raise BudgetExceededError(cost, budget, f"count_roots k={k}")
 
 
 @lru_cache(maxsize=256)
@@ -571,11 +578,11 @@ def count_field(X: VarietySpec, k: int) -> Field:
 
 def partial_count(X: VarietySpec, k: int,
                   budget: int = DEFAULT_BUDGET) -> int:
-    """Exact #X_{d_1,...,d_n}(k), refused by ``partial_count_check``
-    before any subfield is materialised, and before the field is built
-    when x^Q mod a leaf's gcd would take more products than the budget:
-    deg^2 times Q's bit length, deg > 2 the counted variable's degree
-    once its exponents are reduced mod Q - 1, as the engine reduces them.
+    """Exact #X_{d_1,...,d_n}(k), refused only by ``partial_count_check``,
+    before any field is built.  The search then visits at most
+    1 + q^(a_1) + ... + q^A <= q^(A + d_c k) - 1 nodes, A = k times the
+    sum of the bound variables' d_i and d_c the counted one's, so its
+    node meter never refuses a budget that check lets through.
 
     The used variables are searched in ``_count_plan``'s order over
     ``count_field``, which holds the bound variables' subfields: the
@@ -594,22 +601,13 @@ def partial_count(X: VarietySpec, k: int,
     plan = _count_plan(X)
     if plan is None:
         return 0
-    order, exps = plan
+    order, _ = plan
     q = X.p ** X.s
     # each variable no equation uses multiplies the count by its domain
     free = q ** (k * (sum(X.profile) - sum(X.profile[i] for i in order)))
     if not order:
         return free
     e_last = X.profile[order[-1]] * k
-    Q = q ** e_last
-    # a leaf's gcd has degree up to the largest exponent as the engine
-    # reduces it; x^Q mod it takes about deg^2 log2(Q) products, and
-    # count_roots takes none for deg <= 2
-    deg = max((e - 1) % (Q - 1) + 1 for e in exps)
-    if deg > 2:
-        cost = deg * deg * Q.bit_length()
-        if cost > budget:
-            raise BudgetExceededError(cost, budget, f"count_roots k={k}")
     amb = count_field(X, k)
     domains = [amb.subfield(X.profile[i] * k) for i in order[:-1]]
 
@@ -621,5 +619,5 @@ def partial_count(X: VarietySpec, k: int,
 
     orbits = amb.frobenius_orbits(X.profile[order[0]] * k)
     return free * _search(X.equations, amb, X.base, order, domains, roots,
-                          budget, orbits, Q,
+                          budget, orbits, q ** e_last,
                           X.profile[order[-2]] * k if domains else None)

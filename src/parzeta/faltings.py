@@ -239,9 +239,9 @@ def lemma_check(X: VarietySpec, k_max: int, morphisms=None,
     witness_count = 0
     recon_ok = walks_ok = True
     for k in range(1, k_max + 1):
-        # both checks precede F_{q^{dk}}: the count's here, the listing's
-        # inside it; partial_count, which builds its own smaller field,
-        # counts after the listing, and the up-to-d twists past both
+        # both checks precede F_{q^{dk}}: the count's whole (tuples, leaf
+        # degree) here, the listing's inside it; partial_count then counts
+        # in its own smaller field after the listing, the twists past both
         if morphisms is None:
             partial_count_check(X, k, budget)
         # one listing of X's orbit representatives per level; the chains

@@ -446,9 +446,9 @@ def test_as_zero_fibred_form_is_singular(tmp_path, capsys):
 
 
 def _faltings_on(tmp_path, capsys, monkeypatch, equations, profile, *argv):
-    """``parzeta faltings`` on X over F_2 in two variables, with the
-    degrees of the moduli it searched for and its wall time."""
-    inst = {"kind": "variety", "p": 2, "s": 1, "n": 2,
+    """``parzeta faltings`` on X over F_2, one variable per profile entry,
+    with the degrees of the moduli it searched for and its wall time."""
+    inst = {"kind": "variety", "p": 2, "s": 1, "n": len(profile),
             "equations": equations, "profile": profile}
     f = tmp_path / "inst.json"
     f.write_text(json.dumps(inst))
@@ -485,6 +485,20 @@ def test_faltings_listing_refused_before_its_field_is_built(tmp_path, capsys,
                        "(enumerate_orbit_points k=1)\n")
         assert max(degrees, default=0) <= 13
         assert wall < 1.0
+
+
+def test_faltings_leaf_degree_refused_before_its_field_is_built(
+        tmp_path, capsys, monkeypatch):
+    # x^Q mod a degree-10^5 gcd, Q = 2^20, is refused by the partial
+    # count's check, before the listing builds F_(2^20) and walks it
+    code, out, err, degrees, wall = _faltings_on(
+        tmp_path, capsys, monkeypatch, ["x1^100000 + 1"], [20],
+        "--k-max", "1")
+    assert code == 3 and out == ""
+    assert err == ("budget exceeded: enumeration cost 210000000000 exceeds "
+                   "budget 100000000 (count_roots k=1)\n")
+    assert max(degrees, default=0) <= 1
+    assert wall < 1.0
 
 
 def test_faltings_listing_refused_though_x1_is_fixed(tmp_path, capsys,
