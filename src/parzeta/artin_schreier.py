@@ -138,8 +138,10 @@ def singular_search(form: SparsePoly, e_max: int,
     None.  None is NOT a smoothness proof, only 'no singular point found
     up to degree e_max'.  The points are the common zeros of the form and
     its partials with first nonzero coordinate 1, listed by the counting
-    engine one leading position at a time; the witness is the first in
-    lex order.  Degree e is refused before F_{q^e} is built when q^(e(n-1))
+    engine over F_{q^e}^n one leading position at a time, with the pins
+    x_i = 0 (i < lead) and x_lead = 1 added as the equations x_i and
+    x_lead - 1, which it solves linearly; the witness is the first in lex
+    order.  Degree e is refused before F_{q^e} is built when q^(e(n-1))
     (q^e for n = 1) passes ``budget``; each listing's nodes count against it.
     """
     if e_max < 1:
@@ -149,13 +151,13 @@ def singular_search(form: SparsePoly, e_max: int,
     base = form.base
     n = form.n
     system = [form] + [form.partial_derivative(i) for i in range(n)]
+    x = [SparsePoly.var(n, base, i) for i in range(n)]
     for e in range(1, e_max + 1):
         check_cost(base.q, e * max(n - 1, 1), budget, f"singular_search e={e}")
         amb = field(base.p, base.s, e)
         for lead in range(n):
-            domains = ([(0,)] * lead + [(amb._one,)]
-                       + [amb.elements()] * (n - lead - 1))
-            pts = enumerate_points(system, amb, base, domains=domains,
+            pins = x[:lead] + [x[lead] - SparsePoly.const_int(n, base, 1)]
+            pts = enumerate_points(system + pins, amb, base, [e] * n,
                                    budget=budget)
             if pts:
                 return (e, pts[0])

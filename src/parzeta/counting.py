@@ -9,30 +9,30 @@ in F_{q^{d_c k}}, which need not lie in that field.
 
 One depth-first engine, ``_search``, serves both counting and point
 listing.  It binds the variables in a given order, each to the values of
-its domain; an equation is checked as soon as its last variable is bound,
-an equation linear in the variable being bound is solved for it instead
-of scanned, and one that is a nonzero constant in it prunes the branch.
-Each equation's terms carry their values at the bound prefix, so binding
-a variable costs one product per term; their exponents e >= 1 are taken
-to (e - 1) mod (|F| - 1) + 1, F the ambient field, on which x^e takes the
-same values, and the unbound variable's to (e - 1) mod (Q - 1) + 1, F_Q
-the field its roots are counted in.  The last bound level is fused with
-the leaf: each value that passes it builds the coefficient lists of the
-equations left for the leaf directly from those term values and its own
-powers, with no further level of the search.  In ``partial_count`` and
-``enumerate_orbit_points`` the first variable bound takes one value per
-orbit of Frobenius sigma: x -> x^q on its domain, a subfield (the whole
-field for the listing).
-The orbits come from the ambient field's walk,
-``Field.frobenius_orbits``: an orbit is walked only when the
-search reaches its least member, so a refused search has walked only
-the orbits it reached, and a later search over the same subfield
-replays a walk that ran to its end.  The equations have coefficients
-in F_q, so sigma permutes the solutions and maps the fibre over x onto
-the fibre over sigma(x); an orbit in F_{q^e} has a length dividing e.
-The budget counts every node of the search over all the orbit's values:
-a node under x counts the length of x's orbit, so a refusal does not
-depend on the reduction, and its cost is always ``budget + 1``.
+its subfield F_{q^e} of the ambient field, named by its degree e; an
+equation is checked as soon as its last variable is bound, an equation
+linear in the variable being bound is solved for it instead of scanned,
+and one that is a nonzero constant in it prunes the branch.  Each
+equation's terms carry their values at the bound prefix, so binding a
+variable costs one product per term; their exponents e >= 1 in a variable
+are folded to (e - 1) mod (|F| - 1) + 1, F its field (F_Q, where its
+roots are counted, for the unbound one), on which x^e takes the same
+values.  The last bound level is fused with the leaf: each value that
+passes it builds the coefficient lists of the equations left for the leaf
+directly from those term values and its own powers, with no further level
+of the search.  In ``partial_count`` and ``enumerate_orbit_points`` the
+first variable bound takes one value per orbit of Frobenius sigma:
+x -> x^q on its subfield (the whole field for the listing).  The orbits
+come from the ambient field's walk, ``Field.frobenius_orbits``: an orbit
+is walked only when the search reaches its least member, so a refused
+search has walked only the orbits it reached, and a later search over the
+same subfield replays a walk that ran to its end.  The equations have
+coefficients in F_q, so sigma permutes the solutions and maps the fibre
+over x onto the fibre over sigma(x); an orbit in F_{q^e} has a length
+dividing e.  The budget counts every node of the search over all the
+orbit's values: a node under x counts the length of x's orbit, so a
+refusal does not depend on the reduction, and its cost is always
+``budget + 1``.
 
 - ``partial_count`` leaves out the variables no equation uses (they
   multiply the count by their domain size) and counts one used variable
@@ -71,10 +71,10 @@ depend on the reduction, and its cost is always ``budget + 1``.
   no node charge.  A level of too high a degree in x, by
   ``_collapses``, is scanned.
 - ``enumerate_points`` binds every variable in index order, each to
-  every value of its domain, the last one by scan or linear solve like
-  the others: the plain listing, in lex order.  The direct graph count
-  and the singular-point search build on it, so neither shares the orbit
-  reduction.
+  every value of the subfield its degree names, the last one by scan or
+  linear solve like the others: the plain listing, in lex order.  The
+  direct graph count and the singular-point search, which pins
+  coordinates by linear equations, build on it: no orbit reduction.
 - ``enumerate_orbit_points`` binds the variables the same way, each over
   the whole ambient field, x_1 to one value per orbit.  It lists the
   solutions whose first coordinate is its orbit's least member, in lex
@@ -173,59 +173,60 @@ def _collapses(deg: int, size: int) -> bool:
     return deg <= 3 or deg * deg <= size
 
 
-def _search(equations, ambient: Field, base: Field, order, domains, leaf,
-            budget: int, orbits=None, leaf_size=None, level_degree=None):
-    """Depth-first search binding variable ``order[u]`` to the values in
-    ``domains[u]``, for u < len(domains).
+def _search(equations, ambient: Field, base: Field, order, degrees, leaf,
+            budget: int, orbits=None, leaf_degree=None):
+    """Depth-first search binding variable ``order[u]`` to the values of
+    F_{q^e} inside ``ambient``, e = ``degrees[u]``, for u < len(degrees).
+    Each subfield is listed before the equations are read, so a degree
+    not dividing N is refused (``FieldError``) whatever they are.
 
     ``order`` lists every variable the equations use, and may hold one
-    more than ``domains`` covers: the unbound variable, whose values lie
-    in the field of ``leaf_size`` elements (by default ``ambient``'s
-    size), which need not lie in ``ambient``.  An equation is checked
-    once all its variables are bound; one that is a nonzero constant in
-    the variable being bound prunes the branch without a scan.  At each
-    full prefix, ``leaf(point, polys, w)`` is called with ``point`` the
-    bound values in search order, ``polys`` the equations that use the
-    unbound variable, as coefficient lists in it (none when every
-    variable is bound), and ``w`` the length of point[0]'s orbit (1
+    more than ``degrees`` covers: the unbound variable, whose values lie
+    in F_Q, Q = q^``leaf_degree`` (by default ``ambient``'s size), which
+    need not lie in ``ambient``.  A term's exponent in a variable is
+    folded once, at setup, to that variable's field.  An equation is
+    checked once all its variables are bound; one that is a nonzero
+    constant in the variable being bound prunes the branch without a
+    scan.  At each full prefix, ``leaf(point, polys, w)`` is called with
+    ``point`` the bound values in search order, ``polys`` the equations
+    that use the unbound variable, as coefficient lists in it (none when
+    every variable is bound), and ``w`` the length of point[0]'s orbit (1
     without ``orbits``); the sum of its return values is returned.
     ``polys`` are built at the last bound level, from a plan of each
     term's exponents there and in the unbound variable, and ``leaf`` is
     called from that level's loop.
 
-    ``level_degree`` e is given only by ``partial_count``, whose ``leaf``
-    returns w times the common roots of ``polys`` in F_Q, Q =
-    ``leaf_size``; it says that ``domains[-1]`` is F_{q^e}.  Where every
-    equation left for the leaf is linear in the unbound variable and F_Q
-    holds ``ambient`` (|ambient| - 1 divides Q - 1), a prefix of weight w
-    that the last bound level does not solve is summed as
-    w (r(C u M) - r(C u A) + Q r(C u A u B)), the module's identity, with
-    the exponents of the level's variable x folded mod q^e - 1
-    (x^(q^e) = x there), unless ``_collapses`` refuses their degree.  At
-    u = 0 the weight is 1 and the orbit walk is not read: the sum is the
-    plain sum over F_{q^e}.
+    With an unbound variable, ``leaf`` returns w times the common roots of
+    ``polys`` in F_Q, as ``partial_count``'s does.  Where every equation
+    left for it is linear in that variable and F_Q holds ``ambient``
+    (|ambient| - 1 divides Q - 1), a prefix of weight w that the last
+    bound level, over F_{q^e}, does not solve is summed as
+    w (r(C u M) - r(C u A) + Q r(C u A u B)), the module's identity,
+    unless ``_collapses`` refuses its degree.  At u = 0 the weight is 1
+    and the orbit walk is not read: the sum is the plain sum over F_{q^e}.
 
     With ``orbits``, the pairs (x, L) of the least member x of each orbit
-    of sigma: x -> x^q on ``domains[0]`` and its length L (one of
+    of sigma: x -> x^q on F_{q^degrees[0]} and its length L (one of
     ``fields``' orbit walks, read as the search reaches each pair),
-    ``order[0]`` takes one value per orbit, and every domain must be
-    sigma-stable.  Every node visited, full prefixes included, counts
+    ``order[0]`` takes one value per orbit; sigma maps every subfield
+    onto itself.  Every node visited, full prefixes included, counts
     against ``budget``, a node under a first value of orbit length L
     counting L: the values of one orbit have isomorphic subtrees, so the
     count is the node count of the search over the whole domain.  A
     summed level binds no value, so it charges no node.  The refusal's
     cost is ``budget + 1``, the node at which that search stops.
     """
+    domains = [ambient.subfield(e) for e in degrees]
     add, mul, neg, inv, pw = (ambient.add, ambient.mul, ambient.neg,
                               ambient.inv, ambient.pow)
     emb = ambient.embed_base(base)
     depth = len(order)
-    stop = len(domains)
+    stop = len(degrees)
     # per equation: term values (the coefficients, to begin with) and the
-    # exponent, reduced to its variable's field, of each term in the
+    # exponent, folded to its variable's field, of each term in the
     # variable at each position
-    tops = ([ambient.size() - 1] * stop
-            + [(leaf_size or ambient.size()) - 1] * (depth - stop))
+    tops = ([len(d) - 1 for d in domains]
+            + [ambient.q ** (leaf_degree or ambient.N) - 1] * (depth - stop))
     start, exps = [], []
     close = [[] for _ in range(depth + 1)]
     touch = [[] for _ in range(depth)]
@@ -266,13 +267,10 @@ def _search(equations, ambient: Field, base: Field, order, domains, leaf,
     # counts roots in an F_Q holding ambient, and is linear in the unbound
     # variable
     collapse = None
-    if (level_degree is not None and tops[stop] % tops[fuse] == 0
+    if (stop < depth and tops[stop] % (ambient.size() - 1) == 0
             and all(f <= 1 for _, _, terms in plan for _, f in terms)):
-        Q, size = tops[stop] + 1, ambient.q ** level_degree
-        # x lies in F_size: its exponents fold mod size - 1
-        low = {j: [e and (e - 1) % (size - 1) + 1 for e in exps[j][fuse]]
-               for j in close[fuse] + close[stop]}
-        width = {j: max(low[j]) + 1 for j in close[stop]}
+        Q, size = tops[stop] + 1, tops[fuse] + 1
+        width = {j: max(exps[j][fuse]) + 1 for j in close[stop]}
 
         def r(polys):
             """Common roots in F_size, with no call for none or a nonzero
@@ -282,16 +280,17 @@ def _search(equations, ambient: Field, base: Field, order, domains, leaf,
                 return size
             if any(len(f) == 1 for f in polys):
                 return 0
-            return count_roots(polys, ambient, level_degree)
+            return count_roots(polys, ambient, degrees[fuse])
 
         def collapse(vals):
             """The level's sum at the prefix whose term values are
             ``vals``, or None for a degree ``_collapses`` refuses."""
-            C = [_collect(vals[j], low[j], ambient) for j in close[fuse]]
+            C = [_collect(vals[j], exps[j][fuse], ambient)
+                 for j in close[fuse]]
             A, B = [], []
             for j, _, terms in plan:
                 a, b = [0] * width[j], [0] * width[j]
-                for v, e, (_, f) in zip(vals[j], low[j], terms):
+                for v, (e, f) in zip(vals[j], terms):
                     c = a if f else b
                     c[e] = add(c[e], v)
                 A.append(_trim(a))
@@ -383,9 +382,9 @@ def enumerate_orbit_points(equations, n: int, ambient: Field, base: Field,
     the pairs, each once.  x_1's orbits come from
     ``ambient.frobenius_orbits``, so a listing over the same field after
     a finished one replays its walk.  The search binds x_1, ..., x_n in
-    turn, each over the whole field, and raises ``BudgetExceededError``
-    once it has visited more than ``budget`` nodes, counted as by the
-    search over every value of x_1.
+    turn, each at degree N, over the whole field, and raises
+    ``BudgetExceededError`` once it has visited more than ``budget``
+    nodes, counted as by the search over every value of x_1.
     """
     out = []
 
@@ -393,30 +392,31 @@ def enumerate_orbit_points(equations, n: int, ambient: Field, base: Field,
         out.append((tuple(point), length))
         return 1
 
-    _search(equations, ambient, base, range(n), [range(ambient.size())] * n,
-            leaf, budget, ambient.frobenius_orbits(ambient.N))
+    _search(equations, ambient, base, range(n), [ambient.N] * n, leaf,
+            budget, ambient.frobenius_orbits(ambient.N))
     return out
 
 
-def enumerate_points(equations, ambient: Field, base: Field, domains,
+def enumerate_points(equations, ambient: Field, base: Field, degrees,
                      budget: int = DEFAULT_BUDGET):
-    """All solutions, as lex-sorted int tuples, with coordinates in the
-    per-variable ``domains``: sorted iterables of ``ambient``'s packed ints,
-    one per variable of the equations (else ``ValueError``).
+    """All solutions, as lex-sorted int tuples, with x_i in the subfield
+    F_{q^e} of ``ambient``, e = ``degrees[i]``: one degree per variable of
+    the equations (else ``ValueError``), each a divisor of ``ambient``'s
+    N (else ``FieldError``, whatever the equations).
 
-    The search binds x_1, ..., x_n, n = len(domains), in turn, each to every
-    value of its domain, and raises ``BudgetExceededError`` once it has
-    visited more than ``budget`` nodes.
+    The search binds x_1, ..., x_n, n = len(degrees), in turn, each to
+    every value of its subfield, and raises ``BudgetExceededError`` once
+    it has visited more than ``budget`` nodes.
     """
-    if any(eq.n != len(domains) for eq in equations):
-        raise ValueError("enumerate_points takes one domain per variable")
+    if any(eq.n != len(degrees) for eq in equations):
+        raise ValueError("enumerate_points takes one degree per variable")
     out = []
 
     def leaf(point, polys, length):
         out.append(tuple(point))
         return 1
 
-    _search(equations, ambient, base, range(len(domains)), domains, leaf,
+    _search(equations, ambient, base, range(len(degrees)), degrees, leaf,
             budget)
     return out
 
@@ -609,7 +609,6 @@ def partial_count(X: VarietySpec, k: int,
         return free
     e_last = X.profile[order[-1]] * k
     amb = count_field(X, k)
-    domains = [amb.subfield(X.profile[i] * k) for i in order[:-1]]
 
     # sigma: x -> x^q fixes the coefficients, so the first variable needs
     # one value per sigma-orbit, its root count weighted by the orbit's
@@ -618,6 +617,6 @@ def partial_count(X: VarietySpec, k: int,
         return length * count_roots(polys, amb, e_last)
 
     orbits = amb.frobenius_orbits(X.profile[order[0]] * k)
-    return free * _search(X.equations, amb, X.base, order, domains, roots,
-                          budget, orbits, q ** e_last,
-                          X.profile[order[-2]] * k if domains else None)
+    return free * _search(X.equations, amb, X.base, order,
+                          [X.profile[i] * k for i in order[:-1]], roots,
+                          budget, orbits, e_last)

@@ -73,10 +73,8 @@ def graph_count_direct(G: GraphSystem, k: int,
     base = field(G.p, G.s, 1)
     vpoints = []
     for v in G.vertices:
-        domain = amb.subfield(v.d * k)
-        pts = enumerate_points(v.equations, amb, base,
-                               domains=[domain] * v.n, budget=budget)
-        vpoints.append(pts)
+        vpoints.append(enumerate_points(v.equations, amb, base,
+                                        [v.d * k] * v.n, budget=budget))
     # edge src -> dst asks f(x_src) == x_dst
     vindex = {v.name: i for i, v in enumerate(G.vertices)}
     links = []

@@ -96,7 +96,7 @@ class RationalFunctionZ:
     den: tuple
 
     def __post_init__(self):
-        if self.num[0] != 1 or self.den[0] != 1:
+        if not (self.num and self.den) or self.num[0] != 1 or self.den[0] != 1:
             raise ValueError("constant terms must be 1")
         # a trailing zero is no degree: (1, 0)/(1, -2) is 1/(1 - 2T)
         for name in ("num", "den"):

@@ -12,14 +12,14 @@ descent and quadratic routes to the gcd with x^Q - x by x^Q mod g, and
 hold ``join`` to a filter over the product of its blocks.  Both listings
 are held to a filter over the product of their domains, and their
 budgets to the node count of the search over every value of x_1:
-``enumerate_points``, the plain search, over any domains, and
-``enumerate_orbit_points``, which lists one value of x_1 per Frobenius
-orbit of the whole field, with the conjugates added, over the whole
-field.  The direct graph count and the singular-point search, built on
-the plain listing, are held to walk no Frobenius orbit.  The field's
-memoised orbit walk is held to a fresh walk, and a second count, lemma
-check or refused-then-completed listing over the same field to walk no
-orbit twice.
+``enumerate_points``, the plain search, over any subfields, with some
+variables pinned by equations, and ``enumerate_orbit_points``, which
+lists one value of x_1 per Frobenius orbit of the whole field, with the
+conjugates added, over the whole field.  The direct graph count and the
+singular-point search, built on the plain listing, are held to walk no
+Frobenius orbit.  The field's memoised orbit walk is held to a fresh
+walk, and a second count, lemma check or refused-then-completed listing
+over the same field to walk no orbit twice.
 """
 
 import json
@@ -211,26 +211,28 @@ LISTING_FIELDS = [(2, 1, N) for N in range(1, 7)] + [
 
 @st.composite
 def listing_problems(draw):
-    """Equations over F_q, an ambient F_{q^N} and per-variable domains:
-    subfields, the whole field, and the (0,) and (1,) of the singular
-    point search, at most 2^12 tuples in all; when that allows, half the
-    problems have the whole field for every domain."""
+    """Equations over F_q, an ambient F_{q^N}, a degree per variable and
+    the domains of the product oracle: the variables' subfields, with
+    some pinned to 0 or 1 as the singular point search pins them, by the
+    equation x_i or x_i - 1 and the one-value domain (0,) or (1,), at
+    most 2^12 tuples in all; when that allows, half the problems have
+    degree N and no pin for every variable."""
     p, s, N = draw(st.sampled_from(LISTING_FIELDS))
     amb = field(p, s, N)
     base = base_field(p, s)
     n = draw(st.integers(1, 3))
-    choices = ([amb.subfield(e, method="span")
-                for e in range(1, N + 1) if N % e == 0]
-               + [amb.elements(), (0,), (ref_one(amb),)])
-    if amb.size() ** n <= 2 ** 12 and draw(st.booleans()):
-        domains = [amb.elements()] * n
-    else:
-        domains = [draw(st.sampled_from(choices)) for _ in range(n)]
+    whole = amb.size() ** n <= 2 ** 12 and draw(st.booleans())
+    degrees = [N if whole else
+               draw(st.sampled_from([e for e in range(1, N + 1)
+                                     if N % e == 0]))
+               for _ in range(n)]
+    pins = [None if whole else draw(st.sampled_from([None, None, 0, 1]))
+            for _ in range(n)]
     size = 1
-    for dom in domains:
-        size *= len(dom)
+    for e, pin in zip(degrees, pins):
+        size *= amb.q ** e if pin is None else 1
     if size > 2 ** 12:
-        domains = [(0,)] + domains[1:]
+        pins[0] = 0
     equations = []
     for _ in range(draw(st.integers(0, 2))):
         terms = {}
@@ -238,15 +240,24 @@ def listing_problems(draw):
             exps = tuple(draw(st.integers(0, 3)) for _ in range(n))
             terms[exps] = draw(st.integers(1, p ** s - 1))
         equations.append(SparsePoly(n, base, terms))
-    return equations, n, amb, base, domains
+    domains = []
+    for i, (e, pin) in enumerate(zip(degrees, pins)):
+        if pin is None:
+            domains.append(amb.subfield(e, method="span"))
+        else:
+            x = SparsePoly.var(n, base, i)
+            equations.append(x - SparsePoly.const_int(n, base, 1)
+                             if pin else x)
+            domains.append((ref_one(amb) if pin else 0,))
+    return equations, n, amb, base, degrees, domains
 
 
-def unreduced_nodes(equations, n, amb, base, domains):
+def unreduced_nodes(equations, n, amb, base, degrees):
     """The node count of the search over every value of x_1: the least
     budget under which ``_search`` without orbit weights passes."""
     def passes(budget):
         try:
-            _search(equations, amb, base, range(n), domains,
+            _search(equations, amb, base, range(n), degrees,
                     lambda point, polys, length: 1, budget)
         except BudgetExceededError:
             return False
@@ -267,10 +278,10 @@ def unreduced_nodes(equations, n, amb, base, domains):
 @settings(max_examples=150, deadline=None)
 @given(listing_problems())
 def test_listing_matches_product_filter(problem):
-    equations, n, amb, base, domains = problem
+    equations, n, amb, base, degrees, domains = problem
     want = sorted(pt for pt in product(*domains)
                   if not any(eq.evaluate(pt, amb) for eq in equations))
-    nodes = unreduced_nodes(equations, n, amb, base, domains)
+    nodes = unreduced_nodes(equations, n, amb, base, degrees)
 
     def conjugates(budget):
         pairs = enumerate_orbit_points(equations, n, amb, base, budget)
@@ -278,8 +289,8 @@ def test_listing_matches_product_filter(problem):
                       for pt, length in pairs for i in range(length))
 
     listings = [lambda budget: enumerate_points(equations, amb, base,
-                                                domains, budget)]
-    if all(len(dom) == amb.size() for dom in domains):
+                                                degrees, budget)]
+    if all(e == amb.N for e in degrees):
         listings.append(conjugates)  # the orbit listing's whole field
     for listing in listings:
         assert listing(nodes) == want
@@ -447,19 +458,42 @@ def test_constant_in_the_bound_variable_prunes_without_a_scan():
     tried = []
     power = amb.pow
     amb.pow = lambda x, e: tried.append(x) or power(x, e)
-    eq = parse_poly("x1*x2 + 1", ["x1", "x2"], base_field(2, 1))
-    assert enumerate_points([eq], amb, eq.base,
-                            [(0,), amb.elements()]) == []
+    eq, pin = (parse_poly(text, ["x1", "x2"], base_field(2, 1))
+               for text in ("x1*x2 + 1", "x1"))
+    assert enumerate_points([eq, pin], amb, eq.base, [12, 12]) == []
     assert tried == [0]  # x1's own power, and no scan of the 4096 x2
 
 
+def test_exponents_fold_to_their_variables_field():
+    # on F_2, x1^2 is x1: x1^2 + x1 + 1 folds to the constant 1 in x1 and
+    # prunes before any value is powered, where folded on F_(2^6) it
+    # would scan both values
+    amb = Field(2, 1, 6)  # its own instance, so the spy stays local
+    tried = []
+    power = amb.pow
+    amb.pow = lambda x, e: tried.append(x) or power(x, e)
+    eq = parse_poly("x1^2 + x1 + 1", ["x1"], base_field(2, 1))
+    assert enumerate_points([eq], amb, eq.base, [1]) == []
+    assert tried == []
+
+
 @pytest.mark.parametrize("count", [1, 3])
-def test_listing_takes_one_domain_per_variable(count):
-    # one domain would read x2 as a constant, three would index past x2
+def test_listing_takes_one_degree_per_variable(count):
+    # one degree would read x2 as a constant, three would index past x2
     amb = field(2, 1, 2)
     eq = parse_poly("x1 + x2 + 1", ["x1", "x2"], base_field(2, 1))
-    with pytest.raises(ValueError, match="one domain per variable"):
-        enumerate_points([eq], amb, eq.base, [amb.elements()] * count)
+    with pytest.raises(ValueError, match="one degree per variable"):
+        enumerate_points([eq], amb, eq.base, [amb.N] * count)
+
+
+@pytest.mark.parametrize("text", ["x1 + x2", "1"])
+def test_listing_refuses_a_degree_not_dividing_n(text):
+    # F_(2^4) is no subfield of F_(2^6), whether or not the equations
+    # leave anything to list
+    amb = field(2, 1, 6)
+    eq = parse_poly(text, ["x1", "x2"], base_field(2, 1))
+    with pytest.raises(fields.FieldError, match="e = 4 is not"):
+        enumerate_points([eq], amb, eq.base, [6, 4])
 
 
 # ---------------------------------------------------------------------------
@@ -922,16 +956,20 @@ def test_linear_leaf_level_matches_product_oracle(case):
 def search_count(X, k, budget, collapse):
     """``partial_count``'s search at level k, without its a-priori checks,
     which refuse every budget below the node bound: its last bound level
-    summed by root counts where ``collapse`` allows, else scanned."""
+    summed by root counts where ``_collapses`` allows, else scanned, and
+    with ``collapse`` false scanned always."""
     order, _ = _count_plan(X)
     amb = counting.count_field(X, k)
     e_last = X.profile[order[-1]] * k
-    domains = [amb.subfield(X.profile[i] * k) for i in order[:-1]]
-    return _search(X.equations, amb, X.base, order, domains,
-                   lambda point, polys, w: w * count_roots(polys, amb, e_last),
-                   budget, amb.frobenius_orbits(X.profile[order[0]] * k),
-                   amb.q ** e_last,
-                   X.profile[order[-2]] * k if collapse else None)
+    with pytest.MonkeyPatch.context() as patch:
+        if not collapse:
+            patch.setattr(counting, "_collapses", lambda deg, size: False)
+        return _search(X.equations, amb, X.base, order,
+                       [X.profile[i] * k for i in order[:-1]],
+                       lambda point, polys, w:
+                       w * count_roots(polys, amb, e_last),
+                       budget, amb.frobenius_orbits(X.profile[order[0]] * k),
+                       e_last)
 
 
 def search_outcome(X, k, budget, collapse):

@@ -95,7 +95,7 @@ def enumerate_y_points(X, morphisms, k: int, budget: int = DEFAULT_BUDGET):
     d = X.D
     amb = field(X.p, X.s, d * k)
     xpts = enumerate_points(X.equations, amb, X.base,
-                            [amb.elements()] * X.n, budget=budget)
+                            [amb.N] * X.n, budget=budget)
     if morphisms is None:
         images = [[pt[i] for pt in xpts] for i in range(len(X.profile))]
     else:
@@ -142,7 +142,7 @@ def test_variety_points_match_classical():
     X = V(3, 1, 2, ["x2 - x1^2"], (1, 1))
     amb = field(3, 1, 2)
     pts = enumerate_points(X.equations, amb, X.base,
-                           [amb.elements()] * X.n)
+                           [amb.N] * X.n)
     assert len(pts) == oracle_count(X, 2)
 
 
@@ -442,7 +442,7 @@ def y_by_equations(X, morphisms, k):
     amb = field(X.p, X.s, d * k)
     Y = y_variety(X, morphisms)
     pts = enumerate_points(Y.equations, amb, X.base,
-                           [amb.elements()] * Y.n)
+                           [amb.N] * Y.n)
     return [tuple(pt[j * n:(j + 1) * n] for j in range(d)) for pt in pts]
 
 

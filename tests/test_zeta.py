@@ -89,6 +89,14 @@ def test_trailing_zeros_are_trimmed():
     assert [(r.side, r.weight) for r in wr.roots] == [("pole", 2)]
 
 
+@pytest.mark.parametrize("num, den", [((), (1,)), ((1,), ()), ((2,), (1,)),
+                                      ((1,), (0, 1))])
+def test_constant_terms_other_than_one_refused(num, den):
+    # an empty side has no constant term, so it is no 1 either
+    with pytest.raises(ValueError, match="constant terms must be 1"):
+        RationalFunctionZ(num, den)
+
+
 def test_counts_newton():
     R = RationalFunctionZ((1,), (1, -2))
     assert counts_of(R, 4) == [2, 4, 8, 16]
