@@ -20,19 +20,22 @@ roots are counted, for the unbound one), on which x^e takes the same
 values.  The last bound level is fused with the leaf: each value that
 passes it builds the coefficient lists of the equations left for the leaf
 directly from those term values and its own powers, with no further level
-of the search.  In ``partial_count`` and ``enumerate_orbit_points`` the
-first variable bound takes one value per orbit of Frobenius sigma:
-x -> x^q on its subfield (the whole field for the listing).  The orbits
-come from the ambient field's walk, ``Field.frobenius_orbits``: an orbit
-is walked only when the search reaches its least member, so a refused
-search has walked only the orbits it reached, and a later search over the
-same subfield replays a walk that ran to its end.  The equations have
-coefficients in F_q, so sigma permutes the solutions and maps the fibre
-over x onto the fibre over sigma(x); an orbit in F_{q^e} has a length
-dividing e.  The budget counts every node of the search over all the
-orbit's values: a node under x counts the length of x's orbit, so a
-refusal does not depend on the reduction, and its cost is always
-``budget + 1``.
+of the search.  The equations have coefficients in F_q, so Frobenius
+sigma: x -> x^q permutes the solutions and maps the subtree under a
+prefix onto the subtree under its image.  In ``enumerate_orbit_points``
+the first variable bound takes one value per orbit of sigma on the whole
+field.  In ``partial_count`` every bound level takes one value per orbit
+of its prefix's stabiliser: a prefix whose orbit under sigma has length
+w, its weight (1 at the root), is fixed by sigma^w, which acts on the
+level's F_{q^e} as x -> x^(q^g), g = gcd(w, e), and (prefix, x) then has
+weight w m, m the length of x's orbit under that map (Burnside's
+counting of orbits of a cyclic group).  The orbits come from the ambient
+field's walk, ``Field.frobenius_orbits(e, g)``: an orbit is walked only
+when the search reaches its least member, so a refused search has walked
+only the orbits it reached, and a later search over the same subfield and
+step replays a walk that ran to its end.  The budget counts every node of
+the search over all the values: a node counts its weight, so a refusal
+does not depend on the reduction, and its cost is always ``budget + 1``.
 
 - ``partial_count`` leaves out the variables no equation uses (they
   multiply the count by their domain size) and counts one used variable
@@ -50,15 +53,15 @@ refusal does not depend on the reduction, and its cost is always
   values, and F_Q need not lie in it: x1 + x2 at profile (2, 3) and
   k = 4 searches F_{2^8}, not F_{2^24}, and counts x2 in F_{2^12}.  The
   order, ``_count_plan``'s, depends on the equations and the profile,
-  not on k.  It binds the constraining variables first, so that
-  equations close early and a linear one is solved with one candidate
-  instead of a scan of q^{d k} (the fail-first principle; Haralick and
-  Elliott, "Increasing tree search efficiency for constraint
-  satisfaction problems", 1980), and it counts a variable of least
-  degree, so that a linear leaf takes the linear route; otherwise the
-  first bound variable has the largest domain, for the orbits to reduce.
-  Each root count is weighted by the length of the first bound value's
-  orbit.  Where every leaf equation is linear in the counted variable y,
+  not on k.  It counts the variable whose leaf is cheapest: one whose
+  last bound level is summed (below), else one of least effective
+  degree.  It binds the constraining variables first, so that equations
+  close early and a linear one is solved with one candidate instead of a
+  scan of q^{d k} (the fail-first principle; Haralick and Elliott,
+  "Increasing tree search efficiency for constraint satisfaction
+  problems", 1980), and otherwise the larger domains first, for the
+  orbits to reduce.  Each root count is weighted by its prefix's weight.
+  Where every leaf equation is linear in the counted variable y,
   f_j = A_j(x) y + B_j(x) with x the last bound variable, over F_{q^e},
   and F_Q holds ``count_field``, the last bound level is summed without
   a scan.  A value x contributes Q when every A_j and B_j vanishes at it,
@@ -79,13 +82,15 @@ refusal does not depend on the reduction, and its cost is always
   the whole ambient field, x_1 to one value per orbit.  It lists the
   solutions whose first coordinate is its orbit's least member, in lex
   order, each with that orbit's length L; the others are their images
-  under sigma^i, 0 < i < L.  The
-  cyclic-cover lemma of ``faltings`` walks Frobenius chains from it and
-  compares their orbit-length sum with the partial count's root counts.
-  Both sides take their representatives from an orbit walk, the
-  partial count over its first bound variable's subfield of
-  ``count_field``, which need not be x_1's, unless it sums that
-  variable's level by root counts, and they count by different routes.
+  under sigma^i, 0 < i < L.  Only x_1 is reduced: ``faltings`` weights
+  each chain by its first coordinate's degree, which a listing reduced
+  deeper would not match.  The cyclic-cover lemma of ``faltings`` walks
+  Frobenius chains from it and compares their orbit-length sum with the
+  partial count's root counts.
+  Both sides take their representatives from orbit walks, the partial
+  count one per bound level over its variable's subfield of
+  ``count_field``, with its prefix's step, unless it sums that level by
+  root counts, and they count by different routes.
 
 Listed points are combined by ``join``: blocks of candidates tied by
 equal images, placed one at a time, each block's candidates looked up in
@@ -173,8 +178,38 @@ def _collapses(deg: int, size: int) -> bool:
     return deg <= 3 or deg * deg <= size
 
 
+@lru_cache(maxsize=256)
+def _skeleton(equations, order):
+    """``_search``'s setup that depends on the equations and the order
+    alone, worked out once per (equations, order): None when an equation
+    is a nonzero constant, else per equation its coefficients, in the
+    order of its sorted terms, and per position u the row of those terms'
+    exponents in ``order[u]`` with the row's largest entry; then per
+    position the equations that close there (their last variable) and
+    those that use it and close later."""
+    depth = len(order)
+    coeffs, rows = [], []
+    close = [[] for _ in range(depth + 1)]
+    touch = [[] for _ in range(depth)]
+    for eq in equations:
+        if not eq.terms:
+            continue
+        terms = sorted(eq.terms.items())
+        by_pos = [tuple(ex[v] for ex, _ in terms) for v in order]
+        used = [u for u in range(depth) if any(by_pos[u])]
+        if not used:
+            return None
+        close[used[-1]].append(len(coeffs))
+        for u in used[:-1]:
+            touch[u].append(len(coeffs))
+        coeffs.append(tuple(c for _, c in terms))
+        rows.append(tuple((row, max(row)) for row in by_pos))
+    return (tuple(coeffs), tuple(rows), tuple(map(tuple, close)),
+            tuple(map(tuple, touch)))
+
+
 def _search(equations, ambient: Field, base: Field, order, degrees, leaf,
-            budget: int, orbits=None, leaf_degree=None):
+            budget: int, orbits: int = 0, leaf_degree=None):
     """Depth-first search binding variable ``order[u]`` to the values of
     F_{q^e} inside ``ambient``, e = ``degrees[u]``, for u < len(degrees).
     Each subfield is listed before the equations are read, so a degree
@@ -183,18 +218,19 @@ def _search(equations, ambient: Field, base: Field, order, degrees, leaf,
     ``order`` lists every variable the equations use, and may hold one
     more than ``degrees`` covers: the unbound variable, whose values lie
     in F_Q, Q = q^``leaf_degree`` (by default ``ambient``'s size), which
-    need not lie in ``ambient``.  A term's exponent in a variable is
-    folded once, at setup, to that variable's field.  An equation is
-    checked once all its variables are bound; one that is a nonzero
-    constant in the variable being bound prunes the branch without a
-    scan.  At each full prefix, ``leaf(point, polys, w)`` is called with
-    ``point`` the bound values in search order, ``polys`` the equations
-    that use the unbound variable, as coefficient lists in it (none when
-    every variable is bound), and ``w`` the length of point[0]'s orbit (1
-    without ``orbits``); the sum of its return values is returned.
-    ``polys`` are built at the last bound level, from a plan of each
-    term's exponents there and in the unbound variable, and ``leaf`` is
-    called from that level's loop.
+    need not lie in ``ambient``.  The equations' ``_skeleton`` is worked
+    out once per (equations, order); a call folds each exponent row whose
+    largest entry passes its variable's field to that field and embeds
+    the coefficients.  An equation is checked once all its variables are
+    bound; one that is a nonzero constant in the variable being bound
+    prunes the branch without a scan.  At each full prefix,
+    ``leaf(point, polys, w)`` is called with ``point`` the bound values in
+    search order, ``polys`` the equations that use the unbound variable,
+    as coefficient lists in it (none when every variable is bound), and
+    ``w`` the prefix's weight below; the sum of its return values is
+    returned.  ``polys`` are built at the last bound level, from a plan of
+    each term's exponents there and in the unbound variable, and ``leaf``
+    is called from that level's loop.
 
     With an unbound variable, ``leaf`` returns w times the common roots of
     ``polys`` in F_Q, as ``partial_count``'s does.  Where every equation
@@ -202,21 +238,31 @@ def _search(equations, ambient: Field, base: Field, order, degrees, leaf,
     (|ambient| - 1 divides Q - 1), a prefix of weight w that the last
     bound level, over F_{q^e}, does not solve is summed as
     w (r(C u M) - r(C u A) + Q r(C u A u B)), the module's identity,
-    unless ``_collapses`` refuses its degree.  At u = 0 the weight is 1
-    and the orbit walk is not read: the sum is the plain sum over F_{q^e}.
+    unless ``_collapses`` refuses its degree.  The sum reads no orbit
+    walk: it is the plain sum over F_{q^e}.
 
-    With ``orbits``, the pairs (x, L) of the least member x of each orbit
-    of sigma: x -> x^q on F_{q^degrees[0]} and its length L (one of
-    ``fields``' orbit walks, read as the search reaches each pair),
-    ``order[0]`` takes one value per orbit; sigma maps every subfield
-    onto itself.  Every node visited, full prefixes included, counts
-    against ``budget``, a node under a first value of orbit length L
-    counting L: the values of one orbit have isomorphic subtrees, so the
-    count is the node count of the search over the whole domain.  A
-    summed level binds no value, so it charges no node.  The refusal's
-    cost is ``budget + 1``, the node at which that search stops.
+    The first ``orbits`` levels bind one value per orbit of the prefix's
+    stabiliser.  The prefix's weight w, 1 at the root, is the length of
+    its orbit under sigma: x -> x^q, which sigma^w fixes; on F_{q^e},
+    sigma^w generates the same group as x -> x^(q^g), g = gcd(w, e), so
+    the level reads ``ambient.frobenius_orbits(e, g)`` as it reaches each
+    pair (x, m), and (prefix, x) has weight w m, the lcm of w and x's
+    degree over F_q.  A solved level keeps the weight: its one value is
+    fixed by the stabiliser.  So does a level past ``orbits`` and a
+    summed one.  The equations have coefficients in F_q, so the
+    stabiliser maps the subtree under (prefix, x) onto the subtree under
+    each value of x's orbit, and every subfield onto itself.  Every node
+    visited, full prefixes included, counts its weight against
+    ``budget``: the count is the node count of the search over every
+    value.  A summed level binds no value, so it charges no node.  The
+    refusal's cost is ``budget + 1``, the node at which that search
+    stops.
     """
     domains = [ambient.subfield(e) for e in degrees]
+    skeleton = _skeleton(tuple(equations), tuple(order))
+    if skeleton is None:
+        return 0  # a nonzero constant equation
+    coeffs, rows, close, touch = skeleton
     add, mul, neg, inv, pw = (ambient.add, ambient.mul, ambient.neg,
                               ambient.inv, ambient.pow)
     emb = ambient.embed_base(base)
@@ -227,26 +273,9 @@ def _search(equations, ambient: Field, base: Field, order, degrees, leaf,
     # variable at each position
     tops = ([len(d) - 1 for d in domains]
             + [ambient.q ** (leaf_degree or ambient.N) - 1] * (depth - stop))
-    start, exps = [], []
-    close = [[] for _ in range(depth + 1)]
-    touch = [[] for _ in range(depth)]
-    for eq in equations:
-        if not eq.terms:
-            continue
-        terms = sorted(eq.terms.items())
-        by_pos = [tuple(ex[v] and (ex[v] - 1) % top + 1 for ex, _ in terms)
-                  for v, top in zip(order, tops)]
-        used = [u for u in range(depth) if any(by_pos[u])]
-        if not used:
-            return 0  # a nonzero constant equation
-        j = len(start)
-        start.append([emb(c) for _, c in terms])
-        exps.append(by_pos)
-        last = used[-1]
-        close[last].append(j)
-        for u in used:
-            if u < last:
-                touch[u].append(j)
+    start = [[emb(c) for c in cs] for cs in coeffs]
+    exps = [[row if hi <= top else tuple(e and (e - 1) % top + 1 for e in row)
+             for (row, hi), top in zip(by_pos, tops)] for by_pos in rows]
     powers = [sorted({e for j in close[u] + touch[u] for e in exps[j][u] if e})
               for u in range(stop)]
     members = [d if isinstance(d, range) else set(d) for d in domains]
@@ -325,16 +354,16 @@ def _search(equations, ambient: Field, base: Field, order, degrees, leaf,
             if level is not None:
                 return w * level
         if candidates is not None:
-            # a solved level keeps the weight; at u = 0 that is 1: the root
-            # of a linear equation in order[0] alone lies in F_q, an orbit
-            # of length 1
-            candidates = zip(candidates, repeat(w))
-        elif u or orbits is None:
-            candidates = zip(domains[u], repeat(w))
+            # a solved level keeps the weight: the one root is fixed by the
+            # prefix's stabiliser (at u = 0, a root in F_q)
+            candidates = zip(candidates, repeat(1))
+        elif u < orbits:
+            e = degrees[u]
+            candidates = ambient.frobenius_orbits(e, math.gcd(w, e))
         else:
-            candidates = orbits
+            candidates = zip(domains[u], repeat(1))
         total = 0
-        for x, wx in candidates:
+        for x, m in candidates:
             xp = {e: pw(x, e) for e in powers[u]}
             for j in closing:
                 acc = 0
@@ -343,6 +372,7 @@ def _search(equations, ambient: Field, base: Field, order, degrees, leaf,
                 if acc:
                     break
             else:
+                wx = w * m
                 nodes += wx
                 if nodes > budget:
                     raise BudgetExceededError(budget + 1, budget,
@@ -393,7 +423,7 @@ def enumerate_orbit_points(equations, n: int, ambient: Field, base: Field,
         return 1
 
     _search(equations, ambient, base, range(n), [ambient.N] * n, leaf,
-            budget, ambient.frobenius_orbits(ambient.N))
+            budget, 1)
     return out
 
 
@@ -490,16 +520,21 @@ def join(sizes, links, budget: int, context: str):
 def partial_count_check(X: VarietySpec, k: int, budget: int) -> None:
     """partial_count's refusals at level k, before any field is built:
     the product of the domain sizes, q^e with e = k sum d_i, over the
-    budget; then x^Q mod a leaf's gcd, about deg^2 times Q's bit length
-    products, over the budget (``count_roots k=...``), deg > 2 the
-    counted variable's largest exponent reduced mod Q - 1 as the engine
-    reduces it (``count_roots`` takes no x^Q for deg <= 2)."""
-    q = X.p ** X.s
-    check_cost(q, k * sum(X.profile), budget, f"partial_count k={k}")
+    budget; then ``leaf_check``'s."""
+    check_cost(X.p ** X.s, k * sum(X.profile), budget, f"partial_count k={k}")
+    leaf_check(X, k, budget)
+
+
+def leaf_check(X: VarietySpec, k: int, budget: int) -> None:
+    """The leaf's refusal at level k, before any field is built: x^Q mod
+    a leaf's gcd, about deg^2 times Q's bit length products, over the
+    budget (``count_roots k=...``), deg > 2 the counted variable's largest
+    exponent reduced mod Q - 1 as the engine reduces it (``count_roots``
+    takes no x^Q for deg <= 2)."""
     plan = _count_plan(X)
     if plan and plan[0]:
         order, exps = plan
-        Q = q ** (X.profile[order[-1]] * k)
+        Q = (X.p ** X.s) ** (X.profile[order[-1]] * k)
         deg = max((e - 1) % (Q - 1) + 1 for e in exps)
         cost = deg * deg * Q.bit_length()
         if deg > 2 and cost > budget:
@@ -515,35 +550,60 @@ def _count_plan(X: VarietySpec):
     depends on the equations and the profile, not on k, so it is worked
     out once per variety.
 
-    The counted variable has a largest domain.  For each such choice the
-    others are placed back to front, each place taking, in this order of
-    preference, a variable at which an equation without the counted one
-    closes linearly (the search solves it: one candidate), one at which
-    such an equation closes at all (it prunes), and the smallest domain,
-    ties going to the highest index, so that the first variable, bound to
-    one value per Frobenius orbit, has the largest domain left.  The
-    counted variable is the choice whose places close best, back to
+    The counted variable has a largest domain, and is chosen by its leaf,
+    in this order of preference: one that is summable, every equation
+    using it linear in it and its entry a multiple of the lcm of the
+    other used entries, so that F_Q holds ``count_field`` and the last
+    bound level is summed; then one of least effective degree, its
+    largest exponent in an equation over the largest power of p dividing
+    all its positive exponents there (x^p - c takes ``count_roots``'
+    p-th-root route); then the choice whose places close best, back to
     front; then the one of least degree in the equations that use it, so
     that a linear leaf takes ``count_roots``' linear route; then the one
     of highest index.
+
+    For each choice the others are placed back to front, each place
+    taking, in this order of preference, a variable at which an equation
+    without the counted one closes linearly (the search solves it: one
+    candidate), one at which such an equation closes at all (it prunes),
+    and the smallest domain, ties going to the highest index, so that the
+    first variables, bound to one value per orbit, have the largest
+    domains left.  For a summable choice the place filled first, the
+    summed level, ranks its variables after the closing ranks by least
+    degree in the terms that hold the counted variable, then least degree
+    in the equations that use it, then the largest domain: a sum costs
+    the same whatever its domain's size, and its degree decides whether
+    ``_collapses`` lets it be summed.
     """
-    d = X.profile
-    degrees = []
+    d, p = X.profile, X.p
+    # per equation that uses a variable: those variables, its degree in
+    # each, its exponent vectors
+    equations = []
     for eq in X.equations:
         if eq.terms:
             deg = [max(col) for col in zip(*eq.terms)]
             vs = {i for i, e in enumerate(deg) if e}
             if not vs:
                 return None
-            degrees.append((vs, deg))
-    used = set().union(*(vs for vs, _ in degrees))
+            equations.append((vs, deg, tuple(eq.terms)))
+    used = set().union(*(vs for vs, _, _ in equations))
     if not used:
         return (), ()
     top = max(d[i] for i in used)
     best = None
     for last in sorted(i for i in used if d[i] == top):
         rest = used - {last}
-        bound = [(vs, deg) for vs, deg in degrees if last not in vs]
+        leaf = [eq for eq in equations if last in eq[0]]
+        summable = (all(deg[last] == 1 for _, deg, _ in leaf)
+                    and top % math.lcm(*(d[i] for i in rest)) == 0)
+        effective = 0
+        for _, deg, terms in leaf:
+            # the p-part of the gcd of last's exponents in this equation
+            g, unit = math.gcd(*(ex[last] for ex in terms)), 1
+            while g % p == 0:
+                g, unit = g // p, unit * p
+            effective = max(effective, deg[last] // unit)
+        bound = [(vs, deg) for vs, deg, _ in equations if last not in vs]
         order, places = [last], []
         while rest:
             ranks = []
@@ -551,12 +611,19 @@ def _count_plan(X: VarietySpec):
                 # the degrees in v of the equations that close at v
                 closing = [deg[v] for vs, deg in bound
                            if v in vs and vs <= rest]
-                ranks.append((1 in closing, bool(closing), -d[v], v))
-            linear, closes, _, v = max(ranks)
-            places += [linear, closes]
-            order.append(v)
-            rest = rest - {v}
-        key = (places, -min(deg[last] for vs, deg in degrees if last in vs))
+                if summable and len(order) == 1:
+                    tail = (-max(ex[v] for _, _, terms in leaf
+                                 for ex in terms if ex[last]),
+                            -max(deg[v] for _, deg, _ in leaf), d[v])
+                else:
+                    tail = (-d[v],)
+                ranks.append((1 in closing, bool(closing), *tail, v))
+            rank = max(ranks)
+            places += rank[:2]
+            order.append(rank[-1])
+            rest = rest - {rank[-1]}
+        key = (summable, -effective, places,
+               -min(deg[last] for _, deg, _ in leaf))
         if best is None or key >= best[0]:
             best = key, tuple(order[::-1])
     order = best[1]
@@ -587,13 +654,13 @@ def partial_count(X: VarietySpec, k: int,
     The used variables are searched in ``_count_plan``'s order over
     ``count_field``, which holds the bound variables' subfields: the
     last is counted by ``count_roots`` in F_Q, Q = q^{d_c k} with d_c its
-    profile entry, which need not lie in that field; the first takes one
-    value per Frobenius orbit, and the last bound level builds the leaf's
-    polynomials itself.  When F_Q holds ``count_field`` and every leaf
-    equation is linear in the counted variable, A_j x_c + B_j, that level
-    is summed instead, as r(C u M) - r(C u A) + Q r(C u A u B) over the
-    level's subfield (the module's identity), if ``_collapses`` allows
-    its degree.
+    profile entry, which need not lie in that field; each bound level
+    takes one value per orbit of its prefix's stabiliser, and the last
+    one builds the leaf's polynomials itself.  When F_Q holds
+    ``count_field`` and every leaf equation is linear in the counted
+    variable, A_j x_c + B_j, that level is summed instead, as
+    r(C u M) - r(C u A) + Q r(C u A u B) over the level's subfield (the
+    module's identity), if ``_collapses`` allows its degree.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -610,13 +677,14 @@ def partial_count(X: VarietySpec, k: int,
     e_last = X.profile[order[-1]] * k
     amb = count_field(X, k)
 
-    # sigma: x -> x^q fixes the coefficients, so the first variable needs
-    # one value per sigma-orbit, its root count weighted by the orbit's
-    # length; the field keeps a finished walk for the next count
-    def roots(point, polys, length):
-        return length * count_roots(polys, amb, e_last)
+    # sigma: x -> x^q fixes the coefficients, so each bound level needs
+    # one value per orbit of its prefix's stabiliser, the root count
+    # weighted by the prefix's orbit length; the field keeps a finished
+    # walk for the next count
+    def roots(point, polys, weight):
+        return weight * count_roots(polys, amb, e_last)
 
-    orbits = amb.frobenius_orbits(X.profile[order[0]] * k)
+    bound = order[:-1]
     return free * _search(X.equations, amb, X.base, order,
-                          [X.profile[i] * k for i in order[:-1]], roots,
-                          budget, orbits, e_last)
+                          [X.profile[i] * k for i in bound], roots,
+                          budget, len(bound), e_last)

@@ -20,18 +20,22 @@ L is decided by powering, ``Field.in_subfield``, not taken from the
 orbit walk whose lengths weight the partial count, so a wrong length
 from the walk makes the two sides differ.  The representatives
 themselves, which x_1 values start a chain, still come from that walk,
-as do the partial count's, over the subfield of its first bound
-variable inside ``counting.count_field``, a smaller field whenever the
-bound variables' profile entries have an lcm below d; a partial count
-that sums that variable's level by root counts reads no walk, and then
-a wrong length shows only in the listing's tally.  A walk that skips
-an orbit mostly shows as unequal sides (``x1*x2 + 1`` at profile
+as do the partial count's: each of its bound levels walks its
+variable's subfield inside ``counting.count_field``, a smaller field
+whenever the bound variables' profile entries have an lcm below d, by
+the orbits of x -> x^(q^g), g the gcd of the level's degree and its
+prefix's orbit length (g = 1 at the first level).  A level that the
+partial count sums by root counts reads no walk, and where it reads
+none a wrong length shows only in the listing's tally.  A walk that
+skips an orbit mostly shows as unequal sides (``x1*x2 + 1`` at profile
 (1, 2)), but not always: on ``x1 + x2`` at (2, 3) both sides drop the
-same representative and still agree.  So a
-level passes only when each walk it read also has M_q(L) orbits of
-each length L dividing its degree, ``_walk_is_whole``, a count that
-shares no code with the walk.  What stays shared is which member of an
-orbit represents it, which neither count depends on.
+same representative and still agree, and an orbit of values that an
+equation prunes anyway changes no count.  So a level passes only when
+each walk it read, the listing's and every one of the partial count's,
+also has M_(q^g)(L) orbits of each length L dividing e/g, e its degree
+and g its step, ``_walk_is_whole``, a count that shares no code with
+the walk.  What stays shared is which member of an orbit represents it,
+which neither count depends on.
 ``lemma_check`` is the one entry: it builds each level's listing, whose
 field every step of the level but the partial count reads, and reports
 counts, with ``witness_count`` the fixed points of the mismatched
@@ -147,18 +151,19 @@ def _twisted_fixed_points(X: VarietySpec, k: int, twists, listing):
     return out
 
 
-def _walk_is_whole(amb, e: int) -> bool:
-    """Whether ``amb.frobenius_orbits(e)`` lists, for each L dividing e,
-    M_q(L) orbits of length L and no other: M_q(L) is the number of monic
-    irreducibles of degree L over F_q (Gauss; Lidl and Niederreiter,
-    *Finite Fields*, Thm 3.25), here L M_q(L) = q^L minus the elements of
+def _walk_is_whole(amb, e: int, g: int = 1) -> bool:
+    """Whether ``amb.frobenius_orbits(e, g)``, the orbits of x -> x^Q,
+    Q = q^g, on F_{q^e} = F_{Q^(e/g)}, lists for each L dividing e/g
+    M_Q(L) orbits of length L and no other: M_Q(L) is the number of monic
+    irreducibles of degree L over F_Q (Gauss; Lidl and Niederreiter,
+    *Finite Fields*, Thm 3.25), here L M_Q(L) = Q^L minus the elements of
     each smaller degree j dividing L."""
-    exact = {}  # L -> the elements of F_{q^e} of degree exactly L over F_q
-    for L in range(1, e + 1):
-        if e % L == 0:
-            exact[L] = amb.q ** L - sum(n for j, n in exact.items()
-                                        if L % j == 0)
-    return Counter(L for _, L in amb.frobenius_orbits(e)) == {
+    exact = {}  # L -> the elements of F_{q^e} of degree exactly L over F_Q
+    for L in range(1, e // g + 1):
+        if e // g % L == 0:
+            exact[L] = amb.q ** (g * L) - sum(n for j, n in exact.items()
+                                              if L % j == 0)
+    return Counter(L for _, L in amb.frobenius_orbits(e, g)) == {
         L: n // L for L, n in exact.items()}
 
 
@@ -257,13 +262,15 @@ def lemma_check(X: VarietySpec, k_max: int, morphisms=None,
             read = {amb}
         frob = amb.frob
         # the walks the level read, the listing's over F_{q^{dk}} and the
-        # partial count's over its first bound variable's F_{q^{d_i k}}
-        # inside ``count_field``, replayed: a field keeps a walk only once
-        # it has ended, so one it does not keep was not read
+        # partial count's, each bound level's over its F_{q^{d_i k}} inside
+        # ``count_field`` with the step of its prefix's stabiliser,
+        # replayed: a field keeps a walk only once it has ended, so one it
+        # does not keep was not read
+        degrees = {di * k for di in X.profile}
         walks_ok = walks_ok and all(
-            _walk_is_whole(F, e) for F in read
-            for e in {F.N, *(di * k for di in X.profile)}
-            if e in F._orbit_cache)
+            _walk_is_whole(F, e, g) for F in read
+            for e, g in list(F._orbit_cache)
+            if e == F.N or e in degrees)
         found = _twisted_fixed_points(X, k, twists, listing)
         # reconstruction bijection, checked on the chains; Frobenius carries
         # it to their conjugates.  Every distinct block is a point of X ...

@@ -48,14 +48,17 @@ e = N, as ``elements()``.  The ``filter`` oracle decides x^(q^e) = x by
 ``pow`` and never uses the Frobenius matrix, so the two subfield methods
 stay independent below N.
 
-``Field.frobenius_orbits(e)``, the library's one orbit walker, walks the
-orbits of sigma: x -> x^q on F_{q^e}, one ``frob`` per element, and
-yields the least member of each with the orbit's length.  The walk is
-lazy, a value met in an earlier orbit skipped and an orbit walked when
-its least member is reached, so a search refused part-way has walked
-only the orbits it reached; only a finished walk is cached per e, for
-later calls to replay.  It walks only whole subfields, which sigma maps
-onto themselves, so the walk checks no stability.
+``Field.frobenius_orbits(e, g)``, the library's one orbit walker, walks
+the orbits of x -> x^(q^g) on F_{q^e}, g dividing e, one ``frob`` per
+element, and yields the least member of each with the orbit's length:
+g = 1 gives the orbits of sigma: x -> x^q, and a larger g those of
+sigma^g, the stabiliser of a prefix whose orbit under sigma has a length
+sharing g with e.  The walk is lazy, a value met in an earlier orbit
+skipped and an orbit walked when its least member is reached, so a
+search refused part-way has walked only the orbits it reached; only a
+finished walk is cached per (e, g), for later calls to replay.  It walks
+only whole subfields, which sigma maps onto themselves, so the walk
+checks no stability.
 
 Univariate polynomials over a field are coefficient lists of its packed
 ints, constant term first.  One toolkit does their arithmetic: remainder,
@@ -221,7 +224,9 @@ def count_roots(polys, F: Field, e: int) -> int:
 
     These identities hold in the algebraic closure, so F_Q need not lie
     in F; the descent then stops at coefficients in F_Q inside F, its
-    subfield F_{q^gcd(e, N)}.  ``is_irreducible`` counts over F_p with
+    subfield F_{q^gcd(e, N)}.  When N divides e, F_Q holds F, every
+    element of F is its own Q-th power, and neither the descent nor the
+    linear root's test r^Q = r is run.  ``is_irreducible`` counts over F_p with
     e > 1, and ``partial_count`` over the smallest field holding its bound
     values, with e past N when the counted variable's subfield is larger
     than theirs.  No element of F_{q^e} is listed.
@@ -231,6 +236,8 @@ def count_roots(polys, F: Field, e: int) -> int:
         return F.q ** e
     polys.sort(key=len)
     add, mul, frob = F.add, F.mul, F.frob
+    # F_Q holds F when N divides e: every element is its own Q-th power
+    inside = e % F.N == 0
     g, i = polys[0], 1
     while len(g) > 2 and i < len(polys):
         g = _gcd(g, polys[i], F)
@@ -239,7 +246,7 @@ def count_roots(polys, F: Field, e: int) -> int:
         return 0
     if len(g) == 2:
         r = mul(F.neg(g[0]), F.inv(g[1]))
-        if frob(r, e) != r:
+        if not inside and frob(r, e) != r:
             return 0
         for f in polys[i:]:
             acc = 0
@@ -249,7 +256,7 @@ def count_roots(polys, F: Field, e: int) -> int:
                 return 0
         return 1
     g = _monic(g, F)
-    while True:
+    while not inside:
         h = [frob(c, e) for c in g]
         if h == g:
             break
@@ -722,16 +729,17 @@ class Field:
         out = self._subfield_cache[key] = tuple(vals)
         return out
 
-    def frobenius_orbits(self, e: int):
-        """(x, L) for the least member x of each orbit of sigma: x -> x^q
-        on F_{q^e}, in increasing x, L the orbit's length.
+    def frobenius_orbits(self, e: int, g: int = 1):
+        """(x, L) for the least member x of each orbit of x -> x^(q^g) on
+        F_{q^e}, in increasing x, L the orbit's length; g divides e, and
+        g = 1 walks the orbits of sigma: x -> x^q.
 
-        A finished walk is cached per e and replayed.  Otherwise the orbits
-        are walked lazily, one ``frob`` per element, as the reader reaches
-        them, and the pairs are cached only when the walk ends: a walk left
-        part-way leaves nothing behind.
+        A finished walk is cached per (e, g) and replayed.  Otherwise the
+        orbits are walked lazily, one ``frob`` per element, as the reader
+        reaches them, and the pairs are cached only when the walk ends: a
+        walk left part-way leaves nothing behind.
         """
-        done = self._orbit_cache.get(e)
+        done = self._orbit_cache.get((e, g))
         if done is not None:
             yield from done
             return
@@ -740,13 +748,13 @@ class Field:
             if x in later:
                 later.discard(x)
                 continue
-            y, n = frob(x, 1), 1
+            y, n = frob(x, g), 1
             while y != x:
                 later.add(y)
-                y, n = frob(y, 1), n + 1
+                y, n = frob(y, g), n + 1
             walked.append((x, n))
             yield x, n
-        self._orbit_cache[e] = walked
+        self._orbit_cache[(e, g)] = walked
 
     def _subfield_span(self, e: int):
         """F_{q^e} as the F_p-span of the relative traces

@@ -5,8 +5,10 @@ morphism to each edge; its counting sequence can be computed directly or
 through the fibred product, whose partial zeta function is the graph zeta
 function.  The two routes must agree, and checking that they do is the
 point of this module.  `reduction_check` refuses and counts each level
-once: the direct count's check, whose cost is the fibred product's, refuses
-it, and the zeta deepening's counts serve as its reduced counts.
+once: the direct count's check, whose cost is the fibred product's, and
+then the fibred product's leaf check refuse it before the direct count
+builds a field, and the zeta deepening's counts serve as its reduced
+counts.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .counting import (DEFAULT_BUDGET, check_cost, enumerate_points, join,
-                       partial_count)
+                       leaf_check, partial_count)
 from .fields import field
 from .polys import MorphismSpec, SparsePoly, VarietySpec
 from .zeta import (ReconstructionResult, WeightReport, auto_reconstruct,
@@ -60,6 +62,11 @@ class GraphSystem:
         return math.lcm(*(v.d for v in self.vertices))
 
 
+def _direct_check(G: GraphSystem, k: int, budget: int) -> None:
+    check_cost(G.p ** G.s, k * sum(v.n * v.d for v in G.vertices), budget,
+               f"graph_count_direct k={k}")
+
+
 def graph_count_direct(G: GraphSystem, k: int,
                        budget: int = DEFAULT_BUDGET) -> int:
     """Tuples (x_v) with x_v in X_v(F_{q^{d_v k}}) meeting every edge equation.
@@ -67,8 +74,7 @@ def graph_count_direct(G: GraphSystem, k: int,
     Refused before any field is built when the product of the vertex
     domains, q^e with e = k sum n_v d_v (the fibred product's count), is
     over the budget."""
-    check_cost(G.p ** G.s, k * sum(v.n * v.d for v in G.vertices), budget,
-               f"graph_count_direct k={k}")
+    _direct_check(G, k, budget)
     amb = field(G.p, G.s, G.D * k)
     base = field(G.p, G.s, 1)
     vpoints = []
@@ -136,12 +142,18 @@ class GraphReport:
 def reduction_check(G: GraphSystem, k_max: int, max_k: int = 12,
                     holdout: int = 3, tol: float = 1e-6,
                     budget: int = DEFAULT_BUDGET) -> GraphReport:
-    """Direct counts vs the reduction for k <= k_max, then the graph zeta."""
+    """Direct counts vs the reduction for k <= k_max, then the graph zeta.
+    Each level's tuples, then the fibred product's leaf, are checked
+    before its direct count builds a field."""
     if k_max < 1:
         raise ValueError("k_max must be positive")
     X = fibred_product_reduce(G)
-    direct = tuple(graph_count_direct(G, k, budget=budget)
-                   for k in range(1, k_max + 1))
+    direct = []
+    for k in range(1, k_max + 1):
+        _direct_check(G, k, budget)
+        leaf_check(X, k, budget)
+        direct.append(graph_count_direct(G, k, budget=budget))
+    direct = tuple(direct)
     res = auto_reconstruct(X, max_k, holdout=holdout, budget=budget)
     reduced = res.counts[:k_max] + tuple(
         partial_count(X, k, budget=budget)

@@ -389,6 +389,13 @@ class VarietySpec:
         for eq in self.equations:
             if eq.n != self.n:
                 raise ValueError("equation variable count mismatch")
+        # hashed once: the counting caches key on the variety, and a
+        # SparsePoly hashes its terms afresh on every call
+        object.__setattr__(self, "_hash", hash(
+            (self.p, self.s, self.n, self.equations, self.profile)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def D(self) -> int:

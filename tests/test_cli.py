@@ -278,6 +278,25 @@ def test_graph_refused_at_the_first_level_past_the_budget(tmp_path, capsys):
                    "budget 1000000 (graph_count_direct k=2)\n")
 
 
+@pytest.mark.parametrize("d", [20, 24])
+def test_graph_leaf_refused_before_a_vertex_field_is_built(tmp_path, capsys,
+                                                         d):
+    # the fibred product's 2^d tuples at level 1 pass the budget, its leaf
+    # x1^100000 + 1 does not: refused before the direct count lists
+    # F_(2^d), which took seconds at d = 20 before its exit 4
+    inst = {"kind": "graph", "p": 2, "s": 1, "edges": [],
+            "vertices": [{"name": "u", "n": 1, "d": d,
+                          "equations": ["x1^100000 + 1"]}]}
+    f = tmp_path / "inst.json"
+    f.write_text(json.dumps(inst))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "graph", str(f), "--k-max", "1")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and out == ""
+    assert err == (f"budget exceeded: enumeration cost {10 ** 10 * (d + 1)} "
+                   "exceeds budget 100000000 (count_roots k=1)\n")
+
+
 @pytest.mark.parametrize("p, s", [(2, 3000), (2 ** 61 - 1, 1),
                                   (10 ** 30 + 57, 1)])
 def test_base_field_refused_before_it_is_built(tmp_path, capsys, monkeypatch,

@@ -917,13 +917,13 @@ LINEAR_CASES = [case for case in CASES
 
 
 @st.composite
-def linear_leaf_varieties(draw):
+def linear_leaf_varieties(draw, cases=LINEAR_CASES):
     """(X, k): one to three equations A y + B, y the last variable, A and
     B random in the others, each maybe times a common factor, so that A
     and B share roots; zero A and A zero on the domain occur.  Maybe one
     more equation in the others alone, which closes at the last bound
     level or before it."""
-    p, s, profile, k = draw(st.sampled_from(LINEAR_CASES))
+    p, s, profile, k = draw(st.sampled_from(cases))
     n = len(profile)
     base = base_field(p, s)
 
@@ -953,12 +953,16 @@ def test_linear_leaf_level_matches_product_oracle(case):
     assert partial_count(X, k) == oracle_count(X, k)
 
 
-def search_count(X, k, budget, collapse):
+def search_count(X, k, budget, collapse, orbits=None):
     """``partial_count``'s search at level k, without its a-priori checks,
     which refuse every budget below the node bound: its last bound level
     summed by root counts where ``_collapses`` allows, else scanned, and
-    with ``collapse`` false scanned always."""
+    with ``collapse`` false scanned always; its first ``orbits`` levels
+    reduced by orbits, by default every bound level, as ``partial_count``
+    reduces them."""
     order, _ = _count_plan(X)
+    if orbits is None:
+        orbits = len(order) - 1
     amb = counting.count_field(X, k)
     e_last = X.profile[order[-1]] * k
     with pytest.MonkeyPatch.context() as patch:
@@ -968,13 +972,12 @@ def search_count(X, k, budget, collapse):
                        [X.profile[i] * k for i in order[:-1]],
                        lambda point, polys, w:
                        w * count_roots(polys, amb, e_last),
-                       budget, amb.frobenius_orbits(X.profile[order[0]] * k),
-                       e_last)
+                       budget, orbits, e_last)
 
 
-def search_outcome(X, k, budget, collapse):
+def search_outcome(X, k, budget, collapse, orbits=None):
     try:
-        return search_count(X, k, budget, collapse)
+        return search_count(X, k, budget, collapse, orbits)
     except BudgetExceededError as err:
         return err.cost, str(err)
 
@@ -1132,3 +1135,81 @@ def test_join_refuses_one_node_below_its_count():
         join(sizes, links, 5, "ctx")
     assert info.value.cost == 6 and info.value.budget == 5
     assert str(info.value) == "enumeration cost 6 exceeds budget 5 (ctx)"
+
+
+# ---------------------------------------------------------------------------
+# the count's order and its deeper orbit levels
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(varieties(), linear_leaf_varieties()), st.data())
+def test_every_order_counting_a_largest_domain_counts_the_same(case, data):
+    # the plan picks the order for speed: any order of the used variables
+    # whose counted one has a largest domain gives the same count
+    X, k = case
+    plan = _count_plan(X)
+    if not plan or not plan[0]:
+        return
+    top = max(X.profile[i] for i in plan[0])
+    order = data.draw(st.permutations(plan[0]).filter(
+        lambda o: X.profile[o[-1]] == top))
+    exps = tuple(sorted({ex[order[-1]] for eq in X.equations
+                         for ex in eq.terms} - {0}))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(counting, "_count_plan", lambda Y: (order, exps))
+        assert partial_count(X, k) == oracle_count(X, k)
+
+
+# composite k, whose fields hold elements of degree strictly between 1 and
+# the field's: a prefix of degree 2 leaves a level of degree 4 or 6 the
+# orbits of x -> x^(q^2), each of length 1, 2 or 3
+COMPOSITE_CASES = [(p, 1, prof, k) for p in (2, 3) for n in (2, 3)
+                   for prof in product((1, 2), repeat=n) for k in (4, 6)
+                   if p ** (k * sum(prof)) <= 2 ** 13]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(varieties(COMPOSITE_CASES),
+                 # three variables, so that a level below the first is
+                 # scanned under a prefix of degree 2
+                 varieties([c for c in COMPOSITE_CASES if len(c[2]) == 3]),
+                 linear_leaf_varieties([c for c in COMPOSITE_CASES
+                                        if c[2][-1] == max(c[2])])))
+def test_stabiliser_orbits_count_as_first_level_orbits(case):
+    # every bound level reduced by its prefix's stabiliser, the first one
+    # only, and none: the same count, and the same node total, found as
+    # the least budget the unreduced search passes, so the same refusal,
+    # cost and message, at every budget
+    X, k = case
+    plan = _count_plan(X)
+    if plan is None or len(plan[0]) < 2:
+        return
+    q, used = X.p ** X.s, sum(X.profile[i] for i in plan[0])
+    want = oracle_count(X, k) // q ** (k * (sum(X.profile) - used))
+    for collapse in (True, False):
+        low, high = 0, q ** (k * used) - 1
+        while low < high:
+            mid = (low + high) // 2
+            if isinstance(search_outcome(X, k, mid, collapse, 0), tuple):
+                low = mid + 1
+            else:
+                high = mid
+        for orbits in (len(plan[0]) - 1, 1, 0):
+            assert search_count(X, k, low, collapse, orbits) == want
+            assert search_outcome(X, k, low - 1, collapse, orbits) == (
+                low, f"enumeration cost {low} exceeds budget {low - 1} "
+                "(variety enumeration)")
+
+
+def test_root_count_applies_no_frobenius_when_f_q_holds_its_field():
+    # e = N: F_Q is the field itself, every coefficient its own Q-th
+    # power, so the descent is skipped; x^2 + x + 1 and x^2 + 1 are counted
+    # by their closed forms alone.  At e < N the descent runs
+    for F, quad in ((Field(2, 1, 4), [1, 1, 1]), (Field(3, 1, 2), [1, 0, 1])):
+        quad = [c * F._one for c in quad]
+        frob, frobs = F.frob, []
+        F.frob = lambda x, e: frobs.append(x) or frob(x, e)
+        assert count_roots([quad], F, F.N) == scan_count(F, F.N, [quad]) == 2
+        assert frobs == []
+        count_roots([quad], F, 1)
+        assert frobs

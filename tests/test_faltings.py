@@ -217,8 +217,8 @@ def test_lemma_check_fails_on_wrong_orbit_lengths(monkeypatch):
     # lengths must make the two sides differ
     walk = Field.frobenius_orbits
 
-    def doubled(self, e):
-        return ((x, 2 * length) for x, length in walk(self, e))
+    def doubled(self, e, g=1):
+        return ((x, 2 * length) for x, length in walk(self, e, g))
 
     monkeypatch.setattr(Field, "frobenius_orbits", doubled)
     # the count reads the walk where x2's leaf is nonlinear (x1*x2^2 + 1),
@@ -251,8 +251,8 @@ def test_lemma_check_fails_on_a_skipped_orbit(monkeypatch):
     walk = Field.frobenius_orbits
     for dropped in (1, 2):
 
-        def skipping(self, e):
-            pairs = walk(self, e)
+        def skipping(self, e, g=1):
+            pairs = walk(self, e, g)
             for x, length in pairs:
                 if min(length, 2) == dropped:
                     break
@@ -276,8 +276,8 @@ def test_lemma_check_certifies_the_count_fields_walk(monkeypatch):
     assert counted.N == 2
     walk = Field.frobenius_orbits
 
-    def skipping(self, e):
-        pairs = walk(self, e)
+    def skipping(self, e, g=1):
+        pairs = walk(self, e, g)
         for x, length in pairs:
             if self is counted and length > 1:
                 break
@@ -286,6 +286,35 @@ def test_lemma_check_certifies_the_count_fields_walk(monkeypatch):
 
     monkeypatch.setattr(Field, "frobenius_orbits", skipping)
     rep = lemma_check(X, 1)
+    assert all(e.equal for e in rep.entries)
+    assert not rep.passed
+
+
+def test_lemma_check_certifies_the_count_fields_relative_walk(monkeypatch):
+    # at k = 2 partial_count binds x1, then x2, in F_16 and counts x3.
+    # Under x1 of degree 2, x2 takes one value per orbit of x -> x^4, the
+    # prefix's stabiliser: a relative walk.  x2^4 + x2 prunes every x2
+    # outside F_4, so dropping one orbit of length 2 there, values outside
+    # F_4, leaves both sides equal, and only the tally of that walk can
+    # fail the level
+    X = V(2, 1, 3, ["x2^4 + x2", "x1^3*x2 + x3^3 + 1"], (2, 2, 2))
+    assert counting._count_plan(X)[0] == (0, 1, 2)
+    counted = counting.count_field(X, 2)
+    walk = Field.frobenius_orbits
+    dropped = []
+
+    def skipping(self, e, g=1):
+        pairs = walk(self, e, g)
+        for x, length in pairs:
+            if self is counted and g > 1 and length > 1:
+                dropped.append((e, g))
+                break
+            yield x, length
+        yield from pairs
+
+    monkeypatch.setattr(Field, "frobenius_orbits", skipping)
+    rep = lemma_check(X, 2)
+    assert (4, 2) in dropped
     assert all(e.equal for e in rep.entries)
     assert not rep.passed
 
@@ -320,6 +349,14 @@ def test_orbit_walk_tallies_to_the_irreducible_count(case):
     assert tally == {L: _orbits_of_length(q, L)
                      for L in range(1, e + 1) if e % L == 0}
     assert faltings._walk_is_whole(amb, e)
+    # the relative walks, of x -> x^(q^g): F_(q^e) over F_(q^g)
+    for g in [g for g in range(2, e + 1) if e % g == 0]:
+        tally = {}
+        for _, length in amb.frobenius_orbits(e, g):
+            tally[length] = tally.get(length, 0) + 1
+        assert tally == {L: _orbits_of_length(q ** g, L)
+                         for L in range(1, e // g + 1) if e // g % L == 0}
+        assert faltings._walk_is_whole(amb, e, g)
 
 
 def test_reconstruction_fails_on_a_block_off_x(monkeypatch):
