@@ -54,13 +54,15 @@ does not depend on the reduction, and its cost is always ``budget + 1``.
   k = 4 searches F_{2^8}, not F_{2^24}, and counts x2 in F_{2^12}.  The
   order, ``_count_plan``'s, depends on the equations and the profile,
   not on k.  It counts the variable whose leaf is cheapest: one whose
-  last bound level is summed (below), else one of least effective
-  degree.  It binds the constraining variables first, so that equations
-  close early and a linear one is solved with one candidate instead of a
-  scan of q^{d k} (the fail-first principle; Haralick and Elliott,
-  "Increasing tree search efficiency for constraint satisfaction
-  problems", 1980), and otherwise the larger domains first, for the
-  orbits to reduce.  Each root count is weighted by its prefix's weight.
+  last bound level is summed (below), else one whose leaf costs least,
+  x^Q mod a gcd of its effective degree after building polynomials of
+  its largest degree.  It binds the constraining variables first, so
+  that equations close early and a linear one is solved with one
+  candidate instead of a scan of q^{d k} (the fail-first principle;
+  Haralick and Elliott, "Increasing tree search efficiency for
+  constraint satisfaction problems", 1980), and otherwise the larger
+  domains first, for the orbits to reduce.  Each root count is weighted
+  by its prefix's weight.
   Where every leaf equation is linear in the counted variable y,
   f_j = A_j(x) y + B_j(x) with x the last bound variable, over F_{q^e},
   and F_Q holds ``count_field``, the last bound level is summed without
@@ -525,20 +527,48 @@ def partial_count_check(X: VarietySpec, k: int, budget: int) -> None:
     leaf_check(X, k, budget)
 
 
+def _effective_degree(rows, p: int) -> int:
+    """The largest, over ``rows`` (a variable's exponents in each
+    equation, positive ones and zeros), of the row's largest exponent over
+    the largest power of p dividing all its positive ones.  An equation
+    whose exponents in x are multiples of p^j is a p^j-th power in x, the
+    gcd of such powers is one too, and ``count_roots`` takes its p-th
+    roots before any x^Q, so that x^Q is taken mod a gcd of at most this
+    degree."""
+    deg = 0
+    for row in rows:
+        g, unit = math.gcd(*row), 1
+        while g % p == 0:
+            g, unit = g // p, unit * p
+        deg = max(deg, max(row) // unit)
+    return deg
+
+
 def leaf_check(X: VarietySpec, k: int, budget: int) -> None:
     """The leaf's refusal at level k, before any field is built: x^Q mod
     a leaf's gcd, about deg^2 times Q's bit length products, over the
-    budget (``count_roots k=...``), deg > 2 the counted variable's largest
-    exponent reduced mod Q - 1 as the engine reduces it (``count_roots``
-    takes no x^Q for deg <= 2)."""
+    budget (``count_roots k=...``), deg > 2 the counted variable's
+    ``_effective_degree`` in its exponents reduced mod Q - 1 as the
+    engine reduces them (``count_roots`` takes no x^Q for deg <= 2).
+    That degree is the one ``_count_plan`` ranks by, the exponents
+    reduced; it is worked out only when the largest reduced exponent,
+    which bounds it, would be refused."""
     plan = _count_plan(X)
     if plan and plan[0]:
         order, exps = plan
-        Q = (X.p ** X.s) ** (X.profile[order[-1]] * k)
+        c = order[-1]
+        Q = (X.p ** X.s) ** (X.profile[c] * k)
+        bits = Q.bit_length()
         deg = max((e - 1) % (Q - 1) + 1 for e in exps)
-        cost = deg * deg * Q.bit_length()
-        if deg > 2 and cost > budget:
-            raise BudgetExceededError(cost, budget, f"count_roots k={k}")
+        if deg > 2 and deg * deg * bits > budget:
+            deg = _effective_degree(
+                [[(ex[c] - 1) % (Q - 1) + 1 if ex[c] else 0
+                  for ex in eq.terms]
+                 for eq in X.equations if any(ex[c] for ex in eq.terms)],
+                X.p)
+            cost = deg * deg * bits
+            if deg > 2 and cost > budget:
+                raise BudgetExceededError(cost, budget, f"count_roots k={k}")
 
 
 @lru_cache(maxsize=256)
@@ -554,13 +584,14 @@ def _count_plan(X: VarietySpec):
     in this order of preference: one that is summable, every equation
     using it linear in it and its entry a multiple of the lcm of the
     other used entries, so that F_Q holds ``count_field`` and the last
-    bound level is summed; then one of least effective degree, its
-    largest exponent in an equation over the largest power of p dividing
-    all its positive exponents there (x^p - c takes ``count_roots``'
-    p-th-root route); then the choice whose places close best, back to
-    front; then the one of least degree in the equations that use it, so
-    that a linear leaf takes ``count_roots``' linear route; then the one
-    of highest index.
+    bound level is summed; then one whose leaf costs least, e^2 + D,
+    with e its ``_effective_degree`` (x^p - c takes ``count_roots``'
+    p-th-root route, and x^Q is taken mod a gcd of degree at most e) and
+    D its largest exponent, the length of the leaf's polynomials, which
+    every leaf builds and reduces by p-th roots; then the choice whose
+    places close best, back to front; then the one of least degree in
+    the equations that use it, so that a linear leaf takes
+    ``count_roots``' linear route; then the one of highest index.
 
     For each choice the others are placed back to front, each place
     taking, in this order of preference, a variable at which an equation
@@ -568,12 +599,7 @@ def _count_plan(X: VarietySpec):
     candidate), one at which such an equation closes at all (it prunes),
     and the smallest domain, ties going to the highest index, so that the
     first variables, bound to one value per orbit, have the largest
-    domains left.  For a summable choice the place filled first, the
-    summed level, ranks its variables after the closing ranks by least
-    degree in the terms that hold the counted variable, then least degree
-    in the equations that use it, then the largest domain: a sum costs
-    the same whatever its domain's size, and its degree decides whether
-    ``_collapses`` lets it be summed.
+    domains left.
     """
     d, p = X.profile, X.p
     # per equation that uses a variable: those variables, its degree in
@@ -596,13 +622,11 @@ def _count_plan(X: VarietySpec):
         leaf = [eq for eq in equations if last in eq[0]]
         summable = (all(deg[last] == 1 for _, deg, _ in leaf)
                     and top % math.lcm(*(d[i] for i in rest)) == 0)
-        effective = 0
-        for _, deg, terms in leaf:
-            # the p-part of the gcd of last's exponents in this equation
-            g, unit = math.gcd(*(ex[last] for ex in terms)), 1
-            while g % p == 0:
-                g, unit = g // p, unit * p
-            effective = max(effective, deg[last] // unit)
+        effective = _effective_degree(
+            [[ex[last] for ex in terms] for _, _, terms in leaf], p)
+        # x^Q mod a gcd of degree `effective`, after building the leaf's
+        # polynomials of degree `largest`
+        largest = max(deg[last] for _, deg, _ in leaf)
         bound = [(vs, deg) for vs, deg, _ in equations if last not in vs]
         order, places = [last], []
         while rest:
@@ -611,18 +635,12 @@ def _count_plan(X: VarietySpec):
                 # the degrees in v of the equations that close at v
                 closing = [deg[v] for vs, deg in bound
                            if v in vs and vs <= rest]
-                if summable and len(order) == 1:
-                    tail = (-max(ex[v] for _, _, terms in leaf
-                                 for ex in terms if ex[last]),
-                            -max(deg[v] for _, deg, _ in leaf), d[v])
-                else:
-                    tail = (-d[v],)
-                ranks.append((1 in closing, bool(closing), *tail, v))
+                ranks.append((1 in closing, bool(closing), -d[v], v))
             rank = max(ranks)
             places += rank[:2]
             order.append(rank[-1])
             rest = rest - {rank[-1]}
-        key = (summable, -effective, places,
+        key = (summable, -effective * effective - largest, places,
                -min(deg[last] for _, deg, _ in leaf))
         if best is None or key >= best[0]:
             best = key, tuple(order[::-1])

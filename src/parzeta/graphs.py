@@ -62,19 +62,19 @@ class GraphSystem:
         return math.lcm(*(v.d for v in self.vertices))
 
 
-def _direct_check(G: GraphSystem, k: int, budget: int) -> None:
-    check_cost(G.p ** G.s, k * sum(v.n * v.d for v in G.vertices), budget,
-               f"graph_count_direct k={k}")
-
-
 def graph_count_direct(G: GraphSystem, k: int,
-                       budget: int = DEFAULT_BUDGET) -> int:
+                       budget: int = DEFAULT_BUDGET,
+                       fibred: VarietySpec | None = None) -> int:
     """Tuples (x_v) with x_v in X_v(F_{q^{d_v k}}) meeting every edge equation.
 
     Refused before any field is built when the product of the vertex
     domains, q^e with e = k sum n_v d_v (the fibred product's count), is
-    over the budget."""
-    _direct_check(G, k, budget)
+    over the budget; then, given the fibred product ``fibred``, by its
+    ``leaf_check``."""
+    check_cost(G.p ** G.s, k * sum(v.n * v.d for v in G.vertices), budget,
+               f"graph_count_direct k={k}")
+    if fibred is not None:
+        leaf_check(fibred, k, budget)
     amb = field(G.p, G.s, G.D * k)
     base = field(G.p, G.s, 1)
     vpoints = []
@@ -148,12 +148,8 @@ def reduction_check(G: GraphSystem, k_max: int, max_k: int = 12,
     if k_max < 1:
         raise ValueError("k_max must be positive")
     X = fibred_product_reduce(G)
-    direct = []
-    for k in range(1, k_max + 1):
-        _direct_check(G, k, budget)
-        leaf_check(X, k, budget)
-        direct.append(graph_count_direct(G, k, budget=budget))
-    direct = tuple(direct)
+    direct = tuple(graph_count_direct(G, k, budget=budget, fibred=X)
+                   for k in range(1, k_max + 1))
     res = auto_reconstruct(X, max_k, holdout=holdout, budget=budget)
     reduced = res.counts[:k_max] + tuple(
         partial_count(X, k, budget=budget)

@@ -282,8 +282,8 @@ def test_graph_refused_at_the_first_level_past_the_budget(tmp_path, capsys):
 def test_graph_leaf_refused_before_a_vertex_field_is_built(tmp_path, capsys,
                                                          d):
     # the fibred product's 2^d tuples at level 1 pass the budget, its leaf
-    # x1^100000 + 1 does not: refused before the direct count lists
-    # F_(2^d), which took seconds at d = 20 before its exit 4
+    # x1^100000 + 1 = (x1^3125 + 1)^32 does not: refused before the direct
+    # count lists F_(2^d), which took seconds at d = 20 before its exit 4
     inst = {"kind": "graph", "p": 2, "s": 1, "edges": [],
             "vertices": [{"name": "u", "n": 1, "d": d,
                           "equations": ["x1^100000 + 1"]}]}
@@ -293,7 +293,7 @@ def test_graph_leaf_refused_before_a_vertex_field_is_built(tmp_path, capsys,
     code, out, err = run(capsys, "graph", str(f), "--k-max", "1")
     assert time.perf_counter() - t0 < 1.0
     assert code == 3 and out == ""
-    assert err == (f"budget exceeded: enumeration cost {10 ** 10 * (d + 1)} "
+    assert err == (f"budget exceeded: enumeration cost {3125 ** 2 * (d + 1)} "
                    "exceeds budget 100000000 (count_roots k=1)\n")
 
 
@@ -358,9 +358,10 @@ def test_huge_exponents_are_reduced_to_the_field(tmp_path, capsys, equations,
 
 
 @pytest.mark.parametrize("p, equation, profile, budget, refusal", [
-    # x^Q mod a gcd of degree 10^5, Q = 2^20: 10^10 * 21 products
+    # x1^100000 + 1 = (x1^3125 + 1)^32: x^Q mod a gcd of degree 3125,
+    # Q = 2^20, 3125^2 * 21 products
     (2, "x1^100000 + 1", [20], 10 ** 8,
-     "enumeration cost 210000000000 exceeds budget 100000000 "
+     "enumeration cost 205078125 exceeds budget 100000000 "
      "(count_roots k=1)"),
     # the square of (1+x1+x2)^512, 1296 terms over F_3: 1296^2 pairs after
     # the 124,845 of the products before it
@@ -508,13 +509,14 @@ def test_faltings_listing_refused_before_its_field_is_built(tmp_path, capsys,
 
 def test_faltings_leaf_degree_refused_before_its_field_is_built(
         tmp_path, capsys, monkeypatch):
-    # x^Q mod a degree-10^5 gcd, Q = 2^20, is refused by the partial
-    # count's check, before the listing builds F_(2^20) and walks it
+    # x^Q mod a degree-3125 gcd, x1^100000 + 1 = (x1^3125 + 1)^32 and
+    # Q = 2^20, is refused by the partial count's check, before the
+    # listing builds F_(2^20) and walks it
     code, out, err, degrees, wall = _faltings_on(
         tmp_path, capsys, monkeypatch, ["x1^100000 + 1"], [20],
         "--k-max", "1")
     assert code == 3 and out == ""
-    assert err == ("budget exceeded: enumeration cost 210000000000 exceeds "
+    assert err == ("budget exceeded: enumeration cost 205078125 exceeds "
                    "budget 100000000 (count_roots k=1)\n")
     assert max(degrees, default=0) <= 1
     assert wall < 1.0

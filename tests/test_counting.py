@@ -70,17 +70,20 @@ def test_empty_variety():
          "x2^2*x3 + 2*x1*x2^2 + 2*x1^2*x3 + x3^3"], (1, 2, 3),
      ((1, 0, 2), (1, 3))),
     # every equation is linear in x2, which is counted and its last bound
-    # level summed; that level, the place filled first, takes x3 (degree 2
-    # in the leaf equations) rather than x1 (degree 3)
+    # level summed; that level, the place filled first, takes x3, the
+    # higher index of two equal domains
     (2, ["1 + x1*x2*x3 + x1 + x1^3", "x1*x2 + x3^2 + 1"], (1, 1, 1),
      ((0, 2, 1), (1,))),
     # x2 and x3 are both summable: x3 is counted, the higher index, and
-    # x2, of degree 0 in the terms that hold x3, is the summed level
+    # x2, the higher index left, is the summed level
     (3, ["x1^2*x3 + x1^2*x2"], (1, 1, 1), ((0, 1, 2), (1,))),
     # x1^3 has effective degree 1 over F_3 (a cube), x2 degree 3
     (3, ["x1^3 + 2*x2^3 + x2^2 + 2*x2"], (1, 1), ((1, 0), (3,))),
+    # x2^4096 has effective degree 1, x1^3 degree 3, but x2's leaf builds
+    # 4097 coefficients: x1's costs less, 3^2 + 3 against 1 + 4096
+    (2, ["x2^4096 + x1^3 + 1"], (13, 13), ((1, 0), (3,))),
 ], ids=["constant", "empty", "p2-111", "p3-123", "summable-p2-111",
-        "summable-tie-p3-111", "cube-p3-11"])
+        "summable-tie-p3-111", "cube-p3-11", "long-leaf-p2-13-13"])
 def test_count_plan(p, texts, profile, plan):
     assert counting._count_plan(V(p, 1, len(profile), texts, profile)) == plan
 

@@ -416,7 +416,7 @@ def test_refused_listing_keeps_no_partial_walk():
     with pytest.raises(BudgetExceededError) as info:
         enumerate_orbit_points(X.equations, X.n, amb, X.base, budget=500)
     assert info.value.cost == 501
-    assert amb.N not in amb._orbit_cache
+    assert (amb.N, 1) not in amb._orbit_cache
     refused = len(calls)
     pairs = enumerate_orbit_points(X.equations, X.n, amb, X.base)
     assert pairs == enumerate_orbit_points(X.equations, X.n, Field(2, 1, 12),
@@ -780,6 +780,30 @@ def test_high_degree_leaf_refused_by_its_x_power_cost(monkeypatch):
         partial_count(X, 1, budget=9 * 9 * 5 - 1)
     assert exc.value.cost == 9 * 9 * 5
     assert len(calls) == 1
+
+
+def test_leaf_priced_at_its_effective_degree(monkeypatch):
+    # x1^36 + x1^4 + 1 = (x1^9 + x1 + 1)^4: count_roots takes its p-th
+    # roots before x^64 mod the degree-9 g, priced 9^2 * 7, not 36^2 * 7
+    X = V(2, 1, 1, ["x1^36 + x1^4 + 1"], (6,))
+    want = oracle_count(X, 1)
+    calls = _x_power_calls(monkeypatch)
+    assert partial_count(X, 1, budget=9 * 9 * 7) == want
+    assert len(calls) == 1
+    with pytest.raises(BudgetExceededError) as exc:
+        partial_count(X, 1, budget=9 * 9 * 7 - 1)
+    assert exc.value.cost == 9 * 9 * 7
+    assert str(exc.value).endswith("(count_roots k=1)")
+
+
+def test_leaf_priced_as_the_plan_ranks_it():
+    # x2^4096 has effective degree 1 over F_2, x1^3 degree 3: the plan
+    # counts x1, whose leaf is a cubic, not x2, whose leaf builds 4097
+    # coefficients, and neither leaf is refused at the default budget;
+    # x2 -> x2^4096 is a bijection of F_(2^13), so N_1 = 2^13
+    X = V(2, 1, 2, ["x2^4096 + x1^3 + 1"], (13, 13))
+    assert _count_plan(X)[0] == (1, 0)
+    assert partial_count(X, 1) == 2 ** 13
 
 
 def test_leaf_degree_reduced_as_the_engine_reduces_it():
