@@ -2,22 +2,24 @@
 
 The series exp(sum N_k T^k / k) comes from the recurrence
 k z_k = sum_j N_j z_{k-j}; its terms are ints where integral.  All exact
-polynomial algebra is one extended Euclid over the integers, `_euclid`,
-whose rows come one at a time from `_euclid_step`: a step where the
-degree drops by one, every step of a normal Pade table, is one pass of
-pseudo-division by lc^2; any other drop is plain pseudo-division by
-lc^(delta+1).  Run on T^(N+1) and z_0..z_N scaled by the lcm L of their
-denominators, it gives the Pade candidate of degrees (dn, dd),
-N = dn + dd, already in lowest terms.  A series keeps one table per N,
-its Euclid rows built so far.  A split extends the rows only until its
-row exists, the first with deg r <= dn, and judges that row.  The
-judge's last guard, that the candidate matches the series through order
-N, is z_0 = 1, read from the series: every row has r = t y mod T^(N+1),
-so the candidate's expansion is y / y_0.  `pade_reconstruct` is the one
-candidate path; `reconstruct_counts`, the deepening over the number B of
-counts, builds one series per B and accepts a candidate only when it
-reproduces the held-out coefficients.  Run on P and P', `_euclid` gives
-gcd(P, P') and the squarefree part for the weight report.  No floating
+polynomial algebra is one remainder sequence over the integers,
+`_euclid`, whose rows come one at a time from `_euclid_step`: each row
+is the pseudo-remainder of the two before it, scaled by lc^(delta+1),
+over its positive content, and no cofactor is carried.  A drop of one,
+every step of a normal Pade table, is one pass of pseudo-division by
+lc^2; any other drop is plain pseudo-division.  Run on T^(N+1) and the
+primitive part y of z_0..z_N, its first row of degree <= dn is the
+numerator of the Pade candidate of degrees (dn, dd), N = dn + dd, in
+lowest terms.  A series keeps one table per N, its rows built so far; a
+split extends them only until its row exists and judges that row,
+reading the denominator back from the numerator and y only when it
+needs it.  The judge's last guard, that the candidate matches the series
+through order N, is z_0 = 1.  `pade_reconstruct` is the one candidate
+path; `reconstruct_counts`, the deepening over the number B of counts,
+builds one series per B and accepts a candidate only when it reproduces
+the held-out coefficients.  Run on P and P', `_euclid` gives gcd(P, P'),
+and P divided exactly by it is the squarefree part for the weight
+report.  No floating
 point enters the certification path; floats appear only in the
 numerical weight report.
 """
@@ -124,15 +126,14 @@ class RationalFunctionZ:
 # exact polynomial algebra over Z
 # ---------------------------------------------------------------------------
 
-def _euclid_step(r0, t0, r1, t1):
-    """The Euclid row after (r0, t0) and (r1, t1), r1 nonzero.
+def _euclid_step(r0, r1):
+    """The remainder after r0 and r1, r1 nonzero.
 
-    With delta = deg r0 - deg r1, the new r is the pseudo-remainder
-    lc(r1)^(delta+1) r0 - quo r1 (no scaling when delta < 0) and the new
-    t is lc(r1)^(delta+1) t0 - quo t1, both divided by the positive
-    content of the pair.  A drop of one, every step of a normal Pade
-    table, is one pass: lc^2 r0 = (f1 T + f0) r1 + r.  Any other drop is
-    plain pseudo-division of lc^(delta+1) r0 by r1 (Knuth, TAOCP vol. 2,
+    With delta = deg r0 - deg r1, the new row is the pseudo-remainder of
+    lc(r1)^(delta+1) r0 by r1 (r0 itself when delta < 0), divided by its
+    positive content.  A drop of one, every step of a normal Pade table,
+    is one pass: lc^2 r0 = (f1 T + f0) r1 + r.  Any other drop is plain
+    pseudo-division of lc^(delta+1) r0 by r1 (Knuth, TAOCP vol. 2,
     4.6.1, Algorithm R).
     """
     n, lead = len(r1) - 1, r1[-1]
@@ -141,51 +142,42 @@ def _euclid_step(r0, t0, r1, t1):
         f1 = lead * r0[-1]
         f0 = lead * r0[-2] - r0[-1] * shifted[n]
         r = [sq * a - f1 * s - f0 * b for a, s, b in zip(r0[:n], shifted, r1)]
-        m = max(len(t0), len(t1) + 1)
-        t0, t1 = t0 + [0] * (m - len(t0)), t1 + [0] * (m - len(t1))
-        t = [sq * a - f1 * s - f0 * b for a, s, b in zip(t0, [0, *t1], t1)]
     else:
         # pseudo-division: lc^e r0 with e = max(delta + 1, 0) makes every
         # quotient term an exact division by lc
         e = max(len(r0) - n, 0)
         s = lead ** e
-        x, t = [s * v for v in r0], [s * v for v in t0]
-        t += [0] * (e + len(t1) - 1 - len(t))
+        r = [s * v for v in r0]
         for k in reversed(range(e)):
-            f = x[k + n] // lead
+            f = r[k + n] // lead
             if f:
                 for i, v in enumerate(r1):
-                    x[k + i] -= f * v
-                for i, v in enumerate(t1):
-                    t[k + i] -= f * v
-        r = x[:n]
-    _trim(r)
-    _trim(t)
-    g = math.gcd(*r, *t)
-    if g > 1:
-        r = [v // g for v in r]
-        t = [v // g for v in t]
-    return r, t
+                    r[k + i] -= f * v
+        del r[n:]
+    return _primitive(_trim(r))
+
+
+def _primitive(r):
+    """r divided by its positive content."""
+    g = math.gcd(*r)
+    return [v // g for v in r] if g > 1 else r
 
 
 def _euclid(a, b):
-    """Extended Euclid on integer polynomials a, b (constant term first).
-
-    Yields rows (r, t), trailing zeros trimmed, with r - t*b a multiple of
-    a over Q: from (b, 1) down to the first r = [], each row made from
-    the two before it by `_euclid_step`, the one before (b, 1) being
-    (a, 0).  Sign rule: each row after (b, 1) is the pseudo-remainder
-    pair, scaled by lc^(delta+1), divided by its positive content, so a
-    row is the primitive pair of its degree with that sign.  The degrees
-    of r strictly decrease, the last nonzero r is gcd(a, b) up to a
-    scalar, and the t beside r = [] is a scalar multiple of a / gcd(a, b).
+    """The remainder sequence of integer polynomials a, b (constant term
+    first): b over its content, then each row made from the two before it
+    by `_euclid_step`, the one before b being a, down to the first [].
+    Every row is primitive.  Sign rule: each row after b is the
+    pseudo-remainder, scaled by lc^(delta+1), over its positive content.
+    The degrees strictly decrease, and the last nonzero row is gcd(a, b)
+    up to a scalar.  Each row is the extended Euclid's r over a positive
+    scalar, so r = t b mod a for a cofactor t that is never built.
     """
-    r0, t0 = _trim(list(a)), []
-    r1, t1 = _trim(list(b)), [1]
-    yield r1, t1
+    r0, r1 = _trim(list(a)), _primitive(_trim(list(b)))
+    yield r1
     while r1:
-        r0, t0, (r1, t1) = r1, t1, _euclid_step(r0, t0, r1, t1)
-        yield r1, t1
+        r0, r1 = r1, _euclid_step(r0, r1)
+        yield r1
 
 
 def _scaled(z):
@@ -195,29 +187,51 @@ def _scaled(z):
     return L, [v.numerator * (L // v.denominator) for v in z]
 
 
-def _judge(S, dn, dd, num, den):
-    """The candidate with unit constant terms from the Euclid row
-    (num, den) of y = L z_0..L z_N, N = dn + dd, else the error ruling it
-    out.  The first row with deg r <= dn has deg t <= dd, and every
-    solution (r', t') of r' = t' y mod T^(N+1), deg r' <= dn, deg t' <= dd
-    is alpha (r, t) for a polynomial alpha; so when t(0) = 0, no solution
-    has Q(0) != 0.  gcd(r, t) divides T^(N+1): lowest terms already.
+def _judge(S, dn, dd, y, num):
+    """The candidate with unit constant terms from the row num of the
+    table of y, the primitive part of z_0..z_N, N = dn + dd, else the
+    error ruling it out.  num, the first row with deg r <= dn, is
+    r = t y mod T^(N+1) for a cofactor t with deg t <= dd, and every
+    solution (r', t') with deg r' <= dn, deg t' <= dd is alpha (r, t) for
+    a polynomial alpha; so when t(0) = 0, no solution has Q(0) != 0.
+    gcd(r, t) divides T^(N+1): lowest terms already.  t is never built
+    whole: t(0) = r_v / y_v at y's valuation v (t = 1 when y = 0), and
+    Q = t / t(0) comes from `_denominator` only once P = r / r(0) is
+    integral, which for a primitive r means r(0) = +-1.
     """
-    if den[0] == 0:
+    v = 0
+    while v < len(y) and not y[v]:
+        v += 1
+    if v < len(y) and (v >= len(num) or not num[v]):
         raise NoSolutionError(f"no degree ({dn},{dd}) match")
     if not num or num[0] == 0:
         raise NoSolutionError("degenerate candidate with vanishing constant term")
-    n0, d0 = num[0], den[0]
-    if any(v % n0 for v in num) or any(v % d0 for v in den):
+    n0, Q = num[0], None
+    if n0 in (1, -1):
+        P = [n0 * c for c in num]
+        Q = _denominator(y, P, dd)
+    if Q is None:
         raise NonIntegerError(
             f"degree ({dn},{dd}) candidate has non-integer coefficients")
     # guard: the normalised candidate must still match through order N.
-    # r = t y mod T^(N+1) gives n0 = d0 y_0 and L expand(R) = (L / y_0) y,
-    # so it matches exactly when y_0 = L z_0 equals L, that is, z_0 = 1
+    # Its expansion is y / y_0, and y / y_0 = z exactly when z_0 = 1
     if S.coeffs[0] != 1:
         raise NoSolutionError(f"degree ({dn},{dd}) system is inconsistent")
-    return RationalFunctionZ(tuple(v // n0 for v in num),
-                             tuple(v // d0 for v in den))
+    return RationalFunctionZ(tuple(P), tuple(Q))
+
+
+def _denominator(y, P, dd):
+    """Q = t / t(0) = P y_0 / y mod T^(dd+1), y_0 != 0, by power-series
+    division in ints, Q_k y_0 = P_k y_0 - sum_(j >= 1) y_j Q_(k-j); None
+    at the first Q_k that is not an integer."""
+    y0, tail, Q = y[0], y[1:dd + 1], []
+    for k in range(dd + 1):
+        acc = (P[k] * y0 if k < len(P) else 0) \
+            - sum(map(operator.mul, tail, reversed(Q)))
+        if acc % y0:
+            return None
+        Q.append(acc // y0)
+    return Q
 
 
 def pade_reconstruct(S: TruncatedSeries, dn: int, dd: int) -> RationalFunctionZ:
@@ -225,10 +239,11 @@ def pade_reconstruct(S: TruncatedSeries, dn: int, dd: int) -> RationalFunctionZ:
 
     The match is exact; the result is returned in lowest terms with
     integer coefficients and unit constant terms.  S keeps one table per
-    N = dn + dd, made on first use: the rows (T^(N+1), 0), then the
-    `_euclid` rows of (T^(N+1), y), y = L z_0..L z_N (`_scaled`).  The
-    rows are extended by `_euclid_step` only until the asked split's row
-    exists, the first with deg r <= dn, and each ask judges that row.
+    N = dn + dd, made on first use: the `_euclid` rows of (T^(N+1), y),
+    after T^(N+1) itself, y = z_0..z_N scaled to integers (`_scaled`) and
+    made primitive.  The rows are extended by `_euclid_step` only until
+    the asked split's row exists, the first with deg r <= dn, and each
+    ask judges that row.
     """
     if dn < 0 or dd < 0:
         raise ValueError("degrees must be nonnegative")
@@ -237,12 +252,15 @@ def pade_reconstruct(S: TruncatedSeries, dn: int, dd: int) -> RationalFunctionZ:
         raise ValueError("series too short for requested degrees")
     rows = S._pade.get(N)
     if rows is None:
-        rows = S._pade[N] = [([0] * (N + 1) + [1], []),
-                             (_trim(_scaled(S.coeffs[:N + 1])[1]), [1])]
-    while len(rows[-1][0]) > dn + 1:
-        rows.append(_euclid_step(*rows[-2], *rows[-1]))
-    row = next(row for row in rows if len(row[0]) <= dn + 1)
-    return _judge(S, dn, dd, *row)
+        rows = S._pade[N] = [[0] * (N + 1) + [1],
+                             _primitive(_trim(_scaled(S.coeffs[:N + 1])[1]))]
+    while len(rows[-1]) > dn + 1:
+        rows.append(_euclid_step(rows[-2], rows[-1]))
+    # back from the last row; rows[0], T^(N+1), is longer than dn + 1
+    i = len(rows) - 1
+    while len(rows[i - 1]) <= dn + 1:
+        i -= 1
+    return _judge(S, dn, dd, rows[1], rows[i])
 
 
 @dataclass
@@ -354,23 +372,28 @@ def _reciprocal_roots(coeffs):
 
     Repeated roots defeat plain Newton refinement, so the polynomial is
     split exactly first: the roots of P are the roots of its squarefree
-    part plus, recursively, those of gcd(P, P').  One integer Euclid on
-    P and P' gives both: the gcd is its last nonzero remainder and the
-    squarefree part the cofactor beside the zero remainder.  The numerics
-    only ever see simple roots.
+    part plus, recursively, those of gcd(P, P').  The gcd is the last
+    nonzero row of `_euclid` on a = L P and a'.  By Gauss's lemma its
+    primitive part g divides a over the integers, and the exact quotient
+    times lc(g) / L is the squarefree part with P's leading coefficient.
+    The numerics only ever see simple roots.
     """
     deg = len(coeffs) - 1
     if deg == 0:
         return []
     L, a = _scaled(coeffs)
     g = []
-    for r, t in _euclid(a, [i * c for i, c in enumerate(a)][1:]):
+    for r in _euclid(a, [i * c for i, c in enumerate(a)][1:]):
         g = r or g
     if len(g) < 2:
         return _simple_roots(coeffs)
-    # t is a scalar multiple of P / gcd; scale it to P's leading coefficient
-    lead = Fraction(next(c for c in reversed(a) if c), L * t[-1])
-    sf = [v * lead for v in t]
+    n = len(g) - 1
+    quo = [0] * (len(a) - n)
+    for k in reversed(range(len(quo))):
+        quo[k] = f = a[k + n] // g[-1]
+        for i, v in enumerate(g):
+            a[k + i] -= f * v
+    sf = [Fraction(v * g[-1], L) for v in quo]
     g = [Fraction(v, g[-1]) for v in g]
     return sorted(_simple_roots(sf) + _reciprocal_roots(g),
                   key=lambda c: (round(c.real, 9), round(c.imag, 9)))

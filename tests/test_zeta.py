@@ -17,8 +17,8 @@ from parzeta.zeta import (AutoReconstructError, NoSolutionError,
                           sweep_rows_to_csv, weil_weight_check)
 from parzeta import zeta
 from parzeta.zeta import (NonIntegerError, ReconstructionError, RootFindingError,
-                          _euclid, _euclid_step, _reciprocal_roots,
-                          _simple_roots, _split_order)
+                          _denominator, _euclid, _euclid_step, _reciprocal_roots,
+                          _scaled, _simple_roots, _split_order)
 
 # the Mersenne prime 2^61 - 1: pinned inputs built on it agree mod p but
 # differ over Q
@@ -589,23 +589,87 @@ _int_poly = st.lists(st.sampled_from([0, 0, 1, -1, 2, -3, 5, 2**40 + 1,
                      min_size=1, max_size=9).filter(any)
 
 
+def _pair_step(r0, t0, r1, t1):
+    """The extended Euclid's step on pairs, kept as the oracle for
+    `_euclid_step`: with delta = deg r0 - deg r1, the new r is the
+    pseudo-remainder lc(r1)^(delta+1) r0 - quo r1 (no scaling when
+    delta < 0) and the new t is lc(r1)^(delta+1) t0 - quo t1, both divided
+    by the positive content of the pair."""
+    n, lead = len(r1) - 1, r1[-1]
+    if len(r0) == n + 2:
+        sq, shifted = lead * lead, [0, *r1]
+        f1 = lead * r0[-1]
+        f0 = lead * r0[-2] - r0[-1] * shifted[n]
+        r = [sq * a - f1 * s - f0 * b for a, s, b in zip(r0[:n], shifted, r1)]
+        m = max(len(t0), len(t1) + 1)
+        t0, t1 = t0 + [0] * (m - len(t0)), t1 + [0] * (m - len(t1))
+        t = [sq * a - f1 * s - f0 * b for a, s, b in zip(t0, [0, *t1], t1)]
+    else:
+        e = max(len(r0) - n, 0)
+        s = lead ** e
+        x, t = [s * v for v in r0], [s * v for v in t0]
+        t += [0] * (e + len(t1) - 1 - len(t))
+        for k in reversed(range(e)):
+            f = x[k + n] // lead
+            if f:
+                for i, v in enumerate(r1):
+                    x[k + i] -= f * v
+                for i, v in enumerate(t1):
+                    t[k + i] -= f * v
+        r = x[:n]
+    _trim(r)
+    _trim(t)
+    g = math.gcd(*r, *t)
+    if g > 1:
+        r = [v // g for v in r]
+        t = [v // g for v in t]
+    return r, t
+
+
+def _euclid_pairs(a, b):
+    """The extended Euclid on pairs, the oracle for `_euclid`: rows (r, t)
+    with r - t b a multiple of a over Q, from (b, 1) down to the first
+    r = [], each made by `_pair_step` from the two before it, the one
+    before (b, 1) being (a, 0)."""
+    r0, t0 = _trim(list(a)), []
+    r1, t1 = _trim(list(b)), [1]
+    yield r1, t1
+    while r1:
+        r0, t0, (r1, t1) = r1, t1, _pair_step(r0, t0, r1, t1)
+        yield r1, t1
+
+
+def _primitive(r):
+    """r divided by its own positive content, sign kept."""
+    g = math.gcd(*r)
+    return [v // g for v in r] if g > 1 else list(r)
+
+
+def _numerator_rows(a, b):
+    """The rows `_euclid(a, b)` should give: each pair row's r over its
+    own positive content."""
+    return [_primitive(r) for r, _ in _euclid_pairs(a, b)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(_int_poly, _int_poly, st.sampled_from([[1], [1, 1], [-2, 0, 3]]))
 def test_euclid_rows_match_fraction_gcd(a, b, common):
     # a shared factor makes a nontrivial gcd likely
     a, b = _pmul(a, common), _pmul(b, common)
-    rows = list(_euclid(a, b))
-    degrees = [len(r) - 1 for r, _ in rows]
+    rows, pairs = list(_euclid(a, b)), list(_euclid_pairs(a, b))
+    # each row is the pair row's r over its own positive content
+    assert rows == [_primitive(r) for r, _ in pairs]
+    degrees = [len(r) - 1 for r in rows]
     assert degrees == sorted(set(degrees), reverse=True)
-    assert rows[0] == (_poly_div_exact(b, [1]), [1])
-    assert rows[-1][0] == [] and all(r for r, _ in rows[:-1])
-    for r, t in rows:
+    assert rows[0] == _primitive(_trim(list(b)))
+    assert rows[-1] == [] and all(rows[:-1])
+    for r, t in pairs:
         # r = t b (mod a) over Q: every step keeps the identity exactly
         tb = _pmul(t, b) if t else [0]
         diff = [(r[i] if i < len(r) else 0) - (tb[i] if i < len(tb) else 0)
                 for i in range(max(len(r), len(tb)))]
         assert _rem_q(diff, _poly_div_exact(a, [1])) == []
-    g, t = rows[-2][0], rows[-1][1]
+    g, t = rows[-2], pairs[-1][1]
     want = _poly_gcd_q(a, b)
     assert [Fraction(v, g[-1]) for v in g] == want
     # the cofactor beside the zero remainder is a scalar multiple of a / gcd
@@ -616,7 +680,7 @@ def test_euclid_rows_match_fraction_gcd(a, b, common):
 def _euclid_reference(a, b):
     """The extended Euclid of the parent commit, kept as the reference: its
     pseudo-division scales by lc only where a quotient term would not be
-    an integer, so its rows equal `_euclid`'s up to sign."""
+    an integer, so its rows equal `_euclid_pairs`' up to sign."""
     r0, t0 = _trim(list(a)), []
     r1, t1 = _trim(list(b)), [1]
     yield r1, t1
@@ -689,15 +753,18 @@ def test_euclid_rows_equal_reference_up_to_sign(a, b, common):
     # drops of one (the one-pass step) and of two or more (the general
     # loop), shared factors, negative leading coefficients, zeros, 2^40 + 1
     a, b = _pmul(a, common), _pmul(b, common)
-    rows, ref = list(_euclid(a, b)), list(_euclid_reference(a, b))
-    assert [len(r) for r, _ in rows] == [len(r) for r, _ in ref]
-    for (r, t), (u, w) in zip(rows, ref):
+    pairs, ref = list(_euclid_pairs(a, b)), list(_euclid_reference(a, b))
+    assert [len(r) for r, _ in pairs] == [len(r) for r, _ in ref]
+    for (r, t), (u, w) in zip(pairs, ref):
         assert (r, t) in ((u, w), ([-v for v in u], [-v for v in w]))
-    # the sign rule: each row after (b, 1) is lc^(delta+1) times the one
-    # two back, minus quo times the last, over its positive content
-    prev = [(_trim(list(a)), [])] + rows
+    # the sign rule: each pair row after (b, 1) is lc^(delta+1) times the
+    # one two back, minus quo times the last, over its positive content
+    prev = [(_trim(list(a)), [])] + pairs
     for (r0, t0), (r1, t1), row in zip(prev, prev[1:], prev[2:]):
         assert row == _sign_rule_row(r0, t0, r1, t1)
+    # and each numerator row is that pair's r over its own positive
+    # content, sign included
+    assert list(_euclid(a, b)) == [_primitive(r) for r, _ in pairs]
 
 
 def test_euclid_sign_rule_examples():
@@ -705,18 +772,25 @@ def test_euclid_sign_rule_examples():
     # T^4, then a drop of two by 1 - T^2, lc = -1: the rule scales by
     # (-1)^3, the parent by nothing (every quotient term was an integer),
     # so the signs part there
-    rows, ref = list(_euclid(*_SIGN_FLIP)), list(_euclid_reference(*_SIGN_FLIP))
-    assert rows == [([1, 0, -1, 0, 0, 0, -2], [1]), ([0, 0, 0, 0, 1], []),
-                    ([1, 0, -1], [1]), ([-1], [-1, 0, -1]),
-                    ([], [0, 0, 0, 0, -1])]
-    assert ref[:3] == rows[:3]
+    pairs = list(_euclid_pairs(*_SIGN_FLIP))
+    ref = list(_euclid_reference(*_SIGN_FLIP))
+    assert pairs == [([1, 0, -1, 0, 0, 0, -2], [1]), ([0, 0, 0, 0, 1], []),
+                     ([1, 0, -1], [1]), ([-1], [-1, 0, -1]),
+                     ([], [0, 0, 0, 0, -1])]
+    assert ref[:3] == pairs[:3]
     assert ref[3:] == [([1], [1, 0, 1]), ([], [0, 0, 0, 0, 1])]
-    # a drop of one is scaled by lc^2 > 0: 4T^2 - (-2T - 3)(3 - 2T) = 9
-    assert _euclid_step([0, 0, 1], [], [3, -2], [1]) == ([9], [3, 2])
+    # the numerator rows keep the pairs' signs, -1 where the parent had 1
+    assert list(_euclid(*_SIGN_FLIP)) == [r for r, _ in pairs]
+    # a drop of one is scaled by lc^2 > 0: 4T^2 - (-2T - 3)(3 - 2T) = 9,
+    # the pair's content 1 and the numerator's own content 9
+    assert _pair_step([0, 0, 1], [], [3, -2], [1]) == ([9], [3, 2])
+    assert _euclid_step([0, 0, 1], [3, -2]) == [1]
+    # by 2 - 2T^2: 4T^3 + 2T (2 - 2T^2) = 4T, its content 4
+    assert _euclid_step([0, 0, 0, 1], [2, 0, -2]) == [0, 1]
 
 
 def _euclid_step_rescaling(r0, t0, r1, t1):
-    """The reference Euclid step: `_euclid_step`'s one-pass drop of one,
+    """The reference Euclid step: `_pair_step`'s one-pass drop of one,
     and a general loop that scales by lc only where a quotient term would
     not be an integer, then takes the sign of lc^(delta+1)."""
     n, lead = len(r1) - 1, r1[-1]
@@ -780,8 +854,10 @@ def test_euclid_step_rows_identical_to_rescaling_reference(drop, lead):
         t1 = [rng.randint(-4, 4) for _ in range(rng.randint(0, 3))] + [
             rng.choice([1, -2, 3])]
         t0 = _trim([rng.randint(-4, 4) for _ in range(rng.randint(0, 3))])
-        assert (_euclid_step(r0, t0, r1, t1)
-                == _euclid_step_rescaling(r0, t0, r1, t1))
+        ref = _euclid_step_rescaling(r0, t0, r1, t1)
+        assert _pair_step(r0, t0, r1, t1) == ref
+        # the numerator step: the reference r over its own positive content
+        assert _euclid_step(r0, r1) == _primitive(ref[0])
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
@@ -809,13 +885,14 @@ def test_weight_check_refuses_q_below_two(q, R):
 # ---------------------------------------------------------------------------
 
 def pade_fresh_euclid(S: TruncatedSeries, dn: int, dd: int) -> RationalFunctionZ:
-    """pade_reconstruct with its own `_euclid` run for this one split."""
+    """pade_reconstruct with its own pair Euclid, `_euclid_pairs`, run for
+    this one split, and the cofactor beside the judged row as Q."""
     if dn + dd + 1 > len(S.coeffs):
         raise ValueError("series too short for requested degrees")
     z = S.coeffs[:dn + dd + 1]
     L = math.lcm(*(v.denominator for v in z))
     y = [v.numerator * (L // v.denominator) for v in z]
-    num, den = next((r, t) for r, t in _euclid([0] * len(y) + [1], y)
+    num, den = next((r, t) for r, t in _euclid_pairs([0] * len(y) + [1], y)
                     if len(r) <= dn + 1)
     if den[0] == 0:
         raise NoSolutionError(f"no degree ({dn},{dd}) match")
@@ -882,13 +959,58 @@ def test_pade_shared_rows_match_fresh_euclid(counts_a, counts_b):
                     pade_reconstruct(S, dn, dd)
 
 
+@st.composite
+def series_z0(draw):
+    """z_0 in {0, 1, 2, 1/2}, then z_1..z_M: y_0 = 0, L > 1 and Fraction
+    terms.  The rest comes from a P/Q, from counts, mostly zeros or
+    Fractions, and z_0 either replaces the first term or scales them all
+    (z_0 = 0 then gives the zero series)."""
+    z0 = draw(st.sampled_from([0, 1, 2, Fraction(1, 2)]))
+    length = draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(["rational", "counts", "sparse", "fractions"]))
+    if kind == "rational":
+        z = _expand([1] + draw(st.lists(_small, max_size=4)),
+                    [1] + draw(st.lists(_small, max_size=4)), length)
+    elif kind == "counts":
+        z = list(series_from_counts(draw(st.lists(
+            st.integers(-6, 12), min_size=length, max_size=length))).coeffs)
+    elif kind == "sparse":
+        z = draw(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]),
+                          min_size=length, max_size=length))
+    else:
+        z = draw(st.lists(st.builds(Fraction, _small, st.integers(1, 4)),
+                          min_size=length, max_size=length))
+    z = z[:length]
+    if draw(st.booleans()):
+        z = [z0 * v for v in z]
+    else:
+        z[0] = z0
+    return TruncatedSeries(tuple(z))
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_z0())
+@example(TruncatedSeries((0,)))
+@example(TruncatedSeries((0, 0, 0)))
+@example(TruncatedSeries((Fraction(1, 2), 1, 3, 0, 0, 2)))
+def test_pade_matches_both_oracles_at_every_split(S):
+    # every split of every order, dn falling, on one series: the
+    # Gauss-Jordan oracle and the pair Euclid agree with the numerator
+    # rows, the exception's type and message included
+    for N in range(len(S.coeffs)):
+        for dn in reversed(range(N + 1)):
+            got = _outcome(pade_reconstruct, S, dn, N - dn)
+            assert got == _outcome(pade_reconstruct_oracle, S, dn, N - dn)
+            assert got == _outcome(pade_fresh_euclid, S, dn, N - dn)
+
+
 def _step_spy(monkeypatch):
     """Patch `zeta._euclid_step` to record each call's arguments."""
     calls = []
 
-    def spy(r0, t0, r1, t1):
-        calls.append((r0, t0, r1, t1))
-        return _euclid_step(r0, t0, r1, t1)
+    def spy(r0, r1):
+        calls.append((r0, r1))
+        return _euclid_step(r0, r1)
 
     monkeypatch.setattr(zeta, "_euclid_step", spy)
     return calls
@@ -896,14 +1018,14 @@ def _step_spy(monkeypatch):
 
 def _table_rows(S, N):
     """dn -> the rows a table of S for N should hold once dn is asked:
-    (T^(N+1), 0) and the `_euclid` rows of (T^(N+1), y), y the scaled
-    z_0..z_N, down to the first with deg r <= dn."""
+    T^(N+1), then the numerator rows of (T^(N+1), y), y the scaled
+    z_0..z_N, from the pair Euclid, down to the first with deg r <= dn."""
     z = S.coeffs[:N + 1]
     L = math.lcm(*(v.denominator for v in z))
     a = [0] * (N + 1) + [1]
-    rows = [(a, [])] + list(_euclid(a, [v.numerator * (L // v.denominator)
-                                        for v in z]))
-    return lambda dn: rows[:next(i for i, (r, _) in enumerate(rows)
+    rows = [a] + _numerator_rows(a, [v.numerator * (L // v.denominator)
+                                     for v in z])
+    return lambda dn: rows[:next(i for i, r in enumerate(rows)
                                  if len(r) <= dn + 1) + 1]
 
 
@@ -927,7 +1049,7 @@ def test_pade_table_runs_one_euclid_per_order(monkeypatch):
     assert sorted(S._pade) == list(range(9))
     for N, rows in S._pade.items():
         assert rows == rows_of[N](0)
-    steps = [(*rows[i - 2], *rows[i - 1]) for rows in S._pade.values()
+    steps = [(rows[i - 2], rows[i - 1]) for rows in S._pade.values()
              for i in range(2, len(rows))]
     assert sorted(map(repr, calls)) == sorted(map(repr, steps))
     # one split builds one table, down to its own row only
@@ -938,10 +1060,12 @@ def test_pade_table_runs_one_euclid_per_order(monkeypatch):
     assert T._pade[3] == rows_of[3](1)
     assert len(calls) == len(T._pade[3]) - 2 > 0
     # the library's deepening: one table per B, N = B - holdout, each
-    # started once (N = 0 needs no step: its row (1, 1) has degree 0)
+    # started once, from T^(N+1) (N = 0 needs no step: its row 1 has
+    # degree 0)
     del calls[:]
     res = reconstruct_counts(_recording(counts_of(R, 12))[0], 12)
-    starts = [len(r0) - 2 for r0, t0, _, _ in calls if t0 == []]
+    starts = [len(r0) - 2 for r0, _ in calls
+              if r0 == [0] * (len(r0) - 1) + [1]]
     assert res.function == R and starts == list(range(1, res.B_used - 2))
 
 
@@ -954,7 +1078,7 @@ def test_pade_builds_rows_on_demand(monkeypatch):
     assert _outcome(pade_reconstruct, S, 4, 4) == want[(4, 4)]
     rows = S._pade[8]
     assert rows == rows_of[8](4)
-    assert len(rows[-2][0]) > 5 >= len(rows[-1][0])
+    assert len(rows[-2]) > 5 >= len(rows[-1])
     assert len(calls) == len(rows) - 2 == 4
     # every split asked afterwards, dn falling: the fresh Euclid's
     # outcome, with the rows grown only as far as the smallest dn asked
@@ -963,6 +1087,52 @@ def test_pade_builds_rows_on_demand(monkeypatch):
         assert _outcome(pade_reconstruct, S, dn, dd) == outcome
         assert S._pade[N] == rows_of[N](min(dn, 4) if N == 8 else dn)
     assert len(calls) == sum(len(rows) - 2 for rows in S._pade.values())
+
+
+def test_pade_table_holds_numerators_and_builds_denominators_lazily(
+        monkeypatch):
+    # the table holds numerator rows only, as ints, and Q is built only
+    # for a judged row whose numerator passed: t(0) != 0, r(0) != 0 and
+    # r / r(0) integral, read from the pair Euclid's judged row (r, t)
+    built = []
+
+    def spy(y, P, dd):
+        built.append((P, dd, _denominator(y, P, dd)))
+        return built[-1][2]
+
+    monkeypatch.setattr(zeta, "_denominator", spy)
+    R = RationalFunctionZ((1, -2), (1, -3, 4))
+    seen = set()
+    for z in (series_from_counts(counts_of(R, 7)).coeffs,
+              series_from_counts([1, 0, 0, 0, 0]).coeffs,
+              (1, Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)),
+              (0, 1, 3, -1, 5), (2, 1, 3, -1, 5), (0, 0, 0)):
+        S = TruncatedSeries(z)
+        for N in range(len(z)):
+            rows_of, a = _table_rows(S, N), [0] * (N + 1) + [1]
+            pairs = list(_euclid_pairs(a, _scaled(z[:N + 1])[1]))
+            for dn in reversed(range(N + 1)):
+                dd = N - dn
+                del built[:]
+                got = _outcome(pade_reconstruct, S, dn, dd)
+                assert S._pade[N] == rows_of(dn)
+                assert all(type(c) is int for r in S._pade[N] for c in r)
+                r, t = next((r, t) for r, t in pairs if len(r) <= dn + 1)
+                if t[0] and r and r[0] and not any(v % r[0] for v in r):
+                    assert len(t) <= dd + 1
+                    Q = [Fraction(v, t[0]) for v in t] + [0] * (dd + 1 - len(t))
+                    want = Q if all(v.denominator == 1 for v in Q) else None
+                    assert built == [([v // r[0] for v in r], dd, want)]
+                    seen.add("integral" if want else got[0].__name__)
+                else:
+                    assert built == []
+                    seen.add(got[0].__name__)
+    assert seen == {"integral", "NoSolutionError", "NonIntegerError"}
+    # the denominator refused a numerator that passed: 1 / (1 - T/2)
+    S = TruncatedSeries((1, Fraction(1, 2), Fraction(1, 4)))
+    del built[:]
+    assert _outcome(pade_reconstruct, S, 0, 1)[0] is NonIntegerError
+    assert built == [([1], 1, None)]
 
 
 def test_used_series_pickles_deep_copies_and_equals_fresh():
@@ -1255,3 +1425,65 @@ def test_simple_roots_bit_identical_on_squarefree_parts(factors, power):
     for coeffs in seen:
         assert _bits(_simple_roots, coeffs) == \
             _bits(_simple_roots_fraction_ops, coeffs)
+
+
+# ---------------------------------------------------------------------------
+# the squarefree part by exact division against the cofactor-scaled one
+# ---------------------------------------------------------------------------
+
+def _reciprocal_roots_by_cofactor(coeffs):
+    """`_reciprocal_roots` with the squarefree part taken as the pair
+    Euclid's cofactor beside the zero remainder, scaled to P's leading
+    coefficient, kept as the reference."""
+    deg = len(coeffs) - 1
+    if deg == 0:
+        return []
+    L, a = _scaled(coeffs)
+    g = []
+    for r, t in _euclid_pairs(a, [i * c for i, c in enumerate(a)][1:]):
+        g = r or g
+    if len(g) < 2:
+        return zeta._simple_roots(coeffs)
+    lead = Fraction(next(c for c in reversed(a) if c), L * t[-1])
+    sf = [v * lead for v in t]
+    g = [Fraction(v, g[-1]) for v in g]
+    return sorted(zeta._simple_roots(sf) + _reciprocal_roots_by_cofactor(g),
+                  key=lambda c: (round(c.real, 9), round(c.imag, 9)))
+
+
+_split_factor = st.one_of(weil_factor(), st.sampled_from(
+    [[1, -1], [2, 0, 5], [3, 0, 0, -7 * 2**30], [1, _P61],
+     [Fraction(1, 2), 1], [1, Fraction(-2, 3), Fraction(1, 9)]]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_split_factor, st.integers(2, 4),
+       st.lists(st.tuples(_split_factor, st.integers(1, 3)), max_size=2))
+@example([1, 0, 1], 2, [([1, 0, 1], 1)])
+def test_squarefree_part_by_division_equals_cofactor_scaled(repeated, power,
+                                                            factors):
+    # a repeated factor always, so the split recurses: `_simple_roots` is
+    # handed the same Fractions, so the same floats, at every level
+    P = [1]
+    for f, e in [(repeated, power)] + factors:
+        for _ in range(e):
+            P = _pmul(P, f)
+    seen, roots = [], []
+    for split in (_reciprocal_roots, _reciprocal_roots_by_cofactor):
+        calls = []
+
+        def spy(coeffs):
+            calls.append([(type(c), c) for c in coeffs])
+            return _simple_roots(coeffs)
+
+        zeta._simple_roots = spy
+        try:
+            roots.append(split(P))
+        except RootFindingError:
+            roots.append(RootFindingError)
+        finally:
+            zeta._simple_roots = _simple_roots
+        seen.append(calls)
+    assert len(seen[0]) >= 2 or roots[0] is RootFindingError
+    assert seen[0] == seen[1]
+    assert roots[0] == roots[1]
