@@ -3,9 +3,11 @@
 The count N_k is the number of tuples whose i-th coordinate lies in
 F_{q^{d_i k}} (inside F_{q^{Dk}}, D the lcm of the profile) and at which
 every defining equation vanishes.  ``partial_count`` never builds
-F_{q^{Dk}}: it searches ``count_field``, F_{q^{Lk}} with L the lcm of the
-profile entries of the variables it binds, and counts the last variable
-in F_{q^{d_c k}}, which need not lie in that field.
+F_{q^{Dk}}: it searches the count field, F_{q^{Lk}} with L the lcm of
+the profile entries of the variables it binds, and counts the last
+variable in F_{q^{d_c k}}, which need not lie in that field.  One
+``CountPlan`` per level, made by ``partial_count_check``, holds the
+order and the degrees, the count field's among them.
 
 One depth-first engine, ``_search``, serves both counting and point
 listing.  It binds the variables in a given order, each to the values of
@@ -49,7 +51,7 @@ does not depend on the reduction, and its cost is always ``budget + 1``.
   closed form for a quadratic, and x^Q mod g only for a larger gcd.
   That degree is the same over any field holding the coefficients
   (Rabin, "Probabilistic algorithms in finite fields", 1980), so the
-  search runs over ``count_field``, the smallest field holding the bound
+  search runs over the count field, the smallest field holding the bound
   values, and F_Q need not lie in it: x1 + x2 at profile (2, 3) and
   k = 4 searches F_{2^8}, not F_{2^24}, and counts x2 in F_{2^12}.  The
   order, ``_count_plan``'s, depends on the equations and the profile,
@@ -65,10 +67,10 @@ does not depend on the reduction, and its cost is always ``budget + 1``.
   by its prefix's weight.
   Where every leaf equation is linear in the counted variable y,
   f_j = A_j(x) y + B_j(x) with x the last bound variable, over F_{q^e},
-  and F_Q holds ``count_field``, the last bound level is summed without
+  and F_Q holds the count field, the last bound level is summed without
   a scan.  A value x contributes Q when every A_j and B_j vanishes at it,
   else 1 when some A_j does not and the minors A_i B_j - A_j B_i all do
-  (the root -B/A lies in ``count_field``, so in F_Q), else 0.  So, with
+  (the root -B/A lies in the count field, so in F_Q), else 0.  So, with
   C the equations closing at that level and r(S) the common roots in
   F_{q^e} of S, the level sums to r(C u M) - r(C u A) + Q r(C u A u B),
   M the minors (none for one equation, and then r(C u M) = r(C)): at
@@ -90,8 +92,8 @@ does not depend on the reduction, and its cost is always ``budget + 1``.
   Frobenius chains from it and compares their orbit-length sum with the
   partial count's root counts.
   Both sides take their representatives from orbit walks, the partial
-  count one per bound level over its variable's subfield of
-  ``count_field``, with its prefix's step, unless it sums that level by
+  count one per bound level over its variable's subfield of the count
+  field, with its prefix's step, unless it sums that level by
   root counts, and they count by different routes.
 
 Listed points are combined by ``join``: blocks of candidates tied by
@@ -106,7 +108,7 @@ import math
 import sys
 from functools import lru_cache
 from itertools import repeat
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .fields import Field, _trim, count_roots, field
 
@@ -519,14 +521,6 @@ def join(sizes, links, budget: int, context: str):
 # partial counts
 # ---------------------------------------------------------------------------
 
-def partial_count_check(X: VarietySpec, k: int, budget: int) -> None:
-    """partial_count's refusals at level k, before any field is built:
-    the product of the domain sizes, q^e with e = k sum d_i, over the
-    budget; then ``leaf_check``'s."""
-    check_cost(X.p ** X.s, k * sum(X.profile), budget, f"partial_count k={k}")
-    leaf_check(X, k, budget)
-
-
 def _effective_degree(rows, p: int) -> int:
     """The largest, over ``rows`` (a variable's exponents in each
     equation, positive ones and zeros), of the row's largest exponent over
@@ -544,46 +538,19 @@ def _effective_degree(rows, p: int) -> int:
     return deg
 
 
-def leaf_check(X: VarietySpec, k: int, budget: int) -> None:
-    """The leaf's refusal at level k, before any field is built: x^Q mod
-    a leaf's gcd, about deg^2 times Q's bit length products, over the
-    budget (``count_roots k=...``), deg > 2 the counted variable's
-    ``_effective_degree`` in its exponents reduced mod Q - 1 as the
-    engine reduces them (``count_roots`` takes no x^Q for deg <= 2).
-    That degree is the one ``_count_plan`` ranks by, the exponents
-    reduced; it is worked out only when the largest reduced exponent,
-    which bounds it, would be refused."""
-    plan = _count_plan(X)
-    if plan and plan[0]:
-        order, exps = plan
-        c = order[-1]
-        Q = (X.p ** X.s) ** (X.profile[c] * k)
-        bits = Q.bit_length()
-        deg = max((e - 1) % (Q - 1) + 1 for e in exps)
-        if deg > 2 and deg * deg * bits > budget:
-            deg = _effective_degree(
-                [[(ex[c] - 1) % (Q - 1) + 1 if ex[c] else 0
-                  for ex in eq.terms]
-                 for eq in X.equations if any(ex[c] for ex in eq.terms)],
-                X.p)
-            cost = deg * deg * bits
-            if deg > 2 and cost > budget:
-                raise BudgetExceededError(cost, budget, f"count_roots k={k}")
-
-
 @lru_cache(maxsize=256)
 def _count_plan(X: VarietySpec):
-    """``partial_count``'s plan: None when an equation is a nonzero
+    """The part of ``partial_count_check``'s plan that does not depend on
+    k, worked out once per variety: None when an equation is a nonzero
     constant, else the order of the variables the equations use, the
     counted one last (empty when none is used), and the counted
-    variable's positive exponents in the equations' terms, sorted.  It
-    depends on the equations and the profile, not on k, so it is worked
-    out once per variety.
+    variable's positive exponents in the equations' terms, sorted, which
+    the leaf check reads.
 
     The counted variable has a largest domain, and is chosen by its leaf,
     in this order of preference: one that is summable, every equation
     using it linear in it and its entry a multiple of the lcm of the
-    other used entries, so that F_Q holds ``count_field`` and the last
+    other used entries, so that F_Q holds the count field and the last
     bound level is summed; then one whose leaf costs least, e^2 + D,
     with e its ``_effective_degree`` (x^p - c takes ``count_roots``'
     p-th-root route, and x^Q is taken mod a gcd of degree at most e) and
@@ -649,16 +616,59 @@ def _count_plan(X: VarietySpec):
                                 for ex in eq.terms} - {0}))
 
 
-def count_field(X: VarietySpec, k: int) -> Field:
-    """The field ``partial_count`` searches at level k: F_{q^{Lk}}, L the
-    lcm of the profile entries of the variables it binds (``_count_plan``'s
-    order but the last), or F_q when it binds none.  It holds every bound
-    value and the coefficients; the counted variable's F_Q need not lie in
-    it, as ``count_roots`` counts over any field holding the coefficients."""
+
+
+class CountPlan(NamedTuple):
+    """``partial_count``'s plan at level k: the used variables in search
+    ``order``, the counted one last; the bound ones' ``degrees`` d_i k;
+    the counted one's ``leaf_degree`` d_c k (0 when none is used); the
+    ``field_degree`` L k of the count field, L the lcm of the bound
+    entries (1 when none is bound), which holds every bound value and the
+    coefficients but need not hold F_Q; and the ``free`` factor q^(k d_i)
+    of each unused variable, 0 when an equation is a nonzero constant."""
+    order: tuple
+    degrees: tuple
+    leaf_degree: int
+    field_degree: int
+    free: int
+
+
+def partial_count_check(X: VarietySpec, k: int, budget: int) -> CountPlan:
+    """partial_count's refusals at level k, before any field is built,
+    then its plan: k < 1 (``ValueError``); the q^e tuples, e = k sum d_i,
+    over the budget (``partial_count k=...``), before Q is built; then
+    x^Q mod a leaf's gcd, deg^2 times Q's bit length products, over the
+    budget (``count_roots k=...``), deg > 2 the counted variable's
+    ``_effective_degree`` in its exponents reduced mod Q - 1 as the engine
+    reduces them, the degree ``_count_plan`` ranks by, worked out only
+    when the largest reduced exponent, which bounds it, is refused."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    q, d = X.p ** X.s, X.profile
+    check_cost(q, k * sum(d), budget, f"partial_count k={k}")
     plan = _count_plan(X)
-    bound = plan[0][:-1] if plan else ()
-    return field(X.p, X.s,
-                 math.lcm(*(X.profile[i] for i in bound)) * k if bound else 1)
+    if plan is None:
+        return CountPlan((), (), 0, 1, 0)
+    order, exps = plan
+    bound, leaf_degree = order[:-1], 0
+    if order:
+        c = order[-1]
+        leaf_degree = d[c] * k
+        Q = q ** leaf_degree
+        bits = Q.bit_length()
+        deg = max((e - 1) % (Q - 1) + 1 for e in exps)
+        if deg > 2 and deg * deg * bits > budget:
+            deg = _effective_degree(
+                [[(ex[c] - 1) % (Q - 1) + 1 if ex[c] else 0
+                  for ex in eq.terms]
+                 for eq in X.equations if any(ex[c] for ex in eq.terms)],
+                X.p)
+            cost = deg * deg * bits
+            if deg > 2 and cost > budget:
+                raise BudgetExceededError(cost, budget, f"count_roots k={k}")
+    return CountPlan(order, tuple(d[i] * k for i in bound), leaf_degree,
+                     math.lcm(*(d[i] for i in bound)) * k if bound else 1,
+                     q ** (k * (sum(d) - sum(d[i] for i in order))))
 
 
 def partial_count(X: VarietySpec, k: int,
@@ -669,31 +679,20 @@ def partial_count(X: VarietySpec, k: int,
     sum of the bound variables' d_i and d_c the counted one's, so its
     node meter never refuses a budget that check lets through.
 
-    The used variables are searched in ``_count_plan``'s order over
-    ``count_field``, which holds the bound variables' subfields: the
-    last is counted by ``count_roots`` in F_Q, Q = q^{d_c k} with d_c its
-    profile entry, which need not lie in that field; each bound level
-    takes one value per orbit of its prefix's stabiliser, and the last
-    one builds the leaf's polynomials itself.  When F_Q holds
-    ``count_field`` and every leaf equation is linear in the counted
-    variable, A_j x_c + B_j, that level is summed instead, as
+    The used variables are searched in the plan's order over its count
+    field, which holds the bound variables' subfields: the last is counted
+    by ``count_roots`` in F_Q, Q = q^{d_c k}, which need not lie in that
+    field; each bound level takes one value per orbit of its prefix's
+    stabiliser, and the last one builds the leaf's polynomials itself.
+    When F_Q holds the count field and every leaf equation is linear in
+    the counted variable, A_j x_c + B_j, that level is summed instead, as
     r(C u M) - r(C u A) + Q r(C u A u B) over the level's subfield (the
     module's identity), if ``_collapses`` allows its degree.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    partial_count_check(X, k, budget)
-    plan = _count_plan(X)
-    if plan is None:
-        return 0
-    order, _ = plan
-    q = X.p ** X.s
-    # each variable no equation uses multiplies the count by its domain
-    free = q ** (k * (sum(X.profile) - sum(X.profile[i] for i in order)))
-    if not order:
-        return free
-    e_last = X.profile[order[-1]] * k
-    amb = count_field(X, k)
+    plan = partial_count_check(X, k, budget)
+    if not plan.order:  # no variable used, or a nonzero constant (free 0)
+        return plan.free
+    amb, e_last = field(X.p, X.s, plan.field_degree), plan.leaf_degree
 
     # sigma: x -> x^q fixes the coefficients, so each bound level needs
     # one value per orbit of its prefix's stabiliser, the root count
@@ -702,7 +701,6 @@ def partial_count(X: VarietySpec, k: int,
     def roots(point, polys, weight):
         return weight * count_roots(polys, amb, e_last)
 
-    bound = order[:-1]
-    return free * _search(X.equations, amb, X.base, order,
-                          [X.profile[i] * k for i in bound], roots,
-                          budget, len(bound), e_last)
+    return plan.free * _search(X.equations, amb, X.base, plan.order,
+                               plan.degrees, roots, budget,
+                               len(plan.degrees), e_last)

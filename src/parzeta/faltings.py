@@ -21,7 +21,7 @@ orbit walk whose lengths weight the partial count, so a wrong length
 from the walk makes the two sides differ.  The representatives
 themselves, which x_1 values start a chain, still come from that walk,
 as do the partial count's: each of its bound levels walks its
-variable's subfield inside ``counting.count_field``, a smaller field
+variable's subfield inside its plan's count field, a smaller field
 whenever the bound variables' profile entries have an lcm below d, by
 the orbits of x -> x^(q^g), g the gcd of the level's degree and its
 prefix's orbit length (g = 1 at the first level).  A level that the
@@ -55,9 +55,8 @@ from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
-from .counting import (DEFAULT_BUDGET, check_cost, count_field,
-                       enumerate_orbit_points, partial_count,
-                       partial_count_check)
+from .counting import (DEFAULT_BUDGET, check_cost, enumerate_orbit_points,
+                       partial_count, partial_count_check)
 from .fields import field
 from .polys import VarietySpec
 
@@ -248,7 +247,7 @@ def lemma_check(X: VarietySpec, k_max: int, morphisms=None,
         # degree) here, the listing's inside it; partial_count then counts
         # in its own smaller field after the listing, the twists past both
         if morphisms is None:
-            partial_count_check(X, k, budget)
+            plan = partial_count_check(X, k, budget)
         # one listing of X's orbit representatives per level; the chains
         # walk it, and with morphisms the left side filters it by subfield
         listing = _orbit_listing(X, k, morphisms, budget)
@@ -256,14 +255,14 @@ def lemma_check(X: VarietySpec, k_max: int, morphisms=None,
         amb = listing[0]
         if morphisms is None:
             lhs = partial_count(X, k, budget=budget)
-            read = {amb, count_field(X, k)}
+            read = {amb, field(X.p, X.s, plan.field_degree)}
         else:
             lhs = morphism_partial_count(X, k, listing)
             read = {amb}
         frob = amb.frob
         # the walks the level read, the listing's over F_{q^{dk}} and the
         # partial count's, each bound level's over its F_{q^{d_i k}} inside
-        # ``count_field`` with the step of its prefix's stabiliser,
+        # the plan's count field with the step of its prefix's stabiliser,
         # replayed: a field keeps a walk only once it has ended, so one it
         # does not keep was not read
         degrees = {di * k for di in X.profile}

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .counting import (DEFAULT_BUDGET, check_cost, enumerate_points, join,
-                       leaf_check, partial_count)
+                       partial_count, partial_count_check)
 from .fields import field
 from .polys import MorphismSpec, SparsePoly, VarietySpec
 from .zeta import (ReconstructionResult, WeightReport, auto_reconstruct,
@@ -70,11 +70,12 @@ def graph_count_direct(G: GraphSystem, k: int,
     Refused before any field is built when the product of the vertex
     domains, q^e with e = k sum n_v d_v (the fibred product's count), is
     over the budget; then, given the fibred product ``fibred``, by its
-    ``leaf_check``."""
+    ``partial_count_check``, whose tuple price is that same product, so
+    only its leaf check can refuse."""
     check_cost(G.p ** G.s, k * sum(v.n * v.d for v in G.vertices), budget,
                f"graph_count_direct k={k}")
     if fibred is not None:
-        leaf_check(fibred, k, budget)
+        partial_count_check(fibred, k, budget)
     amb = field(G.p, G.s, G.D * k)
     base = field(G.p, G.s, 1)
     vpoints = []

@@ -33,12 +33,15 @@ from hypothesis import given, settings, strategies as st
 from parzeta import counting, fields
 from parzeta.artin_schreier import singular_search
 from parzeta.cli import load_instance
-from parzeta.counting import (BudgetExceededError, _count_plan, _search,
-                               count_roots, enumerate_orbit_points,
-                               enumerate_points, join, partial_count)
+from parzeta.counting import (DEFAULT_BUDGET, BudgetExceededError,
+                               _count_plan, _effective_degree, _search,
+                               check_cost, count_roots,
+                               enumerate_orbit_points, enumerate_points, join,
+                               partial_count, partial_count_check)
 from parzeta.faltings import lemma_check
 from parzeta.fields import Field, _gcd, _monic, _trim, field
-from parzeta.graphs import fibred_product_reduce, graph_count_direct
+from parzeta.graphs import (GraphSystem, GraphVertex, fibred_product_reduce,
+                            graph_count_direct)
 from parzeta.polys import SparsePoly, VarietySpec, base_field, parse_poly
 
 from test_packed_fields import ref_add, ref_mul, ref_neg, ref_one
@@ -107,6 +110,13 @@ def V(p, s, n, texts, profile):
     names = [f"x{i+1}" for i in range(n)]
     eqs = tuple(parse_poly(t, names, base) for t in texts)
     return VarietySpec(p, s, n, eqs, tuple(profile))
+
+
+def plan_field(X, k):
+    """``partial_count``'s plan at level k, checked at the default
+    budget, and the count field it names."""
+    plan = partial_count_check(X, k, DEFAULT_BUDGET)
+    return plan, field(X.p, X.s, plan.field_degree)
 
 
 @pytest.mark.parametrize("X", [
@@ -388,7 +398,7 @@ def test_second_count_replays_the_first_level(monkeypatch):
     X = V(2, 1, 2, ["x1^3 + x2^3 + 1"], (2, 3))
     want = oracle_count(X, 2)
     assert partial_count(X, 2) == want
-    amb = counting.count_field(X, 2)
+    _, amb = plan_field(X, 2)
     assert amb is field(2, 1, 4)
     walked = _first_level_spy(monkeypatch, amb)
     assert partial_count(X, 2) == want
@@ -403,7 +413,7 @@ def test_second_lemma_check_replays_the_first_level(monkeypatch):
     report = lemma_check(X, 2)
     assert report.passed
     walked = [_first_level_spy(monkeypatch, amb)
-              for amb in (field(2, 1, X.D * 2), counting.count_field(X, 2))]
+              for amb in (field(2, 1, X.D * 2), plan_field(X, 2)[1])]
     assert lemma_check(X, 2) == report
     assert walked == [[], []]
 
@@ -826,6 +836,87 @@ def test_leaf_degree_reduced_as_the_engine_reduces_it():
     assert str(exc.value).endswith("(count_roots k=1)")
 
 
+def leaf_check_reference(X, k, budget):
+    """The leaf's refusal as a function of its own, before the plan made
+    it: x^Q mod a leaf's gcd, deg^2 times Q's bit length, over the
+    budget, deg > 2 the counted variable's effective degree in its
+    exponents reduced mod Q - 1, worked out only when the largest reduced
+    exponent would be refused."""
+    plan = _count_plan(X)
+    if plan and plan[0]:
+        order, exps = plan
+        c = order[-1]
+        Q = (X.p ** X.s) ** (X.profile[c] * k)
+        bits = Q.bit_length()
+        deg = max((e - 1) % (Q - 1) + 1 for e in exps)
+        if deg > 2 and deg * deg * bits > budget:
+            deg = _effective_degree(
+                [[(ex[c] - 1) % (Q - 1) + 1 if ex[c] else 0
+                  for ex in eq.terms]
+                 for eq in X.equations if any(ex[c] for ex in eq.terms)],
+                X.p)
+            cost = deg * deg * bits
+            if deg > 2 and cost > budget:
+                raise BudgetExceededError(cost, budget, f"count_roots k={k}")
+
+
+def count_field_reference(X, k):
+    """The count field as a function of its own, before the plan named
+    it: F_{q^{Lk}}, L the lcm of the bound variables' entries, or F_q."""
+    plan = _count_plan(X)
+    bound = plan[0][:-1] if plan else ()
+    return field(X.p, X.s,
+                 lcm(*(X.profile[i] for i in bound)) * k if bound else 1)
+
+
+def budget_outcome(check):
+    try:
+        return check()
+    except BudgetExceededError as err:
+        return type(err), err.cost, str(err)
+
+
+@settings(max_examples=100, deadline=None)
+@given(varieties(), st.integers(1, 3))
+def test_the_one_check_refuses_as_the_tuple_and_leaf_checks_did(case, k):
+    # budgets on both sides of the tuple price and of the leaf price: the
+    # plan's check refuses where the tuple check, then the leaf check,
+    # refused, with the same cost and message, and otherwise names the
+    # field the count searched
+    X, _ = case
+    q = X.p ** X.s
+
+    def old(budget):
+        check_cost(q, k * sum(X.profile), budget, f"partial_count k={k}")
+        leaf_check_reference(X, k, budget)
+        return count_field_reference(X, k).N
+
+    prices = {q ** (k * sum(X.profile))}
+    leaf = budget_outcome(lambda: leaf_check_reference(X, k, 0))
+    if leaf is not None:
+        prices.add(leaf[1])
+    for budget in sorted({1, DEFAULT_BUDGET}
+                         | {b for c in prices for b in (c - 1, c, c + 1)}):
+        assert budget_outcome(
+            lambda: partial_count_check(X, k, budget).field_degree
+        ) == budget_outcome(lambda: old(budget))
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_a_level_below_one_is_refused_before_any_price(k):
+    # Q - 1 = 0 at k = 0: the check refuses k before reducing an
+    # exponent mod Q - 1, for the partial count and the graph's fibred
+    # product alike
+    X = V(2, 1, 2, ["x1^3 + x2^5 + 1"], (1, 1))
+    G = GraphSystem(2, 1, (GraphVertex("u", 2, X.equations, 1),), ())
+    for check in (lambda: partial_count_check(X, k, DEFAULT_BUDGET),
+                  lambda: partial_count(X, k),
+                  lambda: graph_count_direct(
+                      G, k, fibred=fibred_product_reduce(G))):
+        with pytest.raises(ValueError, match="k must be positive"):
+            check()
+
+
 # ---------------------------------------------------------------------------
 # counting in the smallest field that holds the bound values
 # ---------------------------------------------------------------------------
@@ -978,22 +1069,21 @@ def test_linear_leaf_level_matches_product_oracle(case):
 
 
 def search_count(X, k, budget, collapse, orbits=None):
-    """``partial_count``'s search at level k, without its a-priori checks,
-    which refuse every budget below the node bound: its last bound level
+    """``partial_count``'s search at level k, its plan made at the default
+    budget, so without the a-priori checks at ``budget``, which refuse
+    every budget below the node bound: its last bound level
     summed by root counts where ``_collapses`` allows, else scanned, and
     with ``collapse`` false scanned always; its first ``orbits`` levels
     reduced by orbits, by default every bound level, as ``partial_count``
     reduces them."""
-    order, _ = _count_plan(X)
+    plan, amb = plan_field(X, k)
     if orbits is None:
-        orbits = len(order) - 1
-    amb = counting.count_field(X, k)
-    e_last = X.profile[order[-1]] * k
+        orbits = len(plan.degrees)
+    e_last = plan.leaf_degree
     with pytest.MonkeyPatch.context() as patch:
         if not collapse:
             patch.setattr(counting, "_collapses", lambda deg, size: False)
-        return _search(X.equations, amb, X.base, order,
-                       [X.profile[i] * k for i in order[:-1]],
+        return _search(X.equations, amb, X.base, plan.order, plan.degrees,
                        lambda point, polys, w:
                        w * count_roots(polys, amb, e_last),
                        budget, orbits, e_last)

@@ -272,7 +272,8 @@ def test_lemma_check_certifies_the_count_fields_walk(monkeypatch):
     # leaves both sides equal, since x2^3 + w x2 + 1 has no root in F_8,
     # so only the tally of the count's walk can fail the level
     X = V(2, 1, 2, ["x1*x2 + x2^3 + 1"], (2, 3))
-    counted = counting.count_field(X, 1)
+    counted = field(X.p, X.s, counting.partial_count_check(
+        X, 1, DEFAULT_BUDGET).field_degree)
     assert counted.N == 2
     walk = Field.frobenius_orbits
 
@@ -299,7 +300,8 @@ def test_lemma_check_certifies_the_count_fields_relative_walk(monkeypatch):
     # fail the level
     X = V(2, 1, 3, ["x2^4 + x2", "x1^3*x2 + x3^3 + 1"], (2, 2, 2))
     assert counting._count_plan(X)[0] == (0, 1, 2)
-    counted = counting.count_field(X, 2)
+    counted = field(X.p, X.s, counting.partial_count_check(
+        X, 2, DEFAULT_BUDGET).field_degree)
     walk = Field.frobenius_orbits
     dropped = []
 
