@@ -55,10 +55,10 @@ does not depend on the reduction, and its cost is always ``budget + 1``.
   values, and F_Q need not lie in it: x1 + x2 at profile (2, 3) and
   k = 4 searches F_{2^8}, not F_{2^24}, and counts x2 in F_{2^12}.  The
   order, ``_count_plan``'s, depends on the equations and the profile,
-  not on k.  It counts the variable whose leaf is cheapest: one whose
-  last bound level is summed (below), else one whose leaf costs least,
-  x^Q mod a gcd of its effective degree after building polynomials of
-  its largest degree.  It binds the constraining variables first, so
+  not on k.  It counts the variable whose leaf costs least, x^Q mod a
+  gcd of its effective degree after building polynomials of its largest
+  degree; the cheapest leaf is linear, and its last bound level is summed
+  (below) where it can be.  It binds the constraining variables first, so
   that equations close early and a linear one is solved with one
   candidate instead of a scan of q^{d k} (the fail-first principle;
   Haralick and Elliott, "Increasing tree search efficiency for
@@ -118,12 +118,24 @@ if TYPE_CHECKING:  # polys imports the budget from here
 DEFAULT_BUDGET = 10 ** 8
 
 
+def _too_long(q: int, e: int) -> bool:
+    """Whether q^e may pass Python's int-to-str limit, its default where
+    there is none."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    return e * math.log10(q) >= digits - 1
+
+
 class BudgetExceededError(RuntimeError):
     """``cost`` is an int, or a pair (q, e) standing for q^e when that
-    number has too many digits to build or print."""
+    number has too many digits to build or print; an int too long to print
+    is shown by its bit length b, as at least 2^(b - 1)."""
 
     def __init__(self, cost, budget, context):
-        shown = f"{cost[0]}^{cost[1]}" if isinstance(cost, tuple) else cost
+        shown = cost
+        if isinstance(cost, tuple):
+            shown = f"{cost[0]}^{cost[1]}"
+        elif _too_long(2, cost.bit_length()):
+            shown = f"at least 2^{cost.bit_length() - 1}"
         super().__init__(f"enumeration cost {shown} exceeds budget {budget} "
                          f"({context})")
         self.cost = cost
@@ -136,9 +148,7 @@ def check_cost(q: int, e: int, budget: int, context: str) -> None:
     # q^e >= 2^((bits(q) - 1) e): a power past the budget's bit length is
     # refused from its exponent, before it is built
     if (q.bit_length() - 1) * e >= budget.bit_length() or q ** e > budget:
-        # Python's default int-to-str limit when there is none
-        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
-        cost = q ** e if e * math.log10(q) < digits - 1 else (q, e)
+        cost = (q, e) if _too_long(q, e) else q ** e
         raise BudgetExceededError(cost, budget, context)
 
 
@@ -548,17 +558,16 @@ def _count_plan(X: VarietySpec):
     the leaf check reads.
 
     The counted variable has a largest domain, and is chosen by its leaf,
-    in this order of preference: one that is summable, every equation
-    using it linear in it and its entry a multiple of the lcm of the
-    other used entries, so that F_Q holds the count field and the last
-    bound level is summed; then one whose leaf costs least, e^2 + D,
+    in this order of preference: one whose leaf costs least, e^2 + D,
     with e its ``_effective_degree`` (x^p - c takes ``count_roots``'
     p-th-root route, and x^Q is taken mod a gcd of degree at most e) and
     D its largest exponent, the length of the leaf's polynomials, which
-    every leaf builds and reduces by p-th roots; then the choice whose
-    places close best, back to front; then the one of least degree in
-    the equations that use it, so that a linear leaf takes
-    ``count_roots``' linear route; then the one of highest index.
+    every leaf builds and reduces by p-th roots (the least, 2, is a leaf
+    linear in every equation, summed where F_Q holds the count field, as
+    it does for every candidate or none); then the choice whose places
+    close best, back to front; then the one of least degree in the
+    equations that use it, so that a linear leaf takes ``count_roots``'
+    linear route; then the one of highest index.
 
     For each choice the others are placed back to front, each place
     taking, in this order of preference, a variable at which an equation
@@ -587,8 +596,6 @@ def _count_plan(X: VarietySpec):
     for last in sorted(i for i in used if d[i] == top):
         rest = used - {last}
         leaf = [eq for eq in equations if last in eq[0]]
-        summable = (all(deg[last] == 1 for _, deg, _ in leaf)
-                    and top % math.lcm(*(d[i] for i in rest)) == 0)
         effective = _effective_degree(
             [[ex[last] for ex in terms] for _, _, terms in leaf], p)
         # x^Q mod a gcd of degree `effective`, after building the leaf's
@@ -607,15 +614,13 @@ def _count_plan(X: VarietySpec):
             places += rank[:2]
             order.append(rank[-1])
             rest = rest - {rank[-1]}
-        key = (summable, -effective * effective - largest, places,
+        key = (-effective * effective - largest, places,
                -min(deg[last] for _, deg, _ in leaf))
         if best is None or key >= best[0]:
             best = key, tuple(order[::-1])
     order = best[1]
     return order, tuple(sorted({ex[order[-1]] for eq in X.equations
                                 for ex in eq.terms} - {0}))
-
-
 
 
 class CountPlan(NamedTuple):

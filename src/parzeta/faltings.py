@@ -253,23 +253,20 @@ def lemma_check(X: VarietySpec, k_max: int, morphisms=None,
         listing = _orbit_listing(X, k, morphisms, budget)
         twists = [a for a in range(1, d + 1) if gcd(a, d) == 1]
         amb = listing[0]
+        # the walks the level read, replayed (a field keeps only a finished
+        # walk): the listing's at F_{q^{dk}}'s N, and the partial count's at
+        # its plan's bound degrees in its count field, with any step
+        walked = {(amb, amb.N)}
         if morphisms is None:
             lhs = partial_count(X, k, budget=budget)
-            read = {amb, field(X.p, X.s, plan.field_degree)}
+            count = field(X.p, X.s, plan.field_degree)
+            walked.update((count, e) for e in plan.degrees)
         else:
             lhs = morphism_partial_count(X, k, listing)
-            read = {amb}
         frob = amb.frob
-        # the walks the level read, the listing's over F_{q^{dk}} and the
-        # partial count's, each bound level's over its F_{q^{d_i k}} inside
-        # the plan's count field with the step of its prefix's stabiliser,
-        # replayed: a field keeps a walk only once it has ended, so one it
-        # does not keep was not read
-        degrees = {di * k for di in X.profile}
         walks_ok = walks_ok and all(
-            _walk_is_whole(F, e, g) for F in read
-            for e, g in list(F._orbit_cache)
-            if e == F.N or e in degrees)
+            _walk_is_whole(F, e, g) for F in {F for F, _ in walked}
+            for e, g in list(F._orbit_cache) if (F, e) in walked)
         found = _twisted_fixed_points(X, k, twists, listing)
         # reconstruction bijection, checked on the chains; Frobenius carries
         # it to their conjugates.  Every distinct block is a point of X ...

@@ -4,10 +4,10 @@ A graph system assigns a variety and a field level to each vertex and a
 morphism to each edge; its counting sequence can be computed directly or
 through the fibred product, whose partial zeta function is the graph zeta
 function.  The two routes must agree, and checking that they do is the
-point of this module.  `reduction_check` refuses and counts each level
-once: the direct count's check, whose cost is the fibred product's, and
-then the fibred product's leaf check refuse it before the direct count
-builds a field, and the zeta deepening's counts serve as its reduced
+point of this module.  The direct count refuses each level before it
+builds a field: its tuples, which are the fibred product's, and then the
+fibred product's leaf, by ``partial_count_check``.  `reduction_check`
+counts each level once: the zeta deepening's counts serve as its reduced
 counts.
 """
 
@@ -63,19 +63,16 @@ class GraphSystem:
 
 
 def graph_count_direct(G: GraphSystem, k: int,
-                       budget: int = DEFAULT_BUDGET,
-                       fibred: VarietySpec | None = None) -> int:
+                       budget: int = DEFAULT_BUDGET) -> int:
     """Tuples (x_v) with x_v in X_v(F_{q^{d_v k}}) meeting every edge equation.
 
     Refused before any field is built when the product of the vertex
     domains, q^e with e = k sum n_v d_v (the fibred product's count), is
-    over the budget; then, given the fibred product ``fibred``, by its
-    ``partial_count_check``, whose tuple price is that same product, so
-    only its leaf check can refuse."""
+    over the budget; then by the fibred product's ``partial_count_check``,
+    whose tuple price is that same product, so only its leaf can refuse."""
     check_cost(G.p ** G.s, k * sum(v.n * v.d for v in G.vertices), budget,
                f"graph_count_direct k={k}")
-    if fibred is not None:
-        partial_count_check(fibred, k, budget)
+    partial_count_check(fibred_product_reduce(G), k, budget)
     amb = field(G.p, G.s, G.D * k)
     base = field(G.p, G.s, 1)
     vpoints = []
@@ -149,7 +146,7 @@ def reduction_check(G: GraphSystem, k_max: int, max_k: int = 12,
     if k_max < 1:
         raise ValueError("k_max must be positive")
     X = fibred_product_reduce(G)
-    direct = tuple(graph_count_direct(G, k, budget=budget, fibred=X)
+    direct = tuple(graph_count_direct(G, k, budget=budget)
                    for k in range(1, k_max + 1))
     res = auto_reconstruct(X, max_k, holdout=holdout, budget=budget)
     reduced = res.counts[:k_max] + tuple(

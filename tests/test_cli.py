@@ -382,6 +382,26 @@ def test_leaf_degree_and_parse_refused_before_their_work(
     assert err == f"budget exceeded: {refusal}\n"
 
 
+# x1^E + 1, E = 10^4000 + 1, at profile (14000): its 2^14000 tuples pass
+# the budget 10^4290, its leaf's price E^2 * 14001, 8005 digits, does not
+UNPRINTABLE_E, UNPRINTABLE_BUDGET = 10 ** 4000 + 1, 10 ** 4290
+
+
+def test_leaf_price_too_long_to_print_is_refused_by_its_size(tmp_path,
+                                                             capsys):
+    f = tmp_path / "inst.json"
+    f.write_text(json.dumps({"kind": "variety", "p": 2, "s": 1, "n": 1,
+                             "equations": [f"x1^{UNPRINTABLE_E} + 1"],
+                             "profile": [14000],
+                             "budget": UNPRINTABLE_BUDGET}))
+    bits = (UNPRINTABLE_E ** 2 * 14001).bit_length()
+    code, out, err = run(capsys, "count", str(f), "-k", "1")
+    assert code == 3 and out == ""
+    assert err == (f"budget exceeded: enumeration cost at least "
+                   f"2^{bits - 1} exceeds budget {UNPRINTABLE_BUDGET} "
+                   "(count_roots k=1)\n")
+
+
 @pytest.mark.parametrize("equation", ["x1^2 + -x2^2", "x1^2 - x2^2"])
 def test_unary_minus_after_plus_counts_as_minus(tmp_path, capsys, equation):
     f = tmp_path / "inst.json"

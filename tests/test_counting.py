@@ -88,6 +88,21 @@ def test_count_plan(p, texts, profile, plan):
     assert counting._count_plan(V(p, 1, len(profile), texts, profile)) == plan
 
 
+def test_refusal_of_a_price_too_long_to_print_prints():
+    # x1^E + 1 at (14000): the leaf's price E^2 * 14001 has 8005 digits,
+    # past the int-to-str limit; the error keeps it exact and shows it by
+    # its bit length, whatever that limit is
+    E = 10 ** 4000 + 1
+    X = VarietySpec(2, 1, 1, (SparsePoly(1, base_field(2, 1),
+                                         {(E,): 1, (0,): 1}),), (14000,))
+    with pytest.raises(BudgetExceededError) as exc:
+        counting.partial_count_check(X, 1, 10 ** 4290)
+    assert exc.value.cost == E * E * 14001
+    shown = f"at least 2^{(E * E * 14001).bit_length() - 1}"
+    assert str(exc.value).startswith(f"enumeration cost {shown} exceeds")
+    assert str(exc.value).endswith(" (count_roots k=1)")
+
+
 def test_constant_equation_builds_no_field(monkeypatch):
     def refuse(*args):
         raise AssertionError("field built for a nonzero constant equation")

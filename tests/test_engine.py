@@ -869,6 +869,55 @@ def count_field_reference(X, k):
                  lcm(*(X.profile[i] for i in bound)) * k if bound else 1)
 
 
+def count_plan_reference(X):
+    """``_count_plan`` as it ranked before its leaf cost alone stood for
+    summability: a summable candidate first (every equation using it
+    linear in it, its entry a multiple of the lcm of the other used
+    entries), then the least leaf cost, the places, the least degree and
+    the highest index."""
+    d, p = X.profile, X.p
+    equations = []
+    for eq in X.equations:
+        if eq.terms:
+            deg = [max(col) for col in zip(*eq.terms)]
+            vs = {i for i, e in enumerate(deg) if e}
+            if not vs:
+                return None
+            equations.append((vs, deg, tuple(eq.terms)))
+    used = set().union(*(vs for vs, _, _ in equations))
+    if not used:
+        return (), ()
+    top = max(d[i] for i in used)
+    best = None
+    for last in sorted(i for i in used if d[i] == top):
+        rest = used - {last}
+        leaf = [eq for eq in equations if last in eq[0]]
+        summable = (all(deg[last] == 1 for _, deg, _ in leaf)
+                    and top % lcm(*(d[i] for i in rest)) == 0)
+        effective = _effective_degree(
+            [[ex[last] for ex in terms] for _, _, terms in leaf], p)
+        largest = max(deg[last] for _, deg, _ in leaf)
+        bound = [(vs, deg) for vs, deg, _ in equations if last not in vs]
+        order, places = [last], []
+        while rest:
+            ranks = []
+            for v in rest:
+                closing = [deg[v] for vs, deg in bound
+                           if v in vs and vs <= rest]
+                ranks.append((1 in closing, bool(closing), -d[v], v))
+            rank = max(ranks)
+            places += rank[:2]
+            order.append(rank[-1])
+            rest = rest - {rank[-1]}
+        key = (summable, -effective * effective - largest, places,
+               -min(deg[last] for _, deg, _ in leaf))
+        if best is None or key >= best[0]:
+            best = key, tuple(order[::-1])
+    order = best[1]
+    return order, tuple(sorted({ex[order[-1]] for eq in X.equations
+                                for ex in eq.terms} - {0}))
+
+
 def budget_outcome(check):
     try:
         return check()
@@ -911,8 +960,7 @@ def test_a_level_below_one_is_refused_before_any_price(k):
     G = GraphSystem(2, 1, (GraphVertex("u", 2, X.equations, 1),), ())
     for check in (lambda: partial_count_check(X, k, DEFAULT_BUDGET),
                   lambda: partial_count(X, k),
-                  lambda: graph_count_direct(
-                      G, k, fibred=fibred_product_reduce(G))):
+                  lambda: graph_count_direct(G, k)):
         with pytest.raises(ValueError, match="k must be positive"):
             check()
 
@@ -1066,6 +1114,43 @@ def linear_leaf_varieties(draw, cases=LINEAR_CASES):
 def test_linear_leaf_level_matches_product_oracle(case):
     X, k = case
     assert partial_count(X, k) == oracle_count(X, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(varieties(), linear_leaf_varieties()))
+def test_the_leaf_cost_ranks_as_the_summable_key_did(case):
+    # the least leaf cost, 2, is a leaf linear in every equation, and the
+    # lcm condition holds for every candidate of largest entry or for none
+    X, _ = case
+    assert _count_plan(X) == count_plan_reference(X)
+
+
+def shipped_varieties():
+    """Every entry of the benchmark's shipped pool, every corpus variety
+    at its own profile and at each profile of entries 1..3, and every
+    corpus graph's fibred product."""
+    pool = json.loads((CORPUS.parent / "perfbench" / "enumerate_pool.json")
+                      .read_text())
+    for shape in pool["shapes"]:
+        for entry in shape["entries"]:
+            yield V(entry["p"], 1, entry["n"], entry["equations"],
+                    entry["profile"])
+    for path in sorted(CORPUS.glob("*.json")):
+        kind = json.loads(path.read_text())["kind"]
+        if kind == "variety":
+            X, _, _ = load_instance(str(path), "variety")
+            yield X
+            for profile in product((1, 2, 3), repeat=X.n):
+                yield VarietySpec(X.p, X.s, X.n, X.equations, profile)
+        elif kind == "graph":
+            yield fibred_product_reduce(load_instance(str(path), "graph")[0])
+
+
+def test_shipped_varieties_rank_as_the_summable_key_did():
+    plans = [(X, _count_plan(X), count_plan_reference(X))
+             for X in shipped_varieties()]
+    assert len(plans) > 200
+    assert [X for X, plan, ref in plans if plan != ref] == []
 
 
 def search_count(X, k, budget, collapse, orbits=None):

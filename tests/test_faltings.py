@@ -321,6 +321,25 @@ def test_lemma_check_certifies_the_count_fields_relative_walk(monkeypatch):
     assert not rep.passed
 
 
+def test_lemma_check_reads_only_the_walks_its_level_takes(monkeypatch):
+    # at k = 1 the count binds x3, then x2, in F_64 and counts x1; the
+    # listing walks F_4096 at its N, the count F_8 and F_4 inside F_64.  A
+    # broken walk where neither goes, F_64 whole or F_8 inside F_4096,
+    # leaves the level passing; the same walk where the count goes fails it
+    X = V(2, 1, 3, ["x2 + x1^3", "x3 + x1^5"], (12, 2, 3))
+    plan = counting.partial_count_check(X, 1, DEFAULT_BUDGET)
+    assert plan.degrees == (3, 2) and plan.field_degree == 6
+    counted, listed = field(2, 1, 6), field(2, 1, 12)
+    for F, e, passed in ((counted, 6, True), (listed, 3, True),
+                         (counted, 3, False)):
+        # fields are shared by the process: the planted walk is undone
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(F._orbit_cache, (e, 1),
+                          tuple(F.frobenius_orbits(e))[1:])
+            assert not faltings._walk_is_whole(F, e)
+            assert lemma_check(X, 1).passed is passed
+
+
 def _orbits_of_length(q, L):
     """M_q(L) = (1/L) sum_(j | L) mu(L/j) q^j, by the Moebius function."""
     def mu(n):

@@ -125,6 +125,25 @@ def test_direct_count_refuses_before_it_builds_anything(monkeypatch):
     assert exc.value.cost == 2 ** 20
 
 
+def test_direct_count_refuses_the_fibred_products_leaf(monkeypatch):
+    # x1^100000 + 1 = (x1^3125 + 1)^32 at d = 24: the 2^24 tuples pass the
+    # budget, x^Q mod the degree-3125 gcd does not, and the direct count
+    # refuses it itself before it builds any field but the base field
+    G = GraphSystem(2, 1, (GraphVertex("u", 1, (poly("x1^100000 + 1"),), 24),),
+                    ())
+    built = graphs.field
+
+    def refuse(p, s, N):
+        assert N == 1, "a field built before the leaf check"
+        return built(p, s, N)
+
+    monkeypatch.setattr(graphs, "field", refuse)
+    with pytest.raises(BudgetExceededError) as exc:
+        graph_count_direct(G, 1)
+    assert exc.value.cost == 3125 ** 2 * 25
+    assert str(exc.value).endswith("(count_roots k=1)")
+
+
 def test_reduction_check_counts_each_level_once(monkeypatch):
     # the deepening accepts at B_used = 4; levels 5 and 6 are counted
     # after it, each once
