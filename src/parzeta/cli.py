@@ -18,12 +18,21 @@ outputs of None mean it printed its own stdout (`sweep --format csv`).
 import argparse
 import csv
 import functools
-import hashlib
 import json
 import math
 import sys
 import time
 from decimal import Decimal
+
+# the interpreter's own SHA-256, as `random` takes its SHA-512: hashlib
+# would load OpenSSL's libcrypto into every process for one digest
+try:
+    from _sha2 import sha256                # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256          # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .artin_schreier import ASInstance, OracleMismatchError, bound_check
 from .counting import (BudgetExceededError, DEFAULT_BUDGET, check_cost,
@@ -194,7 +203,7 @@ def load_instance(path: str, expect_kind: str, budget=None):
         raise SchemaError(f"'kind' must be one of {sorted(_LOADERS)}")
     if kind != expect_kind:
         raise SchemaError(f"expected a {expect_kind!r} instance, got {kind!r}")
-    digest = hashlib.sha256(raw).hexdigest()
+    digest = sha256(raw).hexdigest()
     fields, loader = _LOADERS[kind]
     _require(payload, ("kind", "p", "s") + fields, optional=("budget",))
     p, s = _check_int(payload, "p", 2), _check_int(payload, "s")

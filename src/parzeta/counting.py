@@ -125,19 +125,24 @@ def _too_long(q: int, e: int) -> bool:
     return e * math.log10(q) >= digits - 1
 
 
+def _shown(n: int):
+    """``n``, or when too long to print its bit length b, as at least
+    2^(b - 1)."""
+    if _too_long(2, n.bit_length()):
+        return f"at least 2^{n.bit_length() - 1}"
+    return n
+
+
 class BudgetExceededError(RuntimeError):
     """``cost`` is an int, or a pair (q, e) standing for q^e when that
-    number has too many digits to build or print; an int too long to print
-    is shown by its bit length b, as at least 2^(b - 1)."""
+    number has too many digits to build or print; a cost or budget too long
+    to print is shown by its bit length b, as at least 2^(b - 1)."""
 
     def __init__(self, cost, budget, context):
-        shown = cost
-        if isinstance(cost, tuple):
-            shown = f"{cost[0]}^{cost[1]}"
-        elif _too_long(2, cost.bit_length()):
-            shown = f"at least 2^{cost.bit_length() - 1}"
-        super().__init__(f"enumeration cost {shown} exceeds budget {budget} "
-                         f"({context})")
+        shown = (f"{cost[0]}^{cost[1]}" if isinstance(cost, tuple)
+                 else _shown(cost))
+        super().__init__(f"enumeration cost {shown} exceeds budget "
+                         f"{_shown(budget)} ({context})")
         self.cost = cost
         self.budget = budget
 

@@ -282,7 +282,9 @@ def reconstruct_counts(count_at, max_k: int,
     B = 2, ..., max_k, fetch N_1..N_B by ``count_at(k)``, once per k in
     increasing k, then accept the first split dn + dd = B - holdout, in
     `_split_order`, whose candidate reproduces all B + 1 series
-    coefficients.  None when nothing is accepted up to max_k."""
+    coefficients.  A candidate matches through order B - holdout (the
+    judge's guard), so only the held-out terms are compared
+    (`_holds_out`).  None when nothing is accepted up to max_k."""
     if holdout < 1:
         raise ValueError("holdout must be at least 1")
     counts = []
@@ -298,9 +300,22 @@ def reconstruct_counts(count_at, max_k: int,
                 R = pade_reconstruct(S, dn, dd)
             except ReconstructionError:
                 continue
-            if tuple(R.expand(B)) == S.coeffs:
+            if _holds_out(R, S, total):
                 return ReconstructionResult(R, B, tuple(counts))
     return None
+
+
+def _holds_out(R: RationalFunctionZ, S: TruncatedSeries, N: int) -> bool:
+    """Whether P/Q, which matches S through order N, matches its later
+    terms: each z_k, k > N, against P_k - sum_(j >= 1) Q_j z_(k-j) from
+    S's own coefficients, which equal the expansion's up to the first
+    mismatch."""
+    z, num, tail = S.coeffs, R.num, R.den[1:]
+    for k in range(N + 1, len(z)):
+        if z[k] != ((num[k] if k < len(num) else 0)
+                    - sum(map(operator.mul, tail, reversed(z[:k])))):
+            return False
+    return True
 
 
 def auto_reconstruct(X: VarietySpec, max_k: int, holdout: int = 3,

@@ -1,4 +1,8 @@
+import hashlib
+import importlib.util
 import json
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -12,6 +16,7 @@ from parzeta.faltings import lemma_check
 from parzeta.graphs import reduction_check
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+SRC = CORPUS.parent / "src"
 # Python's int-to-str limit; 0 is none
 INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
@@ -705,3 +710,57 @@ def test_field_error_is_schema_error(tmp_path, capsys):
     code, out, err = run(capsys, "count", str(bad))
     assert code == 2 and out == ""
     assert err == "schema error: p = 4 is not prime\n"
+
+
+def fresh_python(code):
+    """The last stdout line of ``code`` run by this interpreter in a new
+    process that imports the package from this checkout."""
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    return run.stdout.splitlines()[-1]
+
+
+@pytest.mark.skipif(not any(importlib.util.find_spec(m)
+                            for m in ("_sha2", "_sha256")),
+                    reason="this interpreter has no builtin SHA-256 module")
+def test_a_cli_process_loads_no_openssl_hash():
+    argv = ["count", str(CORPUS / "diag11_f2.json"), "-k", "3"]
+    last = fresh_python(
+        "import sys\n"
+        "from parzeta.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(code, [m for m in ('_hashlib', 'hashlib') if m in sys.modules])")
+    assert last == "0 []"
+
+
+def non_ascii_instance(tmp_path):
+    # a graph whose vertex is named in UTF-8 bytes past ASCII
+    f = tmp_path / "vertex_u_umlaut.json"
+    f.write_bytes(json.dumps({
+        "kind": "graph", "p": 2, "s": 1, "edges": [],
+        "vertices": [{"name": "\u00fc\u221a", "n": 1, "equations": [],
+                      "d": 1}]}, ensure_ascii=False).encode())
+    assert max(f.read_bytes()) > 127
+    return f
+
+
+def test_input_digest_is_the_sha256_of_the_files_bytes(tmp_path):
+    files = sorted(CORPUS.glob("*.json")) + [non_ascii_instance(tmp_path)]
+    for f in files:
+        raw = f.read_bytes()
+        _, digest, _ = load_instance(str(f), json.loads(raw)["kind"])
+        assert digest == hashlib.sha256(raw).hexdigest(), f.name
+
+
+def test_the_hashlib_fallback_gives_the_same_digest(tmp_path):
+    # both builtin modules blocked: cli falls back to hashlib
+    f = non_ascii_instance(tmp_path)
+    last = fresh_python(
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from parzeta.cli import load_instance\n"
+        f"print('hashlib' in sys.modules, load_instance({str(f)!r}, "
+        "'graph')[1])")
+    assert last == f"True {hashlib.sha256(f.read_bytes()).hexdigest()}"

@@ -88,19 +88,35 @@ def test_count_plan(p, texts, profile, plan):
     assert counting._count_plan(V(p, 1, len(profile), texts, profile)) == plan
 
 
+# x1^E + 1 at (14000): the leaf's price E^2 * 14001 has 8005 digits, past
+# the int-to-str limit
+E_UNPRINTABLE = 10 ** 4000 + 1
+X_UNPRINTABLE = VarietySpec(
+    2, 1, 1, (SparsePoly(1, F2, {(E_UNPRINTABLE,): 1, (0,): 1}),), (14000,))
+
+
 def test_refusal_of_a_price_too_long_to_print_prints():
-    # x1^E + 1 at (14000): the leaf's price E^2 * 14001 has 8005 digits,
-    # past the int-to-str limit; the error keeps it exact and shows it by
-    # its bit length, whatever that limit is
-    E = 10 ** 4000 + 1
-    X = VarietySpec(2, 1, 1, (SparsePoly(1, base_field(2, 1),
-                                         {(E,): 1, (0,): 1}),), (14000,))
+    # the error keeps the price exact and shows it by its bit length,
+    # whatever that limit is
+    E = E_UNPRINTABLE
     with pytest.raises(BudgetExceededError) as exc:
-        counting.partial_count_check(X, 1, 10 ** 4290)
+        counting.partial_count_check(X_UNPRINTABLE, 1, 10 ** 4290)
     assert exc.value.cost == E * E * 14001
     shown = f"at least 2^{(E * E * 14001).bit_length() - 1}"
     assert str(exc.value).startswith(f"enumeration cost {shown} exceeds")
     assert str(exc.value).endswith(" (count_roots k=1)")
+
+
+def test_refusal_under_a_budget_too_long_to_print_prints():
+    # the budget 10^5000 is past the limit too, and shown the same way
+    E, budget = E_UNPRINTABLE, 10 ** 5000
+    with pytest.raises(BudgetExceededError) as exc:
+        counting.partial_count_check(X_UNPRINTABLE, 1, budget)
+    assert (exc.value.cost, exc.value.budget) == (E * E * 14001, budget)
+    assert str(exc.value) == (
+        f"enumeration cost at least 2^{(E * E * 14001).bit_length() - 1} "
+        f"exceeds budget at least 2^{budget.bit_length() - 1} "
+        "(count_roots k=1)")
 
 
 def test_constant_equation_builds_no_field(monkeypatch):

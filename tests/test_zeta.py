@@ -920,19 +920,25 @@ def weil_factor(draw, qs=(2, 3, 4, 5, 7, 9)):
 
 
 @st.composite
-def count_lists(draw):
-    """N_1..N_L from a random Weil-factor P/Q, or random integers."""
-    length = draw(st.integers(1, 12))
-    if draw(st.booleans()):
-        return draw(st.lists(st.integers(-6, 40), min_size=length,
-                             max_size=length))
+def weil_products(draw):
+    """P/Q, each side a product of up to three `weil_factor`s."""
     sides = []
     for _ in range(2):
         P = [1]
         for f in draw(st.lists(weil_factor(), max_size=3)):
             P = _pmul(P, f)
         sides.append(tuple(P))
-    return counts_of(RationalFunctionZ(*sides), length)
+    return RationalFunctionZ(*sides)
+
+
+@st.composite
+def count_lists(draw):
+    """N_1..N_L from a random Weil-factor P/Q, or random integers."""
+    length = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        return draw(st.lists(st.integers(-6, 40), min_size=length,
+                             max_size=length))
+    return counts_of(draw(weil_products()), length)
 
 
 def _splits(counts):
@@ -1487,3 +1493,60 @@ def test_squarefree_part_by_division_equals_cofactor_scaled(repeated, power,
     assert len(seen[0]) >= 2 or roots[0] is RootFindingError
     assert seen[0] == seen[1]
     assert roots[0] == roots[1]
+
+
+# ---------------------------------------------------------------------------
+# the deepening's held-out check against the full expansion of each
+# candidate
+# ---------------------------------------------------------------------------
+
+def reconstruct_counts_full_expansion(counts, holdout):
+    """(function, B_used) of `reconstruct_counts` over ``counts``, each
+    candidate accepted only when its expansion equals all B + 1 series
+    coefficients; None when none is."""
+    for B in range(2, len(counts) + 1):
+        total = B - holdout
+        if total < 0:
+            continue
+        S = series_from_counts(counts[:B])
+        for dn, dd in _split_order(total):
+            try:
+                R = pade_reconstruct(S, dn, dd)
+            except ReconstructionError:
+                continue
+            if tuple(R.expand(B)) == S.coeffs:
+                return R, B
+    return None
+
+
+@st.composite
+def held_out_cases(draw):
+    """(counts, holdout): the counts of a Weil-factor P/Q; the same with
+    one N_k moved by a multiple of k, which keeps the series integral, or
+    by 1, which makes z_k a Fraction (near misses); or random integers,
+    whose series is mostly not integral."""
+    holdout = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["weil", "near", "fraction", "random"]))
+    if kind == "random":
+        return draw(st.lists(st.integers(-6, 40), min_size=1,
+                             max_size=12)), holdout
+    R = draw(weil_products())
+    counts = counts_of(R, draw(st.integers(1, R.total_degree() + holdout + 3)))
+    if kind != "weil":
+        k = draw(st.integers(1, len(counts)))
+        step = k if kind == "near" else 1
+        counts[k - 1] += step * draw(st.sampled_from([-2, -1, 1, 2]))
+    return counts, holdout
+
+
+@settings(max_examples=300, deadline=None)
+@given(held_out_cases())
+# 1/(1 - 2T) with N_4 moved by 4: z_4 = 17, an integer one off
+@example(([2, 4, 8, 20, 32, 64], 2))
+# N_3 moved by 1: z_3 a Fraction
+@example(([3, 9, 28, 81, 243], 1))
+def test_held_out_check_accepts_as_the_full_expansion_did(case):
+    counts, holdout = case
+    res = reconstruct_counts(lambda k: counts[k - 1], len(counts), holdout)
+    got = res and (res.function, res.B_used)
+    assert got == reconstruct_counts_full_expansion(counts, holdout)
