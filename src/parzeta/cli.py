@@ -132,6 +132,8 @@ def graph_from_payload(payload: dict, p: int, s: int,
     edges = []
     for e in payload["edges"]:
         _require(e, ("src", "dst", "morphism"), item="edge")
+        if not all(isinstance(e[end], str) for end in ("src", "dst")):
+            raise SchemaError("edge 'src' and 'dst' must be vertex names")
         if e["src"] not in dims or e["dst"] not in dims:
             raise SchemaError(f"edge references unknown vertex "
                               f"{e['src']!r} or {e['dst']!r}")
@@ -199,7 +201,7 @@ def load_instance(path: str, expect_kind: str, budget=None):
     if not isinstance(payload, dict):
         raise SchemaError("instance file must be a JSON object")
     kind = payload.get("kind")
-    if kind not in _LOADERS:
+    if not isinstance(kind, str) or kind not in _LOADERS:
         raise SchemaError(f"'kind' must be one of {sorted(_LOADERS)}")
     if kind != expect_kind:
         raise SchemaError(f"expected a {expect_kind!r} instance, got {kind!r}")

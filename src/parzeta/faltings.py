@@ -1,11 +1,16 @@
 """The cyclic-shift fixed-point variety and its counting identity.
 
 Given X with profile (d_1,...,d_n) and d = lcm, the subvariety Y of X^d is
-cut out by identifying the image under f_i of block j with that of block
-j + d_i (indices mod d), f_i the i-th coordinate when no morphisms are
-given; Y is stable under the block rotation sigma, and for every a
-coprime to d the fixed points of sigma^a composed with the k-th
-Frobenius power biject with the partial-count points at level k.
+cut out by identifying the i-th coordinate of block j with that of block
+j + d_i (indices mod d); Y is stable under the block rotation sigma, and
+for every a coprime to d the fixed points of sigma^a composed with the
+k-th Frobenius power biject with the partial-count points at level k.
+The lemma for morphisms f_i, which tie block j to block j + d_i by equal
+images under f_i, is this one on the graph variety
+Gamma_f = {(x, y) : x in X, y_i = f_i(x)} at profile (d,...,d, d_1,...,d_n):
+its partial count is #{x in X(F_{q^{dk}}) : f_i(x) in F_{q^{d_i k}}}, and
+``graphs.fibred_product_reduce`` builds it from the graph with X a vertex
+at level d, one affine vertex per f_i at level d_i and one edge per f_i.
 This module finds those fixed points by walking Frobenius chains along
 Y's links, ``_y_links``, and verifies the equality and the per-point
 reconstruction bijection: each chain's blocks lie on X, by evaluation,
@@ -63,7 +68,7 @@ from .polys import VarietySpec
 
 def _y_links(profile, d: int):
     """Y's links (j, i, j2): blocks j and j2 = j + d_i (mod d) have equal
-    images under f_i, for each profile entry d_i and each j it moves."""
+    i-th coordinates, for each profile entry d_i and each j it moves."""
     return [(j, i, (j + di) % d)
             for i, di in enumerate(profile)
             for j in range(d) if (j + di) % d != j]
@@ -73,18 +78,14 @@ def _y_links(profile, d: int):
 # fixed points and the counting identity
 # ---------------------------------------------------------------------------
 
-def _orbit_listing(X: VarietySpec, k: int, morphisms, budget: int):
-    """(amb, reps, images): the level's one field F_{q^{Dk}}, X's
-    ``enumerate_orbit_points`` over it and, with ``morphisms``, the points'
-    images under each f_i (None for the coordinate projections).  Refused
-    from x_1's q^{Dk} values before that field is built."""
+def _orbit_listing(X: VarietySpec, k: int, budget: int):
+    """(amb, reps): the level's one field F_{q^{Dk}} and X's
+    ``enumerate_orbit_points`` over it.  Refused from x_1's q^{Dk} values
+    before that field is built."""
     check_cost(X.p ** X.s, X.D * k, budget, f"enumerate_orbit_points k={k}")
     amb = field(X.p, X.s, X.D * k)
-    reps = enumerate_orbit_points(X.equations, X.n, amb, X.base,
-                                  budget=budget)
-    if morphisms is None:
-        return amb, reps, None
-    return amb, reps, [[f.apply(pt, amb) for pt, _ in reps] for f in morphisms]
+    return amb, enumerate_orbit_points(X.equations, X.n, amb, X.base,
+                                       budget=budget)
 
 
 def _twisted_fixed_points(X: VarietySpec, k: int, twists, listing):
@@ -98,25 +99,20 @@ def _twisted_fixed_points(X: VarietySpec, k: int, twists, listing):
     coprime to d this is y_{ma} = F^m(y_0) for m = 0..d-1, F = Frob^k;
     the chain closes because Frob^{dk} fixes F_{q^{dk}}.  So each listed
     y_0 starts one candidate per twist, kept when its chain meets Y's
-    links.  The chain's images under f_i are the F^m of f_i(y_0), f_i
-    being defined over F_q; each is computed when a link first asks for
-    it and shared by the twists, and the whole chain is built once, for
-    the first twist that keeps it.  Frobenius commutes with sigma^a, F and Y's links, so
-    it carries the fixed points over y_0 onto those over each conjugate
-    of y_0.  Y itself is never listed.
+    links.  The chain's i-th coordinates are the F^m of y_0's; each is
+    computed when a link first asks for it and shared by the twists, and
+    the whole chain is built once, for the first twist that keeps it.
+    Frobenius commutes with sigma^a, F and Y's links, so it carries the
+    fixed points over y_0 onto those over each conjugate of y_0.  Y
+    itself is never listed.
     """
     d = X.D
     r = len(X.profile)
-    amb, reps, images = listing
+    amb, reps = listing
     frob = amb.frob
-    if images is None:
-        move = frob
-    else:
-        def move(w, e):
-            return tuple(frob(v, e) for v in w)
     # block j holds F^m(y_0) for m = j / a (mod d); a link (j, i, j2)
-    # compares the slots m_j r + i and m_j2 r + i of f_i(F^m(y_0)), each
-    # slot with its i and its power e = k m of Frobenius
+    # compares the slots m_j r + i and m_j2 r + i, coordinate i of
+    # F^m(y_0), each slot with its i and its power e = k m of Frobenius
     m_of, tests = {}, {}
     for a in twists:
         m = m_of[a] = [j * pow(a, -1, d) % d for j in range(d)]
@@ -127,18 +123,18 @@ def _twisted_fixed_points(X: VarietySpec, k: int, twists, listing):
     # count's side, so this side does not take them from it
     divisors = [e for e in range(1, d * k + 1) if d * k % e == 0]
     out = {a: [] for a in twists}
-    for x, (y0, _) in enumerate(reps):
+    for y0, _ in reps:
         seen = [None] * (d * r)
-        seen[:r] = y0 if images is None else [f[x] for f in images]
+        seen[:r] = y0
         chain = None  # F^m(y_0), m < d, built once for the twists keeping it
         for a, links in tests.items():
             for s, i, e, t, et in links:
                 u = seen[s]
                 if u is None:
-                    u = seen[s] = move(seen[i], e)
+                    u = seen[s] = frob(seen[i], e)
                 v = seen[t]
                 if v is None:
-                    v = seen[t] = move(seen[i], et)
+                    v = seen[t] = frob(seen[i], et)
                 if u != v:
                     break
             else:
@@ -164,22 +160,6 @@ def _walk_is_whole(amb, e: int, g: int = 1) -> bool:
                                               if L % j == 0)
     return Counter(L for _, L in amb.frobenius_orbits(e, g)) == {
         L: n // L for L, n in exact.items()}
-
-
-def morphism_partial_count(X: VarietySpec, k: int, listing) -> int:
-    """#{x in X(F_{q^{dk}}) : f_i(x) has coordinates in F_{q^{d_i k}}}.
-
-    Complete only when (f_1,...,f_n) is an embedding; that hypothesis is
-    the caller's obligation.  Subfield membership is Frobenius-invariant
-    and f_i commutes with Frobenius, so each listed orbit representative
-    counts its orbit's length.  ``listing`` is `_orbit_listing`'s result
-    for level k, with its field and the morphisms' images.
-    """
-    amb, reps, images = listing
-    return sum(length for x, (_, length) in enumerate(reps)
-               if all(amb.in_subfield(v, di * k)
-                      for di, f_images in zip(X.profile, images)
-                      for v in f_images[x]))
 
 
 @dataclass(frozen=True)
@@ -216,28 +196,14 @@ class LemmaReport:
         }
 
 
-def lemma_check(X: VarietySpec, k_max: int, morphisms=None,
+def lemma_check(X: VarietySpec, k_max: int,
                 budget: int = DEFAULT_BUDGET) -> LemmaReport:
     """Compare the partial count with the fixed-point count for all valid a;
     ``passed`` also asks each Frobenius walk a level read to pass
-    ``_walk_is_whole``.
-
-    ``morphisms`` are the f_i, one per profile entry, each a map from X's
-    n variables with coefficients in X's base field, else ``ValueError``;
-    None means the coordinate projections."""
+    ``_walk_is_whole``.  For morphisms f_i, pass their graph variety
+    Gamma_f (the module docstring)."""
     if k_max < 1:
         raise ValueError("k_max must be positive")
-    if morphisms is not None:
-        morphisms = tuple(morphisms)
-        if len(morphisms) != len(X.profile):
-            raise ValueError("need one morphism per profile entry")
-        for f in morphisms:
-            if f.n_in != X.n:
-                raise ValueError(f"a morphism takes {f.n_in} variables, "
-                                 f"X has {X.n}")
-            if any(c.base is not X.base for c in f.components):
-                raise ValueError("a morphism has coefficients outside "
-                                 "X's base field")
     d = X.D
     entries = []
     witness_count = 0
@@ -246,23 +212,17 @@ def lemma_check(X: VarietySpec, k_max: int, morphisms=None,
         # both checks precede F_{q^{dk}}: the count's whole (tuples, leaf
         # degree) here, the listing's inside it; partial_count then counts
         # in its own smaller field after the listing, the twists past both
-        if morphisms is None:
-            plan = partial_count_check(X, k, budget)
-        # one listing of X's orbit representatives per level; the chains
-        # walk it, and with morphisms the left side filters it by subfield
-        listing = _orbit_listing(X, k, morphisms, budget)
+        plan = partial_count_check(X, k, budget)
+        # one listing of X's orbit representatives per level, for the chains
+        listing = _orbit_listing(X, k, budget)
         twists = [a for a in range(1, d + 1) if gcd(a, d) == 1]
-        amb = listing[0]
+        lhs = partial_count(X, k, budget=budget)
         # the walks the level read, replayed (a field keeps only a finished
         # walk): the listing's at F_{q^{dk}}'s N, and the partial count's at
         # its plan's bound degrees in its count field, with any step
-        walked = {(amb, amb.N)}
-        if morphisms is None:
-            lhs = partial_count(X, k, budget=budget)
-            count = field(X.p, X.s, plan.field_degree)
-            walked.update((count, e) for e in plan.degrees)
-        else:
-            lhs = morphism_partial_count(X, k, listing)
+        amb = listing[0]
+        count = field(X.p, X.s, plan.field_degree)
+        walked = {(amb, amb.N)} | {(count, e) for e in plan.degrees}
         frob = amb.frob
         walks_ok = walks_ok and all(
             _walk_is_whole(F, e, g) for F in {F for F, _ in walked}

@@ -191,6 +191,47 @@ def test_vertex_equations_not_a_list_exit_2(tmp_path, capsys, equations):
     assert err == "schema error: vertex 'equations' must be a list\n"
 
 
+def _duplicate_vertex(inst):
+    inst["vertices"] *= 2
+
+
+def _unknown_vertex(inst):
+    inst["edges"][0]["dst"] = "w"
+
+
+def _two_components(inst):
+    inst["edges"][0]["morphism"] = ["x1^2", "x1"]
+
+
+def _list_src(inst):
+    inst["edges"][0]["src"] = ["v"]
+
+
+def _list_kind(inst):
+    inst["kind"] = ["graph"]
+
+
+@pytest.mark.parametrize("spoil, error", [
+    (_duplicate_vertex, "duplicate vertex names"),
+    (_unknown_vertex, "edge references unknown vertex 'v' or 'w'"),
+    (_two_components, "edge 'morphism' must list one component per target "
+                      "coordinate"),
+    (_list_src, "edge 'src' and 'dst' must be vertex names"),
+    (_list_kind, "'kind' must be one of"),
+], ids=["duplicate-vertex", "unknown-vertex", "two-components", "list-src",
+        "list-kind"])
+def test_malformed_graph_is_a_schema_error(tmp_path, capsys, spoil, error):
+    # the self-loop x -> x^2, spoilt one way each
+    inst = json.loads((CORPUS / "g_selfloop_square.json").read_text())
+    spoil(inst)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(inst))
+    code, out, err = run(capsys, "graph", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("schema error: " + error)
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_wrong_kind_exit_2(capsys):
     code, _, err = run(capsys, "zeta", str(CORPUS / "g_pair_shift.json"))
     assert code == 2

@@ -6,9 +6,7 @@ from parzeta import artin_schreier, counting, faltings
 from parzeta.artin_schreier import (ASInstance, as_count_brute, as_count_trace,
                                     singular_search)
 from parzeta.counting import BudgetExceededError, partial_count
-from parzeta.faltings import lemma_check
-from parzeta.polys import (MorphismSpec, SparsePoly, VarietySpec, base_field,
-                           parse_poly)
+from parzeta.polys import SparsePoly, VarietySpec, base_field, parse_poly
 from test_engine import oracle_count
 
 F2 = base_field(2, 1)
@@ -165,12 +163,9 @@ def _x1_squared(n, base):
 
 
 def _listing_run(p, s, e, budget):
-    # x2 at profile (e, 1) with f_i the coordinates: no partial count is
-    # checked, and the listing binds x_1 over all q^e values of F_(q^e)
-    X = V(p, s, 2, ["x2"], (e, 1))
-    projections = tuple(MorphismSpec(2, 1, (SparsePoly.var(2, X.base, i),))
-                        for i in range(2))
-    return lemma_check(X, 1, projections, budget=budget)
+    # the lemma's orbit listing alone, of x2 at profile (e, 1): it binds
+    # x_1 over all q^e values of F_(q^e)
+    return faltings._orbit_listing(V(p, s, 2, ["x2"], (e, 1)), 1, budget)
 
 
 @pytest.mark.parametrize("d", [20000, 10 ** 12])
@@ -201,7 +196,7 @@ def test_budget_refusal_from_the_exponent(d):
 BOUNDARY_RUNS = {
     "partial_count": (1, lambda p, s, e, budget: partial_count(
         V(p, s, 1, [], (1,)), e, budget=budget)),
-    "lemma_check": (1, _listing_run),
+    "_orbit_listing": (1, _listing_run),
     "as_count_brute": (3, lambda p, s, e, budget: as_count_brute(
         _as_inst(p, s, e - 2), budget=budget)),
     "as_count_trace": (2, lambda p, s, e, budget: as_count_trace(

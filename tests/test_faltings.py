@@ -8,7 +8,11 @@ stability under the block rotation sigma, and its full listing
 d times over.  The listing is held to the equations, and the fixed points
 to a filter over the listing.  The fixed points come from the library's
 one path, ``lemma_check``'s listing and chains, expanded here
-(``fixed_points``) to every conjugate.
+(``fixed_points``) to every conjugate.  The library checks the lemma for
+morphisms f_i on the graph variety Gamma_f (``graph_variety``), so these
+tests keep Y's morphism form as the oracle: Gamma_f's fixed points, cut
+to X's coordinates, against the filter over Y's listing, and its partial
+count against X's points whose images lie in their subfields.
 """
 
 import json
@@ -24,8 +28,10 @@ from parzeta.cli import load_instance
 from parzeta.counting import (DEFAULT_BUDGET, BudgetExceededError,
                               enumerate_points, join, partial_count)
 from parzeta.faltings import (_orbit_listing, _twisted_fixed_points,
-                              _y_links, lemma_check, morphism_partial_count)
+                              _y_links, lemma_check)
 from parzeta.fields import Field, field
+from parzeta.graphs import (GraphEdge, GraphSystem, GraphVertex,
+                            fibred_product_reduce)
 from parzeta.polys import (MorphismSpec, SparsePoly, VarietySpec, base_field,
                            parse_poly)
 from test_engine import oracle_count, varieties
@@ -146,12 +152,12 @@ def test_variety_points_match_classical():
     assert len(pts) == oracle_count(X, 2)
 
 
-def fixed_points(X, morphisms, a, k):
+def fixed_points(X, a, k):
     """The fixed points of sigma^a o Frob^k by ``lemma_check``'s path:
     the kept chains over one orbit listing of X, each (y, L) expanded to
     its conjugates Frob^s(y), s < L, lex-sorted."""
     amb = field(X.p, X.s, X.D * k)
-    listing = _orbit_listing(X, k, morphisms, DEFAULT_BUDGET)
+    listing = _orbit_listing(X, k, DEFAULT_BUDGET)
     pairs = _twisted_fixed_points(X, k, (a,), listing)[a]
     return sorted(tuple(tuple(amb.frob(c, s) for c in b) for b in y)
                   for y, length in pairs for s in range(length))
@@ -159,30 +165,8 @@ def fixed_points(X, morphisms, a, k):
 
 def test_fixed_point_count_matches_partial_count():
     X = V(2, 1, 2, ["x1 + x2"], (1, 2))
-    assert len(fixed_points(X, None, 1, 1)) == partial_count(X, 1)
-    assert len(fixed_points(X, None, 1, 2)) == partial_count(X, 2)
-
-
-def test_build_faltings_refuses_a_bad_morphism():
-    # one morphism per profile entry, each taking X's n variables, with
-    # coefficients in X's base field; on a variety with no points nothing
-    # else would catch a bad one
-    F2, F4 = base_field(2, 1), base_field(2, 2)
-
-    def f(n_in, text, base=F2):
-        names = [f"x{i+1}" for i in range(n_in)]
-        return MorphismSpec(n_in, 1, (parse_poly(text, names, base),))
-
-    good = (f(2, "x1"), f(2, "x2^2"))
-    bad = {"one morphism per profile entry": (f(2, "x1"),),
-           "takes 1 variables": (f(2, "x1"), f(1, "x1")),
-           "takes 3 variables": (f(2, "x1"), f(3, "x2 + x3")),
-           "outside X's base field": (f(2, "x1"), f(2, "x2", F4))}
-    for X in (V(2, 1, 2, ["x1 + x2"], (2, 3)), V(2, 1, 2, ["1"], (2, 3))):
-        assert lemma_check(X, 1, good).passed
-        for match, morphisms in bad.items():
-            with pytest.raises(ValueError, match=match):
-                lemma_check(X, 1, morphisms)
+    assert len(fixed_points(X, 1, 1)) == partial_count(X, 1)
+    assert len(fixed_points(X, 1, 2)) == partial_count(X, 2)
 
 
 def test_lemma_check_diagonal_12():
@@ -225,20 +209,23 @@ def test_lemma_check_fails_on_wrong_orbit_lengths(monkeypatch):
     # or linear but with x2's F_(8^k) not holding x1's F_(4^k) (x1 + x2 at
     # (2, 3)); every entry mismatches, so witness_count sums their fixed
     # points, capped at 10: 2 + 2 + 4 + 4 on the first, 1 + 3 on the second
-    for (X, morphisms), witnesses in [
-            ((V(2, 1, 2, ["x1 + x2"], (2, 3)), None), 10),
-            ((V(2, 1, 2, ["x1*x2^2 + 1"], (1, 2)), None), 4),
-            (squaring_line(), 10)]:
-        rep = lemma_check(X, 2, morphisms)
+    for X, witnesses in [(V(2, 1, 2, ["x1 + x2"], (2, 3)), 10),
+                         (V(2, 1, 2, ["x1*x2^2 + 1"], (1, 2)), 4)]:
+        rep = lemma_check(X, 2)
         assert not rep.passed
         assert not any(e.equal for e in rep.entries)
         assert rep.witness_count == witnesses
-    # x1*x2 + 1 at (1, 2) is linear in x2, whose F_(4^k) holds x1's F_(2^k):
-    # the count sums x1's level by root counts and reads no walk, so the
-    # entries agree, and the tally of the listing's walk fails the level
-    rep = lemma_check(V(2, 1, 2, ["x1*x2 + 1"], (1, 2)), 2)
-    assert all(e.equal for e in rep.entries)
-    assert not rep.passed
+    # x1*x2 + 1 at (1, 2) is linear in x2, whose F_(4^k) holds x1's F_(2^k),
+    # and the squaring line's Gamma_f, x1^2 + x2 at (2, 2), is linear in x2
+    # at x1's own level: the count sums x1's level by root counts and reads
+    # no walk, so the entries agree, and the tally of the listing's walk
+    # fails the level
+    for X in (V(2, 1, 2, ["x1*x2 + 1"], (1, 2)),
+              graph_variety(*squaring_line())):
+        rep = lemma_check(X, 2)
+        assert all(e.equal for e in rep.entries)
+        assert not rep.passed
+        assert rep.witness_count == 0
 
 
 def test_lemma_check_fails_on_a_skipped_orbit(monkeypatch):
@@ -432,53 +419,103 @@ def _listing_spy(monkeypatch):
     return calls
 
 
+def morphisms_of(X, *maps):
+    """One ``MorphismSpec`` from X's variables per list of component texts."""
+    names = [f"x{i+1}" for i in range(X.n)]
+    return tuple(MorphismSpec(X.n, len(f), tuple(parse_poly(t, names, X.base)
+                                                for t in f))
+                 for f in maps)
+
+
 def squaring_line():
     """The affine line at profile (2,) with f_1 the squaring map."""
-    comp = parse_poly("x1^2", ["x1"], base_field(2, 1))
-    return V(2, 1, 1, [], (2,)), (MorphismSpec(1, 1, (comp,)),)
+    X = V(2, 1, 1, [], (2,))
+    return X, morphisms_of(X, ["x1^2"])
 
 
 def diagonal_23_with_square():
     """x1 + x2 = 0 at profile (2, 3) with f = (x1, x2^2)."""
-    base = base_field(2, 1)
-    morphisms = tuple(MorphismSpec(2, 1, (parse_poly(t, ["x1", "x2"], base),))
-                      for t in ("x1", "x2^2"))
-    return V(2, 1, 2, ["x1 + x2"], (2, 3)), morphisms
+    X = V(2, 1, 2, ["x1 + x2"], (2, 3))
+    return X, morphisms_of(X, ["x1"], ["x2^2"])
 
 
-def _entries_by_separate_calls(X, morphisms, k_max):
-    """(a, k, partial, fixed) from the two sides computed separately."""
+def graph_variety(X, morphisms):
+    """Gamma_f = {(x, y) : x in X, y_i = f_i(x)} at profile
+    (d,...,d, d_1,...,d_n), d = X.D: the fibred product of X at level d
+    and one affine vertex per f_i at X's profile entry d_i, one edge per
+    f_i.  Its partial count is #{x in X(F_(q^(dk))) : f_i(x) in
+    F_(q^(d_i k))}, the lemma's count for the f_i."""
+    vertices = [GraphVertex("x", X.n, X.equations, X.D)]
+    vertices += [GraphVertex(f"y{i}", f.n_out, (), di)
+                 for i, (f, di) in enumerate(zip(morphisms, X.profile))]
+    edges = [GraphEdge("x", f"y{i}", f) for i, f in enumerate(morphisms)]
+    return fibred_product_reduce(GraphSystem(X.p, X.s, tuple(vertices),
+                                             tuple(edges)))
+
+
+def _entries_by_filter(X, morphisms, k_max):
+    """(a, k, partial, fixed) from the oracle: X's points over
+    F_(q^(dk)) listed in full, kept when each f_i(x) lies in
+    F_(q^(d_i k)), and the filter over Y's full listing."""
     entries = []
     for k in range(1, k_max + 1):
-        partial = morphism_partial_count(
-            X, k, _orbit_listing(X, k, morphisms, DEFAULT_BUDGET))
-        entries += [(a, k, partial, len(fixed_points(X, morphisms, a, k)))
+        amb = field(X.p, X.s, X.D * k)
+        partial = sum(
+            all(amb.in_subfield(v, di * k)
+                for f, di in zip(morphisms, X.profile)
+                for v in f.apply(x, amb))
+            for x in enumerate_points(X.equations, amb, X.base,
+                                      [amb.N] * X.n))
+        entries += [(a, k, partial, len(fixed_by_filter(X, morphisms, a, k)))
                     for a in twists(X.D)]
     return entries
 
 
+def _entries(rep):
+    return [(e.a, e.k, e.partial, e.fixed) for e in rep.entries]
+
+
 def test_lemma_check_with_morphisms(monkeypatch):
     # f_1 the squaring map on the affine line: points of X with f_1(x) in
-    # F_{q^{2k}} -- squaring is injective in characteristic 2.  Both sides
-    # of the lemma share one listing of X's orbit representatives per k,
-    # and neither Y nor all of X is listed.
+    # F_{q^{2k}} -- squaring is injective in characteristic 2.  The lemma
+    # for f_1 is the lemma on Gamma_f, x1^2 + x2 at (2, 2), whose fixed
+    # points come from one listing of its orbit representatives per k;
+    # neither Y nor all of Gamma_f is listed
     X, morphisms = squaring_line()
-    want = _entries_by_separate_calls(X, morphisms, 2)
+    want = _entries_by_filter(X, morphisms, 2)
+    assert want == [(1, 1, 4, 4), (1, 2, 16, 16)]
     calls = _listing_spy(monkeypatch)
-    rep = lemma_check(X, 2, morphisms=morphisms)
+    rep = lemma_check(graph_variety(X, morphisms), 2)
     assert calls == [2, 4]
-    assert [(e.a, e.k, e.partial, e.fixed) for e in rep.entries] == want
+    assert _entries(rep) == want
     assert rep.passed and rep.reconstruction_ok
 
 
 def test_lemma_check_with_two_morphisms_lists_points_once_per_k(monkeypatch):
+    # Gamma_f's partial count prices its y-coordinates' tuples too,
+    # 2^34 of them at k = 2, past the default budget
     X, morphisms = diagonal_23_with_square()
-    want = _entries_by_separate_calls(X, morphisms, 2)
-    assert [w[2] for w in want] == [2, 2, 4, 4]
+    want = _entries_by_filter(X, morphisms, 2)
+    assert want == [(1, 1, 2, 2), (5, 1, 2, 2), (1, 2, 4, 4), (5, 2, 4, 4)]
     calls = _listing_spy(monkeypatch)
-    rep = lemma_check(X, 2, morphisms=morphisms)
+    rep = lemma_check(graph_variety(X, morphisms), 2, 10 ** 11)
     assert calls == [6, 12]
-    assert [(e.a, e.k, e.partial, e.fixed) for e in rep.entries] == want
+    assert _entries(rep) == want
+    assert rep.passed and rep.reconstruction_ok
+
+
+@pytest.mark.parametrize("X, maps, want", [
+    (V(2, 1, 2, ["x1*x2 + 1"], (1, 2)), (["x1 + x2"], ["x2^3"]),
+     [(1, 1, 3, 3), (1, 2, 7, 7)]),
+    (V(3, 1, 2, ["x1^2 + x2"], (1, 2)), (["x1", "x1*x2"], ["x2 + 1"]),
+     [(1, 1, 3, 3), (1, 2, 9, 9)]),
+], ids=["hyperbola_12", "parabola_12_f3"])
+def test_lemma_check_on_graph_varieties(X, maps, want):
+    # a morphism of two components, and f_i that are not coordinates
+    morphisms = morphisms_of(X, *maps)
+    assert _entries_by_filter(X, morphisms, 2) == want
+    rep = lemma_check(graph_variety(X, morphisms), 2)
+    assert _entries(rep) == want
     assert rep.passed and rep.reconstruction_ok
 
 
@@ -552,14 +589,14 @@ def test_fixed_points_match_filter_on_random_varieties(case):
             want = fixed_by_filter(X, None, a, k, budget=2 ** 15)
         except BudgetExceededError:
             reject()  # Y too large for the oracle to list
-        assert fixed_points(X, None, a, k) == want
+        assert fixed_points(X, a, k) == want
 
 
 @pytest.mark.parametrize("name", VARIETIES)
 def test_fixed_points_match_filter_on_corpus(name):
     X, _, _ = load_instance(str(CORPUS / f"{name}.json"), "variety")
     for k, a in product((1, 2), twists(X.D)):
-        assert fixed_points(X, None, a, k) == fixed_by_filter(X, None, a, k)
+        assert fixed_points(X, a, k) == fixed_by_filter(X, None, a, k)
 
 
 CHOSEN = {
@@ -577,9 +614,12 @@ CHOSEN = {
 
 @pytest.mark.parametrize("name", CHOSEN)
 def test_fixed_points_match_filter_on_chosen_specs(name):
+    # with morphisms, Gamma_f's fixed points cut to X's coordinates
     X, morphisms = CHOSEN[name]
+    G = X if morphisms is None else graph_variety(X, morphisms)
     for k, a in product((1, 2), twists(X.D)):
-        fixed = fixed_points(X, morphisms, a, k)
+        fixed = sorted(tuple(b[:X.n] for b in y)
+                       for y in fixed_points(G, a, k))
         assert fixed  # the comparison below is not vacuous
         assert fixed == fixed_by_filter(X, morphisms, a, k)
 
@@ -617,7 +657,7 @@ def test_y_stable_under_sigma_on_random_varieties(case):
 
 
 def test_lemma_check_never_lists_y(monkeypatch):
-    # without morphisms the fixed points come from one listing of X's
+    # the fixed points come from one listing of X's
     # orbit representatives per k, walked along Frobenius chains; Y is
     # never joined or listed, and X is never listed in full
     calls = _listing_spy(monkeypatch)
@@ -662,31 +702,15 @@ def test_listing_refused_from_its_field_size_alone(case, extra, data):
         calls = _build_spy(mp)
         if size > budget:
             with pytest.raises(BudgetExceededError) as info:
-                _orbit_listing(X, k, None, budget)
+                _orbit_listing(X, k, budget)
             assert info.value.cost == size
             assert str(info.value).endswith(
                 f"(enumerate_orbit_points k={k})")
             assert calls == []
         else:
             try:
-                _orbit_listing(X, k, None, budget)
+                _orbit_listing(X, k, budget)
             except BudgetExceededError as err:
                 assert str(err).endswith("(variety enumeration)")
             assert calls == ["field", "enumerate_orbit_points"]
 
-
-def test_lemma_check_with_morphisms_refused_before_its_field_is_built():
-    # x_1 is fixed by an equation in x_1 alone and the morphisms skip the
-    # partial count's check, but the listing's own check refuses
-    # F_(2^4096) before its modulus is searched for
-    X = V(2, 1, 2, ["x1 + 1"], (1, 4096))
-    base = base_field(2, 1)
-    morphisms = tuple(MorphismSpec(2, 1, (parse_poly(t, ["x1", "x2"], base),))
-                      for t in ("x1", "x2"))
-    with pytest.MonkeyPatch.context() as mp:
-        calls = _build_spy(mp)
-        with pytest.raises(BudgetExceededError) as info:
-            lemma_check(X, 1, morphisms, budget=1000)
-    assert info.value.cost == 2 ** 4096
-    assert str(info.value).endswith("(enumerate_orbit_points k=1)")
-    assert calls == []
