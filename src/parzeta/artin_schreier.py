@@ -38,6 +38,7 @@ class ASInstance:
             raise ValueError("f must be nonzero")
         if self.f.n != self.n + self.nprime:
             raise ValueError("f must have n + n' variables")
+        self.f.check_base(self.p, self.s)
 
     @property
     def q(self) -> int:
@@ -157,8 +158,7 @@ def singular_search(form: SparsePoly, e_max: int,
         amb = field(base.p, base.s, e)
         for lead in range(n):
             pins = x[:lead] + [x[lead] - SparsePoly.const_int(n, base, 1)]
-            pts = enumerate_points(system + pins, amb, base, [e] * n,
-                                   budget=budget)
+            pts = enumerate_points(system + pins, amb, [e] * n, budget=budget)
             if pts:
                 return (e, pts[0])
     return None
@@ -224,7 +224,7 @@ def bound_check(inst: ASInstance, e_max: int = 2,
     deviation = abs(n_brute - main)
     bound_sq = (p - 1) ** 2 * (r - 1) ** (2 * e_tot) * q ** e_tot
     try:
-        bound_dec = (p - 1) * (r - 1) ** e_tot * q ** (e_tot / 2)
+        bound_dec = (p - 1) * abs(r - 1) ** e_tot * q ** (e_tot / 2)
     except OverflowError:  # past the float range; the comparison is exact
         bound_dec = math.inf
     hypothesis_ok = (not p_div_r) and status in ("verified-diagonal",

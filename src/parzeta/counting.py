@@ -22,7 +22,9 @@ roots are counted, for the unbound one), on which x^e takes the same
 values.  The last bound level is fused with the leaf: each value that
 passes it builds the coefficient lists of the equations left for the leaf
 directly from those term values and its own powers, with no further level
-of the search.  The equations have coefficients in F_q, so Frobenius
+of the search.  The equations have coefficients in F_q, the ambient
+field's own ``field(p, s, 1)``, which the engine embeds by
+``ambient.embed_base()``, taking no base field; so Frobenius
 sigma: x -> x^q permutes the solutions and maps the subtree under a
 prefix onto the subtree under its image.  In ``enumerate_orbit_points``
 the first variable bound takes one value per orbit of sigma on the whole
@@ -82,8 +84,9 @@ does not depend on the reduction, and its cost is always ``budget + 1``.
   linear solve like the others: the plain listing, in lex order.  The
   direct graph count and the singular-point search, which pins
   coordinates by linear equations, build on it: no orbit reduction.
-- ``enumerate_orbit_points`` binds the variables the same way, each over
-  the whole ambient field, x_1 to one value per orbit.  It lists the
+- ``enumerate_orbit_points`` takes the variety, so its equations and
+  its variable count agree, and binds the variables the same way, each
+  over the whole ambient field, x_1 to one value per orbit.  It lists the
   solutions whose first coordinate is its orbit's least member, in lex
   order, each with that orbit's length L; the others are their images
   under sigma^i, 0 < i < L.  Only x_1 is reduced: ``faltings`` weights
@@ -227,8 +230,8 @@ def _skeleton(equations, order):
             tuple(map(tuple, touch)))
 
 
-def _search(equations, ambient: Field, base: Field, order, degrees, leaf,
-            budget: int, orbits: int = 0, leaf_degree=None):
+def _search(equations, ambient: Field, order, degrees, leaf, budget: int,
+            orbits: int = 0, leaf_degree=None):
     """Depth-first search binding variable ``order[u]`` to the values of
     F_{q^e} inside ``ambient``, e = ``degrees[u]``, for u < len(degrees).
     Each subfield is listed before the equations are read, so a degree
@@ -240,7 +243,7 @@ def _search(equations, ambient: Field, base: Field, order, degrees, leaf,
     need not lie in ``ambient``.  The equations' ``_skeleton`` is worked
     out once per (equations, order); a call folds each exponent row whose
     largest entry passes its variable's field to that field and embeds
-    the coefficients.  An equation is checked once all its variables are
+    the coefficients, by ``ambient.embed_base()``.  An equation is checked once all its variables are
     bound; one that is a nonzero constant in the variable being bound
     prunes the branch without a scan.  At each full prefix,
     ``leaf(point, polys, w)`` is called with ``point`` the bound values in
@@ -284,7 +287,7 @@ def _search(equations, ambient: Field, base: Field, order, degrees, leaf,
     coeffs, rows, close, touch = skeleton
     add, mul, neg, inv, pw = (ambient.add, ambient.mul, ambient.neg,
                               ambient.inv, ambient.pow)
-    emb = ambient.embed_base(base)
+    emb = ambient.embed_base()
     depth = len(order)
     stop = len(degrees)
     # per equation: term values (the coefficients, to begin with) and the
@@ -419,11 +422,11 @@ def _search(equations, ambient: Field, base: Field, order, degrees, leaf,
         del descend  # a self-referencing closure: free its state now, not at gc
 
 
-def enumerate_orbit_points(equations, n: int, ambient: Field, base: Field,
+def enumerate_orbit_points(X: VarietySpec, ambient: Field,
                            budget: int = DEFAULT_BUDGET):
-    """The solutions in ``ambient`` whose first coordinate is the least
-    member of its Frobenius orbit, as lex-sorted (point, L) pairs of an
-    int tuple and the length L of that orbit.
+    """The solutions of ``X``'s equations in ``ambient`` whose first
+    coordinate is the least member of its Frobenius orbit, as lex-sorted
+    (point, L) pairs of an int tuple and the length L of that orbit.
 
     sigma: x -> x^q permutes the solutions, the equations having
     coefficients in F_q, and maps the fibre over x_1 onto the fibre over
@@ -441,12 +444,12 @@ def enumerate_orbit_points(equations, n: int, ambient: Field, base: Field,
         out.append((tuple(point), length))
         return 1
 
-    _search(equations, ambient, base, range(n), [ambient.N] * n, leaf,
+    _search(X.equations, ambient, range(X.n), [ambient.N] * X.n, leaf,
             budget, 1)
     return out
 
 
-def enumerate_points(equations, ambient: Field, base: Field, degrees,
+def enumerate_points(equations, ambient: Field, degrees,
                      budget: int = DEFAULT_BUDGET):
     """All solutions, as lex-sorted int tuples, with x_i in the subfield
     F_{q^e} of ``ambient``, e = ``degrees[i]``: one degree per variable of
@@ -465,8 +468,7 @@ def enumerate_points(equations, ambient: Field, base: Field, degrees,
         out.append(tuple(point))
         return 1
 
-    _search(equations, ambient, base, range(len(degrees)), degrees, leaf,
-            budget)
+    _search(equations, ambient, range(len(degrees)), degrees, leaf, budget)
     return out
 
 
@@ -711,6 +713,5 @@ def partial_count(X: VarietySpec, k: int,
     def roots(point, polys, weight):
         return weight * count_roots(polys, amb, e_last)
 
-    return plan.free * _search(X.equations, amb, X.base, plan.order,
-                               plan.degrees, roots, budget,
-                               len(plan.degrees), e_last)
+    return plan.free * _search(X.equations, amb, plan.order, plan.degrees,
+                               roots, budget, len(plan.degrees), e_last)

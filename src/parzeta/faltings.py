@@ -84,16 +84,16 @@ def _orbit_listing(X: VarietySpec, k: int, budget: int):
     before that field is built."""
     check_cost(X.p ** X.s, X.D * k, budget, f"enumerate_orbit_points k={k}")
     amb = field(X.p, X.s, X.D * k)
-    return amb, enumerate_orbit_points(X.equations, X.n, amb, X.base,
-                                       budget=budget)
+    return amb, enumerate_orbit_points(X, amb, budget=budget)
 
 
-def _twisted_fixed_points(X: VarietySpec, k: int, twists, listing):
-    """For each a in ``twists``, the points y of Y over F_{q^{dk}} with
-    sigma^a(Frob^k(y)) = y whose first block is one of ``listing``'s
-    points, ``listing`` being `_orbit_listing`'s result for level k, as
-    lex-sorted pairs (y, L), L the degree of y_0's first coordinate over
-    F_q, once per kept chain; the others are the Frob^s(y), 0 < s < L.
+def _twisted_fixed_points(X: VarietySpec, listing):
+    """For each twist a <= d coprime to d, the points y of Y over
+    F_{q^{dk}} with sigma^a(Frob^k(y)) = y whose first block is one of
+    ``listing``'s points, as lex-sorted pairs (y, L), L the degree of
+    y_0's first coordinate over F_q, once per kept chain; the others are
+    the Frob^s(y), 0 < s < L.  ``listing`` is `_orbit_listing`'s result
+    for level k, which is read from it as k = N/d, F_{q^N} its field.
 
     The equation reads y_j = Frob^k(y_{j-a}) for every block j.  With a
     coprime to d this is y_{ma} = F^m(y_0) for m = 0..d-1, F = Frob^k;
@@ -109,20 +109,21 @@ def _twisted_fixed_points(X: VarietySpec, k: int, twists, listing):
     d = X.D
     r = len(X.profile)
     amb, reps = listing
+    k = amb.N // d
     frob = amb.frob
     # block j holds F^m(y_0) for m = j / a (mod d); a link (j, i, j2)
     # compares the slots m_j r + i and m_j2 r + i, coordinate i of
     # F^m(y_0), each slot with its i and its power e = k m of Frobenius
     m_of, tests = {}, {}
-    for a in twists:
+    for a in [a for a in range(1, d + 1) if gcd(a, d) == 1]:  # the twists
         m = m_of[a] = [j * pow(a, -1, d) % d for j in range(d)]
         tests[a] = [(m[j] * r + i, i, k * m[j], m[j2] * r + i, k * m[j2])
                     for j, i, j2 in _y_links(X.profile, d)]
     # a kept chain counts the degree over F_q of y_0's first coordinate,
     # decided by powering: the orbit walk's lengths weight the partial
     # count's side, so this side does not take them from it
-    divisors = [e for e in range(1, d * k + 1) if d * k % e == 0]
-    out = {a: [] for a in twists}
+    divisors = [e for e in range(1, amb.N + 1) if amb.N % e == 0]
+    out = {a: [] for a in tests}
     for y0, _ in reps:
         seen = [None] * (d * r)
         seen[:r] = y0
@@ -215,7 +216,6 @@ def lemma_check(X: VarietySpec, k_max: int,
         plan = partial_count_check(X, k, budget)
         # one listing of X's orbit representatives per level, for the chains
         listing = _orbit_listing(X, k, budget)
-        twists = [a for a in range(1, d + 1) if gcd(a, d) == 1]
         lhs = partial_count(X, k, budget=budget)
         # the walks the level read, replayed (a field keeps only a finished
         # walk): the listing's at F_{q^{dk}}'s N, and the partial count's at
@@ -227,7 +227,7 @@ def lemma_check(X: VarietySpec, k_max: int,
         walks_ok = walks_ok and all(
             _walk_is_whole(F, e, g) for F in {F for F, _ in walked}
             for e, g in list(F._orbit_cache) if (F, e) in walked)
-        found = _twisted_fixed_points(X, k, twists, listing)
+        found = _twisted_fixed_points(X, listing)
         # reconstruction bijection, checked on the chains; Frobenius carries
         # it to their conjugates.  Every distinct block is a point of X ...
         blocks = {b for pairs in found.values() for y, _ in pairs for b in y}

@@ -16,11 +16,15 @@ has always used, so sorting ints reproduces them unchanged.
 The library works on these ints only: subfields, points, polynomial
 coefficients and values are packed ints, and the field's int operations
 (``add``, ``sub``, ``neg``, ``mul``, ``inv``, ``pow``, ``frob``) do all
-arithmetic.  ``FieldElement`` is only a handle on one packed int, for
-timing the per-element operations: ``Field.element(coeffs)`` makes one,
-and its ``+``, ``*`` and ``inverse()`` and ``Field.frobenius`` call
-``add``, ``mul``, ``inv`` and ``frob``.  It has no other operation, and
-nothing in the library takes one.
+arithmetic; ``pow`` takes exponents e >= 0, with pow(0, 0) one.
+``FieldElement`` is only a handle on one packed int, for timing the
+per-element operations: ``Field.element(coeffs)`` makes one, and its
+``+``, ``*`` and ``inverse()`` and ``Field.frobenius`` call ``add``,
+``mul``, ``inv`` and ``frob``.  It has no other operation, and nothing
+in the library takes one.  Polynomial coefficients are packed ints of the
+tower's own F_q, ``field(p, s, 1)``; ``embed_base()`` takes no field and
+maps them into the field it is called on, so the counting engine embeds
+through its ambient field's own F_q.
 
 The int operations are bound when a field is built; a caller that may
 refuse the work checks its cost first:
@@ -467,8 +471,6 @@ class Field:
                 return to_int([-x % p for x in to_coeffs(a)])
 
         def power(a, e):
-            if e < 0:
-                a, e = inv(a), -e
             result = one
             while e:
                 if e & 1:
@@ -531,11 +533,7 @@ class Field:
         def power(a, e):
             if a:
                 return exp[log[a] * e % n]
-            if e > 0:
-                return 0
-            if e == 0:
-                return one
-            raise ZeroDivisionError("inversion of zero field element")
+            return 0 if e else one
 
         qpow = {}
 
@@ -782,22 +780,22 @@ class Field:
 
     # -- canonical embedding of the base field F_q -------------------------
 
-    def embed_base(self, base: "Field"):
-        """Map packed ints of the base field F_q to packed ints of this field.
+    def embed_base(self):
+        """Map packed ints of the tower's own F_q = ``field(p, s, 1)`` to
+        packed ints of this field.
 
         The base generator goes to the lex-smallest root of the base modulus
         among the F_q elements of this field; any root works since the
         subfields are Frobenius-stable, so we pick deterministically.
         """
-        if base.p != self.p or base.s != self.s or base.N != 1:
-            raise FieldError("base field must be F_q = F_{p^s} for this tower")
         if self._embed is not None:
             return self._embed
         one = self._one
-        if base.m == 1:
+        if self.s == 1:
             def emb(c):
                 return c * one
         else:
+            base = field(self.p, self.s, 1)
             add, mul = self.add, self.mul
             root = None
             for cand in self.subfield(1):

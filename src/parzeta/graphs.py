@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from .counting import (DEFAULT_BUDGET, check_cost, enumerate_points, join,
                        partial_count, partial_count_check)
@@ -50,6 +51,9 @@ class GraphSystem:
         names = [v.name for v in self.vertices]
         if len(set(names)) != len(names):
             raise ValueError("duplicate vertex names")
+        for f in chain(*(v.equations for v in self.vertices),
+                       *(e.morphism.components for e in self.edges)):
+            f.check_base(self.p, self.s)
         vmap = {v.name: v for v in self.vertices}
         for e in self.edges:
             if e.src not in vmap or e.dst not in vmap:
@@ -74,11 +78,8 @@ def graph_count_direct(G: GraphSystem, k: int,
                f"graph_count_direct k={k}")
     partial_count_check(fibred_product_reduce(G), k, budget)
     amb = field(G.p, G.s, G.D * k)
-    base = field(G.p, G.s, 1)
-    vpoints = []
-    for v in G.vertices:
-        vpoints.append(enumerate_points(v.equations, amb, base,
-                                        [v.d * k] * v.n, budget=budget))
+    vpoints = [enumerate_points(v.equations, amb, [v.d * k] * v.n,
+                                budget=budget) for v in G.vertices]
     # edge src -> dst asks f(x_src) == x_dst
     vindex = {v.name: i for i, v in enumerate(G.vertices)}
     links = []

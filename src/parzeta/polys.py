@@ -14,7 +14,7 @@ from itertools import chain
 import math
 
 from .counting import BudgetExceededError, DEFAULT_BUDGET
-from .fields import Field, field
+from .fields import Field, FieldError, field
 
 
 class PolyParseError(ValueError):
@@ -166,11 +166,19 @@ class SparsePoly:
 
     # -- evaluation --------------------------------------------------------
 
+    def check_base(self, p: int, s: int) -> None:
+        """Refuse (``FieldError``, a ``ValueError``) coefficients that are
+        not packed ints of F_{p^s} = ``field(p, s, 1)``."""
+        b = self.base
+        if (b.p, b.s, b.N) != (p, s, 1):
+            raise FieldError("base field must be F_q = F_{p^s} for this tower")
+
     def evaluate(self, point, ambient: Field) -> int:
         """Exact value, a packed int, at a point of packed ints of ``ambient``."""
         if len(point) != self.n:
             raise ValueError(f"point has {len(point)} coordinates, expected {self.n}")
-        emb = ambient.embed_base(self.base)
+        self.check_base(ambient.p, ambient.s)
+        emb = ambient.embed_base()
         add, mul, pw = ambient.add, ambient.mul, ambient.pow
         acc = 0
         for e, c in self.terms.items():
@@ -389,6 +397,7 @@ class VarietySpec:
         for eq in self.equations:
             if eq.n != self.n:
                 raise ValueError("equation variable count mismatch")
+            eq.check_base(self.p, self.s)
         # hashed once: the counting caches key on the variety, and a
         # SparsePoly hashes its terms afresh on every call
         object.__setattr__(self, "_hash", hash(
@@ -400,10 +409,6 @@ class VarietySpec:
     @property
     def D(self) -> int:
         return math.lcm(*self.profile)
-
-    @property
-    def base(self) -> Field:
-        return base_field(self.p, self.s)
 
     def with_profile(self, profile):
         return VarietySpec(self.p, self.s, self.n, self.equations, tuple(profile))

@@ -136,6 +136,16 @@ def test_bound_zero_fibred_form_is_singular():
     assert not rep.hypothesis_ok
 
 
+def test_bound_decimal_is_the_root_of_the_squared_bound_for_constant_f():
+    # f constant: r = 0, and |r - 1| = 1 to the odd power dn + n' = 3
+    for base, text, bound_sq in ((F2, "1", 8), (F3, "2", 108)):
+        f = parse_poly(text, ["x1", "y1", "y2"], base)
+        rep = bound_check(ASInstance(base.p, 1, 1, 2, 1, f))
+        assert rep.r == 0 and rep.bound_squared == bound_sq
+        assert rep.bound_decimal >= 0
+        assert rep.bound_decimal ** 2 == pytest.approx(bound_sq)
+
+
 def example44_verdicts(f, p):
     """Example 4.4: the fibred sum of the split form f(x) + f(y) is smooth
     exactly when p does not divide d; its verdicts for d = 1..6."""

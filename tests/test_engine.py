@@ -98,8 +98,8 @@ def test_exponents_shifted_by_the_field_order_count_the_same(case, j):
     X, k = case
     shift = j * ((X.p ** X.s) ** (X.D * k) - 1)
     shifted = tuple(
-        SparsePoly(X.n, X.base, {tuple(e and e + shift for e in exps): c
-                                 for exps, c in eq.terms.items()})
+        SparsePoly(X.n, eq.base, {tuple(e and e + shift for e in exps): c
+                                  for exps, c in eq.terms.items()})
         for eq in X.equations)
     Xs = VarietySpec(X.p, X.s, X.n, shifted, X.profile)
     assert partial_count(Xs, k) == partial_count(X, k)
@@ -259,15 +259,15 @@ def listing_problems(draw):
             equations.append(x - SparsePoly.const_int(n, base, 1)
                              if pin else x)
             domains.append((ref_one(amb) if pin else 0,))
-    return equations, n, amb, base, degrees, domains
+    return equations, n, amb, degrees, domains
 
 
-def unreduced_nodes(equations, n, amb, base, degrees):
+def unreduced_nodes(equations, n, amb, degrees):
     """The node count of the search over every value of x_1: the least
     budget under which ``_search`` without orbit weights passes."""
     def passes(budget):
         try:
-            _search(equations, amb, base, range(n), degrees,
+            _search(equations, amb, range(n), degrees,
                     lambda point, polys, length: 1, budget)
         except BudgetExceededError:
             return False
@@ -288,18 +288,19 @@ def unreduced_nodes(equations, n, amb, base, degrees):
 @settings(max_examples=150, deadline=None)
 @given(listing_problems())
 def test_listing_matches_product_filter(problem):
-    equations, n, amb, base, degrees, domains = problem
+    equations, n, amb, degrees, domains = problem
     want = sorted(pt for pt in product(*domains)
                   if not any(eq.evaluate(pt, amb) for eq in equations))
-    nodes = unreduced_nodes(equations, n, amb, base, degrees)
+    nodes = unreduced_nodes(equations, n, amb, degrees)
+    X = VarietySpec(amb.p, amb.s, n, tuple(equations), (1,) * n)
 
     def conjugates(budget):
-        pairs = enumerate_orbit_points(equations, n, amb, base, budget)
+        pairs = enumerate_orbit_points(X, amb, budget)
         return sorted(tuple(amb.frob(c, i) for c in pt)
                       for pt, length in pairs for i in range(length))
 
-    listings = [lambda budget: enumerate_points(equations, amb, base,
-                                                degrees, budget)]
+    listings = [lambda budget: enumerate_points(equations, amb, degrees,
+                                                budget)]
     if all(e == amb.N for e in degrees):
         listings.append(conjugates)  # the orbit listing's whole field
     for listing in listings:
@@ -328,7 +329,7 @@ def test_orbits_walked_only_as_the_search_reaches_them():
     amb.frob = spy
     X = V(2, 1, 2, ["x1^3 + x2 + 1"], (1, 1))
     with pytest.raises(BudgetExceededError) as info:
-        enumerate_orbit_points(X.equations, X.n, amb, X.base, budget=1000)
+        enumerate_orbit_points(X, amb, budget=1000)
     assert info.value.cost == 1001
 
 
@@ -424,18 +425,17 @@ def test_refused_listing_keeps_no_partial_walk():
     frob, calls = amb.frob, []
     amb.frob = lambda x, e: calls.append(x) or frob(x, e)
     with pytest.raises(BudgetExceededError) as info:
-        enumerate_orbit_points(X.equations, X.n, amb, X.base, budget=500)
+        enumerate_orbit_points(X, amb, budget=500)
     assert info.value.cost == 501
     assert (amb.N, 1) not in amb._orbit_cache
     refused = len(calls)
-    pairs = enumerate_orbit_points(X.equations, X.n, amb, X.base)
-    assert pairs == enumerate_orbit_points(X.equations, X.n, Field(2, 1, 12),
-                                           X.base)
+    pairs = enumerate_orbit_points(X, amb)
+    assert pairs == enumerate_orbit_points(X, Field(2, 1, 12))
     # the full listing walks every element once, the partial walk not kept
     assert 0 < refused and len(calls) - refused == amb.size()
     # a third listing replays the finished walk
     del calls[:]
-    assert enumerate_orbit_points(X.equations, X.n, amb, X.base) == pairs
+    assert enumerate_orbit_points(X, amb) == pairs
     assert calls == []
 
 
@@ -470,7 +470,7 @@ def test_constant_in_the_bound_variable_prunes_without_a_scan():
     amb.pow = lambda x, e: tried.append(x) or power(x, e)
     eq, pin = (parse_poly(text, ["x1", "x2"], base_field(2, 1))
                for text in ("x1*x2 + 1", "x1"))
-    assert enumerate_points([eq, pin], amb, eq.base, [12, 12]) == []
+    assert enumerate_points([eq, pin], amb, [12, 12]) == []
     assert tried == [0]  # x1's own power, and no scan of the 4096 x2
 
 
@@ -483,7 +483,7 @@ def test_exponents_fold_to_their_variables_field():
     power = amb.pow
     amb.pow = lambda x, e: tried.append(x) or power(x, e)
     eq = parse_poly("x1^2 + x1 + 1", ["x1"], base_field(2, 1))
-    assert enumerate_points([eq], amb, eq.base, [1]) == []
+    assert enumerate_points([eq], amb, [1]) == []
     assert tried == []
 
 
@@ -493,7 +493,7 @@ def test_listing_takes_one_degree_per_variable(count):
     amb = field(2, 1, 2)
     eq = parse_poly("x1 + x2 + 1", ["x1", "x2"], base_field(2, 1))
     with pytest.raises(ValueError, match="one degree per variable"):
-        enumerate_points([eq], amb, eq.base, [amb.N] * count)
+        enumerate_points([eq], amb, [amb.N] * count)
 
 
 @pytest.mark.parametrize("text", ["x1 + x2", "1"])
@@ -503,7 +503,7 @@ def test_listing_refuses_a_degree_not_dividing_n(text):
     amb = field(2, 1, 6)
     eq = parse_poly(text, ["x1", "x2"], base_field(2, 1))
     with pytest.raises(fields.FieldError, match="e = 4 is not"):
-        enumerate_points([eq], amb, eq.base, [6, 4])
+        enumerate_points([eq], amb, [6, 4])
 
 
 # ---------------------------------------------------------------------------
@@ -1012,8 +1012,8 @@ def test_root_count_outside_the_field_matches_scan(problem):
     # the count over F = F_{q^N} against a Horner scan of F_{q^e} itself,
     # the coefficients mapped into each by its embedding of F_q
     p, s, N, e, polys = problem
-    base, F, S = base_field(p, s), field(p, s, N), field(p, s, e)
-    into_F, into_S = F.embed_base(base), S.embed_base(base)
+    F, S = field(p, s, N), field(p, s, e)
+    into_F, into_S = F.embed_base(), S.embed_base()
 
     def zero_at(f, x):
         acc = 0
@@ -1168,7 +1168,7 @@ def search_count(X, k, budget, collapse, orbits=None):
     with pytest.MonkeyPatch.context() as patch:
         if not collapse:
             patch.setattr(counting, "_collapses", lambda deg, size: False)
-        return _search(X.equations, amb, X.base, plan.order, plan.degrees,
+        return _search(X.equations, amb, plan.order, plan.degrees,
                        lambda point, polys, w:
                        w * count_roots(polys, amb, e_last),
                        budget, orbits, e_last)

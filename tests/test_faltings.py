@@ -73,8 +73,8 @@ def y_variety(X, morphisms=None):
     equations = [eq.rename(blocks[j], dn) for j in range(d)
                  for eq in X.equations]
     for i, di in enumerate(X.profile):
-        comps = ((SparsePoly.var(n, X.base, i),) if morphisms is None
-                 else morphisms[i].components)
+        comps = ((SparsePoly.var(n, base_field(X.p, X.s), i),)
+                 if morphisms is None else morphisms[i].components)
         for j in range(d):
             j2 = (j + di) % d
             if j2 != j:
@@ -100,8 +100,7 @@ def enumerate_y_points(X, morphisms, k: int, budget: int = DEFAULT_BUDGET):
     and joined d times over by Y's links."""
     d = X.D
     amb = field(X.p, X.s, d * k)
-    xpts = enumerate_points(X.equations, amb, X.base,
-                            [amb.N] * X.n, budget=budget)
+    xpts = enumerate_points(X.equations, amb, [amb.N] * X.n, budget=budget)
     if morphisms is None:
         images = [[pt[i] for pt in xpts] for i in range(len(X.profile))]
     else:
@@ -147,8 +146,7 @@ def test_trivial_profile_gives_back_x():
 def test_variety_points_match_classical():
     X = V(3, 1, 2, ["x2 - x1^2"], (1, 1))
     amb = field(3, 1, 2)
-    pts = enumerate_points(X.equations, amb, X.base,
-                           [amb.N] * X.n)
+    pts = enumerate_points(X.equations, amb, [amb.N] * X.n)
     assert len(pts) == oracle_count(X, 2)
 
 
@@ -158,7 +156,7 @@ def fixed_points(X, a, k):
     its conjugates Frob^s(y), s < L, lex-sorted."""
     amb = field(X.p, X.s, X.D * k)
     listing = _orbit_listing(X, k, DEFAULT_BUDGET)
-    pairs = _twisted_fixed_points(X, k, (a,), listing)[a]
+    pairs = _twisted_fixed_points(X, listing)[a]
     return sorted(tuple(tuple(amb.frob(c, s) for c in b) for b in y)
                   for y, length in pairs for s in range(length))
 
@@ -411,9 +409,9 @@ def _listing_spy(monkeypatch):
     calls = []
     listing = faltings.enumerate_orbit_points
 
-    def spy(equations, n, ambient, *args, **kwargs):
+    def spy(X, ambient, *args, **kwargs):
         calls.append(ambient.N)
-        return listing(equations, n, ambient, *args, **kwargs)
+        return listing(X, ambient, *args, **kwargs)
 
     monkeypatch.setattr(faltings, "enumerate_orbit_points", spy)
     return calls
@@ -421,8 +419,8 @@ def _listing_spy(monkeypatch):
 
 def morphisms_of(X, *maps):
     """One ``MorphismSpec`` from X's variables per list of component texts."""
-    names = [f"x{i+1}" for i in range(X.n)]
-    return tuple(MorphismSpec(X.n, len(f), tuple(parse_poly(t, names, X.base)
+    names, base = [f"x{i+1}" for i in range(X.n)], base_field(X.p, X.s)
+    return tuple(MorphismSpec(X.n, len(f), tuple(parse_poly(t, names, base)
                                                 for t in f))
                  for f in maps)
 
@@ -464,8 +462,7 @@ def _entries_by_filter(X, morphisms, k_max):
             all(amb.in_subfield(v, di * k)
                 for f, di in zip(morphisms, X.profile)
                 for v in f.apply(x, amb))
-            for x in enumerate_points(X.equations, amb, X.base,
-                                      [amb.N] * X.n))
+            for x in enumerate_points(X.equations, amb, [amb.N] * X.n))
         entries += [(a, k, partial, len(fixed_by_filter(X, morphisms, a, k)))
                     for a in twists(X.D)]
     return entries
@@ -536,8 +533,7 @@ def y_by_equations(X, morphisms, k):
     d, n = X.D, X.n
     amb = field(X.p, X.s, d * k)
     Y = y_variety(X, morphisms)
-    pts = enumerate_points(Y.equations, amb, X.base,
-                           [amb.N] * Y.n)
+    pts = enumerate_points(Y.equations, amb, [amb.N] * Y.n)
     return [tuple(pt[j * n:(j + 1) * n] for j in range(d)) for pt in pts]
 
 
@@ -689,9 +685,8 @@ def test_listing_refused_from_its_field_size_alone(case, extra, data):
     X, k = case
     if extra is not None:
         names = [f"x{i+1}" for i in range(X.n)]
-        X = VarietySpec(X.p, X.s, X.n,
-                        (parse_poly(extra, names, X.base),) + X.equations,
-                        X.profile)
+        eq = parse_poly(extra, names, base_field(X.p, X.s))
+        X = VarietySpec(X.p, X.s, X.n, (eq,) + X.equations, X.profile)
     size = (X.p ** X.s) ** (X.D * k)
     # a budget at or past the field size runs the listing, whose scans of
     # x_2, ... the budget does not bound: only over at most 2^8 elements,

@@ -161,8 +161,6 @@ def test_euclid_inverse_matches_powering(m, data):
 def test_pow_matches_reference(case, e):
     F, a, _ = case
     assert F.pow(a, e) == ref_pow(F, a, e)
-    if a:
-        assert F.pow(a, -e) == F.inv(F.pow(a, e))
 
 
 @settings(max_examples=150, deadline=None)

@@ -4,8 +4,10 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parzeta.artin_schreier import ASInstance
 from parzeta.counting import BudgetExceededError, DEFAULT_BUDGET
-from parzeta.fields import field
+from parzeta.fields import FieldError, field
+from parzeta.graphs import GraphEdge, GraphSystem, GraphVertex
 from parzeta.polys import (MorphismSpec, PolyParseError, SparsePoly,
                            VarietySpec, base_field, parse_poly)
 
@@ -212,6 +214,15 @@ def test_evaluate():
     assert f.evaluate((t, t), F8) == F8.to_int((1, 0, 1))
 
 
+def test_evaluate_refuses_a_field_of_another_tower():
+    # coefficients of F_2, or of F_4, have no embedding into F_9 or F_16
+    for f, amb in ((P("x1 + 1", n=1), field(3, 1, 2)),
+                   (P("x1 + g", n=1, base=F4), field(2, 1, 4))):
+        with pytest.raises(FieldError, match=r"^base field must be F_q = "
+                           r"F_\{p\^s\} for this tower$"):
+            f.evaluate((amb._one,), amb)
+
+
 def test_total_degree_and_leading_form():
     f = P("x1^3 + x1*x2 + x2")
     assert f.total_degree() == 3
@@ -253,6 +264,29 @@ def test_variety_spec_validation():
         VarietySpec(2, 1, 2, (eq,), (1,))
     with pytest.raises(ValueError):
         VarietySpec(2, 1, 2, (eq,), (1, 0))
+
+
+# x1^2 + 1 over F_2: read over F_3 it counted [0, 2] with no error
+OVER_F2 = P("x1^2 + 1", n=1)
+FOREIGN = {
+    "variety": lambda: VarietySpec(3, 1, 1, (OVER_F2,), (1,)),
+    # x1 + g over F_9 in a (3, 1) variety raised IndexError
+    "variety-s2": lambda: VarietySpec(
+        3, 1, 1, (P("x1 + g", n=1, base=base_field(3, 2)),), (1,)),
+    "graph-vertex": lambda: GraphSystem(
+        3, 1, (GraphVertex("v", 1, (OVER_F2,), 1),), ()),
+    "graph-morphism": lambda: GraphSystem(
+        3, 1, (GraphVertex("v", 1, (), 1), GraphVertex("w", 1, (), 1)),
+        (GraphEdge("v", "w", MorphismSpec(1, 1, (OVER_F2,))),)),
+    "artin-schreier": lambda: ASInstance(3, 1, 1, 1, 1,
+                                         P("x1^2 + 1", n=2)),
+}
+
+
+@pytest.mark.parametrize("build", FOREIGN.values(), ids=FOREIGN.keys())
+def test_constructors_refuse_polynomials_over_another_field(build):
+    with pytest.raises(ValueError, match="base field must be F_q"):
+        build()
 
 
 def test_with_profile():
