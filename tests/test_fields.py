@@ -173,10 +173,7 @@ def test_in_subfield_consistent():
         assert F.in_subfield(x, 1) == (x in sub)
 
 
-# each with s > 1, below TABLE_CAP and above it (4^11, 9^7, 25^5, 8^7)
-@pytest.mark.parametrize("p, s, N", [(2, 2, 3), (2, 2, 11), (3, 2, 7),
-                                     (5, 2, 5), (2, 3, 7)])
-def test_embed_base_is_homomorphism(p, s, N):
+def check_embedding(p, s, N):
     # the tower's own F_q maps into F_(q^N) as a ring map onto its F_q
     base, F = field(p, s, 1), field(p, s, N)
     emb = F.embed_base()
@@ -187,6 +184,24 @@ def test_embed_base_is_homomorphism(p, s, N):
             assert emb(base.add(a, b)) == F.add(emb(a), emb(b))
             assert emb(base.mul(a, b)) == F.mul(emb(a), emb(b))
     assert emb(base._one) == F._one
+
+
+def test_embed_base_is_homomorphism():
+    check_embedding(2, 2, 3)
+
+
+def test_embedded_base_lands_in_subfield():
+    base, F = field(2, 2, 1), field(2, 2, 2)
+    emb = F.embed_base()
+    for a in base.elements():
+        assert F.in_subfield(emb(a), 1)
+
+
+# each with s > 1, below TABLE_CAP and above it (4^11, 9^7, 25^5, 8^7)
+@pytest.mark.parametrize("p, s, N", [(2, 2, 3), (2, 2, 11), (3, 2, 7),
+                                     (5, 2, 5), (2, 3, 7)])
+def test_embed_base_is_homomorphism_across_towers(p, s, N):
+    check_embedding(p, s, N)
 
 
 def test_element_constructors_pack_constant_term_first():
