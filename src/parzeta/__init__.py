@@ -4,12 +4,11 @@ from .fields import Field, field, smallest_irreducible
 from .polys import (MorphismSpec, PolyParseError, SparsePoly, VarietySpec,
                     base_field, parse_poly)
 from .counting import BudgetExceededError, DEFAULT_BUDGET, partial_count
-from .zeta import (AutoReconstructError, NoSolutionError, NonIntegerError,
+from .zeta import (Certificate, NoSolutionError, NonIntegerError,
                    RationalFunctionZ, ReconstructionError,
                    ReconstructionResult, RootFindingError, TruncatedSeries,
-                   WeightReport, auto_reconstruct, degree_sweep,
-                   pade_reconstruct, reconstruct_counts, series_from_counts,
-                   weil_weight_check)
+                   WeightReport, certify, degree_sweep, pade_reconstruct,
+                   reconstruct_counts, series_from_counts, weil_weight_check)
 from .faltings import LemmaReport, lemma_check
 from .graphs import (GraphEdge, GraphReport, GraphSystem, GraphVertex,
                      fibred_product_reduce, graph_count_direct,

@@ -41,15 +41,19 @@ from .faltings import lemma_check
 from .graphs import GraphEdge, GraphSystem, GraphVertex, reduction_check
 from .polys import (MorphismSpec, PolyParseError, VarietySpec, base_field,
                     parse_poly)
-from .zeta import (AutoReconstructError, RootFindingError, SWEEP_COLUMNS,
-                   auto_reconstruct, degree_sweep, sweep_rows_to_csv,
-                   weil_weight_check)
+from .zeta import SWEEP_COLUMNS, certify, degree_sweep, sweep_rows_to_csv
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_BUDGET = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_ASSERTION = 5
+
+# a certificate's status -> the exit code of a run that reports it
+EXIT_CODES = {"ok": EXIT_OK, "weights-failed": EXIT_ASSERTION,
+              "root-finding-failed": EXIT_NO_CONVERGENCE,
+              "budget-exceeded": EXIT_NO_CONVERGENCE,
+              "no-acceptance": EXIT_NO_CONVERGENCE}
 
 
 class SchemaError(Exception):
@@ -250,24 +254,17 @@ def _count(X, args, budget):
 
 
 def _zeta(X, args, budget):
-    outputs = {"variety": _variety_outputs(X)}
-    try:
-        res = auto_reconstruct(X, args.max_k, holdout=args.holdout,
-                               budget=budget)
-    except AutoReconstructError as exc:
-        outputs.update(status=exc.status, counts=list(exc.counts))
-        return (outputs, _enumeration_cost(X, len(exc.counts)),
-                EXIT_NO_CONVERGENCE)
-    outputs.update(zeta=res.function.to_json_dict(), B_used=res.B_used,
-                   counts=list(res.counts))
-    try:
-        wr = weil_weight_check(res.function, X.p ** X.s, tol=args.tol)
-    except RootFindingError as exc:
-        outputs["status"] = exc.status
-        return outputs, None, EXIT_NO_CONVERGENCE
-    outputs.update(status="ok", weights=wr.to_json_dict())
-    return (outputs, _enumeration_cost(X, res.B_used),
-            EXIT_OK if wr.passed else EXIT_ASSERTION)
+    cert = certify(X, args.max_k, holdout=args.holdout, budget=budget,
+                   tol=args.tol)
+    outputs = {"variety": _variety_outputs(X), "status": cert.status,
+               "counts": list(cert.counts)}
+    if cert.result is not None:
+        outputs.update(zeta=cert.result.function.to_json_dict(),
+                       B_used=cert.result.B_used)
+    if cert.weights is not None:
+        outputs["weights"] = cert.weights.to_json_dict()
+    return (outputs, _enumeration_cost(X, len(cert.counts)),
+            EXIT_CODES[cert.status])
 
 
 def _faltings(X, args, budget):
@@ -278,14 +275,13 @@ def _faltings(X, args, budget):
 
 
 def _graph(G, args, budget):
-    try:
-        rep = reduction_check(G, args.k_max, max_k=args.max_k,
-                              holdout=args.holdout, tol=args.tol,
-                              budget=budget)
-    except (AutoReconstructError, RootFindingError) as exc:
-        return {"status": exc.status}, None, EXIT_NO_CONVERGENCE
-    ok = rep.passed and rep.weight_report.passed
-    return rep.to_json_dict(), None, EXIT_OK if ok else EXIT_ASSERTION
+    rep = reduction_check(G, args.k_max, max_k=args.max_k,
+                          holdout=args.holdout, tol=args.tol, budget=budget)
+    status = rep.certificate.status
+    if rep.certificate.weights is None:
+        return {"status": status}, None, EXIT_CODES[status]
+    code = EXIT_CODES[status] if rep.passed else EXIT_ASSERTION
+    return rep.to_json_dict(), None, code
 
 
 def _as(inst, args, budget):
@@ -316,9 +312,7 @@ def _sweep(X, args, budget):
     rows = degree_sweep(X, _parse_profiles(args.profiles, X.n),
                         max_k=args.max_k, holdout=args.holdout,
                         budget=budget, tol=args.tol)
-    statuses = {row["status"] for row in rows}
-    code = (EXIT_ASSERTION if "weights-failed" in statuses else
-            EXIT_OK if statuses == {"ok"} else EXIT_NO_CONVERGENCE)
+    code = max(EXIT_CODES[row["status"]] for row in rows)
     if args.format == "csv":
         sweep_rows_to_csv(rows, sys.stdout)
         return None, None, code

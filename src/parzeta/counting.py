@@ -452,16 +452,19 @@ def enumerate_orbit_points(X: VarietySpec, ambient: Field,
 def enumerate_points(equations, ambient: Field, degrees,
                      budget: int = DEFAULT_BUDGET):
     """All solutions, as lex-sorted int tuples, with x_i in the subfield
-    F_{q^e} of ``ambient``, e = ``degrees[i]``: one degree per variable of
-    the equations (else ``ValueError``), each a divisor of ``ambient``'s
-    N (else ``FieldError``, whatever the equations).
+    F_{q^e} of ``ambient``, e = ``degrees[i]``: equations over ``ambient``'s
+    F_q (else ``FieldError``), one degree per variable of the equations
+    (else ``ValueError``), each a divisor of ``ambient``'s N (else
+    ``FieldError``, whatever the equations).
 
     The search binds x_1, ..., x_n, n = len(degrees), in turn, each to
     every value of its subfield, and raises ``BudgetExceededError`` once
     it has visited more than ``budget`` nodes.
     """
-    if any(eq.n != len(degrees) for eq in equations):
-        raise ValueError("enumerate_points takes one degree per variable")
+    for eq in equations:
+        eq.check_base(ambient.p, ambient.s)
+        if eq.n != len(degrees):
+            raise ValueError("enumerate_points takes one degree per variable")
     out = []
 
     def leaf(point, polys, length):

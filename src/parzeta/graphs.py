@@ -21,8 +21,7 @@ from .counting import (DEFAULT_BUDGET, check_cost, enumerate_points, join,
                        partial_count, partial_count_check)
 from .fields import field
 from .polys import MorphismSpec, SparsePoly, VarietySpec
-from .zeta import (ReconstructionResult, WeightReport, auto_reconstruct,
-                   weil_weight_check)
+from .zeta import Certificate, certify
 
 
 @dataclass(frozen=True)
@@ -123,35 +122,36 @@ def fibred_product_reduce(G: GraphSystem) -> VarietySpec:
 class GraphReport:
     direct_counts: tuple
     reduced_counts: tuple
-    passed: bool
-    reconstruction: ReconstructionResult
-    weight_report: WeightReport
+    passed: bool  # the direct and reduced counts agree
+    certificate: Certificate  # the fibred product's: the graph zeta
 
     def to_json_dict(self):
+        """The report of a certificate that has its weights."""
+        res = self.certificate.result
         return {
             "direct_counts": list(self.direct_counts),
             "reduced_counts": list(self.reduced_counts),
             "counts_agree": self.passed,
-            "zeta": self.reconstruction.function.to_json_dict(),
-            "B_used": self.reconstruction.B_used,
-            "weights": self.weight_report.to_json_dict(),
+            "zeta": res.function.to_json_dict(),
+            "B_used": res.B_used,
+            "weights": self.certificate.weights.to_json_dict(),
         }
 
 
 def reduction_check(G: GraphSystem, k_max: int, max_k: int = 12,
                     holdout: int = 3, tol: float = 1e-6,
                     budget: int = DEFAULT_BUDGET) -> GraphReport:
-    """Direct counts vs the reduction for k <= k_max, then the graph zeta.
-    Each level's tuples, then the fibred product's leaf, are checked
-    before its direct count builds a field."""
+    """Direct counts vs the reduction for k <= k_max, then the graph zeta
+    by `certify` on the fibred product, whatever its status.  Each level's
+    tuples, then the fibred product's leaf, are checked before its direct
+    count builds a field, so no reduced count at k <= k_max is refused."""
     if k_max < 1:
         raise ValueError("k_max must be positive")
     X = fibred_product_reduce(G)
     direct = tuple(graph_count_direct(G, k, budget=budget)
                    for k in range(1, k_max + 1))
-    res = auto_reconstruct(X, max_k, holdout=holdout, budget=budget)
-    reduced = res.counts[:k_max] + tuple(
+    cert = certify(X, max_k, holdout=holdout, budget=budget, tol=tol)
+    reduced = cert.counts[:k_max] + tuple(
         partial_count(X, k, budget=budget)
-        for k in range(len(res.counts) + 1, k_max + 1))
-    wr = weil_weight_check(res.function, G.p ** G.s, tol=tol)
-    return GraphReport(direct, reduced, direct == reduced, res, wr)
+        for k in range(len(cert.counts) + 1, k_max + 1))
+    return GraphReport(direct, reduced, direct == reduced, cert)

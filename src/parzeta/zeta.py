@@ -19,9 +19,10 @@ path; `reconstruct_counts`, the deepening over the number B of counts,
 builds one series per B and accepts a candidate only when it reproduces
 the held-out coefficients.  Run on P and P', `_euclid` gives gcd(P, P'),
 and P divided exactly by it is the squarefree part for the weight
-report.  No floating
-point enters the certification path; floats appear only in the
-numerical weight report.
+report.  `certify` is the one path from a variety to a status: the
+deepening over its partial counts, then the weight report.  No floating
+point enters the reconstruction; floats appear only in the numerical
+weight report.
 """
 
 from __future__ import annotations
@@ -53,18 +54,8 @@ class NonIntegerError(ReconstructionError):
     """
 
 
-class AutoReconstructError(ReconstructionError):
-    """No accepted candidate: ``status`` is the report status,
-    "budget-exceeded" or "no-acceptance", and ``counts`` the counts made."""
-
-    def __init__(self, message, counts, status: str):
-        super().__init__(message)
-        self.counts = tuple(counts)
-        self.status = status
-
-
 class RootFindingError(RuntimeError):
-    status = "root-finding-failed"  # the report status
+    """The weight report's Newton refinement did not converge."""
 
 
 @dataclass(frozen=True)
@@ -318,29 +309,6 @@ def _holds_out(R: RationalFunctionZ, S: TruncatedSeries, N: int) -> bool:
     return True
 
 
-def auto_reconstruct(X: VarietySpec, max_k: int, holdout: int = 3,
-                     budget: int = DEFAULT_BUDGET) -> ReconstructionResult:
-    """`reconstruct_counts` over the partial counts of X; AutoReconstructError
-    with the counts made when the budget runs out or nothing is accepted."""
-    counts = []
-
-    def count_at(k):
-        counts.append(partial_count(X, k, budget=budget))
-        return counts[-1]
-
-    try:
-        res = reconstruct_counts(count_at, max_k, holdout)
-    except BudgetExceededError as exc:
-        raise AutoReconstructError(
-            f"budget exhausted at k={len(counts) + 1} without acceptance",
-            counts, "budget-exceeded") from exc
-    if res is None:
-        raise AutoReconstructError(
-            f"no candidate accepted up to max_k={max_k}", counts,
-            "no-acceptance")
-    return res
-
-
 # ---------------------------------------------------------------------------
 # Weil weights
 # ---------------------------------------------------------------------------
@@ -468,6 +436,48 @@ def weil_weight_check(R: RationalFunctionZ, q: int, tol: float = 1e-6) -> Weight
 
 
 # ---------------------------------------------------------------------------
+# certification: reconstruct, then weigh
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Certificate:
+    """`certify`'s outcome: its status, the counts made, and the accepted
+    candidate and its weight report where it has them."""
+    status: str
+    counts: tuple  # N_1, N_2, ...
+    result: ReconstructionResult | None = None
+    weights: WeightReport | None = None
+
+
+def certify(X: VarietySpec, max_k: int, holdout: int = 3,
+            budget: int = DEFAULT_BUDGET, tol: float = 1e-6) -> Certificate:
+    """Z(T) of X by `reconstruct_counts` over its partial counts, then its
+    `weil_weight_check` at q = p^s; every outcome is a status, with the
+    counts made.  Nothing accepted is "budget-exceeded", when a count is
+    refused, or "no-acceptance"; weights that cannot be found are
+    "root-finding-failed"; else the weights give "ok" or
+    "weights-failed"."""
+    counts = []
+
+    def count_at(k):
+        counts.append(partial_count(X, k, budget=budget))
+        return counts[-1]
+
+    try:
+        res = reconstruct_counts(count_at, max_k, holdout)
+    except BudgetExceededError:
+        return Certificate("budget-exceeded", tuple(counts))
+    if res is None:
+        return Certificate("no-acceptance", tuple(counts))
+    try:
+        wr = weil_weight_check(res.function, X.p ** X.s, tol=tol)
+    except RootFindingError:
+        return Certificate("root-finding-failed", res.counts, res)
+    return Certificate("ok" if wr.passed else "weights-failed", res.counts,
+                       res, wr)
+
+
+# ---------------------------------------------------------------------------
 # degree sweep over profiles
 # ---------------------------------------------------------------------------
 
@@ -477,30 +487,22 @@ SWEEP_COLUMNS = ["profile", "lcm", "B_used", "deg_num", "deg_den",
 
 def degree_sweep(X: VarietySpec, profiles, max_k: int = 12, holdout: int = 3,
                  budget: int = DEFAULT_BUDGET, tol: float = 1e-6):
-    """One reconstruction per profile; failures become rows, not aborts,
-    a failed Weil weight check among them, as status "weights-failed"."""
+    """One `certify` per profile, one row each: its status, and the
+    candidate's and the weights' columns where it has them, else ""."""
     rows = []
     for profile in profiles:
         Xp = X.with_profile(profile)
-        row = {
-            "profile": " ".join(str(d) for d in profile),
-            "lcm": Xp.D,
-            "B_used": "", "deg_num": "", "deg_den": "",
-            "total_degree": "", "weights": "", "status": "ok",
-        }
-        try:
-            res = auto_reconstruct(Xp, max_k, holdout=holdout, budget=budget)
-            row.update({
-                "B_used": res.B_used,
-                "deg_num": len(res.function.num) - 1,
-                "deg_den": len(res.function.den) - 1,
-                "total_degree": res.function.total_degree(),
-            })
-            wr = weil_weight_check(res.function, Xp.p ** Xp.s, tol=tol)
-            row["weights"] = " ".join(str(w) for w in wr.weight_multiset())
-            row["status"] = "ok" if wr.passed else "weights-failed"
-        except (AutoReconstructError, RootFindingError) as exc:
-            row["status"] = exc.status
+        cert = certify(Xp, max_k, holdout=holdout, budget=budget, tol=tol)
+        row = dict.fromkeys(SWEEP_COLUMNS, "")
+        row.update(profile=" ".join(str(d) for d in profile), lcm=Xp.D,
+                   status=cert.status)
+        if cert.result is not None:
+            R = cert.result.function
+            row.update(B_used=cert.result.B_used, deg_num=len(R.num) - 1,
+                       deg_den=len(R.den) - 1, total_degree=R.total_degree())
+        if cert.weights is not None:
+            row["weights"] = " ".join(
+                str(w) for w in cert.weights.weight_multiset())
         rows.append(row)
     return rows
 

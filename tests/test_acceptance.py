@@ -22,8 +22,7 @@ from parzeta.counting import partial_count
 from parzeta.faltings import lemma_check
 from parzeta.graphs import graph_count_direct, reduction_check
 from parzeta.polys import base_field, parse_poly
-from parzeta.zeta import (auto_reconstruct, series_from_counts,
-                          weil_weight_check)
+from parzeta.zeta import certify, series_from_counts
 
 from test_engine import oracle_count
 from test_zeta import counts_of
@@ -70,8 +69,7 @@ def reconstructions():
     out = {}
     for name in RATIONALITY_CORPUS:
         X = variety(name)
-        out[name] = (X, auto_reconstruct(X, 12, holdout=3,
-                                         budget=PER_K_BUDGET))
+        out[name] = (X, certify(X, 12, holdout=3, budget=PER_K_BUDGET))
     return out
 
 
@@ -86,7 +84,8 @@ def graph_reports():
 
 def test_criterion_1_rationality(reconstructions):
     ok = len(reconstructions) >= 12
-    for name, (X, res) in reconstructions.items():
+    for name, (X, cert) in reconstructions.items():
+        res = cert.result
         fresh = [partial_count(X, k, budget=PER_K_BUDGET)
                  for k in (res.B_used + 1, res.B_used + 2)]
         predicted = counts_of(res.function, res.B_used + 2)[res.B_used:]
@@ -100,14 +99,14 @@ def test_criterion_2_closed_forms():
     diag = variety("diag11_f2")
     for profile in [(1, 1), (1, 2), (2, 3)]:
         X = diag.with_profile(profile)
-        res = auto_reconstruct(X, 12)
+        res = certify(X, 12).result
         if res.function.num != (1,) or res.function.den != (1, -2):
             ok = False
         oracle = [oracle_count(X, k) for k in (1, 2, 3)]
         if counts_of(res.function, 3) != oracle:
             ok = False
     hyp = variety("hyperbola11_f2")
-    res = auto_reconstruct(hyp, 12)
+    res = certify(hyp, 12).result
     if res.function.num != (1, -1) or res.function.den != (1, -2):
         ok = False
     if counts_of(res.function, 3) != [oracle_count(hyp, k)
@@ -133,26 +132,27 @@ def test_criterion_4_graph_reduction(graph_reports):
         for k in (1, 2, 3):
             if graph_count_direct(G, k) != rep.reduced_counts[k - 1]:
                 ok = False
-        if not (rep.passed and rep.weight_report.passed):
+        if not (rep.passed and rep.certificate.weights.passed):
             ok = False
     report("4 (graph zeta reduction)", ok)
 
 
 def test_criterion_5_weil_weights(reconstructions, graph_reports):
     ok = True
-    for name, (X, res) in reconstructions.items():
-        wr = weil_weight_check(res.function, X.p ** X.s, tol=1e-6)
+    for name, (X, cert) in reconstructions.items():
+        wr = cert.weights
         if not wr.passed or any(r.weight < 0 for r in wr.roots):
             ok = False
     for name, (G, rep) in graph_reports.items():
-        if not rep.weight_report.passed:
+        if not rep.certificate.weights.passed:
             ok = False
     report("5 (Weil weights)", ok)
 
 
 def test_criterion_6_integrality(reconstructions):
     ok = True
-    for name, (X, res) in reconstructions.items():
+    for name, (X, cert) in reconstructions.items():
+        res = cert.result
         S = series_from_counts(res.counts)
         if not all(z.denominator == 1 for z in S.coeffs):
             ok = False

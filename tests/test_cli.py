@@ -605,49 +605,80 @@ def test_faltings_listing_refused_though_x1_is_fixed(tmp_path, capsys,
     assert json.loads(out)["outputs"]["lemma"]["passed"] is True
 
 
-def test_zeta_root_finding_failure_exit_4(capsys, monkeypatch):
-    import parzeta.cli as cli
-    from parzeta.zeta import RootFindingError
-
-    def fail(*args, **kwargs):
-        raise RootFindingError("root refinement did not converge")
-
-    monkeypatch.setattr(cli, "weil_weight_check", fail)
-    code, rep = run_json(capsys, "zeta", str(CORPUS / "diag11_f2.json"))
-    assert code == 4
-    assert rep["outputs"]["status"] == "root-finding-failed"
-
-
-def _fail_root_finding(*args, **kwargs):
+def _fail_root_finding(R, q, tol):
     from parzeta.zeta import RootFindingError
     raise RootFindingError("root refinement did not converge")
-
-
-def test_graph_root_finding_failure_exit_4(capsys, monkeypatch):
-    import parzeta.graphs as graphs
-
-    monkeypatch.setattr(graphs, "weil_weight_check", _fail_root_finding)
-    code, rep = run_json(capsys, "graph",
-                         str(CORPUS / "g_selfloop_square.json"))
-    assert code == 4
-    assert rep["outputs"] == {"status": "root-finding-failed"}
-
-
-def test_sweep_root_finding_failure_is_a_row(capsys, monkeypatch):
-    import parzeta.zeta as zeta
-
-    monkeypatch.setattr(zeta, "weil_weight_check", _fail_root_finding)
-    code, rep = run_json(capsys, "sweep", str(CORPUS / "diag11_f2.json"),
-                         "1,1", "1,2")
-    assert code == 4
-    rows = rep["outputs"]["rows"]
-    assert [r["status"] for r in rows] == ["root-finding-failed"] * 2
-    assert [r["weights"] for r in rows] == ["", ""]
 
 
 def _fail_weights(R, q, tol):
     from parzeta.zeta import WeightReport
     return WeightReport(q, tol, (), False)
+
+
+# the subcommands that certify a zeta function, each with an instance it
+# accepts (and sweep's profiles); all of them reach the weight check
+# through zeta.certify alone, so one patch point serves them all
+CERTIFYING = {"zeta": ["diag11_f2"], "graph": ["g_selfloop_square"],
+              "sweep": ["diag11_f2", "1,1", "1,2"]}
+
+
+def _certifying(capsys, monkeypatch, sub, weight_check):
+    import parzeta.zeta as zeta
+
+    monkeypatch.setattr(zeta, "weil_weight_check", weight_check)
+    name, *profiles = CERTIFYING[sub]
+    return run_json(capsys, sub, str(CORPUS / f"{name}.json"), *profiles)
+
+
+@pytest.mark.parametrize("sub", CERTIFYING)
+def test_root_finding_failure_exit_4(capsys, monkeypatch, sub):
+    code, rep = _certifying(capsys, monkeypatch, sub, _fail_root_finding)
+    assert code == 4
+    out = rep["outputs"]
+    if sub == "zeta":
+        assert out["status"] == "root-finding-failed"
+        assert out["B_used"] == 4 and "weights" not in out
+        # the price of N_1..N_4, 4 + 16 + 64 + 256 tuples
+        assert rep["budget"]["consumed"] == 340
+    elif sub == "graph":
+        assert out == {"status": "root-finding-failed"}
+    else:
+        rows = out["rows"]
+        assert [r["status"] for r in rows] == ["root-finding-failed"] * 2
+        assert [r["weights"] for r in rows] == ["", ""]
+
+
+@pytest.mark.parametrize("sub", CERTIFYING)
+def test_failed_weight_check_exit_5(capsys, monkeypatch, sub):
+    code, rep = _certifying(capsys, monkeypatch, sub, _fail_weights)
+    assert code == 5
+    out = rep["outputs"]
+    if sub == "zeta":
+        assert out["status"] == "weights-failed"
+        assert out["weights"]["passed"] is False
+        assert out["zeta"]["denominator"] == [1, -2]
+    elif sub == "graph":
+        assert out["counts_agree"] is True
+        assert out["weights"]["passed"] is False
+        assert out["zeta"]["denominator"] == [1, -2, 1]
+    else:
+        assert [r["status"] for r in out["rows"]] == ["weights-failed"] * 2
+
+
+def test_every_certificate_status_has_an_exit_code(monkeypatch):
+    import parzeta.zeta as zeta
+    from parzeta.cli import EXIT_CODES
+
+    X = _loaded("diag11_f2", "variety")
+    statuses = {zeta.certify(X, 10).status,
+                zeta.certify(X, 10, budget=100).status,
+                zeta.certify(X, 4, holdout=4).status}
+    for weight_check in (_fail_weights, _fail_root_finding):
+        monkeypatch.setattr(zeta, "weil_weight_check", weight_check)
+        statuses.add(zeta.certify(X, 10).status)
+    assert statuses == set(EXIT_CODES) == {
+        "ok", "weights-failed", "root-finding-failed", "budget-exceeded",
+        "no-acceptance"}
 
 
 def test_sweep_failed_weight_check_exit_5(capsys, monkeypatch):

@@ -496,6 +496,16 @@ def test_listing_takes_one_degree_per_variable(count):
         enumerate_points([eq], amb, [amb.N] * count)
 
 
+def test_listing_refuses_equations_over_another_field():
+    # x1^2 + 1 over F_2 would be read over F_3 and list (1,) and (2,);
+    # x1 + g over F_9 would index g past F_3's table
+    amb = field(3, 1, 2)
+    for p, s, text in ((2, 1, "x1^2 + 1"), (3, 2, "x1 + g")):
+        eq = parse_poly(text, ["x1"], base_field(p, s))
+        with pytest.raises(ValueError, match="base field must be F_q"):
+            enumerate_points([eq], amb, [2])
+
+
 @pytest.mark.parametrize("text", ["x1 + x2", "1"])
 def test_listing_refuses_a_degree_not_dividing_n(text):
     # F_(2^4) is no subfield of F_(2^6), whether or not the equations

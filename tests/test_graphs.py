@@ -91,15 +91,15 @@ def test_reduction_counts_match_direct():
 def test_reduction_check_self_loop():
     rep = reduction_check(SELF_LOOP, 3)
     assert rep.passed
-    assert rep.reconstruction.function.num == (1,)
-    assert rep.reconstruction.function.den == (1, -2, 1)
-    assert rep.weight_report.passed
+    assert rep.certificate.result.function.num == (1,)
+    assert rep.certificate.result.function.den == (1, -2, 1)
+    assert rep.certificate.weights.passed
 
 
 def test_reduction_check_cycle():
     rep = reduction_check(CYCLE3, 3)
     assert rep.passed
-    assert rep.reconstruction.function.den == (1, -2, 1)
+    assert rep.certificate.result.function.den == (1, -2, 1)
 
 
 def test_report_json():
@@ -158,6 +158,6 @@ def test_reduction_check_counts_each_level_once(monkeypatch):
     monkeypatch.setattr(graphs, "partial_count", spy)
     monkeypatch.setattr(zeta, "partial_count", spy)
     rep = reduction_check(G, 6)
-    assert rep.reconstruction.B_used == 4
+    assert rep.certificate.result.B_used == 4
     assert levels == [1, 2, 3, 4, 5, 6]
     assert rep.passed and rep.reduced_counts == rep.direct_counts

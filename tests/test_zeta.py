@@ -10,11 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from parzeta.fields import _trim
 from parzeta.polys import VarietySpec, base_field, parse_poly
-from parzeta.zeta import (AutoReconstructError, NoSolutionError,
-                          RationalFunctionZ, TruncatedSeries,
-                          auto_reconstruct, degree_sweep, pade_reconstruct,
-                          reconstruct_counts, series_from_counts,
-                          sweep_rows_to_csv, weil_weight_check)
+from parzeta.zeta import (NoSolutionError, RationalFunctionZ,
+                          TruncatedSeries, certify, degree_sweep,
+                          pade_reconstruct, reconstruct_counts,
+                          series_from_counts, sweep_rows_to_csv,
+                          weil_weight_check)
 from parzeta import zeta
 from parzeta.zeta import (NonIntegerError, ReconstructionError, RootFindingError,
                           _denominator, _euclid, _euclid_step, _reciprocal_roots,
@@ -145,50 +145,82 @@ def test_pade_recovers_random_rational(num_tail, den_tail):
     assert R.expand(dn + dd + 2) == R0.expand(dn + dd + 2)
 
 
+# certify's reconstruction: these tests keep the names they had when it
+# was auto_reconstruct
+
 def test_auto_reconstruct_diagonal():
     X = V(2, 1, 2, ["x1 + x2"], (1, 1))
-    res = auto_reconstruct(X, 10)
-    assert res.function.num == (1,)
-    assert res.function.den == (1, -2)
+    cert = certify(X, 10)
+    assert cert.status == "ok"
+    assert cert.result.function.num == (1,)
+    assert cert.result.function.den == (1, -2)
 
 
 def test_auto_reconstruct_hyperbola():
     X = V(2, 1, 2, ["x1*x2 + 1"], (1, 1))
-    res = auto_reconstruct(X, 10)
-    assert res.function.num == (1, -1)
-    assert res.function.den == (1, -2)
+    cert = certify(X, 10)
+    assert cert.status == "ok"
+    assert cert.result.function.num == (1, -1)
+    assert cert.result.function.den == (1, -2)
 
 
 def test_auto_reconstruct_reports_budget():
     X = V(2, 1, 3, [], (1, 1, 1))
-    with pytest.raises(AutoReconstructError) as exc:
-        auto_reconstruct(X, 10, budget=600)
-    assert exc.value.status == "budget-exceeded"
-    assert exc.value.counts == (8, 64, 512)
+    cert = certify(X, 10, budget=600)
+    assert cert.status == "budget-exceeded"
+    assert cert.counts == (8, 64, 512)
+    assert cert.result is None and cert.weights is None
 
 
 def test_auto_reconstruct_truncated_counts():
     # N_k = 4^k; with 4 held out nothing fits N_1..N_4, and N_5 would
     # cost 1024 tuples
     X = V(2, 1, 2, [], (1, 1))
-    with pytest.raises(AutoReconstructError) as exc:
-        auto_reconstruct(X, 6, holdout=4, budget=300)
-    assert exc.value.status == "budget-exceeded"
-    assert exc.value.counts == (4, 16, 64, 256)
+    cert = certify(X, 6, holdout=4, budget=300)
+    assert cert.status == "budget-exceeded"
+    assert cert.counts == (4, 16, 64, 256)
 
 
 def test_auto_reconstruct_counts_through_max_k():
     X = V(2, 1, 2, ["x1 + x2"], (1, 1))
-    with pytest.raises(AutoReconstructError) as exc:
-        auto_reconstruct(X, 4, holdout=4)
-    assert exc.value.status == "no-acceptance"
-    assert exc.value.counts == (2, 4, 8, 16)
+    cert = certify(X, 4, holdout=4)
+    assert cert.status == "no-acceptance"
+    assert cert.counts == (2, 4, 8, 16)
+    assert cert.result is None and cert.weights is None
+
+
+def test_certify_weighs_the_accepted_candidate():
+    X = V(2, 1, 2, ["x1*x2 + 1"], (1, 1))
+    cert = certify(X, 10)
+    assert cert.counts == cert.result.counts == (1, 3, 7, 15, 31)
+    assert cert.weights == weil_weight_check(cert.result.function, 2)
+    assert cert.weights.weight_multiset() == [0, 2]
+
+
+def test_certify_names_a_failed_weight_check(monkeypatch):
+    monkeypatch.setattr(zeta, "weil_weight_check",
+                        lambda R, q, tol: zeta.WeightReport(q, tol, (), False))
+    cert = certify(V(2, 1, 2, ["x1 + x2"], (1, 1)), 10)
+    assert cert.status == "weights-failed"
+    assert cert.result.function.den == (1, -2)
+    assert not cert.weights.passed
+
+
+def test_certify_names_a_root_finding_failure(monkeypatch):
+    def fail(R, q, tol):
+        raise RootFindingError("root refinement did not converge")
+
+    monkeypatch.setattr(zeta, "weil_weight_check", fail)
+    cert = certify(V(2, 1, 2, ["x1 + x2"], (1, 1)), 10)
+    assert cert.status == "root-finding-failed"
+    assert cert.counts == cert.result.counts
+    assert cert.weights is None
 
 
 def test_reconstructed_counts_match_fresh_enumeration():
     from parzeta.counting import partial_count
     X = V(2, 1, 2, ["x1*x2"], (1, 1))
-    res = auto_reconstruct(X, 12)
+    res = certify(X, 12).result
     fresh = [partial_count(X, k) for k in range(res.B_used + 1,
                                                 res.B_used + 3)]
     assert counts_of(res.function, res.B_used + 2)[res.B_used:] == fresh
@@ -1328,10 +1360,9 @@ def test_reconstruct_counts_fetches_counts_below_holdout():
     assert reconstruct_counts(count_at, 2, holdout=3) is None
     assert calls == [1, 2]
     X = V(2, 1, 2, ["x1 + x2"], (1, 1))
-    with pytest.raises(AutoReconstructError) as exc:
-        auto_reconstruct(X, 2)
-    assert exc.value.status == "no-acceptance"
-    assert exc.value.counts == (2, 4)
+    cert = certify(X, 2)
+    assert cert.status == "no-acceptance"
+    assert cert.counts == (2, 4)
 
 
 def test_reconstruct_counts_calls_once_per_k_in_order():
