@@ -50,7 +50,9 @@ does not depend on the reduction, and its cost is always ``budget + 1``.
   x^Q - x are the elements of F_Q, each simple; Lidl-Niederreiter,
   *Finite Fields*, ch. 3): a linear polynomial's root by Horner on the
   others, then Frobenius descent of the gcd to coefficients in F_Q, a
-  closed form for a quadratic, and x^Q mod g only for a larger gcd.
+  root at zero split off, closed forms for a binomial, a quadratic and a
+  cubic with a repeated or lone root, and x^Q mod g only for a cubic with
+  0 or 3 roots or another gcd of degree >= 3.
   That degree is the same over any field holding the coefficients
   (Rabin, "Probabilistic algorithms in finite fields", 1980), so the
   search runs over the count field, the smallest field holding the bound

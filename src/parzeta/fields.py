@@ -71,15 +71,20 @@ F_{q^e} as deg gcd(f_1, ..., f_r, x^(q^e) - x).  ``count_roots`` gets
 that degree by algebra first: a linear polynomial's root r counts when
 r^Q = r and the others vanish at it; otherwise the gcd g of them all
 descends to gcd(g, g^sigma), g^sigma its coefficients raised to the Q-th
-power, until its coefficients lie in F_Q; a g with g' = 0, a p-th power,
-is replaced by its p-th root; a quadratic is then counted by a closed
-form (the discriminant's quadratic character for odd p, the absolute
-trace of c/b^2 for p = 2), and only a g of degree >= 3 reduces x^Q mod
-g.  The gcd's remainders are left unnormalised, each divided by one
-inverse of its divisor's leading coefficient, and only the last is made
-monic.  The counting engine counts its last variable with it, and
-``is_irreducible`` runs Rabin's test with it over F_p = field(p, 1, 1),
-whose packed ints are the digits.
+power, until its coefficients lie in F_Q; a root at zero is split off,
+g = x^j h; an h with h' = 0, a p-th power, is replaced by its p-th
+root; and h is counted by a closed form where its shape has one: a binomial
+x^d + c by one power in the cyclic F_Q^*, a quadratic by the
+discriminant's quadratic character for odd p or the absolute trace of
+c/b^2 for p = 2, and a cubic with a repeated root, or with one root, by
+its discriminant (Stickelberger's parity for odd p, Berlekamp's trace
+for p = 2).  Only a cubic with 0 or 3 roots and the other shapes of
+degree >= 3 reduce x^Q mod g.  The gcd's remainders are left
+unnormalised, each divided by one inverse of its divisor's leading
+coefficient, and only the last is made monic.  The counting engine
+counts its last variable with it.  ``is_irreducible`` runs Rabin's test
+over F_p = field(p, 1, 1), whose packed ints are the digits, on one
+chain x^(p^j) mod f.
 """
 
 from __future__ import annotations
@@ -87,6 +92,7 @@ from __future__ import annotations
 from array import array
 from functools import lru_cache
 from itertools import product
+from math import gcd
 from operator import pos, xor
 
 import numpy as np
@@ -217,23 +223,36 @@ def count_roots(polys, F: Field, e: int) -> int:
       g^sigma its coefficients raised to the Q-th power, a root of g in
       F_Q is a root of g^sigma, so g becomes gcd(g, g^sigma) until
       g^sigma = g, which puts its coefficients in F_Q;
+    - a root at zero: g = x^j h with h(0) != 0 has h's roots and 0, and
+      g becomes h for the rules below;
     - p-th roots: a g of degree >= 3 with g' = 0 is h^p, h's coefficients
       the p-th roots of g's, which lie in F_Q too, and h has g's roots, so
       g becomes h while g' = 0;
-    - a quadratic x^2 + bx + c with b, c in F_Q by a closed form: for odd
-      p, 1 root if the discriminant D = b^2 - 4c is 0, else 2 if
-      D^((Q-1)/2) = 1, else 0; for p = 2, 1 root if b = 0, else 2 if the
-      absolute trace of c/b^2 is 0 (x = by gives y^2 + y = c/b^2), else 0;
-    - a larger g is reduced with x^Q mod g.
+    - a quadratic x^2 + bx + c: for odd p, 1 root if the discriminant
+      D = b^2 - 4c is 0, else 2 if D^((Q-1)/2) = 1, else 0; for p = 2, 1
+      root if b = 0, else 2 if the absolute trace of c/b^2 is 0 (x = by
+      gives y^2 + y = c/b^2), else 0;
+    - a binomial x^d + c of degree d >= 3: F_Q^* is cyclic, so x^d = -c
+      has k = gcd(d, Q - 1) roots if (-c)^((Q-1)/k) = 1, else none;
+    - a cubic x^3 + ax^2 + bx + c of discriminant D: if D = 0, Frobenius
+      fixes its repeated root and so the third, 1 root when a^2 = 3b (a
+      triple root) else 2; for odd p, 1 root if D is not a square, since
+      the number of irreducible factors of a squarefree g is congruent to
+      deg g mod 2 iff D is a square (Stickelberger; Swan, Pacific J.
+      Math. 12, 1962); for p = 2, y = x + a gives y^3 + beta y + gamma,
+      D = gamma^2, a binomial when beta = 0, else 1 root iff the absolute
+      trace of beta^3/gamma^2 + 1 is 1 (Berlekamp, J. Algebra 38, 1976);
+    - any other g, a cubic with 0 or 3 roots among them, is reduced with
+      x^Q mod g.
 
     These identities hold in the algebraic closure, so F_Q need not lie
     in F; the descent then stops at coefficients in F_Q inside F, its
     subfield F_{q^gcd(e, N)}.  When N divides e, F_Q holds F, every
     element of F is its own Q-th power, and neither the descent nor the
-    linear root's test r^Q = r is run.  ``is_irreducible`` counts over F_p with
-    e > 1, and ``partial_count`` over the smallest field holding its bound
-    values, with e past N when the counted variable's subfield is larger
-    than theirs.  No element of F_{q^e} is listed.
+    linear root's test r^Q = r is run.  ``partial_count`` counts over the
+    smallest field holding its bound values, with e past N when the
+    counted variable's subfield is larger than theirs.  No element of
+    F_{q^e} is listed.
     """
     polys = [f for f in polys if f]
     if not polys:
@@ -267,27 +286,84 @@ def count_roots(polys, F: Field, e: int) -> int:
         g = _gcd(g, h, F)
         if len(g) == 1:
             return 0
+    if g[0]:
+        return _unit_roots(g, F, e)
+    # a root at zero: g = x^j h with h(0) != 0 has h's roots and 0
+    j = 1
+    while not g[j]:
+        j += 1
+    return 1 + _unit_roots(g[j:], F, e)
+
+
+def _trace(x, F: Field, e: int):
+    """The absolute trace of x in F_Q, Q = 2^(se), p = 2: 0 or 1."""
+    add, mul = F.add, F.mul
+    t = x
+    for _ in range(F.s * e - 1):
+        x = mul(x, x)
+        t = add(t, x)
+    return t
+
+
+def _power_roots(d: int, c, F: Field, Q: int) -> int:
+    """The roots in F_Q of x^d = c, c != 0: F_Q^* is cyclic, so there are
+    k = gcd(d, Q - 1) of them if c^((Q-1)/k) = 1, else none."""
+    k = gcd(d, Q - 1)
+    return k if F.pow(c, (Q - 1) // k) == F._one else 0
+
+
+def _unit_roots(g, F: Field, e: int) -> int:
+    """The roots in F_Q, Q = q^e, of a monic g over F_Q with g(0) != 0,
+    by the closed forms of ``count_roots``, else by x^Q mod g."""
     p = F.p
     while len(g) > 3 and not any(g[i] for i in range(1, len(g)) if i % p):
         g = [F.pow(c, p ** (F.m - 1)) for c in g[::p]]
-    if len(g) == 2:
-        return 1
-    if len(g) == 3:
-        c, b = g[0], g[1]
+    n = len(g) - 1
+    if n < 2:
+        return n
+    mul, one = F.mul, F._one
+    c, b = g[0], g[1]
+    if n == 2:
         if p == 2:
             if not b:
                 return 1
-            a = t = mul(c, F.inv(mul(b, b)))
-            for _ in range(F.s * e - 1):
-                a = mul(a, a)
-                t = add(t, a)
-            return 0 if t else 2
-        disc = F.sub(mul(b, b), mul(4 % p * F._one, c))
+            # x = by gives y^2 + y = c/b^2
+            return 0 if _trace(mul(c, F.inv(mul(b, b))), F, e) else 2
+        # y = 2x + b gives y^2 = b^2 - 4c
+        disc = F.sub(mul(b, b), mul(4 % p * one, c))
+        return _power_roots(2, disc, F, F.q ** e) if disc else 1
+    add, Q = F.add, F.q ** e
+    if not any(g[1:-1]):
+        return _power_roots(n, F.neg(c), F, Q)
+    if n == 3:
+        a = g[2]
+        if p == 2:
+            # y = x + a gives y^3 + beta y + gamma, of discriminant gamma^2
+            beta, gamma = add(mul(a, a), b), add(mul(a, b), c)
+            disc = gamma
+        else:
+            aa, bb = mul(a, a), mul(b, b)
+            disc = F.sub(
+                add(mul(aa, bb), mul(18 % p * one, mul(mul(a, b), c))),
+                add(mul(4 % p * one, add(mul(bb, b), mul(mul(aa, a), c))),
+                    mul(27 % p * one, mul(c, c))))
         if not disc:
+            # Frobenius fixes a repeated root, and so the third: one
+            # triple root when a^2 = 3b, else two
+            return 1 if mul(a, a) == mul(3 % p * one, b) else 2
+        if p != 2:
+            # Stickelberger: g has an even number of irreducible factors,
+            # so one root, iff its discriminant is not a square
+            if not _power_roots(2, disc, F, Q):
+                return 1
+        elif not beta:
+            return _power_roots(3, gamma, F, Q)
+        elif _trace(add(mul(mul(beta, mul(beta, beta)),
+                            F.inv(mul(gamma, gamma))), one), F, e):
+            # Berlekamp: one root iff Tr(beta^3/gamma^2 + 1) = 1
             return 1
-        return 2 if F.pow(disc, (F.q ** e - 1) // 2) == F._one else 0
-    h = _x_power(F.q ** e, g, F)
-    h[1] = F.sub(h[1], F._one)
+    h = _x_power(Q, g, F)
+    h[1] = F.sub(h[1], one)
     _trim(h)
     return len(_gcd(g, h, F)) - 1
 
@@ -296,10 +372,14 @@ def is_irreducible(coeffs, p: int) -> bool:
     """Monic polynomial irreducibility over F_p, by Rabin's test.
 
     The coefficients are packed ints of F_p = field(p, 1, 1), the digits
-    themselves.  A monic f of degree m >= 2 is irreducible iff it has m
-    roots in F_{p^m}, so that it is squarefree with factors of degrees
-    dividing m, and none in F_p or in F_{p^(m/r)} for a prime r | m,
-    which rules out every such degree below m.
+    themselves.  A monic f of degree m >= 2 with f(0) != 0 is irreducible
+    iff x^(p^m) = x mod f, so that it is squarefree with factors of
+    degrees dividing m, and gcd(f, x^(p^j) - x) = 1 for j = m/r, r a
+    prime dividing m, which rules out every such degree below m (Rabin,
+    "Probabilistic algorithms in finite fields", 1980); j = 1, no root in
+    F_p, is tested first.  One chain h_j = x^(p^j) mod f, j = 1..m, serves
+    every j: over F_p, h(x)^p = h(x^p), so h_(j+1) is h_j times the matrix
+    of rows x^(ip) mod f, built once, one numpy product a step.
     """
     f = _trim(list(coeffs))
     m = len(f) - 1
@@ -307,10 +387,54 @@ def is_irreducible(coeffs, p: int) -> bool:
         return False
     if m == 1:
         return True
+    if not f[0]:
+        return False
     Fp = field(p, 1, 1)
-    below = sorted({1} | {m // r for r in _prime_factors(m)})
-    return (not any(count_roots([f], Fp, e) for e in below)
-            and count_roots([f], Fp, m) == m)
+    # int64 holds every sum below when m p^2 < 2^63
+    dtype = np.int64 if m * p * p < 1 << 63 else object
+    fold = [np.array([-c % p for c in f[:-1]], dtype)]  # x^(m+k) mod f
+    for _ in range(m - 2):
+        r = fold[-1]
+        fold.append((np.concatenate(([0], r[:-1])) + r[-1] * fold[0]) % p)
+    fold = np.array(fold, dtype)
+
+    def times(a, b):
+        # a b mod f, for a of m coefficients and b != 0
+        c = np.convolve(a, np.trim_zeros(b, "b")) % p
+        return (c[:m] + c[m:] @ fold[:len(c) - m]) % p
+
+    def coprime(h):
+        # gcd(f, h - x) = 1
+        d = h.tolist()
+        d[1] = (d[1] - 1) % p
+        return bool(_trim(d)) and len(_gcd(f, d, Fp)) == 1
+
+    x = np.zeros(m, dtype)
+    x[1] = 1
+    h = x
+    for bit in bin(p)[3:]:
+        h = times(h, h)
+        if bit == "1":
+            h = times(h, x)
+    if not coprime(h):
+        return False
+    # x^(ip) is a monomial for i < lo, and rows[i - lo] = x^(ip) mod f
+    lo = -(-m // p)
+    r = np.zeros(m, dtype)
+    r[(lo - 1) * p] = 1
+    rows = []
+    for _ in range(lo, m):
+        r = times(r, h)
+        rows.append(r)
+    rows = np.array(rows, dtype)
+    below = {m // r for r in _prime_factors(m)}
+    for j in range(2, m + 1):
+        step = h[lo:] @ rows
+        step[::p] += h[:lo]
+        h = step % p
+        if j in below and not coprime(h):
+            return False
+    return h.tolist() == x.tolist()
 
 
 @lru_cache(maxsize=None)

@@ -7,8 +7,9 @@ Frobenius-filtered subfields with ``SparsePoly.evaluate``, hold
 ``count_roots`` to a scan of the subfield it counts in, computed with
 ``test_packed_fields``' dense schoolbook reference, or, where F_{q^e}
 lies outside its field, as it does for ``partial_count``'s counted
-variable, to a scan of F_{q^e} itself, and its linear,
-descent and quadratic routes to the gcd with x^Q - x by x^Q mod g, and
+variable, to a scan of F_{q^e} itself, and its linear, descent,
+root-at-zero, binomial, quadratic and cubic routes to the gcd with
+x^Q - x by x^Q mod g, and
 hold ``join`` to a filter over the product of its blocks.  Both listings
 are held to a filter over the product of their domains, and their
 budgets to the node count of the search over every value of x_1:
@@ -607,6 +608,20 @@ def test_root_count_repeated_and_outside_roots(p, s, N, e):
         assert scan_count(F, e, [poly]) == want
 
 
+@pytest.mark.parametrize("p, s, N, e", [(2, 1, 3, 1), (2, 1, 6, 2),
+                                        (2, 2, 3, 1), (3, 1, 3, 1),
+                                        (3, 2, 3, 1), (5, 1, 3, 1)])
+def test_every_cubic_over_a_small_field_matches_scan(p, s, N, e):
+    # every monic cubic over F_Q, Q = q^e, so every branch of the cubic's
+    # closed forms is taken, p = 2's binomial y^3 = gamma in y = x + a and
+    # its root at zero included
+    F = field(p, s, N)
+    sub = F.subfield(e, method="span")
+    for c, b, a in product(sub, repeat=3):
+        poly = [c, b, a, ref_one(F)]
+        assert count_roots([poly], F, e) == scan_count(F, e, [poly])
+
+
 @st.composite
 def pth_power_problems(draw):
     """(F, e, polys, h): polys[0] = h^(p^j), j = 1, or 2 for p < 5, h of
@@ -682,32 +697,62 @@ def packed_product(a, b, F):
 ROUTE_FIELDS = [(2, 1, 2, 1), (2, 1, 6, 3), (2, 2, 2, 1), (2, 2, 4, 2),
                 (3, 1, 4, 2), (3, 2, 2, 1), (5, 1, 2, 1), (2, 1, 22, 11),
                 (3, 1, 14, 7)]
+# N = 3e, so F holds F_{Q^3}, and a cubic irreducible over F_Q is
+# (x - z)(x - z^Q)(x - z^(Q^2)) for z outside F_Q; the last ambient field
+# lies above TABLE_CAP
+CUBIC_FIELDS = [(2, 1, 3, 1), (2, 1, 6, 2), (2, 2, 3, 1), (3, 1, 3, 1),
+                (3, 2, 3, 1), (5, 1, 3, 1), (2, 1, 21, 7)]
 
 
 @st.composite
 def route_problems(draw):
-    """(F, e, polys, want): packed coefficient lists for one route of
-    ``count_roots``, with the count when the draw fixes it, else None."""
+    """(F, e, polys, want, reductions): packed coefficient lists for one
+    route of ``count_roots``, with the count when the draw fixes it, else
+    None, and the number of x^Q mod g reductions the route makes, or None
+    where it is not fixed."""
     kind = draw(st.sampled_from(("double", "split", "irreducible",
-                                 "descent", "linear", "prime field")))
+                                 "descent", "linear", "prime field",
+                                 "zero root", "binomial", "cubic")))
     if kind == "prime field":
-        # F_Q lies outside F = F_p, as in Rabin's test
+        # F_Q lies outside F = F_p
         p, e = draw(st.sampled_from((2, 3, 5))), draw(st.integers(2, 6))
         F = field(p, 1, 1)
         coeff = st.integers(0, p - 1)
         polys = [draw(st.lists(coeff, min_size=2, max_size=6))
                  for _ in range(draw(st.integers(1, 3)))]
-        return F, e, [_trim(f) for f in polys], None
-    p, s, N, e = draw(st.sampled_from(ROUTE_FIELDS))
+        return F, e, [_trim(f) for f in polys], None, None
+    fields_ = ROUTE_FIELDS + CUBIC_FIELDS if kind == "cubic" else ROUTE_FIELDS
+    p, s, N, e = draw(st.sampled_from(fields_))
     F = field(p, s, N)
+    Q = F.q ** e
     sub = F.subfield(e, method="span")
     inside = st.sampled_from(sub)
+    nonzero = st.sampled_from(sub[1:])
     outside = st.integers(1, F.size() - 1).filter(
         lambda v: not F.in_subfield(v, e))
     unit = st.integers(1, F.size() - 1)
 
     def linear(root):
         return [F.neg(root), F._one]
+
+    def times(roots):
+        poly = [F._one]
+        for r in roots:
+            poly = packed_product(poly, linear(r), F)
+        return poly
+
+    def binomial():
+        # x^d - c, c = y^d a gcd(d, Q - 1)-th power or any c in F_Q^*, with
+        # d small, a multiple of p, or past Q; the count by a scan of F_Q^*
+        ds = list(range(3, 10)) + [p * t for t in range(2, 5)]
+        if Q <= 16:
+            ds += [Q + t for t in range(1, Q + 1)]
+        d = draw(st.sampled_from(ds))
+        c = draw(nonzero)
+        if draw(st.booleans()):
+            c = F.pow(c, d)
+        return ([F.neg(c)] + [0] * (d - 1) + [F._one],
+                sum(1 for y in sub[1:] if F.pow(y, d) == c))
 
     lead = [draw(unit)]
     if kind in ("double", "split", "irreducible"):
@@ -719,21 +764,70 @@ def route_problems(draw):
         else:
             z = draw(outside)
             roots, want = (z, F.frob(z, e)), 0
-        poly = packed_product(lead, packed_product(linear(roots[0]),
-                                                   linear(roots[1]), F), F)
-        return F, e, [poly], want
+        return F, e, [packed_product(lead, times(roots), F)], want, 0
+    if kind == "binomial":
+        poly, want = binomial()
+        return F, e, [packed_product(lead, poly, F)], want, 0
+    if kind == "zero root":
+        # x^j h, h(0) != 0 a binomial or a product of at most two linear
+        # factors, one of them maybe with its root outside F_Q
+        j = draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            h, want = binomial()
+        else:
+            roots = draw(st.lists(nonzero, max_size=2))
+            h, want = times(roots), len(set(roots))
+            if draw(st.booleans()):
+                h = packed_product(h, linear(draw(outside)), F)
+        poly = packed_product(lead, [0] * j + h, F)
+        return F, e, [poly], 1 + want, 0
+    if kind == "cubic":
+        # three roots in F_Q, one and an irreducible quadratic's two, an
+        # irreducible cubic's three, a double root and a triple root
+        shapes = ["double root", "triple root"]
+        if Q >= 4:
+            shapes.append("three roots")
+        if N // e % 2 == 0:
+            shapes.append("one root")
+        if N // e % 3 == 0:
+            shapes.append("no root")
+        shape = draw(st.sampled_from(shapes))
+        # three roots are nonzero, so that no root at zero is split off
+        a = draw(nonzero if shape == "three roots" else inside)
+        if shape == "three roots":
+            b = draw(nonzero.filter(lambda v: v != a))
+            c = draw(nonzero.filter(lambda v: v not in (a, b)))
+            roots, want, reductions = (a, b, c), 3, 1
+        elif shape == "one root":
+            z = draw(outside)
+            roots, want, reductions = (a, z, F.frob(z, e)), 1, 0
+        elif shape == "no root":
+            z = draw(outside)
+            roots = (z, F.frob(z, e), F.frob(z, 2 * e))
+            want, reductions = 0, 1
+        elif shape == "double root":
+            b = draw(inside.filter(lambda v: v != a))
+            roots, want, reductions = (a, a, b), 2, 0
+        else:
+            roots, want, reductions = (a, a, a), 1, 0
+        poly = times(roots)
+        a2, b1 = F.mul(poly[2], poly[2]), poly[1]
+        if not any(poly[1:-1]) or p == 2 and a2 == b1:
+            # x^3 = c, or for p = 2 (x + a)^3 = c: a binomial, counted by
+            # one power
+            reductions = 0
+        return F, e, [packed_product(lead, poly, F)], want, reductions
     pool = st.one_of(inside, outside)
     if kind == "descent":
         # a root outside F_Q puts coefficients outside it; the count is
         # that of the distinct roots inside
         roots = draw(st.lists(inside, max_size=2))
-        poly = lead
-        for r in roots + draw(st.lists(outside, min_size=1, max_size=2)):
-            poly = packed_product(poly, linear(r), F)
+        poly = packed_product(lead, times(
+            roots + draw(st.lists(outside, min_size=1, max_size=2))), F)
         polys = [poly]
         if draw(st.booleans()):
             polys.append(packed_product(poly, linear(draw(pool)), F))
-        return F, e, polys, len(set(roots))
+        return F, e, polys, len(set(roots)), None
     # a linear polynomial and others, each zero at its root or not
     r = draw(pool)
     polys = [packed_product(lead, linear(r), F)]
@@ -743,17 +837,24 @@ def route_problems(draw):
         if draw(st.booleans()):
             poly = packed_product(poly or [F._one], linear(r), F)
         polys.append(poly)
-    return F, e, polys, None
+    return F, e, polys, None, 0
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(route_problems())
 def test_root_count_routes_match_gcd_with_x_power(problem):
-    F, e, polys, want = problem
-    got = count_roots([list(f) for f in polys], F, e)
+    # each route agrees with x^Q mod g and with the count its draw fixes,
+    # and only a cubic with 0 or 3 roots, among the closed forms' shapes,
+    # reduces x^Q, once
+    F, e, polys, want, reductions = problem
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _x_power_calls(mp)
+        got = count_roots([list(f) for f in polys], F, e)
     assert got == gcd_route_count(polys, F, e)
     if want is not None:
         assert got == want
+    if reductions is not None:
+        assert len(calls) == reductions
 
 
 def _x_power_calls(monkeypatch):
@@ -779,13 +880,25 @@ def test_quadratic_leaves_never_reduce_x_to_the_q(monkeypatch):
     assert calls == []
 
 
-def test_cubic_leaves_still_reduce_x_to_the_q(monkeypatch):
+def test_binomial_leaves_never_reduce_x_to_the_q(monkeypatch):
     X, _, _ = load_instance(str(CORPUS / "mu3_d2_f2.json"), "variety")
     want = [oracle_count(X, k) for k in range(1, 4)]
     calls = _x_power_calls(monkeypatch)
-    # x1 is the only variable: each level has one leaf, the cubic x1^3 + 1
+    # x1 is the only variable: each level has one leaf, the binomial
+    # x1^3 + 1, counted by one power
     assert [partial_count(X, k) for k in range(1, 4)] == want
-    assert len(calls) == 3
+    assert calls == []
+
+
+def test_cubic_leaves_still_reduce_x_to_the_q(monkeypatch):
+    X = V(2, 1, 1, ["x1^3 + x1 + 1"], (1,))
+    want = [oracle_count(X, k) for k in (2, 3)]
+    calls = _x_power_calls(monkeypatch)
+    # the leaf x1^3 + x1 + 1 is irreducible over F_4 and splits over F_8:
+    # 0 and 3 roots, each level one x^Q mod g (at k = 1 the exponents
+    # reduce mod Q - 1 = 1, and the leaf is the constant 1)
+    assert [partial_count(X, k) for k in (2, 3)] == want == [0, 3]
+    assert len(calls) == 2
 
 
 def test_high_degree_leaf_refused_by_its_x_power_cost(monkeypatch):

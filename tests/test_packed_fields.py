@@ -12,6 +12,7 @@ take the reference on packed ints, ``ref_one``, ``ref_add``, ``ref_neg``,
 ``Field``'s.
 """
 
+import random
 from array import array
 from itertools import product
 
@@ -271,6 +272,18 @@ def test_is_irreducible_matches_trial_division(p, top):
             f = list(tail) + [1]
             trial = all(_poly_mod(f, g, p) for g in divisors)
             assert is_irreducible(f, p) == trial, f
+
+
+@pytest.mark.parametrize("p", [46309, 2 ** 31 - 1])
+def test_is_irreducible_on_cubics_over_a_large_prime(p):
+    # p = 1 mod 3, so (x + t)^3 - c is irreducible iff c is not a cube,
+    # decided by Python's pow; at p = 2^31 - 1, 3 p^2 passes 2^63 and the
+    # Frobenius chain runs on Python ints in place of int64
+    rng = random.Random(p)
+    for _ in range(12):
+        c, t = rng.randrange(1, p), rng.randrange(p)
+        f = [(t ** 3 - c) % p, 3 * t * t % p, 3 * t % p, 1]
+        assert is_irreducible(f, p) == (pow(c, (p - 1) // 3, p) != 1)
 
 
 def test_filter_oracle_never_uses_the_frobenius_matrix(monkeypatch):
