@@ -7,7 +7,7 @@ from .counting import BudgetExceededError, DEFAULT_BUDGET, partial_count
 from .zeta import (Certificate, NoSolutionError, NonIntegerError,
                    RationalFunctionZ, ReconstructionError,
                    ReconstructionResult, RootFindingError, TruncatedSeries,
-                   WeightReport, certify, degree_sweep, pade_reconstruct,
+                   WeightReport, certify, pade_reconstruct,
                    reconstruct_counts, series_from_counts, weil_weight_check)
 from .faltings import LemmaReport, lemma_check
 from .graphs import (GraphEdge, GraphReport, GraphSystem, GraphVertex,

@@ -178,22 +178,6 @@ class BoundReport:
     hypothesis_ok: bool
     satisfied: bool
 
-    def to_json_dict(self):
-        return {
-            "p": self.instance.p, "q": self.instance.q,
-            "n": self.instance.n, "n_prime": self.instance.nprime,
-            "d": self.instance.d, "r": self.r,
-            "N_d": self.N_d,
-            "main_term": str(self.main_term),
-            "deviation": str(self.deviation),
-            "bound_squared": str(self.bound_squared),
-            "bound_decimal": repr(self.bound_decimal),
-            "p_divides_r": self.p_divides_r,
-            "smooth_status": self.smooth_status,
-            "hypothesis_ok": self.hypothesis_ok,
-            "satisfied": self.satisfied,
-        }
-
 
 def bound_check(inst: ASInstance, e_max: int = 2,
                 budget: int = DEFAULT_BUDGET) -> BoundReport:

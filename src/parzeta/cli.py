@@ -41,7 +41,7 @@ from .faltings import lemma_check
 from .graphs import GraphEdge, GraphSystem, GraphVertex, reduction_check
 from .polys import (MorphismSpec, PolyParseError, VarietySpec, base_field,
                     parse_poly)
-from .zeta import SWEEP_COLUMNS, certify, degree_sweep, sweep_rows_to_csv
+from .zeta import certify
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -253,16 +253,42 @@ def _count(X, args, budget):
             _enumeration_cost(X, args.k), EXIT_OK)
 
 
+def _certificate(cert):
+    """A certificate's Z(T), B_used and weights, where it has them."""
+    outputs = {}
+    if cert.result is not None:
+        R = cert.result.function
+        outputs["zeta"] = {
+            "numerator": list(R.num),
+            "denominator": list(R.den),
+            "total_degree": R.total_degree(),
+        }
+        outputs["B_used"] = cert.result.B_used
+    if cert.weights is not None:
+        wr = cert.weights
+        outputs["weights"] = {
+            "q": wr.q,
+            "tolerance": wr.tol,
+            "passed": wr.passed,
+            "roots": [
+                {
+                    "side": r.side,
+                    "value": [repr(r.value.real), repr(r.value.imag)],
+                    "magnitude": repr(r.magnitude),
+                    "weight": r.weight,
+                    "residual": repr(r.residual),
+                }
+                for r in wr.roots
+            ],
+        }
+    return outputs
+
+
 def _zeta(X, args, budget):
     cert = certify(X, args.max_k, holdout=args.holdout, budget=budget,
                    tol=args.tol)
     outputs = {"variety": _variety_outputs(X), "status": cert.status,
-               "counts": list(cert.counts)}
-    if cert.result is not None:
-        outputs.update(zeta=cert.result.function.to_json_dict(),
-                       B_used=cert.result.B_used)
-    if cert.weights is not None:
-        outputs["weights"] = cert.weights.to_json_dict()
+               "counts": list(cert.counts), **_certificate(cert)}
     return (outputs, _enumeration_cost(X, len(cert.counts)),
             EXIT_CODES[cert.status])
 
@@ -270,18 +296,32 @@ def _zeta(X, args, budget):
 def _faltings(X, args, budget):
     rep = lemma_check(X, args.k_max, budget=budget)
     ok = rep.passed and rep.reconstruction_ok
-    return ({"variety": _variety_outputs(X), "lemma": rep.to_json_dict()},
-            None, EXIT_OK if ok else EXIT_ASSERTION)
+    lemma = {
+        "d": rep.d,
+        "passed": rep.passed,
+        "reconstruction_ok": rep.reconstruction_ok,
+        "entries": [
+            {"a": e.a, "k": e.k, "partial_count": e.partial,
+             "fixed_point_count": e.fixed, "equal": e.equal}
+            for e in rep.entries
+        ],
+        "witness_count": rep.witness_count,
+    }
+    return ({"variety": _variety_outputs(X), "lemma": lemma}, None,
+            EXIT_OK if ok else EXIT_ASSERTION)
 
 
 def _graph(G, args, budget):
     rep = reduction_check(G, args.k_max, max_k=args.max_k,
                           holdout=args.holdout, tol=args.tol, budget=budget)
-    status = rep.certificate.status
-    if rep.certificate.weights is None:
-        return {"status": status}, None, EXIT_CODES[status]
-    code = EXIT_CODES[status] if rep.passed else EXIT_ASSERTION
-    return rep.to_json_dict(), None, code
+    cert = rep.certificate
+    if cert.weights is None:
+        return {"status": cert.status}, None, EXIT_CODES[cert.status]
+    code = EXIT_CODES[cert.status] if rep.passed else EXIT_ASSERTION
+    outputs = {"direct_counts": list(rep.direct_counts),
+               "reduced_counts": list(rep.reduced_counts),
+               "counts_agree": rep.passed, **_certificate(cert)}
+    return outputs, None, code
 
 
 def _as(inst, args, budget):
@@ -291,7 +331,21 @@ def _as(inst, args, budget):
         return ({"status": "oracle-mismatch", "detail": str(exc)}, None,
                 EXIT_ASSERTION)
     violated = rep.hypothesis_ok and not rep.satisfied
-    return rep.to_json_dict(), None, EXIT_ASSERTION if violated else EXIT_OK
+    outputs = {
+        "p": inst.p, "q": inst.q,
+        "n": inst.n, "n_prime": inst.nprime,
+        "d": inst.d, "r": rep.r,
+        "N_d": rep.N_d,
+        "main_term": str(rep.main_term),
+        "deviation": str(rep.deviation),
+        "bound_squared": str(rep.bound_squared),
+        "bound_decimal": repr(rep.bound_decimal),
+        "p_divides_r": rep.p_divides_r,
+        "smooth_status": rep.smooth_status,
+        "hypothesis_ok": rep.hypothesis_ok,
+        "satisfied": rep.satisfied,
+    }
+    return outputs, None, EXIT_ASSERTION if violated else EXIT_OK
 
 
 def _parse_profiles(specs, n):
@@ -308,13 +362,34 @@ def _parse_profiles(specs, n):
     return profiles
 
 
+SWEEP_COLUMNS = ["profile", "lcm", "B_used", "deg_num", "deg_den",
+                 "total_degree", "weights", "status"]
+
+
 def _sweep(X, args, budget):
-    rows = degree_sweep(X, _parse_profiles(args.profiles, X.n),
-                        max_k=args.max_k, holdout=args.holdout,
-                        budget=budget, tol=args.tol)
+    """One `certify` per profile, one row each: its status, and the
+    candidate's and the weights' columns where it has them, else ""."""
+    rows = []
+    for profile in _parse_profiles(args.profiles, X.n):
+        Xp = X.with_profile(profile)
+        cert = certify(Xp, args.max_k, holdout=args.holdout, budget=budget,
+                       tol=args.tol)
+        row = dict.fromkeys(SWEEP_COLUMNS, "")
+        row.update(profile=" ".join(str(d) for d in profile), lcm=Xp.D,
+                   status=cert.status)
+        if cert.result is not None:
+            R = cert.result.function
+            row.update(B_used=cert.result.B_used, deg_num=len(R.num) - 1,
+                       deg_den=len(R.den) - 1, total_degree=R.total_degree())
+        if cert.weights is not None:
+            row["weights"] = " ".join(
+                str(w) for w in cert.weights.weight_multiset())
+        rows.append(row)
     code = max(EXIT_CODES[row["status"]] for row in rows)
     if args.format == "csv":
-        sweep_rows_to_csv(rows, sys.stdout)
+        writer = csv.DictWriter(sys.stdout, fieldnames=SWEEP_COLUMNS)
+        writer.writeheader()
+        writer.writerows(rows)
         return None, None, code
     return {"columns": SWEEP_COLUMNS, "rows": rows}, None, code
 

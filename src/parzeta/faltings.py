@@ -183,19 +183,6 @@ class LemmaReport:
     reconstruction_ok: bool
     witness_count: int  # mismatched fixed points, at most 10
 
-    def to_json_dict(self):
-        return {
-            "d": self.d,
-            "passed": self.passed,
-            "reconstruction_ok": self.reconstruction_ok,
-            "entries": [
-                {"a": e.a, "k": e.k, "partial_count": e.partial,
-                 "fixed_point_count": e.fixed, "equal": e.equal}
-                for e in self.entries
-            ],
-            "witness_count": self.witness_count,
-        }
-
 
 def lemma_check(X: VarietySpec, k_max: int,
                 budget: int = DEFAULT_BUDGET) -> LemmaReport:

@@ -125,18 +125,6 @@ class GraphReport:
     passed: bool  # the direct and reduced counts agree
     certificate: Certificate  # the fibred product's: the graph zeta
 
-    def to_json_dict(self):
-        """The report of a certificate that has its weights."""
-        res = self.certificate.result
-        return {
-            "direct_counts": list(self.direct_counts),
-            "reduced_counts": list(self.reduced_counts),
-            "counts_agree": self.passed,
-            "zeta": res.function.to_json_dict(),
-            "B_used": res.B_used,
-            "weights": self.certificate.weights.to_json_dict(),
-        }
-
 
 def reduction_check(G: GraphSystem, k_max: int, max_k: int = 12,
                     holdout: int = 3, tol: float = 1e-6,

@@ -108,10 +108,6 @@ class RationalFunctionZ:
                      - sum(map(operator.mul, tail, reversed(z))))
         return z
 
-    def to_json_dict(self):
-        return {"numerator": list(self.num), "denominator": list(self.den),
-                "total_degree": self.total_degree()}
-
 
 # ---------------------------------------------------------------------------
 # exact polynomial algebra over Z
@@ -332,23 +328,6 @@ class WeightReport:
     def weight_multiset(self):
         return sorted(r.weight for r in self.roots)
 
-    def to_json_dict(self):
-        return {
-            "q": self.q,
-            "tolerance": self.tol,
-            "passed": self.passed,
-            "roots": [
-                {
-                    "side": r.side,
-                    "value": [repr(r.value.real), repr(r.value.imag)],
-                    "magnitude": repr(r.magnitude),
-                    "weight": r.weight,
-                    "residual": repr(r.residual),
-                }
-                for r in self.roots
-            ],
-        }
-
 
 def _reciprocal_roots(coeffs):
     """Reciprocal roots of P (constant-first coefficients) with multiplicity.
@@ -475,42 +454,3 @@ def certify(X: VarietySpec, max_k: int, holdout: int = 3,
         return Certificate("root-finding-failed", res.counts, res)
     return Certificate("ok" if wr.passed else "weights-failed", res.counts,
                        res, wr)
-
-
-# ---------------------------------------------------------------------------
-# degree sweep over profiles
-# ---------------------------------------------------------------------------
-
-SWEEP_COLUMNS = ["profile", "lcm", "B_used", "deg_num", "deg_den",
-                 "total_degree", "weights", "status"]
-
-
-def degree_sweep(X: VarietySpec, profiles, max_k: int = 12, holdout: int = 3,
-                 budget: int = DEFAULT_BUDGET, tol: float = 1e-6):
-    """One `certify` per profile, one row each: its status, and the
-    candidate's and the weights' columns where it has them, else ""."""
-    rows = []
-    for profile in profiles:
-        Xp = X.with_profile(profile)
-        cert = certify(Xp, max_k, holdout=holdout, budget=budget, tol=tol)
-        row = dict.fromkeys(SWEEP_COLUMNS, "")
-        row.update(profile=" ".join(str(d) for d in profile), lcm=Xp.D,
-                   status=cert.status)
-        if cert.result is not None:
-            R = cert.result.function
-            row.update(B_used=cert.result.B_used, deg_num=len(R.num) - 1,
-                       deg_den=len(R.den) - 1, total_degree=R.total_degree())
-        if cert.weights is not None:
-            row["weights"] = " ".join(
-                str(w) for w in cert.weights.weight_multiset())
-        rows.append(row)
-    return rows
-
-
-def sweep_rows_to_csv(rows, fh):
-    import csv
-
-    writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)

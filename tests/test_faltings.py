@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from parzeta import counting, faltings
-from parzeta.cli import load_instance
+from parzeta.cli import load_instance, main
 from parzeta.counting import (DEFAULT_BUDGET, BudgetExceededError,
                               enumerate_points, join, partial_count)
 from parzeta.faltings import (_orbit_listing, _twisted_fixed_points,
@@ -516,9 +516,12 @@ def test_lemma_check_on_graph_varieties(X, maps, want):
     assert rep.passed and rep.reconstruction_ok
 
 
-def test_report_json_shape():
-    rep = lemma_check(V(2, 1, 2, ["x1 + x2"], (1, 2)), 1)
-    d = rep.to_json_dict()
+def test_report_json_shape(tmp_path, capsys):
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({"kind": "variety", "p": 2, "s": 1, "n": 2,
+                                "equations": ["x1 + x2"], "profile": [1, 2]}))
+    assert main(["faltings", str(path), "--k-max", "1"]) == 0
+    d = json.loads(capsys.readouterr().out)["outputs"]["lemma"]
     assert d["passed"] is True
     assert {"a", "k", "partial_count", "fixed_point_count", "equal"} \
         <= set(d["entries"][0])

@@ -1,9 +1,10 @@
+import json
 from pathlib import Path
 
 import pytest
 
 from parzeta import graphs, zeta
-from parzeta.cli import load_instance
+from parzeta.cli import load_instance, main
 from parzeta.counting import BudgetExceededError, partial_count
 from parzeta.fields import Field
 from parzeta.graphs import (GraphEdge, GraphSystem, GraphVertex,
@@ -102,9 +103,12 @@ def test_reduction_check_cycle():
     assert rep.certificate.result.function.den == (1, -2, 1)
 
 
-def test_report_json():
-    rep = reduction_check(SELF_LOOP, 2)
-    d = rep.to_json_dict()
+def test_report_json(capsys):
+    # SELF_LOOP is corpus/g_selfloop_square.json
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    assert main(["graph", str(corpus / "g_selfloop_square.json"),
+                 "--k-max", "2"]) == 0
+    d = json.loads(capsys.readouterr().out)["outputs"]
     assert d["counts_agree"] is True
     assert d["zeta"]["denominator"] == [1, -2, 1]
 

@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 import pickle
 import random
@@ -8,12 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from parzeta.cli import main
 from parzeta.fields import _trim
 from parzeta.polys import VarietySpec, base_field, parse_poly
 from parzeta.zeta import (NoSolutionError, RationalFunctionZ,
-                          TruncatedSeries, certify, degree_sweep,
-                          pade_reconstruct, reconstruct_counts,
-                          series_from_counts, sweep_rows_to_csv,
+                          TruncatedSeries, certify, pade_reconstruct,
+                          reconstruct_counts, series_from_counts,
                           weil_weight_check)
 from parzeta import zeta
 from parzeta.zeta import (NonIntegerError, ReconstructionError, RootFindingError,
@@ -262,31 +263,44 @@ def test_weight_check_conjugate_pair():
     assert wr.weight_multiset() == [0, 0]
 
 
-def test_degree_sweep_rows():
-    import io
-    X = V(2, 1, 2, ["x1 + x2"], (1, 1))
-    rows = degree_sweep(X, [(1, 1), (1, 2)], max_k=10)
+def sweep(tmp_path, capsys, equations, profiles, *flags, fmt="json"):
+    """`parzeta sweep` on a variety over F_2 of profile 1, .., 1: its exit
+    code and its report, or its csv text."""
+    n = len(profiles[0].split(","))
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"kind": "variety", "p": 2, "s": 1, "n": n,
+                                "equations": equations, "profile": [1] * n}))
+    code = main(["sweep", str(path), *profiles, "--max-k", "10", *flags,
+                 "--format", fmt])
+    out = capsys.readouterr().out
+    return code, json.loads(out) if fmt == "json" else out
+
+
+def test_degree_sweep_rows(tmp_path, capsys):
+    code, rep = sweep(tmp_path, capsys, ["x1 + x2"], ["1,1", "1,2"])
+    rows = rep["outputs"]["rows"]
+    assert code == 0
     assert [r["status"] for r in rows] == ["ok", "ok"]
     assert [r["total_degree"] for r in rows] == [1, 1]
     assert rows[1]["lcm"] == 2
-    buf = io.StringIO()
-    sweep_rows_to_csv(rows, buf)
-    assert buf.getvalue().splitlines()[0].startswith("profile,lcm,B_used")
+    _, text = sweep(tmp_path, capsys, ["x1 + x2"], ["1,1", "1,2"], fmt="csv")
+    assert text.splitlines()[0].startswith("profile,lcm,B_used")
 
 
-def test_degree_sweep_failed_weights_row(monkeypatch):
+def test_degree_sweep_failed_weights_row(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(zeta, "weil_weight_check",
                         lambda R, q, tol: zeta.WeightReport(q, tol, (), False))
-    X = V(2, 1, 2, ["x1 + x2"], (1, 1))
-    rows = degree_sweep(X, [(1, 1), (1, 2)], max_k=10)
+    code, rep = sweep(tmp_path, capsys, ["x1 + x2"], ["1,1", "1,2"])
+    rows = rep["outputs"]["rows"]
+    assert code == 5
     assert [r["status"] for r in rows] == ["weights-failed"] * 2
     assert [r["total_degree"] for r in rows] == [1, 1]
 
 
-def test_degree_sweep_failure_row():
-    X = V(2, 1, 3, [], (1, 1, 1))
-    rows = degree_sweep(X, [(1, 1, 1)], max_k=10, budget=600)
-    assert rows[0]["status"] == "budget-exceeded"
+def test_degree_sweep_failure_row(tmp_path, capsys):
+    code, rep = sweep(tmp_path, capsys, [], ["1,1,1"], "--budget", "600")
+    assert code == 4
+    assert rep["outputs"]["rows"][0]["status"] == "budget-exceeded"
 
 
 # ---------------------------------------------------------------------------
