@@ -397,6 +397,11 @@ def _sweep(X, args, budget):
 # -- the runner -------------------------------------------------------------
 
 def _flatten(prefix, value):
+    """(dotted key, value) rows: a list of scalars is one space-joined
+    value, and a list that holds an object or a list is keyed by index."""
+    if isinstance(value, list) and any(isinstance(v, (dict, list))
+                                       for v in value):
+        value = dict(enumerate(value))
     if isinstance(value, dict):
         return [row for k in sorted(value) for row in
                 _flatten(f"{prefix}.{k}" if prefix else k, value[k])]

@@ -1,5 +1,7 @@
+import csv
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -14,6 +16,7 @@ from parzeta.artin_schreier import bound_check, singular_search
 from parzeta.cli import load_instance, main
 from parzeta.faltings import lemma_check
 from parzeta.graphs import reduction_check
+from test_golden import CASES
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 SRC = CORPUS.parent / "src"
@@ -773,6 +776,40 @@ def test_sweep_csv_is_deterministic(capsys):
     _, rep = run_json(capsys, *argv)
     header = first[1].splitlines()[0]
     assert header.split(",") == rep["outputs"]["columns"]
+
+
+def _leaves(prefix, value):
+    """The dotted paths of a JSON report's leaves: a list of scalars is one
+    leaf, and a list that holds an object or a list gives one per index."""
+    if isinstance(value, list) and any(isinstance(v, (dict, list))
+                                       for v in value):
+        value = dict(enumerate(value))
+    if not isinstance(value, dict):
+        return [prefix]
+    return [leaf for k, v in value.items()
+            for leaf in _leaves(f"{prefix}.{k}" if prefix else str(k), v)]
+
+
+# every csv and table golden case but sweep's csv, which prints its rows
+FORMATS = sorted(key for key, argv in CASES.items() if "--format" in argv
+                 and argv[:1] + argv[-1:] != ["sweep", "csv"])
+
+
+@pytest.mark.parametrize("sub,case", FORMATS,
+                         ids=["/".join(k) for k in FORMATS])
+def test_csv_and_table_carry_the_json_reports_fields(capsys, sub, case):
+    argv = CASES[sub, case]
+    i = argv.index("--format")
+    _, rep = run_json(capsys, *argv[:i], *argv[i + 2:])
+    _, out, _ = run(capsys, *argv)
+    if argv[i + 1] == "csv":
+        rows = list(csv.reader(io.StringIO(out, newline="")))[1:]
+    else:
+        rows = [line.partition(" ")[::2] for line in out.splitlines()]
+    del rep["timings"]
+    keys = [k for k, _ in rows if not k.startswith("timings.")]
+    assert sorted(keys) == sorted(_leaves("", rep))
+    assert not any("{'" in v for _, v in rows)
 
 
 def test_field_error_is_schema_error(tmp_path, capsys):
