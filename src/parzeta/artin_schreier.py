@@ -174,7 +174,7 @@ class BoundReport:
     bound_squared: int
     bound_decimal: float
     p_divides_r: bool
-    smooth_status: str   # verified-diagonal | heuristic-pass | singular | unknown
+    smooth_status: str   # verified-diagonal | heuristic-pass | singular
     hypothesis_ok: bool
     satisfied: bool
 

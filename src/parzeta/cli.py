@@ -9,6 +9,10 @@ DEFAULT_BUDGET (unknown fields and a base field past the budget are refused
 first), times the compute, builds the report and emits it as sorted-key
 JSON, a key,value csv or a table.  Runs differ only in `timings`.
 
+This module is the one report writer: the library returns records, and
+each compute writes its own outputs from them.  `zeta` and `graph` write
+a certificate's Z(T), B_used and weights by one writer, `_certificate`,
+and `sweep` loops `certify` over its profiles and writes its own rows.
 A compute maps (instance, args, budget) to (outputs, budget consumed, exit
 code) and reports a mathematical failure as a status in its outputs;
 outputs of None mean it printed its own stdout (`sweep --format csv`).
@@ -258,18 +262,15 @@ def _certificate(cert):
     outputs = {}
     if cert.result is not None:
         R = cert.result.function
-        outputs["zeta"] = {
-            "numerator": list(R.num),
-            "denominator": list(R.den),
-            "total_degree": R.total_degree(),
-        }
-        outputs["B_used"] = cert.result.B_used
+        outputs.update(zeta={"numerator": list(R.num),
+                             "denominator": list(R.den),
+                             "total_degree": R.total_degree()},
+                       B_used=cert.result.B_used)
     if cert.weights is not None:
-        wr = cert.weights
         outputs["weights"] = {
-            "q": wr.q,
-            "tolerance": wr.tol,
-            "passed": wr.passed,
+            "q": cert.weights.q,
+            "tolerance": cert.weights.tol,
+            "passed": cert.weights.passed,
             "roots": [
                 {
                     "side": r.side,
@@ -278,7 +279,7 @@ def _certificate(cert):
                     "weight": r.weight,
                     "residual": repr(r.residual),
                 }
-                for r in wr.roots
+                for r in cert.weights.roots
             ],
         }
     return outputs

@@ -296,7 +296,8 @@ def count_roots(polys, F: Field, e: int) -> int:
 
 
 def _trace(x, F: Field, e: int):
-    """The absolute trace of x in F_Q, Q = 2^(se), p = 2: 0 or 1."""
+    """The absolute trace of x in F_Q, Q = 2^(se), p = 2: the packed 0
+    or F._one."""
     add, mul = F.add, F.mul
     t = x
     for _ in range(F.s * e - 1):

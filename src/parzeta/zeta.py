@@ -22,7 +22,8 @@ and P divided exactly by it is the squarefree part for the weight
 report.  `certify` is the one path from a variety to a status: the
 deepening over its partial counts, then the weight report.  No floating
 point enters the reconstruction; floats appear only in the numerical
-weight report.
+weight report.  The module returns records and writes no report: the
+CLI writes every one.
 """
 
 from __future__ import annotations

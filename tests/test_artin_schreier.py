@@ -1,4 +1,5 @@
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from parzeta.artin_schreier import (ASInstance, as_count_brute,
                                     diagonal_smooth_check, fibred_sum,
                                     singular_search, trace_to_prime)
 from parzeta import fields
+from parzeta.cli import load_instance
 from parzeta.counting import BudgetExceededError
 from parzeta.fields import field
 from parzeta.polys import SparsePoly, base_field, parse_poly
@@ -134,6 +136,16 @@ def test_bound_zero_fibred_form_is_singular():
     assert rep.r == 0 and rep.p_divides_r
     assert rep.smooth_status == "singular"
     assert not rep.hypothesis_ok
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 14")
+def test_bound_linear_form_is_smooth():
+    # corpus/as_linear_f2.json: f = x1 (r = 1, p = 2) cuts one point of
+    # P^1, which is smooth, so the hypothesis holds
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    inst, _, _ = load_instance(str(corpus / "as_linear_f2.json"),
+                               "artin-schreier")
+    assert bound_check(inst).hypothesis_ok
 
 
 def test_bound_decimal_is_the_root_of_the_squared_bound_for_constant_f():

@@ -255,6 +255,15 @@ def test_weight_check_rejects_off_weights():
     assert not weil_weight_check(R, 2).passed
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("w", [20, 40])
+def test_weight_check_rejects_a_pole_just_off_its_weight(w):
+    # |lambda|^2 = 2^w + 1 at q = 2 is no Weil weight, but lies within the
+    # relative tolerance of 2^(w/2), so the float check weighs it w
+    R = RationalFunctionZ((1,), (1, 0, 2 ** w + 1))
+    assert not weil_weight_check(R, 2).passed
+
+
 def test_weight_check_conjugate_pair():
     # 1 + T^2 has reciprocal roots +-i, magnitude 1, weight 0
     R = RationalFunctionZ((1, 0, 1), (1,))
