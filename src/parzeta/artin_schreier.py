@@ -166,7 +166,6 @@ def singular_search(form: SparsePoly, e_max: int,
 
 @dataclass(frozen=True)
 class BoundReport:
-    instance: ASInstance
     r: int
     N_d: int
     main_term: int
@@ -214,7 +213,7 @@ def bound_check(inst: ASInstance, e_max: int = 2,
     hypothesis_ok = (not p_div_r) and status in ("verified-diagonal",
                                                  "heuristic-pass")
     return BoundReport(
-        instance=inst, r=r, N_d=n_brute, main_term=main, deviation=deviation,
+        r=r, N_d=n_brute, main_term=main, deviation=deviation,
         bound_squared=bound_sq,
         bound_decimal=bound_dec,
         p_divides_r=p_div_r, smooth_status=status,

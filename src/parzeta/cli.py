@@ -43,8 +43,7 @@ from .counting import (BudgetExceededError, DEFAULT_BUDGET, check_cost,
                        partial_count)
 from .faltings import lemma_check
 from .graphs import GraphEdge, GraphSystem, GraphVertex, reduction_check
-from .polys import (MorphismSpec, PolyParseError, VarietySpec, base_field,
-                    parse_poly)
+from .polys import PolyParseError, VarietySpec, base_field, parse_poly
 from .zeta import certify
 
 EXIT_OK = 0
@@ -145,15 +144,13 @@ def graph_from_payload(payload: dict, p: int, s: int,
         if e["src"] not in dims or e["dst"] not in dims:
             raise SchemaError(f"edge references unknown vertex "
                               f"{e['src']!r} or {e['dst']!r}")
-        n_in, n_out = dims[e["src"]], dims[e["dst"]]
         comps = e["morphism"]
-        if not isinstance(comps, list) or len(comps) != n_out:
+        if not isinstance(comps, list) or len(comps) != dims[e["dst"]]:
             raise SchemaError("edge 'morphism' must list one component "
                               "per target coordinate")
-        names = _var_names(n_in)
-        components = tuple(_parse_eq(t, names, base, budget) for t in comps)
-        edges.append(GraphEdge(e["src"], e["dst"],
-                               MorphismSpec(n_in, n_out, components)))
+        names = _var_names(dims[e["src"]])
+        edges.append(GraphEdge(e["src"], e["dst"], tuple(
+            _parse_eq(t, names, base, budget) for t in comps)))
     return GraphSystem(p, s, tuple(vertices), tuple(edges))
 
 
@@ -260,12 +257,12 @@ def _count(X, args, budget):
 def _certificate(cert):
     """A certificate's Z(T), B_used and weights, where it has them."""
     outputs = {}
-    if cert.result is not None:
-        R = cert.result.function
+    R = cert.function
+    if R is not None:
         outputs.update(zeta={"numerator": list(R.num),
                              "denominator": list(R.den),
                              "total_degree": R.total_degree()},
-                       B_used=cert.result.B_used)
+                       B_used=len(cert.counts))
     if cert.weights is not None:
         outputs["weights"] = {
             "q": cert.weights.q,
@@ -298,7 +295,7 @@ def _faltings(X, args, budget):
     rep = lemma_check(X, args.k_max, budget=budget)
     ok = rep.passed and rep.reconstruction_ok
     lemma = {
-        "d": rep.d,
+        "d": X.D,
         "passed": rep.passed,
         "reconstruction_ok": rep.reconstruction_ok,
         "entries": [
@@ -378,9 +375,9 @@ def _sweep(X, args, budget):
         row = dict.fromkeys(SWEEP_COLUMNS, "")
         row.update(profile=" ".join(str(d) for d in profile), lcm=Xp.D,
                    status=cert.status)
-        if cert.result is not None:
-            R = cert.result.function
-            row.update(B_used=cert.result.B_used, deg_num=len(R.num) - 1,
+        R = cert.function
+        if R is not None:
+            row.update(B_used=len(cert.counts), deg_num=len(R.num) - 1,
                        deg_den=len(R.den) - 1, total_degree=R.total_degree())
         if cert.weights is not None:
             row["weights"] = " ".join(

@@ -177,7 +177,6 @@ class LemmaEntry:
 
 @dataclass(frozen=True)
 class LemmaReport:
-    d: int
     entries: tuple
     passed: bool
     reconstruction_ok: bool
@@ -230,4 +229,4 @@ def lemma_check(X: VarietySpec, k_max: int,
                 y[j] == tuple(frob(c, k) for c in y[(j - a) % d])
                 for y, _ in pairs for j in range(d))
     passed = walks_ok and all(e.equal for e in entries)
-    return LemmaReport(d, tuple(entries), passed, recon_ok, witness_count)
+    return LemmaReport(tuple(entries), passed, recon_ok, witness_count)

@@ -20,7 +20,7 @@ from itertools import chain
 from .counting import (DEFAULT_BUDGET, check_cost, enumerate_points, join,
                        partial_count, partial_count_check)
 from .fields import field
-from .polys import MorphismSpec, SparsePoly, VarietySpec
+from .polys import SparsePoly, VarietySpec
 from .zeta import Certificate, certify
 
 
@@ -36,7 +36,7 @@ class GraphVertex:
 class GraphEdge:
     src: str
     dst: str
-    morphism: MorphismSpec
+    morphism: tuple  # SparsePoly per dst coordinate, in src's variables
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,17 @@ class GraphSystem:
         if len(set(names)) != len(names):
             raise ValueError("duplicate vertex names")
         for f in chain(*(v.equations for v in self.vertices),
-                       *(e.morphism.components for e in self.edges)):
+                       *(e.morphism for e in self.edges)):
             f.check_base(self.p, self.s)
+        if any(eq.n != v.n for v in self.vertices for eq in v.equations):
+            raise ValueError("equation variable count mismatch")
         vmap = {v.name: v for v in self.vertices}
         for e in self.edges:
             if e.src not in vmap or e.dst not in vmap:
                 raise ValueError(f"edge {e.src}->{e.dst} references unknown vertex")
-            if e.morphism.n_in != vmap[e.src].n or e.morphism.n_out != vmap[e.dst].n:
+            n_in = vmap[e.src].n
+            if (len(e.morphism) != vmap[e.dst].n
+                    or any(c.n != n_in for c in e.morphism)):
                 raise ValueError(f"edge {e.src}->{e.dst} morphism dimension mismatch")
 
     @property
@@ -84,7 +88,8 @@ def graph_count_direct(G: GraphSystem, k: int,
     links = []
     for e in G.edges:
         src, dst = vindex[e.src], vindex[e.dst]
-        images = [e.morphism.apply(pt, amb) for pt in vpoints[src]]
+        images = [tuple(c.evaluate(pt, amb) for c in e.morphism)
+                  for pt in vpoints[src]]
         links.append((src, images, dst, vpoints[dst]))
     return len(join([len(pts) for pts in vpoints], links, budget,
                     f"graph_count_direct k={k}"))
@@ -110,9 +115,9 @@ def fibred_product_reduce(G: GraphSystem) -> VarietySpec:
             equations.append(eq.rename(mapping, total))
         profile.extend([v.d] * v.n)
     for e in G.edges:
-        src_map = {i: start[e.src] + i for i in range(e.morphism.n_in)}
-        for c_i, comp in enumerate(e.morphism.components):
-            lhs = comp.rename(src_map, total)
+        for c_i, comp in enumerate(e.morphism):
+            lhs = comp.rename({i: start[e.src] + i for i in range(comp.n)},
+                              total)
             rhs = SparsePoly.var(total, base, start[e.dst] + c_i)
             equations.append(lhs - rhs)
     return VarietySpec(G.p, G.s, total, tuple(equations), tuple(profile))

@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials over F_q, varieties and morphisms.
+"""Sparse multivariate polynomials over F_q, and varieties.
 
 Coefficients always live in the base field F_q = F_{p^s}; when s > 1 the
 expression grammar exposes a distinguished generator named ``g``.  Terms are
@@ -378,7 +378,7 @@ def parse_poly(text: str, varnames, base: Field,
 
 
 # ---------------------------------------------------------------------------
-# variety and morphism specifications
+# variety specifications
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -412,21 +412,3 @@ class VarietySpec:
 
     def with_profile(self, profile):
         return VarietySpec(self.p, self.s, self.n, self.equations, tuple(profile))
-
-
-@dataclass(frozen=True)
-class MorphismSpec:
-    n_in: int
-    n_out: int
-    components: tuple
-
-    def __post_init__(self):
-        if len(self.components) != self.n_out:
-            raise ValueError("component count must equal target dimension")
-        for c in self.components:
-            if c.n != self.n_in:
-                raise ValueError("component variable count mismatch")
-
-    def apply(self, point, ambient: Field):
-        """The image of a point of packed ints, as a tuple of packed ints."""
-        return tuple(c.evaluate(point, ambient) for c in self.components)

@@ -251,13 +251,6 @@ def pade_reconstruct(S: TruncatedSeries, dn: int, dd: int) -> RationalFunctionZ:
     return _judge(S, dn, dd, rows[1], rows[i])
 
 
-@dataclass
-class ReconstructionResult:
-    function: RationalFunctionZ
-    B_used: int
-    counts: tuple  # N_1 .. N_B_used
-
-
 def _split_order(total: int):
     splits = [(dn, total - dn) for dn in range(total + 1)]
     splits.sort(key=lambda t: (abs(t[0] - t[1]), 0 if t[0] < t[1] else 1))
@@ -265,14 +258,15 @@ def _split_order(total: int):
 
 
 def reconstruct_counts(count_at, max_k: int,
-                       holdout: int = 3) -> ReconstructionResult | None:
+                       holdout: int = 3) -> RationalFunctionZ | None:
     """Iterative-deepening reconstruction with held-out verification: for
     B = 2, ..., max_k, fetch N_1..N_B by ``count_at(k)``, once per k in
     increasing k, then accept the first split dn + dd = B - holdout, in
     `_split_order`, whose candidate reproduces all B + 1 series
     coefficients.  A candidate matches through order B - holdout (the
     judge's guard), so only the held-out terms are compared
-    (`_holds_out`).  None when nothing is accepted up to max_k."""
+    (`_holds_out`).  The accepted candidate, whose B is the number of
+    counts fetched, else None when nothing is accepted up to max_k."""
     if holdout < 1:
         raise ValueError("holdout must be at least 1")
     counts = []
@@ -289,7 +283,7 @@ def reconstruct_counts(count_at, max_k: int,
             except ReconstructionError:
                 continue
             if _holds_out(R, S, total):
-                return ReconstructionResult(R, B, tuple(counts))
+                return R
     return None
 
 
@@ -422,10 +416,11 @@ def weil_weight_check(R: RationalFunctionZ, q: int, tol: float = 1e-6) -> Weight
 @dataclass(frozen=True)
 class Certificate:
     """`certify`'s outcome: its status, the counts made, and the accepted
-    candidate and its weight report where it has them."""
+    candidate and its weight report where it has them.  With a candidate,
+    the counts are the B the deepening used."""
     status: str
     counts: tuple  # N_1, N_2, ...
-    result: ReconstructionResult | None = None
+    function: RationalFunctionZ | None = None
     weights: WeightReport | None = None
 
 
@@ -444,14 +439,14 @@ def certify(X: VarietySpec, max_k: int, holdout: int = 3,
         return counts[-1]
 
     try:
-        res = reconstruct_counts(count_at, max_k, holdout)
+        R = reconstruct_counts(count_at, max_k, holdout)
     except BudgetExceededError:
         return Certificate("budget-exceeded", tuple(counts))
-    if res is None:
-        return Certificate("no-acceptance", tuple(counts))
+    counts = tuple(counts)
+    if R is None:
+        return Certificate("no-acceptance", counts)
     try:
-        wr = weil_weight_check(res.function, X.p ** X.s, tol=tol)
+        wr = weil_weight_check(R, X.p ** X.s, tol=tol)
     except RootFindingError:
-        return Certificate("root-finding-failed", res.counts, res)
-    return Certificate("ok" if wr.passed else "weights-failed", res.counts,
-                       res, wr)
+        return Certificate("root-finding-failed", counts, R)
+    return Certificate("ok" if wr.passed else "weights-failed", counts, R, wr)

@@ -85,10 +85,10 @@ def graph_reports():
 def test_criterion_1_rationality(reconstructions):
     ok = len(reconstructions) >= 12
     for name, (X, cert) in reconstructions.items():
-        res = cert.result
+        B = len(cert.counts)
         fresh = [partial_count(X, k, budget=PER_K_BUDGET)
-                 for k in (res.B_used + 1, res.B_used + 2)]
-        predicted = counts_of(res.function, res.B_used + 2)[res.B_used:]
+                 for k in (B + 1, B + 2)]
+        predicted = counts_of(cert.function, B + 2)[B:]
         if predicted != fresh:
             ok = False
     report("1 (rationality certification)", ok)
@@ -99,18 +99,17 @@ def test_criterion_2_closed_forms():
     diag = variety("diag11_f2")
     for profile in [(1, 1), (1, 2), (2, 3)]:
         X = diag.with_profile(profile)
-        res = certify(X, 12).result
-        if res.function.num != (1,) or res.function.den != (1, -2):
+        R = certify(X, 12).function
+        if R.num != (1,) or R.den != (1, -2):
             ok = False
         oracle = [oracle_count(X, k) for k in (1, 2, 3)]
-        if counts_of(res.function, 3) != oracle:
+        if counts_of(R, 3) != oracle:
             ok = False
     hyp = variety("hyperbola11_f2")
-    res = certify(hyp, 12).result
-    if res.function.num != (1, -1) or res.function.den != (1, -2):
+    R = certify(hyp, 12).function
+    if R.num != (1, -1) or R.den != (1, -2):
         ok = False
-    if counts_of(res.function, 3) != [oracle_count(hyp, k)
-                                      for k in (1, 2, 3)]:
+    if counts_of(R, 3) != [oracle_count(hyp, k) for k in (1, 2, 3)]:
         ok = False
     report("2 (closed-form matches)", ok)
 
@@ -152,11 +151,10 @@ def test_criterion_5_weil_weights(reconstructions, graph_reports):
 def test_criterion_6_integrality(reconstructions):
     ok = True
     for name, (X, cert) in reconstructions.items():
-        res = cert.result
-        S = series_from_counts(res.counts)
+        S = series_from_counts(cert.counts)
         if not all(z.denominator == 1 for z in S.coeffs):
             ok = False
-        coeffs = res.function.num + res.function.den
+        coeffs = cert.function.num + cert.function.den
         if not all(isinstance(c, int) for c in coeffs):
             ok = False
     report("6 (integer coefficients)", ok)

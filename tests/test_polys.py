@@ -8,8 +8,8 @@ from parzeta.artin_schreier import ASInstance
 from parzeta.counting import BudgetExceededError, DEFAULT_BUDGET
 from parzeta.fields import FieldError, field
 from parzeta.graphs import GraphEdge, GraphSystem, GraphVertex
-from parzeta.polys import (MorphismSpec, PolyParseError, SparsePoly,
-                           VarietySpec, base_field, parse_poly)
+from parzeta.polys import (PolyParseError, SparsePoly, VarietySpec,
+                           base_field, parse_poly)
 
 from test_packed_fields import ref_add, ref_mul, ref_one, ref_pow
 
@@ -277,7 +277,7 @@ FOREIGN = {
         3, 1, (GraphVertex("v", 1, (OVER_F2,), 1),), ()),
     "graph-morphism": lambda: GraphSystem(
         3, 1, (GraphVertex("v", 1, (), 1), GraphVertex("w", 1, (), 1)),
-        (GraphEdge("v", "w", MorphismSpec(1, 1, (OVER_F2,))),)),
+        (GraphEdge("v", "w", (OVER_F2,)),)),
     "artin-schreier": lambda: ASInstance(3, 1, 1, 1, 1,
                                          P("x1^2 + 1", n=2)),
 }
@@ -292,15 +292,6 @@ def test_constructors_refuse_polynomials_over_another_field(build):
 def test_with_profile():
     X = VarietySpec(2, 1, 2, (), (1, 1))
     assert X.with_profile((2, 3)).D == 6
-
-
-def test_morphism_apply():
-    F8 = field(2, 1, 3)
-    comp = parse_poly("x1^2", ["x1"], F2)
-    m = MorphismSpec(1, 1, (comp,))
-    assert m.apply((F8.to_int((0, 1, 0)),), F8) == (F8.to_int((0, 0, 1)),)
-    with pytest.raises(ValueError):
-        MorphismSpec(1, 2, (comp,))
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +354,7 @@ def monomial_sum(f, point, amb):
 def test_int_evaluation_matches_reference_arithmetic(case):
     amb, polys, point = case
     want = tuple(monomial_sum(f, point, amb) for f in polys)
-    assert polys[0].evaluate(point, amb) == want[0]
-    m = MorphismSpec(len(point), len(polys), tuple(polys))
-    assert m.apply(point, amb) == want
+    assert tuple(f.evaluate(point, amb) for f in polys) == want
 
 
 @pytest.mark.parametrize("p, s, N", [(2, 1, 6), (3, 1, 4), (2, 2, 3)])

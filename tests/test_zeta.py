@@ -153,16 +153,16 @@ def test_auto_reconstruct_diagonal():
     X = V(2, 1, 2, ["x1 + x2"], (1, 1))
     cert = certify(X, 10)
     assert cert.status == "ok"
-    assert cert.result.function.num == (1,)
-    assert cert.result.function.den == (1, -2)
+    assert cert.function.num == (1,)
+    assert cert.function.den == (1, -2)
 
 
 def test_auto_reconstruct_hyperbola():
     X = V(2, 1, 2, ["x1*x2 + 1"], (1, 1))
     cert = certify(X, 10)
     assert cert.status == "ok"
-    assert cert.result.function.num == (1, -1)
-    assert cert.result.function.den == (1, -2)
+    assert cert.function.num == (1, -1)
+    assert cert.function.den == (1, -2)
 
 
 def test_auto_reconstruct_reports_budget():
@@ -170,7 +170,7 @@ def test_auto_reconstruct_reports_budget():
     cert = certify(X, 10, budget=600)
     assert cert.status == "budget-exceeded"
     assert cert.counts == (8, 64, 512)
-    assert cert.result is None and cert.weights is None
+    assert cert.function is None and cert.weights is None
 
 
 def test_auto_reconstruct_truncated_counts():
@@ -187,14 +187,14 @@ def test_auto_reconstruct_counts_through_max_k():
     cert = certify(X, 4, holdout=4)
     assert cert.status == "no-acceptance"
     assert cert.counts == (2, 4, 8, 16)
-    assert cert.result is None and cert.weights is None
+    assert cert.function is None and cert.weights is None
 
 
 def test_certify_weighs_the_accepted_candidate():
     X = V(2, 1, 2, ["x1*x2 + 1"], (1, 1))
     cert = certify(X, 10)
-    assert cert.counts == cert.result.counts == (1, 3, 7, 15, 31)
-    assert cert.weights == weil_weight_check(cert.result.function, 2)
+    assert cert.counts == (1, 3, 7, 15, 31)
+    assert cert.weights == weil_weight_check(cert.function, 2)
     assert cert.weights.weight_multiset() == [0, 2]
 
 
@@ -203,7 +203,7 @@ def test_certify_names_a_failed_weight_check(monkeypatch):
                         lambda R, q, tol: zeta.WeightReport(q, tol, (), False))
     cert = certify(V(2, 1, 2, ["x1 + x2"], (1, 1)), 10)
     assert cert.status == "weights-failed"
-    assert cert.result.function.den == (1, -2)
+    assert cert.function.den == (1, -2)
     assert not cert.weights.passed
 
 
@@ -214,17 +214,17 @@ def test_certify_names_a_root_finding_failure(monkeypatch):
     monkeypatch.setattr(zeta, "weil_weight_check", fail)
     cert = certify(V(2, 1, 2, ["x1 + x2"], (1, 1)), 10)
     assert cert.status == "root-finding-failed"
-    assert cert.counts == cert.result.counts
+    assert cert.counts == (2, 4, 8, 16) and cert.function.den == (1, -2)
     assert cert.weights is None
 
 
 def test_reconstructed_counts_match_fresh_enumeration():
     from parzeta.counting import partial_count
     X = V(2, 1, 2, ["x1*x2"], (1, 1))
-    res = certify(X, 12).result
-    fresh = [partial_count(X, k) for k in range(res.B_used + 1,
-                                                res.B_used + 3)]
-    assert counts_of(res.function, res.B_used + 2)[res.B_used:] == fresh
+    cert = certify(X, 12)
+    B = len(cert.counts)
+    fresh = [partial_count(X, k) for k in range(B + 1, B + 3)]
+    assert counts_of(cert.function, B + 2)[B:] == fresh
 
 
 def test_weight_check_simple():
@@ -1124,10 +1124,11 @@ def test_pade_table_runs_one_euclid_per_order(monkeypatch):
     # started once, from T^(N+1) (N = 0 needs no step: its row 1 has
     # degree 0)
     del calls[:]
-    res = reconstruct_counts(_recording(counts_of(R, 12))[0], 12)
+    count_at, fetched = _recording(counts_of(R, 12))
+    res = reconstruct_counts(count_at, 12)
     starts = [len(r0) - 2 for r0, _ in calls
               if r0 == [0] * (len(r0) - 1) + [1]]
-    assert res.function == R and starts == list(range(1, res.B_used - 2))
+    assert res == R and starts == list(range(1, len(fetched) - 2))
 
 
 def test_pade_builds_rows_on_demand(monkeypatch):
@@ -1371,8 +1372,7 @@ def test_reconstruct_counts_matches_per_split_deepening(case):
         assert calls == list(range(1, max_k + 1) if max_k >= 2 else [])
     else:
         R, B = ref
-        assert (res.function, res.B_used) == (R, B)
-        assert res.counts == tuple(counts[:B])
+        assert res == R
         assert calls == list(range(1, B + 1))
 
 
@@ -1392,8 +1392,7 @@ def test_reconstruct_counts_calls_once_per_k_in_order():
     counts = counts_of(RationalFunctionZ((1, -1, 2), (1, -3, 4)), 12)
     count_at, calls = _recording(counts)
     res = reconstruct_counts(count_at, 12)
-    assert res.function == RationalFunctionZ((1, -1, 2), (1, -3, 4))
-    assert res.B_used == 7 and res.counts == tuple(counts[:7])
+    assert res == RationalFunctionZ((1, -1, 2), (1, -3, 4))
     assert calls == list(range(1, 8))
 
 
@@ -1555,7 +1554,7 @@ def test_squarefree_part_by_division_equals_cofactor_scaled(repeated, power,
 # ---------------------------------------------------------------------------
 
 def reconstruct_counts_full_expansion(counts, holdout):
-    """(function, B_used) of `reconstruct_counts` over ``counts``, each
+    """(function, B) of `reconstruct_counts` over ``counts``, each
     candidate accepted only when its expansion equals all B + 1 series
     coefficients; None when none is."""
     for B in range(2, len(counts) + 1):
@@ -1601,6 +1600,7 @@ def held_out_cases(draw):
 @example(([3, 9, 28, 81, 243], 1))
 def test_held_out_check_accepts_as_the_full_expansion_did(case):
     counts, holdout = case
-    res = reconstruct_counts(lambda k: counts[k - 1], len(counts), holdout)
-    got = res and (res.function, res.B_used)
+    count_at, calls = _recording(counts)
+    res = reconstruct_counts(count_at, len(counts), holdout)
+    got = res and (res, len(calls))
     assert got == reconstruct_counts_full_expansion(counts, holdout)
