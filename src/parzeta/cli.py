@@ -394,8 +394,13 @@ def _sweep(X, args, budget):
 
 # -- the runner -------------------------------------------------------------
 
+def _text(value):
+    """A scalar as the JSON report writes it; a string as it is."""
+    return value if isinstance(value, str) else json.dumps(value)
+
+
 def _flatten(prefix, value):
-    """(dotted key, value) rows: a list of scalars is one space-joined
+    """(dotted key, text) rows: a list of scalars is one space-joined
     value, and a list that holds an object or a list is keyed by index."""
     if isinstance(value, list) and any(isinstance(v, (dict, list))
                                        for v in value):
@@ -404,8 +409,8 @@ def _flatten(prefix, value):
         return [row for k in sorted(value) for row in
                 _flatten(f"{prefix}.{k}" if prefix else k, value[k])]
     if isinstance(value, list):
-        return [(prefix, " ".join(str(v) for v in value))]
-    return [(prefix, value)]
+        return [(prefix, " ".join(map(_text, value)))]
+    return [(prefix, _text(value))]
 
 
 def emit(report, fmt, out):
