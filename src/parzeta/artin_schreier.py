@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from .counting import DEFAULT_BUDGET, check_cost, enumerate_points
+from .counting import DEFAULT_BUDGET, charge, check_cost, enumerate_points
 from .fields import Field, field
 from .polys import SparsePoly
 
@@ -46,9 +46,11 @@ class ASInstance:
 
 
 def as_count_brute(inst: ASInstance, budget: int = DEFAULT_BUDGET) -> int:
-    """Full enumeration over (x_0, x, y)."""
-    check_cost(inst.q, inst.d * (inst.n + 1) + inst.nprime, budget,
-               "as_count_brute")
+    """Full enumeration over (x_0, x, y): q^e tuples, e = d(n + 1) + n',
+    refused over ``budget`` before the field is built and charged to the
+    work meter as the count ends."""
+    e = inst.d * (inst.n + 1) + inst.nprime
+    check_cost(inst.q, e, budget, "as_count_brute")
     # both counts pass check_cost before the field is built
     amb = field(inst.p, inst.s, inst.d)
     xs, ys = amb.elements(), amb.subfield(1)  # F_{q^d}, a range, and F_q
@@ -57,6 +59,7 @@ def as_count_brute(inst: ASInstance, budget: int = DEFAULT_BUDGET) -> int:
     count = 0
     for xy in product(*([xs] * inst.n + [ys] * inst.nprime)):
         count += lhs.count(inst.f.evaluate(xy, amb))
+    charge(inst.q ** e, budget, "as_count_brute")
     return count
 
 
@@ -75,15 +78,18 @@ def trace_to_prime(amb: Field, x: int) -> int:
 
 
 def as_count_trace(inst: ASInstance, budget: int = DEFAULT_BUDGET) -> int:
-    """Trace oracle: x_0^p - x_0 = c has p solutions iff Tr(c) = 0, else none."""
-    check_cost(inst.q, inst.d * inst.n + inst.nprime, budget,
-               "as_count_trace")
+    """Trace oracle: x_0^p - x_0 = c has p solutions iff Tr(c) = 0, else
+    none.  Its q^e tuples (x, y), e = dn + n', are refused and charged as
+    the brute count's are."""
+    e = inst.d * inst.n + inst.nprime
+    check_cost(inst.q, e, budget, "as_count_trace")
     amb = field(inst.p, inst.s, inst.d)
     xs, ys = amb.elements(), amb.subfield(1)
     count = 0
     for xy in product(*([xs] * inst.n + [ys] * inst.nprime)):
         if trace_to_prime(amb, inst.f.evaluate(xy, amb)) == 0:
             count += 1
+    charge(inst.q ** e, budget, "as_count_trace")
     return inst.p * count
 
 

@@ -13,10 +13,14 @@ This module is the one report writer: the library returns records, and
 each compute writes its own outputs from them.  `zeta` and `graph` write
 a certificate's Z(T), B_used and weights by one writer, `_certificate`,
 and `sweep` loops `certify` over its profiles and writes its own rows.
-A compute maps (instance, args, budget) to (outputs, budget consumed, exit
-code) and reports a mathematical failure as a status in its outputs;
-outputs of None mean it printed its own stdout (`sweep --format csv`).
-`main` maps SchemaError to exit 2 and BudgetExceededError to exit 3.
+A compute maps (instance, args, budget) to (outputs, exit code) and
+reports a mathematical failure as a status in its outputs; outputs of None
+mean it printed its own stdout (`sweep --format csv`).  The report's
+`budget.consumed` is `counting`'s work meter, which `_run` resets before
+it loads the instance: the most work one enumeration of the run did (search
+candidates, join nodes, Artin-Schreier tuples or parse term pairs), the
+quantity `--budget` limits.  `main` maps SchemaError to exit 2 and
+BudgetExceededError to exit 3.
 """
 
 import argparse
@@ -40,7 +44,7 @@ except ImportError:
 
 from .artin_schreier import ASInstance, OracleMismatchError, bound_check
 from .counting import (BudgetExceededError, DEFAULT_BUDGET, check_cost,
-                       partial_count)
+                       partial_count, work)
 from .faltings import lemma_check
 from .graphs import GraphEdge, GraphSystem, GraphVertex, reduction_check
 from .polys import PolyParseError, VarietySpec, base_field, parse_poly
@@ -228,7 +232,7 @@ def load_instance(path: str, expect_kind: str, budget=None):
     return obj, digest, budget
 
 
-# -- computes: (instance, args, budget) -> (outputs, consumed, exit code) --
+# -- computes: (instance, args, budget) -> (outputs, exit code) ------------
 
 def _variety_outputs(X: VarietySpec):
     return {
@@ -238,20 +242,13 @@ def _variety_outputs(X: VarietySpec):
     }
 
 
-def _enumeration_cost(X: VarietySpec, B: int) -> int:
-    """The tuples behind N_1..N_B: q^(k * sum(profile)) summed over k."""
-    q = X.p ** X.s
-    return sum(q ** (k * sum(X.profile)) for k in range(1, B + 1))
-
-
 def _count(X, args, budget):
     counts = [partial_count(X, k, budget=budget) for k in range(1, args.k + 1)]
     if args.format == "json":
         # companion human table on stderr so the JSON stream stays clean
         for k, nk in enumerate(counts, start=1):
             print(f"  N_{k} = {nk}", file=sys.stderr)
-    return ({"variety": _variety_outputs(X), "counts": counts},
-            _enumeration_cost(X, args.k), EXIT_OK)
+    return {"variety": _variety_outputs(X), "counts": counts}, EXIT_OK
 
 
 def _certificate(cert):
@@ -287,8 +284,7 @@ def _zeta(X, args, budget):
                    tol=args.tol)
     outputs = {"variety": _variety_outputs(X), "status": cert.status,
                "counts": list(cert.counts), **_certificate(cert)}
-    return (outputs, _enumeration_cost(X, len(cert.counts)),
-            EXIT_CODES[cert.status])
+    return outputs, EXIT_CODES[cert.status]
 
 
 def _faltings(X, args, budget):
@@ -305,7 +301,7 @@ def _faltings(X, args, budget):
         ],
         "witness_count": rep.witness_count,
     }
-    return ({"variety": _variety_outputs(X), "lemma": lemma}, None,
+    return ({"variety": _variety_outputs(X), "lemma": lemma},
             EXIT_OK if ok else EXIT_ASSERTION)
 
 
@@ -313,20 +309,19 @@ def _graph(G, args, budget):
     rep = reduction_check(G, args.k_max, max_k=args.max_k,
                           holdout=args.holdout, tol=args.tol, budget=budget)
     cert = rep.certificate
-    if cert.weights is None:
-        return {"status": cert.status}, None, EXIT_CODES[cert.status]
-    code = EXIT_CODES[cert.status] if rep.passed else EXIT_ASSERTION
     outputs = {"direct_counts": list(rep.direct_counts),
                "reduced_counts": list(rep.reduced_counts),
                "counts_agree": rep.passed, **_certificate(cert)}
-    return outputs, None, code
+    if cert.weights is None:  # else its status is the weights' verdict
+        outputs["status"] = cert.status
+    return outputs, EXIT_CODES[cert.status] if rep.passed else EXIT_ASSERTION
 
 
 def _as(inst, args, budget):
     try:
         rep = bound_check(inst, e_max=args.e_max, budget=budget)
     except OracleMismatchError as exc:
-        return ({"status": "oracle-mismatch", "detail": str(exc)}, None,
+        return ({"status": "oracle-mismatch", "detail": str(exc)},
                 EXIT_ASSERTION)
     violated = rep.hypothesis_ok and not rep.satisfied
     outputs = {
@@ -343,7 +338,7 @@ def _as(inst, args, budget):
         "hypothesis_ok": rep.hypothesis_ok,
         "satisfied": rep.satisfied,
     }
-    return outputs, None, EXIT_ASSERTION if violated else EXIT_OK
+    return outputs, EXIT_ASSERTION if violated else EXIT_OK
 
 
 def _parse_profiles(specs, n):
@@ -388,8 +383,8 @@ def _sweep(X, args, budget):
         writer = csv.DictWriter(sys.stdout, fieldnames=SWEEP_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
-        return None, None, code
-    return {"columns": SWEEP_COLUMNS, "rows": rows}, None, code
+        return None, code
+    return {"columns": SWEEP_COLUMNS, "rows": rows}, code
 
 
 # -- the runner -------------------------------------------------------------
@@ -430,15 +425,16 @@ def emit(report, fmt, out):
 
 def _run(args) -> int:
     kind, _, compute, flags = COMMANDS[args.subcommand]
+    work[0] = 0
     obj, digest, budget = load_instance(args.file, kind, args.budget)
     t0 = time.perf_counter()
-    outputs, consumed, code = compute(obj, args, budget)
+    outputs, code = compute(obj, args, budget)
     if outputs is not None:
         emit({"command": args.subcommand,
               "input_digest": digest,
               "parameters": {name: getattr(args, name) for name in flags},
               "outputs": outputs,
-              "budget": {"limit": budget, "consumed": consumed},
+              "budget": {"limit": budget, "consumed": work[0]},
               "timings": {"wall_time_s": time.perf_counter() - t0}},
              args.format, sys.stdout)
     return code
@@ -489,10 +485,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("file", help="instance JSON file")
         sp.add_argument("--budget", type=_positive(int), default=None,
                         help="enumeration budget: the most tuples, search "
-                             "nodes or join nodes one enumeration may visit, "
-                             "term pairs the products of one equation's parse "
-                             "may make, and products (deg^2 times Q's bit "
-                             "length) one root count's x^Q mod g may take")
+                             "candidates or join nodes one enumeration may "
+                             "visit, term pairs one equation's parse may "
+                             "make, and products (deg^2 times Q's bit length) "
+                             "one root count's x^Q mod g may take")
         sp.add_argument("--format", choices=("json", "csv", "table"),
                         default="json")
         for flag, default in flags.items():

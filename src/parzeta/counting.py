@@ -37,9 +37,19 @@ counting of orbits of a cyclic group).  The orbits come from the ambient
 field's walk, ``Field.frobenius_orbits(e, g)``: an orbit is walked only
 when the search reaches its least member, so a refused search has walked
 only the orbits it reached, and a later search over the same subfield and
-step replays a walk that ran to its end.  The budget counts every node of
-the search over all the values: a node counts its weight, so a refusal
-does not depend on the reduction, and its cost is always ``budget + 1``.
+step replays a walk that ran to its end.  The budget counts the root
+and every candidate of the search over all the values: each value a
+level tries, charged before its closing equations are evaluated, whether
+or not it passes them.  A candidate counts its weight, so a refusal does
+not depend on the reduction, and its cost is always ``budget + 1``.  A
+scanned level is charged in full, so a budget bounds the evaluations a
+search makes.
+
+One work meter, ``work[0]``, holds the most work one enumeration has done:
+``charge`` refuses work over its budget and raises the meter, from the
+search (its candidates, as it ends), ``join`` (its nodes), the
+Artin-Schreier counts (their q^e tuples) and the parser (its term pairs).
+``cli`` resets it per run and reports it as ``budget.consumed``.
 
 - ``partial_count`` leaves out the variables no equation uses (they
   multiply the count by their domain size) and counts one used variable
@@ -79,7 +89,7 @@ does not depend on the reduction, and its cost is always ``budget + 1``.
   F_{q^e} of S, the level sums to r(C u M) - r(C u A) + Q r(C u A u B),
   M the minors (none for one equation, and then r(C u M) = r(C)): at
   most three ``count_roots`` calls in place of one leaf per value, and
-  no node charge.  A level of too high a degree in x, by
+  no candidate charge.  A level of too high a degree in x, by
   ``_collapses``, is scanned.
 - ``enumerate_points`` binds every variable in index order, each to
   every value of the subfield its degree names, the last one by scan or
@@ -160,6 +170,21 @@ def check_cost(q: int, e: int, budget: int, context: str) -> None:
     if (q.bit_length() - 1) * e >= budget.bit_length() or q ** e > budget:
         cost = (q, e) if _too_long(q, e) else q ** e
         raise BudgetExceededError(cost, budget, context)
+
+
+# the work meter, one entry that ``cli`` resets and reads: the most work
+# one enumeration has done, in the unit its budget limits (search
+# candidates, join nodes, Artin-Schreier tuples or parse term pairs), so
+# never more than the budget it ran under
+work = [0]
+
+
+def charge(n: int, budget: int, context: str) -> None:
+    """Refuse ``n`` units of one enumeration's work over ``budget``, else
+    raise the work meter to ``n``."""
+    if n > budget:
+        raise BudgetExceededError(n, budget, context)
+    work[0] = max(work[0], n)
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +300,14 @@ def _search(equations, ambient: Field, order, degrees, leaf, budget: int,
     fixed by the stabiliser.  So does a level past ``orbits`` and a
     summed one.  The equations have coefficients in F_q, so the
     stabiliser maps the subtree under (prefix, x) onto the subtree under
-    each value of x's orbit, and every subfield onto itself.  Every node
-    visited, full prefixes included, counts its weight against
-    ``budget``: the count is the node count of the search over every
-    value.  A summed level binds no value, so it charges no node.  The
-    refusal's cost is ``budget + 1``, the node at which that search
-    stops.
+    each value of x's orbit, and every subfield onto itself.  The root and
+    every candidate, charged before its closing equations are evaluated,
+    count their weights against ``budget``: the count is the candidate
+    count of the search over every value.  A scanned level charges every
+    value it tries, a solved level its one root, and a summed level, which
+    binds no value, none.  The refusal's cost is ``budget + 1``, the
+    candidate at which that search stops; a finished search raises the
+    work meter to its count.
     """
     domains = [ambient.subfield(e) for e in degrees]
     skeleton = _skeleton(tuple(equations), tuple(order))
@@ -305,8 +332,7 @@ def _search(equations, ambient: Field, order, degrees, leaf, budget: int,
     members = [d if isinstance(d, range) else set(d) for d in domains]
     point = [None] * stop
     nodes = 1  # the root
-    if budget < 1:
-        raise BudgetExceededError(budget + 1, budget, "variety enumeration")
+    charge(nodes, budget, "variety enumeration")
     if not stop:
         return leaf(point, [_collect(start[j], exps[j][0], ambient)
                             for j in close[0]], 1)
@@ -388,6 +414,10 @@ def _search(equations, ambient: Field, order, degrees, leaf, budget: int,
             candidates = zip(domains[u], repeat(1))
         total = 0
         for x, m in candidates:
+            wx = w * m
+            nodes += wx
+            if nodes > budget:  # the refusal's cost is budget + 1, whatever wx
+                charge(budget + 1, budget, "variety enumeration")
             xp = {e: pw(x, e) for e in powers[u]}
             for j in closing:
                 acc = 0
@@ -396,11 +426,6 @@ def _search(equations, ambient: Field, order, degrees, leaf, budget: int,
                 if acc:
                     break
             else:
-                wx = w * m
-                nodes += wx
-                if nodes > budget:
-                    raise BudgetExceededError(budget + 1, budget,
-                                              "variety enumeration")
                 point[u] = x
                 if u < fuse:
                     nxt = list(vals)
@@ -419,9 +444,11 @@ def _search(equations, ambient: Field, order, degrees, leaf, budget: int,
         return total
 
     try:
-        return descend(0, start, 1)
+        total = descend(0, start, 1)
     finally:
         del descend  # a self-referencing closure: free its state now, not at gc
+    charge(nodes, budget, "variety enumeration")
+    return total
 
 
 def enumerate_orbit_points(X: VarietySpec, ambient: Field,
@@ -437,8 +464,10 @@ def enumerate_orbit_points(X: VarietySpec, ambient: Field,
     ``ambient.frobenius_orbits``, so a listing over the same field after
     a finished one replays its walk.  The search binds x_1, ..., x_n in
     turn, each at degree N, over the whole field, and raises
-    ``BudgetExceededError`` once it has visited more than ``budget``
-    nodes, counted as by the search over every value of x_1.
+    ``BudgetExceededError`` once it has charged more than ``budget``
+    candidates, counted as by the search over every value of x_1; a
+    variable closed by a nonlinear equation is scanned, each of its
+    values a candidate.
     """
     out = []
 
@@ -461,7 +490,8 @@ def enumerate_points(equations, ambient: Field, degrees,
 
     The search binds x_1, ..., x_n, n = len(degrees), in turn, each to
     every value of its subfield, and raises ``BudgetExceededError`` once
-    it has visited more than ``budget`` nodes.
+    it has charged more than ``budget`` candidates, each value a scanned
+    variable tries among them.
     """
     for eq in equations:
         eq.check_base(ambient.p, ambient.s)
@@ -486,8 +516,9 @@ def join(sizes, links, budget: int, context: str):
     placed most-linked-to-placed first, ties going to the lower index.
     A block's candidates come from an index keyed by their images under
     its links to the blocks already placed; a self-link (a == b) filters
-    that index.  Every node visited, the root included, counts against
-    ``budget``, and the refusal names ``context``.
+    that index.  Every node visited, the root included, is charged
+    against ``budget`` as it is reached, and the refusal names
+    ``context``.
     """
     m = len(sizes)
     # per position: the block, its index, and the (placed block, images)
@@ -522,8 +553,7 @@ def join(sizes, links, budget: int, context: str):
     def descend(pos):
         nonlocal nodes
         nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(nodes, budget, context)
+        charge(nodes, budget, context)
         if pos == m:
             out.append(tuple(chosen))
             return
@@ -691,10 +721,12 @@ def partial_count_check(X: VarietySpec, k: int, budget: int) -> CountPlan:
 def partial_count(X: VarietySpec, k: int,
                   budget: int = DEFAULT_BUDGET) -> int:
     """Exact #X_{d_1,...,d_n}(k), refused only by ``partial_count_check``,
-    before any field is built.  The search then visits at most
-    1 + q^(a_1) + ... + q^A <= q^(A + d_c k) - 1 nodes, A = k times the
-    sum of the bound variables' d_i and d_c the counted one's, so its
-    node meter never refuses a budget that check lets through.
+    before any field is built.  The search then charges at most
+    1 + q^(a_1) + ... + q^A <= q^(A + d_c k) - 1 candidates, a_u = k times
+    the sum of the first u bound variables' d_i, A = a_u over them all and
+    d_c the counted one's entry: level u's candidates, weighted, are at
+    most its domain's size times the prefixes that pass above it.  So its
+    meter never refuses a budget that check lets through.
 
     The used variables are searched in the plan's order over its count
     field, which holds the bound variables' subfields: the last is counted

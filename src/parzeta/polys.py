@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import chain
 import math
 
-from .counting import BudgetExceededError, DEFAULT_BUDGET
+from .counting import DEFAULT_BUDGET, charge
 from .fields import Field, FieldError, field
 
 
@@ -255,10 +255,9 @@ class _Parser:
 
     def product(self, a, b):
         """a * b, its term pairs |a| |b| added to the parse's running total,
-        which is refused past the budget."""
+        which is charged: refused past the budget, else metered."""
         self.pairs += len(a.terms) * len(b.terms)
-        if self.pairs > self.budget:
-            raise BudgetExceededError(self.pairs, self.budget, "parse_poly")
+        charge(self.pairs, self.budget, "parse_poly")
         return a * b
 
     def power(self, b, e: int):
@@ -369,7 +368,8 @@ class _Parser:
 def parse_poly(text: str, varnames, base: Field,
                budget: int = DEFAULT_BUDGET) -> SparsePoly:
     """The polynomial ``text`` in ``varnames`` over ``base``; products of
-    more than ``budget`` term pairs in all raise ``BudgetExceededError``."""
+    more than ``budget`` term pairs in all raise ``BudgetExceededError``,
+    and the pairs are charged to ``counting``'s work meter."""
     parser = _Parser(text, varnames, base, budget)
     try:
         return parser.parse()

@@ -16,7 +16,7 @@ from parzeta.artin_schreier import bound_check, singular_search
 from parzeta.cli import load_instance, main
 from parzeta.faltings import lemma_check
 from parzeta.graphs import reduction_check
-from test_golden import CASES
+from test_golden import CASES, GOLDEN
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 SRC = CORPUS.parent / "src"
@@ -608,6 +608,57 @@ def test_faltings_listing_refused_though_x1_is_fixed(tmp_path, capsys,
     assert json.loads(out)["outputs"]["lemma"]["passed"] is True
 
 
+# ROADMAP item 3's witnesses, (p, s, equations, profile, --k-max): each
+# listing closes its last variable nonlinearly, so every node scans that
+# variable's field
+FALTINGS_WITNESSES = [
+    (3, 1, ["x1^2*x2^2 + x1*x2 + x2^3 + 2"], [3, 4], 1),
+    (3, 1, ["x2^3", "x1 + x1^4*x2^4 + x1"], [3, 2], 2),
+    (2, 1, ["x3^3 + x2^3"], [1, 2, 3], 2),
+    (3, 2, ["x1^2*x1^2 + x1^2 + x2^2 + 1"], [1, 2], 2),
+    (5, 1, ["3*x1^4*x2^2*x3 + 3*x2^2*x3^2 + 2*x1*x2^4*x3"], [2, 3, 1], 1),
+]
+
+
+@pytest.mark.parametrize("p, s, equations, profile, k_max",
+                         FALTINGS_WITNESSES)
+def test_faltings_scan_refused_by_its_candidates(tmp_path, capsys, p, s,
+                                                 equations, profile, k_max):
+    # the search charges each scanned candidate, so a budget of 10^6 stops
+    # the listing after 10^6 of them, within seconds; the count at the same
+    # level passes
+    f = tmp_path / "inst.json"
+    f.write_text(json.dumps({"kind": "variety", "p": p, "s": s,
+                             "n": len(profile), "equations": equations,
+                             "profile": profile}))
+    budget = ["--budget", "1000000"]
+    code, _, _ = run(capsys, "count", str(f), "-k", str(k_max), *budget)
+    assert code == 0
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run([sys.executable, "-m", "parzeta.cli", "faltings",
+                           str(f), "--k-max", str(k_max), *budget],
+                          capture_output=True, text=True, env=env,
+                          timeout=10)
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr == ("budget exceeded: enumeration cost 1000001 "
+                           "exceeds budget 1000000 (variety enumeration)\n")
+
+
+def test_consumed_is_an_int_within_the_limit_in_every_golden():
+    # budget.consumed reads the work meter in all six subcommands: the most
+    # work one enumeration did, which its budget bounds
+    subs = set()
+    for path in sorted(GOLDEN.glob("*/*.json")):
+        report = json.loads(path.read_text())["stdout"]
+        if isinstance(report, dict):
+            budget = report["budget"]
+            assert type(budget["consumed"]) is int, path
+            assert 0 <= budget["consumed"] <= budget["limit"], path
+            subs.add(report["command"])
+    assert len(subs) == 6
+
+
 def _fail_root_finding(R, q, tol):
     from parzeta.zeta import RootFindingError
     raise RootFindingError("root refinement did not converge")
@@ -641,10 +692,15 @@ def test_root_finding_failure_exit_4(capsys, monkeypatch, sub):
     if sub == "zeta":
         assert out["status"] == "root-finding-failed"
         assert out["B_used"] == 4 and "weights" not in out
-        # the price of N_1..N_4, 4 + 16 + 64 + 256 tuples
-        assert rep["budget"]["consumed"] == 340
+        # x1 + x2's bound level is summed, so each count's search charges
+        # its root alone
+        assert rep["budget"]["consumed"] == 1
     elif sub == "graph":
-        assert out == {"status": "root-finding-failed"}
+        # the counts are written whatever the certificate holds
+        assert out["status"] == "root-finding-failed"
+        assert out["B_used"] == 5 and "weights" not in out
+        assert out["direct_counts"] == out["reduced_counts"] == [2, 2, 2]
+        assert out["counts_agree"] is True
     else:
         rows = out["rows"]
         assert [r["status"] for r in rows] == ["root-finding-failed"] * 2

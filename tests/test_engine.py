@@ -264,8 +264,8 @@ def listing_problems(draw):
 
 
 def unreduced_nodes(equations, n, amb, degrees):
-    """The node count of the search over every value of x_1: the least
-    budget under which ``_search`` without orbit weights passes."""
+    """The candidate count of the search over every value of x_1: the
+    least budget under which ``_search`` without orbit weights passes."""
     def passes(budget):
         try:
             _search(equations, amb, range(n), degrees,
@@ -1307,10 +1307,10 @@ def search_outcome(X, k, budget, collapse, orbits=None):
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(linear_leaf_varieties(), varieties()))
 def test_a_count_search_stays_within_its_tuple_bound(case):
-    # the search visits at most 1 + q^(a_1) + ... + q^A <= q^(A + 1) - 1
-    # nodes, A = k times the sum of the bound variables' d_i, and A + 1 is
-    # at most k times the used variables' sum: a budget that
-    # partial_count_check lets through is never refused by the node
+    # the search charges at most 1 + q^(a_1) + ... + q^A <= q^(A + 1) - 1
+    # candidates, A = k times the sum of the bound variables' d_i, and
+    # A + 1 is at most k times the used variables' sum: a budget that
+    # partial_count_check lets through is never refused by the work
     # meter, summed or scanned
     X, k = case
     plan = _count_plan(X)
@@ -1323,10 +1323,45 @@ def test_a_count_search_stays_within_its_tuple_bound(case):
         assert got * free == oracle_count(X, k)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(linear_leaf_varieties(), varieties()))
+def test_partial_count_is_never_refused_by_its_meter_at_its_tuple_price(
+        case):
+    # at a budget of its tuple price q^(k sum d), partial_count is refused
+    # only by its leaf's price, never by the candidates its search charges
+    X, k = case
+    price = (X.p ** X.s) ** (k * sum(X.profile))
+    counting.work[0] = 0
+    try:
+        got = partial_count(X, k, price)
+    except BudgetExceededError as err:
+        assert str(err).endswith(f"(count_roots k={k})")
+    else:
+        assert got == oracle_count(X, k)
+        assert counting.work[0] <= price
+
+
+def test_a_scanned_last_variable_charges_every_candidate():
+    # x1^3 + x2^3 + 1 over F_4 closes nonlinearly at x2, so the listing
+    # scans x2's 4 values under each of x1's 4: 1 + 4 + 16 = 21
+    # candidates, of which 1 + 4 + 6 pass.  A budget between the two
+    # refuses it
+    amb = Field(2, 1, 2)
+    equations = V(2, 1, 2, ["x1^3 + x2^3 + 1"], (1, 1)).equations
+    counting.work[0] = 0
+    assert len(enumerate_points(equations, amb, [2, 2], 21)) == 6
+    assert counting.work[0] == 21
+    for budget in (11, 20):
+        with pytest.raises(BudgetExceededError) as info:
+            enumerate_points(equations, amb, [2, 2], budget)
+        assert info.value.cost == budget + 1
+    assert counting.work[0] == 21
+
+
 def test_the_node_bound_is_tight():
     # x1*x2 + x1 over F_2 at (1, 1), k = 1, counts x2: the scan of x1
-    # visits the root and both values, q^2 - 1 = 3 nodes, where the sum
-    # binds no value and charges the root alone
+    # charges the root and both values, q^2 - 1 = 3 candidates, where the
+    # sum binds no value and charges the root alone
     X = V(2, 1, 2, ["x1*x2 + x1"], (1, 1))
     assert _count_plan(X)[0] == (0, 1)
     assert oracle_count(X, 1) == 3
