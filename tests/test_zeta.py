@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -1394,6 +1395,29 @@ def test_reconstruct_counts_calls_once_per_k_in_order():
     res = reconstruct_counts(count_at, 12)
     assert res == RationalFunctionZ((1, -1, 2), (1, -3, 4))
     assert calls == list(range(1, 8))
+
+
+def test_degree_24_weil_product_reconstructs_from_27_counts():
+    # ROADMAP item 1's degree-24 input, deeper than the reconstruct
+    # workload's degree-22 tables. q = 3: factors 1 - aT + 3^w T^2 with
+    # a^2 <= 4 3^w, and 1 -/+ 3^w T
+    sides = []
+    for factors in ([[1, -1, 3], [1, 2, 3], [1, -3, 9], [1, 5, 9], [1, -9],
+                     [1, 1], [1, 3, 9]],
+                    [[1, -1], [1, -3], [1, -2, 3], [1, 0, 3], [1, -4, 9],
+                     [1, 6, 27], [1, 1, 27]]):
+        P = [1]
+        for f in factors:
+            P = _pmul(P, f)
+        sides.append(tuple(P))
+    R = RationalFunctionZ(*sides)
+    assert R.total_degree() == 24
+    # B = 27 counts: degree 24 plus the holdout of 3
+    count_at, calls = _recording(counts_of(R, 27))
+    t0 = time.perf_counter()
+    assert reconstruct_counts(count_at, 27) == R
+    assert time.perf_counter() - t0 < 10
+    assert calls == list(range(1, 28))
 
 
 def test_reconstruct_counts_rejects_holdout_zero():
